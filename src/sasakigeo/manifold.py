@@ -17,6 +17,7 @@ Index conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -104,7 +105,8 @@ def metric_at(m: ChartedMetric, x: Point) -> np.ndarray:
     g = np.asarray(m.metric_fn(x), dtype=float)
     if g.shape != (m.dim, m.dim):
         raise DegenerateMetric(f"metric has shape {g.shape}, expected {(m.dim, m.dim)}")
-    if not np.allclose(g, g.T, atol=1e-14 * max(1.0, np.abs(g).max())):
+    # exact symmetry is the common case; NaN entries fail it and reach allclose
+    if not (g == g.T).all() and not np.allclose(g, g.T, atol=1e-14 * max(1.0, np.abs(g).max())):
         raise DegenerateMetric("metric matrix is not symmetric")
     return g
 
@@ -335,7 +337,7 @@ def validate_space_form(
     num_points: int = 10,
     planes_per_point: int = 2,
 ) -> float:
-    """Max |K - c| over sampled nondegenerate planes; raises if above 1e-8."""
+    """Max |K - c| over sampled nondegenerate planes; raises if above 1e-8 or not finite."""
     from .sampling import sample_domain_point, sample_tangent_plane
 
     worst = 0.0
@@ -344,6 +346,8 @@ def validate_space_form(
         for _ in range(planes_per_point):
             xv, yv = sample_tangent_plane(m, x, rng)
             dev = abs(sectional_curvature(m, x, xv, yv) - spec.curvature)
+            if not math.isfinite(dev):
+                raise DegenerateMetric(f"space form validation failed: K - c = {dev} for {spec}")
             worst = max(worst, dev)
     if worst > 1e-8:
         raise DegenerateMetric(

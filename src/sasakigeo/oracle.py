@@ -15,9 +15,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateMetric, NoSolvableCoordinate, PointMismatch
+from .errors import DegenerateMetric, NoSolvableCoordinate
 from .manifold import ChartedMetric, Christoffel, RiemannTensor
-from .sphere import SBPoint, SBVec, sb_vec
+from .sphere import SBPoint, SBVec, require_same_sb_point, sb_vec
 from .tangent import VectorField, as_field
 
 FD_STEP_FIRST = 1e-5
@@ -502,8 +502,7 @@ def second_fundamental_form(
     m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec, gamma_tilde_fn=None, tg0=None
 ) -> float:
     """II(A, B) = eps * Tg(nabla-tilde_A B, N)."""
-    if a.at.eps != b.at.eps or not np.allclose(a.at.u, b.at.u, atol=1e-12):
-        raise PointMismatch("second fundamental form arguments at different points")
+    require_same_sb_point(a, b)
     if gamma_tilde_fn is None:
         gamma_tilde_fn = sasaki_gamma_fn(m)
     z0 = np.concatenate([p.x, p.u])

@@ -92,19 +92,25 @@ class SBFrame:
 
 
 def sb_point(m: ChartedMetric, x: np.ndarray, u: np.ndarray, eps: int) -> SBPoint:
-    """Validated construction: |g(u, u) - eps| < 1e-10."""
+    """Validated construction: finite x and u with |g(u, u) - eps| <= 1e-10."""
     if eps not in (-1, 1):
         raise ValueError("eps must be +1 or -1")
     if eps == -1 and m.index == 0:
         raise ValueError("eps = -1 requires a base metric of index >= 1")
-    g = metric_at(m, np.asarray(x, dtype=float))
-    q = float(np.asarray(u) @ g @ np.asarray(u))
-    if abs(q - eps) > 1e-10:
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(u).all()):
+        raise ValueError(f"bundle point ({x}, {u}) is not finite")
+    g = metric_at(m, x)
+    q = float(u @ g @ u)
+    if not abs(q - eps) <= 1e-10:
         raise ValueError(f"g(u, u) = {q!r} is not eps = {eps}")
     return SBPoint(x, u, eps)
 
 
 def require_same_sb_point(a: SBVec, b: SBVec) -> None:
+    if a.at is b.at:
+        return
     if not (
         a.at.eps == b.at.eps
         and np.allclose(a.at.x, b.at.x, atol=1e-12)

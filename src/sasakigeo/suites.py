@@ -111,10 +111,25 @@ class SuiteConfig:
         return default if self.tol is None else self.tol
 
 
+# validated charts by (n, nu, c, seed) while ``_run_all_matrix`` runs, else None
+_matrix_charts: dict | None = None
+
+
 def _chart(cfg: SuiteConfig) -> ChartedMetric:
-    m = space_form_chart(SpaceFormSpec(cfg.n, cfg.nu, cfg.c))
-    validate_space_form(m, SpaceFormSpec(cfg.n, cfg.nu, cfg.c), rng_for(cfg.seed, 9999), num_points=10)
-    return m
+    """The validated space form of ``cfg``; eps does not enter the chart.
+
+    Inside the ``all`` matrix each chart is built and validated once and then
+    shared by the suites and fiber signs of its configuration.  A validation
+    that raises is not kept, so the next row validates again.
+    """
+    charts = {} if _matrix_charts is None else _matrix_charts
+    key = (cfg.n, cfg.nu, cfg.c, cfg.seed)
+    if key not in charts:
+        spec = SpaceFormSpec(cfg.n, cfg.nu, cfg.c)
+        m = space_form_chart(spec)
+        validate_space_form(m, spec, rng_for(cfg.seed, 9999), num_points=10)
+        charts[key] = m
+    return charts[key]
 
 
 def _poly_field(n: int, rng: np.random.Generator):
@@ -674,18 +689,23 @@ def expected_pass(suite: str, cfg: SuiteConfig) -> bool:
 
 
 def _run_all_matrix(cfg: SuiteConfig) -> list:
+    global _matrix_charts
     suites = [s for s in SUITES if s != "all"]
     # the meta-suite trades sample counts for matrix coverage
     base = replace(cfg, num_points=max(2, cfg.num_points // 5), num_samples=max(6, cfg.num_samples // 3))
     checks = []
-    for sub_cfg in matrix_configs(base):
-        for suite in suites:
-            one = replace(sub_cfg, suite=suite)
-            report = run_suite(one)
-            expect = expected_pass(suite, one)
-            label = (
-                f"{suite}[n={one.n},nu={one.nu},eps={one.eps:+d},c={one.c:.6g}]"
-                f" (expect {'pass' if expect else 'fail'})"
-            )
-            checks.append(CheckItem(label, 0.0 if report.passed == expect else 1.0, 0.0))
+    _matrix_charts = {}
+    try:
+        for sub_cfg in matrix_configs(base):
+            for suite in suites:
+                one = replace(sub_cfg, suite=suite)
+                report = run_suite(one)
+                expect = expected_pass(suite, one)
+                label = (
+                    f"{suite}[n={one.n},nu={one.nu},eps={one.eps:+d},c={one.c:.6g}]"
+                    f" (expect {'pass' if expect else 'fail'})"
+                )
+                checks.append(CheckItem(label, 0.0 if report.passed == expect else 1.0, 0.0))
+    finally:
+        _matrix_charts = None
     return checks

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sasakigeo.errors import DegeneratePlane, OutOfDomain
+from sasakigeo.errors import DegenerateMetric, DegeneratePlane, OutOfDomain
 from sasakigeo.manifold import (
     ChartedMetric,
     SpaceFormSpec,
@@ -49,8 +49,6 @@ class TestMetricAt:
             metric_at(m, np.array([1.5, 0.0]))
 
     def test_degenerate_metric_raises(self):
-        from sasakigeo.errors import DegenerateMetric
-
         m = ChartedMetric(dim=2, index=0, metric_fn=lambda x: np.diag([1.0, x[0]]))
         with pytest.raises(DegenerateMetric):
             signature_at(m, np.array([0.0, 0.3]))
@@ -58,11 +56,21 @@ class TestMetricAt:
             christoffel_at(m, np.array([0.0, 0.3]))
 
     def test_asymmetric_metric_rejected(self):
-        from sasakigeo.errors import DegenerateMetric
-
         bad = ChartedMetric(dim=2, index=0, metric_fn=lambda x: np.array([[1.0, 0.5], [0.2, 1.0]]))
         with pytest.raises(DegenerateMetric):
             metric_at(bad, np.zeros(2))
+
+    def test_nan_metric_rejected(self):
+        bad = ChartedMetric(dim=2, index=0, metric_fn=lambda x: np.full((2, 2), np.nan))
+        with pytest.raises(DegenerateMetric):
+            metric_at(bad, np.zeros(2))
+
+    def test_asymmetry_within_tolerance_accepted(self):
+        # not exactly symmetric: decided by the allclose fallback, as before
+        g = np.array([[1.0, 0.5], [0.5 + 2.0**-53, 1.0]])
+        assert g[0, 1] != g[1, 0]
+        m = ChartedMetric(dim=2, index=0, metric_fn=lambda x: g)
+        assert metric_at(m, np.zeros(2)) is g
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(-0.5, 0.5), min_size=2, max_size=2))
@@ -249,6 +257,13 @@ class TestSpaceFormChart:
         m = space_form_chart(spec)
         dev = validate_space_form(m, spec, np.random.default_rng(1), num_points=10, planes_per_point=2)
         assert dev < 1e-8
+
+    def test_validation_rejects_nan_curvature(self):
+        spec = SpaceFormSpec(2, 0, 1.0)
+        m = space_form_chart(spec)
+        m.deriv2_fn = lambda x: np.full((2, 2, 2, 2), np.nan)
+        with pytest.raises(DegenerateMetric):
+            validate_space_form(m, spec, np.random.default_rng(1))
 
     def test_flat_spec_is_euclidean(self):
         m = space_form_chart(SpaceFormSpec(2, 0, 0.0))

@@ -169,6 +169,13 @@ class TestGaussOracle:
         with pytest.raises(PointMismatch):
             second_fundamental_form(m, p1, sample_sb_vec(m, p1, rng), sample_sb_vec(m, p2, rng))
 
+    def test_second_fundamental_form_base_point_mismatch(self, flat2):
+        u = np.array([0.6, 0.8])
+        p1 = sb_point(flat2, np.zeros(2), u, 1)
+        p2 = sb_point(flat2, np.array([0.1, 0.0]), u, 1)  # same u and eps, other x
+        with pytest.raises(PointMismatch):
+            second_fundamental_form(flat2, p1, horizontal_sb(p1, np.ones(2)), horizontal_sb(p2, np.ones(2)))
+
 
 class TestFdLieBracket:
     def test_coordinate_fields_commute(self):

@@ -14,6 +14,7 @@ from sasakigeo.oracle import (
 )
 from sasakigeo.sampling import sample_sb_point, sample_sb_vec
 from sasakigeo.sphere import (
+    SBPoint,
     frame_at,
     frame_gram,
     horizontal_sb,
@@ -39,6 +40,40 @@ class TestSBPoint:
     def test_eps_minus_needs_index(self, flat2):
         with pytest.raises(ValueError):
             sb_point(flat2, np.zeros(2), np.array([1.0, 0.0]), -1)
+
+    @pytest.mark.parametrize(
+        "x,u",
+        [
+            ([0.0, 0.0], [np.nan, np.nan]),
+            ([0.0, 0.0], [np.inf, 0.0]),
+            ([np.nan, 0.0], [1.0, 0.0]),  # flat2 accepts every x, so only sb_point can refuse it
+        ],
+    )
+    def test_non_finite_point_rejected(self, flat2, x, u):
+        with pytest.raises(ValueError):
+            sb_point(flat2, np.array(x), np.array(u), 1)
+
+
+class TestPointGuard:
+    def test_equal_coordinates_at_distinct_points_add(self, flat2):
+        p = sb_point(flat2, np.array([0.1, 0.2]), np.array([0.6, 0.8]), 1)
+        q = sb_point(flat2, p.x.copy(), p.u.copy(), 1)
+        assert p is not q
+        total = horizontal_sb(p, np.ones(2)) + horizontal_sb(q, np.ones(2))
+        assert np.array_equal(total.hpart, [2.0, 2.0])
+
+    @pytest.mark.parametrize("dx,u", [([0.1, 0.0], [0.6, 0.8]), ([0.0, 0.0], [0.8, 0.6])])
+    def test_different_coordinates_raise(self, flat2, dx, u):
+        p = sb_point(flat2, np.array([0.1, 0.2]), np.array([0.6, 0.8]), 1)
+        q = sb_point(flat2, p.x + np.array(dx), np.array(u), 1)
+        with pytest.raises(PointMismatch):
+            horizontal_sb(p, np.ones(2)) + horizontal_sb(q, np.ones(2))
+
+    def test_different_fiber_sign_raises(self, flat2):
+        p = sb_point(flat2, np.zeros(2), np.array([0.6, 0.8]), 1)
+        q = SBPoint(p.x, p.u, -1)  # same coordinates, other sign (unvalidated on purpose)
+        with pytest.raises(PointMismatch):
+            horizontal_sb(p, np.ones(2)) + horizontal_sb(q, np.ones(2))
 
 
 class TestNormal:

@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from sasakigeo.errors import InvalidConfig
+from sasakigeo import suites
+from sasakigeo.errors import DegenerateMetric, InvalidConfig
 from sasakigeo.cli import main
 from sasakigeo.report import CheckItem, CheckReport, emit_report, report_to_dict
 from sasakigeo.suites import SUITES, SuiteConfig, expected_pass, matrix_configs, run_suite
@@ -103,6 +104,88 @@ class TestAllMatrix:
         magic = -3.0 + 2.0 * np.sqrt(2.0)
         assert expected_pass("sasakian", SuiteConfig(suite="sasakian", c=magic, eps=-1, nu=1))
         assert expected_pass("axioms", SuiteConfig(suite="axioms", c=0.5, eps=-1, nu=1))
+
+
+@pytest.fixture
+def two_charts(monkeypatch):
+    """Three matrix configurations (30 rows) on two charts: n = 2, nu = 1, c = 0 at both eps, c = 1 at eps = +1."""
+    full = suites.matrix_configs
+    monkeypatch.setattr(
+        suites,
+        "matrix_configs",
+        lambda cfg: [c for c in full(cfg) if (c.n, c.nu) == (2, 1) and (c.c == 0.0 or (c.c == 1.0 and c.eps == 1))],
+    )
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """(n, nu, c) of every space-form validation that ``suites`` asks for."""
+    seen = []
+    validate = suites.validate_space_form
+
+    def counted(m, spec, rng, **kwargs):
+        seen.append((spec.dim, spec.index, spec.curvature))
+        return validate(m, spec, rng, **kwargs)
+
+    monkeypatch.setattr(suites, "validate_space_form", counted)
+    return seen
+
+
+class TestMatrixCharts:
+    def test_each_chart_validated_once_per_run(self, two_charts, validations):
+        report = run_suite(SuiteConfig(suite="all"))
+        assert len(report.checks) == 30
+        assert validations == [(2, 1, 0.0), (2, 1, 1.0)]
+        run_suite(SuiteConfig(suite="all"))
+        assert validations == [(2, 1, 0.0), (2, 1, 1.0)] * 2
+
+    def test_single_suites_validate_every_time(self, validations):
+        for _ in range(2):
+            run_suite(SuiteConfig(suite="index", **FAST))
+        assert validations == [(2, 0, 1.0)] * 2
+
+    def test_failed_validation_is_not_kept(self, two_charts, validations, monkeypatch):
+        counted = suites.validate_space_form
+        failures = []
+
+        def fail_first(m, spec, rng, **kwargs):
+            if not failures:
+                failures.append((spec.dim, spec.index, spec.curvature))
+                raise DegenerateMetric("injected")
+            return counted(m, spec, rng, **kwargs)
+
+        monkeypatch.setattr(suites, "validate_space_form", fail_first)
+        inner = suites.run_suite
+        raised = []
+
+        def row(cfg):
+            # carry on past a raising row, as the benchmark's matrix workload does
+            try:
+                return inner(cfg)
+            except DegenerateMetric:
+                raised.append(cfg.suite)
+                return CheckReport.build(cfg.suite, cfg.params(), [CheckItem("raised", 1.0, 0.0)])
+
+        monkeypatch.setattr(suites, "run_suite", row)
+        suites.run_suite(SuiteConfig(suite="all"))
+        assert raised == ["axioms"]
+        # the first chart raised and was validated again by its next row
+        assert failures == [(2, 1, 0.0)]
+        assert validations == [(2, 1, 0.0), (2, 1, 1.0)]
+
+    def test_a_raising_matrix_keeps_no_chart(self, two_charts, validations, monkeypatch):
+        counted = suites.validate_space_form
+
+        def fail_at_c1(m, spec, rng, **kwargs):
+            if spec.curvature == 1.0:
+                raise DegenerateMetric("injected")
+            return counted(m, spec, rng, **kwargs)
+
+        monkeypatch.setattr(suites, "validate_space_form", fail_at_c1)
+        with pytest.raises(DegenerateMetric):
+            run_suite(SuiteConfig(suite="all"))
+        run_suite(SuiteConfig(suite="index", nu=1, c=0.0, **FAST))
+        assert validations == [(2, 1, 0.0)] * 2
 
 
 class TestEmitReport:
