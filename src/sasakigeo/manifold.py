@@ -24,11 +24,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateMetric, DegeneratePlane, OutOfDomain
+from .stencil import FD_STEP_FIRST, FD_STEP_SECOND, partials
 
 Point = np.ndarray
-
-FD_STEP_FIRST = 1e-5
-FD_STEP_SECOND = 1e-4
 
 
 @dataclass(frozen=True)
@@ -116,41 +114,7 @@ def metric_deriv1_at(m: ChartedMetric, x: Point) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if m.deriv1_fn is not None:
         return np.asarray(m.deriv1_fn(x), dtype=float)
-    n = m.dim
-    h = FD_STEP_FIRST
-    dg = np.empty((n, n, n))
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = h
-        dg[k] = (m.metric_fn(x + e) - m.metric_fn(x - e)) / (2.0 * h)
-    return dg
-
-
-def metric_deriv2_at(m: ChartedMetric, x: Point) -> np.ndarray:
-    """d_k d_l g_ij at x: analytic when supplied, else central differences."""
-    x = np.asarray(x, dtype=float)
-    if m.deriv2_fn is not None:
-        return np.asarray(m.deriv2_fn(x), dtype=float)
-    n = m.dim
-    h = FD_STEP_SECOND
-    g0 = np.asarray(m.metric_fn(x), dtype=float)
-    ddg = np.empty((n, n, n, n))
-    for k in range(n):
-        ek = np.zeros(n)
-        ek[k] = h
-        ddg[k, k] = (m.metric_fn(x + ek) - 2.0 * g0 + m.metric_fn(x - ek)) / h**2
-        for l in range(k + 1, n):
-            el = np.zeros(n)
-            el[l] = h
-            mixed = (
-                m.metric_fn(x + ek + el)
-                - m.metric_fn(x + ek - el)
-                - m.metric_fn(x - ek + el)
-                + m.metric_fn(x - ek - el)
-            ) / (4.0 * h**2)
-            ddg[k, l] = mixed
-            ddg[l, k] = mixed
-    return ddg
+    return partials(m.metric_fn, x, FD_STEP_FIRST)
 
 
 def metric_inverse(g: np.ndarray) -> np.ndarray:
@@ -175,11 +139,10 @@ def christoffel_at(m: ChartedMetric, x: Point) -> Christoffel:
 
 def _christoffel_deriv_at(m: ChartedMetric, x: Point) -> np.ndarray:
     """d_c Gamma^i_ab, from analytic g-derivatives when available."""
-    n = m.dim
     if not m.uses_fd_derivatives:
         g = metric_at(m, x)
         dg = metric_deriv1_at(m, x)
-        ddg = metric_deriv2_at(m, x)
+        ddg = np.asarray(m.deriv2_fn(x), dtype=float)
         ginv = metric_inverse(g)
         dginv = -np.einsum("im,cmn,nl->cil", ginv, dg, ginv)
         t = np.einsum("jlk->ljk", dg) + np.einsum("kjl->ljk", dg) - dg
@@ -193,13 +156,7 @@ def _christoffel_deriv_at(m: ChartedMetric, x: Point) -> np.ndarray:
             np.einsum("cil,lab->ciab", dginv, t) + np.einsum("il,clab->ciab", ginv, dt)
         )
         return dgamma
-    h = FD_STEP_SECOND
-    dgamma = np.empty((n, n, n, n))
-    for c in range(n):
-        e = np.zeros(n)
-        e[c] = h
-        dgamma[c] = (christoffel_at(m, x + e).gamma - christoffel_at(m, x - e).gamma) / (2.0 * h)
-    return dgamma
+    return partials(lambda y: christoffel_at(m, y).gamma, x, FD_STEP_SECOND)
 
 
 def riemann_at(m: ChartedMetric, x: Point) -> RiemannTensor:
@@ -235,12 +192,7 @@ def nabla_riemann_full(m: ChartedMetric, x: Point) -> np.ndarray:
         return np.zeros((n, n, n, n, n))
     gamma = christoffel_at(m, x).gamma
     r = riemann_at(m, x).r
-    h = FD_STEP_FIRST
-    dr = np.empty((n, n, n, n, n))
-    for c in range(n):
-        e = np.zeros(n)
-        e[c] = h
-        dr[c] = (riemann_at(m, x + e).r - riemann_at(m, x - e).r) / (2.0 * h)
+    dr = partials(lambda y: riemann_at(m, y).r, x, FD_STEP_FIRST)
     return (
         dr
         + np.einsum("imp,pjkl->mijkl", gamma, r)

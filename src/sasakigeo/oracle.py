@@ -18,23 +18,11 @@ import numpy as np
 from .errors import DegenerateMetric, NoSolvableCoordinate
 from .manifold import ChartedMetric, Christoffel, RiemannTensor
 from .sphere import SBPoint, SBVec, require_same_sb_point, sb_vec
+from .stencil import FD_STEP_FIRST, FD_STEP_SECOND, jacobian, partials
 from .tangent import VectorField, as_field
-
-FD_STEP_FIRST = 1e-5
-FD_STEP_SECOND = 1e-4
 
 
 # -------------------- raw metric data (oracle's own access) --------------------
-
-
-def _metric_d1(metric_fn, x: np.ndarray, step: float = FD_STEP_FIRST) -> np.ndarray:
-    n = x.size
-    dg = np.empty((n, n, n))
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = step
-        dg[k] = (np.asarray(metric_fn(x + e)) - np.asarray(metric_fn(x - e))) / (2.0 * step)
-    return dg
 
 
 def _koszul(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
@@ -50,19 +38,14 @@ def fd_christoffel(metric_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     """Koszul symbols from central differences of the raw metric components."""
     x = np.asarray(x, dtype=float)
     g = np.asarray(metric_fn(x), dtype=float)
-    return Christoffel(_koszul(g, _metric_d1(metric_fn, x, step)))
+    return Christoffel(_koszul(g, partials(metric_fn, x, step)))
 
 
 def fd_riemann(gamma_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, step: float = FD_STEP_SECOND) -> RiemannTensor:
     """Coordinate curvature from central differences of a Christoffel function."""
     x = np.asarray(x, dtype=float)
-    n = x.size
     gamma = np.asarray(gamma_fn(x), dtype=float)
-    dgamma = np.empty((n, n, n, n))
-    for c in range(n):
-        e = np.zeros(n)
-        e[c] = step
-        dgamma[c] = (np.asarray(gamma_fn(x + e)) - np.asarray(gamma_fn(x - e))) / (2.0 * step)
+    dgamma = partials(gamma_fn, x, step)
     r = (
         np.einsum("kilj->ijkl", dgamma)
         - np.einsum("likj->ijkl", dgamma)
@@ -79,34 +62,26 @@ def base_gamma(m: ChartedMetric, x: np.ndarray) -> np.ndarray:
     if m.deriv1_fn is not None:
         dg = np.asarray(m.deriv1_fn(x), dtype=float)
     else:
-        dg = _metric_d1(m.metric_fn, x)
+        dg = partials(m.metric_fn, x, FD_STEP_FIRST)
     return _koszul(g, dg)
 
 
 def _base_dgamma(m: ChartedMetric, x: np.ndarray) -> np.ndarray:
-    """d_c Gamma^i_ab, oracle-side."""
-    n = m.dim
-    if m.deriv1_fn is not None and m.deriv2_fn is not None:
-        g = np.asarray(m.metric_fn(x), dtype=float)
-        dg = np.asarray(m.deriv1_fn(x), dtype=float)
-        ddg = np.asarray(m.deriv2_fn(x), dtype=float)
-        ginv = np.linalg.inv(g)
-        dginv = -np.einsum("im,cmn,nl->cil", ginv, dg, ginv)
-        t = np.einsum("jlk->ljk", dg) + np.einsum("kjl->ljk", dg) - dg
-        dt = (
-            np.einsum("calb->clab", ddg)
-            + np.einsum("cbal->clab", ddg)
-            - np.einsum("clab->clab", ddg)
-        )
-        return 0.5 * (
-            np.einsum("cil,lab->ciab", dginv, t) + np.einsum("il,clab->ciab", ginv, dt)
-        )
-    dgamma = np.empty((n, n, n, n))
-    for c in range(n):
-        e = np.zeros(n)
-        e[c] = FD_STEP_SECOND
-        dgamma[c] = (base_gamma(m, x + e) - base_gamma(m, x - e)) / (2.0 * FD_STEP_SECOND)
-    return dgamma
+    """d_c Gamma^i_ab, oracle-side; callers make sure g' and g'' are analytic."""
+    g = np.asarray(m.metric_fn(x), dtype=float)
+    dg = np.asarray(m.deriv1_fn(x), dtype=float)
+    ddg = np.asarray(m.deriv2_fn(x), dtype=float)
+    ginv = np.linalg.inv(g)
+    dginv = -np.einsum("im,cmn,nl->cil", ginv, dg, ginv)
+    t = np.einsum("jlk->ljk", dg) + np.einsum("kjl->ljk", dg) - dg
+    dt = (
+        np.einsum("calb->clab", ddg)
+        + np.einsum("cbal->clab", ddg)
+        - np.einsum("clab->clab", ddg)
+    )
+    return 0.5 * (
+        np.einsum("cil,lab->ciab", dginv, t) + np.einsum("il,clab->ciab", ginv, dt)
+    )
 
 
 # -------------------- Sasaki metric in the induced chart of TM --------------------
@@ -172,19 +147,6 @@ def sasaki_metric_deriv_fn(m: ChartedMetric) -> Callable[[np.ndarray], np.ndarra
     return dtg
 
 
-def sasaki_chart(m: ChartedMetric) -> ChartedMetric:
-    """The induced chart of (TM, Tg) as a ChartedMetric on 2n coordinates."""
-    n = m.dim
-    return ChartedMetric(
-        dim=2 * n,
-        index=2 * m.index,
-        metric_fn=sasaki_metric_fn(m),
-        deriv1_fn=sasaki_metric_deriv_fn(m),
-        domain_fn=lambda z: m.domain_fn(z[:n]),
-        name=f"sasaki({m.name})",
-    )
-
-
 def sasaki_gamma_fn(m: ChartedMetric) -> Callable[[np.ndarray], np.ndarray]:
     """z -> Christoffel symbols of Tg; Koszul from analytic dTg when available."""
     tg = sasaki_metric_fn(m)
@@ -192,12 +154,6 @@ def sasaki_gamma_fn(m: ChartedMetric) -> Callable[[np.ndarray], np.ndarray]:
     if dtg is None:
         return lambda z: fd_christoffel(tg, z).gamma
     return lambda z: _koszul(tg(z), dtg(z))
-
-
-def sasaki_gamma_fn_fd(m: ChartedMetric, step: float = FD_STEP_FIRST) -> Callable[[np.ndarray], np.ndarray]:
-    """Purely finite-difference Christoffels of Tg (for convergence checks)."""
-    tg = sasaki_metric_fn(m)
-    return lambda z: fd_christoffel(tg, z, step).gamma
 
 
 # -------------------- lift fields in induced coordinates --------------------
@@ -302,22 +258,12 @@ def const_lift_jacobian_fn(m: ChartedMetric, w: np.ndarray, kind: str, eps: int)
 # -------------------- generic FD differential operators --------------------
 
 
-def _dir_jacobian(field_fn, z: np.ndarray, step: float = FD_STEP_FIRST) -> np.ndarray:
-    d = z.size
-    cols = []
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = step
-        cols.append((np.asarray(field_fn(z + e)) - np.asarray(field_fn(z - e))) / (2.0 * step))
-    return np.stack(cols, axis=1)
-
-
 def fd_lie_bracket(afield_fn, bfield_fn, z: np.ndarray, step: float = FD_STEP_FIRST) -> np.ndarray:
     """[A, B]^i = A^j d_j B^i - B^j d_j A^i by central differences."""
     z = np.asarray(z, dtype=float)
     aval = np.asarray(afield_fn(z), dtype=float)
     bval = np.asarray(bfield_fn(z), dtype=float)
-    return _dir_jacobian(bfield_fn, z, step) @ aval - _dir_jacobian(afield_fn, z, step) @ bval
+    return jacobian(bfield_fn, z, step) @ aval - jacobian(afield_fn, z, step) @ bval
 
 
 def fd_lie_derivative_metric(vfield_fn, metric_fn, z: np.ndarray, step: float = FD_STEP_FIRST) -> np.ndarray:
@@ -327,7 +273,10 @@ def fd_lie_derivative_metric(vfield_fn, metric_fn, z: np.ndarray, step: float = 
     vval = np.asarray(vfield_fn(z), dtype=float)
     g = np.asarray(metric_fn(z), dtype=float)
     dgdir = np.zeros((d, d))
-    jac = _dir_jacobian(vfield_fn, z, step)
+    jac = jacobian(vfield_fn, z, step)
+    # kept as V^k * (g(z + h e_k) - g(z - h e_k)) / 2h, in this order: contracting
+    # ``partials`` with V divides before it multiplies, which rounds differently
+    # and moves the k-contact Killing residuals in their last bits
     for k in range(d):
         e = np.zeros(d)
         e[k] = step
@@ -338,7 +287,7 @@ def fd_lie_derivative_metric(vfield_fn, metric_fn, z: np.ndarray, step: float = 
 def fd_exterior_derivative(omega_fn, z: np.ndarray, step: float = FD_STEP_FIRST) -> np.ndarray:
     """(d omega)_ij = d_i omega_j - d_j omega_i (determinant convention)."""
     z = np.asarray(z, dtype=float)
-    jac = _dir_jacobian(omega_fn, z, step)  # jac[j, i] = d_i omega_j
+    jac = jacobian(omega_fn, z, step)  # jac[j, i] = d_i omega_j
     return jac.T - jac
 
 
@@ -374,7 +323,7 @@ def ambient_nabla(
     z = np.asarray(z, dtype=float)
     aval = np.asarray(afield_fn(z), dtype=float)
     bval = np.asarray(bfield_fn(z), dtype=float)
-    jac = _dir_jacobian(bfield_fn, z, step) if b_jac_fn is None else np.asarray(b_jac_fn(z))
+    jac = jacobian(bfield_fn, z, step) if b_jac_fn is None else np.asarray(b_jac_fn(z))
     return jac @ aval + np.einsum("ijk,j,k->i", np.asarray(gamma_fn(z)), aval, bval)
 
 
@@ -448,7 +397,7 @@ def hypersurface_pullback(m: ChartedMetric, p: SBPoint) -> HypersurfaceChart:
         raise NoSolvableCoordinate("neither quadratic branch reproduces the base fiber point")
 
     def jacobian_fn(w: np.ndarray) -> np.ndarray:
-        return _dir_jacobian(param_fn, np.asarray(w, dtype=float))
+        return jacobian(param_fn, w, FD_STEP_FIRST)
 
     return HypersurfaceChart(m, p, j, param_fn, jacobian_fn, w0)
 

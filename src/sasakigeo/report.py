@@ -3,9 +3,20 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import IOFailure
+
+
+def worst_of(*values: float) -> float:
+    """The largest of ``values``, or NaN when any of them is NaN.
+
+    The builtin ``max`` keeps its running value when compared with NaN, so
+    ``max(0.0, nan)`` is 0.0 and a NaN residual would pass its check.
+    """
+    vals = [float(v) for v in values]
+    return math.nan if any(v != v for v in vals) else max(vals)
 
 
 @dataclass
@@ -36,10 +47,6 @@ class CheckReport:
     @classmethod
     def build(cls, suite: str, params: dict, checks: list, runtime_ms: float = 0.0) -> "CheckReport":
         return cls(suite, params, list(checks), all(c.passed for c in checks), runtime_ms)
-
-    def merged(self, other: "CheckReport") -> "CheckReport":
-        checks = self.checks + other.checks
-        return CheckReport.build(self.suite, self.params, checks, self.runtime_ms + other.runtime_ms)
 
 
 def report_to_dict(r: CheckReport) -> dict:

@@ -29,10 +29,6 @@ def sample_domain_point(m: ChartedMetric, rng: np.random.Generator, box: float =
     raise RuntimeError(f"could not sample an in-domain point of {m.name!r}")
 
 
-def sample_tangent_vector(m: ChartedMetric, x: np.ndarray, rng: np.random.Generator) -> TangentVec:
-    return TangentVec(x, rng.normal(size=m.dim))
-
-
 def sample_tangent_plane(
     m: ChartedMetric, x: np.ndarray, rng: np.random.Generator, threshold: float = 1e-3
 ) -> tuple[TangentVec, TangentVec]:

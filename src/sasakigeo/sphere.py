@@ -119,11 +119,6 @@ def require_same_sb_point(a: SBVec, b: SBVec) -> None:
         raise PointMismatch("sphere-bundle vectors live at different points")
 
 
-def embed(v: SBVec) -> TMVec:
-    """The ambient TM vector of a canonical SBVec (tpart is its vpart)."""
-    return TMVec(v.at.tm, v.hpart, v.tpart)
-
-
 def normal_at(m: ChartedMetric, p: SBPoint) -> TMVec:
     """Unit normal N = u^i (d/du^i)^v with Tg(N, N) = eps."""
     return TMVec(p.tm, np.zeros(m.dim), p.u)
@@ -141,18 +136,18 @@ def horizontal_sb(p: SBPoint, xcomps: np.ndarray) -> SBVec:
     return SBVec(p, np.asarray(xcomps, dtype=float), np.zeros(p.u.size))
 
 
+def lift(m: ChartedMetric, p: SBPoint, kind: str, w: np.ndarray) -> SBVec:
+    """The lift w^h (kind 'h') or w^t (kind 't') of a base vector w."""
+    if kind == "h":
+        return horizontal_sb(p, w)
+    if kind == "t":
+        return tangential_lift(m, p, w)
+    raise ValueError(f"sphere-bundle lift kind must be 'h' or 't', got {kind!r}")
+
+
 def sb_vec(m: ChartedMetric, p: SBPoint, hpart: np.ndarray, tpart: np.ndarray) -> SBVec:
     """Build an SBVec, canonicalizing tpart to the u-orthogonal representative."""
     return horizontal_sb(p, hpart) + tangential_lift(m, p, tpart)
-
-
-def from_tmvec(m: ChartedMetric, p: SBPoint, v: TMVec, atol: float = 1e-8) -> SBVec:
-    """Interpret an ambient TM vector tangent to T_eps M as an SBVec."""
-    g = metric_at(m, p.x)
-    normal_comp = float(v.vpart @ g @ p.u)
-    if abs(normal_comp) > atol:
-        raise PointMismatch(f"TM vector is not tangent to T_eps M (Tg(v,N) = {normal_comp:.2e})")
-    return sb_vec(m, p, v.hpart, v.vpart)
 
 
 def induced_metric_at(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec) -> float:

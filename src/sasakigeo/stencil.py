@@ -1,0 +1,41 @@
+"""The central-difference stencil behind every numerical derivative.
+
+(f(z + h v) - f(z - h v)) / 2h is exact on quadratics and has O(h^2)
+error otherwise.  The module knows no geometry, so the finite-difference
+oracle shares it with the closed forms and stays independent of them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+FD_STEP_FIRST = 1e-5  # differentiating an analytically evaluated function
+FD_STEP_SECOND = 1e-4  # differentiating a function that carries FD noise itself
+
+
+def _coordinate_differences(fn, z: np.ndarray, step: float) -> np.ndarray:
+    """``out[k] = fn(z + step e_k) - fn(z - step e_k)``."""
+    z = np.asarray(z, dtype=float)
+    out = []
+    for k in range(z.size):
+        e = np.zeros(z.size)
+        e[k] = step
+        out.append(np.asarray(fn(z + e)) - np.asarray(fn(z - e)))
+    return np.array(out)
+
+
+def central_difference(fn, z: np.ndarray, v: np.ndarray, step: float):
+    """Derivative of ``fn`` at z along v."""
+    d = step * v
+    return (np.asarray(fn(z + d)) - np.asarray(fn(z - d))) / (2.0 * step)
+
+
+def partials(fn, z: np.ndarray, step: float) -> np.ndarray:
+    """``out[k, ...] = d_k fn(z)``: the derivative index comes first."""
+    return _coordinate_differences(fn, z, step) / (2.0 * step)
+
+
+def jacobian(fn, z: np.ndarray, step: float) -> np.ndarray:
+    """``J[i, j] = d_j fn^i(z)`` of a vector-valued ``fn``, C-contiguous."""
+    # a transposed view would round the matrix products it feeds differently
+    return np.ascontiguousarray(_coordinate_differences(fn, z, step).T) / (2.0 * step)

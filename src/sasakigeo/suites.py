@@ -34,7 +34,7 @@ from .manifold import (
     space_form_chart,
     validate_space_form,
 )
-from .report import CheckItem, CheckReport
+from .report import CheckItem, CheckReport, worst_of
 from .sampling import (
     rng_for,
     sample_domain_point,
@@ -44,6 +44,7 @@ from .sampling import (
     sample_sb_vec,
     sample_tangent_plane,
 )
+from .stencil import central_difference
 
 SUITES = (
     "axioms",
@@ -145,7 +146,7 @@ def _poly_field(n: int, rng: np.random.Generator):
 
 
 def _max_update(acc: dict, name: str, value: float) -> None:
-    acc[name] = max(acc.get(name, 0.0), float(value))
+    acc[name] = worst_of(acc.get(name, 0.0), value)
 
 
 # ---------------------------------------------------------------- suites
@@ -180,7 +181,7 @@ def _suite_connection(cfg: SuiteConfig, m: ChartedMetric) -> list:
             t2 = tb.tm_nabla(m, yf, xf, ky, kx, at)
             br = tb.lift_bracket(m, xf, yf, kx, ky, at)
             torsion = t1 - t2 - br
-            _max_update(acc, "tm_nabla torsion-free", max(np.abs(torsion.hpart).max(), np.abs(torsion.vpart).max()))
+            _max_update(acc, "tm_nabla torsion-free", worst_of(np.abs(torsion.hpart).max(), np.abs(torsion.vpart).max()))
         for kx, ky in [("h", "h"), ("h", "t"), ("t", "t")]:
             t1 = sb.sb_nabla(m, xf, yf, kx, ky, p)
             t2 = sb.sb_nabla(m, yf, xf, ky, kx, p)
@@ -199,9 +200,7 @@ def _suite_connection(cfg: SuiteConfig, m: ChartedMetric) -> list:
             def tg_bc(z):
                 return float(np.asarray(b_fn(z)) @ tg_fn(z) @ np.asarray(c_fn(z)))
 
-            a0 = a_fn(z0)
-            h = cfg.fd_step
-            dtg = (tg_bc(z0 + h * a0) - tg_bc(z0 - h * a0)) / (2.0 * h)
+            dtg = central_difference(tg_bc, z0, a_fn(z0), cfg.fd_step)
             nab_b = tb.tm_nabla(m, xf, yf, ka, kb, at)
             nab_c = tb.tm_nabla(m, xf, zf, ka, kc, at)
             b_vec = tb.from_induced_coords(m, at, np.asarray(b_fn(z0)))
@@ -216,10 +215,9 @@ def _suite_connection(cfg: SuiteConfig, m: ChartedMetric) -> list:
             z = chart.param_fn(w)
             q = sb.SBPoint(z[:n], z[n:], cfg.eps)
             val = tb.field_at(field, z[:n])
-            return (sb.horizontal_sb(q, val) if kind == "h" else sb.tangential_lift(m, q, val)), q
+            return sb.lift(m, q, kind, val), q
 
         for ka, kb, kc in [("h", "t", "t"), ("t", "h", "h")]:
-            a_vec, _ = sb_field_value(xf, ka, chart.center)
             a_w = chart.drop(orc.sb_lift_field_fn(m, xf, ka, cfg.eps)(z0))
 
             def gbar_bc(w):
@@ -227,8 +225,7 @@ def _suite_connection(cfg: SuiteConfig, m: ChartedMetric) -> list:
                 c_val, _ = sb_field_value(zf, kc, w)
                 return sb.induced_metric_at(m, q, b_val, c_val)
 
-            h = cfg.fd_step
-            dg = (gbar_bc(chart.center + h * a_w) - gbar_bc(chart.center - h * a_w)) / (2.0 * h)
+            dg = central_difference(gbar_bc, chart.center, a_w, cfg.fd_step)
             nab_b = sb.sb_nabla(m, xf, yf, ka, kb, p)
             nab_c = sb.sb_nabla(m, xf, zf, ka, kc, p)
             b_val, _ = sb_field_value(yf, kb, chart.center)
@@ -254,9 +251,7 @@ def _suite_connection(cfg: SuiteConfig, m: ChartedMetric) -> list:
         for ka, kb in [("h", "h"), ("h", "t"), ("t", "h"), ("t", "t")]:
             xc = rng.normal(size=n)
             yc = rng.normal(size=n)
-            a_sb = sb.horizontal_sb(p, xc) if ka == "h" else sb.tangential_lift(m, p, xc)
-            b_sb = sb.horizontal_sb(p, yc) if kb == "h" else sb.tangential_lift(m, p, yc)
-            closed = ct.nabla_phi(m, p, a_sb, b_sb)
+            closed = ct.nabla_phi(m, p, sb.lift(m, p, ka, xc), sb.lift(m, p, kb, yc))
             defn = ct.nabla_phi_defn(m, xc, yc, ka, kb, p)
             _max_update(acc, "nabla phi closed form = definition", np.abs((closed - defn).comps()).max())
 
@@ -329,7 +324,7 @@ def _suite_curvature(cfg: SuiteConfig, m: ChartedMetric) -> list:
     x = sample_domain_point(m, rng)
     dgamma = np.abs(christoffel_at(m, x).gamma - christoffel_at(scaled, x).gamma).max()
     drr = np.abs(riemann_at(m, x).r - riemann_at(scaled, x).r).max()
-    _max_update(acc, "curvature operator invariant under constant metric scaling", max(dgamma, drr))
+    _max_update(acc, "curvature operator invariant under constant metric scaling", worst_of(dgamma, drr))
 
     tols = {
         "R antisymmetric in last pair": 1e-10,
@@ -364,7 +359,7 @@ def _suite_kappa_mu(cfg: SuiteConfig, m: ChartedMetric, params: dict) -> list:
         pert = ct.kappa_mu_residual(
             m, p, ct.KappaMu(km.kappa + 0.1, km.mu), rng_for(cfg.seed, 4, i, 1), num_samples=cfg.num_samples
         )
-        shortfall = max(0.0, 1e-2 - pert.checks[0].max_residual)
+        shortfall = worst_of(0.0, 1e-2 - pert.checks[0].max_residual)
         _max_update(acc, "sensitivity: residual(kappa + 0.1) >= 1e-2", shortfall)
 
         rep_q = ct.psi_u_quadratics(m, p, km)
@@ -509,7 +504,7 @@ def _suite_oracle(cfg: SuiteConfig, m: ChartedMetric) -> list:
             )
         jac = chart.jacobian_fn(chart.center)
         sv = np.linalg.svd(jac, compute_uv=False)
-        _max_update(acc, "pullback chart rank 2n-1", max(0.0, 1e-6 - sv.min()))
+        _max_update(acc, "pullback chart rank 2n-1", worst_of(0.0, 1e-6 - sv.min()))
         zc = chart.param_fn(chart.center)
         g_c = metric_at(m, zc[:n])
         _max_update(acc, "pullback constraint g(u,u) = eps", abs(float(zc[n:] @ g_c @ zc[n:]) - cfg.eps))

@@ -21,14 +21,8 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import BasePointMismatch, PointMismatch
-from .manifold import (
-    ChartedMetric,
-    FD_STEP_FIRST,
-    TangentVec,
-    christoffel_at,
-    metric_at,
-    riemann_at,
-)
+from .manifold import ChartedMetric, TangentVec, christoffel_at, metric_at, riemann_at
+from .stencil import FD_STEP_FIRST, jacobian
 
 VectorField = Union[Callable[[np.ndarray], np.ndarray], np.ndarray, TangentVec]
 
@@ -95,15 +89,7 @@ def field_at(field: VectorField, x: np.ndarray) -> np.ndarray:
 
 def field_jacobian(field: VectorField, x: np.ndarray, step: float = FD_STEP_FIRST) -> np.ndarray:
     """J[i, j] = d_j X^i by central differences."""
-    fn = as_field(field)
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    cols = []
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = step
-        cols.append((np.asarray(fn(x + e)) - np.asarray(fn(x - e))) / (2.0 * step))
-    return np.stack(cols, axis=1)
+    return jacobian(as_field(field), x, step)
 
 
 def nabla_vector_field(

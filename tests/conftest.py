@@ -97,6 +97,18 @@ def bumpy_chart(n=2, nu=0, seed=0, amp=0.12):
     return m
 
 
+def nan_on_call(fn, k):
+    """``fn`` whose k-th call (counting from 1) returns NaN times its result."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        calls.append(None)
+        return float("nan") * out if len(calls) == k else out
+
+    return wrapped
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

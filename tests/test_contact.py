@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from sasakigeo import contact
 from sasakigeo.contact import (
     KappaMu,
     check_contact_axioms,
@@ -28,7 +29,7 @@ from sasakigeo.manifold import SpaceFormSpec, metric_at, space_form_chart
 from sasakigeo.sampling import sample_ker_eta_vec, sample_sb_point, sample_sb_vec
 from sasakigeo.sphere import SBVec, horizontal_sb, tangential_lift
 
-from conftest import flat_chart
+from conftest import flat_chart, nan_on_call
 
 SQRT5 = math.sqrt(5.0)
 SQRT8 = 2.0 * math.sqrt(2.0)
@@ -348,3 +349,28 @@ class TestSasakian:
         by_name = {chk.name: chk.max_residual for chk in rep.checks}
         assert by_name["N_phi + 2 d eta @ xi = 0"] < 1e-5
         assert by_name["(nabla phi) = g_cm @ xi - eps eta @ id"] > 0.1
+
+
+class TestResidualsThatShowNothing:
+    def test_a_nan_sample_fails_the_axioms(self, monkeypatch):
+        m, p, _ = _chart_point(2, 0, 1.0, 1, seed=3)
+        assert check_contact_axioms(m, p, np.random.default_rng(3), num_samples=8).passed
+        # the third vector drawn is the first sample of the second iteration
+        monkeypatch.setattr(contact, "sample_sb_vec", nan_on_call(sample_sb_vec, 3))
+        rep = check_contact_axioms(m, p, np.random.default_rng(3), num_samples=8)
+        failing = {c.name for c in rep.checks if not c.passed}
+        assert failing == {"phi^2 = -Id + eta@xi", "g_cm(phi.,phi.) = g_cm - eps eta@eta"}
+        assert all(math.isnan(c.max_residual) for c in rep.checks if c.name in failing)
+
+    def test_k_contact_without_a_measurable_plane_fails(self, monkeypatch):
+        m = space_form_chart(SpaceFormSpec(2, 0, 1.0))
+        rng = np.random.default_rng(12)
+        points = [sample_sb_point(m, 1, rng) for _ in range(2)]
+        assert k_contact_residual(m, points, np.random.default_rng(5), samples_per_point=4).passed
+        zero = lambda m, p, rng: SBVec(p, np.zeros(m.dim), np.zeros(m.dim))  # noqa: E731
+        monkeypatch.setattr(contact, "sample_ker_eta_vec", zero)
+        rep = k_contact_residual(m, points, np.random.default_rng(5), samples_per_point=4)
+        killing, plane = rep.checks
+        assert killing.passed
+        assert plane.name == "K(xi-plane) = eps" and plane.max_residual == math.inf
+        assert not rep.passed

@@ -19,6 +19,7 @@ from sasakigeo.sphere import (
     frame_gram,
     horizontal_sb,
     induced_metric_at,
+    lift,
     normal_at,
     sb_bracket,
     sb_curvature,
@@ -116,6 +117,21 @@ class TestTangentialLift:
             lhs = induced_metric_at(m, p, tangential_lift(m, p, xc), tangential_lift(m, p, yc))
             rhs = float(xc @ g @ yc) - eps * float(xc @ g @ p.u) * float(yc @ g @ p.u)
             assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+class TestLift:
+    def test_kinds(self, rng):
+        m = space_form_chart(SpaceFormSpec(3, 1, -1.0))
+        p = sample_sb_point(m, -1, rng)
+        w = rng.normal(size=3)
+        assert np.array_equal(lift(m, p, "h", w).comps(), horizontal_sb(p, w).comps())
+        assert np.array_equal(lift(m, p, "t", w).comps(), tangential_lift(m, p, w).comps())
+
+    @pytest.mark.parametrize("kind", ["v", "", "ht"])
+    def test_other_kinds_rejected(self, flat2, kind):
+        p = sb_point(flat2, np.zeros(2), np.array([0.6, 0.8]), 1)
+        with pytest.raises(ValueError):
+            lift(flat2, p, kind, np.ones(2))
 
 
 class TestInducedMetric:

@@ -1,17 +1,20 @@
 """Verification suites, reports and the command-line interface."""
 
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from sasakigeo import suites
+from sasakigeo import contact, sphere, suites
 from sasakigeo.errors import DegenerateMetric, InvalidConfig
 from sasakigeo.cli import main
-from sasakigeo.report import CheckItem, CheckReport, emit_report, report_to_dict
+from sasakigeo.report import CheckItem, CheckReport, emit_report, report_to_dict, worst_of
 from sasakigeo.suites import SUITES, SuiteConfig, expected_pass, matrix_configs, run_suite
+
+from conftest import nan_on_call
 
 FAST = dict(num_points=2, num_samples=8)
 
@@ -88,6 +91,39 @@ class TestRunSuite:
     def test_tolerance_override(self):
         rep = run_suite(SuiteConfig(suite="index", tol=0.5, **FAST))
         assert all(c.tol == 0.5 for c in rep.checks)
+
+
+class TestNonFiniteResiduals:
+    def test_worst_of_keeps_nan(self):
+        nan = float("nan")
+        assert max(0.0, nan) == 0.0  # what the builtin does
+        assert math.isnan(worst_of(0.0, nan)) and math.isnan(worst_of(nan, 0.0))
+        assert math.isnan(worst_of(1.0, nan, 2.0))
+        assert worst_of(0.0, 2.5, -1.0) == 2.5 and worst_of(1.0, math.inf) == math.inf
+
+    def test_one_nan_curvature_fails_the_curvature_suite(self, monkeypatch):
+        cfg = SuiteConfig(suite="curvature", **FAST)
+        assert run_suite(cfg).passed
+        monkeypatch.setattr(sphere, "sb_curvature", nan_on_call(sphere.sb_curvature, 2))
+        rep = run_suite(cfg)
+        assert not rep.passed
+        assert any(math.isnan(c.max_residual) for c in rep.checks)
+
+    def test_a_nan_perturbed_residual_fails_the_sensitivity_check(self, monkeypatch):
+        cfg = SuiteConfig(suite="kappa-mu", **FAST)
+        exact = contact.kappa_mu_for_space_form(cfg.c, cfg.eps)
+        real = contact.kappa_mu_residual
+
+        def nan_when_perturbed(m, p, km, rng, **kwargs):
+            rep = real(m, p, km, rng, **kwargs)
+            if km == exact:
+                return rep
+            return CheckReport.build(rep.suite, rep.params, [CheckItem(rep.checks[0].name, float("nan"), 1e-8)])
+
+        monkeypatch.setattr(contact, "kappa_mu_residual", nan_when_perturbed)
+        rep = run_suite(cfg)
+        failing = [c.name for c in rep.checks if not c.passed]
+        assert failing == ["sensitivity: residual(kappa + 0.1) >= 1e-2"]
 
 
 class TestAllMatrix:
