@@ -1,7 +1,7 @@
 """Command-line verification harness.
 
     verify <suite> [--n N] [--nu NU] [--c C] [--eps +1|-1] [--seed S]
-                   [--tol T] [--fd-step H] [--points P] [--samples K]
+                   [--tol T] [--points P] [--samples K]
                    [--format json|text]
 
 The report goes to stdout (JSON by default); diagnostics go to stderr.
@@ -44,7 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--eps", type=int, default=1, choices=(1, -1), help="fiber sign g(u,u) (default +1)")
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 42 or $SASAKIGEO_SEED)")
     parser.add_argument("--tol", type=float, default=None, help="override every check tolerance")
-    parser.add_argument("--fd-step", type=float, default=1e-5, help="finite-difference step (default 1e-5)")
     parser.add_argument("--points", type=int, default=10, help="sample points per suite (default 10)")
     parser.add_argument("--samples", type=int, default=20, help="samples per point (default 20)")
     parser.add_argument("--format", choices=("json", "text"), default="json", help="report format")
@@ -63,7 +62,6 @@ def main(argv=None) -> int:
         eps=args.eps,
         seed=seed,
         tol=args.tol,
-        fd_step=args.fd_step,
         num_points=args.points,
         num_samples=args.samples,
     )

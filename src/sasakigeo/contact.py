@@ -41,15 +41,15 @@ from .sphere import (
     SBFrame,
     SBPoint,
     SBVec,
-    expand_in_frame,
     frame_at,
     horizontal_sb,
     induced_metric_at,
     lift,
+    parts_metric,
+    point_geometry,
     sb_bracket,
     sb_curvature,
     sb_nabla,
-    sb_vec,
     tangential_lift,
 )
 from .stencil import FD_STEP_FIRST, central_difference
@@ -152,7 +152,6 @@ def d_eta_fd(
     kind_x: str,
     yfield: VectorField,
     kind_y: str,
-    step: float = FD_STEP_FIRST,
 ) -> float:
     """d(eta)(A, B) = (1/2)[A(eta(B)) - B(eta(A)) - eta([A, B])] on lift fields.
 
@@ -166,8 +165,8 @@ def d_eta_fd(
     bfn = sb_lift_field_fn(m, yfield, kind_y, eps)
     a0 = np.asarray(afn(z0), dtype=float)
     b0 = np.asarray(bfn(z0), dtype=float)
-    da = central_difference(lambda z: eta_of(z, bfn(z)), z0, a0, step)
-    db = central_difference(lambda z: eta_of(z, afn(z)), z0, b0, step)
+    da = central_difference(lambda z: eta_of(z, bfn(z)), z0, a0, FD_STEP_FIRST)
+    db = central_difference(lambda z: eta_of(z, afn(z)), z0, b0, FD_STEP_FIRST)
     lie = sb_bracket(m, xfield, yfield, kind_x, kind_y, p)
     eta_lie = 0.5 * eps * float(lie.hpart @ metric_at(m, p.x) @ p.u)
     return 0.5 * (da - db - eta_lie)
@@ -178,7 +177,6 @@ def check_contact_axioms(
     p: SBPoint,
     rng: np.random.Generator,
     num_samples: int = 50,
-    fd_step: float = FD_STEP_FIRST,
 ) -> CheckReport:
     """Residuals of the four structure axioms at one point.
 
@@ -211,7 +209,7 @@ def check_contact_axioms(
         kx, ky = kinds[k % 4]
         xc = rng.normal(size=n)
         yc = rng.normal(size=n)
-        deta = d_eta_fd(m, p, xc, kx, yc, ky, fd_step)
+        deta = d_eta_fd(m, p, xc, kx, yc, ky)
         res_deta = worst_of(res_deta, abs(deta - data.gcm(lift(m, p, kx, xc), data.phi(lift(m, p, ky, yc)))))
 
     checks = [
@@ -238,21 +236,27 @@ def nabla_xi(m: ChartedMetric, p: SBPoint, a: SBVec) -> SBVec:
 
 
 def h_at(m: ChartedMetric, p: SBPoint, frame: SBFrame | None = None) -> HOperator:
-    """The operator h = (matrix in an SBFrame, pointwise action)."""
-    g = metric_at(m, p.x)
-    riem = riemann_at(m, p.x)
-    u, eps = p.u, p.eps
+    """The operator h = (matrix in an SBFrame, pointwise action).
+
+    Both come from one array on the (h, t) parts:
+    H = [[(-eps I + R(., u)u) P, 0], [0, P((2 - eps) I - R(., u)u)]].
+    """
+    geo = point_geometry(m, p)
+    n, eps = m.dim, p.eps
+    eye = np.eye(n)
+    hmat = np.zeros((2 * n, 2 * n))
+    hmat[:n, :n] = (-eps * eye + geo.ruu) @ geo.proj  # P projects out the xi direction
+    hmat[n:, n:] = geo.proj @ ((2.0 - eps) * eye - geo.ruu)
 
     def apply(a: SBVec) -> SBVec:
-        hp = a.hpart - eps * float(a.hpart @ g @ u) * u  # project out the xi direction
-        new_h = -eps * hp + riem.apply(hp, u, u)
-        new_t = (2.0 - eps) * a.tpart - riem.apply(a.tpart, u, u)
-        return sb_vec(m, p, new_h, new_t)
+        out = hmat @ a.comps()
+        return SBVec(p, out[:n], out[n:])
 
     if frame is None:
         frame = frame_at(m, p)
-    cols = [expand_in_frame(m, frame, apply(e)) for e in frame.vectors]
-    return HOperator(p, frame, np.stack(cols, axis=1), apply)
+    f = frame.parts()
+    matrix = frame.signs[:, None] * parts_metric(geo.g, f, hmat @ f)
+    return HOperator(p, frame, matrix, apply)
 
 
 def nabla_phi(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec) -> SBVec:
@@ -379,16 +383,9 @@ def psi_u_matrix(m: ChartedMetric, p: SBPoint, frame: SBFrame | None = None) -> 
     """Matrix of psi_u = R(., u)u on the g-orthogonal complement of u."""
     if frame is None:
         frame = frame_at(m, p)
-    g = metric_at(m, p.x)
-    riem = riemann_at(m, p.x)
-    es, sigs = frame.base_frame, frame.base_signs
-    k = len(es)
-    mat = np.empty((k, k))
-    for j in range(k):
-        w = riem.apply(es[j], p.u, p.u)
-        for i in range(k):
-            mat[i, j] = sigs[i] * float(w @ g @ es[i])
-    return mat
+    geo = point_geometry(m, p)
+    es = np.stack(frame.base_frame, axis=1)
+    return frame.base_signs[:, None] * (es.T @ geo.g @ geo.ruu @ es)
 
 
 def psi_u_quadratics(m: ChartedMetric, p: SBPoint, km: KappaMu) -> CheckReport:
@@ -417,7 +414,7 @@ def psi_u_quadratics(m: ChartedMetric, p: SBPoint, km: KappaMu) -> CheckReport:
     return CheckReport.build("psi-u-quadratics", {}, checks)
 
 
-def killing_residual(m: ChartedMetric, p: SBPoint, fd_step: float = FD_STEP_FIRST) -> float:
+def killing_residual(m: ChartedMetric, p: SBPoint) -> float:
     """max |(L_xi g_cm)_ab| in the solved hypersurface chart at p."""
     chart = hypersurface_pullback(m, p)
     gcm_fn = chart.pullback_metric_fn(scale=0.25)
@@ -426,7 +423,7 @@ def killing_residual(m: ChartedMetric, p: SBPoint, fd_step: float = FD_STEP_FIRS
     def flow_w(w):
         return chart.drop(flow(chart.param_fn(w)))
 
-    lie = fd_lie_derivative_metric(flow_w, gcm_fn, chart.center, fd_step)
+    lie = fd_lie_derivative_metric(flow_w, gcm_fn, chart.center)
     return float(np.abs(lie).max())
 
 
@@ -447,7 +444,6 @@ def k_contact_residual(
     rng: np.random.Generator,
     samples_per_point: int = 8,
     tol: float = 1e-5,
-    fd_step: float = FD_STEP_FIRST,
 ) -> CheckReport:
     """Two K-contact residuals: Killing (FD Lie derivative of g_cm along the
     geodesic-flow field) and |K(xi, a) - eps| over nondegenerate planes."""
@@ -455,7 +451,7 @@ def k_contact_residual(
     worst_plane = 0.0
     planes = 0
     for p in points:
-        worst_killing = worst_of(worst_killing, killing_residual(m, p, fd_step))
+        worst_killing = worst_of(worst_killing, killing_residual(m, p))
         eps = p.eps
         samples = []
         base = sample_ker_eta_vec(m, p, rng)
@@ -463,8 +459,8 @@ def k_contact_residual(
         samples.append(SBVec(p, np.zeros(m.dim), base.tpart))  # pure tangential
         for _ in range(samples_per_point - 2):
             samples.append(sample_ker_eta_vec(m, p, rng))
+        data = contact_data_at(m, p)
         for a in samples:
-            data = contact_data_at(m, p)
             den = data.gcm(data.xi, data.xi) * data.gcm(a, a) - data.gcm(data.xi, a) ** 2
             if abs(den) <= 1e-4:
                 continue
@@ -497,7 +493,6 @@ def sasakian_residual(
     rng: np.random.Generator,
     num_samples: int = 12,
     tol: float = 1e-5,
-    fd_step: float = FD_STEP_FIRST,
 ) -> CheckReport:
     """Residuals of both Sasakian characterizations.
 
@@ -519,8 +514,8 @@ def sasakian_residual(
         yc = rng.normal(size=n)
         afn = sb_lift_field_fn(m, xc, kx, eps)
         bfn = sb_lift_field_fn(m, yc, ky, eps)
-        nphi = fd_nijenhuis(phim, afn, bfn, z0, fd_step)
-        two_deta = 2.0 * d_eta_fd(m, p, xc, kx, yc, ky, fd_step)
+        nphi = fd_nijenhuis(phim, afn, bfn, z0)
+        two_deta = 2.0 * d_eta_fd(m, p, xc, kx, yc, ky)
         worst_nphi = worst_of(worst_nphi, np.abs(nphi + two_deta * xi_ind).max())
 
         a_sb = lift(m, p, kx, xc)

@@ -15,7 +15,6 @@ import numpy as np
 from .errors import FrameConstructionFailure, PointMismatch
 from .manifold import (
     ChartedMetric,
-    RiemannTensor,
     metric_at,
     nabla_riemann_full,
     riemann_at,
@@ -89,6 +88,10 @@ class SBFrame:
     signs: np.ndarray
     base_frame: tuple
     base_signs: np.ndarray
+
+    def parts(self) -> np.ndarray:
+        """The frame vectors' (h, t) parts as columns."""
+        return np.stack([v.comps() for v in self.vectors], axis=1)
 
 
 def sb_point(m: ChartedMetric, x: np.ndarray, u: np.ndarray, eps: int) -> SBPoint:
@@ -199,19 +202,9 @@ def frame_at(m: ChartedMetric, p: SBPoint, seed: int = 0) -> SBFrame:
 
 
 def frame_gram(m: ChartedMetric, frame: SBFrame) -> np.ndarray:
-    k = len(frame.vectors)
-    gram = np.empty((k, k))
-    for i, a in enumerate(frame.vectors):
-        for j, b in enumerate(frame.vectors):
-            gram[i, j] = induced_metric_at(m, frame.at, a, b)
-    return gram
-
-
-def expand_in_frame(m: ChartedMetric, frame: SBFrame, v: SBVec) -> np.ndarray:
-    """Coefficients of v in the (pseudo-orthonormal) frame."""
-    return np.array(
-        [s * induced_metric_at(m, frame.at, v, e) for e, s in zip(frame.vectors, frame.signs)]
-    )
+    """Induced-metric Gram matrix of the frame vectors."""
+    f = frame.parts()
+    return parts_metric(metric_at(m, frame.at.x), f, f)
 
 
 def sb_bracket(
@@ -278,115 +271,110 @@ def sb_nabla(
     return horizontal_sb(p, dxy) + (-0.5) * tangential_lift(m, p, riem.apply(xval, yval, u0))
 
 
-class _CurvatureContext:
-    """Shared per-point data for the six closed curvature cases."""
+@dataclass(frozen=True)
+class PointGeometry:
+    """The base geometry at one bundle point, as arrays for the closed forms.
 
-    def __init__(self, m: ChartedMetric, p: SBPoint):
-        self.m = m
-        self.p = p
-        self.g = metric_at(m, p.x)
-        self.riem = riemann_at(m, p.x)
-        self.u = p.u
-        self.eps = p.eps
-        self._nabla_r_full = None
+    Built by ``point_geometry`` for one call and dropped after it.
+    ``r[i, a, b, c]`` is the i-component of R(e_a, e_b)e_c (operator order),
+    ``ruu[i, a]`` that of R(e_a, u)u, and ``proj`` = I - eps u (g u)^T maps a
+    vertical part to its u-orthogonal tangential representative.
+    ``nabla_r[m, i, a, b, c]`` is (nabla_m R)(e_a, e_b)e_c, or None when it
+    was not asked for or the chart is locally symmetric (then it is zero).
+    """
 
-    def r(self, a, b, c):
-        return self.riem.apply(a, b, c)
-
-    def gu(self, a):
-        return float(a @ self.g @ self.u)
-
-    def nabla_r(self, direction):
-        if self._nabla_r_full is None:
-            self._nabla_r_full = nabla_riemann_full(self.m, self.p.x)
-        return RiemannTensor(np.einsum("m,mijkl->ijkl", direction, self._nabla_r_full))
-
-    def t(self, w):
-        return tangential_lift(self.m, self.p, w)
-
-    def h(self, w):
-        return horizontal_sb(self.p, w)
-
-    def gbar_tt(self, a, b):
-        # induced metric of two tangential lifts of arbitrary base vectors
-        return float(a @ self.g @ b) - self.eps * self.gu(a) * self.gu(b)
+    p: SBPoint
+    g: np.ndarray
+    gu: np.ndarray
+    proj: np.ndarray
+    r: np.ndarray
+    ruu: np.ndarray
+    nabla_r: np.ndarray | None
 
 
-def _case_ttt(ctx, x, y, z):
-    return ctx.eps * (-ctx.gbar_tt(x, z)) * ctx.t(y) + ctx.eps * ctx.gbar_tt(z, y) * ctx.t(x)
+def point_geometry(m: ChartedMetric, p: SBPoint, nabla: bool = False) -> PointGeometry:
+    """One metric_at and one riemann_at at p.x; nabla_riemann_full only if ``nabla``."""
+    g = metric_at(m, p.x)
+    gu = g @ p.u
+    r = np.einsum("ijkl->iklj", riemann_at(m, p.x).r)
+    ruu = np.einsum("iabc,b,c->ia", r, p.u, p.u)
+    nabla_r = None
+    if nabla and not m.locally_symmetric:
+        nabla_r = np.einsum("mijkl->miklj", nabla_riemann_full(m, p.x))
+    proj = np.eye(m.dim) - p.eps * np.outer(p.u, gu)
+    return PointGeometry(p, g, gu, proj, r, ruu, nabla_r)
 
 
-def _case_tth(ctx, x, y, z):
-    comm = ctx.r(ctx.u, x, ctx.r(ctx.u, y, z)) - ctx.r(ctx.u, y, ctx.r(ctx.u, x, z))
-    w = (
-        ctx.r(x, y, z)
-        - ctx.eps * (ctx.gu(y) * ctx.r(x, ctx.u, z) + ctx.gu(x) * ctx.r(ctx.u, y, z))
-        + 0.25 * comm
+def parts_metric(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^T (I_2 (x) g) b for (h, t) parts stacked as vectors or columns."""
+    n = g.shape[0]
+    return a[:n].T @ g @ b[:n] + a[n:].T @ g @ b[n:]
+
+
+def sb_curvature_array(geo: PointGeometry) -> np.ndarray:
+    """R-bar in the (h, t) parts basis: ``rb[o, a, b, c]`` is the o-part of R(e_a, e_b)e_c.
+
+    Parts index 0..n-1 is horizontal and n..2n-1 tangential.  Each block is
+    one closed case (the mixed orders (t, h, .) follow from antisymmetry in
+    (a, b)), and every tangential output row is projected by P.
+    """
+    n, eps, u = geo.g.shape[0], geo.p.eps, geo.p.u
+    r, gu = geo.r, geo.gu
+    ru = np.einsum("iabc,a->ibc", r, u)  # R(u, .).
+    rau = np.einsum("iabc,b->iac", r, u)  # R(., u).
+    rabu = np.einsum("iabc,c->iab", r, u)  # R(., .)u
+    gt = geo.g - eps * np.outer(gu, gu)  # induced metric of tangential lifts
+    eye = np.eye(n)
+    h, t = slice(0, n), slice(n, 2 * n)
+    rb = np.zeros((2 * n,) * 4)
+    rb[t, t, t, t] = eps * (np.einsum("cb,oa->oabc", gt, eye) - np.einsum("ac,ob->oabc", gt, eye))
+    rb[h, t, t, h] = (
+        r
+        - eps * (np.einsum("b,oac->oabc", gu, rau) + np.einsum("a,obc->oabc", gu, ru))
+        + 0.25 * (np.einsum("oam,mbc->oabc", ru, ru) - np.einsum("obm,mac->oabc", ru, ru))
     )
-    return ctx.h(w)
-
-
-def _case_htt(ctx, x, y, z):
-    w = (
-        -0.5 * ctx.r(y, z, x)
-        + 0.5 * ctx.eps * (ctx.gu(y) * ctx.r(ctx.u, z, x) + ctx.gu(z) * ctx.r(y, ctx.u, x))
-        - 0.25 * ctx.r(ctx.u, y, ctx.r(ctx.u, z, x))
+    htt = (
+        -0.5 * np.einsum("obca->oabc", r)
+        + 0.5 * eps * (np.einsum("b,oca->oabc", gu, ru) + np.einsum("c,oba->oabc", gu, rau))
+        - 0.25 * np.einsum("obm,mca->oabc", ru, ru)
     )
-    return ctx.h(w)
-
-
-def _case_hth(ctx, x, y, z):
-    wt = (
-        0.5 * ctx.r(x, z, y)
-        - 0.5 * ctx.eps * ctx.gu(y) * ctx.r(x, z, ctx.u)
-        - 0.25 * ctx.r(x, ctx.r(ctx.u, y, z), ctx.u)
+    rb[h, h, t, t] = htt
+    rb[h, t, h, t] = -np.swapaxes(htt, 1, 2)
+    hth = (
+        0.5 * np.einsum("oacb->oabc", r)
+        - 0.5 * eps * np.einsum("b,oac->oabc", gu, rabu)
+        - 0.25 * np.einsum("oam,mbc->oabc", rabu, ru)
     )
-    wh = 0.5 * ctx.nabla_r(x).apply(ctx.u, y, z)
-    return ctx.t(wt) + ctx.h(wh)
-
-
-def _case_hht(ctx, x, y, z):
-    wt = (
-        ctx.r(x, y, z)
-        - ctx.eps * ctx.gu(z) * ctx.r(x, y, ctx.u)
-        + 0.25 * (ctx.r(y, ctx.r(ctx.u, z, x), ctx.u) - ctx.r(x, ctx.r(ctx.u, z, y), ctx.u))
+    rb[t, h, t, h] = hth
+    rb[t, t, h, h] = -np.swapaxes(hth, 1, 2)
+    rb[t, h, h, t] = (
+        r
+        - eps * np.einsum("c,oab->oabc", gu, rabu)
+        + 0.25 * (np.einsum("obm,mca->oabc", rabu, ru) - np.einsum("oam,mcb->oabc", rabu, ru))
     )
-    wh = 0.5 * (ctx.nabla_r(x).apply(ctx.u, z, y) - ctx.nabla_r(y).apply(ctx.u, z, x))
-    return ctx.t(wt) + ctx.h(wh)
-
-
-def _case_hhh(ctx, x, y, z):
-    wh = (
-        ctx.r(x, y, z)
-        + 0.5 * ctx.r(ctx.u, ctx.r(x, y, ctx.u), z)
-        - 0.25 * (ctx.r(ctx.u, ctx.r(y, z, ctx.u), x) - ctx.r(ctx.u, ctx.r(x, z, ctx.u), y))
+    rb[h, h, h, h] = (
+        r
+        + 0.5 * np.einsum("omc,mab->oabc", ru, rabu)
+        - 0.25 * (np.einsum("oma,mbc->oabc", ru, rabu) - np.einsum("omb,mac->oabc", ru, rabu))
     )
-    wt = 0.5 * ctx.nabla_r(z).apply(x, y, ctx.u)
-    return ctx.h(wh) + ctx.t(wt)
+    if geo.nabla_r is not None:
+        nru = np.einsum("moabc,a->mobc", geo.nabla_r, u)  # (nabla_m R)(u, .).
+        hth_h = 0.5 * np.einsum("aobc->oabc", nru)
+        rb[h, h, t, h] = hth_h
+        rb[h, t, h, h] = -np.swapaxes(hth_h, 1, 2)
+        rb[h, h, h, t] = 0.5 * (np.einsum("aocb->oabc", nru) - np.einsum("boca->oabc", nru))
+        rb[t, h, h, h] = 0.5 * np.einsum("coabi,i->oabc", geo.nabla_r, u)
+    rb[t] = np.einsum("op,pabc->oabc", geo.proj, rb[t])
+    return rb
 
 
 def sb_curvature(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec, c: SBVec) -> SBVec:
-    """Curvature operator R(a, b)c of the induced metric.
-
-    Each argument is split into horizontal and tangential parts and the six
-    closed cases are combined trilinearly; the mixed orders (t, h, .) follow
-    from antisymmetry in (a, b).
-    """
+    """Curvature operator R(a, b)c of the induced metric, contracted from R-bar."""
     require_same_sb_point(a, b)
     require_same_sb_point(a, c)
-    ctx = _CurvatureContext(m, p)
-    ah, at = a.hpart, a.tpart
-    bh, bt = b.hpart, b.tpart
-    ch, ct = c.hpart, c.tpart
-    total = _case_ttt(ctx, at, bt, ct)
-    total = total + _case_tth(ctx, at, bt, ch)
-    total = total + _case_htt(ctx, ah, bt, ct)
-    total = total + _case_hth(ctx, ah, bt, ch)
-    total = total + (-1.0) * _case_htt(ctx, bh, at, ct)
-    total = total + (-1.0) * _case_hth(ctx, bh, at, ch)
-    total = total + _case_hht(ctx, ah, bh, ct)
-    total = total + _case_hhh(ctx, ah, bh, ch)
-    return total
+    rb = sb_curvature_array(point_geometry(m, p, nabla=True))
+    out = ((rb @ c.comps()) @ b.comps()) @ a.comps()
+    return SBVec(p, out[: m.dim], out[m.dim :])
 
 
 def _check_kinds(kind_x: str, kind_y: str) -> None:

@@ -44,7 +44,7 @@ from .sampling import (
     sample_sb_vec,
     sample_tangent_plane,
 )
-from .stencil import central_difference
+from .stencil import FD_STEP_FIRST, central_difference
 
 SUITES = (
     "axioms",
@@ -73,7 +73,6 @@ class SuiteConfig:
     eps: int = 1
     seed: int = 42
     tol: float | None = None  # optional global tolerance override
-    fd_step: float = 1e-5
     num_points: int = 10
     num_samples: int = 20
 
@@ -92,8 +91,6 @@ class SuiteConfig:
             raise InvalidConfig("num_points and num_samples must be >= 1")
         if not math.isfinite(self.c):
             raise InvalidConfig("c must be finite")
-        if not (0 < self.fd_step < 1e-2):
-            raise InvalidConfig("fd_step must be in (0, 1e-2)")
         if not 0 <= self.seed < 2**64:
             raise InvalidConfig("seed must be a 64-bit unsigned integer")
 
@@ -105,7 +102,6 @@ class SuiteConfig:
             "eps": self.eps,
             "seed": self.seed,
             "tol": self.tol,
-            "fd_step": self.fd_step,
         }
 
     def tol_or(self, default: float) -> float:
@@ -158,7 +154,7 @@ def _suite_axioms(cfg: SuiteConfig, m: ChartedMetric) -> list:
     for i in range(cfg.num_points):
         rng = rng_for(cfg.seed, 1, i)
         p = sample_sb_point(m, cfg.eps, rng)
-        rep = ct.check_contact_axioms(m, p, rng, num_samples=cfg.num_samples, fd_step=cfg.fd_step)
+        rep = ct.check_contact_axioms(m, p, rng, num_samples=cfg.num_samples)
         for chk in rep.checks:
             _max_update(acc, chk.name, chk.max_residual)
             tols[chk.name] = chk.tol
@@ -200,7 +196,7 @@ def _suite_connection(cfg: SuiteConfig, m: ChartedMetric) -> list:
             def tg_bc(z):
                 return float(np.asarray(b_fn(z)) @ tg_fn(z) @ np.asarray(c_fn(z)))
 
-            dtg = central_difference(tg_bc, z0, a_fn(z0), cfg.fd_step)
+            dtg = central_difference(tg_bc, z0, a_fn(z0), FD_STEP_FIRST)
             nab_b = tb.tm_nabla(m, xf, yf, ka, kb, at)
             nab_c = tb.tm_nabla(m, xf, zf, ka, kc, at)
             b_vec = tb.from_induced_coords(m, at, np.asarray(b_fn(z0)))
@@ -225,7 +221,7 @@ def _suite_connection(cfg: SuiteConfig, m: ChartedMetric) -> list:
                 c_val, _ = sb_field_value(zf, kc, w)
                 return sb.induced_metric_at(m, q, b_val, c_val)
 
-            dg = central_difference(gbar_bc, chart.center, a_w, cfg.fd_step)
+            dg = central_difference(gbar_bc, chart.center, a_w, FD_STEP_FIRST)
             nab_b = sb.sb_nabla(m, xf, yf, ka, kb, p)
             nab_c = sb.sb_nabla(m, xf, zf, ka, kc, p)
             b_val, _ = sb_field_value(yf, kb, chart.center)
@@ -274,11 +270,11 @@ def _suite_curvature(cfg: SuiteConfig, m: ChartedMetric) -> list:
     for i in range(cfg.num_points):
         rng = rng_for(cfg.seed, 3, i)
         x = sample_domain_point(m, rng)
-        rl = lower_riemann(m, x, riemann_at(m, x))
+        riem = riemann_at(m, x)
+        rl = lower_riemann(m, x, riem)
         _max_update(acc, "R antisymmetric in last pair", np.abs(rl + np.einsum("ijkl->ijlk", rl)).max())
         _max_update(acc, "R antisymmetric in first pair", np.abs(rl + np.einsum("ijkl->jikl", rl)).max())
         _max_update(acc, "R pair symmetry", np.abs(rl - np.einsum("ijkl->klij", rl)).max())
-        riem = riemann_at(m, x)
         bianchi = riem.r + np.einsum("ijkl->iklj", riem.r) + np.einsum("ijkl->iljk", riem.r)
         _max_update(acc, "R first Bianchi identity", np.abs(bianchi).max())
         xv, yv = sample_tangent_plane(m, x, rng)
@@ -395,7 +391,7 @@ def _suite_k_contact(cfg: SuiteConfig, m: ChartedMetric) -> list:
     points = [sample_sb_point(m, cfg.eps, rng_for(cfg.seed, 5, i)) for i in range(cfg.num_points)]
     rep = ct.k_contact_residual(
         m, points, rng_for(cfg.seed, 5, 10_000), samples_per_point=max(4, cfg.num_samples // 3),
-        tol=cfg.tol_or(1e-5), fd_step=cfg.fd_step,
+        tol=cfg.tol_or(1e-5),
     )
     return list(rep.checks)
 
@@ -405,9 +401,7 @@ def _suite_sasakian(cfg: SuiteConfig, m: ChartedMetric) -> list:
     for i in range(cfg.num_points):
         rng = rng_for(cfg.seed, 6, i)
         p = sample_sb_point(m, cfg.eps, rng)
-        rep = ct.sasakian_residual(
-            m, p, rng, num_samples=max(8, cfg.num_samples // 2), fd_step=cfg.fd_step
-        )
+        rep = ct.sasakian_residual(m, p, rng, num_samples=max(8, cfg.num_samples // 2))
         for chk in rep.checks:
             _max_update(acc, chk.name, chk.max_residual)
     return [CheckItem(name, acc[name], cfg.tol_or(1e-5)) for name in acc]
@@ -448,7 +442,7 @@ def _suite_oracle(cfg: SuiteConfig, m: ChartedMetric) -> list:
         _max_update(
             acc,
             "christoffel_at = Koszul FD oracle",
-            np.abs(christoffel_at(m, x).gamma - orc.fd_christoffel(m.metric_fn, x, cfg.fd_step).gamma).max(),
+            np.abs(christoffel_at(m, x).gamma - orc.fd_christoffel(m.metric_fn, x).gamma).max(),
         )
         _max_update(
             acc,
@@ -456,8 +450,8 @@ def _suite_oracle(cfg: SuiteConfig, m: ChartedMetric) -> list:
             np.abs(riemann_at(m, x).r - orc.fd_riemann(lambda y: christoffel_at(m, y).gamma, x).r).max(),
         )
         # second-order convergence spot check of the FD Christoffel oracle
-        g_h = orc.fd_christoffel(m.metric_fn, x, cfg.fd_step).gamma
-        g_h2 = orc.fd_christoffel(m.metric_fn, x, cfg.fd_step / 2.0).gamma
+        g_h = orc.fd_christoffel(m.metric_fn, x).gamma
+        g_h2 = orc.fd_christoffel(m.metric_fn, x, FD_STEP_FIRST / 2.0).gamma
         _max_update(acc, "FD step halving stays within 4x tolerance", np.abs(g_h - g_h2).max() / 4.0)
 
         p = sample_sb_point(m, cfg.eps, rng)
@@ -484,7 +478,7 @@ def _suite_oracle(cfg: SuiteConfig, m: ChartedMetric) -> list:
         for kx, ky in [("h", "h"), ("h", "v"), ("v", "h")]:
             closed_ind = tb.to_induced_coords(m, tb.tm_nabla(m, xf, yf, kx, ky, p.tm))
             amb = orc.ambient_nabla(
-                orc.lift_field_fn(m, xf, kx), orc.lift_field_fn(m, yf, ky), z0, gamma_tilde, cfg.fd_step
+                orc.lift_field_fn(m, xf, kx), orc.lift_field_fn(m, yf, ky), z0, gamma_tilde
             )
             _max_update(acc, "tm_nabla = FD Christoffels of Tg on lift fields", np.abs(closed_ind - amb).max())
 
@@ -520,7 +514,7 @@ def _suite_oracle(cfg: SuiteConfig, m: ChartedMetric) -> list:
         _max_update(acc, "fd_exterior_derivative of exact form = 0", np.abs(orc.fd_exterior_derivative(exact_form, z0)).max())
         xc = rng.normal(size=n)
         yc = rng.normal(size=n)
-        two_deta_p = 4.0 * ct.d_eta_fd(m, p, xc, "h", yc, "t", cfg.fd_step)  # 2 d eta' = 4 d eta
+        two_deta_p = 4.0 * ct.d_eta_fd(m, p, xc, "h", yc, "t")  # 2 d eta' = 4 d eta
         a_sb = sb.horizontal_sb(p, xc)
         data = ct.contact_data_at(m, p)
         b_sb = sb.tangential_lift(m, p, yc)
@@ -597,9 +591,7 @@ def _suite_brackets(cfg: SuiteConfig, m: ChartedMetric) -> list:
         }
         for (kx, ky), label in labels.items():
             closed = tb.to_induced_coords(m, tb.lift_bracket(m, xf, yf, kx, ky, p.tm))
-            fd = orc.fd_lie_bracket(
-                orc.lift_field_fn(m, xf, kx), orc.lift_field_fn(m, yf, ky), z0, cfg.fd_step
-            )
+            fd = orc.fd_lie_bracket(orc.lift_field_fn(m, xf, kx), orc.lift_field_fn(m, yf, ky), z0)
             _max_update(acc, label, np.abs(closed - fd).max())
         sb_labels = {
             ("h", "t"): "[X^h, Y^t] = (nabla_X Y)^t",
@@ -609,10 +601,7 @@ def _suite_brackets(cfg: SuiteConfig, m: ChartedMetric) -> list:
         for (kx, ky), label in sb_labels.items():
             closed = orc._embed_induced(m, sb.sb_bracket(m, xf, yf, kx, ky, p))
             fd = orc.fd_lie_bracket(
-                orc.sb_lift_field_fn(m, xf, kx, cfg.eps),
-                orc.sb_lift_field_fn(m, yf, ky, cfg.eps),
-                z0,
-                cfg.fd_step,
+                orc.sb_lift_field_fn(m, xf, kx, cfg.eps), orc.sb_lift_field_fn(m, yf, ky, cfg.eps), z0
             )
             _max_update(acc, label, np.abs(closed - fd).max())
     return [CheckItem(name, acc[name], cfg.tol_or(1e-5)) for name in acc]
@@ -669,12 +658,9 @@ def matrix_configs(cfg: SuiteConfig):
 
 def expected_pass(suite: str, cfg: SuiteConfig) -> bool:
     """The published expectation for each suite verdict at a configuration."""
-    if suite == "k-contact":
+    if suite in ("k-contact", "sasakian"):
+        # Sasakian implies K-contact, and K-contact holds iff c = eps
         return abs(cfg.c - cfg.eps) < 1e-12
-    if suite == "sasakian":
-        if cfg.eps == 1:
-            return abs(cfg.c - 1.0) < 1e-12
-        return min(abs(cfg.c + 3.0 - SQRT8), abs(cfg.c + 3.0 + SQRT8)) < 1e-12
     if suite == "phi-sectional":
         if cfg.n == 2:
             return True  # a single phi-plane family: constancy is automatic

@@ -27,9 +27,9 @@ from sasakigeo.contact import (
 from sasakigeo.errors import DegeneratePlane
 from sasakigeo.manifold import SpaceFormSpec, metric_at, space_form_chart
 from sasakigeo.sampling import sample_ker_eta_vec, sample_sb_point, sample_sb_vec
-from sasakigeo.sphere import SBVec, horizontal_sb, tangential_lift
+from sasakigeo.sphere import SBVec, horizontal_sb, induced_metric_at, tangential_lift
 
-from conftest import flat_chart, nan_on_call
+from conftest import bumpy_chart, flat_chart, nan_on_call
 
 SQRT5 = math.sqrt(5.0)
 SQRT8 = 2.0 * math.sqrt(2.0)
@@ -131,6 +131,19 @@ class TestHOperator:
         for _ in range(10):
             a, b = sample_sb_vec(m, p, rng), sample_sb_vec(m, p, rng)
             assert abs(data.gcm(hop.apply(a), b) - data.gcm(a, hop.apply(b))) < 1e-8
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    @pytest.mark.parametrize("generic", [False, True], ids=["space-form", "generic"])
+    def test_frame_matrix_expands_apply(self, eps, generic):
+        # the loop reference: column j holds the frame coefficients of h(e_j)
+        m = bumpy_chart(3, 1, seed=12) if generic else space_form_chart(SpaceFormSpec(3, 1, 2.0))
+        p = sample_sb_point(m, eps, np.random.default_rng(8))
+        hop = h_at(m, p)
+        frame = hop.frame
+        ref = np.array(
+            [[s * induced_metric_at(m, p, hop.apply(e), f) for e in frame.vectors] for f, s in zip(frame.vectors, frame.signs)]
+        )
+        assert np.abs(hop.matrix - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
     def test_eigenvalue_sums(self):
         # eps=+1: tangential+horizontal = 0; eps=-1: sum = 4 (h phi + phi h

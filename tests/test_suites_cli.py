@@ -138,7 +138,9 @@ class TestAllMatrix:
         assert not expected_pass("k-contact", SuiteConfig(suite="k-contact", c=2.0, eps=1))
         assert expected_pass("sasakian", SuiteConfig(suite="sasakian", c=1.0, eps=1))
         magic = -3.0 + 2.0 * np.sqrt(2.0)
-        assert expected_pass("sasakian", SuiteConfig(suite="sasakian", c=magic, eps=-1, nu=1))
+        # K-contact iff c = eps, and Sasakian implies K-contact: c = -1 at eps = -1
+        assert not expected_pass("sasakian", SuiteConfig(suite="sasakian", c=magic, eps=-1, nu=1))
+        assert expected_pass("sasakian", SuiteConfig(suite="sasakian", c=-1.0, eps=-1, nu=1))
         assert expected_pass("axioms", SuiteConfig(suite="axioms", c=0.5, eps=-1, nu=1))
 
 
@@ -227,7 +229,7 @@ class TestMatrixCharts:
 class TestEmitReport:
     def _report(self):
         return CheckReport.build(
-            "demo", {"n": 2, "nu": 0, "c": 1.0, "eps": 1, "seed": 42, "tol": None, "fd_step": 1e-5},
+            "demo", {"n": 2, "nu": 0, "c": 1.0, "eps": 1, "seed": 42, "tol": None},
             [CheckItem("alpha", 1e-12, 1e-9), CheckItem("beta", 2.0, 1e-9)], 12.5,
         )
 
@@ -268,6 +270,12 @@ class TestCli:
 
     def test_config_error_exit_code(self, capsys):
         assert main(["axioms", "--eps", "-1", "--nu", "0"]) == 2
+
+    def test_fd_step_option_is_gone(self):
+        # stencil.py owns every finite-difference step
+        with pytest.raises(SystemExit) as err:
+            main(["index", "--fd-step", "1e-4"])
+        assert err.value.code == 2
 
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as err:
