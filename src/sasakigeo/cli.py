@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--c", type=float, default=1.0, help="constant sectional curvature (default 1)")
     parser.add_argument("--eps", type=int, default=1, choices=(1, -1), help="fiber sign g(u,u) (default +1)")
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 42 or $SASAKIGEO_SEED)")
-    parser.add_argument("--tol", type=float, default=None, help="override every check tolerance")
+    parser.add_argument("--tol", type=float, default=None, help="override every check tolerance (finite, >= 0)")
     parser.add_argument("--points", type=int, default=10, help="sample points per suite (default 10)")
     parser.add_argument("--samples", type=int, default=20, help="samples per point (default 20)")
     parser.add_argument("--format", choices=("json", "text"), default="json", help="report format")

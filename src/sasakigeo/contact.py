@@ -49,6 +49,7 @@ from .sphere import (
     point_geometry,
     sb_bracket,
     sb_curvature,
+    sb_curvature_array,
     sb_nabla,
     tangential_lift,
 )
@@ -235,8 +236,8 @@ def nabla_xi(m: ChartedMetric, p: SBPoint, a: SBVec) -> SBVec:
     return SBVec(p, hpart_new, tpart_new)
 
 
-def h_at(m: ChartedMetric, p: SBPoint, frame: SBFrame | None = None) -> HOperator:
-    """The operator h = (matrix in an SBFrame, pointwise action).
+def h_at(m: ChartedMetric, p: SBPoint) -> HOperator:
+    """The operator h = (matrix in ``frame_at(m, p)``, pointwise action).
 
     Both come from one array on the (h, t) parts:
     H = [[(-eps I + R(., u)u) P, 0], [0, P((2 - eps) I - R(., u)u)]].
@@ -252,8 +253,7 @@ def h_at(m: ChartedMetric, p: SBPoint, frame: SBFrame | None = None) -> HOperato
         out = hmat @ a.comps()
         return SBVec(p, out[:n], out[n:])
 
-    if frame is None:
-        frame = frame_at(m, p)
+    frame = frame_at(m, p)
     f = frame.parts()
     matrix = frame.signs[:, None] * parts_metric(geo.g, f, hmat @ f)
     return HOperator(p, frame, matrix, apply)
@@ -340,7 +340,6 @@ def kappa_mu_residual(
     km: KappaMu,
     rng: np.random.Generator,
     num_samples: int = 20,
-    tol: float = 1e-8,
 ) -> CheckReport:
     """Residual of R(a,b)xi = eps kappa(eta(b)a - eta(a)b) + eps mu(eta(b)ha - eta(a)hb).
 
@@ -353,19 +352,20 @@ def kappa_mu_residual(
     hop = h_at(m, p)
     eps = p.eps
     xi = data.xi
+    rb_xi = sb_curvature_array(point_geometry(m, p, nabla=True)) @ xi.comps()  # R-bar(., .)xi
     worst = 0.0
     rows, rhs_list = [], []
     for k in range(num_samples):
         a = sample_sb_vec(m, p, rng)
         b = xi if k % 3 == 0 else sample_sb_vec(m, p, rng)
-        lhs = sb_curvature(m, p, a, b, xi)
+        lhs = (rb_xi @ b.comps()) @ a.comps()
         e_a, e_b = data.eta(a), data.eta(b)
         v1 = eps * (e_b * a + (-e_a) * b)
         v2 = eps * (e_b * hop.apply(a) + (-e_a) * hop.apply(b))
-        resid = lhs.comps() - km.kappa * v1.comps() - km.mu * v2.comps()
+        resid = lhs - km.kappa * v1.comps() - km.mu * v2.comps()
         worst = worst_of(worst, np.linalg.norm(resid))
         rows.append(np.stack([v1.comps(), v2.comps()], axis=1))
-        rhs_list.append(lhs.comps())
+        rhs_list.append(lhs)
     design = np.concatenate(rows, axis=0)
     fit, *_ = np.linalg.lstsq(design, np.concatenate(rhs_list), rcond=None)
     params = {
@@ -375,14 +375,13 @@ def kappa_mu_residual(
         "mu_fit": float(fit[1]),
     }
     return CheckReport.build(
-        "kappa-mu", params, [CheckItem("(kappa,mu)-nullity residual", worst, tol)]
+        "kappa-mu", params, [CheckItem("(kappa,mu)-nullity residual", worst, 1e-8)]
     )
 
 
-def psi_u_matrix(m: ChartedMetric, p: SBPoint, frame: SBFrame | None = None) -> np.ndarray:
+def psi_u_matrix(m: ChartedMetric, p: SBPoint) -> np.ndarray:
     """Matrix of psi_u = R(., u)u on the g-orthogonal complement of u."""
-    if frame is None:
-        frame = frame_at(m, p)
+    frame = frame_at(m, p)
     geo = point_geometry(m, p)
     es = np.stack(frame.base_frame, axis=1)
     return frame.base_signs[:, None] * (es.T @ geo.g @ geo.ruu @ es)
@@ -443,7 +442,6 @@ def k_contact_residual(
     points: list,
     rng: np.random.Generator,
     samples_per_point: int = 8,
-    tol: float = 1e-5,
 ) -> CheckReport:
     """Two K-contact residuals: Killing (FD Lie derivative of g_cm along the
     geodesic-flow field) and |K(xi, a) - eps| over nondegenerate planes."""
@@ -467,9 +465,9 @@ def k_contact_residual(
             worst_plane = worst_of(worst_plane, abs(xi_plane_curvature(m, p, a) - eps))
             planes += 1
     checks = [
-        CheckItem("L_xi g_cm = 0 (Killing)", worst_killing, tol),
+        CheckItem("L_xi g_cm = 0 (Killing)", worst_killing, 1e-5),
         # a check that measured no plane has shown nothing, so it fails
-        CheckItem("K(xi-plane) = eps", worst_plane if planes else math.inf, tol),
+        CheckItem("K(xi-plane) = eps", worst_plane if planes else math.inf, 1e-5),
     ]
     return CheckReport.build("k-contact", {}, checks)
 
@@ -492,7 +490,6 @@ def sasakian_residual(
     p: SBPoint,
     rng: np.random.Generator,
     num_samples: int = 12,
-    tol: float = 1e-5,
 ) -> CheckReport:
     """Residuals of both Sasakian characterizations.
 
@@ -524,7 +521,7 @@ def sasakian_residual(
         rhs = data.gcm(a_sb, b_sb) * data.xi + (-eps * data.eta(b_sb)) * a_sb
         worst_grad = worst_of(worst_grad, np.abs(lhs.comps() - rhs.comps()).max())
     checks = [
-        CheckItem("N_phi + 2 d eta @ xi = 0", worst_nphi, tol),
-        CheckItem("(nabla phi) = g_cm @ xi - eps eta @ id", worst_grad, tol),
+        CheckItem("N_phi + 2 d eta @ xi = 0", worst_nphi, 1e-5),
+        CheckItem("(nabla phi) = g_cm @ xi - eps eta @ id", worst_grad, 1e-5),
     ]
     return CheckReport.build("sasakian", {}, checks)

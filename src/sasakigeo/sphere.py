@@ -160,17 +160,17 @@ def induced_metric_at(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec) -> float
     return float(a.hpart @ g @ b.hpart + a.tpart @ g @ b.tpart)
 
 
-def frame_at(m: ChartedMetric, p: SBPoint, seed: int = 0) -> SBFrame:
+def frame_at(m: ChartedMetric, p: SBPoint) -> SBFrame:
     """Signature-aware Gram-Schmidt frame with pivoting.
 
-    Candidate vectors are the coordinate basis followed by seeded random
-    draws; candidates whose projection has |g(w, w)| < 1e-6 are skipped.
+    Candidate vectors are the coordinate basis followed by random draws from
+    a fixed seed; candidates whose projection has |g(w, w)| < 1e-6 are skipped.
     """
     n = m.dim
     g = metric_at(m, p.x)
     basis = [p.u]
     signs = [float(p.eps)]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     candidates = list(np.eye(n))
     attempts = 0
     while len(basis) < n:

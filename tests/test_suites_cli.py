@@ -18,6 +18,85 @@ from conftest import nan_on_call
 
 FAST = dict(num_points=2, num_samples=8)
 
+# every suite's check names in report order (the order of their first row)
+CHECK_NAMES = {
+    "axioms": [
+        "eta(xi) = 1",
+        "g_cm(xi, xi) = eps",
+        "phi(xi) = 0",
+        "phi^2 = -Id + eta@xi",
+        "g_cm(phi.,phi.) = g_cm - eps eta@eta",
+        "d eta = g_cm(., phi .)",
+    ],
+    "connection": [
+        "tm_nabla torsion-free",
+        "sb_nabla torsion-free",
+        "tm_nabla metric compatibility (FD)",
+        "sb_nabla metric compatibility (FD)",
+        "sb_nabla = projected ambient derivative",
+        "nabla xi = -eps phi - phi h",
+        "geodesic flow: nabla_xi xi = 0",
+        "nabla phi closed form = definition",
+    ],
+    "curvature": [
+        "R antisymmetric in last pair",
+        "R antisymmetric in first pair",
+        "R pair symmetry",
+        "R first Bianchi identity",
+        "sectional curvature = c",
+        "R(X,u)u = eps c X for X perp u",
+        "R-bar antisymmetry (a,b)",
+        "R-bar antisymmetry (c,d)",
+        "R-bar pair symmetry",
+        "R-bar first Bianchi identity",
+        "curvature operator invariant under constant metric scaling",
+    ],
+    "kappa-mu": [
+        "(kappa,mu)-nullity residual",
+        "sensitivity: residual(kappa + 0.1) >= 1e-2",
+        "psi_u quadratic (vertical branch)",
+        "psi_u quadratic (horizontal branch)",
+        "common root a = eps c (vertical)",
+        "common root a = eps c (horizontal)",
+        "h eigenvalues = {2 - eps(1+c), eps(c-1), 0}",
+        "h(xi) = 0",
+        "h self-adjoint for g_cm",
+    ],
+    "k-contact": ["L_xi g_cm = 0 (Killing)", "K(xi-plane) = eps"],
+    "sasakian": ["N_phi + 2 d eta @ xi = 0", "(nabla phi) = g_cm @ xi - eps eta @ id"],
+    "phi-sectional": ["phi-sectional curvature constant (spread)", "phi-sectional value = eps c^2"],
+    "oracle-crosscheck": [
+        "christoffel_at = Koszul FD oracle",
+        "riemann_at = FD curvature oracle",
+        "FD step halving stays within 4x tolerance",
+        "sb_curvature = Gauss-equation oracle",
+        "second fundamental form symmetric",
+        "sb_nabla = projection of ambient FD derivative",
+        "tm_nabla = FD Christoffels of Tg on lift fields",
+        "hypersurface pullback = induced metric",
+        "pullback chart rank 2n-1",
+        "pullback constraint g(u,u) = eps",
+        "fd_exterior_derivative of exact form = 0",
+        "2 d eta'(A,B) = eps gbar(A, phi'B)",
+    ],
+    "index": [
+        "base signature (n - nu, nu)",
+        "index of Sasaki metric Tg = 2 nu",
+        "frame Gram diagonal = +-1",
+        "frame Gram off-diagonal = 0",
+        "index of induced metric = 2 nu - (eps = -1)",
+        "pullback metric index matches",
+    ],
+    "brackets": [
+        "[X^h, Y^h] = [X,Y]^h - v{R(X,Y)u}",
+        "[X^h, Y^v] = (nabla_X Y)^v",
+        "[X^v, Y^v] = 0",
+        "[X^h, Y^t] = (nabla_X Y)^t",
+        "[X^t, Y^t] = eps g(X,u)Y^t - eps g(Y,u)X^t",
+        "[X^h, Y^h] on T_eps M",
+    ],
+}
+
 
 def _strip_runtime(text: str) -> str:
     return "\n".join(line for line in text.splitlines() if "runtime_ms" not in line)
@@ -38,6 +117,9 @@ class TestSuiteConfig:
             dict(suite="axioms", num_points=0),
             dict(suite="axioms", c=float("nan")),
             dict(suite="axioms", seed=-1),
+            dict(suite="axioms", tol=float("nan")),
+            dict(suite="axioms", tol=float("inf")),
+            dict(suite="axioms", tol=-1.0),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -88,9 +170,19 @@ class TestRunSuite:
         v2 = [c.max_residual for c in r2.checks]
         assert v1 != v2
 
-    def test_tolerance_override(self):
-        rep = run_suite(SuiteConfig(suite="index", tol=0.5, **FAST))
-        assert all(c.tol == 0.5 for c in rep.checks)
+    def test_check_table_covers_every_suite(self):
+        assert list(CHECK_NAMES) == [s for s in SUITES if s != "all"]
+
+    @pytest.mark.parametrize("suite", list(CHECK_NAMES))
+    @pytest.mark.parametrize("nu, eps", [(0, 1), (1, -1)])
+    def test_check_names_in_report_order(self, suite, nu, eps):
+        rep = run_suite(SuiteConfig(suite=suite, n=2, nu=nu, eps=eps, **FAST))
+        assert [c.name for c in rep.checks] == CHECK_NAMES[suite]
+
+    @pytest.mark.parametrize("suite", list(CHECK_NAMES))
+    def test_tolerance_override(self, suite):
+        rep = run_suite(SuiteConfig(suite=suite, tol=0.5, **FAST))
+        assert rep.checks and all(c.tol == 0.5 for c in rep.checks)
 
 
 class TestNonFiniteResiduals:
@@ -268,8 +360,12 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert code == 1 and data["pass"] is False
 
-    def test_config_error_exit_code(self, capsys):
-        assert main(["axioms", "--eps", "-1", "--nu", "0"]) == 2
+    @pytest.mark.parametrize(
+        "argv", [["axioms", "--eps", "-1", "--nu", "0"], ["index", "--tol", "nan"], ["index", "--tol=-1"]]
+    )
+    def test_config_error_exit_code(self, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
 
     def test_fd_step_option_is_gone(self):
         # stencil.py owns every finite-difference step
