@@ -48,6 +48,7 @@ from .manifold import (
     validate_space_form,
 )
 from .oracle import (
+    GaussOracle,
     HypersurfaceChart,
     fd_christoffel,
     fd_exterior_derivative,
@@ -94,6 +95,7 @@ __all__ = [
     "CheckReport",
     "Christoffel",
     "ContactData",
+    "GaussOracle",
     "HOperator",
     "HypersurfaceChart",
     "KappaMu",

@@ -239,15 +239,11 @@ def nabla_xi(m: ChartedMetric, p: SBPoint, a: SBVec) -> SBVec:
 def h_at(m: ChartedMetric, p: SBPoint) -> HOperator:
     """The operator h = (matrix in ``frame_at(m, p)``, pointwise action).
 
-    Both come from one array on the (h, t) parts:
-    H = [[(-eps I + R(., u)u) P, 0], [0, P((2 - eps) I - R(., u)u)]].
+    Both come from one array on the (h, t) parts, ``PointGeometry.h_parts``.
     """
     geo = point_geometry(m, p)
-    n, eps = m.dim, p.eps
-    eye = np.eye(n)
-    hmat = np.zeros((2 * n, 2 * n))
-    hmat[:n, :n] = (-eps * eye + geo.ruu) @ geo.proj  # P projects out the xi direction
-    hmat[n:, n:] = geo.proj @ ((2.0 - eps) * eye - geo.ruu)
+    n = m.dim
+    hmat = geo.h_parts()
 
     def apply(a: SBVec) -> SBVec:
         out = hmat @ a.comps()
@@ -349,10 +345,11 @@ def kappa_mu_residual(
     over the samples is echoed for diagnostics.
     """
     data = contact_data_at(m, p)
-    hop = h_at(m, p)
     eps = p.eps
     xi = data.xi
-    rb_xi = sb_curvature_array(point_geometry(m, p, nabla=True)) @ xi.comps()  # R-bar(., .)xi
+    geo = point_geometry(m, p, nabla=True)
+    hmat = geo.h_parts()
+    rb_xi = sb_curvature_array(geo) @ xi.comps()  # R-bar(., .)xi
     worst = 0.0
     rows, rhs_list = [], []
     for k in range(num_samples):
@@ -361,10 +358,10 @@ def kappa_mu_residual(
         lhs = (rb_xi @ b.comps()) @ a.comps()
         e_a, e_b = data.eta(a), data.eta(b)
         v1 = eps * (e_b * a + (-e_a) * b)
-        v2 = eps * (e_b * hop.apply(a) + (-e_a) * hop.apply(b))
-        resid = lhs - km.kappa * v1.comps() - km.mu * v2.comps()
+        v2 = eps * (e_b * (hmat @ a.comps()) + (-e_a) * (hmat @ b.comps()))
+        resid = lhs - km.kappa * v1.comps() - km.mu * v2
         worst = worst_of(worst, np.linalg.norm(resid))
-        rows.append(np.stack([v1.comps(), v2.comps()], axis=1))
+        rows.append(np.stack([v1.comps(), v2], axis=1))
         rhs_list.append(lhs)
     design = np.concatenate(rows, axis=0)
     fit, *_ = np.linalg.lstsq(design, np.concatenate(rhs_list), rcond=None)
@@ -493,13 +490,14 @@ def sasakian_residual(
 ) -> CheckReport:
     """Residuals of both Sasakian characterizations.
 
-    (i) N_phi(A, B) + 2 d eta(A, B) xi = 0 via FD brackets of lift fields;
+    (i) N_phi(A, B) + 2 d eta(A, B) xi = 0, contracting the FD Nijenhuis
+        tensor of phi, built once per point, with the lift fields at p;
     (ii) (nabla_a phi) b = g_cm(a, b) xi - eps eta(b) a via the closed forms.
     """
     data = contact_data_at(m, p)
     eps, n = p.eps, m.dim
     z0 = np.concatenate([p.x, p.u])
-    phim = phi_matrix_fn(m, eps)
+    nphi_t = fd_nijenhuis(phi_matrix_fn(m, eps), z0)
     xi_ind = geodesic_flow_field_fn(m, scale=2.0)(z0)
 
     worst_nphi = 0.0
@@ -509,9 +507,9 @@ def sasakian_residual(
         kx, ky = kinds[k % 4]
         xc = rng.normal(size=n)
         yc = rng.normal(size=n)
-        afn = sb_lift_field_fn(m, xc, kx, eps)
-        bfn = sb_lift_field_fn(m, yc, ky, eps)
-        nphi = fd_nijenhuis(phim, afn, bfn, z0)
+        a0 = sb_lift_field_fn(m, xc, kx, eps)(z0)
+        b0 = sb_lift_field_fn(m, yc, ky, eps)(z0)
+        nphi = (nphi_t @ b0) @ a0
         two_deta = 2.0 * d_eta_fd(m, p, xc, kx, yc, ky)
         worst_nphi = worst_of(worst_nphi, np.abs(nphi + two_deta * xi_ind).max())
 

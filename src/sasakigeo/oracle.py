@@ -25,13 +25,20 @@ from .tangent import VectorField, as_field
 # -------------------- raw metric data (oracle's own access) --------------------
 
 
-def _koszul(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
+def _inv(g: np.ndarray) -> np.ndarray:
     try:
-        ginv = np.linalg.inv(g)
+        return np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:
         raise DegenerateMetric("metric matrix is singular") from exc
-    t = np.einsum("jlk->ljk", dg) + np.einsum("kjl->ljk", dg) - dg
-    return 0.5 * np.einsum("il,ljk->ijk", ginv, t)
+
+
+def _first_kind(dg: np.ndarray) -> np.ndarray:
+    """t[l, j, k] = d_j g_lk + d_k g_jl - d_l g_jk, twice the first-kind symbols."""
+    return np.einsum("jlk->ljk", dg) + np.einsum("kjl->ljk", dg) - dg
+
+
+def _koszul(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    return 0.5 * np.einsum("il,ljk->ijk", _inv(g), _first_kind(dg))
 
 
 def fd_christoffel(metric_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, step: float = FD_STEP_FIRST) -> Christoffel:
@@ -66,25 +73,35 @@ def base_gamma(m: ChartedMetric, x: np.ndarray) -> np.ndarray:
     return _koszul(g, dg)
 
 
-def _base_dgamma(m: ChartedMetric, x: np.ndarray) -> np.ndarray:
-    """d_c Gamma^i_ab, oracle-side; callers make sure g' and g'' are analytic."""
+def _base_jet(m: ChartedMetric, x: np.ndarray):
+    """(g, d_c g, Gamma, d_c Gamma^i_ab) from one read of g, g', g''; callers make sure g', g'' are analytic."""
     g = np.asarray(m.metric_fn(x), dtype=float)
     dg = np.asarray(m.deriv1_fn(x), dtype=float)
     ddg = np.asarray(m.deriv2_fn(x), dtype=float)
-    ginv = np.linalg.inv(g)
+    ginv = _inv(g)
     dginv = -np.einsum("im,cmn,nl->cil", ginv, dg, ginv)
-    t = np.einsum("jlk->ljk", dg) + np.einsum("kjl->ljk", dg) - dg
-    dt = (
-        np.einsum("calb->clab", ddg)
-        + np.einsum("cbal->clab", ddg)
-        - np.einsum("clab->clab", ddg)
-    )
-    return 0.5 * (
+    t = _first_kind(dg)
+    dt = np.array([_first_kind(ddg_c) for ddg_c in ddg])  # dt[c] = d_c t
+    gamma = 0.5 * np.einsum("il,ljk->ijk", ginv, t)
+    dgamma = 0.5 * (
         np.einsum("cil,lab->ciab", dginv, t) + np.einsum("il,clab->ciab", ginv, dt)
     )
+    return g, dg, gamma, dgamma
 
 
 # -------------------- Sasaki metric in the induced chart of TM --------------------
+
+
+def _sasaki_blocks(g: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """[[g + C^T g C, C^T g], [g C, g]] for C^i_a = Gamma^i_ab u^b."""
+    n = g.shape[0]
+    gc = g @ c
+    out = np.empty((2 * n, 2 * n))
+    out[:n, :n] = g + c.T @ gc
+    out[:n, n:] = c.T @ g
+    out[n:, :n] = gc
+    out[n:, n:] = g
+    return out
 
 
 def sasaki_metric_fn(m: ChartedMetric) -> Callable[[np.ndarray], np.ndarray]:
@@ -98,62 +115,47 @@ def sasaki_metric_fn(m: ChartedMetric) -> Callable[[np.ndarray], np.ndarray]:
     def tg(z: np.ndarray) -> np.ndarray:
         x, u = z[:n], z[n:]
         g = np.asarray(m.metric_fn(x), dtype=float)
-        c = np.einsum("iab,b->ia", base_gamma(m, x), u)
-        gc = g @ c
-        out = np.empty((2 * n, 2 * n))
-        out[:n, :n] = g + c.T @ gc
-        out[:n, n:] = c.T @ g
-        out[n:, :n] = gc
-        out[n:, n:] = g
-        return out
+        return _sasaki_blocks(g, np.einsum("iab,b->ia", base_gamma(m, x), u))
 
     return tg
 
 
-def sasaki_metric_deriv_fn(m: ChartedMetric) -> Callable[[np.ndarray], np.ndarray] | None:
-    """Analytic d_K Tg_IJ when the base chart has analytic g', g''; else None."""
+def sasaki_gamma_fn(m: ChartedMetric) -> Callable[[np.ndarray], np.ndarray]:
+    """z -> Christoffel symbols of Tg.
+
+    On charts with analytic g' and g'' each z reads g, g', g'' once, builds
+    Gamma and d Gamma, then Tg and its z-derivative d_K Tg_IJ in closed form,
+    and takes one Koszul step; otherwise Tg is central-differenced.
+    """
+    tg = sasaki_metric_fn(m)
     if m.deriv1_fn is None or m.deriv2_fn is None:
-        return None
+        return lambda z: fd_christoffel(tg, z).gamma
     n = m.dim
 
-    def dtg(z: np.ndarray) -> np.ndarray:
+    def gamma_tilde(z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
         x, u = z[:n], z[n:]
-        g = np.asarray(m.metric_fn(x), dtype=float)
-        dg = np.asarray(m.deriv1_fn(x), dtype=float)
-        gamma = base_gamma(m, x)
-        dgamma = _base_dgamma(m, x)
+        g, dg, gamma, dgamma = _base_jet(m, x)
         c = np.einsum("iab,b->ia", gamma, u)
-        dc_x = np.einsum("ciab,b->cia", dgamma, u)  # d C / d x^c
-        dc_u = np.einsum("iac->cia", gamma)  # d C / d u^c
-        out = np.zeros((2 * n, 2 * n, 2 * n))
-        for k in range(n):
-            dgk = dg[k]
-            dck = dc_x[k]
-            xx = dgk + dck.T @ g @ c + c.T @ dgk @ c + c.T @ g @ dck
-            xu = dck.T @ g + c.T @ dgk
-            out[k, :n, :n] = xx
-            out[k, :n, n:] = xu
-            out[k, n:, :n] = xu.T
-            out[k, n:, n:] = dgk
-        for k in range(n):
-            dck = dc_u[k]
-            xx = dck.T @ g @ c + c.T @ g @ dck
-            xu = dck.T @ g
-            out[n + k, :n, :n] = xx
-            out[n + k, :n, n:] = xu
-            out[n + k, n:, :n] = xu.T
-        return out
+        gc = g @ c
+        dc_x = np.einsum("kiab,b->kia", dgamma, u)  # d C / d x^k
+        dc_u = np.einsum("iak->kia", gamma)  # d C / d u^k
+        dtg = np.zeros((2 * n, 2 * n, 2 * n))
+        # d_k (C^T g C) = dC_k^T g C + C^T dg_k C + (dC_k^T g C)^T, g symmetric
+        dcgc = np.einsum("kia,ib->kab", dc_x, gc)
+        dtg[:n, :n, :n] = dg + dcgc + np.swapaxes(dcgc, 1, 2) + np.einsum("ia,kij,jb->kab", c, dg, c)
+        xu = np.einsum("kia,ib->kab", dc_x, g) + np.einsum("ia,kib->kab", c, dg)
+        dtg[:n, :n, n:] = xu
+        dtg[:n, n:, :n] = np.swapaxes(xu, 1, 2)
+        dtg[:n, n:, n:] = dg
+        dcgc = np.einsum("kia,ib->kab", dc_u, gc)
+        dtg[n:, :n, :n] = dcgc + np.swapaxes(dcgc, 1, 2)
+        xu = np.einsum("kia,ib->kab", dc_u, g)
+        dtg[n:, :n, n:] = xu
+        dtg[n:, n:, :n] = np.swapaxes(xu, 1, 2)
+        return _koszul(_sasaki_blocks(g, c), dtg)
 
-    return dtg
-
-
-def sasaki_gamma_fn(m: ChartedMetric) -> Callable[[np.ndarray], np.ndarray]:
-    """z -> Christoffel symbols of Tg; Koszul from analytic dTg when available."""
-    tg = sasaki_metric_fn(m)
-    dtg = sasaki_metric_deriv_fn(m)
-    if dtg is None:
-        return lambda z: fd_christoffel(tg, z).gamma
-    return lambda z: _koszul(tg(z), dtg(z))
+    return gamma_tilde
 
 
 # -------------------- lift fields in induced coordinates --------------------
@@ -210,11 +212,6 @@ def geodesic_flow_field_fn(m: ChartedMetric, scale: float = 1.0) -> Callable[[np
     return flow
 
 
-def normal_field_fn(m: ChartedMetric) -> Callable[[np.ndarray], np.ndarray]:
-    n = m.dim
-    return lambda z: np.concatenate([np.zeros(n), z[n:]])
-
-
 def sb_lift_field_fn(m: ChartedMetric, field: VectorField, kind: str, eps: int) -> Callable[[np.ndarray], np.ndarray]:
     if kind == "h":
         return lift_field_fn(m, field, "h")
@@ -238,8 +235,7 @@ def const_lift_jacobian_fn(m: ChartedMetric, w: np.ndarray, kind: str, eps: int)
         x, u = z[:n], z[n:]
         out = np.zeros((2 * n, 2 * n))
         if kind == "h":
-            gamma = base_gamma(m, x)
-            dgamma = _base_dgamma(m, x)
+            _, _, gamma, dgamma = _base_jet(m, x)
             out[n:, :n] = -np.einsum("ciab,a,b->ic", dgamma, w, u)
             out[n:, n:] = -np.einsum("iac,a->ic", gamma, w)
         else:
@@ -291,25 +287,20 @@ def fd_exterior_derivative(omega_fn, z: np.ndarray, step: float = FD_STEP_FIRST)
     return jac.T - jac
 
 
-def fd_nijenhuis(phi_fn, afield_fn, bfield_fn, z: np.ndarray, step: float = FD_STEP_FIRST) -> np.ndarray:
-    """N_phi(A,B) = phi^2 [A,B] + [phi A, phi B] - phi [phi A, B] - phi [A, phi B].
+def fd_nijenhuis(phi_fn, z: np.ndarray, step: float = FD_STEP_FIRST) -> np.ndarray:
+    """The Nijenhuis tensor ``N[i, j, k]`` = N^i_jk of an endomorphism field.
 
-    ``phi_fn(z)`` is the endomorphism matrix on induced components.
+    N^i_jk = phi^l_j d_l phi^i_k - phi^l_k d_l phi^i_j - phi^i_l (d_j phi^l_k - d_k phi^l_j)
+    from one stencil of ``phi_fn(z)``, the matrix on induced components;
+    N^i_jk A^j B^k = phi^2 [A,B] + [phi A, phi B] - phi [phi A, B] - phi [A, phi B]
+    for any vector fields A, B.
     """
     z = np.asarray(z, dtype=float)
-    phi0 = np.asarray(phi_fn(z), dtype=float)
-
-    def phi_a(w):
-        return np.asarray(phi_fn(w)) @ np.asarray(afield_fn(w))
-
-    def phi_b(w):
-        return np.asarray(phi_fn(w)) @ np.asarray(bfield_fn(w))
-
-    term1 = phi0 @ (phi0 @ fd_lie_bracket(afield_fn, bfield_fn, z, step))
-    term2 = fd_lie_bracket(phi_a, phi_b, z, step)
-    term3 = phi0 @ fd_lie_bracket(phi_a, bfield_fn, z, step)
-    term4 = phi0 @ fd_lie_bracket(afield_fn, phi_b, z, step)
-    return term1 + term2 - term3 - term4
+    phi = np.asarray(phi_fn(z), dtype=float)
+    dphi = partials(phi_fn, z, step)  # dphi[l, i, k] = d_l phi^i_k
+    # s[i, j, k] = phi^l_j d_l phi^i_k - phi^i_l d_j phi^l_k; N is its (j, k) antisymmetrization
+    s = np.einsum("lj,lik->ijk", phi, dphi) - np.einsum("il,jlk->ijk", phi, dphi)
+    return s - np.swapaxes(s, 1, 2)
 
 
 def ambient_nabla(
@@ -435,68 +426,73 @@ def _const_sb_field_jac(m: ChartedMetric, v: SBVec):
     return lambda z: jh(z) + jt(z)
 
 
-def weingarten(m: ChartedMetric, p: SBPoint, a: SBVec, gamma_tilde_fn=None) -> np.ndarray:
-    """Induced components of nabla-tilde_A N (tangential, shape-operator image)."""
-    if gamma_tilde_fn is None:
-        gamma_tilde_fn = sasaki_gamma_fn(m)
-    n = m.dim
-    z0 = np.concatenate([p.x, p.u])
-    a_fn = _const_sb_field_fn(m, a)
-    n_jac = np.zeros((2 * n, 2 * n))
-    n_jac[n:, n:] = np.eye(n)
-    return ambient_nabla(a_fn, normal_field_fn(m), z0, gamma_tilde_fn, b_jac_fn=lambda z: n_jac)
+def second_fundamental_form(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec) -> float:
+    """II(A, B) = eps * Tg(nabla-tilde_A B, N); see ``GaussOracle`` to reuse one point."""
+    return GaussOracle(m, p).second_fundamental_form(a, b)
 
 
-def second_fundamental_form(
-    m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec, gamma_tilde_fn=None, tg0=None
-) -> float:
-    """II(A, B) = eps * Tg(nabla-tilde_A B, N)."""
-    require_same_sb_point(a, b)
-    if gamma_tilde_fn is None:
+class GaussOracle:
+    """The Gauss-equation oracle for R-bar at one bundle point p.
+
+    The ambient curvature R-tilde of Tg, Gamma-tilde(z0), Tg(z0) and the
+    normal N depend only on p, so they are built once here; ``curvature``,
+    ``second_fundamental_form`` and ``weingarten`` only contract them with
+    the sampled vectors.
+    """
+
+    def __init__(self, m: ChartedMetric, p: SBPoint):
+        self.m, self.p = m, p
+        self.z0 = np.concatenate([p.x, p.u])
         gamma_tilde_fn = sasaki_gamma_fn(m)
-    z0 = np.concatenate([p.x, p.u])
-    if tg0 is None:
-        tg0 = sasaki_metric_fn(m)(z0)
-    nab = ambient_nabla(
-        _const_sb_field_fn(m, a),
-        _const_sb_field_fn(m, b),
-        z0,
-        gamma_tilde_fn,
-        b_jac_fn=_const_sb_field_jac(m, b),
-    )
-    n_ind = np.concatenate([np.zeros(m.dim), p.u])
-    return p.eps * float(nab @ tg0 @ n_ind)
+        self.gamma0 = gamma_tilde_fn(self.z0)
+        self.tg0 = sasaki_metric_fn(m)(self.z0)
+        self.n_ind = np.concatenate([np.zeros(m.dim), p.u])
+        # differentiating an analytically-evaluated Gamma is a first-derivative
+        # problem; the coarser second-derivative step is only needed when Gamma
+        # itself carries finite-difference noise
+        step = FD_STEP_SECOND if m.uses_fd_derivatives else 5e-6
+        self.r_tilde = fd_riemann(gamma_tilde_fn, self.z0, step).r
+
+    def second_fundamental_form(self, a: SBVec, b: SBVec) -> float:
+        """II(A, B) = eps * Tg(nabla-tilde_A B, N)."""
+        require_same_sb_point(a, b)
+        nab = ambient_nabla(
+            _const_sb_field_fn(self.m, a),
+            _const_sb_field_fn(self.m, b),
+            self.z0,
+            lambda z: self.gamma0,
+            b_jac_fn=_const_sb_field_jac(self.m, b),
+        )
+        return self.p.eps * float(nab @ self.tg0 @ self.n_ind)
+
+    def weingarten(self, a: SBVec) -> np.ndarray:
+        """Induced components of nabla-tilde_A N = dN(A) + Gamma-tilde(A, N), N = (0; u)."""
+        n = self.m.dim
+        aval = _const_sb_field_fn(self.m, a)(self.z0)
+        dn = np.concatenate([np.zeros(n), aval[n:]])
+        return dn + np.einsum("ijk,j,k->i", self.gamma0, aval, self.n_ind)
+
+    def curvature(self, a: SBVec, b: SBVec, c: SBVec) -> SBVec:
+        """R-bar(a, b)c from the ambient curvature of Tg plus second-fundamental terms.
+
+        tan(R-tilde(A,B)C) - II(B,C) nabla-tilde_A N + II(A,C) nabla-tilde_B N,
+        where tan(V) = V - eps Tg(V, N) N.
+        """
+        m, p, n_ind = self.m, self.p, self.n_ind
+        a_ind = _embed_induced(m, a)
+        b_ind = _embed_induced(m, b)
+        c_ind = _embed_induced(m, c)
+        v = np.einsum("ijkl,j,k,l->i", self.r_tilde, c_ind, a_ind, b_ind)
+        v_tan = v - p.eps * float(v @ self.tg0 @ n_ind) * n_ind
+        ii_bc = self.second_fundamental_form(b, c)
+        ii_ac = self.second_fundamental_form(a, c)
+        result = v_tan - ii_bc * self.weingarten(a) + ii_ac * self.weingarten(b)
+        return _from_induced(m, p, result)
 
 
 def gauss_curvature_oracle(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec, c: SBVec) -> SBVec:
-    """R-bar(a, b)c from the ambient curvature of Tg plus second-fundamental terms.
-
-    tan(R-tilde(A,B)C) - II(B,C) nabla-tilde_A N + II(A,C) nabla-tilde_B N,
-    where tan(V) = V - eps Tg(V, N) N.
-    """
-    n = m.dim
-    z0 = np.concatenate([p.x, p.u])
-    gamma_tilde_fn = sasaki_gamma_fn(m)
-    tg0 = sasaki_metric_fn(m)(z0)
-    n_ind = np.concatenate([np.zeros(n), p.u])
-
-    # differentiating an analytically-evaluated Gamma is a first-derivative
-    # problem; the coarser second-derivative step is only needed when Gamma
-    # itself carries finite-difference noise
-    step = FD_STEP_SECOND if m.uses_fd_derivatives else 5e-6
-    r_tilde = fd_riemann(gamma_tilde_fn, z0, step).r
-    a_ind = _embed_induced(m, a)
-    b_ind = _embed_induced(m, b)
-    c_ind = _embed_induced(m, c)
-    v = np.einsum("ijkl,j,k,l->i", r_tilde, c_ind, a_ind, b_ind)
-    v_tan = v - p.eps * float(v @ tg0 @ n_ind) * n_ind
-
-    ii_bc = second_fundamental_form(m, p, b, c, gamma_tilde_fn, tg0)
-    ii_ac = second_fundamental_form(m, p, a, c, gamma_tilde_fn, tg0)
-    w_a = weingarten(m, p, a, gamma_tilde_fn)
-    w_b = weingarten(m, p, b, gamma_tilde_fn)
-    result = v_tan - ii_bc * w_a + ii_ac * w_b
-    return _from_induced(m, p, result)
+    """R-bar(a, b)c by the Gauss equation; see ``GaussOracle`` to reuse one point."""
+    return GaussOracle(m, p).curvature(a, b, c)
 
 
 def sb_nabla_via_ambient(

@@ -291,6 +291,18 @@ class PointGeometry:
     ruu: np.ndarray
     nabla_r: np.ndarray | None
 
+    def h_parts(self) -> np.ndarray:
+        """The contact tensor h on (h, t) parts.
+
+        H = [[(-eps I + R(., u)u) P, 0], [0, P((2 - eps) I - R(., u)u)]].
+        """
+        n, eps = self.g.shape[0], self.p.eps
+        eye = np.eye(n)
+        hmat = np.zeros((2 * n, 2 * n))
+        hmat[:n, :n] = (-eps * eye + self.ruu) @ self.proj  # P projects out the xi direction
+        hmat[n:, n:] = self.proj @ ((2.0 - eps) * eye - self.ruu)
+        return hmat
+
 
 def point_geometry(m: ChartedMetric, p: SBPoint, nabla: bool = False) -> PointGeometry:
     """One metric_at and one riemann_at at p.x; nabla_riemann_full only if ``nabla``."""

@@ -13,7 +13,9 @@ from sasakigeo.oracle import (
     fd_lie_derivative_metric,
     fd_nijenhuis,
     fd_riemann,
+    gauss_curvature_oracle,
     geodesic_flow_field_fn,
+    GaussOracle,
     hypersurface_pullback,
     lift_field_fn,
     sasaki_gamma_fn,
@@ -282,13 +284,35 @@ class TestFdExteriorDerivative:
         assert deta == pytest.approx(data.gcm(a, data.phi(b)), abs=1e-5)
 
 
+def _bracket_nijenhuis(phi_fn, afield_fn, bfield_fn, z):
+    """Reference: N_phi(A,B) = phi^2 [A,B] + [phi A, phi B] - phi [phi A, B] - phi [A, phi B]."""
+    phi0 = np.asarray(phi_fn(z), dtype=float)
+
+    def phi_a(w):
+        return np.asarray(phi_fn(w)) @ np.asarray(afield_fn(w))
+
+    def phi_b(w):
+        return np.asarray(phi_fn(w)) @ np.asarray(bfield_fn(w))
+
+    term1 = phi0 @ (phi0 @ fd_lie_bracket(afield_fn, bfield_fn, z))
+    term2 = fd_lie_bracket(phi_a, phi_b, z)
+    term3 = phi0 @ fd_lie_bracket(phi_a, bfield_fn, z)
+    term4 = phi0 @ fd_lie_bracket(afield_fn, phi_b, z)
+    return term1 + term2 - term3 - term4
+
+
+def _nijenhuis_on(phi_fn, afield_fn, bfield_fn, z):
+    """N_phi(A, B) at z, contracted from the tensor."""
+    return (fd_nijenhuis(phi_fn, z) @ bfield_fn(z)) @ afield_fn(z)
+
+
 class TestFdNijenhuis:
     def test_constant_phi_constant_fields_flat(self):
         # all four brackets vanish, so the torsion does too
         phi = lambda z: np.array([[0.0, -1.0], [1.0, 0.0]])
         a = lambda z: np.array([1.0, 2.0])
         b = lambda z: np.array([-0.5, 1.0])
-        out = fd_nijenhuis(phi, a, b, np.array([0.1, 0.2]))
+        out = _nijenhuis_on(phi, a, b, np.array([0.1, 0.2]))
         assert np.abs(out).max() < 1e-10
 
     def test_sasakian_case_normal(self, rng):
@@ -300,7 +324,7 @@ class TestFdNijenhuis:
         xc, yc = rng.normal(size=2), rng.normal(size=2)
         afn = sb_lift_field_fn(m, xc, "h", 1)
         bfn = sb_lift_field_fn(m, yc, "t", 1)
-        nphi = fd_nijenhuis(phim, afn, bfn, z0)
+        nphi = _nijenhuis_on(phim, afn, bfn, z0)
         res = nphi + 2.0 * d_eta_fd(m, p, xc, "h", yc, "t") * xi_ind
         assert np.abs(res).max() < 1e-5
 
@@ -315,7 +339,101 @@ class TestFdNijenhuis:
             xc, yc = rng.normal(size=2), rng.normal(size=2)
             afn = sb_lift_field_fn(m, xc, "h", 1)
             bfn = sb_lift_field_fn(m, yc, "h", 1)
-            nphi = fd_nijenhuis(phim, afn, bfn, z0)
+            nphi = _nijenhuis_on(phim, afn, bfn, z0)
             res = nphi + 2.0 * d_eta_fd(m, p, xc, "h", yc, "h") * xi_ind
             worst = max(worst, np.abs(res).max())
         assert worst > 0.1
+
+    @pytest.mark.parametrize("n,nu,eps,c", [(2, 0, 1, 1.0), (3, 1, 1, 2.0), (3, 1, -1, -1.0)])
+    def test_tensor_matches_bracket_form_on_lift_pairs(self, rng, n, nu, eps, c):
+        m = space_form_chart(SpaceFormSpec(n, nu, c))
+        p = sample_sb_point(m, eps, rng)
+        z0 = np.concatenate([p.x, p.u])
+        phim = phi_matrix_fn(m, eps)
+        tensor = fd_nijenhuis(phim, z0)
+        kinds = [("h", "t"), ("h", "h"), ("t", "t"), ("t", "h")]
+        for k in range(8):
+            kx, ky = kinds[k % 4]
+            afn = sb_lift_field_fn(m, rng.normal(size=n), kx, eps)
+            bfn = sb_lift_field_fn(m, rng.normal(size=n), ky, eps)
+            a0, b0 = afn(z0), bfn(z0)
+            ref = _bracket_nijenhuis(phim, afn, bfn, z0)
+            # both sides are bilinear in (A, B), and so is their FD noise: at
+            # timelike points the lift components reach ~10
+            scale = max(1.0, np.linalg.norm(a0) * np.linalg.norm(b0))
+            assert np.abs((tensor @ b0) @ a0 - ref).max() <= 1e-8 * scale
+
+    def test_tensor_matches_bracket_form_nonconstant_phi_flat(self, rng):
+        # a quadratic endomorphism field and quadratic vector fields on R^3
+        m0, m1, m2 = rng.normal(size=(3, 3)), rng.normal(size=(3, 3, 3)), rng.normal(size=(3, 3, 3))
+        phi = lambda z: m0 + np.einsum("ijk,k->ij", m1, z) + 0.5 * np.einsum("ijk,k->ij", m2, z) * z[0]
+        a1, a2 = rng.normal(size=(3, 3)), rng.normal(size=(3, 3, 3))
+        b0, b1 = rng.normal(size=3), rng.normal(size=(3, 3))
+        a = lambda z: a1 @ z + np.einsum("ijk,j,k->i", a2, z, z)
+        b = lambda z: b0 + b1 @ z
+        z = np.array([0.2, -0.1, 0.3])
+        ref = _bracket_nijenhuis(phi, a, b, z)
+        assert np.abs(ref).max() > 0.1  # a non-integrable phi: the check compares nonzero values
+        assert np.abs(_nijenhuis_on(phi, a, b, z) - ref).max() <= 1e-8
+
+
+class TestPerPointOracles:
+    @pytest.mark.parametrize("chart", ["space form", "bumpy"])
+    def test_fused_sasaki_gamma_matches_fd_koszul(self, rng, chart):
+        m = space_form_chart(SpaceFormSpec(3, 1, -1.0)) if chart == "space form" else bumpy_chart(3, 1)
+        for _ in range(3):
+            p = sample_sb_point(m, -1, rng)
+            z0 = np.concatenate([p.x, p.u])
+            fused = sasaki_gamma_fn(m)(z0)
+            assert np.abs(fused - fd_christoffel(sasaki_metric_fn(m), z0).gamma).max() < 1e-6
+
+    @pytest.mark.parametrize("n,nu,c,eps", [(2, 0, 1.0, 1), (3, 1, 2.0, -1)])
+    def test_gauss_oracle_object_equals_function(self, rng, n, nu, c, eps):
+        m = space_form_chart(SpaceFormSpec(n, nu, c))
+        p = sample_sb_point(m, eps, rng)
+        oracle = GaussOracle(m, p)
+        for _ in range(3):
+            a, b, cv = (sample_sb_vec(m, p, rng) for _ in range(3))
+            assert np.array_equal(oracle.curvature(a, b, cv).comps(), gauss_curvature_oracle(m, p, a, b, cv).comps())
+            assert oracle.second_fundamental_form(a, b) == second_fundamental_form(m, p, a, b)
+
+    def test_sasakian_residual_differentiates_phi_once_per_point(self, monkeypatch):
+        from sasakigeo import contact, oracle
+
+        phi_fns = []
+        make_phi = contact.phi_matrix_fn
+
+        def tracked_phi_matrix_fn(m, eps):
+            phi_fns.append(make_phi(m, eps))
+            return phi_fns[-1]
+
+        stencils = []
+        partials = oracle.partials
+
+        def counted_partials(fn, z, step):
+            stencils.append(any(fn is f for f in phi_fns))
+            return partials(fn, z, step)
+
+        monkeypatch.setattr(contact, "phi_matrix_fn", tracked_phi_matrix_fn)
+        monkeypatch.setattr(oracle, "partials", counted_partials)
+        m = space_form_chart(SpaceFormSpec(2, 0, 1.0))
+        for i in range(3):
+            rng = np.random.default_rng(i)
+            contact.sasakian_residual(m, sample_sb_point(m, 1, rng), rng, num_samples=8)
+        assert sum(stencils) == 3
+
+    def test_oracle_suite_builds_ambient_curvature_once_per_point(self, monkeypatch):
+        from sasakigeo import oracle
+        from sasakigeo.suites import SuiteConfig, run_suite
+
+        sizes = []
+        fd_riemann_ = oracle.fd_riemann
+
+        def counted_fd_riemann(gamma_fn, x, *args):
+            sizes.append(np.asarray(x).size)
+            return fd_riemann_(gamma_fn, x, *args)
+
+        monkeypatch.setattr(oracle, "fd_riemann", counted_fd_riemann)
+        run_suite(SuiteConfig("oracle-crosscheck", n=2, num_points=2, num_samples=24))  # 3 triples a point
+        assert sizes.count(4) == 2  # R-tilde on the 2n-dimensional TM chart
+        assert sizes.count(2) == 2  # the base curvature check
