@@ -26,9 +26,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegeneratePlane
-from .manifold import ChartedMetric, SpaceFormSpec, metric_at, riemann_at
+from .manifold import ChartedMetric, SpaceFormSpec
 from .oracle import (
     base_gamma,
+    fd_exterior_derivative,
     fd_lie_derivative_metric,
     fd_nijenhuis,
     geodesic_flow_field_fn,
@@ -47,14 +48,11 @@ from .sphere import (
     lift,
     parts_metric,
     point_geometry,
-    sb_bracket,
     sb_curvature,
-    sb_curvature_array,
     sb_nabla,
     tangential_lift,
 )
-from .stencil import FD_STEP_FIRST, central_difference
-from .tangent import VectorField, field_at, nabla_vector_field
+from .tangent import VectorField, field_at
 
 
 @dataclass(frozen=True)
@@ -92,7 +90,7 @@ class HOperator:
 
 
 def contact_data_at(m: ChartedMetric, p: SBPoint) -> ContactData:
-    g = metric_at(m, p.x)
+    g = point_geometry(m, p).base.g
     u, eps = p.u, p.eps
     xi = horizontal_sb(p, 2.0 * u)
 
@@ -110,15 +108,25 @@ def contact_data_at(m: ChartedMetric, p: SBPoint) -> ContactData:
     return ContactData(p, xi, eta, phi, gcm)
 
 
-def eta_covector_fn(m: ChartedMetric, eps: int):
-    """eta as a function of induced TM coordinates and components."""
+def eta_form_fn(m: ChartedMetric, eps: int):
+    """eta as a covector field of induced TM coordinates: z -> ((eps/2) g(x) u, 0)."""
     n = m.dim
 
-    def eta_of(z: np.ndarray, w: np.ndarray) -> float:
+    def eta_form(z: np.ndarray) -> np.ndarray:
         g = np.asarray(m.metric_fn(z[:n]), dtype=float)
-        return 0.5 * eps * float(np.asarray(w)[:n] @ g @ z[n:])
+        return np.concatenate([0.5 * eps * (g @ z[n:]), np.zeros(n)])
 
-    return eta_of
+    return eta_form
+
+
+def d_eta_tensor(m: ChartedMetric, p: SBPoint) -> np.ndarray:
+    """D with d(eta)(A, B) = (1/2) A^T D B on induced components at p.
+
+    D = ``fd_exterior_derivative`` of the eta covector field: one stencil per
+    point, from raw metric components only.  The factor 1/2 is the
+    normalization d(eta)(A, B) = (1/2)[A(eta(B)) - B(eta(A)) - eta([A, B])].
+    """
+    return fd_exterior_derivative(eta_form_fn(m, p.eps), np.concatenate([p.x, p.u]))
 
 
 def phi_matrix_fn(m: ChartedMetric, eps: int):
@@ -154,23 +162,15 @@ def d_eta_fd(
     yfield: VectorField,
     kind_y: str,
 ) -> float:
-    """d(eta)(A, B) = (1/2)[A(eta(B)) - B(eta(A)) - eta([A, B])] on lift fields.
+    """d(eta)(A, B) of lift fields: (1/2) A^T D B with D = ``d_eta_tensor(m, p)``.
 
-    The scalar derivatives use central differences of the eta-components
-    along the ambient lift directions; the bracket is the closed-form one.
+    d eta is a 2-form, so only the lift values at p enter.  To check several
+    pairs at one point, build D once and contract it with each pair.
     """
     z0 = np.concatenate([p.x, p.u])
-    eps = p.eps
-    eta_of = eta_covector_fn(m, eps)
-    afn = sb_lift_field_fn(m, xfield, kind_x, eps)
-    bfn = sb_lift_field_fn(m, yfield, kind_y, eps)
-    a0 = np.asarray(afn(z0), dtype=float)
-    b0 = np.asarray(bfn(z0), dtype=float)
-    da = central_difference(lambda z: eta_of(z, bfn(z)), z0, a0, FD_STEP_FIRST)
-    db = central_difference(lambda z: eta_of(z, afn(z)), z0, b0, FD_STEP_FIRST)
-    lie = sb_bracket(m, xfield, yfield, kind_x, kind_y, p)
-    eta_lie = 0.5 * eps * float(lie.hpart @ metric_at(m, p.x) @ p.u)
-    return 0.5 * (da - db - eta_lie)
+    a0 = sb_lift_field_fn(m, xfield, kind_x, p.eps)(z0)
+    b0 = sb_lift_field_fn(m, yfield, kind_y, p.eps)(z0)
+    return 0.5 * float(a0 @ d_eta_tensor(m, p) @ b0)
 
 
 def check_contact_axioms(
@@ -183,7 +183,8 @@ def check_contact_axioms(
 
     Algebraic: eta(xi) = 1, g_cm(xi, xi) = eps, phi(xi) = 0,
     phi^2 = -Id + eta (x) xi, g_cm(phi., phi.) = g_cm - eps eta (x) eta.
-    FD: d eta (. , .) = g_cm(. , phi .) on sampled lift-field pairs.
+    FD: d eta (. , .) = g_cm(. , phi .) on sampled lift-field pairs, with
+    d eta from one ``d_eta_tensor`` per point.
     """
     data = contact_data_at(m, p)
     eps, n = p.eps, m.dim
@@ -205,12 +206,16 @@ def check_contact_axioms(
         res_compat = worst_of(res_compat, abs(comp))
 
     res_deta = 0.0
+    z0 = np.concatenate([p.x, p.u])
+    deta_t = d_eta_tensor(m, p)
     kinds = [("h", "t"), ("h", "h"), ("t", "t"), ("t", "h")]
     for k in range(max(8, num_samples // 4)):
         kx, ky = kinds[k % 4]
         xc = rng.normal(size=n)
         yc = rng.normal(size=n)
-        deta = d_eta_fd(m, p, xc, kx, yc, ky)
+        a0 = sb_lift_field_fn(m, xc, kx, eps)(z0)
+        b0 = sb_lift_field_fn(m, yc, ky, eps)(z0)
+        deta = 0.5 * float(a0 @ deta_t @ b0)
         res_deta = worst_of(res_deta, abs(deta - data.gcm(lift(m, p, kx, xc), data.phi(lift(m, p, ky, yc)))))
 
     checks = [
@@ -229,7 +234,7 @@ def nabla_xi(m: ChartedMetric, p: SBPoint, a: SBVec) -> SBVec:
 
     nabla_{X^h} xi = -t{R(X, u)u};  nabla_{W^t} xi = 2 W^h - h{R(W, u)u}.
     """
-    riem = riemann_at(m, p.x)
+    riem = point_geometry(m, p).base.riem
     u = p.u
     tpart_new = -riem.apply(a.hpart, u, u)  # already g-orthogonal to u
     hpart_new = 2.0 * a.tpart - riem.apply(a.tpart, u, u)
@@ -243,7 +248,7 @@ def h_at(m: ChartedMetric, p: SBPoint) -> HOperator:
     """
     geo = point_geometry(m, p)
     n = m.dim
-    hmat = geo.h_parts()
+    hmat = geo.h_parts
 
     def apply(a: SBVec) -> SBVec:
         out = hmat @ a.comps()
@@ -251,7 +256,7 @@ def h_at(m: ChartedMetric, p: SBPoint) -> HOperator:
 
     frame = frame_at(m, p)
     f = frame.parts()
-    matrix = frame.signs[:, None] * parts_metric(geo.g, f, hmat @ f)
+    matrix = frame.signs[:, None] * parts_metric(geo.base.g, f, hmat @ f)
     return HOperator(p, frame, matrix, apply)
 
 
@@ -268,8 +273,8 @@ def nabla_phi(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec) -> SBVec:
     it is pinned by the 1e-9 crosscheck against that definition.
     """
     data = contact_data_at(m, p)
-    riem = riemann_at(m, p.x)
-    g = metric_at(m, p.x)
+    geo = point_geometry(m, p)
+    riem, g = geo.base.riem, geo.base.g
     u, eps = p.u, p.eps
     xh, wt = a.hpart, a.tpart
     yh, zt = b.hpart, b.tpart
@@ -299,7 +304,8 @@ def nabla_phi_defn(
     horizontal direction and eps g(Y, W) for a tangential direction W.
     """
     data = contact_data_at(m, p)
-    g = metric_at(m, p.x)
+    geo = point_geometry(m, p)
+    g = geo.base.g
     u, eps = p.u, p.eps
     xval = field_at(xfield, p.x)
     yval = field_at(yfield, p.x)
@@ -308,7 +314,7 @@ def nabla_phi_defn(
     else:
         term1 = (-1.0) * sb_nabla(m, xfield, yfield, kind_a, "h", p)
         if kind_a == "h":
-            a_of_s = eps * float(nabla_vector_field(m, xval, yfield, p.x) @ g @ u)
+            a_of_s = eps * float(geo.base.nabla(xval, yfield) @ g @ u)
         else:
             wt = xval - eps * float(xval @ g @ u) * u
             a_of_s = eps * float(yval @ g @ wt)
@@ -347,9 +353,9 @@ def kappa_mu_residual(
     data = contact_data_at(m, p)
     eps = p.eps
     xi = data.xi
-    geo = point_geometry(m, p, nabla=True)
-    hmat = geo.h_parts()
-    rb_xi = sb_curvature_array(geo) @ xi.comps()  # R-bar(., .)xi
+    geo = point_geometry(m, p)
+    hmat = geo.h_parts
+    rb_xi = geo.rbar @ xi.comps()  # R-bar(., .)xi
     worst = 0.0
     rows, rhs_list = [], []
     for k in range(num_samples):
@@ -378,10 +384,10 @@ def kappa_mu_residual(
 
 def psi_u_matrix(m: ChartedMetric, p: SBPoint) -> np.ndarray:
     """Matrix of psi_u = R(., u)u on the g-orthogonal complement of u."""
-    frame = frame_at(m, p)
     geo = point_geometry(m, p)
-    es = np.stack(frame.base_frame, axis=1)
-    return frame.base_signs[:, None] * (es.T @ geo.g @ geo.ruu @ es)
+    base_frame, base_signs = geo.base_frame
+    es = np.stack(base_frame, axis=1)
+    return base_signs[:, None] * (es.T @ geo.base.g @ geo.ruu @ es)
 
 
 def psi_u_quadratics(m: ChartedMetric, p: SBPoint, km: KappaMu) -> CheckReport:
@@ -491,13 +497,15 @@ def sasakian_residual(
     """Residuals of both Sasakian characterizations.
 
     (i) N_phi(A, B) + 2 d eta(A, B) xi = 0, contracting the FD Nijenhuis
-        tensor of phi, built once per point, with the lift fields at p;
+        tensor of phi and ``d_eta_tensor``, each built once per point, with
+        the lift fields at p;
     (ii) (nabla_a phi) b = g_cm(a, b) xi - eps eta(b) a via the closed forms.
     """
     data = contact_data_at(m, p)
     eps, n = p.eps, m.dim
     z0 = np.concatenate([p.x, p.u])
     nphi_t = fd_nijenhuis(phi_matrix_fn(m, eps), z0)
+    deta_t = d_eta_tensor(m, p)
     xi_ind = geodesic_flow_field_fn(m, scale=2.0)(z0)
 
     worst_nphi = 0.0
@@ -510,7 +518,7 @@ def sasakian_residual(
         a0 = sb_lift_field_fn(m, xc, kx, eps)(z0)
         b0 = sb_lift_field_fn(m, yc, ky, eps)(z0)
         nphi = (nphi_t @ b0) @ a0
-        two_deta = 2.0 * d_eta_fd(m, p, xc, kx, yc, ky)
+        two_deta = float(a0 @ deta_t @ b0)
         worst_nphi = worst_of(worst_nphi, np.abs(nphi + two_deta * xi_ind).max())
 
         a_sb = lift(m, p, kx, xc)

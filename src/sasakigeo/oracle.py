@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateMetric, NoSolvableCoordinate
 from .manifold import ChartedMetric, Christoffel, RiemannTensor
-from .sphere import SBPoint, SBVec, require_same_sb_point, sb_vec
+from .sphere import SBPoint, SBVec, require_same_sb_point
 from .stencil import FD_STEP_FIRST, FD_STEP_SECOND, jacobian, partials
 from .tangent import VectorField, as_field
 
@@ -404,10 +404,12 @@ def _embed_induced(m: ChartedMetric, v: SBVec) -> np.ndarray:
 
 
 def _from_induced(m: ChartedMetric, p: SBPoint, w: np.ndarray) -> SBVec:
+    """The SBVec of induced components, its vertical part made u-orthogonal from raw g."""
     n = m.dim
     hpart = w[:n]
     vpart = w[n:] + np.einsum("iab,a,b->i", base_gamma(m, p.x), hpart, p.u)
-    return sb_vec(m, p, hpart, vpart)
+    g = np.asarray(m.metric_fn(p.x), dtype=float)
+    return SBVec(p, hpart, vpart - p.eps * float(vpart @ g @ p.u) * p.u)
 
 
 def _const_sb_field_fn(m: ChartedMetric, v: SBVec) -> Callable[[np.ndarray], np.ndarray]:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DegeneratePlane
 from .manifold import ChartedMetric, TangentVec, metric_at, plane_gram
-from .sphere import SBPoint, SBVec, horizontal_sb, sb_point, tangential_lift
+from .sphere import SBPoint, SBVec, horizontal_sb, point_geometry, sb_point, tangential_lift
 
 SAMPLE_BOX = 0.55  # chart points are drawn from [-box, box]^n, then domain-filtered
 
@@ -76,7 +76,7 @@ def sample_sb_vec(m: ChartedMetric, p: SBPoint, rng: np.random.Generator) -> SBV
 
 def sample_ker_eta_vec(m: ChartedMetric, p: SBPoint, rng: np.random.Generator) -> SBVec:
     """Random vector in ker eta: horizontal part g-orthogonal to u as well."""
-    g = metric_at(m, p.x)
+    g = point_geometry(m, p).base.g
     h = rng.normal(size=m.dim)
     h = h - p.eps * float(h @ g @ p.u) * p.u
     return horizontal_sb(p, h) + tangential_lift(m, p, rng.normal(size=m.dim))

@@ -8,41 +8,46 @@ u-orthogonally (the canonical coset representative, since u^t = 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import FrameConstructionFailure, PointMismatch
-from .manifold import (
-    ChartedMetric,
-    metric_at,
-    nabla_riemann_full,
-    riemann_at,
-)
+from .manifold import ChartedMetric, nabla_riemann_full
 from .tangent import (
     TMPoint,
     TMVec,
     VectorField,
+    _read_only,
+    base_geometry,
     field_at,
     field_jacobian,
-    nabla_vector_field,
+    kept_geometry,
 )
 
 
 @dataclass(frozen=True)
 class SBPoint:
-    """A point (x, u) of T_eps M; use ``sb_point`` to construct validated."""
+    """A point (x, u) of T_eps M; use ``sb_point`` to construct validated.
+
+    It keeps one ``PointGeometry`` per chart it is used with (see
+    ``point_geometry``), so x and u must not be changed in place: build a
+    new point instead.
+    """
 
     x: np.ndarray
     u: np.ndarray
     eps: int
+    _geometry: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
 
-    @property
+    @cached_property
     def tm(self) -> TMPoint:
+        """The point of TM under p, one object per p so that both share g, Gamma and R."""
         return TMPoint(self.x, self.u)
 
 
@@ -104,11 +109,12 @@ def sb_point(m: ChartedMetric, x: np.ndarray, u: np.ndarray, eps: int) -> SBPoin
     u = np.asarray(u, dtype=float)
     if not (np.isfinite(x).all() and np.isfinite(u).all()):
         raise ValueError(f"bundle point ({x}, {u}) is not finite")
-    g = metric_at(m, x)
+    p = SBPoint(x, u, eps)
+    g = point_geometry(m, p).base.g
     q = float(u @ g @ u)
     if not abs(q - eps) <= 1e-10:
         raise ValueError(f"g(u, u) = {q!r} is not eps = {eps}")
-    return SBPoint(x, u, eps)
+    return p
 
 
 def require_same_sb_point(a: SBVec, b: SBVec) -> None:
@@ -129,7 +135,7 @@ def normal_at(m: ChartedMetric, p: SBPoint) -> TMVec:
 
 def tangential_lift(m: ChartedMetric, p: SBPoint, xcomps: np.ndarray) -> SBVec:
     """X^t = X^v - eps g(X, u) N, stored via its u-orthogonal vertical part."""
-    g = metric_at(m, p.x)
+    g = point_geometry(m, p).base.g
     x = np.asarray(xcomps, dtype=float)
     return SBVec(p, np.zeros(m.dim), x - p.eps * float(x @ g @ p.u) * p.u)
 
@@ -148,63 +154,29 @@ def lift(m: ChartedMetric, p: SBPoint, kind: str, w: np.ndarray) -> SBVec:
     raise ValueError(f"sphere-bundle lift kind must be 'h' or 't', got {kind!r}")
 
 
-def sb_vec(m: ChartedMetric, p: SBPoint, hpart: np.ndarray, tpart: np.ndarray) -> SBVec:
-    """Build an SBVec, canonicalizing tpart to the u-orthogonal representative."""
-    return horizontal_sb(p, hpart) + tangential_lift(m, p, tpart)
-
-
 def induced_metric_at(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec) -> float:
     """The metric induced from Tg: g(a_h, b_h) + g(a_t, b_t)."""
     require_same_sb_point(a, b)
-    g = metric_at(m, p.x)
+    g = point_geometry(m, p).base.g
     return float(a.hpart @ g @ b.hpart + a.tpart @ g @ b.tpart)
 
 
 def frame_at(m: ChartedMetric, p: SBPoint) -> SBFrame:
-    """Signature-aware Gram-Schmidt frame with pivoting.
-
-    Candidate vectors are the coordinate basis followed by random draws from
-    a fixed seed; candidates whose projection has |g(w, w)| < 1e-6 are skipped.
-    """
-    n = m.dim
-    g = metric_at(m, p.x)
-    basis = [p.u]
-    signs = [float(p.eps)]
-    rng = np.random.default_rng(0)
-    candidates = list(np.eye(n))
-    attempts = 0
-    while len(basis) < n:
-        if candidates:
-            cand = candidates.pop(0)
-        else:
-            attempts += 1
-            if attempts > 64:
-                raise FrameConstructionFailure("no usable pivot after 64 random draws")
-            cand = rng.normal(size=n)
-            cand /= np.linalg.norm(cand)
-        w = cand.astype(float)
-        for e, s in zip(basis, signs):
-            w = w - s * float(w @ g @ e) * e
-        q = float(w @ g @ w)
-        if abs(q) < 1e-6:
-            continue
-        basis.append(w / np.sqrt(abs(q)))
-        signs.append(np.sign(q))
-    es = basis[1:]
-    e_signs = np.array(signs[1:])
+    """The pseudo-orthonormal frame at p on ``PointGeometry.base_frame``."""
+    es, e_signs = point_geometry(m, p).base_frame
     vectors = (
         [tangential_lift(m, p, e) for e in es]
         + [horizontal_sb(p, e) for e in es]
         + [horizontal_sb(p, p.u)]
     )
     frame_signs = np.concatenate([e_signs, e_signs, [float(p.eps)]])
-    return SBFrame(p, tuple(vectors), frame_signs, tuple(es), e_signs)
+    return SBFrame(p, tuple(vectors), frame_signs, es, e_signs)
 
 
 def frame_gram(m: ChartedMetric, frame: SBFrame) -> np.ndarray:
     """Induced-metric Gram matrix of the frame vectors."""
     f = frame.parts()
-    return parts_metric(metric_at(m, frame.at.x), f, f)
+    return parts_metric(point_geometry(m, frame.at).base.g, f, f)
 
 
 def sb_bracket(
@@ -225,18 +197,18 @@ def sb_bracket(
     x0, u0, eps = p.x, p.u, p.eps
     xval = field_at(xfield, x0)
     yval = field_at(yfield, x0)
-    g = metric_at(m, x0)
+    geo = point_geometry(m, p)
+    g = geo.base.g
     if kind_x == "t" and kind_y == "t":
         return eps * float(xval @ g @ u0) * tangential_lift(m, p, yval) + (
             -eps * float(yval @ g @ u0)
         ) * tangential_lift(m, p, xval)
     if kind_x == "h" and kind_y == "t":
-        return tangential_lift(m, p, nabla_vector_field(m, xval, yfield, x0))
+        return tangential_lift(m, p, geo.base.nabla(xval, yfield))
     if kind_x == "t" and kind_y == "h":
-        return (-1.0) * tangential_lift(m, p, nabla_vector_field(m, yval, xfield, x0))
+        return (-1.0) * tangential_lift(m, p, geo.base.nabla(yval, xfield))
     lie = field_jacobian(yfield, x0) @ xval - field_jacobian(xfield, x0) @ yval
-    riem = riemann_at(m, x0)
-    return horizontal_sb(p, lie) + (-1.0) * tangential_lift(m, p, riem.apply(xval, yval, u0))
+    return horizontal_sb(p, lie) + (-1.0) * tangential_lift(m, p, geo.base.riem.apply(xval, yval, u0))
 
 
 def sb_nabla(
@@ -258,63 +230,116 @@ def sb_nabla(
     x0, u0, eps = p.x, p.u, p.eps
     xval = field_at(xfield, x0)
     yval = field_at(yfield, x0)
+    geo = point_geometry(m, p)
     if kind_x == "t" and kind_y == "t":
-        g = metric_at(m, x0)
-        return (-eps * float(yval @ g @ u0)) * tangential_lift(m, p, xval)
-    riem = riemann_at(m, x0)
+        return (-eps * float(yval @ geo.base.g @ u0)) * tangential_lift(m, p, xval)
+    riem = geo.base.riem
     if kind_x == "t" and kind_y == "h":
         return horizontal_sb(p, 0.5 * riem.apply(u0, xval, yval))
     if kind_x == "h" and kind_y == "t":
-        dxy = nabla_vector_field(m, xval, yfield, x0)
+        dxy = geo.base.nabla(xval, yfield)
         return tangential_lift(m, p, dxy) + horizontal_sb(p, 0.5 * riem.apply(u0, yval, xval))
-    dxy = nabla_vector_field(m, xval, yfield, x0)
+    dxy = geo.base.nabla(xval, yfield)
     return horizontal_sb(p, dxy) + (-0.5) * tangential_lift(m, p, riem.apply(xval, yval, u0))
 
 
-@dataclass(frozen=True)
 class PointGeometry:
-    """The base geometry at one bundle point, as arrays for the closed forms.
+    """The geometry of one chart at one bundle point p, each part built at most once.
 
-    Built by ``point_geometry`` for one call and dropped after it.
+    ``point_geometry`` keeps one per chart on p, so every closed form at p
+    reads g, Gamma and R once (they come from the ``BaseGeometry`` that p's
+    ``tm`` point shares with the tangent-bundle layer).  The arrays are
+    read-only, and the object holds x, u and eps but never p itself.
+
     ``r[i, a, b, c]`` is the i-component of R(e_a, e_b)e_c (operator order),
     ``ruu[i, a]`` that of R(e_a, u)u, and ``proj`` = I - eps u (g u)^T maps a
     vertical part to its u-orthogonal tangential representative.
-    ``nabla_r[m, i, a, b, c]`` is (nabla_m R)(e_a, e_b)e_c, or None when it
-    was not asked for or the chart is locally symmetric (then it is zero).
+    ``nabla_r[m, i, a, b, c]`` is (nabla_m R)(e_a, e_b)e_c, or None when the
+    chart is locally symmetric (then it is zero).
     """
 
-    p: SBPoint
-    g: np.ndarray
-    gu: np.ndarray
-    proj: np.ndarray
-    r: np.ndarray
-    ruu: np.ndarray
-    nabla_r: np.ndarray | None
+    def __init__(self, m: ChartedMetric, p: SBPoint):
+        self.m = m
+        self.u, self.eps = p.u, p.eps
+        self.base = base_geometry(m, p.tm)
 
+    @cached_property
+    def gu(self) -> np.ndarray:
+        return _read_only(self.base.g @ self.u)
+
+    @cached_property
+    def proj(self) -> np.ndarray:
+        return _read_only(np.eye(self.m.dim) - self.eps * np.outer(self.u, self.gu))
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        return _read_only(np.einsum("ijkl->iklj", self.base.riem.r))
+
+    @cached_property
+    def ruu(self) -> np.ndarray:
+        return _read_only(np.einsum("iabc,b,c->ia", self.r, self.u, self.u))
+
+    @cached_property
+    def nabla_r(self) -> np.ndarray | None:
+        if self.m.locally_symmetric:
+            return None
+        return _read_only(np.einsum("mijkl->miklj", nabla_riemann_full(self.m, self.base.x)))
+
+    @cached_property
+    def rbar(self) -> np.ndarray:
+        """R-bar in the (h, t) parts basis, ``sb_curvature_array`` of this geometry."""
+        return _read_only(sb_curvature_array(self))
+
+    @cached_property
     def h_parts(self) -> np.ndarray:
         """The contact tensor h on (h, t) parts.
 
         H = [[(-eps I + R(., u)u) P, 0], [0, P((2 - eps) I - R(., u)u)]].
         """
-        n, eps = self.g.shape[0], self.p.eps
+        n, eps = self.base.g.shape[0], self.eps
         eye = np.eye(n)
         hmat = np.zeros((2 * n, 2 * n))
         hmat[:n, :n] = (-eps * eye + self.ruu) @ self.proj  # P projects out the xi direction
         hmat[n:, n:] = self.proj @ ((2.0 - eps) * eye - self.ruu)
-        return hmat
+        return _read_only(hmat)
+
+    @cached_property
+    def base_frame(self) -> tuple:
+        """(e_1 .. e_{n-1}, their signs): with u, a g-orthonormal base frame.
+
+        Signature-aware Gram-Schmidt with pivoting: candidate vectors are the
+        coordinate basis followed by random draws from a fixed seed;
+        candidates whose projection has |g(w, w)| < 1e-6 are skipped.
+        """
+        n, g = self.m.dim, self.base.g
+        basis = [self.u]
+        signs = [float(self.eps)]
+        rng = np.random.default_rng(0)
+        candidates = list(np.eye(n))
+        attempts = 0
+        while len(basis) < n:
+            if candidates:
+                cand = candidates.pop(0)
+            else:
+                attempts += 1
+                if attempts > 64:
+                    raise FrameConstructionFailure("no usable pivot after 64 random draws")
+                cand = rng.normal(size=n)
+                cand /= np.linalg.norm(cand)
+            w = cand.astype(float)
+            for e, s in zip(basis, signs):
+                w = w - s * float(w @ g @ e) * e
+            q = float(w @ g @ w)
+            if abs(q) < 1e-6:
+                continue
+            basis.append(w / np.sqrt(abs(q)))
+            signs.append(np.sign(q))
+        return tuple(_read_only(e) for e in basis[1:]), _read_only(np.array(signs[1:]))
 
 
-def point_geometry(m: ChartedMetric, p: SBPoint, nabla: bool = False) -> PointGeometry:
-    """One metric_at and one riemann_at at p.x; nabla_riemann_full only if ``nabla``."""
-    g = metric_at(m, p.x)
-    gu = g @ p.u
-    r = np.einsum("ijkl->iklj", riemann_at(m, p.x).r)
-    ruu = np.einsum("iabc,b,c->ia", r, p.u, p.u)
-    nabla_r = None
-    if nabla and not m.locally_symmetric:
-        nabla_r = np.einsum("mijkl->miklj", nabla_riemann_full(m, p.x))
-    proj = np.eye(m.dim) - p.eps * np.outer(p.u, gu)
-    return PointGeometry(p, g, gu, proj, r, ruu, nabla_r)
+def point_geometry(m: ChartedMetric, p: SBPoint) -> PointGeometry:
+    """The one ``PointGeometry`` of chart ``m`` at p; its parts are built on first use."""
+    return kept_geometry(m, p, PointGeometry)
 
 
 def parts_metric(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -330,12 +355,12 @@ def sb_curvature_array(geo: PointGeometry) -> np.ndarray:
     one closed case (the mixed orders (t, h, .) follow from antisymmetry in
     (a, b)), and every tangential output row is projected by P.
     """
-    n, eps, u = geo.g.shape[0], geo.p.eps, geo.p.u
+    n, eps, u = geo.base.g.shape[0], geo.eps, geo.u
     r, gu = geo.r, geo.gu
     ru = np.einsum("iabc,a->ibc", r, u)  # R(u, .).
     rau = np.einsum("iabc,b->iac", r, u)  # R(., u).
     rabu = np.einsum("iabc,c->iab", r, u)  # R(., .)u
-    gt = geo.g - eps * np.outer(gu, gu)  # induced metric of tangential lifts
+    gt = geo.base.g - eps * np.outer(gu, gu)  # induced metric of tangential lifts
     eye = np.eye(n)
     h, t = slice(0, n), slice(n, 2 * n)
     rb = np.zeros((2 * n,) * 4)
@@ -384,7 +409,7 @@ def sb_curvature(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec, c: SBVec) -> 
     """Curvature operator R(a, b)c of the induced metric, contracted from R-bar."""
     require_same_sb_point(a, b)
     require_same_sb_point(a, c)
-    rb = sb_curvature_array(point_geometry(m, p, nabla=True))
+    rb = point_geometry(m, p).rbar
     out = ((rb @ c.comps()) @ b.comps()) @ a.comps()
     return SBVec(p, out[: m.dim], out[m.dim :])
 

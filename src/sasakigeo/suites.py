@@ -271,10 +271,10 @@ def _suite_curvature(cfg: SuiteConfig, m: ChartedMetric, params: dict):
         yield "sectional curvature = c", abs(sectional_curvature(m, x, xv, yv) - cfg.c), 1e-8
 
         p = sample_sb_point(m, cfg.eps, rng)
-        g = metric_at(m, p.x)
+        geo = sb.point_geometry(m, p)
         w = rng.normal(size=n)
-        w = w - cfg.eps * float(w @ g @ p.u) * p.u
-        rxu = riemann_at(m, p.x).apply(w, p.u, p.u) - cfg.eps * cfg.c * w
+        w = w - cfg.eps * float(w @ geo.base.g @ p.u) * p.u
+        rxu = geo.base.riem.apply(w, p.u, p.u) - cfg.eps * cfg.c * w
         yield "R(X,u)u = eps c X for X perp u", np.abs(rxu).max(), 1e-8
 
         # curvature symmetries of the induced metric via lowered samples

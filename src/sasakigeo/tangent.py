@@ -15,13 +15,14 @@ Hermitian property this is recorded here for reference only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
 
 from .errors import BasePointMismatch, PointMismatch
-from .manifold import ChartedMetric, TangentVec, christoffel_at, metric_at, riemann_at
+from .manifold import ChartedMetric, RiemannTensor, TangentVec, christoffel_at, metric_at, riemann_at
 from .stencil import FD_STEP_FIRST, jacobian
 
 VectorField = Union[Callable[[np.ndarray], np.ndarray], np.ndarray, TangentVec]
@@ -29,14 +30,74 @@ VectorField = Union[Callable[[np.ndarray], np.ndarray], np.ndarray, TangentVec]
 
 @dataclass(frozen=True)
 class TMPoint:
-    """A point (x, u) of TM."""
+    """A point (x, u) of TM.
+
+    It keeps one ``BaseGeometry`` per chart it is used with (see
+    ``base_geometry``), so x must not be changed in place: build a new
+    point instead.
+    """
 
     x: np.ndarray
     u: np.ndarray
+    _geometry: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view: a shared context array cannot be written through, and
+    the array a chart returned (possibly its own constant) stays writable."""
+    view = np.asarray(a).view()
+    view.flags.writeable = False
+    return view
+
+
+class BaseGeometry:
+    """g, Gamma and R of one chart at one base point, each read at most once.
+
+    The arrays are read-only because every closed form at the point shares
+    them.  The object holds the chart and the base coordinates, never the
+    point that keeps it.
+    """
+
+    def __init__(self, m: ChartedMetric, at: TMPoint):
+        self.m = m
+        self.x = at.x
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return _read_only(metric_at(self.m, self.x))
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        return _read_only(christoffel_at(self.m, self.x).gamma)
+
+    @cached_property
+    def riem(self) -> RiemannTensor:
+        return RiemannTensor(_read_only(riemann_at(self.m, self.x).r))
+
+    def nabla(self, xvec: np.ndarray, yfield: "VectorField") -> np.ndarray:
+        """(nabla_X Y)^i = X^a d_a Y^i + Gamma^i_ab X^a Y^b at this base point."""
+        yval = field_at(yfield, self.x)
+        jac = field_jacobian(yfield, self.x)
+        return jac @ xvec + np.einsum("iab,a,b->i", self.gamma, xvec, yval)
+
+
+def kept_geometry(m: ChartedMetric, point, build: Callable):
+    """The one ``build(m, point)`` of chart ``m``, kept by the point (charts compared by ``is``)."""
+    for chart, geo in point._geometry:
+        if chart is m:
+            return geo
+    geo = build(m, point)
+    point._geometry.append((m, geo))
+    return geo
+
+
+def base_geometry(m: ChartedMetric, at: TMPoint) -> BaseGeometry:
+    """The one ``BaseGeometry`` of chart ``m`` at ``at``."""
+    return kept_geometry(m, at, BaseGeometry)
 
 
 @dataclass(frozen=True)
@@ -92,22 +153,6 @@ def field_jacobian(field: VectorField, x: np.ndarray, step: float = FD_STEP_FIRS
     return jacobian(as_field(field), x, step)
 
 
-def nabla_vector_field(
-    m: ChartedMetric, xvec: np.ndarray, yfield: VectorField, x: np.ndarray
-) -> np.ndarray:
-    """(nabla_X Y)^i = X^a d_a Y^i + Gamma^i_ab X^a Y^b at x."""
-    gamma = christoffel_at(m, x).gamma
-    yval = field_at(yfield, x)
-    jac = field_jacobian(yfield, x)
-    return jac @ xvec + np.einsum("iab,a,b->i", gamma, xvec, yval)
-
-
-def gamma_contract(m: ChartedMetric, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gamma(A, B)^i = Gamma^i_ab A^a B^b."""
-    gamma = christoffel_at(m, x).gamma
-    return np.einsum("iab,a,b->i", gamma, a, b)
-
-
 def horizontal_lift(m: ChartedMetric, xvec: TangentVec, at: TMPoint) -> TMVec:
     if not np.allclose(xvec.base, at.x, atol=1e-12):
         raise BasePointMismatch("vector is not based at the bundle point's base")
@@ -122,7 +167,7 @@ def vertical_lift(m: ChartedMetric, xvec: TangentVec, at: TMPoint) -> TMVec:
 
 def to_induced_coords(m: ChartedMetric, v: TMVec) -> np.ndarray:
     """Components in the induced chart (x^i; u^i) of TM."""
-    du = v.vpart - gamma_contract(m, v.at.x, v.hpart, v.at.u)
+    du = v.vpart - np.einsum("iab,a,b->i", base_geometry(m, v.at).gamma, v.hpart, v.at.u)
     return np.concatenate([v.hpart, du])
 
 
@@ -130,7 +175,7 @@ def from_induced_coords(m: ChartedMetric, at: TMPoint, w: np.ndarray) -> TMVec:
     w = np.asarray(w, dtype=float)
     n = m.dim
     hpart = w[:n]
-    vpart = w[n:] + gamma_contract(m, at.x, hpart, at.u)
+    vpart = w[n:] + np.einsum("iab,a,b->i", base_geometry(m, at).gamma, hpart, at.u)
     return TMVec(at, hpart, vpart)
 
 
@@ -142,7 +187,7 @@ def project(v: TMVec) -> tuple[TangentVec, TangentVec]:
 def sasaki_metric_at(m: ChartedMetric, at: TMPoint, a: TMVec, b: TMVec) -> float:
     """Tg(a, b) = g(a_h, b_h) + g(a_v, b_v) evaluated at pi(at)."""
     require_same_tm_point(a, b)
-    g = metric_at(m, at.x)
+    g = base_geometry(m, at).g
     return float(a.hpart @ g @ b.hpart + a.vpart @ g @ b.vpart)
 
 
@@ -168,13 +213,14 @@ def tm_nabla(
     zero = np.zeros(m.dim)
     if kind_x == "v" and kind_y == "v":
         return TMVec(at, zero, zero)
-    riem = riemann_at(m, x0)
+    geo = base_geometry(m, at)
+    riem = geo.riem
     if kind_x == "v" and kind_y == "h":
         return TMVec(at, 0.5 * riem.apply(u0, xval, yval), zero)
     if kind_x == "h" and kind_y == "v":
-        dxy = nabla_vector_field(m, xval, yfield, x0)
+        dxy = geo.nabla(xval, yfield)
         return TMVec(at, 0.5 * riem.apply(u0, yval, xval), dxy)
-    dxy = nabla_vector_field(m, xval, yfield, x0)
+    dxy = geo.nabla(xval, yfield)
     return TMVec(at, dxy, -0.5 * riem.apply(xval, yval, u0))
 
 
@@ -196,15 +242,15 @@ def lift_bracket(
     zero = np.zeros(m.dim)
     if kind_x == "v" and kind_y == "v":
         return TMVec(at, zero, zero)
+    geo = base_geometry(m, at)
     if kind_x == "h" and kind_y == "v":
-        return TMVec(at, zero, nabla_vector_field(m, field_at(xfield, x0), yfield, x0))
+        return TMVec(at, zero, geo.nabla(field_at(xfield, x0), yfield))
     if kind_x == "v" and kind_y == "h":
-        return TMVec(at, zero, -nabla_vector_field(m, field_at(yfield, x0), xfield, x0))
+        return TMVec(at, zero, -geo.nabla(field_at(yfield, x0), xfield))
     xval = field_at(xfield, x0)
     yval = field_at(yfield, x0)
     lie = field_jacobian(yfield, x0) @ xval - field_jacobian(xfield, x0) @ yval
-    riem = riemann_at(m, x0)
-    return TMVec(at, lie, -riem.apply(xval, yval, u0))
+    return TMVec(at, lie, -geo.riem.apply(xval, yval, u0))
 
 
 def almost_complex_J(v: TMVec) -> TMVec:

@@ -1,5 +1,7 @@
 """Shared fixtures: charts and deterministic generators."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,15 @@ def nan_on_call(fn, k):
         return float("nan") * out if len(calls) == k else out
 
     return wrapped
+
+
+def patch_everywhere(monkeypatch, fn, replacement):
+    """Bind ``replacement`` under every name a loaded sasakigeo module holds ``fn`` by."""
+    for name, mod in list(sys.modules.items()):
+        if name == "sasakigeo" or name.startswith("sasakigeo."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, replacement)
 
 
 @pytest.fixture

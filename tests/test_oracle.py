@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from sasakigeo.contact import contact_data_at, d_eta_fd, phi_matrix_fn
+from sasakigeo import contact, manifold, oracle, sphere
+from sasakigeo.contact import contact_data_at, d_eta_fd, d_eta_tensor, phi_matrix_fn
 from sasakigeo.errors import PointMismatch
 from sasakigeo.manifold import SpaceFormSpec, christoffel_at, metric_at, riemann_at, space_form_chart
 from sasakigeo.oracle import (
@@ -21,13 +22,15 @@ from sasakigeo.oracle import (
     sasaki_gamma_fn,
     sasaki_metric_fn,
     sb_lift_field_fn,
+    sb_nabla_via_ambient,
     second_fundamental_form,
     _embed_induced,
 )
 from sasakigeo.sampling import sample_domain_point, sample_sb_point, sample_sb_vec
-from sasakigeo.sphere import horizontal_sb, induced_metric_at, sb_point, tangential_lift
+from sasakigeo.sphere import horizontal_sb, induced_metric_at, sb_bracket, sb_point, tangential_lift
+from sasakigeo.stencil import FD_STEP_FIRST, central_difference
 
-from conftest import bumpy_chart
+from conftest import bumpy_chart, patch_everywhere
 
 
 class TestFdChristoffel:
@@ -282,6 +285,106 @@ class TestFdExteriorDerivative:
         a = horizontal_sb(p, xc)
         b = tangential_lift(m, p, yc)
         assert deta == pytest.approx(data.gcm(a, data.phi(b)), abs=1e-5)
+
+
+def _d_eta_bracket_reference(m, p, xfield, kind_x, yfield, kind_y):
+    """Reference: d(eta)(A, B) = (1/2)[A(eta(B)) - B(eta(A)) - eta([A, B])].
+
+    Two scalar central differences of eta along the lift directions and the
+    closed-form bracket, as ``contact.d_eta_fd`` computed it before one
+    exterior-derivative stencil per point replaced it.
+    """
+    n, eps = m.dim, p.eps
+    z0 = np.concatenate([p.x, p.u])
+
+    def eta_of(z, w):
+        return 0.5 * eps * float(np.asarray(w)[:n] @ np.asarray(m.metric_fn(z[:n])) @ z[n:])
+
+    afn = sb_lift_field_fn(m, xfield, kind_x, eps)
+    bfn = sb_lift_field_fn(m, yfield, kind_y, eps)
+    da = central_difference(lambda z: eta_of(z, bfn(z)), z0, afn(z0), FD_STEP_FIRST)
+    db = central_difference(lambda z: eta_of(z, afn(z)), z0, bfn(z0), FD_STEP_FIRST)
+    lie = sb_bracket(m, xfield, yfield, kind_x, kind_y, p)
+    eta_lie = 0.5 * eps * float(lie.hpart @ metric_at(m, p.x) @ p.u)
+    return 0.5 * (da - db - eta_lie)
+
+
+class TestDEtaStencil:
+    @pytest.mark.parametrize("n,nu,eps,c", [(2, 0, 1, 1.0), (3, 1, 1, 2.0), (3, 1, -1, -1.0)])
+    def test_tensor_matches_bracket_form_on_lift_pairs(self, rng, n, nu, eps, c):
+        m = space_form_chart(SpaceFormSpec(n, nu, c))
+        p = sample_sb_point(m, eps, rng)
+        z0 = np.concatenate([p.x, p.u])
+        kinds = [("h", "t"), ("h", "h"), ("t", "t"), ("t", "h")]
+        for k in range(8):
+            kx, ky = kinds[k % 4]
+            if k < 4:  # constant base vectors, as the suites use
+                xf, yf = rng.normal(size=n), rng.normal(size=n)
+            else:  # d eta is tensorial: only the values of the fields at p enter
+                lin_x, lin_y = rng.normal(size=(n, n)), rng.normal(size=(n, n))
+                xf = lambda x, a=lin_x: a @ x + np.sin(x)
+                yf = lambda x, a=lin_y: a @ (x * x) + 1.0
+            a0 = sb_lift_field_fn(m, xf, kx, eps)(z0)
+            b0 = sb_lift_field_fn(m, yf, ky, eps)(z0)
+            ref = _d_eta_bracket_reference(m, p, xf, kx, yf, ky)
+            scale = max(1.0, np.linalg.norm(a0) * np.linalg.norm(b0))
+            assert abs(d_eta_fd(m, p, xf, kx, yf, ky) - ref) <= 1e-8 * scale
+            assert 0.5 * a0 @ d_eta_tensor(m, p) @ b0 == d_eta_fd(m, p, xf, kx, yf, ky)
+
+    def test_eta_form_differenced_once_per_point(self, monkeypatch):
+        forms = []
+        make_form = contact.eta_form_fn
+
+        def tracked_eta_form_fn(m, eps):
+            forms.append(make_form(m, eps))
+            return forms[-1]
+
+        stencils = []
+        jacobian = oracle.jacobian
+
+        def counted_jacobian(fn, z, step):
+            stencils.append(any(fn is f for f in forms))
+            return jacobian(fn, z, step)
+
+        monkeypatch.setattr(contact, "eta_form_fn", tracked_eta_form_fn)
+        monkeypatch.setattr(oracle, "jacobian", counted_jacobian)
+        m = space_form_chart(SpaceFormSpec(2, 1, 1.0))
+        for i in range(3):
+            rng = np.random.default_rng(i)
+            p = sample_sb_point(m, 1, rng)
+            contact.sasakian_residual(m, p, rng, num_samples=8)
+            contact.check_contact_axioms(m, p, rng, num_samples=32)  # 8 d eta samples
+        assert sum(stencils) == 6
+
+
+class TestOracleIndependence:
+    @pytest.mark.parametrize("chart,eps", [("space form", -1), ("bumpy", 1)])
+    def test_oracle_reads_no_closed_form_geometry(self, monkeypatch, rng, chart, eps):
+        m = space_form_chart(SpaceFormSpec(3, 1, 2.0)) if chart == "space form" else bumpy_chart(3, 1)
+        p = sample_sb_point(m, eps, rng)
+        a, b, cv = (sample_sb_vec(m, p, rng) for _ in range(3))
+        xc, yc = rng.normal(size=3), rng.normal(size=3)
+        z0 = np.concatenate([p.x, p.u])
+
+        def values():
+            return [
+                GaussOracle(m, p).curvature(a, b, cv).comps(),
+                sb_nabla_via_ambient(m, xc, yc, "h", "t", p).comps(),
+                sb_nabla_via_ambient(m, xc, yc, "t", "h", p).comps(),
+                fd_nijenhuis(phi_matrix_fn(m, eps), z0),
+                d_eta_tensor(m, p),
+                d_eta_fd(m, p, xc, "h", yc, "t"),
+            ]
+
+        before = values()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle read the closed-form geometry")
+
+        for fn in (manifold.riemann_at, manifold.christoffel_at, manifold.metric_at, sphere.point_geometry):
+            patch_everywhere(monkeypatch, fn, forbidden)
+        after = values()
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
 
 
 def _bracket_nijenhuis(phi_fn, afield_fn, bfield_fn, z):

@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from sasakigeo import contact, manifold, suites
+from sasakigeo.contact import contact_data_at, h_at, nabla_phi, nabla_xi, psi_u_matrix
 from sasakigeo.errors import PointMismatch
 from sasakigeo.manifold import (
     RiemannTensor,
@@ -22,22 +26,24 @@ from sasakigeo.oracle import (
 from sasakigeo.sampling import sample_sb_point, sample_sb_vec
 from sasakigeo.sphere import (
     SBPoint,
+    SBVec,
     frame_at,
     frame_gram,
     horizontal_sb,
     induced_metric_at,
     lift,
     normal_at,
+    point_geometry,
     sb_bracket,
     sb_curvature,
     sb_nabla,
     sb_point,
     tangential_lift,
 )
-from sasakigeo.tangent import sasaki_metric_at, vertical_lift, horizontal_lift
+from sasakigeo.tangent import base_geometry, sasaki_metric_at, vertical_lift, horizontal_lift
 from sasakigeo.manifold import TangentVec
 
-from conftest import bumpy_chart, flat_chart
+from conftest import bumpy_chart, flat_chart, patch_everywhere
 
 
 class TestSBPoint:
@@ -416,3 +422,203 @@ class TestSbCurvature:
             + sb_curvature(m, p, c, a, b)
         )
         assert np.abs(bianchi.comps()).max() < tol
+
+
+class TestPointGeometry:
+    """One geometry context per (chart, bundle point), kept by the point."""
+
+    def test_one_context_per_chart_and_point(self, rng):
+        m = space_form_chart(SpaceFormSpec(3, 1, 1.0))
+        p = sample_sb_point(m, 1, rng)
+        geo = point_geometry(m, p)
+        assert point_geometry(m, p) is geo
+        assert p.tm is p.tm and geo.base is base_geometry(m, p.tm)  # shared with the TM layer
+
+    def test_riemann_read_once_per_bundle_point(self, monkeypatch):
+        reads = []
+        real = manifold.riemann_at
+
+        def counted(m, x):
+            reads.append(np.array(x))
+            return real(m, x)
+
+        patch_everywhere(monkeypatch, real, counted)
+        m = space_form_chart(SpaceFormSpec(2, 1, 1.0))
+        rng = np.random.default_rng(3)
+        contact.sasakian_residual(m, sample_sb_point(m, 1, rng), rng, num_samples=8)
+        assert len(reads) == 1
+        reads.clear()
+        cfg = suites.SuiteConfig("connection", n=2, nu=1, num_points=2, num_samples=8)
+        rows = list(suites._suite_connection(cfg, m, cfg.params()))
+        assert rows and len(reads) == 2 and not np.array_equal(reads[0], reads[1])
+
+    def test_nabla_riemann_built_once_per_bundle_point(self, monkeypatch, rng):
+        calls = []
+        real = manifold.nabla_riemann_full
+
+        def counted(m, x):
+            calls.append(None)
+            return real(m, x)
+
+        patch_everywhere(monkeypatch, real, counted)
+        m = bumpy_chart(2, 1)
+        p = sample_sb_point(m, -1, rng)
+        a, b, c = (sample_sb_vec(m, p, rng) for _ in range(3))
+        sb_curvature(m, p, a, b, c)
+        sb_curvature(m, p, c, b, a)
+        km = contact.kappa_mu_for_space_form(1.0, -1)
+        contact.kappa_mu_residual(m, p, km, rng, num_samples=6)
+        assert len(calls) == 1
+
+    def test_each_chart_gets_its_own_values(self):
+        x, u = np.array([0.1, -0.2]), np.array([0.3, 1.1])
+        p = SBPoint(x, u, 1)
+        m1 = space_form_chart(SpaceFormSpec(2, 0, 1.0))
+        m2 = space_form_chart(SpaceFormSpec(2, 0, 1.0))  # an equal chart, but another object
+        m3 = bumpy_chart(2, 0)
+        geos = [point_geometry(m, p) for m in (m1, m2, m3)]
+        assert len({id(geo) for geo in geos}) == 3
+        for m, geo in zip((m1, m2, m3), geos):
+            assert np.array_equal(geo.base.g, metric_at(m, x))
+            assert np.array_equal(geo.base.riem.r, riemann_at(m, x).r)
+            fresh = SBPoint(x.copy(), u.copy(), 1)
+            assert np.array_equal(geo.rbar, point_geometry(m, fresh).rbar)
+            assert np.array_equal(h_at(m, p).matrix, h_at(m, fresh).matrix)
+        assert not np.allclose(geos[0].rbar, geos[2].rbar)
+
+    def test_context_arrays_are_read_only(self, rng):
+        m = bumpy_chart(2, 1)
+        geo = point_geometry(m, sample_sb_point(m, -1, rng))
+        es, signs = geo.base_frame
+        arrays = [geo.base.g, geo.base.gamma, geo.base.riem.r, geo.gu, geo.proj, geo.r, geo.ruu,
+                  geo.nabla_r, geo.rbar, geo.h_parts, signs, *es]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+
+    def test_the_chart_keeps_its_own_array_writable(self, flat2):
+        p = sb_point(flat2, np.zeros(2), np.array([1.0, 0.0]), 1)
+        assert not point_geometry(flat2, p).base.g.flags.writeable
+        assert flat2.metric_fn(np.zeros(2)).flags.writeable  # the chart returns one constant
+
+    @pytest.mark.parametrize("chart,eps", [("space form", -1), ("bumpy", 1)])
+    def test_results_at_a_fresh_copy_are_bit_identical(self, rng, chart, eps):
+        m = space_form_chart(SpaceFormSpec(3, 1, 2.0)) if chart == "space form" else bumpy_chart(3, 1)
+        p = sample_sb_point(m, eps, rng)
+        vecs = [sample_sb_vec(m, p, rng) for _ in range(3)]
+        xc, yc = rng.normal(size=3), rng.normal(size=3)
+
+        def results(q, reverse):
+            a, b, c = (SBVec(q, v.hpart, v.tpart) for v in vecs)
+            steps = [
+                lambda: sb_curvature(m, q, a, b, c).comps(),
+                lambda: h_at(m, q).matrix,
+                lambda: nabla_phi(m, q, a, b).comps(),
+                lambda: nabla_xi(m, q, a).comps(),
+                lambda: sb_nabla(m, xc, yc, "h", "t", q).comps(),
+                lambda: sb_bracket(m, xc, yc, "h", "h", q).comps(),
+                lambda: psi_u_matrix(m, q),
+                lambda: frame_at(m, q).parts(),
+                lambda: tangential_lift(m, q, xc).comps(),
+            ]
+            order = range(len(steps))[::-1] if reverse else range(len(steps))
+            out = {i: steps[i]() for i in order}
+            return [out[i] for i in range(len(steps))]
+
+        first = results(p, reverse=False)
+        again = results(p, reverse=False)  # every part now comes from the filled context
+        fresh = results(SBPoint(p.x.copy(), p.u.copy(), p.eps), reverse=True)  # filled in another order
+        for x, y, z in zip(first, again, fresh):
+            assert np.array_equal(x, y) and np.array_equal(x, z)
+
+
+def _conformal_factor(c, nu, x):
+    signs = np.array([-1.0] * nu + [1.0] * (x.size - nu))
+    return 1.0 + 0.25 * c * float(signs @ (x * x))
+
+
+def _unit_fiber_vector(n, nu, eps, f, t, direction):
+    """u with g(u, u) = eps on the space-form chart with conformal factor f.
+
+    For nu = 1 the hyperbolic angle t moves u towards the light cone, so
+    ||u|| = f sqrt(cosh 2t) is unbounded; ``direction`` gives the spatial part.
+    """
+    spatial = np.zeros(n)
+    spatial[nu:] = direction[: n - nu]
+    assume(np.linalg.norm(spatial) > 0.1)
+    spatial /= np.linalg.norm(spatial)
+    if nu == 0:
+        return f * spatial
+    time = np.eye(n)[0]
+    if eps == 1:
+        return f * (np.sinh(t) * time + np.cosh(t) * spatial)
+    return f * (np.cosh(t) * time + np.sinh(t) * spatial)
+
+
+def _assert_sound_at_the_edge(m, p):
+    """Frame Gram entries of +-1, h(xi) = 0, and the same results at a fresh copy of p."""
+    frame = frame_at(m, p)
+    gram = frame_gram(m, frame)
+    assert np.abs(np.abs(np.diag(gram)) - 1.0).max() < 1e-10
+    assert np.abs(gram - np.diag(np.diag(gram))).max() < 1e-10
+    hop = h_at(m, p)
+    assert np.abs(hop.apply(contact_data_at(m, p).xi).comps()).max() < 1e-12
+    fresh = SBPoint(p.x.copy(), p.u.copy(), p.eps)
+    assert np.array_equal(h_at(m, fresh).matrix, hop.matrix)
+    assert np.array_equal(frame_at(m, fresh).parts(), frame.parts())
+
+
+EDGE_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+CURVATURES = st.sampled_from([-1.0, 0.0, 1.0, 2.0])
+DIRECTIONS = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+
+
+class TestHardEdges:
+    """sb_point, frame_at and h_at where sampling rarely goes."""
+
+    @EDGE_SETTINGS
+    @given(st.sampled_from([2, 3]), st.sampled_from([1, -1]), CURVATURES,
+           st.lists(st.floats(-0.4, 0.4), min_size=3, max_size=3),
+           st.floats(2.5, 3.0), st.sampled_from([1.0, -1.0]), DIRECTIONS)
+    def test_fiber_vectors_near_u_max(self, n, eps, c, coords, norm, sign, spatial):
+        # sample_fiber_vector keeps ||u|| <= u_max = 3
+        m = space_form_chart(SpaceFormSpec(n, 1, c))
+        x = np.array(coords[:n])
+        f = _conformal_factor(c, 1, x)
+        t = sign * 0.5 * np.arccosh((norm / f) ** 2)
+        p = sb_point(m, x, _unit_fiber_vector(n, 1, eps, f, t, spatial), eps)
+        assert abs(np.linalg.norm(p.u) - norm) < 1e-9
+        _assert_sound_at_the_edge(m, p)
+
+    @EDGE_SETTINGS
+    @given(st.sampled_from([(2, 0, 1), (2, 1, 1), (2, 1, -1), (3, 0, 1), (3, 1, 1), (3, 1, -1)]),
+           st.sampled_from([-2.0, -1.0, 1.0, 2.0]),
+           st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+           st.floats(1e-6, 1e-2), st.floats(-1.0, 1.0), DIRECTIONS)
+    def test_base_points_near_the_domain_boundary(self, config, c, direction, margin, t, spatial):
+        # the space-form domain is F > 0.05; here F = 0.05 + margin
+        n, nu, eps = config
+        d = np.array(direction[:n])
+        assume(np.linalg.norm(d) > 0.1)
+        d /= np.linalg.norm(d)
+        q = float(np.array([-1.0] * nu + [1.0] * (n - nu)) @ (d * d))
+        assume(c * q < -0.05)
+        x = d * np.sqrt(4.0 * (0.05 + margin - 1.0) / (c * q))
+        m = space_form_chart(SpaceFormSpec(n, nu, c))
+        f = _conformal_factor(c, nu, x)
+        assert abs(f - 0.05 - margin) < 1e-9 and m.domain_fn(x)
+        _assert_sound_at_the_edge(m, sb_point(m, x, _unit_fiber_vector(n, nu, eps, f, t, spatial), eps))
+
+    @EDGE_SETTINGS
+    @given(st.sampled_from([2, 3]), CURVATURES,
+           st.lists(st.floats(-0.4, 0.4), min_size=3, max_size=3),
+           st.floats(1e-4, 1e-2), st.sampled_from([1.0, -1.0]), DIRECTIONS)
+    def test_nearly_null_frame_candidates_at_timelike_fibers(self, n, c, coords, ratio, sign, spatial):
+        # the first candidate e_0 projects to w with g(w, w) = ratio^2, around
+        # the 1e-6 below which frame_at skips a candidate
+        m = space_form_chart(SpaceFormSpec(n, 1, c))
+        x = np.array(coords[:n])
+        f = _conformal_factor(c, 1, x)
+        t = sign * np.arcsinh(ratio * f)
+        p = sb_point(m, x, _unit_fiber_vector(n, 1, -1, f, t, spatial), -1)
+        _assert_sound_at_the_edge(m, p)

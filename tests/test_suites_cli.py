@@ -1,5 +1,6 @@
 """Verification suites, reports and the command-line interface."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -234,6 +235,37 @@ class TestAllMatrix:
         assert not expected_pass("sasakian", SuiteConfig(suite="sasakian", c=magic, eps=-1, nu=1))
         assert expected_pass("sasakian", SuiteConfig(suite="sasakian", c=-1.0, eps=-1, nu=1))
         assert expected_pass("axioms", SuiteConfig(suite="axioms", c=0.5, eps=-1, nu=1))
+
+
+    def test_matrix_verdicts_at_seed_42_are_pinned(self, capsys):
+        """``verify all --seed 42`` keeps its 14 mismatching rows and its verdict digest.
+
+        The only reason to update this pin is settling ROADMAP item 1 (the
+        eps = -1 contact structure), which decides the axioms and sasakian
+        rows at eps = -1.  A change to the closed forms, the oracle or the
+        sampling that moves any verdict is a fault.
+        """
+        assert main(["all", "--seed", "42"]) == 1
+        rows = json.loads(capsys.readouterr().out)["checks"]
+        assert len(rows) == 360
+        verdicts = repr([(r["name"], r["pass"]) for r in rows])
+        assert [r["name"] for r in rows if not r["pass"]] == [
+            "axioms[n=2,nu=1,eps=-1,c=0] (expect pass)",
+            "axioms[n=2,nu=1,eps=-1,c=1] (expect pass)",
+            "axioms[n=2,nu=1,eps=-1,c=-1] (expect pass)",
+            "sasakian[n=2,nu=1,eps=-1,c=-1] (expect pass)",
+            "axioms[n=2,nu=1,eps=-1,c=2] (expect pass)",
+            "axioms[n=2,nu=1,eps=-1,c=-0.171573] (expect pass)",
+            "axioms[n=2,nu=1,eps=-1,c=4.23607] (expect pass)",
+            "axioms[n=3,nu=1,eps=-1,c=0] (expect pass)",
+            "axioms[n=3,nu=1,eps=-1,c=1] (expect pass)",
+            "axioms[n=3,nu=1,eps=-1,c=-1] (expect pass)",
+            "sasakian[n=3,nu=1,eps=-1,c=-1] (expect pass)",
+            "axioms[n=3,nu=1,eps=-1,c=2] (expect pass)",
+            "axioms[n=3,nu=1,eps=-1,c=-0.171573] (expect pass)",
+            "axioms[n=3,nu=1,eps=-1,c=4.23607] (expect pass)",
+        ]
+        assert hashlib.sha256(verdicts.encode()).hexdigest()[:16] == "42bf3090816dacaa"
 
 
 @pytest.fixture
