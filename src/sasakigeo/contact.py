@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DegeneratePlane
 from .manifold import ChartedMetric, SpaceFormSpec
 from .oracle import (
-    base_gamma,
+    base_jet,
     fd_exterior_derivative,
     fd_lie_derivative_metric,
     fd_nijenhuis,
@@ -113,8 +113,7 @@ def eta_form_fn(m: ChartedMetric, eps: int):
     n = m.dim
 
     def eta_form(z: np.ndarray) -> np.ndarray:
-        g = np.asarray(m.metric_fn(z[:n]), dtype=float)
-        return np.concatenate([0.5 * eps * (g @ z[n:]), np.zeros(n)])
+        return np.concatenate([0.5 * eps * (base_jet(m, z[:n]).g @ z[n:]), np.zeros(n)])
 
     return eta_form
 
@@ -139,9 +138,9 @@ def phi_matrix_fn(m: ChartedMetric, eps: int):
 
     def phim(z: np.ndarray) -> np.ndarray:
         x, u = z[:n], z[n:]
-        g = np.asarray(m.metric_fn(x), dtype=float)
-        proj = np.eye(n) - eps * np.outer(u, g @ u)
-        c = np.einsum("iab,b->ia", base_gamma(m, x), u)
+        jet = base_jet(m, x)
+        proj = np.eye(n) - eps * np.outer(u, jet.g @ u)
+        c = np.einsum("iab,b->ia", jet.gamma, u)
         mp = np.zeros((2 * n, 2 * n))
         mp[:n, n:] = -proj
         mp[n:, :n] = proj

@@ -86,6 +86,8 @@ class ChartedMetric:
     domain_fn: Callable[[Point], bool] = field(default=lambda x: True)
     locally_symmetric: bool = False
     name: str = ""
+    # the oracle's raw jets at recent base points (``oracle.base_jet``); they die with the chart
+    _oracle_jets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def uses_fd_derivatives(self) -> bool:

@@ -2,7 +2,9 @@
 
 Everything in this module is built from raw metric components (plus the
 chart's own analytic derivative callables when supplied) and never consumes
-Christoffel or curvature values computed by the closed-form modules.  It
+Christoffel or curvature values computed by the closed-form modules; the
+chart keeps the oracle's own base jets (``base_jet``) for its latest base
+points, so stencils that share a base point read the metric there once.  It
 certifies: the Koszul symbols, the coordinate curvature, the bracket
 identities, the induced-hypersurface metric, and the sphere-bundle
 connection/curvature via the Gauss equation in the induced chart of TM.
@@ -11,7 +13,8 @@ connection/curvature via the Gauss equation in the induced chart of TM.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -62,31 +65,70 @@ def fd_riemann(gamma_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, step
     return RiemannTensor(r)
 
 
-def base_gamma(m: ChartedMetric, x: np.ndarray) -> np.ndarray:
-    """Oracle-side Koszul symbols of the base chart (analytic dg when supplied)."""
+# -------------------- the raw base jet, kept by the chart --------------------
+
+JET_MEMO_SIZE = 16  # base points a chart keeps jets for; one stencil at x reads 2n + 1 of them
+
+
+def _own(a) -> np.ndarray:
+    """A read-only copy: a chart that reuses the buffer it returned cannot change a kept jet."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+class BaseJet:
+    """The oracle's raw data of the base chart at one x; every array is read-only.
+
+    g and g' (``dg[c]`` = d_c g; analytic when supplied, else central
+    differences) are read from the chart when the jet is built, and Gamma is
+    their Koszul step.  ``dgamma`` is built on first use, from the g'' the
+    chart held when the jet was built: only the stencils of Gamma-tilde and
+    of the exact lift Jacobians need it.
+    """
+
+    def __init__(self, m: ChartedMetric, x: np.ndarray):
+        self.x = _own(x)
+        self._deriv2_fn = m.deriv2_fn if m.deriv1_fn is not None else None
+        self.g = _own(m.metric_fn(x))
+        self.dg = _own(m.deriv1_fn(x) if m.deriv1_fn is not None else partials(m.metric_fn, x, FD_STEP_FIRST))
+        self.gamma = _own(_koszul(self.g, self.dg))
+
+    @cached_property
+    def dgamma(self) -> Optional[np.ndarray]:
+        """``dgamma[c, i, a, b]`` = d_c Gamma^i_ab on charts with analytic g' and g''; None elsewhere."""
+        if self._deriv2_fn is None:
+            return None
+        ginv, t = _inv(self.g), _first_kind(self.dg)
+        ddg = np.asarray(self._deriv2_fn(self.x), dtype=float)
+        dginv = -np.einsum("im,cmn,nl->cil", ginv, self.dg, ginv)
+        dt = np.array([_first_kind(ddg_c) for ddg_c in ddg])  # dt[c] = d_c t
+        return _own(0.5 * (np.einsum("cil,lab->ciab", dginv, t) + np.einsum("il,clab->ciab", ginv, dt)))
+
+
+def base_jet(m: ChartedMetric, x: np.ndarray) -> BaseJet:
+    """The raw jet of ``m`` at x, kept by the chart for its ``JET_MEMO_SIZE`` latest base points.
+
+    The memo dies with the chart.  An entry is keyed by the exact bytes of x
+    and remembers the metric callables it was read from, so it is used only
+    while the chart still holds those same callables.
+    """
     x = np.asarray(x, dtype=float)
-    g = np.asarray(m.metric_fn(x), dtype=float)
-    if m.deriv1_fn is not None:
-        dg = np.asarray(m.deriv1_fn(x), dtype=float)
-    else:
-        dg = partials(m.metric_fn, x, FD_STEP_FIRST)
-    return _koszul(g, dg)
+    fns = (m.metric_fn, m.deriv1_fn, m.deriv2_fn)
+    memo = m._oracle_jets
+    key = x.tobytes()
+    entry = memo.pop(key, None)
+    if entry is None or any(a is not b for a, b in zip(entry[0], fns)):
+        entry = (fns, BaseJet(m, x))
+        if len(memo) >= JET_MEMO_SIZE:
+            del memo[next(iter(memo))]  # the least recently used
+    memo[key] = entry
+    return entry[1]
 
 
-def _base_jet(m: ChartedMetric, x: np.ndarray):
-    """(g, d_c g, Gamma, d_c Gamma^i_ab) from one read of g, g', g''; callers make sure g', g'' are analytic."""
-    g = np.asarray(m.metric_fn(x), dtype=float)
-    dg = np.asarray(m.deriv1_fn(x), dtype=float)
-    ddg = np.asarray(m.deriv2_fn(x), dtype=float)
-    ginv = _inv(g)
-    dginv = -np.einsum("im,cmn,nl->cil", ginv, dg, ginv)
-    t = _first_kind(dg)
-    dt = np.array([_first_kind(ddg_c) for ddg_c in ddg])  # dt[c] = d_c t
-    gamma = 0.5 * np.einsum("il,ljk->ijk", ginv, t)
-    dgamma = 0.5 * (
-        np.einsum("cil,lab->ciab", dginv, t) + np.einsum("il,clab->ciab", ginv, dt)
-    )
-    return g, dg, gamma, dgamma
+def base_gamma(m: ChartedMetric, x: np.ndarray) -> np.ndarray:
+    """Oracle-side Koszul symbols of the base chart at x: the Gamma of ``base_jet(m, x)``."""
+    return base_jet(m, x).gamma
 
 
 # -------------------- Sasaki metric in the induced chart of TM --------------------
@@ -113,9 +155,8 @@ def sasaki_metric_fn(m: ChartedMetric) -> Callable[[np.ndarray], np.ndarray]:
     n = m.dim
 
     def tg(z: np.ndarray) -> np.ndarray:
-        x, u = z[:n], z[n:]
-        g = np.asarray(m.metric_fn(x), dtype=float)
-        return _sasaki_blocks(g, np.einsum("iab,b->ia", base_gamma(m, x), u))
+        jet = base_jet(m, z[:n])
+        return _sasaki_blocks(jet.g, np.einsum("iab,b->ia", jet.gamma, z[n:]))
 
     return tg
 
@@ -123,9 +164,9 @@ def sasaki_metric_fn(m: ChartedMetric) -> Callable[[np.ndarray], np.ndarray]:
 def sasaki_gamma_fn(m: ChartedMetric) -> Callable[[np.ndarray], np.ndarray]:
     """z -> Christoffel symbols of Tg.
 
-    On charts with analytic g' and g'' each z reads g, g', g'' once, builds
-    Gamma and d Gamma, then Tg and its z-derivative d_K Tg_IJ in closed form,
-    and takes one Koszul step; otherwise Tg is central-differenced.
+    On charts with analytic g' and g'' each z takes g, g', Gamma and d Gamma
+    from the base jet at x, builds Tg and its z-derivative d_K Tg_IJ in closed
+    form, and takes one Koszul step; otherwise Tg is central-differenced.
     """
     tg = sasaki_metric_fn(m)
     if m.deriv1_fn is None or m.deriv2_fn is None:
@@ -135,7 +176,8 @@ def sasaki_gamma_fn(m: ChartedMetric) -> Callable[[np.ndarray], np.ndarray]:
     def gamma_tilde(z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         x, u = z[:n], z[n:]
-        g, dg, gamma, dgamma = _base_jet(m, x)
+        jet = base_jet(m, x)
+        g, dg, gamma, dgamma = jet.g, jet.dg, jet.gamma, jet.dgamma
         c = np.einsum("iab,b->ia", gamma, u)
         gc = g @ c
         dc_x = np.einsum("kiab,b->kia", dgamma, u)  # d C / d x^k
@@ -194,9 +236,8 @@ def tangential_field_fn(m: ChartedMetric, field: VectorField, eps: int) -> Calla
 
     def tfield(z):
         x, u = z[:n], z[n:]
-        g = np.asarray(m.metric_fn(x), dtype=float)
         xval = np.asarray(fn(x), dtype=float)
-        return np.concatenate([np.zeros(n), xval - eps * float(xval @ g @ u) * u])
+        return np.concatenate([np.zeros(n), xval - eps * float(xval @ base_jet(m, x).g @ u) * u])
 
     return tfield
 
@@ -233,17 +274,15 @@ def const_lift_jacobian_fn(m: ChartedMetric, w: np.ndarray, kind: str, eps: int)
 
     def jac(z: np.ndarray) -> np.ndarray:
         x, u = z[:n], z[n:]
+        jet = base_jet(m, x)
         out = np.zeros((2 * n, 2 * n))
         if kind == "h":
-            _, _, gamma, dgamma = _base_jet(m, x)
-            out[n:, :n] = -np.einsum("ciab,a,b->ic", dgamma, w, u)
-            out[n:, n:] = -np.einsum("iac,a->ic", gamma, w)
+            out[n:, :n] = -np.einsum("ciab,a,b->ic", jet.dgamma, w, u)
+            out[n:, n:] = -np.einsum("iac,a->ic", jet.gamma, w)
         else:
-            g = np.asarray(m.metric_fn(x), dtype=float)
-            dg = np.asarray(m.deriv1_fn(x), dtype=float)
-            s = float(w @ g @ u)
-            ds_dx = np.einsum("a,cab,b->c", w, dg, u)
-            gw = g @ w
+            s = float(w @ jet.g @ u)
+            ds_dx = np.einsum("a,cab,b->c", w, jet.dg, u)
+            gw = jet.g @ w
             out[n:, :n] = -eps * np.outer(u, ds_dx)
             out[n:, n:] = -eps * (np.outer(u, gw) + s * np.eye(n))
         return out
@@ -332,11 +371,13 @@ class HypersurfaceChart:
     jacobian_fn: Callable[[np.ndarray], np.ndarray]
     center: np.ndarray  # chart coordinates of p
 
+    def __post_init__(self):
+        # the induced coordinates that stay chart coordinates
+        self.keep = np.delete(np.arange(2 * self.m.dim), self.m.dim + self.solved_index)
+
     def drop(self, z_vec: np.ndarray) -> np.ndarray:
         """Chart components of an ambient induced-coordinate vector tangent to the chart."""
-        n = self.m.dim
-        keep = [i for i in range(2 * n) if i != n + self.solved_index]
-        return np.asarray(z_vec, dtype=float)[keep]
+        return np.asarray(z_vec, dtype=float)[self.keep]
 
     def pullback_metric_fn(self, scale: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
         tg = sasaki_metric_fn(self.m)
@@ -358,6 +399,8 @@ def hypersurface_pullback(m: ChartedMetric, p: SBPoint) -> HypersurfaceChart:
         raise NoSolvableCoordinate("constraint gradient vanishes in every fiber direction")
     eps = float(p.eps)
     uj0 = p.u[j]
+    rest = np.delete(np.arange(n), j)
+    rest_block = np.ix_(rest, rest)
     branch = [1.0]  # root-branch sign, fixed below from the center point
 
     def param_fn(w: np.ndarray) -> np.ndarray:
@@ -365,10 +408,9 @@ def hypersurface_pullback(m: ChartedMetric, p: SBPoint) -> HypersurfaceChart:
         x = w[:n]
         uhat = w[n:]
         g = np.asarray(m.metric_fn(x), dtype=float)
-        rest = np.delete(np.arange(n), j)
         a = g[j, j]
         b = 2.0 * float(g[j, rest] @ uhat)
-        dcoef = float(uhat @ g[np.ix_(rest, rest)] @ uhat) - eps
+        dcoef = float(uhat @ g[rest_block] @ uhat) - eps
         if abs(a) < 1e-12:
             t = -dcoef / b
         else:
@@ -379,7 +421,7 @@ def hypersurface_pullback(m: ChartedMetric, p: SBPoint) -> HypersurfaceChart:
         u[j] = t
         return np.concatenate([x, u])
 
-    w0 = np.concatenate([p.x, np.delete(p.u, j)])
+    w0 = np.concatenate([p.x, p.u[rest]])
     for sign in (1.0, -1.0):
         branch[0] = sign
         if abs(param_fn(w0)[n + j] - uj0) < 1e-8:
@@ -407,9 +449,9 @@ def _from_induced(m: ChartedMetric, p: SBPoint, w: np.ndarray) -> SBVec:
     """The SBVec of induced components, its vertical part made u-orthogonal from raw g."""
     n = m.dim
     hpart = w[:n]
-    vpart = w[n:] + np.einsum("iab,a,b->i", base_gamma(m, p.x), hpart, p.u)
-    g = np.asarray(m.metric_fn(p.x), dtype=float)
-    return SBVec(p, hpart, vpart - p.eps * float(vpart @ g @ p.u) * p.u)
+    jet = base_jet(m, p.x)
+    vpart = w[n:] + np.einsum("iab,a,b->i", jet.gamma, hpart, p.u)
+    return SBVec(p, hpart, vpart - p.eps * float(vpart @ jet.g @ p.u) * p.u)
 
 
 def _const_sb_field_fn(m: ChartedMetric, v: SBVec) -> Callable[[np.ndarray], np.ndarray]:

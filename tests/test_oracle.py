@@ -1,5 +1,8 @@
 """The finite-difference ground-truth path itself."""
 
+import gc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -366,7 +369,8 @@ class TestOracleIndependence:
         xc, yc = rng.normal(size=3), rng.normal(size=3)
         z0 = np.concatenate([p.x, p.u])
 
-        def values():
+        def values(m):
+            hx, hy = lift_field_fn(m, xc, "h"), lift_field_fn(m, yc, "h")
             return [
                 GaussOracle(m, p).curvature(a, b, cv).comps(),
                 sb_nabla_via_ambient(m, xc, yc, "h", "t", p).comps(),
@@ -374,16 +378,21 @@ class TestOracleIndependence:
                 fd_nijenhuis(phi_matrix_fn(m, eps), z0),
                 d_eta_tensor(m, p),
                 d_eta_fd(m, p, xc, "h", yc, "t"),
+                hx(z0),
+                sb_lift_field_fn(m, yc, "t", eps)(z0),
+                fd_lie_bracket(hx, hy, z0),
+                contact.killing_residual(m, p),
             ]
 
-        before = values()
+        before = values(m)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the oracle read the closed-form geometry")
 
         for fn in (manifold.riemann_at, manifold.christoffel_at, manifold.metric_at, sphere.point_geometry):
             patch_everywhere(monkeypatch, fn, forbidden)
-        after = values()
+        # a copy of the chart keeps no base jets, so every jet is built again with the closed forms barred
+        after = values(replace(m))
         assert all(np.array_equal(x, y) for x, y in zip(before, after))
 
 
@@ -540,3 +549,125 @@ class TestPerPointOracles:
         run_suite(SuiteConfig("oracle-crosscheck", n=2, num_points=2, num_samples=24))  # 3 triples a point
         assert sizes.count(4) == 2  # R-tilde on the 2n-dimensional TM chart
         assert sizes.count(2) == 2  # the base curvature check
+
+
+def _counted(fn, reads):
+    def wrapped(x):
+        reads.append(np.asarray(x, dtype=float).tobytes())
+        return fn(x)
+
+    return wrapped
+
+
+class TestBaseJet:
+    """The raw jet each chart keeps for its latest base points (``oracle.base_jet``)."""
+
+    @staticmethod
+    def _stencil_xs(m, z0):
+        """z0's base point and the base points of one central-difference stencil around z0."""
+        n = m.dim
+        xs = [z0[:n]]
+        for k in range(n):
+            e = np.zeros(2 * n)
+            e[k] = FD_STEP_FIRST
+            xs += [(z0 + e)[:n], (z0 - e)[:n]]
+        return xs
+
+    @pytest.mark.parametrize("chart", ["space form", "bumpy", "no derivatives"])
+    def test_values_equal_a_fresh_chart_bit_for_bit(self, rng, chart):
+        if chart == "bumpy":
+            m, fresh = bumpy_chart(3, 1), bumpy_chart(3, 1)
+        else:
+            spec = SpaceFormSpec(3, 1, 2.0)
+            m, fresh = space_form_chart(spec), space_form_chart(spec)
+            if chart == "no derivatives":
+                m, fresh = (replace(c, deriv1_fn=None, deriv2_fn=None) for c in (m, fresh))
+        p = sample_sb_point(m, -1, rng)
+        z0 = np.concatenate([p.x, p.u])
+        xc, yc = rng.normal(size=3), rng.normal(size=3)
+        # warm the chart's jets through the oracle paths that read them
+        fd_lie_bracket(lift_field_fn(m, xc, "h"), sb_lift_field_fn(m, yc, "t", -1), z0)
+        sasaki_gamma_fn(m)(z0)
+        for x in self._stencil_xs(m, z0):
+            jet, ref = oracle.base_jet(m, x), oracle.base_jet(fresh, x)
+            for name in ("g", "dg", "gamma", "dgamma"):
+                a, b = getattr(jet, name), getattr(ref, name)
+                assert (a is None and b is None) or np.array_equal(a, b)
+            # the Koszul step as the oracle took it before it kept jets
+            dg = m.deriv1_fn(x) if m.deriv1_fn is not None else oracle.partials(m.metric_fn, x, FD_STEP_FIRST)
+            assert np.array_equal(jet.gamma, oracle._koszul(m.metric_fn(x), dg))
+            assert (jet.dgamma is None) == (chart == "no derivatives")
+
+    def test_charts_at_one_x_never_share_a_jet(self):
+        x = np.array([0.3, -0.2])
+        for i in range(40):
+            c = (1.0, -1.0, 2.0)[i % 3]
+            m = space_form_chart(SpaceFormSpec(2, 0, c))
+            expected = oracle._koszul(m.metric_fn(x), m.deriv1_fn(x))
+            assert np.array_equal(oracle.base_gamma(m, x), expected)
+            assert np.array_equal(oracle.base_jet(m, x).g, m.metric_fn(x))
+            del m
+            gc.collect()  # so the next chart may take this one's id
+        # a memo keyed by id(chart) would have served a reused id a jet of another c
+
+    def test_reassigned_metric_callables_are_seen(self):
+        m = space_form_chart(SpaceFormSpec(2, 0, 1.0))
+        x = np.array([0.1, 0.2])
+        before = oracle.base_jet(m, x)
+        metric, deriv1 = m.metric_fn, m.deriv1_fn
+        m.metric_fn = lambda y: 2.0 * metric(y)
+        assert np.array_equal(oracle.base_jet(m, x).g, 2.0 * before.g)
+        m.deriv1_fn = lambda y: 2.0 * deriv1(y)
+        assert np.array_equal(oracle.base_jet(m, x).dg, 2.0 * before.dg)
+        deriv2, dgamma = m.deriv2_fn, oracle.base_jet(m, x).dgamma
+        m.deriv2_fn = lambda y: 2.0 * deriv2(y)
+        assert not np.array_equal(oracle.base_jet(m, x).dgamma, dgamma)
+        m.metric_fn = lambda y: np.full((2, 2), np.nan)
+        assert np.isnan(oracle.base_gamma(m, x)).all()
+        assert np.isnan(sasaki_metric_fn(m)(np.concatenate([x, [0.5, 0.5]]))).all()
+
+    def test_memo_stays_within_its_bound(self, rng):
+        m = space_form_chart(SpaceFormSpec(2, 0, 1.0))
+        reads = []
+        m.metric_fn = _counted(m.metric_fn, reads)
+        xs = [rng.uniform(-0.5, 0.5, size=2) for _ in range(3 * oracle.JET_MEMO_SIZE)]
+        for x in xs:
+            oracle.base_jet(m, x)
+            assert len(m._oracle_jets) <= oracle.JET_MEMO_SIZE
+        assert len(m._oracle_jets) == oracle.JET_MEMO_SIZE
+        # the least recently used goes first
+        size, built = oracle.JET_MEMO_SIZE, len(reads)
+        oracle.base_jet(m, xs[-size])  # the oldest kept, now the most recently used
+        assert len(reads) == built
+        oracle.base_jet(m, np.array([0.45, 0.45]))  # drops xs[-size + 1]
+        oracle.base_jet(m, xs[-size])
+        assert len(reads) == built + 1
+        oracle.base_jet(m, xs[-size + 1])
+        assert len(reads) == built + 2
+
+    def test_arrays_are_read_only(self, flat2):
+        x = np.array([0.1, 0.2])
+        jet = oracle.base_jet(flat2, x)
+        for a in (jet.g, jet.dg, jet.gamma, jet.dgamma, oracle.base_gamma(flat2, x)):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a.flat[0] = 1.0
+        assert flat2.metric_fn(x).flags.writeable  # the chart's own constant is not frozen
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_lie_bracket_reads_the_metric_once_per_base_point(self, rng, n):
+        m = space_form_chart(SpaceFormSpec(n, 0, 1.0))
+        reads = {"metric": [], "deriv1": [], "deriv2": []}
+        m.metric_fn = _counted(m.metric_fn, reads["metric"])
+        m.deriv1_fn = _counted(m.deriv1_fn, reads["deriv1"])
+        m.deriv2_fn = _counted(m.deriv2_fn, reads["deriv2"])
+        p = sample_sb_point(m, 1, rng)
+        for seen in reads.values():
+            seen.clear()
+        z0 = np.concatenate([p.x, p.u])
+        fd_lie_bracket(lift_field_fn(m, rng.normal(size=n), "h"), lift_field_fn(m, rng.normal(size=n), "h"), z0)
+        # 2 + 2 (4n) evaluations; both Jacobians step through z0's x and the 2n base points x0 +- h e_k
+        distinct = {x.tobytes() for x in self._stencil_xs(m, z0)}
+        assert len(distinct) == 2 * n + 1
+        assert sorted(reads["metric"]) == sorted(reads["deriv1"]) == sorted(distinct)
+        assert reads["deriv2"] == []  # h-lift values need no d Gamma

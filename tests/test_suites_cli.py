@@ -279,6 +279,28 @@ def two_charts(monkeypatch):
     )
 
 
+def test_matrix_rows_equal_their_suites_run_alone(monkeypatch):
+    """Inside the matrix one chart, and the oracle's base jets on it, serve every suite and both eps; alone each suite gets a fresh chart."""
+    full = suites.matrix_configs
+    monkeypatch.setattr(
+        suites, "matrix_configs", lambda cfg: [c for c in full(cfg) if (c.n, c.nu, c.c) == (2, 1, 1.0)]
+    )
+    inner = suites.run_suite
+    rows = []
+
+    def kept(cfg):
+        report = inner(cfg)
+        if cfg.suite != "all":
+            rows.append((cfg, [(c.name, repr(c.max_residual), repr(c.tol)) for c in report.checks]))
+        return report
+
+    monkeypatch.setattr(suites, "run_suite", kept)
+    inner(SuiteConfig(suite="all"))
+    assert sorted({cfg.eps for cfg, _ in rows}) == [-1, 1] and len(rows) == 20
+    for cfg, checks in rows:
+        assert [(c.name, repr(c.max_residual), repr(c.tol)) for c in inner(cfg).checks] == checks, cfg.suite
+
+
 @pytest.fixture
 def validations(monkeypatch):
     """(n, nu, c) of every space-form validation that ``suites`` asks for."""
