@@ -48,9 +48,9 @@ from .sphere import (
     lift,
     parts_metric,
     point_geometry,
+    require_at,
     sb_curvature,
     sb_nabla,
-    tangential_lift,
 )
 from .tangent import VectorField, field_at
 
@@ -90,7 +90,8 @@ class HOperator:
 
 
 def contact_data_at(m: ChartedMetric, p: SBPoint) -> ContactData:
-    g = point_geometry(m, p).base.g
+    geo = point_geometry(m, p)
+    g, n = geo.base.g, m.dim
     u, eps = p.u, p.eps
     xi = horizontal_sb(p, 2.0 * u)
 
@@ -98,9 +99,8 @@ def contact_data_at(m: ChartedMetric, p: SBPoint) -> ContactData:
         return 0.5 * eps * float(a.hpart @ g @ u)
 
     def phi(a: SBVec) -> SBVec:
-        # phi(X^h) = X^t, phi(W^t) = -W^h for the u-orthogonal representative
-        hp = a.hpart - eps * float(a.hpart @ g @ u) * u
-        return SBVec(p, -a.tpart, hp)
+        out = geo.phi_parts @ a.comps()
+        return SBVec(p, out[:n], out[n:])
 
     def gcm(a: SBVec, b: SBVec) -> float:
         return 0.25 * induced_metric_at(m, p, a, b)
@@ -229,15 +229,16 @@ def check_contact_axioms(
 
 
 def nabla_xi(m: ChartedMetric, p: SBPoint, a: SBVec) -> SBVec:
-    """nabla-bar_a xi from the closed forms.
+    """nabla-bar_a xi = Gamma-bar(a, XI) + a(XI) on parts, XI = (2u, 0); a(XI) = (2W, 0)
+    for a = X^h + W^t, as u is parallel along horizontal lifts:
 
-    nabla_{X^h} xi = -t{R(X, u)u};  nabla_{W^t} xi = 2 W^h - h{R(W, u)u}.
+    nabla_{X^h} xi = -t{R(X, u)u} (g-orthogonal to u);  nabla_{W^t} xi = 2 W^h - h{R(W, u)u}.
     """
-    riem = point_geometry(m, p).base.riem
-    u = p.u
-    tpart_new = -riem.apply(a.hpart, u, u)  # already g-orthogonal to u
-    hpart_new = 2.0 * a.tpart - riem.apply(a.tpart, u, u)
-    return SBVec(p, hpart_new, tpart_new)
+    require_at(p, a)
+    n = m.dim
+    out = (point_geometry(m, p).connection @ np.concatenate([2.0 * p.u, np.zeros(n)])) @ a.comps()
+    out[:n] += 2.0 * a.tpart
+    return SBVec(p, out[:n], out[n:])
 
 
 def h_at(m: ChartedMetric, p: SBPoint) -> HOperator:
@@ -250,6 +251,7 @@ def h_at(m: ChartedMetric, p: SBPoint) -> HOperator:
     hmat = geo.h_parts
 
     def apply(a: SBVec) -> SBVec:
+        require_at(p, a)
         out = hmat @ a.comps()
         return SBVec(p, out[:n], out[n:])
 
@@ -260,32 +262,29 @@ def h_at(m: ChartedMetric, p: SBPoint) -> HOperator:
 
 
 def nabla_phi(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec) -> SBVec:
-    """(nabla-bar_a phi) b from the closed forms, bilinear over lift parts.
+    """(nabla-bar_a phi) b = a(PHI) b + Gamma-bar(a, PHI b) - PHI Gamma-bar(a, b) on parts.
+
+    PHI = ``PointGeometry.phi_parts`` acts as [[0, -P], [P, 0]] there, and P
+    is parallel along horizontal lifts, so for a = X^h + W^t and b = Y^h + Z^t
+    a(PHI) b = (-a(P) Z, a(P) Y) with a(P) = -eps (W (g u)^T + u (g W)^T):
 
     (nabla_{X^h} phi) Y^h = 1/2 h{R(u, X)Y}
     (nabla_{X^h} phi) Y^t = 1/2 t{R(X, u)Y}
     (nabla_{W^t} phi) Y^h = 1/2 t{R(W, u)Y} - 2 eta(Y^h) W^t
     (nabla_{W^t} phi) Z^t = 1/2 h{R(W, u)Z} + 2 eps g_cm(W^t, Z^t) xi
-
-    The (t, h) curvature coefficient follows from the connection formulas
-    and the definition (nabla_a phi) b = nabla_a(phi b) - phi(nabla_a b);
-    it is pinned by the 1e-9 crosscheck against that definition.
     """
-    data = contact_data_at(m, p)
+    require_at(p, a, b)
     geo = point_geometry(m, p)
-    riem, g = geo.base.riem, geo.base.g
-    u, eps = p.u, p.eps
-    xh, wt = a.hpart, a.tpart
-    yh, zt = b.hpart, b.tpart
+    n, u, w, eps = m.dim, p.u, a.tpart, p.eps
+    conn, phi, gu, gw = geo.connection, geo.phi_parts, geo.gu, geo.base.g @ a.tpart
+    av, bv = a.comps(), b.comps()
 
-    out = horizontal_sb(p, 0.5 * riem.apply(u, xh, yh))  # (h, h)
-    out = out + tangential_lift(m, p, 0.5 * riem.apply(xh, u, zt))  # (h, t)
-    out = out + tangential_lift(m, p, 0.5 * riem.apply(wt, u, yh)) + (
-        -eps * float(yh @ g @ u)
-    ) * tangential_lift(m, p, wt)  # (t, h); 2 eta(Y^h) = eps g(Y, u)
-    gcm_tt = 0.25 * float(wt @ g @ zt)
-    out = out + horizontal_sb(p, 0.5 * riem.apply(wt, u, zt)) + (2.0 * eps * gcm_tt) * data.xi
-    return out
+    def a_p(y: np.ndarray) -> np.ndarray:
+        return -eps * (w * float(gu @ y) + u * float(gw @ y))
+
+    out = np.concatenate([-a_p(b.tpart), a_p(b.hpart)])
+    out += (conn @ (phi @ bv)) @ av - phi @ ((conn @ bv) @ av)
+    return SBVec(p, out[:n], geo.proj @ out[n:])
 
 
 def nabla_phi_defn(

@@ -533,6 +533,25 @@ class GaussOracle:
         result = v_tan - ii_bc * self.weingarten(a) + ii_ac * self.weingarten(b)
         return _from_induced(m, p, result)
 
+    def nabla_endomorphism(self, phi_fn) -> Callable[[SBVec, SBVec], SBVec]:
+        """(a, b) -> (nabla-bar_a phi) b for an endomorphism field of induced components on TM.
+
+        (nabla-tilde Phi)^I_LK = d_L Phi^I_K + Gamma-tilde^I_LM Phi^M_K - Phi^I_M Gamma-tilde^M_LK
+        from one stencil of ``phi_fn`` at z0.  When Phi N = 0 and Phi maps
+        into T(T_eps M) at p, (nabla-bar_A phi)B = tan((nabla-tilde_A Phi)B);
+        ``_from_induced`` drops the N part that tan removes.
+        """
+        phi, gam = np.asarray(phi_fn(self.z0), dtype=float), self.gamma0
+        dphi = partials(phi_fn, self.z0, FD_STEP_FIRST)  # dphi[l, i, k] = d_l Phi^i_k
+        nabla = np.einsum("lik->ilk", dphi) + np.einsum("ilm,mk->ilk", gam, phi) - np.einsum("im,mlk->ilk", phi, gam)
+
+        def apply(a: SBVec, b: SBVec) -> SBVec:
+            require_same_sb_point(a, b)
+            v = (nabla @ _embed_induced(self.m, b)) @ _embed_induced(self.m, a)
+            return _from_induced(self.m, self.p, v)
+
+        return apply
+
 
 def gauss_curvature_oracle(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec, c: SBVec) -> SBVec:
     """R-bar(a, b)c by the Gauss equation; see ``GaussOracle`` to reuse one point."""

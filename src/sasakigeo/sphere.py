@@ -19,10 +19,10 @@ from .tangent import (
     TMPoint,
     TMVec,
     VectorField,
+    _check_kinds,
+    _nabla_parts,
     _read_only,
     base_geometry,
-    field_at,
-    field_jacobian,
     kept_geometry,
 )
 
@@ -117,15 +117,18 @@ def sb_point(m: ChartedMetric, x: np.ndarray, u: np.ndarray, eps: int) -> SBPoin
     return p
 
 
+def require_at(p: SBPoint, *vecs: SBVec) -> None:
+    """Every vector must live at p; a vector built at p itself passes at once."""
+    for v in vecs:
+        q = v.at
+        if q is not p and not (
+            q.eps == p.eps and np.allclose(q.x, p.x, atol=1e-12) and np.allclose(q.u, p.u, atol=1e-12)
+        ):
+            raise PointMismatch("sphere-bundle vectors live at different points")
+
+
 def require_same_sb_point(a: SBVec, b: SBVec) -> None:
-    if a.at is b.at:
-        return
-    if not (
-        a.at.eps == b.at.eps
-        and np.allclose(a.at.x, b.at.x, atol=1e-12)
-        and np.allclose(a.at.u, b.at.u, atol=1e-12)
-    ):
-        raise PointMismatch("sphere-bundle vectors live at different points")
+    require_at(a.at, b)
 
 
 def normal_at(m: ChartedMetric, p: SBPoint) -> TMVec:
@@ -156,7 +159,7 @@ def lift(m: ChartedMetric, p: SBPoint, kind: str, w: np.ndarray) -> SBVec:
 
 def induced_metric_at(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec) -> float:
     """The metric induced from Tg: g(a_h, b_h) + g(a_t, b_t)."""
-    require_same_sb_point(a, b)
+    require_at(p, a, b)
     g = point_geometry(m, p).base.g
     return float(a.hpart @ g @ b.hpart + a.tpart @ g @ b.tpart)
 
@@ -180,67 +183,34 @@ def frame_gram(m: ChartedMetric, frame: SBFrame) -> np.ndarray:
 
 
 def sb_bracket(
-    m: ChartedMetric,
-    xfield: VectorField,
-    yfield: VectorField,
-    kind_x: str,
-    kind_y: str,
-    p: SBPoint,
+    m: ChartedMetric, xfield: VectorField, yfield: VectorField, kind_x: str, kind_y: str, p: SBPoint
 ) -> SBVec:
-    """Brackets of lift fields on T_eps M.
+    """Brackets of lift fields on T_eps M, [A, B] = nabla_A B - nabla_B A (torsion-free).
 
     [X^h, Y^t] = (nabla_X Y)^t
     [X^t, Y^t] = eps g(X,u) Y^t - eps g(Y,u) X^t
     [X^h, Y^h] = [X, Y]^h - t{R(X,Y)u}
     """
-    _check_kinds(kind_x, kind_y)
-    x0, u0, eps = p.x, p.u, p.eps
-    xval = field_at(xfield, x0)
-    yval = field_at(yfield, x0)
-    geo = point_geometry(m, p)
-    g = geo.base.g
-    if kind_x == "t" and kind_y == "t":
-        return eps * float(xval @ g @ u0) * tangential_lift(m, p, yval) + (
-            -eps * float(yval @ g @ u0)
-        ) * tangential_lift(m, p, xval)
-    if kind_x == "h" and kind_y == "t":
-        return tangential_lift(m, p, geo.base.nabla(xval, yfield))
-    if kind_x == "t" and kind_y == "h":
-        return (-1.0) * tangential_lift(m, p, geo.base.nabla(yval, xfield))
-    lie = field_jacobian(yfield, x0) @ xval - field_jacobian(xfield, x0) @ yval
-    return horizontal_sb(p, lie) + (-1.0) * tangential_lift(m, p, geo.base.riem.apply(xval, yval, u0))
+    return sb_nabla(m, xfield, yfield, kind_x, kind_y, p) - sb_nabla(m, yfield, xfield, kind_y, kind_x, p)
 
 
 def sb_nabla(
-    m: ChartedMetric,
-    xfield: VectorField,
-    yfield: VectorField,
-    kind_x: str,
-    kind_y: str,
-    p: SBPoint,
+    m: ChartedMetric, xfield: VectorField, yfield: VectorField, kind_x: str, kind_y: str, p: SBPoint
 ) -> SBVec:
     """Levi-Civita connection of the induced metric on lift fields.
+
+    ``PointGeometry.connection`` contracted with the lifts, plus the base
+    connection term when X^h is horizontal, the tangential part projected by P:
 
     nabla_{X^t} Y^t = -eps g(Y,u) X^t
     nabla_{X^t} Y^h = 1/2 h{R(u,X)Y}
     nabla_{X^h} Y^t = (nabla_X Y)^t + 1/2 h{R(u,Y)X}
     nabla_{X^h} Y^h = (nabla_X Y)^h - 1/2 t{R(X,Y)u}
     """
-    _check_kinds(kind_x, kind_y)
-    x0, u0, eps = p.x, p.u, p.eps
-    xval = field_at(xfield, x0)
-    yval = field_at(yfield, x0)
+    _check_kinds(kind_x, kind_y, allowed=("h", "t"))
     geo = point_geometry(m, p)
-    if kind_x == "t" and kind_y == "t":
-        return (-eps * float(yval @ geo.base.g @ u0)) * tangential_lift(m, p, xval)
-    riem = geo.base.riem
-    if kind_x == "t" and kind_y == "h":
-        return horizontal_sb(p, 0.5 * riem.apply(u0, xval, yval))
-    if kind_x == "h" and kind_y == "t":
-        dxy = geo.base.nabla(xval, yfield)
-        return tangential_lift(m, p, dxy) + horizontal_sb(p, 0.5 * riem.apply(u0, yval, xval))
-    dxy = geo.base.nabla(xval, yfield)
-    return horizontal_sb(p, dxy) + (-0.5) * tangential_lift(m, p, riem.apply(xval, yval, u0))
+    out = _nabla_parts(geo.connection, geo.base, xfield, yfield, kind_x, kind_y)
+    return SBVec(p, out[: m.dim], geo.proj @ out[m.dim :])
 
 
 class PointGeometry:
@@ -289,6 +259,26 @@ class PointGeometry:
     def rbar(self) -> np.ndarray:
         """R-bar in the (h, t) parts basis, ``sb_curvature_array`` of this geometry."""
         return _read_only(sb_curvature_array(self))
+
+    @cached_property
+    def connection(self) -> np.ndarray:
+        """The connection array of the induced metric on (h, t) parts, by the Gauss formula
+        nabla-bar_A B = tan(nabla-tilde_A B): ``BaseGeometry.connection`` plus the normal
+        term nabla-bar_{X^t} Y^t = -eps g(Y, u) X^t.  A tangential output part w is (P w)^t.
+        """
+        n = self.u.size
+        gb = np.array(self.base.connection)
+        gb[n:, n:, n:] = -self.eps * np.einsum("oa,b->oab", np.eye(n), self.gu)
+        return _read_only(gb)
+
+    @cached_property
+    def phi_parts(self) -> np.ndarray:
+        """The contact tensor phi on (h, t) parts with a u-orthogonal t part.
+
+        PHI = [[0, -I], [P, 0]]: phi(X^h) = X^t, phi(W^t) = -W^h for g(W, u) = 0.
+        """
+        zero = np.zeros_like(self.proj)
+        return _read_only(np.block([[zero, -np.eye(self.u.size)], [self.proj, zero]]))
 
     @cached_property
     def h_parts(self) -> np.ndarray:
@@ -407,13 +397,7 @@ def sb_curvature_array(geo: PointGeometry) -> np.ndarray:
 
 def sb_curvature(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec, c: SBVec) -> SBVec:
     """Curvature operator R(a, b)c of the induced metric, contracted from R-bar."""
-    require_same_sb_point(a, b)
-    require_same_sb_point(a, c)
+    require_at(p, a, b, c)
     rb = point_geometry(m, p).rbar
     out = ((rb @ c.comps()) @ b.comps()) @ a.comps()
     return SBVec(p, out[: m.dim], out[m.dim :])
-
-
-def _check_kinds(kind_x: str, kind_y: str) -> None:
-    if kind_x not in "ht" or kind_y not in "ht":
-        raise ValueError(f"sphere-bundle lift kinds must be 'h' or 't', got ({kind_x}, {kind_y})")

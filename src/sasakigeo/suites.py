@@ -174,19 +174,6 @@ def _suite_connection(cfg: SuiteConfig, m: ChartedMetric, params: dict):
         xf = _poly_field(n, rng)
         yf = _poly_field(n, rng)
 
-        # torsion of the Sasaki connection against the closed brackets
-        for kx, ky in [("h", "h"), ("h", "v"), ("v", "v")]:
-            t1 = tb.tm_nabla(m, xf, yf, kx, ky, at)
-            t2 = tb.tm_nabla(m, yf, xf, ky, kx, at)
-            br = tb.lift_bracket(m, xf, yf, kx, ky, at)
-            torsion = t1 - t2 - br
-            yield "tm_nabla torsion-free", worst_of(np.abs(torsion.hpart).max(), np.abs(torsion.vpart).max()), 1e-9
-        for kx, ky in [("h", "h"), ("h", "t"), ("t", "t")]:
-            t1 = sb.sb_nabla(m, xf, yf, kx, ky, p)
-            t2 = sb.sb_nabla(m, yf, xf, ky, kx, p)
-            br = sb.sb_bracket(m, xf, yf, kx, ky, p)
-            yield "sb_nabla torsion-free", np.abs((t1 - t2 - br).comps()).max(), 1e-9
-
         # metric compatibility of tm_nabla along lift directions (FD on TM)
         zf = _poly_field(n, rng)
         z0 = np.concatenate([p.x, p.u])
@@ -468,6 +455,14 @@ def _suite_oracle(cfg: SuiteConfig, m: ChartedMetric, params: dict):
         b_sb = sb.tangential_lift(m, p, yc)
         gbar_phi = sb.induced_metric_at(m, p, a_sb, data.phi(b_sb))
         yield "2 d eta'(A,B) = eps gbar(A, phi'B)", abs(two_deta_p - cfg.eps * gbar_phi), 1e-5
+
+        # closed nabla phi against the FD covariant derivative of the phi field on TM
+        nabla_phi_fd = gauss.nabla_endomorphism(ct.phi_matrix_fn(m, cfg.eps))
+        for ka, kb in [("h", "h"), ("h", "t"), ("t", "h"), ("t", "t")]:
+            a_sb = sb.lift(m, p, ka, rng.normal(size=n))
+            b_sb = sb.lift(m, p, kb, rng.normal(size=n))
+            diff = ct.nabla_phi(m, p, a_sb, b_sb) - nabla_phi_fd(a_sb, b_sb)
+            yield "nabla phi = FD ambient derivative", np.abs(diff.comps()).max(), 1e-5
 
 
 def _suite_index(cfg: SuiteConfig, m: ChartedMetric, params: dict):

@@ -55,16 +55,17 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 class BaseGeometry:
-    """g, Gamma and R of one chart at one base point, each read at most once.
+    """g, Gamma and R of one chart at the base point of (x, u), and the
+    Sasaki connection array at (x, u), each built at most once.
 
     The arrays are read-only because every closed form at the point shares
-    them.  The object holds the chart and the base coordinates, never the
+    them.  The object holds the chart and the coordinates x and u, never the
     point that keeps it.
     """
 
     def __init__(self, m: ChartedMetric, at: TMPoint):
         self.m = m
-        self.x = at.x
+        self.x, self.u = at.x, at.u
 
     @cached_property
     def g(self) -> np.ndarray:
@@ -78,10 +79,15 @@ class BaseGeometry:
     def riem(self) -> RiemannTensor:
         return RiemannTensor(_read_only(riemann_at(self.m, self.x).r))
 
+    @cached_property
+    def connection(self) -> np.ndarray:
+        """The ``lift_connection_array`` at (x, u)."""
+        return _read_only(lift_connection_array(self.riem.r, self.u))
+
     def nabla(self, xvec: np.ndarray, yfield: "VectorField") -> np.ndarray:
         """(nabla_X Y)^i = X^a d_a Y^i + Gamma^i_ab X^a Y^b at this base point."""
         yval = field_at(yfield, self.x)
-        jac = field_jacobian(yfield, self.x)
+        jac = jacobian(as_field(yfield), self.x, FD_STEP_FIRST)
         return jac @ xvec + np.einsum("iab,a,b->i", self.gamma, xvec, yval)
 
 
@@ -148,11 +154,6 @@ def field_at(field: VectorField, x: np.ndarray) -> np.ndarray:
     return np.asarray(as_field(field)(np.asarray(x, dtype=float)), dtype=float)
 
 
-def field_jacobian(field: VectorField, x: np.ndarray, step: float = FD_STEP_FIRST) -> np.ndarray:
-    """J[i, j] = d_j X^i by central differences."""
-    return jacobian(as_field(field), x, step)
-
-
 def horizontal_lift(m: ChartedMetric, xvec: TangentVec, at: TMPoint) -> TMVec:
     if not np.allclose(xvec.base, at.x, atol=1e-12):
         raise BasePointMismatch("vector is not based at the bundle point's base")
@@ -191,66 +192,65 @@ def sasaki_metric_at(m: ChartedMetric, at: TMPoint, a: TMVec, b: TMVec) -> float
     return float(a.hpart @ g @ b.hpart + a.vpart @ g @ b.vpart)
 
 
+def lift_connection_array(r: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The curvature terms of the Sasaki connection (see ``tm_nabla``) on (h, v) parts at (x, u).
+
+    ``c[o, a, b]`` is the o-part of the R terms of nabla_{e_a} e_b for the
+    lifts of the coordinate vectors, parts 0..n-1 horizontal and n..2n-1
+    vertical; ``r`` holds the ``RiemannTensor`` components.
+    """
+    n = u.size
+    h, v = slice(0, n), slice(n, 2 * n)
+    c = np.zeros((2 * n,) * 3)
+    c[v, h, h] = -0.5 * np.einsum("icab,c->iab", r, u)  # -1/2 R(e_a, e_b)u
+    c[h, h, v] = 0.5 * np.einsum("iacb,c->iab", r, u)  # 1/2 R(u, e_b)e_a
+    c[h, v, h] = 0.5 * np.einsum("ibca,c->iab", r, u)  # 1/2 R(u, e_a)e_b
+    return c
+
+
+def _lift_parts(kind: str, w: np.ndarray) -> np.ndarray:
+    """The 2n parts of the lift of w: w in the horizontal slot for kind 'h', else the other."""
+    zero = np.zeros_like(w)
+    return np.concatenate([w, zero] if kind == "h" else [zero, w])
+
+
+def _nabla_parts(conn: np.ndarray, base: BaseGeometry, xfield, yfield, kind_x: str, kind_y: str) -> np.ndarray:
+    """``conn`` contracted with the lifts A and B, plus (nabla_X Y) in B's slot when A = X^h."""
+    xval = field_at(xfield, base.x)
+    out = (conn @ _lift_parts(kind_y, field_at(yfield, base.x))) @ _lift_parts(kind_x, xval)
+    if kind_x == "h":
+        out = out + _lift_parts(kind_y, base.nabla(xval, yfield))
+    return out
+
+
 def tm_nabla(
-    m: ChartedMetric,
-    xfield: VectorField,
-    yfield: VectorField,
-    kind_x: str,
-    kind_y: str,
-    at: TMPoint,
+    m: ChartedMetric, xfield: VectorField, yfield: VectorField, kind_x: str, kind_y: str, at: TMPoint
 ) -> TMVec:
     """Levi-Civita connection of the Sasaki pseudo-metric on lift fields.
+
+    ``BaseGeometry.connection`` contracted with the lifts, plus the base
+    connection term when X^h is horizontal:
 
     nabla_{X^v} Y^v = 0
     nabla_{X^v} Y^h = 1/2 h{R(u,X)Y}
     nabla_{X^h} Y^v = (nabla_X Y)^v + 1/2 h{R(u,Y)X}
     nabla_{X^h} Y^h = (nabla_X Y)^h - 1/2 v{R(X,Y)u}
     """
-    _check_kinds(kind_x, kind_y, allowed="hv")
-    x0, u0 = at.x, at.u
-    xval = field_at(xfield, x0)
-    yval = field_at(yfield, x0)
-    zero = np.zeros(m.dim)
-    if kind_x == "v" and kind_y == "v":
-        return TMVec(at, zero, zero)
-    geo = base_geometry(m, at)
-    riem = geo.riem
-    if kind_x == "v" and kind_y == "h":
-        return TMVec(at, 0.5 * riem.apply(u0, xval, yval), zero)
-    if kind_x == "h" and kind_y == "v":
-        dxy = geo.nabla(xval, yfield)
-        return TMVec(at, 0.5 * riem.apply(u0, yval, xval), dxy)
-    dxy = geo.nabla(xval, yfield)
-    return TMVec(at, dxy, -0.5 * riem.apply(xval, yval, u0))
+    _check_kinds(kind_x, kind_y, allowed=("h", "v"))
+    base = base_geometry(m, at)
+    out = _nabla_parts(base.connection, base, xfield, yfield, kind_x, kind_y)
+    return TMVec(at, out[: m.dim], out[m.dim :])
 
 
 def lift_bracket(
-    m: ChartedMetric,
-    xfield: VectorField,
-    yfield: VectorField,
-    kind_x: str,
-    kind_y: str,
-    at: TMPoint,
+    m: ChartedMetric, xfield: VectorField, yfield: VectorField, kind_x: str, kind_y: str, at: TMPoint
 ) -> TMVec:
-    """Lie brackets of lift fields.
+    """Lie brackets of lift fields, [A, B] = nabla_A B - nabla_B A (torsion-free).
 
     [X^h, Y^h] = [X, Y]^h - v{R(X,Y)u},  [X^h, Y^v] = (nabla_X Y)^v,
     [X^v, Y^v] = 0.
     """
-    _check_kinds(kind_x, kind_y, allowed="hv")
-    x0, u0 = at.x, at.u
-    zero = np.zeros(m.dim)
-    if kind_x == "v" and kind_y == "v":
-        return TMVec(at, zero, zero)
-    geo = base_geometry(m, at)
-    if kind_x == "h" and kind_y == "v":
-        return TMVec(at, zero, geo.nabla(field_at(xfield, x0), yfield))
-    if kind_x == "v" and kind_y == "h":
-        return TMVec(at, zero, -geo.nabla(field_at(yfield, x0), xfield))
-    xval = field_at(xfield, x0)
-    yval = field_at(yfield, x0)
-    lie = field_jacobian(yfield, x0) @ xval - field_jacobian(xfield, x0) @ yval
-    return TMVec(at, lie, -geo.riem.apply(xval, yval, u0))
+    return tm_nabla(m, xfield, yfield, kind_x, kind_y, at) - tm_nabla(m, yfield, xfield, kind_y, kind_x, at)
 
 
 def almost_complex_J(v: TMVec) -> TMVec:
@@ -258,6 +258,6 @@ def almost_complex_J(v: TMVec) -> TMVec:
     return TMVec(v.at, -v.vpart, v.hpart)
 
 
-def _check_kinds(kind_x: str, kind_y: str, allowed: str) -> None:
+def _check_kinds(kind_x: str, kind_y: str, allowed: tuple) -> None:
     if kind_x not in allowed or kind_y not in allowed:
-        raise ValueError(f"lift kinds must be in {set(allowed)!r}, got ({kind_x}, {kind_y})")
+        raise ValueError(f"lift kinds must be in {allowed!r}, got ({kind_x!r}, {kind_y!r})")

@@ -89,6 +89,34 @@ class TestPointGuard:
         with pytest.raises(PointMismatch):
             horizontal_sb(p, np.ones(2)) + horizontal_sb(q, np.ones(2))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m, p, v: sb_curvature(m, p, v, v, v),
+            lambda m, p, v: induced_metric_at(m, p, v, v),
+            lambda m, p, v: nabla_phi(m, p, v, v),
+            lambda m, p, v: nabla_xi(m, p, v),
+            lambda m, p, v: h_at(m, p).apply(v),
+        ],
+        ids=["sb_curvature", "induced_metric_at", "nabla_phi", "nabla_xi", "h_at.apply"],
+    )
+    def test_vectors_from_another_point_raise(self, rng, call):
+        m = space_form_chart(SpaceFormSpec(3, 1, 2.0))
+        p, q = sample_sb_point(m, 1, rng), sample_sb_point(m, 1, rng)
+        v = sample_sb_vec(m, q, rng)
+        call(m, q, v)  # at its own point it is accepted
+        with pytest.raises(PointMismatch):
+            call(m, p, v)
+
+
+class TestLiftKinds:
+    @pytest.mark.parametrize("fn", [sb_nabla, sb_bracket])
+    @pytest.mark.parametrize("kinds", [("", "h"), ("t", ""), ("ht", "t"), ("h", "th"), ("v", "h")])
+    def test_only_h_and_t_are_accepted(self, flat2, rng, fn, kinds):
+        p = sample_sb_point(flat2, 1, rng)
+        with pytest.raises(ValueError):
+            fn(flat2, np.ones(2), np.ones(2), *kinds, p)
+
 
 class TestNormal:
     @pytest.mark.parametrize("nu,eps", [(0, 1), (1, -1), (1, 1)])

@@ -30,8 +30,6 @@ CHECK_NAMES = {
         "d eta = g_cm(., phi .)",
     ],
     "connection": [
-        "tm_nabla torsion-free",
-        "sb_nabla torsion-free",
         "tm_nabla metric compatibility (FD)",
         "sb_nabla metric compatibility (FD)",
         "sb_nabla = projected ambient derivative",
@@ -79,6 +77,7 @@ CHECK_NAMES = {
         "pullback constraint g(u,u) = eps",
         "fd_exterior_derivative of exact form = 0",
         "2 d eta'(A,B) = eps gbar(A, phi'B)",
+        "nabla phi = FD ambient derivative",
     ],
     "index": [
         "base signature (n - nu, nu)",

@@ -202,6 +202,14 @@ class TestLiftBracket:
             assert np.abs(closed - fd).max() < 1e-5
 
 
+@pytest.mark.parametrize("fn", [tm_nabla, lift_bracket])
+@pytest.mark.parametrize("kinds", [("", "h"), ("v", ""), ("hv", "v"), ("h", "vh"), ("t", "h")])
+def test_only_h_and_v_lift_kinds_are_accepted(flat2, rng, fn, kinds):
+    at = _tm_point(flat2, rng)
+    with pytest.raises(ValueError):
+        fn(flat2, np.ones(2), np.ones(2), *kinds, at)
+
+
 class TestAlmostComplexJ:
     def test_lift_exchange(self, flat2, rng):
         at = _tm_point(flat2, rng)
