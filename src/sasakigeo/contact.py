@@ -48,7 +48,7 @@ from .sphere import (
     lift,
     parts_metric,
     point_geometry,
-    require_at,
+    require_same_sb_point,
     sb_curvature,
     sb_nabla,
 )
@@ -96,9 +96,11 @@ def contact_data_at(m: ChartedMetric, p: SBPoint) -> ContactData:
     xi = horizontal_sb(p, 2.0 * u)
 
     def eta(a: SBVec) -> float:
+        require_same_sb_point(p, a)
         return 0.5 * eps * float(a.hpart @ g @ u)
 
     def phi(a: SBVec) -> SBVec:
+        require_same_sb_point(p, a)
         out = geo.phi_parts @ a.comps()
         return SBVec(p, out[:n], out[n:])
 
@@ -230,11 +232,12 @@ def check_contact_axioms(
 
 def nabla_xi(m: ChartedMetric, p: SBPoint, a: SBVec) -> SBVec:
     """nabla-bar_a xi = Gamma-bar(a, XI) + a(XI) on parts, XI = (2u, 0); a(XI) = (2W, 0)
-    for a = X^h + W^t, as u is parallel along horizontal lifts:
+    for a = X^h + W^t with g(W, u) = 0 (the ``SBVec`` invariant), as u is parallel
+    along horizontal lifts:
 
     nabla_{X^h} xi = -t{R(X, u)u} (g-orthogonal to u);  nabla_{W^t} xi = 2 W^h - h{R(W, u)u}.
     """
-    require_at(p, a)
+    require_same_sb_point(p, a)
     n = m.dim
     out = (point_geometry(m, p).connection @ np.concatenate([2.0 * p.u, np.zeros(n)])) @ a.comps()
     out[:n] += 2.0 * a.tpart
@@ -251,7 +254,7 @@ def h_at(m: ChartedMetric, p: SBPoint) -> HOperator:
     hmat = geo.h_parts
 
     def apply(a: SBVec) -> SBVec:
-        require_at(p, a)
+        require_same_sb_point(p, a)
         out = hmat @ a.comps()
         return SBVec(p, out[:n], out[n:])
 
@@ -264,8 +267,10 @@ def h_at(m: ChartedMetric, p: SBPoint) -> HOperator:
 def nabla_phi(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec) -> SBVec:
     """(nabla-bar_a phi) b = a(PHI) b + Gamma-bar(a, PHI b) - PHI Gamma-bar(a, b) on parts.
 
-    PHI = ``PointGeometry.phi_parts`` acts as [[0, -P], [P, 0]] there, and P
-    is parallel along horizontal lifts, so for a = X^h + W^t and b = Y^h + Z^t
+    The t parts W and Z of a = X^h + W^t and b = Y^h + Z^t must be
+    u-orthogonal (the ``SBVec`` invariant).  On such parts PHI =
+    ``PointGeometry.phi_parts`` acts as [[0, -P], [P, 0]], and P is parallel
+    along horizontal lifts, so
     a(PHI) b = (-a(P) Z, a(P) Y) with a(P) = -eps (W (g u)^T + u (g W)^T):
 
     (nabla_{X^h} phi) Y^h = 1/2 h{R(u, X)Y}
@@ -273,7 +278,7 @@ def nabla_phi(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec) -> SBVec:
     (nabla_{W^t} phi) Y^h = 1/2 t{R(W, u)Y} - 2 eta(Y^h) W^t
     (nabla_{W^t} phi) Z^t = 1/2 h{R(W, u)Z} + 2 eps g_cm(W^t, Z^t) xi
     """
-    require_at(p, a, b)
+    require_same_sb_point(p, a, b)
     geo = point_geometry(m, p)
     n, u, w, eps = m.dim, p.u, a.tpart, p.eps
     conn, phi, gu, gw = geo.connection, geo.phi_parts, geo.gu, geo.base.g @ a.tpart

@@ -499,7 +499,7 @@ class GaussOracle:
 
     def second_fundamental_form(self, a: SBVec, b: SBVec) -> float:
         """II(A, B) = eps * Tg(nabla-tilde_A B, N)."""
-        require_same_sb_point(a, b)
+        require_same_sb_point(self.p, a, b)
         nab = ambient_nabla(
             _const_sb_field_fn(self.m, a),
             _const_sb_field_fn(self.m, b),
@@ -546,7 +546,7 @@ class GaussOracle:
         nabla = np.einsum("lik->ilk", dphi) + np.einsum("ilm,mk->ilk", gam, phi) - np.einsum("im,mlk->ilk", phi, gam)
 
         def apply(a: SBVec, b: SBVec) -> SBVec:
-            require_same_sb_point(a, b)
+            require_same_sb_point(self.p, a, b)
             v = (nabla @ _embed_induced(self.m, b)) @ _embed_induced(self.m, a)
             return _from_induced(self.m, self.p, v)
 

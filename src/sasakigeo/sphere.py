@@ -64,7 +64,7 @@ class SBVec:
         object.__setattr__(self, "tpart", np.asarray(self.tpart, dtype=float))
 
     def __add__(self, other: "SBVec") -> "SBVec":
-        require_same_sb_point(self, other)
+        require_same_sb_point(self.at, other)
         return SBVec(self.at, self.hpart + other.hpart, self.tpart + other.tpart)
 
     def __sub__(self, other: "SBVec") -> "SBVec":
@@ -117,7 +117,7 @@ def sb_point(m: ChartedMetric, x: np.ndarray, u: np.ndarray, eps: int) -> SBPoin
     return p
 
 
-def require_at(p: SBPoint, *vecs: SBVec) -> None:
+def require_same_sb_point(p: SBPoint, *vecs: SBVec) -> None:
     """Every vector must live at p; a vector built at p itself passes at once."""
     for v in vecs:
         q = v.at
@@ -125,10 +125,6 @@ def require_at(p: SBPoint, *vecs: SBVec) -> None:
             q.eps == p.eps and np.allclose(q.x, p.x, atol=1e-12) and np.allclose(q.u, p.u, atol=1e-12)
         ):
             raise PointMismatch("sphere-bundle vectors live at different points")
-
-
-def require_same_sb_point(a: SBVec, b: SBVec) -> None:
-    require_at(a.at, b)
 
 
 def normal_at(m: ChartedMetric, p: SBPoint) -> TMVec:
@@ -159,7 +155,7 @@ def lift(m: ChartedMetric, p: SBPoint, kind: str, w: np.ndarray) -> SBVec:
 
 def induced_metric_at(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec) -> float:
     """The metric induced from Tg: g(a_h, b_h) + g(a_t, b_t)."""
-    require_at(p, a, b)
+    require_same_sb_point(p, a, b)
     g = point_geometry(m, p).base.g
     return float(a.hpart @ g @ b.hpart + a.tpart @ g @ b.tpart)
 
@@ -183,7 +179,12 @@ def frame_gram(m: ChartedMetric, frame: SBFrame) -> np.ndarray:
 
 
 def sb_bracket(
-    m: ChartedMetric, xfield: VectorField, yfield: VectorField, kind_x: str, kind_y: str, p: SBPoint
+    m: ChartedMetric,
+    xfield: VectorField,
+    yfield: VectorField,
+    kind_x: str,
+    kind_y: str,
+    p: SBPoint,
 ) -> SBVec:
     """Brackets of lift fields on T_eps M, [A, B] = nabla_A B - nabla_B A (torsion-free).
 
@@ -195,7 +196,12 @@ def sb_bracket(
 
 
 def sb_nabla(
-    m: ChartedMetric, xfield: VectorField, yfield: VectorField, kind_x: str, kind_y: str, p: SBPoint
+    m: ChartedMetric,
+    xfield: VectorField,
+    yfield: VectorField,
+    kind_x: str,
+    kind_y: str,
+    p: SBPoint,
 ) -> SBVec:
     """Levi-Civita connection of the induced metric on lift fields.
 
@@ -273,9 +279,11 @@ class PointGeometry:
 
     @cached_property
     def phi_parts(self) -> np.ndarray:
-        """The contact tensor phi on (h, t) parts with a u-orthogonal t part.
+        """The contact tensor phi on (h, t) parts whose t part is u-orthogonal (the
+        ``SBVec`` invariant): there PHI = [[0, -I], [P, 0]] equals [[0, -P], [P, 0]].
 
-        PHI = [[0, -I], [P, 0]]: phi(X^h) = X^t, phi(W^t) = -W^h for g(W, u) = 0.
+        phi(X^h) = (P X)^t and phi(W^t) = -W^h.  The -I block leaves the t part
+        as it is: a second P on an already projected part only adds rounding.
         """
         zero = np.zeros_like(self.proj)
         return _read_only(np.block([[zero, -np.eye(self.u.size)], [self.proj, zero]]))
@@ -397,7 +405,7 @@ def sb_curvature_array(geo: PointGeometry) -> np.ndarray:
 
 def sb_curvature(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec, c: SBVec) -> SBVec:
     """Curvature operator R(a, b)c of the induced metric, contracted from R-bar."""
-    require_at(p, a, b, c)
+    require_same_sb_point(p, a, b, c)
     rb = point_geometry(m, p).rbar
     out = ((rb @ c.comps()) @ b.comps()) @ a.comps()
     return SBVec(p, out[: m.dim], out[m.dim :])

@@ -224,7 +224,12 @@ def _nabla_parts(conn: np.ndarray, base: BaseGeometry, xfield, yfield, kind_x: s
 
 
 def tm_nabla(
-    m: ChartedMetric, xfield: VectorField, yfield: VectorField, kind_x: str, kind_y: str, at: TMPoint
+    m: ChartedMetric,
+    xfield: VectorField,
+    yfield: VectorField,
+    kind_x: str,
+    kind_y: str,
+    at: TMPoint,
 ) -> TMVec:
     """Levi-Civita connection of the Sasaki pseudo-metric on lift fields.
 
@@ -243,7 +248,12 @@ def tm_nabla(
 
 
 def lift_bracket(
-    m: ChartedMetric, xfield: VectorField, yfield: VectorField, kind_x: str, kind_y: str, at: TMPoint
+    m: ChartedMetric,
+    xfield: VectorField,
+    yfield: VectorField,
+    kind_x: str,
+    kind_y: str,
+    at: TMPoint,
 ) -> TMVec:
     """Lie brackets of lift fields, [A, B] = nabla_A B - nabla_B A (torsion-free).
 

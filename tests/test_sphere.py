@@ -97,8 +97,10 @@ class TestPointGuard:
             lambda m, p, v: nabla_phi(m, p, v, v),
             lambda m, p, v: nabla_xi(m, p, v),
             lambda m, p, v: h_at(m, p).apply(v),
+            lambda m, p, v: contact_data_at(m, p).eta(v),
+            lambda m, p, v: contact_data_at(m, p).phi(v),
         ],
-        ids=["sb_curvature", "induced_metric_at", "nabla_phi", "nabla_xi", "h_at.apply"],
+        ids=["sb_curvature", "induced_metric_at", "nabla_phi", "nabla_xi", "h_at.apply", "eta", "phi"],
     )
     def test_vectors_from_another_point_raise(self, rng, call):
         m = space_form_chart(SpaceFormSpec(3, 1, 2.0))
