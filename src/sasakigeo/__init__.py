@@ -40,7 +40,6 @@ from .manifold import (
     TangentVec,
     christoffel_at,
     metric_at,
-    nabla_riemann_at,
     riemann_at,
     sectional_curvature,
     signature_at,
@@ -58,7 +57,6 @@ from .oracle import (
     fd_riemann,
     gauss_curvature_oracle,
     hypersurface_pullback,
-    second_fundamental_form,
 )
 from .report import CheckItem, CheckReport, emit_report
 from .sphere import (
@@ -67,7 +65,6 @@ from .sphere import (
     SBVec,
     frame_at,
     induced_metric_at,
-    normal_at,
     sb_bracket,
     sb_curvature,
     sb_nabla,
@@ -80,13 +77,10 @@ from .tangent import (
     TMVec,
     almost_complex_J,
     from_induced_coords,
-    horizontal_lift,
     lift_bracket,
-    project,
     sasaki_metric_at,
     tm_nabla,
     to_induced_coords,
-    vertical_lift,
 )
 
 __all__ = [
@@ -123,7 +117,6 @@ __all__ = [
     "from_induced_coords",
     "gauss_curvature_oracle",
     "h_at",
-    "horizontal_lift",
     "hypersurface_pullback",
     "induced_metric_at",
     "k_contact_residual",
@@ -132,11 +125,8 @@ __all__ = [
     "lift_bracket",
     "metric_at",
     "nabla_phi",
-    "nabla_riemann_at",
     "nabla_xi",
-    "normal_at",
     "phi_sectional",
-    "project",
     "psi_u_quadratics",
     "riemann_at",
     "run_suite",
@@ -146,7 +136,6 @@ __all__ = [
     "sb_curvature",
     "sb_nabla",
     "sb_point",
-    "second_fundamental_form",
     "sectional_curvature",
     "signature_at",
     "space_form_chart",
@@ -154,7 +143,6 @@ __all__ = [
     "tm_nabla",
     "to_induced_coords",
     "validate_space_form",
-    "vertical_lift",
 ]
 
 __version__ = "0.1.0"

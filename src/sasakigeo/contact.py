@@ -34,6 +34,7 @@ from .oracle import (
     fd_nijenhuis,
     geodesic_flow_field_fn,
     hypersurface_pullback,
+    sasaki_metric_fn,
     sb_lift_field_fn,
 )
 from .report import CheckItem, CheckReport, worst_of
@@ -174,6 +175,12 @@ def d_eta_fd(
     return 0.5 * float(a0 @ d_eta_tensor(m, p) @ b0)
 
 
+def _require_samples(count: int, what: str) -> None:
+    """A check that measured no sample has shown nothing, so it refuses to run."""
+    if count < 1:
+        raise ValueError(f"{what} must be >= 1, got {count}")
+
+
 def check_contact_axioms(
     m: ChartedMetric,
     p: SBPoint,
@@ -187,6 +194,7 @@ def check_contact_axioms(
     FD: d eta (. , .) = g_cm(. , phi .) on sampled lift-field pairs, with
     d eta from one ``d_eta_tensor`` per point.
     """
+    _require_samples(num_samples, "num_samples")
     data = contact_data_at(m, p)
     eps, n = p.eps, m.dim
     res_eta_xi = abs(data.eta(data.xi) - 1.0)
@@ -353,6 +361,7 @@ def kappa_mu_residual(
     vanish on a nonzero null residual.  A least-squares (kappa, mu) fit
     over the samples is echoed for diagnostics.
     """
+    _require_samples(num_samples, "num_samples")
     data = contact_data_at(m, p)
     eps = p.eps
     xi = data.xi
@@ -420,16 +429,14 @@ def psi_u_quadratics(m: ChartedMetric, p: SBPoint, km: KappaMu) -> CheckReport:
 
 
 def killing_residual(m: ChartedMetric, p: SBPoint) -> float:
-    """max |(L_xi g_cm)_ab| in the solved hypersurface chart at p."""
+    """max |(L_xi g_cm)_ab| in the solved hypersurface chart at p.
+
+    xi is tangent to T_eps M, so L_xi g_cm = (1/4) J^T (L_xi Tg) J, with J the chart's Jacobian at p.
+    """
     chart = hypersurface_pullback(m, p)
-    gcm_fn = chart.pullback_metric_fn(scale=0.25)
-    flow = geodesic_flow_field_fn(m, scale=2.0)
-
-    def flow_w(w):
-        return chart.drop(flow(chart.param_fn(w)))
-
-    lie = fd_lie_derivative_metric(flow_w, gcm_fn, chart.center)
-    return float(np.abs(lie).max())
+    j = chart.jacobian_fn(chart.center)
+    lie = fd_lie_derivative_metric(geodesic_flow_field_fn(m), sasaki_metric_fn(m), np.concatenate([p.x, p.u]))
+    return float(np.abs(0.25 * (j.T @ lie @ j)).max())
 
 
 def xi_plane_curvature(m: ChartedMetric, p: SBPoint, a: SBVec) -> float:
@@ -451,6 +458,7 @@ def k_contact_residual(
 ) -> CheckReport:
     """Two K-contact residuals: Killing (FD Lie derivative of g_cm along the
     geodesic-flow field) and |K(xi, a) - eps| over nondegenerate planes."""
+    _require_samples(len(points), "the number of points")
     worst_killing = 0.0
     worst_plane = 0.0
     planes = 0
@@ -504,12 +512,13 @@ def sasakian_residual(
         the lift fields at p;
     (ii) (nabla_a phi) b = g_cm(a, b) xi - eps eta(b) a via the closed forms.
     """
+    _require_samples(num_samples, "num_samples")
     data = contact_data_at(m, p)
     eps, n = p.eps, m.dim
     z0 = np.concatenate([p.x, p.u])
     nphi_t = fd_nijenhuis(phi_matrix_fn(m, eps), z0)
     deta_t = d_eta_tensor(m, p)
-    xi_ind = geodesic_flow_field_fn(m, scale=2.0)(z0)
+    xi_ind = geodesic_flow_field_fn(m)(z0)
 
     worst_nphi = 0.0
     worst_grad = 0.0

@@ -17,10 +17,6 @@ class DegeneratePlane(GeometryError):
     """A 2-plane is degenerate for the metric (Gram determinant ~ 0)."""
 
 
-class BasePointMismatch(GeometryError):
-    """A tangent vector is based at a different point than required."""
-
-
 class PointMismatch(GeometryError):
     """Two bundle vectors do not live at the same bundle point."""
 

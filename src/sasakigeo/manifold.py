@@ -204,13 +204,6 @@ def nabla_riemann_full(m: ChartedMetric, x: Point) -> np.ndarray:
     )
 
 
-def nabla_riemann_at(m: ChartedMetric, x: Point, direction: TangentVec) -> RiemannTensor:
-    """Covariant derivative (nabla_X R) as a (1,3)-tensor at x."""
-    full = nabla_riemann_full(m, x)
-    xv = np.asarray(direction.comps, dtype=float)
-    return RiemannTensor(np.einsum("m,mijkl->ijkl", xv, full))
-
-
 def plane_gram(g: np.ndarray, xv: np.ndarray, yv: np.ndarray) -> float:
     return float(xv @ g @ xv) * float(yv @ g @ yv) - float(xv @ g @ yv) ** 2
 

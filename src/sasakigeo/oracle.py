@@ -242,13 +242,13 @@ def tangential_field_fn(m: ChartedMetric, field: VectorField, eps: int) -> Calla
     return tfield
 
 
-def geodesic_flow_field_fn(m: ChartedMetric, scale: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
-    """Induced components of scale * u^i (d/dx^i)^h."""
+def geodesic_flow_field_fn(m: ChartedMetric) -> Callable[[np.ndarray], np.ndarray]:
+    """Induced components of xi = 2 u^i (d/dx^i)^h, twice the geodesic flow field."""
     n = m.dim
 
     def flow(z):
         x, u = z[:n], z[n:]
-        return scale * np.concatenate([u, -np.einsum("iab,a,b->i", base_gamma(m, x), u, u)])
+        return 2.0 * np.concatenate([u, -np.einsum("iab,a,b->i", base_gamma(m, x), u, u)])
 
     return flow
 
@@ -293,40 +293,31 @@ def const_lift_jacobian_fn(m: ChartedMetric, w: np.ndarray, kind: str, eps: int)
 # -------------------- generic FD differential operators --------------------
 
 
-def fd_lie_bracket(afield_fn, bfield_fn, z: np.ndarray, step: float = FD_STEP_FIRST) -> np.ndarray:
+def fd_lie_bracket(afield_fn, bfield_fn, z: np.ndarray) -> np.ndarray:
     """[A, B]^i = A^j d_j B^i - B^j d_j A^i by central differences."""
     z = np.asarray(z, dtype=float)
     aval = np.asarray(afield_fn(z), dtype=float)
     bval = np.asarray(bfield_fn(z), dtype=float)
-    return jacobian(bfield_fn, z, step) @ aval - jacobian(afield_fn, z, step) @ bval
+    return jacobian(bfield_fn, z, FD_STEP_FIRST) @ aval - jacobian(afield_fn, z, FD_STEP_FIRST) @ bval
 
 
-def fd_lie_derivative_metric(vfield_fn, metric_fn, z: np.ndarray, step: float = FD_STEP_FIRST) -> np.ndarray:
+def fd_lie_derivative_metric(vfield_fn, metric_fn, z: np.ndarray) -> np.ndarray:
     """(L_V g)_ij = V^k d_k g_ij + g_kj d_i V^k + g_ik d_j V^k."""
     z = np.asarray(z, dtype=float)
-    d = z.size
     vval = np.asarray(vfield_fn(z), dtype=float)
     g = np.asarray(metric_fn(z), dtype=float)
-    dgdir = np.zeros((d, d))
-    jac = jacobian(vfield_fn, z, step)
-    # kept as V^k * (g(z + h e_k) - g(z - h e_k)) / 2h, in this order: contracting
-    # ``partials`` with V divides before it multiplies, which rounds differently
-    # and moves the k-contact Killing residuals in their last bits
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = step
-        dgdir += vval[k] * (np.asarray(metric_fn(z + e)) - np.asarray(metric_fn(z - e))) / (2.0 * step)
-    return dgdir + jac.T @ g + g @ jac
+    jac = jacobian(vfield_fn, z, FD_STEP_FIRST)
+    return np.einsum("k,kij->ij", vval, partials(metric_fn, z, FD_STEP_FIRST)) + jac.T @ g + g @ jac
 
 
-def fd_exterior_derivative(omega_fn, z: np.ndarray, step: float = FD_STEP_FIRST) -> np.ndarray:
+def fd_exterior_derivative(omega_fn, z: np.ndarray) -> np.ndarray:
     """(d omega)_ij = d_i omega_j - d_j omega_i (determinant convention)."""
     z = np.asarray(z, dtype=float)
-    jac = jacobian(omega_fn, z, step)  # jac[j, i] = d_i omega_j
+    jac = jacobian(omega_fn, z, FD_STEP_FIRST)  # jac[j, i] = d_i omega_j
     return jac.T - jac
 
 
-def fd_nijenhuis(phi_fn, z: np.ndarray, step: float = FD_STEP_FIRST) -> np.ndarray:
+def fd_nijenhuis(phi_fn, z: np.ndarray) -> np.ndarray:
     """The Nijenhuis tensor ``N[i, j, k]`` = N^i_jk of an endomorphism field.
 
     N^i_jk = phi^l_j d_l phi^i_k - phi^l_k d_l phi^i_j - phi^i_l (d_j phi^l_k - d_k phi^l_j)
@@ -336,25 +327,22 @@ def fd_nijenhuis(phi_fn, z: np.ndarray, step: float = FD_STEP_FIRST) -> np.ndarr
     """
     z = np.asarray(z, dtype=float)
     phi = np.asarray(phi_fn(z), dtype=float)
-    dphi = partials(phi_fn, z, step)  # dphi[l, i, k] = d_l phi^i_k
+    dphi = partials(phi_fn, z, FD_STEP_FIRST)  # dphi[l, i, k] = d_l phi^i_k
     # s[i, j, k] = phi^l_j d_l phi^i_k - phi^i_l d_j phi^l_k; N is its (j, k) antisymmetrization
     s = np.einsum("lj,lik->ijk", phi, dphi) - np.einsum("il,jlk->ijk", phi, dphi)
     return s - np.swapaxes(s, 1, 2)
 
 
-def ambient_nabla(
-    afield_fn, bfield_fn, z: np.ndarray, gamma_fn, step: float = FD_STEP_FIRST, b_jac_fn=None
-) -> np.ndarray:
-    """(nabla_A B)^I = A^J d_J B^I + Gamma^I_JK A^J B^K on any chart.
+def ambient_nabla(aval: np.ndarray, bfield_fn, z: np.ndarray, gamma: np.ndarray, b_jac_fn=None) -> np.ndarray:
+    """(nabla_A B)^I = A^J d_J B^I + Gamma^I_JK A^J B^K at z, from A's value and Gamma at z.
 
     The component derivative d_J B^I is central-differenced unless an exact
     Jacobian function is supplied.
     """
     z = np.asarray(z, dtype=float)
-    aval = np.asarray(afield_fn(z), dtype=float)
     bval = np.asarray(bfield_fn(z), dtype=float)
-    jac = jacobian(bfield_fn, z, step) if b_jac_fn is None else np.asarray(b_jac_fn(z))
-    return jac @ aval + np.einsum("ijk,j,k->i", np.asarray(gamma_fn(z)), aval, bval)
+    jac = jacobian(bfield_fn, z, FD_STEP_FIRST) if b_jac_fn is None else np.asarray(b_jac_fn(z))
+    return jac @ aval + np.einsum("ijk,j,k->i", gamma, aval, bval)
 
 
 # -------------------- hypersurface pullback of T_eps M --------------------
@@ -379,12 +367,12 @@ class HypersurfaceChart:
         """Chart components of an ambient induced-coordinate vector tangent to the chart."""
         return np.asarray(z_vec, dtype=float)[self.keep]
 
-    def pullback_metric_fn(self, scale: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
+    def pullback_metric_fn(self) -> Callable[[np.ndarray], np.ndarray]:
         tg = sasaki_metric_fn(self.m)
 
         def gbar(w):
             j = self.jacobian_fn(w)
-            return scale * (j.T @ tg(self.param_fn(w)) @ j)
+            return j.T @ tg(self.param_fn(w)) @ j
 
         return gbar
 
@@ -454,65 +442,40 @@ def _from_induced(m: ChartedMetric, p: SBPoint, w: np.ndarray) -> SBVec:
     return SBVec(p, hpart, vpart - p.eps * float(vpart @ jet.g @ p.u) * p.u)
 
 
-def _const_sb_field_fn(m: ChartedMetric, v: SBVec) -> Callable[[np.ndarray], np.ndarray]:
-    """Extension of an SBVec by constant-base-vector lift fields."""
-    hf = lift_field_fn(m, v.hpart.copy(), "h")
-    tf = tangential_field_fn(m, v.tpart.copy(), v.at.eps)
-    return lambda z: hf(z) + tf(z)
-
-
-def _const_sb_field_jac(m: ChartedMetric, v: SBVec):
-    """Exact Jacobian of the constant-vector extension, when available."""
-    jh = const_lift_jacobian_fn(m, v.hpart, "h", v.at.eps)
-    jt = const_lift_jacobian_fn(m, v.tpart, "t", v.at.eps)
-    if jh is None or jt is None:
-        return None
-    return lambda z: jh(z) + jt(z)
-
-
-def second_fundamental_form(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec) -> float:
-    """II(A, B) = eps * Tg(nabla-tilde_A B, N); see ``GaussOracle`` to reuse one point."""
-    return GaussOracle(m, p).second_fundamental_form(a, b)
-
-
 class GaussOracle:
-    """The Gauss-equation oracle for R-bar at one bundle point p.
+    """The oracle's context at one bundle point p.
 
-    The ambient curvature R-tilde of Tg, Gamma-tilde(z0), Tg(z0) and the
-    normal N depend only on p, so they are built once here; ``curvature``,
-    ``second_fundamental_form`` and ``weingarten`` only contract them with
-    the sampled vectors.
+    Gamma-tilde(z0), Tg(z0) and the normal N = (0; u) depend only on p, so
+    they are built once here, and the ambient curvature R-tilde of Tg is
+    built on first use.  ``curvature``, ``second_fundamental_form``,
+    ``weingarten``, ``nabla_endomorphism`` and ``sb_nabla_via_ambient`` only
+    contract them with the sampled vectors.
     """
 
     def __init__(self, m: ChartedMetric, p: SBPoint):
         self.m, self.p = m, p
         self.z0 = np.concatenate([p.x, p.u])
-        gamma_tilde_fn = sasaki_gamma_fn(m)
-        self.gamma0 = gamma_tilde_fn(self.z0)
+        self.gamma0 = sasaki_gamma_fn(m)(self.z0)
         self.tg0 = sasaki_metric_fn(m)(self.z0)
         self.n_ind = np.concatenate([np.zeros(m.dim), p.u])
+
+    @cached_property
+    def r_tilde(self) -> np.ndarray:
         # differentiating an analytically-evaluated Gamma is a first-derivative
         # problem; the coarser second-derivative step is only needed when Gamma
         # itself carries finite-difference noise
-        step = FD_STEP_SECOND if m.uses_fd_derivatives else 5e-6
-        self.r_tilde = fd_riemann(gamma_tilde_fn, self.z0, step).r
+        step = FD_STEP_SECOND if self.m.uses_fd_derivatives else 5e-6
+        return fd_riemann(sasaki_gamma_fn(self.m), self.z0, step).r
 
     def second_fundamental_form(self, a: SBVec, b: SBVec) -> float:
-        """II(A, B) = eps * Tg(nabla-tilde_A B, N)."""
+        """II(A, B) = -eps Tg(B, nabla-tilde_A N), the Weingarten relation."""
         require_same_sb_point(self.p, a, b)
-        nab = ambient_nabla(
-            _const_sb_field_fn(self.m, a),
-            _const_sb_field_fn(self.m, b),
-            self.z0,
-            lambda z: self.gamma0,
-            b_jac_fn=_const_sb_field_jac(self.m, b),
-        )
-        return self.p.eps * float(nab @ self.tg0 @ self.n_ind)
+        return -self.p.eps * float(_embed_induced(self.m, b) @ self.tg0 @ self.weingarten(a))
 
     def weingarten(self, a: SBVec) -> np.ndarray:
         """Induced components of nabla-tilde_A N = dN(A) + Gamma-tilde(A, N), N = (0; u)."""
         n = self.m.dim
-        aval = _const_sb_field_fn(self.m, a)(self.z0)
+        aval = _embed_induced(self.m, a)
         dn = np.concatenate([np.zeros(n), aval[n:]])
         return dn + np.einsum("ijk,j,k->i", self.gamma0, aval, self.n_ind)
 
@@ -520,18 +483,14 @@ class GaussOracle:
         """R-bar(a, b)c from the ambient curvature of Tg plus second-fundamental terms.
 
         tan(R-tilde(A,B)C) - II(B,C) nabla-tilde_A N + II(A,C) nabla-tilde_B N,
-        where tan(V) = V - eps Tg(V, N) N.
+        where tan(V) = V - eps Tg(V, N) N; ``_from_induced`` drops that N part,
+        so tan is not taken separately.
         """
-        m, p, n_ind = self.m, self.p, self.n_ind
-        a_ind = _embed_induced(m, a)
-        b_ind = _embed_induced(m, b)
-        c_ind = _embed_induced(m, c)
+        a_ind, b_ind, c_ind = (_embed_induced(self.m, v) for v in (a, b, c))
         v = np.einsum("ijkl,j,k,l->i", self.r_tilde, c_ind, a_ind, b_ind)
-        v_tan = v - p.eps * float(v @ self.tg0 @ n_ind) * n_ind
         ii_bc = self.second_fundamental_form(b, c)
         ii_ac = self.second_fundamental_form(a, c)
-        result = v_tan - ii_bc * self.weingarten(a) + ii_ac * self.weingarten(b)
-        return _from_induced(m, p, result)
+        return _from_induced(self.m, self.p, v - ii_bc * self.weingarten(a) + ii_ac * self.weingarten(b))
 
     def nabla_endomorphism(self, phi_fn) -> Callable[[SBVec, SBVec], SBVec]:
         """(a, b) -> (nabla-bar_a phi) b for an endomorphism field of induced components on TM.
@@ -566,27 +525,16 @@ def sb_nabla_via_ambient(
     kind_y: str,
     p: SBPoint,
 ) -> SBVec:
-    """Project the ambient derivative of lift fields onto T_eps M.
+    """The tangential part of the ambient derivative of lift fields, nabla-bar_A B.
 
-    nabla-bar_A B = nabla-tilde_A B - eps Tg(nabla-tilde_A B, N) N, with the
-    ambient derivative taken in induced coordinates against the oracle's own
-    Christoffels of Tg.  For constant base vectors on charts with analytic
-    derivatives the component Jacobian is exact; otherwise it is
-    central-differenced.
+    The ambient derivative is taken in induced coordinates against the
+    oracle's own Christoffels of Tg at p, read from ``GaussOracle(m, p)``;
+    ``_from_induced`` drops its N part.  For a constant base vector (any
+    field that is not callable) on charts with analytic derivatives the
+    component Jacobian is exact; otherwise it is central-differenced.
     """
-    from .manifold import TangentVec
-
-    z0 = np.concatenate([p.x, p.u])
-    gamma_tilde_fn = sasaki_gamma_fn(m)
-    a_fn = sb_lift_field_fn(m, xfield, kind_x, p.eps)
-    b_fn = sb_lift_field_fn(m, yfield, kind_y, p.eps)
-    b_jac_fn = None
-    if isinstance(yfield, TangentVec):
-        b_jac_fn = const_lift_jacobian_fn(m, yfield.comps, kind_y, p.eps)
-    elif not callable(yfield):
-        b_jac_fn = const_lift_jacobian_fn(m, np.asarray(yfield, dtype=float), kind_y, p.eps)
-    nab = ambient_nabla(a_fn, b_fn, z0, gamma_tilde_fn, b_jac_fn=b_jac_fn)
-    tg0 = sasaki_metric_fn(m)(z0)
-    n_ind = np.concatenate([np.zeros(m.dim), p.u])
-    nab_tan = nab - p.eps * float(nab @ tg0 @ n_ind) * n_ind
-    return _from_induced(m, p, nab_tan)
+    ctx = GaussOracle(m, p)
+    aval = sb_lift_field_fn(m, xfield, kind_x, p.eps)(ctx.z0)
+    b_jac_fn = None if callable(yfield) else const_lift_jacobian_fn(m, as_field(yfield)(p.x), kind_y, p.eps)
+    nab = ambient_nabla(aval, sb_lift_field_fn(m, yfield, kind_y, p.eps), ctx.z0, ctx.gamma0, b_jac_fn=b_jac_fn)
+    return _from_induced(m, p, nab)

@@ -17,7 +17,6 @@ from .errors import FrameConstructionFailure, PointMismatch
 from .manifold import ChartedMetric, nabla_riemann_full
 from .tangent import (
     TMPoint,
-    TMVec,
     VectorField,
     _check_kinds,
     _nabla_parts,
@@ -122,14 +121,9 @@ def require_same_sb_point(p: SBPoint, *vecs: SBVec) -> None:
     for v in vecs:
         q = v.at
         if q is not p and not (
-            q.eps == p.eps and np.allclose(q.x, p.x, atol=1e-12) and np.allclose(q.u, p.u, atol=1e-12)
+            q.eps == p.eps and np.allclose(q.x, p.x, rtol=0, atol=1e-12) and np.allclose(q.u, p.u, rtol=0, atol=1e-12)
         ):
             raise PointMismatch("sphere-bundle vectors live at different points")
-
-
-def normal_at(m: ChartedMetric, p: SBPoint) -> TMVec:
-    """Unit normal N = u^i (d/du^i)^v with Tg(N, N) = eps."""
-    return TMVec(p.tm, np.zeros(m.dim), p.u)
 
 
 def tangential_lift(m: ChartedMetric, p: SBPoint, xcomps: np.ndarray) -> SBVec:

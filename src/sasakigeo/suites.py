@@ -370,7 +370,6 @@ def _suite_phi_sectional(cfg: SuiteConfig, m: ChartedMetric, params: dict):
 
 def _suite_oracle(cfg: SuiteConfig, m: ChartedMetric, params: dict):
     n = cfg.n
-    gamma_tilde = orc.sasaki_gamma_fn(m)
     for i in range(cfg.num_points):
         rng = rng_for(cfg.seed, 8, i)
         x = sample_domain_point(m, rng)
@@ -413,7 +412,7 @@ def _suite_oracle(cfg: SuiteConfig, m: ChartedMetric, params: dict):
         for kx, ky in [("h", "h"), ("h", "v"), ("v", "h")]:
             closed_ind = tb.to_induced_coords(m, tb.tm_nabla(m, xf, yf, kx, ky, p.tm))
             amb = orc.ambient_nabla(
-                orc.lift_field_fn(m, xf, kx), orc.lift_field_fn(m, yf, ky), z0, gamma_tilde
+                orc.lift_field_fn(m, xf, kx)(z0), orc.lift_field_fn(m, yf, ky), z0, gauss.gamma0
             )
             yield "tm_nabla = FD Christoffels of Tg on lift fields", np.abs(closed_ind - amb).max(), 1e-5
 

@@ -21,7 +21,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import BasePointMismatch, PointMismatch
+from .errors import PointMismatch
 from .manifold import ChartedMetric, RiemannTensor, TangentVec, christoffel_at, metric_at, riemann_at
 from .stencil import FD_STEP_FIRST, jacobian
 
@@ -134,7 +134,7 @@ class TMVec:
 
 def require_same_tm_point(a: TMVec, b: TMVec) -> None:
     if not (
-        np.allclose(a.at.x, b.at.x, atol=1e-12) and np.allclose(a.at.u, b.at.u, atol=1e-12)
+        np.allclose(a.at.x, b.at.x, rtol=0, atol=1e-12) and np.allclose(a.at.u, b.at.u, rtol=0, atol=1e-12)
     ):
         raise PointMismatch("TM vectors live at different bundle points")
 
@@ -154,18 +154,6 @@ def field_at(field: VectorField, x: np.ndarray) -> np.ndarray:
     return np.asarray(as_field(field)(np.asarray(x, dtype=float)), dtype=float)
 
 
-def horizontal_lift(m: ChartedMetric, xvec: TangentVec, at: TMPoint) -> TMVec:
-    if not np.allclose(xvec.base, at.x, atol=1e-12):
-        raise BasePointMismatch("vector is not based at the bundle point's base")
-    return TMVec(at, xvec.comps, np.zeros(m.dim))
-
-
-def vertical_lift(m: ChartedMetric, xvec: TangentVec, at: TMPoint) -> TMVec:
-    if not np.allclose(xvec.base, at.x, atol=1e-12):
-        raise BasePointMismatch("vector is not based at the bundle point's base")
-    return TMVec(at, np.zeros(m.dim), xvec.comps)
-
-
 def to_induced_coords(m: ChartedMetric, v: TMVec) -> np.ndarray:
     """Components in the induced chart (x^i; u^i) of TM."""
     du = v.vpart - np.einsum("iab,a,b->i", base_geometry(m, v.at).gamma, v.hpart, v.at.u)
@@ -178,11 +166,6 @@ def from_induced_coords(m: ChartedMetric, at: TMPoint, w: np.ndarray) -> TMVec:
     hpart = w[:n]
     vpart = w[n:] + np.einsum("iab,a,b->i", base_geometry(m, at).gamma, hpart, at.u)
     return TMVec(at, hpart, vpart)
-
-
-def project(v: TMVec) -> tuple[TangentVec, TangentVec]:
-    """(pi_* v, K v): differential of the projection and the connection map."""
-    return TangentVec(v.at.x, v.hpart), TangentVec(v.at.x, v.vpart)
 
 
 def sasaki_metric_at(m: ChartedMetric, at: TMPoint, a: TMVec, b: TMVec) -> float:

@@ -28,6 +28,7 @@ from sasakigeo.errors import DegeneratePlane
 from sasakigeo.manifold import SpaceFormSpec, metric_at, space_form_chart
 from sasakigeo.sampling import sample_ker_eta_vec, sample_sb_point, sample_sb_vec
 from sasakigeo.sphere import SBVec, horizontal_sb, induced_metric_at, tangential_lift
+from sasakigeo.suites import SuiteConfig, matrix_configs, run_suite
 
 from conftest import bumpy_chart, flat_chart, nan_on_call
 
@@ -273,6 +274,18 @@ class TestKContact:
         m1, p1, _ = _chart_point(2, 0, 1.0, 1, seed=14)
         assert killing_residual(m1, p1) < 1e-5
 
+    @pytest.mark.parametrize(
+        "cfg",
+        # the c = eps configurations, with the point and sample counts of the ``all`` matrix
+        [c for c in matrix_configs(SuiteConfig("k-contact", num_points=2, num_samples=6)) if c.c == c.eps],
+        ids=lambda c: f"n={c.n},nu={c.nu},eps={c.eps:+d}",
+    )
+    def test_killing_residual_is_at_rounding_level_where_c_equals_eps(self, cfg):
+        # one ambient Lie derivative of the analytic Tg, pulled back: no stencil nested in another
+        rep = run_suite(cfg)
+        killing = next(c for c in rep.checks if c.name == "L_xi g_cm = 0 (Killing)")
+        assert killing.max_residual <= 1e-8
+
 
 class TestPhiSectional:
     def test_constant_at_magic_curvature(self):
@@ -387,3 +400,23 @@ class TestResidualsThatShowNothing:
         assert killing.passed
         assert plane.name == "K(xi-plane) = eps" and plane.max_residual == math.inf
         assert not rep.passed
+
+    def test_the_axioms_refuse_zero_samples(self):
+        m, p, rng = _chart_point(2, 0, 1.0, 1)
+        with pytest.raises(ValueError, match="num_samples"):
+            check_contact_axioms(m, p, rng, num_samples=0)
+
+    def test_the_sasakian_checks_refuse_zero_samples(self):
+        m, p, rng = _chart_point(2, 0, 2.0, 1)  # not Sasakian: with no sample it passed
+        with pytest.raises(ValueError, match="num_samples"):
+            sasakian_residual(m, p, rng, num_samples=0)
+
+    def test_the_k_contact_checks_refuse_an_empty_point_list(self):
+        m = space_form_chart(SpaceFormSpec(2, 0, 2.0))
+        with pytest.raises(ValueError, match="points"):
+            k_contact_residual(m, [], np.random.default_rng(0))
+
+    def test_the_kappa_mu_residual_refuses_zero_samples(self):
+        m, p, rng = _chart_point(2, 0, 1.0, 1)
+        with pytest.raises(ValueError, match="num_samples"):
+            kappa_mu_residual(m, p, kappa_mu_for_space_form(1.0, 1), rng, num_samples=0)

@@ -7,14 +7,14 @@ a finite-difference oracle, fails at a default configuration.
 
 import numpy as np
 
-from sasakigeo import contact, sphere, tangent
+from sasakigeo import contact, oracle, sphere, tangent
 from sasakigeo.suites import SuiteConfig, run_suite
 
 FAST = dict(num_points=2, num_samples=8)
 
 
-def failing(suite: str) -> set:
-    rep = run_suite(SuiteConfig(suite=suite, **FAST))
+def failing(suite: str, **config) -> set:
+    rep = run_suite(SuiteConfig(suite=suite, **FAST, **config))
     return {c.name for c in rep.checks if not c.passed}
 
 
@@ -49,3 +49,11 @@ def test_flipped_th_curvature_coefficient_of_nabla_phi(monkeypatch):
 
     monkeypatch.setattr(contact, "nabla_phi", mutant)
     assert "nabla phi = FD ambient derivative" in failing("oracle-crosscheck")
+
+
+def test_halved_koszul_factor_of_the_oracle(monkeypatch):
+    # the oracle's own Christoffel symbols, of the base and of Tg, halved; the closed forms are untouched
+    real = oracle._koszul
+    monkeypatch.setattr(oracle, "_koszul", lambda g, dg: 0.5 * real(g, dg))
+    killed = failing("oracle-crosscheck", n=3, nu=1, c=2.0, eps=-1)
+    assert {"second fundamental form symmetric", "sb_curvature = Gauss-equation oracle"} <= killed

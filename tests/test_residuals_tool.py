@@ -1,0 +1,30 @@
+"""The residual dump comparison of ``tools/residuals.py``."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL_PATH = Path(__file__).resolve().parents[1] / "tools" / "residuals.py"
+spec = importlib.util.spec_from_file_location("residuals_tool", TOOL_PATH)
+residuals = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(residuals)
+
+
+def _report(passed, **checks):
+    return {"pass": passed, "checks": {k: {"residual": r, "tol": 1e-5, "pass": r <= 1e-5} for k, r in checks.items()}}
+
+
+def test_compare_counts_flips_changes_and_growth_above_the_floor():
+    old = {"a": _report(True, x=1e-8, y=1e-16, z=0.5), "b": _report(True, x=2e-7)}
+    new = {"a": _report(True, x=3e-8, y=9e-15, z=0.5), "b": _report(False, x=2e-5)}
+    lines = residuals.compare(old, new, check="x")
+    assert "verdict flips: 2" in lines  # report b and its check x
+    assert "residuals changed: 3 of 4" in lines
+    # y grew 90x but stays below 1e-14, so the largest growth counted is b / x (100x)
+    assert any(line.startswith("largest growth (new >= 1e-14): 100x at b / x") for line in lines)
+    assert "  a: 1e-08 -> 3e-08 (relative change 2)" in lines
+
+
+def test_identical_dumps_agree():
+    old = {"a": _report(True, x=1e-8, n=float("nan"))}
+    lines = residuals.compare(old, old, check=None)
+    assert "verdict flips: 0" in lines and "residuals changed: 0 of 2" in lines

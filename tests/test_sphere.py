@@ -11,6 +11,7 @@ from sasakigeo.errors import PointMismatch
 from sasakigeo.manifold import (
     RiemannTensor,
     SpaceFormSpec,
+    TangentVec,
     metric_at,
     nabla_riemann_full,
     riemann_at,
@@ -32,7 +33,6 @@ from sasakigeo.sphere import (
     horizontal_sb,
     induced_metric_at,
     lift,
-    normal_at,
     point_geometry,
     sb_bracket,
     sb_curvature,
@@ -40,8 +40,7 @@ from sasakigeo.sphere import (
     sb_point,
     tangential_lift,
 )
-from sasakigeo.tangent import base_geometry, sasaki_metric_at, vertical_lift, horizontal_lift
-from sasakigeo.manifold import TangentVec
+from sasakigeo.tangent import TMVec, base_geometry, sasaki_metric_at
 
 from conftest import bumpy_chart, flat_chart, patch_everywhere
 
@@ -89,6 +88,13 @@ class TestPointGuard:
         with pytest.raises(PointMismatch):
             horizontal_sb(p, np.ones(2)) + horizontal_sb(q, np.ones(2))
 
+    def test_points_a_relative_3e_6_apart_are_distinct(self, flat2):
+        # the guard compares absolutely: a relative tolerance would pass these as one point
+        p = sb_point(flat2, np.array([0.4, -0.3]), np.array([0.6, 0.8]), 1)
+        q = sb_point(flat2, 1.000003 * p.x, p.u, 1)
+        with pytest.raises(PointMismatch):
+            induced_metric_at(flat2, p, horizontal_sb(q, np.ones(2)), horizontal_sb(p, np.ones(2)))
+
     @pytest.mark.parametrize(
         "call",
         [
@@ -125,13 +131,13 @@ class TestNormal:
     def test_unit_and_orthogonal(self, rng, nu, eps):
         m = space_form_chart(SpaceFormSpec(3, nu, 1.0))
         p = sample_sb_point(m, eps, rng)
-        n_vec = normal_at(m, p)
         at = p.tm
+        n_vec = TMVec(at, np.zeros(3), p.u)  # N = u^i (d/du^i)^v
         assert sasaki_metric_at(m, at, n_vec, n_vec) == pytest.approx(eps, abs=1e-12)
-        xv = TangentVec(p.x, rng.normal(size=3))
-        assert sasaki_metric_at(m, at, n_vec, horizontal_lift(m, xv, at)) == 0.0
-        tl = tangential_lift(m, p, xv.comps)
-        emb = vertical_lift(m, TangentVec(p.x, tl.tpart), at)
+        xv = rng.normal(size=3)
+        assert sasaki_metric_at(m, at, n_vec, TMVec(at, xv, np.zeros(3))) == 0.0
+        tl = tangential_lift(m, p, xv)
+        emb = TMVec(at, np.zeros(3), tl.tpart)
         assert sasaki_metric_at(m, at, n_vec, emb) == pytest.approx(0.0, abs=1e-10)
 
 
@@ -282,6 +288,18 @@ class TestSbNabla:
             closed = sb_nabla(m, xc, yc, kx, ky, p)
             via = sb_nabla_via_ambient(m, xc, yc, kx, ky, p)
             assert np.abs((closed - via).comps()).max() < 1e-9
+
+    @pytest.mark.parametrize("form", ["array", "TangentVec", "callable"])
+    def test_projection_identity_for_every_field_form(self, rng, form):
+        # a constant field that is not callable gets the exact Jacobian, a callable one the FD Jacobian
+        m = bumpy_chart(3, 1)
+        p = sample_sb_point(m, -1, rng)
+        xc, yc = rng.normal(size=3), rng.normal(size=3)
+        yfield = {"array": yc, "TangentVec": TangentVec(p.x, yc), "callable": lambda x: yc}[form]
+        for kx, ky in [("h", "h"), ("h", "t"), ("t", "h"), ("t", "t")]:
+            closed = sb_nabla(m, xc, yc, kx, ky, p)
+            via = sb_nabla_via_ambient(m, xc, yfield, kx, ky, p)
+            assert np.abs((closed - via).comps()).max() < (1e-5 if form == "callable" else 1e-9)
 
     def test_torsion_free_vs_bracket(self, rng):
         m = space_form_chart(SpaceFormSpec(2, 1, 1.0))

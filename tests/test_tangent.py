@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sasakigeo.errors import BasePointMismatch, PointMismatch
+from sasakigeo.errors import PointMismatch
 from sasakigeo.manifold import SpaceFormSpec, TangentVec, metric_at, space_form_chart
 from sasakigeo.oracle import fd_christoffel, fd_lie_bracket, lift_field_fn, sasaki_gamma_fn, ambient_nabla
 from sasakigeo.sampling import sample_domain_point, sample_fiber_vector
@@ -15,13 +15,10 @@ from sasakigeo.tangent import (
     TMVec,
     almost_complex_J,
     from_induced_coords,
-    horizontal_lift,
     lift_bracket,
-    project,
     sasaki_metric_at,
     tm_nabla,
     to_induced_coords,
-    vertical_lift,
 )
 
 from conftest import bumpy_chart
@@ -39,7 +36,7 @@ class TestLifts:
         m = space_form_chart(SpaceFormSpec(2, 0, 1.0))
         at = _tm_point(m, rng)
         xv = TangentVec(at.x, rng.normal(size=2))
-        w = to_induced_coords(m, horizontal_lift(m, xv, at))
+        w = to_induced_coords(m, TMVec(at, xv.comps, np.zeros(2)))
         gamma = fd_christoffel(m.metric_fn, at.x).gamma
         expected_du = -np.einsum("iab,a,b->i", gamma, xv.comps, at.u)
         assert np.allclose(w[:2], xv.comps)
@@ -48,22 +45,8 @@ class TestLifts:
     def test_flat_base_trivial(self, flat2, rng):
         at = _tm_point(flat2, rng)
         xv = TangentVec(at.x, rng.normal(size=2))
-        assert np.allclose(to_induced_coords(flat2, horizontal_lift(flat2, xv, at)), np.r_[xv.comps, 0, 0])
-        assert np.allclose(to_induced_coords(flat2, vertical_lift(flat2, xv, at)), np.r_[0, 0, xv.comps])
-
-    def test_projection_and_connection_map(self, rng):
-        m = space_form_chart(SpaceFormSpec(2, 0, 1.0))
-        at = _tm_point(m, rng)
-        xv = TangentVec(at.x, rng.normal(size=2))
-        pi_h, k_h = project(horizontal_lift(m, xv, at))
-        assert np.allclose(pi_h.comps, xv.comps) and np.allclose(k_h.comps, 0.0)
-        pi_v, k_v = project(vertical_lift(m, xv, at))
-        assert np.allclose(pi_v.comps, 0.0) and np.allclose(k_v.comps, xv.comps)
-
-    def test_base_point_mismatch(self, flat2):
-        at = TMPoint(np.zeros(2), np.array([1.0, 0.0]))
-        with pytest.raises(BasePointMismatch):
-            horizontal_lift(flat2, TangentVec(np.array([1.0, 1.0]), np.ones(2)), at)
+        assert np.allclose(to_induced_coords(flat2, TMVec(at, xv.comps, np.zeros(2))), np.r_[xv.comps, 0, 0])
+        assert np.allclose(to_induced_coords(flat2, TMVec(at, np.zeros(2), xv.comps)), np.r_[0, 0, xv.comps])
 
     def test_round_trip(self, rng):
         m = space_form_chart(SpaceFormSpec(3, 1, -1.0))
@@ -90,7 +73,7 @@ class TestSasakiMetric:
         m = space_form_chart(SpaceFormSpec(2, 0, 1.0))
         at = _tm_point(m, rng)
         xv = TangentVec(at.x, rng.normal(size=2))
-        assert sasaki_metric_at(m, at, horizontal_lift(m, xv, at), vertical_lift(m, xv, at)) == 0.0
+        assert sasaki_metric_at(m, at, TMVec(at, xv.comps, np.zeros(2)), TMVec(at, np.zeros(2), xv.comps)) == 0.0
 
     def test_lifted_frame_orthonormal_with_index_2nu(self, rng):
         m = space_form_chart(SpaceFormSpec(3, 1, -1.0))
@@ -98,8 +81,7 @@ class TestSasakiMetric:
         p = sb_point(m, at.x, at.u, -1)
         frame = frame_at(m, p)
         base = list(frame.base_frame) + [at.u]
-        lifts = [horizontal_lift(m, TangentVec(at.x, e), at) for e in base]
-        lifts += [vertical_lift(m, TangentVec(at.x, e), at) for e in base]
+        lifts = [TMVec(at, e, np.zeros(3)) for e in base] + [TMVec(at, np.zeros(3), e) for e in base]
         gram = np.array([[sasaki_metric_at(m, at, a, b) for b in lifts] for a in lifts])
         offdiag = gram - np.diag(np.diag(gram))
         assert np.abs(offdiag).max() < 1e-10
@@ -113,6 +95,13 @@ class TestSasakiMetric:
         b = TMVec(at2, np.ones(2), np.zeros(2))
         with pytest.raises(PointMismatch):
             sasaki_metric_at(flat2, at1, a, b)
+
+    def test_points_a_relative_3e_6_apart_are_distinct(self):
+        # the guard compares absolutely: a relative tolerance would pass these as one point
+        at1 = TMPoint(np.array([0.4, -0.3]), np.array([1.0, 0.5]))
+        at2 = TMPoint(1.000003 * at1.x, at1.u)
+        with pytest.raises(PointMismatch):
+            TMVec(at1, np.ones(2), np.zeros(2)) + TMVec(at2, np.ones(2), np.zeros(2))
 
 
 class TestTmNabla:
@@ -142,7 +131,7 @@ class TestTmNabla:
         m = bumpy_chart(2, 0, seed=4)
         at = _tm_point(m, rng)
         z0 = np.concatenate([at.x, at.u])
-        gamma_tilde = sasaki_gamma_fn(m)
+        gamma_tilde = sasaki_gamma_fn(m)(z0)
 
         def xf(x):
             return np.array([np.sin(x[1]), x[0] ** 2 + 1.0])
@@ -152,7 +141,7 @@ class TestTmNabla:
 
         for kx, ky in [("h", "h"), ("h", "v"), ("v", "h"), ("v", "v")]:
             closed = to_induced_coords(m, tm_nabla(m, xf, yf, kx, ky, at))
-            amb = ambient_nabla(lift_field_fn(m, xf, kx), lift_field_fn(m, yf, ky), z0, gamma_tilde)
+            amb = ambient_nabla(lift_field_fn(m, xf, kx)(z0), lift_field_fn(m, yf, ky), z0, gamma_tilde)
             assert np.abs(closed - amb).max() < 1e-5
 
     def test_torsion_free(self, rng):
@@ -214,9 +203,9 @@ class TestAlmostComplexJ:
     def test_lift_exchange(self, flat2, rng):
         at = _tm_point(flat2, rng)
         xv = TangentVec(at.x, rng.normal(size=2))
-        jh = almost_complex_J(horizontal_lift(flat2, xv, at))
+        jh = almost_complex_J(TMVec(at, xv.comps, np.zeros(2)))
         assert np.allclose(jh.hpart, 0.0) and np.allclose(jh.vpart, xv.comps)
-        jv = almost_complex_J(vertical_lift(flat2, xv, at))
+        jv = almost_complex_J(TMVec(at, np.zeros(2), xv.comps))
         assert np.allclose(jv.hpart, -xv.comps) and np.allclose(jv.vpart, 0.0)
 
     @settings(max_examples=20, deadline=None)

@@ -1,0 +1,113 @@
+"""Dump every per-check residual of every suite, or compare two dumps.
+
+    python tools/residuals.py dump OUT.json [--src DIR]
+    python tools/residuals.py compare OLD.json NEW.json [--check NAME]
+
+``dump`` imports ``sasakigeo`` from DIR (default: this tree's ``src``) and
+runs every suite at the 36 ``matrix_configs`` of ``verify all --seed 42``
+(its reduced point and sample counts) and at the CLI defaults for eps = +1
+and eps = -1 (nu = 1), 380 reports in all.  Each report is recorded with
+its verdict and the residual, tolerance and verdict of each check.
+
+``compare`` prints the verdict flips, how many residuals changed, and the
+largest growth new/old among new residuals of at least 1e-14; with
+``--check`` it also lists that check's residuals report by report.  Two
+trees agree "within FD noise" when nothing flips and no growth is large.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import json
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+FLOOR = 1e-14  # residuals below this are rounding, and their growth is not counted
+
+
+def configs(suites):
+    """(label, SuiteConfig) of every report, in a fixed order."""
+    default = suites.SuiteConfig("all")
+    matrix_base = replace(default, num_points=2, num_samples=6)  # as ``verify all`` reduces them
+    cfgs = list(suites.matrix_configs(matrix_base)) + [default, replace(default, nu=1, eps=-1)]
+    for cfg in cfgs:
+        for suite in suites.SUITES[:-1]:  # every suite but the ``all`` meta-suite
+            one = replace(cfg, suite=suite)
+            label = f"{suite}[n={one.n},nu={one.nu},eps={one.eps:+d},c={one.c:.6g},points={one.num_points}]"
+            yield label, one
+
+
+def dump(src: Path) -> dict:
+    sys.path.insert(0, str(src))
+    suites = importlib.import_module("sasakigeo.suites")
+    out = {}
+    for label, cfg in configs(suites):
+        rep = suites.run_suite(cfg)
+        out[label] = {
+            "pass": rep.passed,
+            "checks": {c.name: {"residual": c.max_residual, "tol": c.tol, "pass": c.passed} for c in rep.checks},
+        }
+    return out
+
+
+def compare(old: dict, new: dict, check: str | None) -> list:
+    lines = []
+    flips, pairs = [], []
+    for k in old:
+        if k not in new:
+            lines.append(f"missing in new: {k}")
+            continue
+        if old[k]["pass"] != new[k]["pass"]:
+            flips.append(f"report {k}: {old[k]['pass']} -> {new[k]['pass']}")
+        for name, a in old[k]["checks"].items():
+            b = new[k]["checks"].get(name)
+            if b is None:
+                lines.append(f"missing in new: {k} / {name}")
+                continue
+            if a["pass"] != b["pass"]:
+                flips.append(f"check {k} / {name}: {a['pass']} -> {b['pass']}")
+            pairs.append((k, name, a["residual"], b["residual"]))
+    lines += [f"missing in old: {k}" for k in new if k not in old]
+    changed = [p for p in pairs if not (p[2] == p[3] or (p[2] != p[2] and p[3] != p[3]))]
+    growth = [(b / a if a > 0 else float("inf"), k, name, a, b) for k, name, a, b in changed if b >= FLOOR]
+    lines.append(f"reports: {len(old)} old, {len(new)} new; residuals compared: {len(pairs)}")
+    lines.append(f"verdict flips: {len(flips)}")
+    lines += [f"  {f}" for f in flips]
+    lines.append(f"residuals changed: {len(changed)} of {len(pairs)}")
+    if growth:
+        ratio, k, name, a, b = max(growth)
+        lines.append(f"largest growth (new >= {FLOOR:g}): {ratio:.3g}x at {k} / {name} ({a:.3g} -> {b:.3g})")
+    else:
+        lines.append(f"largest growth (new >= {FLOOR:g}): none")
+    if check is not None:
+        lines.append(f"{check}:")
+        for k, name, a, b in pairs:
+            if name == check:
+                rel = f" (relative change {abs(b - a) / a:.2g})" if a > 0 else ""
+                lines.append(f"  {k}: {a:.3g} -> {b:.3g}{rel}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    d = sub.add_parser("dump", help="run every suite and write the residuals as JSON")
+    d.add_argument("out", type=Path)
+    d.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src")
+    c = sub.add_parser("compare", help="compare two dumps")
+    c.add_argument("old", type=Path)
+    c.add_argument("new", type=Path)
+    c.add_argument("--check", help="also list this check's residuals report by report")
+    args = parser.parse_args(argv)
+    if args.cmd == "dump":
+        args.out.write_text(json.dumps(dump(args.src), indent=1))
+        return 0
+    old, new = (json.loads(p.read_text()) for p in (args.old, args.new))
+    print("\n".join(compare(old, new, args.check)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
