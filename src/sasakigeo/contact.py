@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegeneratePlane
-from .manifold import ChartedMetric, SpaceFormSpec
+from .manifold import ChartedMetric
 from .oracle import (
     base_jet,
     fd_exterior_derivative,
@@ -337,10 +337,10 @@ def nabla_phi_defn(
     return term1 - term2
 
 
-def kappa_mu_for_space_form(spec: SpaceFormSpec | float, eps: int) -> KappaMu:
+def kappa_mu_for_space_form(c: float, eps: int) -> KappaMu:
     """kappa = c(4 - eps(c + 2)), mu = -2c; checks the coefficient identity
     eps*kappa = c(4 eps - (c + 2))."""
-    c = spec.curvature if isinstance(spec, SpaceFormSpec) else float(spec)
+    c = float(c)
     kappa = c * (4.0 - eps * (c + 2.0)) + 0.0  # + 0.0 normalizes -0.0
     mu = -2.0 * c + 0.0
     assert abs(eps * kappa - c * (4.0 * eps - (c + 2.0))) < 1e-12
@@ -459,6 +459,8 @@ def k_contact_residual(
     """Two K-contact residuals: Killing (FD Lie derivative of g_cm along the
     geodesic-flow field) and |K(xi, a) - eps| over nondegenerate planes."""
     _require_samples(len(points), "the number of points")
+    if samples_per_point < 2:  # the pure horizontal and the pure tangential plane come first
+        raise ValueError(f"samples_per_point must be >= 2, got {samples_per_point}")
     worst_killing = 0.0
     worst_plane = 0.0
     planes = 0

@@ -21,10 +21,6 @@ class PointMismatch(GeometryError):
     """Two bundle vectors do not live at the same bundle point."""
 
 
-class FrameConstructionFailure(GeometryError):
-    """Pseudo-orthonormal frame construction ran out of usable pivots."""
-
-
 class NoSolvableCoordinate(GeometryError):
     """No fiber coordinate has a usable constraint gradient (defensive)."""
 

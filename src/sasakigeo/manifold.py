@@ -27,6 +27,7 @@ from .errors import DegenerateMetric, DegeneratePlane, OutOfDomain
 from .stencil import FD_STEP_FIRST, FD_STEP_SECOND, partials
 
 Point = np.ndarray
+SPACE_FORM_PLANES = 2  # tangent planes per point that ``validate_space_form`` measures
 
 
 @dataclass(frozen=True)
@@ -282,7 +283,6 @@ def validate_space_form(
     spec: SpaceFormSpec,
     rng: np.random.Generator,
     num_points: int = 10,
-    planes_per_point: int = 2,
 ) -> float:
     """Max |K - c| over sampled nondegenerate planes; raises if above 1e-8 or not finite."""
     from .sampling import sample_domain_point, sample_tangent_plane
@@ -290,7 +290,7 @@ def validate_space_form(
     worst = 0.0
     for _ in range(num_points):
         x = sample_domain_point(m, rng)
-        for _ in range(planes_per_point):
+        for _ in range(SPACE_FORM_PLANES):
             xv, yv = sample_tangent_plane(m, x, rng)
             dev = abs(sectional_curvature(m, x, xv, yv) - spec.curvature)
             if not math.isfinite(dev):

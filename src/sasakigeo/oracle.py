@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DegenerateMetric, NoSolvableCoordinate
 from .manifold import ChartedMetric, Christoffel, RiemannTensor
 from .sphere import SBPoint, SBVec, require_same_sb_point
-from .stencil import FD_STEP_FIRST, FD_STEP_SECOND, jacobian, partials
+from .stencil import FD_STEP_FIRST, FD_STEP_GAMMA, FD_STEP_SECOND, jacobian, partials
 from .tangent import VectorField, as_field
 
 
@@ -461,10 +461,9 @@ class GaussOracle:
 
     @cached_property
     def r_tilde(self) -> np.ndarray:
-        # differentiating an analytically-evaluated Gamma is a first-derivative
-        # problem; the coarser second-derivative step is only needed when Gamma
-        # itself carries finite-difference noise
-        step = FD_STEP_SECOND if self.m.uses_fd_derivatives else 5e-6
+        # the coarser second-derivative step is only needed when Gamma itself
+        # carries finite-difference noise
+        step = FD_STEP_SECOND if self.m.uses_fd_derivatives else FD_STEP_GAMMA
         return fd_riemann(sasaki_gamma_fn(self.m), self.z0, step).r
 
     def second_fundamental_form(self, a: SBVec, b: SBVec) -> float:

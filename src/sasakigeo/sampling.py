@@ -14,6 +14,8 @@ from .manifold import ChartedMetric, TangentVec, metric_at, plane_gram
 from .sphere import SBPoint, SBVec, horizontal_sb, point_geometry, sb_point, tangential_lift
 
 SAMPLE_BOX = 0.55  # chart points are drawn from [-box, box]^n, then domain-filtered
+PLANE_GRAM_MIN = 1e-3  # |Gram determinant| a sampled tangent plane must exceed
+FIBER_NORM_MAX = 3.0  # ||u|| cap of a sampled fiber vector
 
 
 def rng_for(seed: int, *key: int) -> np.random.Generator:
@@ -29,25 +31,21 @@ def sample_domain_point(m: ChartedMetric, rng: np.random.Generator, box: float =
     raise RuntimeError(f"could not sample an in-domain point of {m.name!r}")
 
 
-def sample_tangent_plane(
-    m: ChartedMetric, x: np.ndarray, rng: np.random.Generator, threshold: float = 1e-3
-) -> tuple[TangentVec, TangentVec]:
+def sample_tangent_plane(m: ChartedMetric, x: np.ndarray, rng: np.random.Generator) -> tuple[TangentVec, TangentVec]:
     """Two tangent vectors spanning a decisively nondegenerate plane."""
     g = metric_at(m, x)
     for _ in range(200):
         xv = rng.normal(size=m.dim)
         yv = rng.normal(size=m.dim)
-        if abs(plane_gram(g, xv, yv)) > threshold:
+        if abs(plane_gram(g, xv, yv)) > PLANE_GRAM_MIN:
             return TangentVec(x, xv), TangentVec(x, yv)
     raise DegeneratePlane("could not sample a nondegenerate tangent plane")
 
 
-def sample_fiber_vector(
-    m: ChartedMetric, x: np.ndarray, eps: int, rng: np.random.Generator, u_max: float = 3.0
-) -> np.ndarray:
+def sample_fiber_vector(m: ChartedMetric, x: np.ndarray, eps: int, rng: np.random.Generator) -> np.ndarray:
     """Random u with g(u, u) = eps: rejection on |g(u,u)| < 0.1 and sign, then scaling.
 
-    The pseudo-spheres are noncompact; rescaled vectors with ||u|| > u_max
+    The pseudo-spheres are noncompact; vectors rescaled to ||u|| > FIBER_NORM_MAX
     are rejected to keep finite-difference truncation well-conditioned.
     """
     g = metric_at(m, x)
@@ -57,7 +55,7 @@ def sample_fiber_vector(
         if abs(q) < 0.1 or np.sign(q) != eps:
             continue
         u = u / np.sqrt(abs(q))
-        if np.linalg.norm(u) > u_max:
+        if np.linalg.norm(u) > FIBER_NORM_MAX:
             continue
         return u
     raise RuntimeError(f"could not sample a fiber vector with sign {eps}")

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import FrameConstructionFailure, PointMismatch
+from .errors import PointMismatch
 from .manifold import ChartedMetric, nabla_riemann_full
 from .tangent import (
     TMPoint,
@@ -225,7 +225,8 @@ class PointGeometry:
     ``ruu[i, a]`` that of R(e_a, u)u, and ``proj`` = I - eps u (g u)^T maps a
     vertical part to its u-orthogonal tangential representative.
     ``nabla_r[m, i, a, b, c]`` is (nabla_m R)(e_a, e_b)e_c, or None when the
-    chart is locally symmetric (then it is zero).
+    chart is locally symmetric (then it is zero).  ``base_frame`` is read off
+    one SVD of ``proj`` and one eigendecomposition of the metric on its range.
     """
 
     def __init__(self, m: ChartedMetric, p: SBPoint):
@@ -299,34 +300,15 @@ class PointGeometry:
     def base_frame(self) -> tuple:
         """(e_1 .. e_{n-1}, their signs): with u, a g-orthonormal base frame.
 
-        Signature-aware Gram-Schmidt with pivoting: candidate vectors are the
-        coordinate basis followed by random draws from a fixed seed;
-        candidates whose projection has |g(w, w)| < 1e-6 are skipped.
+        B, an orthonormal basis of u's g-orthogonal complement (the range of
+        ``proj``), comes from one SVD; B^T g B = Q Lambda Q^T gives the frame
+        B Q |Lambda|^(-1/2) with signs sign(Lambda).  No eigenvalue is zero:
+        g(u, u) = eps makes the complement nondegenerate.
         """
-        n, g = self.m.dim, self.base.g
-        basis = [self.u]
-        signs = [float(self.eps)]
-        rng = np.random.default_rng(0)
-        candidates = list(np.eye(n))
-        attempts = 0
-        while len(basis) < n:
-            if candidates:
-                cand = candidates.pop(0)
-            else:
-                attempts += 1
-                if attempts > 64:
-                    raise FrameConstructionFailure("no usable pivot after 64 random draws")
-                cand = rng.normal(size=n)
-                cand /= np.linalg.norm(cand)
-            w = cand.astype(float)
-            for e, s in zip(basis, signs):
-                w = w - s * float(w @ g @ e) * e
-            q = float(w @ g @ w)
-            if abs(q) < 1e-6:
-                continue
-            basis.append(w / np.sqrt(abs(q)))
-            signs.append(np.sign(q))
-        return tuple(_read_only(e) for e in basis[1:]), _read_only(np.array(signs[1:]))
+        b = np.linalg.svd(self.proj)[0][:, :-1]
+        lam, q = np.linalg.eigh(b.T @ self.base.g @ b)
+        es = b @ q / np.sqrt(np.abs(lam))
+        return tuple(_read_only(e) for e in es.T), _read_only(np.sign(lam))
 
 
 def point_geometry(m: ChartedMetric, p: SBPoint) -> PointGeometry:

@@ -11,6 +11,7 @@ import numpy as np
 
 FD_STEP_FIRST = 1e-5  # differentiating an analytically evaluated function
 FD_STEP_SECOND = 1e-4  # differentiating a function that carries FD noise itself
+FD_STEP_GAMMA = 5e-6  # an analytically evaluated Gamma into R: a first-derivative problem
 
 
 def _coordinate_differences(fn, z: np.ndarray, step: float) -> np.ndarray:

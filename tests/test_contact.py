@@ -416,6 +416,14 @@ class TestResidualsThatShowNothing:
         with pytest.raises(ValueError, match="points"):
             k_contact_residual(m, [], np.random.default_rng(0))
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_the_k_contact_checks_refuse_fewer_than_two_planes_per_point(self, k):
+        # the pure horizontal and the pure tangential plane are always measured,
+        # so a count below 2 was read as 2
+        m, p, rng = _chart_point(2, 0, 1.0, 1)
+        with pytest.raises(ValueError, match="samples_per_point"):
+            k_contact_residual(m, [p], rng, samples_per_point=k)
+
     def test_the_kappa_mu_residual_refuses_zero_samples(self):
         m, p, rng = _chart_point(2, 0, 1.0, 1)
         with pytest.raises(ValueError, match="num_samples"):

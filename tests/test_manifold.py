@@ -254,7 +254,7 @@ class TestSpaceFormChart:
     def test_validation(self, n, nu, c):
         spec = SpaceFormSpec(n, nu, c)
         m = space_form_chart(spec)
-        dev = validate_space_form(m, spec, np.random.default_rng(1), num_points=10, planes_per_point=2)
+        dev = validate_space_form(m, spec, np.random.default_rng(1), num_points=10)
         assert dev < 1e-8
 
     def test_validation_rejects_nan_curvature(self):

@@ -2,15 +2,38 @@
 
 A check that no wrong closed form can fail shows nothing.  Each mutant
 below changes one term and asserts that a named check, whose other side is
-a finite-difference oracle, fails at a default configuration.
+a finite-difference oracle, fails at a default configuration or at
+``TIMELIKE`` (n = 3, nu = 1, c = 2, eps = -1); at the default c = eps = 1
+the dropped commutator and the negated h block pass every check.
 """
 
+from dataclasses import replace
+
 import numpy as np
+from conftest import patch_everywhere
 
 from sasakigeo import contact, oracle, sphere, tangent
 from sasakigeo.suites import SuiteConfig, run_suite
 
 FAST = dict(num_points=2, num_samples=8)
+TIMELIKE = dict(n=3, nu=1, c=2.0, eps=-1)
+# every check a mutant below must fail, with its suite and configuration; unmutated, each passes
+KILLING_CHECKS = [
+    ("oracle-crosscheck", {}, "tm_nabla = FD Christoffels of Tg on lift fields"),
+    ("brackets", {}, "[X^h, Y^h] = [X,Y]^h - v{R(X,Y)u}"),
+    ("brackets", {}, "[X^t, Y^t] = eps g(X,u)Y^t - eps g(Y,u)X^t"),
+    ("oracle-crosscheck", {}, "sb_nabla = projection of ambient FD derivative"),
+    ("oracle-crosscheck", {}, "nabla phi = FD ambient derivative"),
+    ("oracle-crosscheck", TIMELIKE, "second fundamental form symmetric"),
+    ("oracle-crosscheck", TIMELIKE, "sb_curvature = Gauss-equation oracle"),
+    ("axioms", dict(TIMELIKE, eps=1), "d eta = g_cm(., phi .)"),
+    ("oracle-crosscheck", TIMELIKE, "nabla phi = FD ambient derivative"),
+    ("curvature", TIMELIKE, "R-bar pair symmetry"),
+    ("kappa-mu", TIMELIKE, "(kappa,mu)-nullity residual"),
+    ("kappa-mu", TIMELIKE, "h eigenvalues = {2 - eps(1+c), eps(c-1), 0}"),
+    ("connection", TIMELIKE, "nabla xi = -eps phi - phi h"),
+    ("index", TIMELIKE, "frame Gram diagonal = +-1"),
+]
 
 
 def failing(suite: str, **config) -> set:
@@ -55,5 +78,70 @@ def test_halved_koszul_factor_of_the_oracle(monkeypatch):
     # the oracle's own Christoffel symbols, of the base and of Tg, halved; the closed forms are untouched
     real = oracle._koszul
     monkeypatch.setattr(oracle, "_koszul", lambda g, dg: 0.5 * real(g, dg))
-    killed = failing("oracle-crosscheck", n=3, nu=1, c=2.0, eps=-1)
+    killed = failing("oracle-crosscheck", **TIMELIKE)
     assert {"second fundamental form symmetric", "sb_curvature = Gauss-equation oracle"} <= killed
+
+
+def test_flipped_eps_in_the_tangential_lift(monkeypatch):
+    # X^t = X^v + eps g(X, u) N instead of X^v - eps g(X, u) N
+    def flipped(m, p, xcomps):
+        x = np.asarray(xcomps, dtype=float)
+        return sphere.SBVec(p, np.zeros(m.dim), x + p.eps * float(x @ sphere.point_geometry(m, p).gu) * p.u)
+
+    patch_everywhere(monkeypatch, sphere.tangential_lift, flipped)
+    # the d eta axiom fails unmutated at eps = -1 (by a sign), so it is asserted at eps = +1
+    assert "d eta = g_cm(., phi .)" in failing("axioms", **dict(TIMELIKE, eps=1))
+    assert "nabla phi = FD ambient derivative" in failing("oracle-crosscheck", **TIMELIKE)
+
+
+def test_dropped_commutator_of_the_htth_curvature_block(monkeypatch):
+    # R-bar(X^t, Y^t)Z^h without its 1/4 (R(u, X)R(u, Y) - R(u, Y)R(u, X))Z term
+    real = sphere.sb_curvature_array
+
+    def mutant(geo):
+        n = geo.u.size
+        ru = np.einsum("iabc,a->ibc", geo.r, geo.u)
+        rb = real(geo)
+        rb[:n, n:, n:, :n] -= 0.25 * (np.einsum("oam,mbc->oabc", ru, ru) - np.einsum("obm,mac->oabc", ru, ru))
+        return rb
+
+    monkeypatch.setattr(sphere, "sb_curvature_array", mutant)
+    assert "sb_curvature = Gauss-equation oracle" in failing("oracle-crosscheck", **TIMELIKE)
+    assert "R-bar pair symmetry" in failing("curvature", **TIMELIKE)
+
+
+def test_shifted_mu_of_the_space_form(monkeypatch):
+    real = contact.kappa_mu_for_space_form
+    monkeypatch.setattr(contact, "kappa_mu_for_space_form", lambda c, eps: replace(real(c, eps), mu=real(c, eps).mu + 0.1))
+    assert "(kappa,mu)-nullity residual" in failing("kappa-mu", **TIMELIKE)
+
+
+def test_negated_horizontal_block_of_h(monkeypatch):
+    real = sphere.PointGeometry.h_parts.func
+
+    def negated(geo):
+        n = geo.u.size
+        hmat = np.array(real(geo))
+        hmat[:n, :n] *= -1.0
+        return hmat
+
+    monkeypatch.setattr(sphere.PointGeometry, "h_parts", property(negated))
+    assert "h eigenvalues = {2 - eps(1+c), eps(c-1), 0}" in failing("kappa-mu", **TIMELIKE)
+    assert "nabla xi = -eps phi - phi h" in failing("connection", **TIMELIKE)
+
+
+def test_doubled_frame_vectors(monkeypatch):
+    real = sphere.PointGeometry.base_frame.func
+
+    def doubled(geo):
+        es, signs = real(geo)
+        return tuple(2.0 * e for e in es), signs
+
+    monkeypatch.setattr(sphere.PointGeometry, "base_frame", property(doubled))
+    assert "frame Gram diagonal = +-1" in failing("index", **TIMELIKE)
+
+
+def test_every_killing_check_passes_unmutated():
+    # a check that already fails unmutated would kill every mutant and show nothing
+    for suite, config, check in KILLING_CHECKS:
+        assert check not in failing(suite, **config), (suite, config, check)

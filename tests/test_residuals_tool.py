@@ -1,6 +1,7 @@
 """The residual dump comparison of ``tools/residuals.py``."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 TOOL_PATH = Path(__file__).resolve().parents[1] / "tools" / "residuals.py"
@@ -28,3 +29,23 @@ def test_identical_dumps_agree():
     old = {"a": _report(True, x=1e-8, n=float("nan"))}
     lines = residuals.compare(old, old, check=None)
     assert "verdict flips: 0" in lines and "residuals changed: 0 of 2" in lines
+
+
+def _main_compare(tmp_path, old, new):
+    paths = [tmp_path / "old.json", tmp_path / "new.json"]
+    for path, dumped in zip(paths, (old, new)):
+        path.write_text(json.dumps(dumped))
+    return residuals.main(["compare", str(paths[0]), str(paths[1])])
+
+
+def test_compare_exits_1_on_a_flip_and_0_on_identical_dumps(tmp_path, capsys):
+    old = {"a": _report(True, x=1e-8)}
+    assert _main_compare(tmp_path, old, {"a": _report(False, x=1e-4)}) == 1
+    assert _main_compare(tmp_path, old, old) == 0
+    assert "verdict flips: 0" in capsys.readouterr().out
+
+
+def test_compare_exits_1_when_a_report_or_check_is_missing(tmp_path):
+    old = {"a": _report(True, x=1e-8, y=1e-9), "b": _report(True, x=1e-8)}
+    assert _main_compare(tmp_path, old, {"a": old["a"]}) == 1
+    assert _main_compare(tmp_path, old, {"a": _report(True, x=1e-8), "b": old["b"]}) == 1

@@ -216,7 +216,9 @@ class TestFrame:
         assert np.allclose(frame.vectors[1].hpart, e)
         assert np.allclose(frame.vectors[2].hpart, p.u)
 
-    @pytest.mark.parametrize("n,nu,eps", [(2, 0, 1), (2, 1, -1), (3, 1, 1), (3, 1, -1)])
+    @pytest.mark.parametrize(
+        "n,nu,eps", [(2, 0, 1), (2, 1, -1), (3, 1, 1), (3, 1, -1), (4, 1, 1), (4, 1, -1), (4, 2, -1)]
+    )
     def test_gram_and_negative_count(self, rng, n, nu, eps):
         m = space_form_chart(SpaceFormSpec(n, nu, -1.0))
         p = sample_sb_point(m, eps, rng)
@@ -227,6 +229,20 @@ class TestFrame:
         expected_neg = 2 * nu - (1 if eps == -1 else 0)
         assert int((np.diag(gram) < 0).sum()) == expected_neg
         assert abs(abs(np.linalg.det(gram)) - 1.0) < 1e-9
+
+    def test_orthogonal_where_e0_projects_nearly_null(self):
+        # u is within s = 0.00175 of the x_0 axis, so e_0's projection off u has
+        # g(w, w) ~ s^2 ~ 3e-6; a Gram-Schmidt over coordinate candidates lost
+        # orthogonality here (off-diagonal 1.38e-10)
+        c, x, s = 2.0, np.array([0.35, -0.27, -0.32]), 0.00175
+        m = space_form_chart(SpaceFormSpec(3, 1, c))
+        f = _conformal_factor(c, 1, x)
+        w = np.array([0.0, 1.0, -0.002]) / np.linalg.norm([0.0, 1.0, -0.002])
+        p = sb_point(m, x, f * (np.sqrt(1.0 + s * s) * np.array([1.0, 0.0, 0.0]) + s * w), -1)
+        gram = frame_gram(m, frame_at(m, p))
+        assert np.abs(gram - np.diag(np.diag(gram))).max() <= 1e-10
+        assert np.abs(np.abs(np.diag(gram)) - 1.0).max() < 1e-12
+        assert int((np.diag(gram) < 0).sum()) == 1
 
 
 class TestSbBracket:
@@ -629,7 +645,7 @@ class TestHardEdges:
            st.lists(st.floats(-0.4, 0.4), min_size=3, max_size=3),
            st.floats(2.5, 3.0), st.sampled_from([1.0, -1.0]), DIRECTIONS)
     def test_fiber_vectors_near_u_max(self, n, eps, c, coords, norm, sign, spatial):
-        # sample_fiber_vector keeps ||u|| <= u_max = 3
+        # sample_fiber_vector keeps ||u|| <= FIBER_NORM_MAX = 3
         m = space_form_chart(SpaceFormSpec(n, 1, c))
         x = np.array(coords[:n])
         f = _conformal_factor(c, 1, x)
@@ -662,8 +678,8 @@ class TestHardEdges:
            st.lists(st.floats(-0.4, 0.4), min_size=3, max_size=3),
            st.floats(1e-4, 1e-2), st.sampled_from([1.0, -1.0]), DIRECTIONS)
     def test_nearly_null_frame_candidates_at_timelike_fibers(self, n, c, coords, ratio, sign, spatial):
-        # the first candidate e_0 projects to w with g(w, w) = ratio^2, around
-        # the 1e-6 below which frame_at skips a candidate
+        # e_0 projects off u to a nearly null w with g(w, w) = ratio^2, where
+        # a frame built from coordinate candidates loses orthogonality
         m = space_form_chart(SpaceFormSpec(n, 1, c))
         x = np.array(coords[:n])
         f = _conformal_factor(c, 1, x)

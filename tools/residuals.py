@@ -11,8 +11,10 @@ its verdict and the residual, tolerance and verdict of each check.
 
 ``compare`` prints the verdict flips, how many residuals changed, and the
 largest growth new/old among new residuals of at least 1e-14; with
-``--check`` it also lists that check's residuals report by report.  Two
-trees agree "within FD noise" when nothing flips and no growth is large.
+``--check`` it also lists that check's residuals report by report.  It
+exits 1 when a verdict flips or NEW lacks a report or check of OLD, and 0
+otherwise.  Two trees agree "within FD noise" when nothing flips and no
+growth is large.
 """
 
 from __future__ import annotations
@@ -105,8 +107,10 @@ def main(argv=None) -> int:
         args.out.write_text(json.dumps(dump(args.src), indent=1))
         return 0
     old, new = (json.loads(p.read_text()) for p in (args.old, args.new))
-    print("\n".join(compare(old, new, args.check)))
-    return 0
+    lines = compare(old, new, args.check)
+    print("\n".join(lines))
+    ok = "verdict flips: 0" in lines and not any(line.startswith("missing in new") for line in lines)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
