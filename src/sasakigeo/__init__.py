@@ -34,10 +34,7 @@ from .contact import (
 )
 from .manifold import (
     ChartedMetric,
-    Christoffel,
-    RiemannTensor,
     SpaceFormSpec,
-    TangentVec,
     christoffel_at,
     metric_at,
     riemann_at,
@@ -87,13 +84,11 @@ __all__ = [
     "ChartedMetric",
     "CheckItem",
     "CheckReport",
-    "Christoffel",
     "ContactData",
     "GaussOracle",
     "HOperator",
     "HypersurfaceChart",
     "KappaMu",
-    "RiemannTensor",
     "SBFrame",
     "SBPoint",
     "SBVec",
@@ -101,7 +96,6 @@ __all__ = [
     "SuiteConfig",
     "TMPoint",
     "TMVec",
-    "TangentVec",
     "almost_complex_J",
     "check_contact_axioms",
     "christoffel_at",

@@ -6,8 +6,9 @@
 
 The report goes to stdout (JSON by default); diagnostics go to stderr.
 Exit code 0 when every check passes, 1 when any check fails, 2 on a
-configuration error.  The ``SASAKIGEO_SEED`` environment variable supplies
-the default seed and is overridden by ``--seed``.
+configuration error, including one whose geometry the samplers cannot
+sample.  The ``SASAKIGEO_SEED`` environment variable supplies the default
+seed and is overridden by ``--seed``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import argparse
 import os
 import sys
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, SamplingFailure
 from .report import emit_report
 from .suites import SUITES, SuiteConfig, run_suite
 
@@ -71,7 +72,11 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     print(f"running suite {cfg.suite!r} (seed {cfg.seed})", file=sys.stderr)
-    report = run_suite(cfg)
+    try:
+        report = run_suite(cfg)
+    except SamplingFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(emit_report(report, args.format))
     return 0 if report.passed else 1
 

@@ -37,7 +37,7 @@ from .oracle import (
     sasaki_metric_fn,
     sb_lift_field_fn,
 )
-from .report import CheckItem, CheckReport, worst_of
+from .report import CheckItem, CheckReport, fold, worst_of
 from .sampling import sample_ker_eta_vec, sample_sb_vec
 from .sphere import (
     SBFrame,
@@ -195,26 +195,27 @@ def check_contact_axioms(
     d eta from one ``d_eta_tensor`` per point.
     """
     _require_samples(num_samples, "num_samples")
+    return CheckReport.build("contact-axioms", {}, fold(_contact_axiom_rows(m, p, rng, num_samples)))
+
+
+def _contact_axiom_rows(m: ChartedMetric, p: SBPoint, rng: np.random.Generator, num_samples: int):
     data = contact_data_at(m, p)
     eps, n = p.eps, m.dim
-    res_eta_xi = abs(data.eta(data.xi) - 1.0)
-    res_gcm_xi = abs(data.gcm(data.xi, data.xi) - eps)
-    res_phi_xi = float(np.abs(data.phi(data.xi).comps()).max())
+    yield "eta(xi) = 1", abs(data.eta(data.xi) - 1.0), 1e-12
+    yield "g_cm(xi, xi) = eps", abs(data.gcm(data.xi, data.xi) - eps), 1e-12
+    yield "phi(xi) = 0", float(np.abs(data.phi(data.xi).comps()).max()), 1e-12
 
-    res_phi_sq = 0.0
-    res_compat = 0.0
     for _ in range(num_samples):
         a = sample_sb_vec(m, p, rng)
         b = sample_sb_vec(m, p, rng)
         lhs = data.phi(data.phi(a))
         rhs = (-1.0) * a + data.eta(a) * data.xi
-        res_phi_sq = worst_of(res_phi_sq, np.abs(lhs.comps() - rhs.comps()).max())
+        yield "phi^2 = -Id + eta@xi", np.abs(lhs.comps() - rhs.comps()).max(), 1e-10
         comp = data.gcm(data.phi(a), data.phi(b)) - (
             data.gcm(a, b) - eps * data.eta(a) * data.eta(b)
         )
-        res_compat = worst_of(res_compat, abs(comp))
+        yield "g_cm(phi.,phi.) = g_cm - eps eta@eta", abs(comp), 1e-10
 
-    res_deta = 0.0
     z0 = np.concatenate([p.x, p.u])
     deta_t = d_eta_tensor(m, p)
     kinds = [("h", "t"), ("h", "h"), ("t", "t"), ("t", "h")]
@@ -225,17 +226,7 @@ def check_contact_axioms(
         a0 = sb_lift_field_fn(m, xc, kx, eps)(z0)
         b0 = sb_lift_field_fn(m, yc, ky, eps)(z0)
         deta = 0.5 * float(a0 @ deta_t @ b0)
-        res_deta = worst_of(res_deta, abs(deta - data.gcm(lift(m, p, kx, xc), data.phi(lift(m, p, ky, yc)))))
-
-    checks = [
-        CheckItem("eta(xi) = 1", res_eta_xi, 1e-12),
-        CheckItem("g_cm(xi, xi) = eps", res_gcm_xi, 1e-12),
-        CheckItem("phi(xi) = 0", res_phi_xi, 1e-12),
-        CheckItem("phi^2 = -Id + eta@xi", res_phi_sq, 1e-10),
-        CheckItem("g_cm(phi.,phi.) = g_cm - eps eta@eta", res_compat, 1e-10),
-        CheckItem("d eta = g_cm(., phi .)", res_deta, 1e-5),
-    ]
-    return CheckReport.build("contact-axioms", {}, checks)
+        yield "d eta = g_cm(., phi .)", abs(deta - data.gcm(lift(m, p, kx, xc), data.phi(lift(m, p, ky, yc)))), 1e-5
 
 
 def nabla_xi(m: ChartedMetric, p: SBPoint, a: SBVec) -> SBVec:
@@ -461,11 +452,13 @@ def k_contact_residual(
     _require_samples(len(points), "the number of points")
     if samples_per_point < 2:  # the pure horizontal and the pure tangential plane come first
         raise ValueError(f"samples_per_point must be >= 2, got {samples_per_point}")
-    worst_killing = 0.0
-    worst_plane = 0.0
+    return CheckReport.build("k-contact", {}, fold(_k_contact_rows(m, points, rng, samples_per_point)))
+
+
+def _k_contact_rows(m: ChartedMetric, points: list, rng: np.random.Generator, samples_per_point: int):
     planes = 0
     for p in points:
-        worst_killing = worst_of(worst_killing, killing_residual(m, p))
+        yield "L_xi g_cm = 0 (Killing)", killing_residual(m, p), 1e-5
         eps = p.eps
         samples = []
         base = sample_ker_eta_vec(m, p, rng)
@@ -478,14 +471,10 @@ def k_contact_residual(
             den = data.gcm(data.xi, data.xi) * data.gcm(a, a) - data.gcm(data.xi, a) ** 2
             if abs(den) <= 1e-4:
                 continue
-            worst_plane = worst_of(worst_plane, abs(xi_plane_curvature(m, p, a) - eps))
+            yield "K(xi-plane) = eps", abs(xi_plane_curvature(m, p, a) - eps), 1e-5
             planes += 1
-    checks = [
-        CheckItem("L_xi g_cm = 0 (Killing)", worst_killing, 1e-5),
-        # a check that measured no plane has shown nothing, so it fails
-        CheckItem("K(xi-plane) = eps", worst_plane if planes else math.inf, 1e-5),
-    ]
-    return CheckReport.build("k-contact", {}, checks)
+    if not planes:  # a check that measured no plane has shown nothing, so it fails
+        yield "K(xi-plane) = eps", math.inf, 1e-5
 
 
 def phi_sectional(m: ChartedMetric, p: SBPoint, a: SBVec) -> float:
@@ -515,6 +504,10 @@ def sasakian_residual(
     (ii) (nabla_a phi) b = g_cm(a, b) xi - eps eta(b) a via the closed forms.
     """
     _require_samples(num_samples, "num_samples")
+    return CheckReport.build("sasakian", {}, fold(_sasakian_rows(m, p, rng, num_samples)))
+
+
+def _sasakian_rows(m: ChartedMetric, p: SBPoint, rng: np.random.Generator, num_samples: int):
     data = contact_data_at(m, p)
     eps, n = p.eps, m.dim
     z0 = np.concatenate([p.x, p.u])
@@ -522,8 +515,6 @@ def sasakian_residual(
     deta_t = d_eta_tensor(m, p)
     xi_ind = geodesic_flow_field_fn(m)(z0)
 
-    worst_nphi = 0.0
-    worst_grad = 0.0
     kinds = [("h", "t"), ("h", "h"), ("t", "t"), ("t", "h")]
     for k in range(num_samples):
         kx, ky = kinds[k % 4]
@@ -533,15 +524,10 @@ def sasakian_residual(
         b0 = sb_lift_field_fn(m, yc, ky, eps)(z0)
         nphi = (nphi_t @ b0) @ a0
         two_deta = float(a0 @ deta_t @ b0)
-        worst_nphi = worst_of(worst_nphi, np.abs(nphi + two_deta * xi_ind).max())
+        yield "N_phi + 2 d eta @ xi = 0", np.abs(nphi + two_deta * xi_ind).max(), 1e-5
 
         a_sb = lift(m, p, kx, xc)
         b_sb = lift(m, p, ky, yc)
         lhs = nabla_phi(m, p, a_sb, b_sb)
         rhs = data.gcm(a_sb, b_sb) * data.xi + (-eps * data.eta(b_sb)) * a_sb
-        worst_grad = worst_of(worst_grad, np.abs(lhs.comps() - rhs.comps()).max())
-    checks = [
-        CheckItem("N_phi + 2 d eta @ xi = 0", worst_nphi, 1e-5),
-        CheckItem("(nabla phi) = g_cm @ xi - eps eta @ id", worst_grad, 1e-5),
-    ]
-    return CheckReport.build("sasakian", {}, checks)
+        yield "(nabla phi) = g_cm @ xi - eps eta @ id", np.abs(lhs.comps() - rhs.comps()).max(), 1e-5

@@ -17,6 +17,10 @@ class DegeneratePlane(GeometryError):
     """A 2-plane is degenerate for the metric (Gram determinant ~ 0)."""
 
 
+class SamplingFailure(GeometryError):
+    """A sampler found no admissible sample of the configured geometry."""
+
+
 class PointMismatch(GeometryError):
     """Two bundle vectors do not live at the same bundle point."""
 

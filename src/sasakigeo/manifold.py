@@ -8,9 +8,14 @@ computed from these raw ingredients.
 
 Index conventions
 -----------------
-* ``Christoffel.gamma[i, j, k]`` is Gamma^i_jk, symmetric in (j, k).
-* ``RiemannTensor.r[i, j, k, l]`` is the i-component of R(d_k, d_l) d_j
-  for the operator convention R(X, Y) = [nabla_X, nabla_Y] - nabla_[X,Y].
+Gamma and R are plain arrays (read-only where a geometry context shares
+them), and R has one index order across the library, the operator order:
+
+* ``christoffel_at(m, x)[i, j, k]`` is Gamma^i_jk, symmetric in (j, k).
+* ``riemann_at(m, x)[i, a, b, c]`` is the i-component of R(e_a, e_b) e_c
+  for R(X, Y) = [nabla_X, nabla_Y] - nabla_[X,Y], so R(X, Y)Z is
+  ``np.einsum("iabc,a,b,c->i", r, x, y, z)``; ``nabla_riemann_full`` puts
+  the m of nabla_m R in front.
 * ``deriv1_fn(x)[k, i, j]`` is d_k g_ij; ``deriv2_fn(x)[k, l, i, j]`` is
   d_k d_l g_ij.
 """
@@ -28,36 +33,6 @@ from .stencil import FD_STEP_FIRST, FD_STEP_SECOND, partials
 
 Point = np.ndarray
 SPACE_FORM_PLANES = 2  # tangent planes per point that ``validate_space_form`` measures
-
-
-@dataclass(frozen=True)
-class TangentVec:
-    """Tangent vector of M: components in the chart frame at a base point."""
-
-    base: Point
-    comps: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "base", np.asarray(self.base, dtype=float))
-        object.__setattr__(self, "comps", np.asarray(self.comps, dtype=float))
-
-
-@dataclass(frozen=True)
-class Christoffel:
-    """Levi-Civita connection coefficients Gamma^i_jk at one point."""
-
-    gamma: np.ndarray
-
-
-@dataclass(frozen=True)
-class RiemannTensor:
-    """Curvature components R^i_jkl (see module docstring for slots)."""
-
-    r: np.ndarray
-
-    def apply(self, x_vec: np.ndarray, y_vec: np.ndarray, z_vec: np.ndarray) -> np.ndarray:
-        """Components of R(X, Y)Z."""
-        return np.einsum("ijkl,j,k,l->i", self.r, z_vec, x_vec, y_vec)
 
 
 @dataclass(frozen=True)
@@ -127,7 +102,7 @@ def metric_inverse(g: np.ndarray) -> np.ndarray:
         raise DegenerateMetric("metric matrix is singular") from exc
 
 
-def christoffel_at(m: ChartedMetric, x: Point) -> Christoffel:
+def christoffel_at(m: ChartedMetric, x: Point) -> np.ndarray:
     """Levi-Civita symbols Gamma^i_jk from the Koszul formula."""
     x = np.asarray(x, dtype=float)
     g = metric_at(m, x)
@@ -136,8 +111,7 @@ def christoffel_at(m: ChartedMetric, x: Point) -> Christoffel:
     # T[l, j, k] = d_j g_lk + d_k g_jl - d_l g_jk
     t = np.einsum("jlk->ljk", dg) + np.einsum("kjl->ljk", dg) - dg
     gamma = 0.5 * np.einsum("il,ljk->ijk", ginv, t)
-    gamma = 0.5 * (gamma + np.swapaxes(gamma, 1, 2))  # enforce exact lower symmetry
-    return Christoffel(gamma)
+    return 0.5 * (gamma + np.swapaxes(gamma, 1, 2))  # enforce exact lower symmetry
 
 
 def _christoffel_deriv_at(m: ChartedMetric, x: Point) -> np.ndarray:
@@ -159,31 +133,30 @@ def _christoffel_deriv_at(m: ChartedMetric, x: Point) -> np.ndarray:
             np.einsum("cil,lab->ciab", dginv, t) + np.einsum("il,clab->ciab", ginv, dt)
         )
         return dgamma
-    return partials(lambda y: christoffel_at(m, y).gamma, x, FD_STEP_SECOND)
+    return partials(lambda y: christoffel_at(m, y), x, FD_STEP_SECOND)
 
 
-def riemann_at(m: ChartedMetric, x: Point) -> RiemannTensor:
-    """Curvature components R^i_jkl = d_k Gamma^i_lj - d_l Gamma^i_kj + quadratic terms."""
+def riemann_at(m: ChartedMetric, x: Point) -> np.ndarray:
+    """``r[i, a, b, c]`` = d_a Gamma^i_bc - d_b Gamma^i_ac + Gamma^i_am Gamma^m_bc - Gamma^i_bm Gamma^m_ac."""
     x = np.asarray(x, dtype=float)
-    gamma = christoffel_at(m, x).gamma
+    gamma = christoffel_at(m, x)
     dgamma = _christoffel_deriv_at(m, x)
-    r = (
-        np.einsum("kilj->ijkl", dgamma)
-        - np.einsum("likj->ijkl", dgamma)
-        + np.einsum("ikm,mlj->ijkl", gamma, gamma)
-        - np.einsum("ilm,mkj->ijkl", gamma, gamma)
+    return (
+        np.einsum("aibc->iabc", dgamma)
+        - np.einsum("biac->iabc", dgamma)
+        + np.einsum("iam,mbc->iabc", gamma, gamma)
+        - np.einsum("ibm,mac->iabc", gamma, gamma)
     )
-    return RiemannTensor(r)
 
 
-def lower_riemann(m: ChartedMetric, x: Point, riem: RiemannTensor) -> np.ndarray:
-    """R_ijkl = g_im R^m_jkl."""
+def lower_riemann(m: ChartedMetric, x: Point, r: np.ndarray) -> np.ndarray:
+    """``g_im r[m, a, b, c]`` = g(R(e_a, e_b)e_c, e_i)."""
     g = metric_at(m, x)
-    return np.einsum("im,mjkl->ijkl", g, riem.r)
+    return np.einsum("im,mabc->iabc", g, r)
 
 
 def nabla_riemann_full(m: ChartedMetric, x: Point) -> np.ndarray:
-    """All components nabla_m R^i_jkl at x (index order [m, i, j, k, l]).
+    """All components (nabla_m R)(e_a, e_b)e_c at x (index order [m, i, a, b, c]).
 
     d_m R is taken by central differences of ``riemann_at`` and corrected on
     all four slots with the Christoffel symbols.  Charts flagged
@@ -193,9 +166,9 @@ def nabla_riemann_full(m: ChartedMetric, x: Point) -> np.ndarray:
     n = m.dim
     if m.locally_symmetric:
         return np.zeros((n, n, n, n, n))
-    gamma = christoffel_at(m, x).gamma
-    r = riemann_at(m, x).r
-    dr = partials(lambda y: riemann_at(m, y).r, x, FD_STEP_FIRST)
+    gamma = christoffel_at(m, x)
+    r = riemann_at(m, x)
+    dr = partials(lambda y: riemann_at(m, y), x, FD_STEP_FIRST)
     return (
         dr
         + np.einsum("imp,pjkl->mijkl", gamma, r)
@@ -209,16 +182,14 @@ def plane_gram(g: np.ndarray, xv: np.ndarray, yv: np.ndarray) -> float:
     return float(xv @ g @ xv) * float(yv @ g @ yv) - float(xv @ g @ yv) ** 2
 
 
-def sectional_curvature(m: ChartedMetric, x: Point, xvec: TangentVec, yvec: TangentVec) -> float:
-    """Sectional curvature K = R(X,Y,Y,X) / (g(X,X)g(Y,Y) - g(X,Y)^2)."""
+def sectional_curvature(m: ChartedMetric, x: Point, xv: np.ndarray, yv: np.ndarray) -> float:
+    """Sectional curvature K = R(X,Y,Y,X) / (g(X,X)g(Y,Y) - g(X,Y)^2) of component vectors X, Y."""
     x = np.asarray(x, dtype=float)
     g = metric_at(m, x)
-    xv, yv = xvec.comps, yvec.comps
     denom = plane_gram(g, xv, yv)
     if abs(denom) <= 1e-8:
         raise DegeneratePlane("plane spanned by X, Y is degenerate")
-    riem = riemann_at(m, x)
-    numer = float(g @ riem.apply(xv, yv, yv) @ xv)
+    numer = float(g @ np.einsum("iabc,a,b,c->i", riemann_at(m, x), xv, yv, yv) @ xv)
     return numer / denom
 
 

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateMetric, NoSolvableCoordinate
-from .manifold import ChartedMetric, Christoffel, RiemannTensor
+from .manifold import ChartedMetric
 from .sphere import SBPoint, SBVec, require_same_sb_point
 from .stencil import FD_STEP_FIRST, FD_STEP_GAMMA, FD_STEP_SECOND, jacobian, partials
 from .tangent import VectorField, as_field
@@ -44,25 +44,24 @@ def _koszul(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("il,ljk->ijk", _inv(g), _first_kind(dg))
 
 
-def fd_christoffel(metric_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, step: float = FD_STEP_FIRST) -> Christoffel:
-    """Koszul symbols from central differences of the raw metric components."""
+def fd_christoffel(metric_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, step: float = FD_STEP_FIRST) -> np.ndarray:
+    """Koszul symbols Gamma^i_jk from central differences of the raw metric components."""
     x = np.asarray(x, dtype=float)
     g = np.asarray(metric_fn(x), dtype=float)
-    return Christoffel(_koszul(g, partials(metric_fn, x, step)))
+    return _koszul(g, partials(metric_fn, x, step))
 
 
-def fd_riemann(gamma_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, step: float = FD_STEP_SECOND) -> RiemannTensor:
-    """Coordinate curvature from central differences of a Christoffel function."""
+def fd_riemann(gamma_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, step: float = FD_STEP_SECOND) -> np.ndarray:
+    """Coordinate curvature ``r[i, a, b, c]``, ordered as ``riemann_at``, from central differences of Gamma."""
     x = np.asarray(x, dtype=float)
     gamma = np.asarray(gamma_fn(x), dtype=float)
     dgamma = partials(gamma_fn, x, step)
-    r = (
-        np.einsum("kilj->ijkl", dgamma)
-        - np.einsum("likj->ijkl", dgamma)
-        + np.einsum("ikm,mlj->ijkl", gamma, gamma)
-        - np.einsum("ilm,mkj->ijkl", gamma, gamma)
+    return (
+        np.einsum("aibc->iabc", dgamma)
+        - np.einsum("biac->iabc", dgamma)
+        + np.einsum("iam,mbc->iabc", gamma, gamma)
+        - np.einsum("ibm,mac->iabc", gamma, gamma)
     )
-    return RiemannTensor(r)
 
 
 # -------------------- the raw base jet, kept by the chart --------------------
@@ -170,7 +169,7 @@ def sasaki_gamma_fn(m: ChartedMetric) -> Callable[[np.ndarray], np.ndarray]:
     """
     tg = sasaki_metric_fn(m)
     if m.deriv1_fn is None or m.deriv2_fn is None:
-        return lambda z: fd_christoffel(tg, z).gamma
+        return lambda z: fd_christoffel(tg, z)
     n = m.dim
 
     def gamma_tilde(z: np.ndarray) -> np.ndarray:
@@ -448,8 +447,9 @@ class GaussOracle:
     Gamma-tilde(z0), Tg(z0) and the normal N = (0; u) depend only on p, so
     they are built once here, and the ambient curvature R-tilde of Tg is
     built on first use.  ``curvature``, ``second_fundamental_form``,
-    ``weingarten``, ``nabla_endomorphism`` and ``sb_nabla_via_ambient`` only
-    contract them with the sampled vectors.
+    ``weingarten`` and ``nabla_endomorphism`` only contract them with the
+    sampled vectors.  ``sb_nabla_via_ambient`` is a module function that
+    builds a context of its own on every call.
     """
 
     def __init__(self, m: ChartedMetric, p: SBPoint):
@@ -464,7 +464,7 @@ class GaussOracle:
         # the coarser second-derivative step is only needed when Gamma itself
         # carries finite-difference noise
         step = FD_STEP_SECOND if self.m.uses_fd_derivatives else FD_STEP_GAMMA
-        return fd_riemann(sasaki_gamma_fn(self.m), self.z0, step).r
+        return fd_riemann(sasaki_gamma_fn(self.m), self.z0, step)
 
     def second_fundamental_form(self, a: SBVec, b: SBVec) -> float:
         """II(A, B) = -eps Tg(B, nabla-tilde_A N), the Weingarten relation."""
@@ -486,7 +486,7 @@ class GaussOracle:
         so tan is not taken separately.
         """
         a_ind, b_ind, c_ind = (_embed_induced(self.m, v) for v in (a, b, c))
-        v = np.einsum("ijkl,j,k,l->i", self.r_tilde, c_ind, a_ind, b_ind)
+        v = np.einsum("iabc,a,b,c->i", self.r_tilde, a_ind, b_ind, c_ind)
         ii_bc = self.second_fundamental_form(b, c)
         ii_ac = self.second_fundamental_form(a, c)
         return _from_induced(self.m, self.p, v - ii_bc * self.weingarten(a) + ii_ac * self.weingarten(b))

@@ -34,6 +34,21 @@ class CheckItem:
         self.passed = bool(self.max_residual <= self.tol)
 
 
+def fold(rows, tol: float | None = None) -> list:
+    """One ``CheckItem`` per check of ``(check name, residual, tolerance)`` rows.
+
+    A check keeps the ``worst_of`` its residuals (so a NaN wins), the checks
+    are listed in the order of their first row, and ``tol``, when given,
+    replaces every tolerance.
+    """
+    worst: dict = {}
+    tols: dict = {}
+    for name, residual, row_tol in rows:
+        worst[name] = worst_of(worst.get(name, 0.0), residual)
+        tols[name] = row_tol
+    return [CheckItem(name, worst[name], tols[name] if tol is None else tol) for name in worst]
+
+
 @dataclass
 class CheckReport:
     """Named residuals, tolerances and verdicts for one verification suite."""

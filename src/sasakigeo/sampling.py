@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegeneratePlane
-from .manifold import ChartedMetric, TangentVec, metric_at, plane_gram
+from .errors import SamplingFailure
+from .manifold import ChartedMetric, metric_at, plane_gram
 from .sphere import SBPoint, SBVec, horizontal_sb, point_geometry, sb_point, tangential_lift
 
 SAMPLE_BOX = 0.55  # chart points are drawn from [-box, box]^n, then domain-filtered
@@ -28,18 +28,18 @@ def sample_domain_point(m: ChartedMetric, rng: np.random.Generator, box: float =
         x = rng.uniform(-box, box, size=m.dim)
         if m.domain_fn(x):
             return x
-    raise RuntimeError(f"could not sample an in-domain point of {m.name!r}")
+    raise SamplingFailure(f"could not sample an in-domain point of {m.name!r}")
 
 
-def sample_tangent_plane(m: ChartedMetric, x: np.ndarray, rng: np.random.Generator) -> tuple[TangentVec, TangentVec]:
-    """Two tangent vectors spanning a decisively nondegenerate plane."""
+def sample_tangent_plane(m: ChartedMetric, x: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Components of two tangent vectors spanning a decisively nondegenerate plane."""
     g = metric_at(m, x)
     for _ in range(200):
         xv = rng.normal(size=m.dim)
         yv = rng.normal(size=m.dim)
         if abs(plane_gram(g, xv, yv)) > PLANE_GRAM_MIN:
-            return TangentVec(x, xv), TangentVec(x, yv)
-    raise DegeneratePlane("could not sample a nondegenerate tangent plane")
+            return xv, yv
+    raise SamplingFailure("could not sample a nondegenerate tangent plane")
 
 
 def sample_fiber_vector(m: ChartedMetric, x: np.ndarray, eps: int, rng: np.random.Generator) -> np.ndarray:
@@ -58,7 +58,7 @@ def sample_fiber_vector(m: ChartedMetric, x: np.ndarray, eps: int, rng: np.rando
         if np.linalg.norm(u) > FIBER_NORM_MAX:
             continue
         return u
-    raise RuntimeError(f"could not sample a fiber vector with sign {eps}")
+    raise SamplingFailure(f"could not sample a fiber vector with sign {eps}")
 
 
 def sample_sb_point(m: ChartedMetric, eps: int, rng: np.random.Generator) -> SBPoint:

@@ -221,12 +221,12 @@ class PointGeometry:
     ``tm`` point shares with the tangent-bundle layer).  The arrays are
     read-only, and the object holds x, u and eps but never p itself.
 
-    ``r[i, a, b, c]`` is the i-component of R(e_a, e_b)e_c (operator order),
-    ``ruu[i, a]`` that of R(e_a, u)u, and ``proj`` = I - eps u (g u)^T maps a
+    R is ``base.riem`` (``riemann_at``, operator order), ``ruu[i, a]`` is the
+    i-component of R(e_a, u)u, and ``proj`` = I - eps u (g u)^T maps a
     vertical part to its u-orthogonal tangential representative.
-    ``nabla_r[m, i, a, b, c]`` is (nabla_m R)(e_a, e_b)e_c, or None when the
-    chart is locally symmetric (then it is zero).  ``base_frame`` is read off
-    one SVD of ``proj`` and one eigendecomposition of the metric on its range.
+    ``nabla_r`` is ``nabla_riemann_full``, or None when the chart is locally
+    symmetric (then it is zero).  ``base_frame`` is read off one SVD of
+    ``proj`` and one eigendecomposition of the metric on its range.
     """
 
     def __init__(self, m: ChartedMetric, p: SBPoint):
@@ -243,18 +243,14 @@ class PointGeometry:
         return _read_only(np.eye(self.m.dim) - self.eps * np.outer(self.u, self.gu))
 
     @cached_property
-    def r(self) -> np.ndarray:
-        return _read_only(np.einsum("ijkl->iklj", self.base.riem.r))
-
-    @cached_property
     def ruu(self) -> np.ndarray:
-        return _read_only(np.einsum("iabc,b,c->ia", self.r, self.u, self.u))
+        return _read_only(np.einsum("iabc,b,c->ia", self.base.riem, self.u, self.u))
 
     @cached_property
     def nabla_r(self) -> np.ndarray | None:
         if self.m.locally_symmetric:
             return None
-        return _read_only(np.einsum("mijkl->miklj", nabla_riemann_full(self.m, self.base.x)))
+        return _read_only(nabla_riemann_full(self.m, self.base.x))
 
     @cached_property
     def rbar(self) -> np.ndarray:
@@ -330,7 +326,7 @@ def sb_curvature_array(geo: PointGeometry) -> np.ndarray:
     (a, b)), and every tangential output row is projected by P.
     """
     n, eps, u = geo.base.g.shape[0], geo.eps, geo.u
-    r, gu = geo.r, geo.gu
+    r, gu = geo.base.riem, geo.gu
     ru = np.einsum("iabc,a->ibc", r, u)  # R(u, .).
     rau = np.einsum("iabc,b->iac", r, u)  # R(., u).
     rabu = np.einsum("iabc,c->iab", r, u)  # R(., .)u

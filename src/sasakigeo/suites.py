@@ -8,11 +8,12 @@ published expectation.
 
 Each suite is a generator of ``(check name, residual, tolerance)`` rows,
 drawn from the seed in a fixed order; the contact-layer reports enter as
-their checks.  ``run_suite`` folds the rows once into a ``CheckReport``: a
-check keeps the worst residual of its rows (NaN wins), checks are listed in
-the order of their first row, and ``cfg.tol`` (``--tol``) overrides every
-tolerance.  Generator rows, rather than a table of residual functions, keep
-the random draws in the order that fixes every seeded result.
+their checks.  ``run_suite`` folds the rows once into a ``CheckReport`` with
+``report.fold``: a check keeps the worst residual of its rows (NaN wins),
+checks are listed in the order of their first row, and ``cfg.tol``
+(``--tol``) overrides every tolerance.  Generator rows, rather than a table
+of residual functions, keep the random draws in the order that fixes every
+seeded result.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .manifold import (
     space_form_chart,
     validate_space_form,
 )
-from .report import CheckItem, CheckReport, worst_of
+from .report import CheckItem, CheckReport, fold, worst_of
 from .sampling import (
     rng_for,
     sample_domain_point,
@@ -111,9 +112,6 @@ class SuiteConfig:
             "seed": self.seed,
             "tol": self.tol,
         }
-
-    def tol_or(self, default: float) -> float:
-        return default if self.tol is None else self.tol
 
 
 # validated charts by (n, nu, c, seed) while ``_run_all_matrix`` runs, else None
@@ -247,12 +245,12 @@ def _suite_curvature(cfg: SuiteConfig, m: ChartedMetric, params: dict):
     for i in range(cfg.num_points):
         rng = rng_for(cfg.seed, 3, i)
         x = sample_domain_point(m, rng)
-        riem = riemann_at(m, x)
-        rl = lower_riemann(m, x, riem)
-        yield "R antisymmetric in last pair", np.abs(rl + np.einsum("ijkl->ijlk", rl)).max(), 1e-10
-        yield "R antisymmetric in first pair", np.abs(rl + np.einsum("ijkl->jikl", rl)).max(), 1e-10
-        yield "R pair symmetry", np.abs(rl - np.einsum("ijkl->klij", rl)).max(), 1e-10
-        bianchi = riem.r + np.einsum("ijkl->iklj", riem.r) + np.einsum("ijkl->iljk", riem.r)
+        r = riemann_at(m, x)
+        rl = lower_riemann(m, x, r)  # rl[d, a, b, c] = g(R(e_a, e_b)e_c, e_d)
+        yield "R antisymmetric in last pair", np.abs(rl + np.einsum("dabc->dbac", rl)).max(), 1e-10
+        yield "R antisymmetric in first pair", np.abs(rl + np.einsum("dabc->cabd", rl)).max(), 1e-10
+        yield "R pair symmetry", np.abs(rl - np.einsum("dabc->adcb", rl)).max(), 1e-10
+        bianchi = r + np.einsum("ibca->iabc", r) + np.einsum("icab->iabc", r)
         yield "R first Bianchi identity", np.abs(bianchi).max(), 1e-10
         xv, yv = sample_tangent_plane(m, x, rng)
         yield "sectional curvature = c", abs(sectional_curvature(m, x, xv, yv) - cfg.c), 1e-8
@@ -261,7 +259,7 @@ def _suite_curvature(cfg: SuiteConfig, m: ChartedMetric, params: dict):
         geo = sb.point_geometry(m, p)
         w = rng.normal(size=n)
         w = w - cfg.eps * float(w @ geo.base.g @ p.u) * p.u
-        rxu = geo.base.riem.apply(w, p.u, p.u) - cfg.eps * cfg.c * w
+        rxu = np.einsum("iabc,a,b,c->i", geo.base.riem, w, p.u, p.u) - cfg.eps * cfg.c * w
         yield "R(X,u)u = eps c X for X perp u", np.abs(rxu).max(), 1e-8
 
         # curvature symmetries of the induced metric via lowered samples
@@ -295,8 +293,8 @@ def _suite_curvature(cfg: SuiteConfig, m: ChartedMetric, params: dict):
     )
     rng = rng_for(cfg.seed, 3, 10_000)
     x = sample_domain_point(m, rng)
-    dgamma = np.abs(christoffel_at(m, x).gamma - christoffel_at(scaled, x).gamma).max()
-    drr = np.abs(riemann_at(m, x).r - riemann_at(scaled, x).r).max()
+    dgamma = np.abs(christoffel_at(m, x) - christoffel_at(scaled, x)).max()
+    drr = np.abs(riemann_at(m, x) - riemann_at(scaled, x)).max()
     yield "curvature operator invariant under constant metric scaling", worst_of(dgamma, drr), 1e-10
 
 
@@ -375,17 +373,17 @@ def _suite_oracle(cfg: SuiteConfig, m: ChartedMetric, params: dict):
         x = sample_domain_point(m, rng)
         yield (
             "christoffel_at = Koszul FD oracle",
-            np.abs(christoffel_at(m, x).gamma - orc.fd_christoffel(m.metric_fn, x).gamma).max(),
+            np.abs(christoffel_at(m, x) - orc.fd_christoffel(m.metric_fn, x)).max(),
             1e-6,
         )
         yield (
             "riemann_at = FD curvature oracle",
-            np.abs(riemann_at(m, x).r - orc.fd_riemann(lambda y: christoffel_at(m, y).gamma, x).r).max(),
+            np.abs(riemann_at(m, x) - orc.fd_riemann(lambda y: christoffel_at(m, y), x)).max(),
             1e-5,
         )
         # second-order convergence spot check of the FD Christoffel oracle
-        g_h = orc.fd_christoffel(m.metric_fn, x).gamma
-        g_h2 = orc.fd_christoffel(m.metric_fn, x, FD_STEP_FIRST / 2.0).gamma
+        g_h = orc.fd_christoffel(m.metric_fn, x)
+        g_h2 = orc.fd_christoffel(m.metric_fn, x, FD_STEP_FIRST / 2.0)
         yield "FD step halving stays within 4x tolerance", np.abs(g_h - g_h2).max() / 4.0, 1e-6
 
         p = sample_sb_point(m, cfg.eps, rng)
@@ -541,9 +539,8 @@ _SUITE_FNS = {
 def run_suite(cfg: SuiteConfig) -> CheckReport:
     """Run one named suite (or the ``all`` matrix) and return its report.
 
-    The suite's rows are folded once: each check keeps the ``worst_of`` its
-    residuals (so a NaN wins), the checks are listed in the order their first
-    row arrived, and ``cfg.tol`` overrides every tolerance.
+    The suite's rows are folded once by ``report.fold``, with ``cfg.tol``
+    overriding every tolerance.
     """
     cfg.validate()
     start = time.perf_counter()
@@ -551,12 +548,7 @@ def run_suite(cfg: SuiteConfig) -> CheckReport:
     if cfg.suite == "all":
         checks = _run_all_matrix(cfg)
     else:
-        worst: dict = {}
-        tols: dict = {}
-        for name, residual, tol in _SUITE_FNS[cfg.suite](cfg, _chart(cfg), params):
-            worst[name] = worst_of(worst.get(name, 0.0), residual)
-            tols[name] = tol
-        checks = [CheckItem(name, worst[name], cfg.tol_or(tols[name])) for name in worst]
+        checks = fold(_SUITE_FNS[cfg.suite](cfg, _chart(cfg), params), cfg.tol)
     runtime_ms = (time.perf_counter() - start) * 1000.0
     return CheckReport.build(cfg.suite, params, checks, runtime_ms)
 

@@ -22,10 +22,10 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import PointMismatch
-from .manifold import ChartedMetric, RiemannTensor, TangentVec, christoffel_at, metric_at, riemann_at
+from .manifold import ChartedMetric, christoffel_at, metric_at, riemann_at
 from .stencil import FD_STEP_FIRST, jacobian
 
-VectorField = Union[Callable[[np.ndarray], np.ndarray], np.ndarray, TangentVec]
+VectorField = Union[Callable[[np.ndarray], np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -73,16 +73,16 @@ class BaseGeometry:
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        return _read_only(christoffel_at(self.m, self.x).gamma)
+        return _read_only(christoffel_at(self.m, self.x))
 
     @cached_property
-    def riem(self) -> RiemannTensor:
-        return RiemannTensor(_read_only(riemann_at(self.m, self.x).r))
+    def riem(self) -> np.ndarray:
+        return _read_only(riemann_at(self.m, self.x))
 
     @cached_property
     def connection(self) -> np.ndarray:
         """The ``lift_connection_array`` at (x, u)."""
-        return _read_only(lift_connection_array(self.riem.r, self.u))
+        return _read_only(lift_connection_array(self.riem, self.u))
 
     def nabla(self, xvec: np.ndarray, yfield: "VectorField") -> np.ndarray:
         """(nabla_X Y)^i = X^a d_a Y^i + Gamma^i_ab X^a Y^b at this base point."""
@@ -140,13 +140,10 @@ def require_same_tm_point(a: TMVec, b: TMVec) -> None:
 
 
 def as_field(field: VectorField) -> Callable[[np.ndarray], np.ndarray]:
-    """Accept a callable field, a TangentVec, or a constant component vector."""
+    """Accept a callable field or a constant component vector."""
     if callable(field):
         return field
-    if isinstance(field, TangentVec):
-        const = field.comps
-    else:
-        const = np.asarray(field, dtype=float)
+    const = np.asarray(field, dtype=float)
     return lambda x: const
 
 
@@ -180,14 +177,14 @@ def lift_connection_array(r: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     ``c[o, a, b]`` is the o-part of the R terms of nabla_{e_a} e_b for the
     lifts of the coordinate vectors, parts 0..n-1 horizontal and n..2n-1
-    vertical; ``r`` holds the ``RiemannTensor`` components.
+    vertical; ``r`` is ``riemann_at`` at x.
     """
     n = u.size
     h, v = slice(0, n), slice(n, 2 * n)
     c = np.zeros((2 * n,) * 3)
-    c[v, h, h] = -0.5 * np.einsum("icab,c->iab", r, u)  # -1/2 R(e_a, e_b)u
-    c[h, h, v] = 0.5 * np.einsum("iacb,c->iab", r, u)  # 1/2 R(u, e_b)e_a
-    c[h, v, h] = 0.5 * np.einsum("ibca,c->iab", r, u)  # 1/2 R(u, e_a)e_b
+    c[v, h, h] = -0.5 * np.einsum("iabc,c->iab", r, u)  # -1/2 R(e_a, e_b)u
+    c[h, h, v] = 0.5 * np.einsum("icba,c->iab", r, u)  # 1/2 R(u, e_b)e_a
+    c[h, v, h] = 0.5 * np.einsum("icab,c->iab", r, u)  # 1/2 R(u, e_a)e_b
     return c
 
 

@@ -43,12 +43,12 @@ class _Cases:
     def __init__(self, m, p):
         self.x, self.u, self.eps = p.x, p.u, p.eps
         self.g = metric_at(m, p.x)
-        self.gamma = christoffel_at(m, p.x).gamma
+        self.gamma = christoffel_at(m, p.x)
         self.riem = riemann_at(m, p.x)
         self.proj = np.eye(m.dim) - p.eps * np.outer(p.u, self.g @ p.u)
 
     def R(self, a, b, c):
-        return self.riem.apply(a, b, c)
+        return np.einsum("iabc,a,b,c->i", self.riem, a, b, c)
 
     def nabla(self, xf, yf):
         xv = xf(self.x)

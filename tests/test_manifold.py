@@ -9,7 +9,6 @@ from sasakigeo.errors import DegenerateMetric, DegeneratePlane, OutOfDomain
 from sasakigeo.manifold import (
     ChartedMetric,
     SpaceFormSpec,
-    TangentVec,
     christoffel_at,
     lower_riemann,
     metric_at,
@@ -85,29 +84,29 @@ class TestMetricAt:
 
 class TestChristoffel:
     def test_flat_zero(self, flat2):
-        assert np.allclose(christoffel_at(flat2, np.array([0.1, -0.2])).gamma, 0.0)
+        assert np.allclose(christoffel_at(flat2, np.array([0.1, -0.2])), 0.0)
 
     def test_space_form_zero_at_origin(self):
         m = space_form_chart(SpaceFormSpec(3, 1, 2.0))
-        assert np.abs(christoffel_at(m, np.zeros(3)).gamma).max() < 1e-15
+        assert np.abs(christoffel_at(m, np.zeros(3))).max() < 1e-15
 
     def test_against_fd_oracle_space_form(self):
         m = space_form_chart(SpaceFormSpec(2, 0, 1.0))
         x = np.array([0.2, 0.1])
-        diff = christoffel_at(m, x).gamma - fd_christoffel(m.metric_fn, x).gamma
+        diff = christoffel_at(m, x) - fd_christoffel(m.metric_fn, x)
         assert np.abs(diff).max() < 1e-6
 
     def test_against_fd_oracle_generic_chart(self, rng):
         m = bumpy_chart(3, 1, seed=5)
         for _ in range(5):
             x = sample_domain_point(m, rng, box=0.4)
-            diff = christoffel_at(m, x).gamma - fd_christoffel(m.metric_fn, x).gamma
+            diff = christoffel_at(m, x) - fd_christoffel(m.metric_fn, x)
             assert np.abs(diff).max() < 1e-6
 
     def test_lower_index_symmetry_exact(self, rng):
         m = bumpy_chart(2, 0, seed=1)
         x = sample_domain_point(m, rng, box=0.4)
-        gamma = christoffel_at(m, x).gamma
+        gamma = christoffel_at(m, x)
         assert np.array_equal(gamma, np.swapaxes(gamma, 1, 2))
 
     def test_metric_compatibility(self, rng):
@@ -116,7 +115,7 @@ class TestChristoffel:
             x = sample_domain_point(m, rng, box=0.4)
             g = metric_at(m, x)
             dg = metric_deriv1_at(m, x)
-            gamma = christoffel_at(m, x).gamma
+            gamma = christoffel_at(m, x)
             nabla_g = (
                 dg
                 - np.einsum("mki,mj->kij", gamma, g)
@@ -130,13 +129,13 @@ class TestChristoffel:
         m_fd = ChartedMetric(dim=2, index=0, metric_fn=m.metric_fn, domain_fn=m.domain_fn)
         assert m_fd.uses_fd_derivatives
         x = sample_domain_point(m, rng)
-        diff = christoffel_at(m, x).gamma - christoffel_at(m_fd, x).gamma
+        diff = christoffel_at(m, x) - christoffel_at(m_fd, x)
         assert np.abs(diff).max() < 1e-6
 
 
 class TestRiemann:
     def test_flat_zero(self, flat2):
-        assert np.allclose(riemann_at(flat2, np.array([0.4, 0.4])).r, 0.0)
+        assert np.allclose(riemann_at(flat2, np.array([0.4, 0.4])), 0.0)
 
     def test_space_form_pattern(self, rng):
         # R(X, u)u = eps c X for g(u, u) = eps and X g-orthogonal to u
@@ -149,24 +148,38 @@ class TestRiemann:
             g = metric_at(m, x)
             w = rng.normal(size=3)
             w = w - eps * float(w @ g @ u) * u
-            got = riemann_at(m, x).apply(w, u, u)
+            got = np.einsum("iabc,a,b,c->i", riemann_at(m, x), w, u, u)
             assert np.abs(got - eps * c * w).max() < 1e-8
+
+    @pytest.mark.parametrize("nu, eps", [(0, 1), (1, 1), (1, -1)])
+    @pytest.mark.parametrize("c", [1.0, -1.0, 2.0])
+    def test_operator_index_order_on_space_forms(self, rng, nu, eps, c):
+        # r[i, a, b, c] is the i-part of R(e_a, e_b)e_c: R(X, Y)Z = c(g(Y, Z)X - g(X, Z)Y)
+        from sasakigeo.sampling import sample_fiber_vector
+
+        m = space_form_chart(SpaceFormSpec(3, nu, c))
+        x = sample_domain_point(m, rng)
+        g = metric_at(m, x)
+        xv, yv, zv = rng.normal(size=3), rng.normal(size=3), sample_fiber_vector(m, x, eps, rng)
+        got = np.einsum("iabc,a,b,c->i", riemann_at(m, x), xv, yv, zv)
+        assert np.abs(got - c * (float(yv @ g @ zv) * xv - float(xv @ g @ zv) * yv)).max() < 1e-8
+        assert np.abs(fd_riemann(lambda y: christoffel_at(m, y), x) - riemann_at(m, x)).max() < 1e-5
 
     def test_symmetries_analytic(self, rng):
         m = space_form_chart(SpaceFormSpec(3, 1, -1.0))
         x = sample_domain_point(m, rng)
         rl = lower_riemann(m, x, riemann_at(m, x))
-        assert np.abs(rl + np.einsum("ijkl->ijlk", rl)).max() < 1e-10
-        assert np.abs(rl + np.einsum("ijkl->jikl", rl)).max() < 1e-10
-        assert np.abs(rl - np.einsum("ijkl->klij", rl)).max() < 1e-10
-        r = riemann_at(m, x).r
-        assert np.abs(r + np.einsum("ijkl->iklj", r) + np.einsum("ijkl->iljk", r)).max() < 1e-10
+        assert np.abs(rl + np.einsum("dabc->dbac", rl)).max() < 1e-10
+        assert np.abs(rl + np.einsum("dabc->cabd", rl)).max() < 1e-10
+        assert np.abs(rl - np.einsum("dabc->adcb", rl)).max() < 1e-10
+        r = riemann_at(m, x)
+        assert np.abs(r + np.einsum("ibca->iabc", r) + np.einsum("icab->iabc", r)).max() < 1e-10
 
     def test_against_fd_oracle_generic_chart(self, rng):
         m = bumpy_chart(2, 0, seed=7)
         x = sample_domain_point(m, rng, box=0.4)
-        fd = fd_riemann(lambda y: christoffel_at(m, y).gamma, x)
-        assert np.abs(riemann_at(m, x).r - fd.r).max() < 1e-5
+        fd = fd_riemann(lambda y: christoffel_at(m, y), x)
+        assert np.abs(riemann_at(m, x) - fd).max() < 1e-5
 
 
 class TestNablaRiemann:
@@ -190,8 +203,8 @@ class TestNablaRiemann:
     def test_second_bianchi_generic_chart(self, rng):
         m = bumpy_chart(2, 0, seed=11)
         x = sample_domain_point(m, rng, box=0.35)
-        full = nabla_riemann_full(m, x)  # [m, i, j, k, l]
-        cyc = full + np.einsum("mijkl->kijlm", full) + np.einsum("mijkl->lijmk", full)
+        full = nabla_riemann_full(m, x)  # [m, i, a, b, c]
+        cyc = full + np.einsum("bimac->miabc", full) + np.einsum("aibmc->miabc", full)
         assert np.abs(full).max() > 1e-3  # genuinely non-symmetric chart
         assert np.abs(cyc).max() < 1e-5
 
@@ -217,7 +230,7 @@ class TestSectionalCurvature:
             if float(xv @ g @ xv) < -0.1:
                 break
         yv = rng.normal(size=3)
-        K = sectional_curvature(m, x, TangentVec(x, xv), TangentVec(x, yv))
+        K = sectional_curvature(m, x, xv, yv)
         assert K == pytest.approx(-1.0, abs=1e-8)
 
     def test_basis_change_invariance(self, rng):
@@ -228,13 +241,13 @@ class TestSectionalCurvature:
             xv, yv = sample_tangent_plane(chart, x, rng)
             k0 = sectional_curvature(chart, x, xv, yv)
             a = rng.normal(size=(2, 2)) + 2 * np.eye(2)
-            xv2 = TangentVec(x, a[0, 0] * xv.comps + a[0, 1] * yv.comps)
-            yv2 = TangentVec(x, a[1, 0] * xv.comps + a[1, 1] * yv.comps)
+            xv2 = a[0, 0] * xv + a[0, 1] * yv
+            yv2 = a[1, 0] * xv + a[1, 1] * yv
             assert sectional_curvature(chart, x, xv2, yv2) == pytest.approx(k0, abs=1e-8)
 
     def test_degenerate_plane_raises(self, flat2):
         x = np.zeros(2)
-        v = TangentVec(x, np.array([1.0, 0.0]))
+        v = np.array([1.0, 0.0])
         with pytest.raises(DegeneratePlane):
             sectional_curvature(flat2, x, v, v)
 

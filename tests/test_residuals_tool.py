@@ -25,6 +25,17 @@ def test_compare_counts_flips_changes_and_growth_above_the_floor():
     assert "  a: 1e-08 -> 3e-08 (relative change 2)" in lines
 
 
+def test_compare_breaks_the_changes_down_by_check():
+    old = {"a": _report(True, x=1e-8, y=2e-9, z=0.5), "b": _report(True, x=2e-8, y=2e-9, z=0.5)}
+    new = {"a": _report(True, x=1.5e-8, y=2e-9, z=0.5), "b": _report(True, x=1e-8, y=3e-9, z=0.5)}
+    lines = residuals.compare(old, new, check=None)
+    at = lines.index("residuals changed: 3 of 6")
+    assert lines[at + 1 : at + 3] == [
+        "  x: 2 changed, largest |new - old| 1e-08",
+        "  y: 1 changed, largest |new - old| 1e-09",
+    ]
+
+
 def test_identical_dumps_agree():
     old = {"a": _report(True, x=1e-8, n=float("nan"))}
     lines = residuals.compare(old, old, check=None)

@@ -12,7 +12,7 @@ import pytest
 from sasakigeo import contact, sphere, suites
 from sasakigeo.errors import DegenerateMetric, InvalidConfig
 from sasakigeo.cli import main
-from sasakigeo.report import CheckItem, CheckReport, emit_report, report_to_dict, worst_of
+from sasakigeo.report import CheckItem, CheckReport, emit_report, fold, report_to_dict, worst_of
 from sasakigeo.suites import SUITES, SuiteConfig, expected_pass, matrix_configs, run_suite
 
 from conftest import nan_on_call
@@ -192,6 +192,13 @@ class TestNonFiniteResiduals:
         assert math.isnan(worst_of(0.0, nan)) and math.isnan(worst_of(nan, 0.0))
         assert math.isnan(worst_of(1.0, nan, 2.0))
         assert worst_of(0.0, 2.5, -1.0) == 2.5 and worst_of(1.0, math.inf) == math.inf
+
+    def test_fold_keeps_the_worst_in_first_row_order(self):
+        rows = [("b", 1e-9, 1e-8), ("a", float("nan"), 1e-8), ("b", 3e-9, 1e-8), ("a", 0.0, 1e-8)]
+        checks = fold(rows)
+        assert [c.name for c in checks] == ["b", "a"] and checks[0].max_residual == 3e-9
+        assert math.isnan(checks[1].max_residual) and not checks[1].passed
+        assert [c.tol for c in fold(rows, tol=0.5)] == [0.5, 0.5]
 
     def test_one_nan_curvature_fails_the_curvature_suite(self, monkeypatch):
         cfg = SuiteConfig(suite="curvature", **FAST)
@@ -419,6 +426,20 @@ class TestCli:
     def test_config_error_exit_code(self, capsys, argv):
         assert main(argv) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kappa-mu", "--c", "20", "--eps", "1"],
+            ["curvature", "--c", "20"],
+            ["kappa-mu", "--c", "1234.567", "--eps", "-1", "--nu", "1"],
+        ],
+    )
+    def test_unsamplable_space_form_is_a_config_error(self, capsys, argv):
+        # no fiber vector within the norm cap (c = 20), no nondegenerate plane (c = 1234.567)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines()[-1].startswith("error: could not sample")
 
     def test_fd_step_option_is_gone(self):
         # stencil.py owns every finite-difference step

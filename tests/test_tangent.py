@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sasakigeo.errors import PointMismatch
-from sasakigeo.manifold import SpaceFormSpec, TangentVec, metric_at, space_form_chart
+from sasakigeo.manifold import SpaceFormSpec, metric_at, space_form_chart
 from sasakigeo.oracle import fd_christoffel, fd_lie_bracket, lift_field_fn, sasaki_gamma_fn, ambient_nabla
 from sasakigeo.sampling import sample_domain_point, sample_fiber_vector
 from sasakigeo.sphere import frame_at, sb_point
@@ -35,18 +35,18 @@ class TestLifts:
         # X^h = (X ; -u^b X^a Gamma_ab); expected vertical part from the FD oracle
         m = space_form_chart(SpaceFormSpec(2, 0, 1.0))
         at = _tm_point(m, rng)
-        xv = TangentVec(at.x, rng.normal(size=2))
-        w = to_induced_coords(m, TMVec(at, xv.comps, np.zeros(2)))
-        gamma = fd_christoffel(m.metric_fn, at.x).gamma
-        expected_du = -np.einsum("iab,a,b->i", gamma, xv.comps, at.u)
-        assert np.allclose(w[:2], xv.comps)
+        xv = rng.normal(size=2)
+        w = to_induced_coords(m, TMVec(at, xv, np.zeros(2)))
+        gamma = fd_christoffel(m.metric_fn, at.x)
+        expected_du = -np.einsum("iab,a,b->i", gamma, xv, at.u)
+        assert np.allclose(w[:2], xv)
         assert np.abs(w[2:] - expected_du).max() < 1e-6
 
     def test_flat_base_trivial(self, flat2, rng):
         at = _tm_point(flat2, rng)
-        xv = TangentVec(at.x, rng.normal(size=2))
-        assert np.allclose(to_induced_coords(flat2, TMVec(at, xv.comps, np.zeros(2))), np.r_[xv.comps, 0, 0])
-        assert np.allclose(to_induced_coords(flat2, TMVec(at, np.zeros(2), xv.comps)), np.r_[0, 0, xv.comps])
+        xv = rng.normal(size=2)
+        assert np.allclose(to_induced_coords(flat2, TMVec(at, xv, np.zeros(2))), np.r_[xv, 0, 0])
+        assert np.allclose(to_induced_coords(flat2, TMVec(at, np.zeros(2), xv)), np.r_[0, 0, xv])
 
     def test_round_trip(self, rng):
         m = space_form_chart(SpaceFormSpec(3, 1, -1.0))
@@ -72,8 +72,8 @@ class TestSasakiMetric:
     def test_h_v_orthogonal(self, rng):
         m = space_form_chart(SpaceFormSpec(2, 0, 1.0))
         at = _tm_point(m, rng)
-        xv = TangentVec(at.x, rng.normal(size=2))
-        assert sasaki_metric_at(m, at, TMVec(at, xv.comps, np.zeros(2)), TMVec(at, np.zeros(2), xv.comps)) == 0.0
+        xv = rng.normal(size=2)
+        assert sasaki_metric_at(m, at, TMVec(at, xv, np.zeros(2)), TMVec(at, np.zeros(2), xv)) == 0.0
 
     def test_lifted_frame_orthonormal_with_index_2nu(self, rng):
         m = space_form_chart(SpaceFormSpec(3, 1, -1.0))
@@ -202,11 +202,11 @@ def test_only_h_and_v_lift_kinds_are_accepted(flat2, rng, fn, kinds):
 class TestAlmostComplexJ:
     def test_lift_exchange(self, flat2, rng):
         at = _tm_point(flat2, rng)
-        xv = TangentVec(at.x, rng.normal(size=2))
-        jh = almost_complex_J(TMVec(at, xv.comps, np.zeros(2)))
-        assert np.allclose(jh.hpart, 0.0) and np.allclose(jh.vpart, xv.comps)
-        jv = almost_complex_J(TMVec(at, np.zeros(2), xv.comps))
-        assert np.allclose(jv.hpart, -xv.comps) and np.allclose(jv.vpart, 0.0)
+        xv = rng.normal(size=2)
+        jh = almost_complex_J(TMVec(at, xv, np.zeros(2)))
+        assert np.allclose(jh.hpart, 0.0) and np.allclose(jh.vpart, xv)
+        jv = almost_complex_J(TMVec(at, np.zeros(2), xv))
+        assert np.allclose(jv.hpart, -xv) and np.allclose(jv.vpart, 0.0)
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.floats(-5, 5), min_size=4, max_size=4))

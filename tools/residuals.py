@@ -9,8 +9,9 @@ runs every suite at the 36 ``matrix_configs`` of ``verify all --seed 42``
 and eps = -1 (nu = 1), 380 reports in all.  Each report is recorded with
 its verdict and the residual, tolerance and verdict of each check.
 
-``compare`` prints the verdict flips, how many residuals changed, and the
-largest growth new/old among new residuals of at least 1e-14; with
+``compare`` prints the verdict flips, how many residuals changed (and, per
+check, how many of its residuals changed and the largest |new - old|), and
+the largest growth new/old among new residuals of at least 1e-14; with
 ``--check`` it also lists that check's residuals report by report.  It
 exits 1 when a verdict flips or NEW lacks a report or check of OLD, and 0
 otherwise.  Two trees agree "within FD noise" when nothing flips and no
@@ -78,6 +79,12 @@ def compare(old: dict, new: dict, check: str | None) -> list:
     lines.append(f"verdict flips: {len(flips)}")
     lines += [f"  {f}" for f in flips]
     lines.append(f"residuals changed: {len(changed)} of {len(pairs)}")
+    per_check: dict = {}
+    for _, name, a, b in changed:
+        count, largest = per_check.get(name, (0, 0.0))
+        per_check[name] = (count + 1, max(largest, abs(b - a)))
+    for name, (count, largest) in per_check.items():
+        lines.append(f"  {name}: {count} changed, largest |new - old| {largest:.3g}")
     if growth:
         ratio, k, name, a, b = max(growth)
         lines.append(f"largest growth (new >= {FLOOR:g}): {ratio:.3g}x at {k} / {name} ({a:.3g} -> {b:.3g})")
