@@ -37,7 +37,7 @@ from .oracle import (
     sasaki_metric_fn,
     sb_lift_field_fn,
 )
-from .report import CheckItem, CheckReport, fold, worst_of
+from .report import CheckReport, fold
 from .sampling import sample_ker_eta_vec, sample_sb_vec
 from .sphere import (
     SBFrame,
@@ -200,7 +200,7 @@ def check_contact_axioms(
 
 def _contact_axiom_rows(m: ChartedMetric, p: SBPoint, rng: np.random.Generator, num_samples: int):
     data = contact_data_at(m, p)
-    eps, n = p.eps, m.dim
+    eps = p.eps
     yield "eta(xi) = 1", abs(data.eta(data.xi) - 1.0), 1e-12
     yield "g_cm(xi, xi) = eps", abs(data.gcm(data.xi, data.xi) - eps), 1e-12
     yield "phi(xi) = 0", float(np.abs(data.phi(data.xi).comps()).max()), 1e-12
@@ -216,17 +216,22 @@ def _contact_axiom_rows(m: ChartedMetric, p: SBPoint, rng: np.random.Generator, 
         )
         yield "g_cm(phi.,phi.) = g_cm - eps eta@eta", abs(comp), 1e-10
 
-    z0 = np.concatenate([p.x, p.u])
     deta_t = d_eta_tensor(m, p)
-    kinds = [("h", "t"), ("h", "h"), ("t", "t"), ("t", "h")]
-    for k in range(max(8, num_samples // 4)):
-        kx, ky = kinds[k % 4]
-        xc = rng.normal(size=n)
-        yc = rng.normal(size=n)
-        a0 = sb_lift_field_fn(m, xc, kx, eps)(z0)
-        b0 = sb_lift_field_fn(m, yc, ky, eps)(z0)
-        deta = 0.5 * float(a0 @ deta_t @ b0)
-        yield "d eta = g_cm(., phi .)", abs(deta - data.gcm(lift(m, p, kx, xc), data.phi(lift(m, p, ky, yc)))), 1e-5
+    for a, b, a0, b0 in _lift_pairs(m, p, rng, max(8, num_samples // 4)):
+        yield "d eta = g_cm(., phi .)", abs(0.5 * float(a0 @ deta_t @ b0) - data.gcm(a, data.phi(b))), 1e-5
+
+
+def _lift_pairs(m: ChartedMetric, p: SBPoint, rng: np.random.Generator, count: int):
+    """``count`` lift pairs (a, b) of random base vectors X, Y (drawn in turn), cycling through
+    (X^h, Y^t), (X^h, Y^h), (X^t, Y^t), (X^t, Y^h), with their induced TM components a0, b0."""
+    z0 = np.concatenate([p.x, p.u])
+    for k in range(count):
+        kx, ky = (("h", "t"), ("h", "h"), ("t", "t"), ("t", "h"))[k % 4]
+        xc = rng.normal(size=m.dim)
+        yc = rng.normal(size=m.dim)
+        a0 = sb_lift_field_fn(m, xc, kx, p.eps)(z0)
+        b0 = sb_lift_field_fn(m, yc, ky, p.eps)(z0)
+        yield lift(m, p, kx, xc), lift(m, p, ky, yc), a0, b0
 
 
 def nabla_xi(m: ChartedMetric, p: SBPoint, a: SBVec) -> SBVec:
@@ -347,42 +352,35 @@ def kappa_mu_residual(
 ) -> CheckReport:
     """Residual of R(a,b)xi = eps kappa(eta(b)a - eta(a)b) + eps mu(eta(b)ha - eta(a)hb).
 
-    The residual vector is measured in the Euclidean norm of its
-    (horizontal, tangential) components: the pseudo-metric norm could
-    vanish on a nonzero null residual.  A least-squares (kappa, mu) fit
-    over the samples is echoed for diagnostics.
+    One least-squares system per point stacks each sample's design rows [v1, h v1],
+    v1 = eps(eta(b)a - eta(a)b), and left side R-bar(a, b)xi.  It gives the residual at
+    (kappa, mu), in the Euclidean norm of the (h, t) components (the pseudo-metric norm
+    could vanish on a nonzero null residual), the residual at (kappa + 0.1, mu), which
+    must reach 1e-2, and the least-squares (kappa, mu) fit, echoed for diagnostics.
     """
     _require_samples(num_samples, "num_samples")
     data = contact_data_at(m, p)
-    eps = p.eps
-    xi = data.xi
     geo = point_geometry(m, p)
-    hmat = geo.h_parts
-    rb_xi = geo.rbar @ xi.comps()  # R-bar(., .)xi
-    worst = 0.0
-    rows, rhs_list = [], []
+    rb_xi = geo.rbar @ data.xi.comps()  # R-bar(., .)xi
+    lhs, v1 = [], []
     for k in range(num_samples):
         a = sample_sb_vec(m, p, rng)
-        b = xi if k % 3 == 0 else sample_sb_vec(m, p, rng)
-        lhs = (rb_xi @ b.comps()) @ a.comps()
-        e_a, e_b = data.eta(a), data.eta(b)
-        v1 = eps * (e_b * a + (-e_a) * b)
-        v2 = eps * (e_b * (hmat @ a.comps()) + (-e_a) * (hmat @ b.comps()))
-        resid = lhs - km.kappa * v1.comps() - km.mu * v2
-        worst = worst_of(worst, np.linalg.norm(resid))
-        rows.append(np.stack([v1.comps(), v2], axis=1))
-        rhs_list.append(lhs)
-    design = np.concatenate(rows, axis=0)
-    fit, *_ = np.linalg.lstsq(design, np.concatenate(rhs_list), rcond=None)
-    params = {
-        "kappa": km.kappa,
-        "mu": km.mu,
-        "kappa_fit": float(fit[0]),
-        "mu_fit": float(fit[1]),
-    }
-    return CheckReport.build(
-        "kappa-mu", params, [CheckItem("(kappa,mu)-nullity residual", worst, 1e-8)]
-    )
+        b = data.xi if k % 3 == 0 else sample_sb_vec(m, p, rng)
+        lhs.append((rb_xi @ b.comps()) @ a.comps())
+        v1.append((p.eps * (data.eta(b) * a + (-data.eta(a)) * b)).comps())
+    lhs, v1 = np.array(lhs), np.array(v1)
+    design = np.stack([v1, v1 @ geo.h_parts.T], axis=-1)  # [sample, component, (kappa, mu)]
+
+    def residuals(kappa: float, mu: float) -> np.ndarray:
+        return np.linalg.norm(lhs - design @ np.array([kappa, mu]), axis=1)
+
+    finite = np.isfinite(design).all() and np.isfinite(lhs).all()  # else the residuals are NaN and fail
+    fit = np.linalg.lstsq(design.reshape(-1, 2), lhs.ravel(), rcond=None)[0] if finite else (math.nan, math.nan)
+    params = {"kappa": km.kappa, "mu": km.mu, "kappa_fit": float(fit[0]), "mu_fit": float(fit[1])}
+    rows = [("(kappa,mu)-nullity residual", r, 1e-8) for r in residuals(km.kappa, km.mu)]
+    # the fold clamps at 0, so the row passes once the perturbed worst reaches 1e-2 (a NaN fails)
+    rows.append(("sensitivity: residual(kappa + 0.1) >= 1e-2", 1e-2 - residuals(km.kappa + 0.1, km.mu).max(), 0.0))
+    return CheckReport.build("kappa-mu", params, fold(rows))
 
 
 def psi_u_matrix(m: ChartedMetric, p: SBPoint) -> np.ndarray:
@@ -410,13 +408,13 @@ def psi_u_quadratics(m: ChartedMetric, p: SBPoint, km: KappaMu) -> CheckReport:
     a = -0.5 * eps * mu  # the common root eps*c, using mu = -2c
     s1 = abs(a * a + eps * mu * a - (eps * kappa + (2.0 * eps - 1.0) * mu))
     s2 = abs(a * a + (eps * mu - 4.0) / 3.0 * a + (eps * kappa - mu) / 3.0)
-    checks = [
-        CheckItem("psi_u quadratic (vertical branch)", np.linalg.norm(q1, 2), 1e-8),
-        CheckItem("psi_u quadratic (horizontal branch)", np.linalg.norm(q2, 2), 1e-8),
-        CheckItem("common root a = eps c (vertical)", s1, 1e-10),
-        CheckItem("common root a = eps c (horizontal)", s2, 1e-10),
+    rows = [
+        ("psi_u quadratic (vertical branch)", np.linalg.norm(q1, 2), 1e-8),
+        ("psi_u quadratic (horizontal branch)", np.linalg.norm(q2, 2), 1e-8),
+        ("common root a = eps c (vertical)", s1, 1e-10),
+        ("common root a = eps c (horizontal)", s2, 1e-10),
     ]
-    return CheckReport.build("psi-u-quadratics", {}, checks)
+    return CheckReport.build("psi-u-quadratics", {}, fold(rows))
 
 
 def killing_residual(m: ChartedMetric, p: SBPoint) -> float:
@@ -509,25 +507,17 @@ def sasakian_residual(
 
 def _sasakian_rows(m: ChartedMetric, p: SBPoint, rng: np.random.Generator, num_samples: int):
     data = contact_data_at(m, p)
-    eps, n = p.eps, m.dim
+    eps = p.eps
     z0 = np.concatenate([p.x, p.u])
     nphi_t = fd_nijenhuis(phi_matrix_fn(m, eps), z0)
     deta_t = d_eta_tensor(m, p)
     xi_ind = geodesic_flow_field_fn(m)(z0)
 
-    kinds = [("h", "t"), ("h", "h"), ("t", "t"), ("t", "h")]
-    for k in range(num_samples):
-        kx, ky = kinds[k % 4]
-        xc = rng.normal(size=n)
-        yc = rng.normal(size=n)
-        a0 = sb_lift_field_fn(m, xc, kx, eps)(z0)
-        b0 = sb_lift_field_fn(m, yc, ky, eps)(z0)
+    for a, b, a0, b0 in _lift_pairs(m, p, rng, num_samples):
         nphi = (nphi_t @ b0) @ a0
         two_deta = float(a0 @ deta_t @ b0)
         yield "N_phi + 2 d eta @ xi = 0", np.abs(nphi + two_deta * xi_ind).max(), 1e-5
 
-        a_sb = lift(m, p, kx, xc)
-        b_sb = lift(m, p, ky, yc)
-        lhs = nabla_phi(m, p, a_sb, b_sb)
-        rhs = data.gcm(a_sb, b_sb) * data.xi + (-eps * data.eta(b_sb)) * a_sb
+        lhs = nabla_phi(m, p, a, b)
+        rhs = data.gcm(a, b) * data.xi + (-eps * data.eta(b)) * a
         yield "(nabla phi) = g_cm @ xi - eps eta @ id", np.abs(lhs.comps() - rhs.comps()).max(), 1e-5

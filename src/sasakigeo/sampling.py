@@ -16,6 +16,7 @@ from .sphere import SBPoint, SBVec, horizontal_sb, point_geometry, sb_point, tan
 SAMPLE_BOX = 0.55  # chart points are drawn from [-box, box]^n, then domain-filtered
 PLANE_GRAM_MIN = 1e-3  # |Gram determinant| a sampled tangent plane must exceed
 FIBER_NORM_MAX = 3.0  # ||u|| cap of a sampled fiber vector
+BASE_POINT_TRIES = 100  # base points x that ``sample_sb_point`` draws before it gives up
 
 
 def rng_for(seed: int, *key: int) -> np.random.Generator:
@@ -62,9 +63,17 @@ def sample_fiber_vector(m: ChartedMetric, x: np.ndarray, eps: int, rng: np.rando
 
 
 def sample_sb_point(m: ChartedMetric, eps: int, rng: np.random.Generator) -> SBPoint:
-    x = sample_domain_point(m, rng)
-    u = sample_fiber_vector(m, x, eps, rng)
-    return sb_point(m, x, u, eps)
+    """x, then u at x; an x where ``sample_fiber_vector`` finds no u is replaced by a new draw."""
+    if m.index == (0 if eps == -1 else m.dim):  # no x has a u with g(u, u) of this sign
+        raise SamplingFailure(f"a metric of index {m.index} has no fiber vector with sign {eps}")
+    for _ in range(BASE_POINT_TRIES):
+        x = sample_domain_point(m, rng)
+        try:
+            u = sample_fiber_vector(m, x, eps, rng)
+        except SamplingFailure:
+            continue
+        return sb_point(m, x, u, eps)
+    raise SamplingFailure(f"could not sample a bundle point with sign {eps} in {BASE_POINT_TRIES} base points")
 
 
 def sample_sb_vec(m: ChartedMetric, p: SBPoint, rng: np.random.Generator) -> SBVec:

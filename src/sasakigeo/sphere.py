@@ -52,7 +52,8 @@ class SBPoint:
 
 @dataclass(frozen=True)
 class SBVec:
-    """hpart^h + tpart^t at an SBPoint, with g(tpart, u) = 0."""
+    """hpart^h + tpart^t at an SBPoint with g(tpart, u) = 0, the caller's duty (unchecked; lifts, samplers
+    and closed forms keep it).  Closed forms read the t part as given: a u component gives wrong values."""
 
     at: SBPoint
     hpart: np.ndarray

@@ -231,6 +231,20 @@ class TestKappaMu:
         rep = kappa_mu_residual(m, p, KappaMu(1.1, -2.0), rng, num_samples=15)
         assert rep.checks[0].max_residual > 1e-2
 
+    @pytest.mark.parametrize("n,nu,c,eps", [(2, 0, 1.0, 1), (3, 1, 2.0, -1)])
+    def test_report_lists_the_nullity_then_the_sensitivity_row(self, n, nu, c, eps):
+        # both rows read the same samples: the residual at (kappa + 0.1, mu) of the sampled system
+        km = kappa_mu_for_space_form(c, eps)
+        m, p, rng = _chart_point(n, nu, c, eps, seed=9)
+        rep = kappa_mu_residual(m, p, km, rng, num_samples=15)
+        names = [chk.name for chk in rep.checks]
+        assert names == ["(kappa,mu)-nullity residual", "sensitivity: residual(kappa + 0.1) >= 1e-2"]
+        assert rep.passed and rep.checks[1].max_residual == 0.0 and rep.checks[1].tol == 0.0
+        # at kappa - 0.1 the perturbed kappa is the true one, so the sensitivity row fails as well
+        low = kappa_mu_residual(m, p, KappaMu(km.kappa - 0.1, km.mu), np.random.default_rng(9), num_samples=15)
+        assert [chk.passed for chk in low.checks] == [False, False]
+        assert 0.0 < low.checks[1].max_residual <= 1e-2
+
 
 class TestPsiUQuadratics:
     @pytest.mark.parametrize("n,nu,c,eps", [(3, 0, 1.0, 1), (2, 0, 0.0, 1), (3, 1, 2.0, -1)])

@@ -208,21 +208,16 @@ class TestNonFiniteResiduals:
         assert not rep.passed
         assert any(math.isnan(c.max_residual) for c in rep.checks)
 
-    def test_a_nan_perturbed_residual_fails_the_sensitivity_check(self, monkeypatch):
+    def test_a_nan_sample_fails_the_nullity_and_the_sensitivity_check(self, monkeypatch):
+        # both rows and the fit read one least-squares system, and one NaN sample vector enters it
         cfg = SuiteConfig(suite="kappa-mu", **FAST)
-        exact = contact.kappa_mu_for_space_form(cfg.c, cfg.eps)
-        real = contact.kappa_mu_residual
-
-        def nan_when_perturbed(m, p, km, rng, **kwargs):
-            rep = real(m, p, km, rng, **kwargs)
-            if km == exact:
-                return rep
-            return CheckReport.build(rep.suite, rep.params, [CheckItem(rep.checks[0].name, float("nan"), 1e-8)])
-
-        monkeypatch.setattr(contact, "kappa_mu_residual", nan_when_perturbed)
+        assert run_suite(cfg).passed
+        monkeypatch.setattr(contact, "sample_sb_vec", nan_on_call(contact.sample_sb_vec, 2))
         rep = run_suite(cfg)
-        failing = [c.name for c in rep.checks if not c.passed]
-        assert failing == ["sensitivity: residual(kappa + 0.1) >= 1e-2"]
+        failing = [c for c in rep.checks if not c.passed]
+        assert [c.name for c in failing] == ["(kappa,mu)-nullity residual", "sensitivity: residual(kappa + 0.1) >= 1e-2"]
+        assert all(math.isnan(c.max_residual) for c in failing)
+        assert math.isnan(rep.params["kappa_fit"]) and math.isnan(rep.params["mu_fit"])
 
 
 class TestAllMatrix:
@@ -427,19 +422,19 @@ class TestCli:
         assert main(argv) == 2
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["kappa-mu", "--c", "20", "--eps", "1"],
-            ["curvature", "--c", "20"],
-            ["kappa-mu", "--c", "1234.567", "--eps", "-1", "--nu", "1"],
-        ],
-    )
-    def test_unsamplable_space_form_is_a_config_error(self, capsys, argv):
-        # no fiber vector within the norm cap (c = 20), no nondegenerate plane (c = 1234.567)
-        assert main(argv) == 2
+    def test_unsamplable_space_form_is_a_config_error(self, capsys):
+        # no nondegenerate tangent plane at c = 1234.567
+        assert main(["kappa-mu", "--c", "1234.567", "--eps", "-1", "--nu", "1"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.splitlines()[-1].startswith("error: could not sample")
+
+    @pytest.mark.parametrize(
+        "argv", [["kappa-mu", "--c", "20", "--eps", "1"], ["curvature", "--c", "20"], ["index", "--c", "20", "--seed", "1"]]
+    )
+    def test_base_points_without_a_fiber_are_redrawn(self, capsys, argv):
+        # some x of the sample box admit no fiber vector within the norm cap at c = 20; others do
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
 
     def test_fd_step_option_is_gone(self):
         # stencil.py owns every finite-difference step
