@@ -22,7 +22,7 @@ from .errors import DegenerateMetric, NoSolvableCoordinate
 from .manifold import ChartedMetric
 from .sphere import SBPoint, SBVec, require_same_sb_point
 from .stencil import FD_STEP_FIRST, FD_STEP_GAMMA, FD_STEP_SECOND, jacobian, partials
-from .tangent import VectorField, as_field
+from .tangent import VectorField, as_field, kept_geometry
 
 
 # -------------------- raw metric data (oracle's own access) --------------------
@@ -448,12 +448,16 @@ class GaussOracle:
     they are built once here, and the ambient curvature R-tilde of Tg is
     built on first use.  ``curvature``, ``second_fundamental_form``,
     ``weingarten`` and ``nabla_endomorphism`` only contract them with the
-    sampled vectors.  ``sb_nabla_via_ambient`` is a module function that
-    builds a context of its own on every call.
+    sampled vectors.  ``gauss_oracle`` keeps one context per (chart, point)
+    on the point, and ``gauss_curvature_oracle`` and ``sb_nabla_via_ambient``
+    read that one.  The context holds p's x, u and eps but never p itself:
+    it takes the point from the vectors it is given, checking them against
+    its own coordinates.
     """
 
     def __init__(self, m: ChartedMetric, p: SBPoint):
-        self.m, self.p = m, p
+        self.m = m
+        self.x, self.u, self.eps = p.x, p.u, p.eps
         self.z0 = np.concatenate([p.x, p.u])
         self.gamma0 = sasaki_gamma_fn(m)(self.z0)
         self.tg0 = sasaki_metric_fn(m)(self.z0)
@@ -466,10 +470,18 @@ class GaussOracle:
         step = FD_STEP_SECOND if self.m.uses_fd_derivatives else FD_STEP_GAMMA
         return fd_riemann(sasaki_gamma_fn(self.m), self.z0, step)
 
+    def _point(self, *vecs: SBVec) -> SBPoint:
+        """The point the vectors live at; it must carry this context's x, u and eps."""
+        p = vecs[0].at
+        if not (p.x is self.x and p.u is self.u and p.eps == self.eps):
+            require_same_sb_point(SBPoint(self.x, self.u, self.eps), vecs[0])
+        require_same_sb_point(p, *vecs)
+        return p
+
     def second_fundamental_form(self, a: SBVec, b: SBVec) -> float:
         """II(A, B) = -eps Tg(B, nabla-tilde_A N), the Weingarten relation."""
-        require_same_sb_point(self.p, a, b)
-        return -self.p.eps * float(_embed_induced(self.m, b) @ self.tg0 @ self.weingarten(a))
+        self._point(a, b)
+        return -self.eps * float(_embed_induced(self.m, b) @ self.tg0 @ self.weingarten(a))
 
     def weingarten(self, a: SBVec) -> np.ndarray:
         """Induced components of nabla-tilde_A N = dN(A) + Gamma-tilde(A, N), N = (0; u)."""
@@ -485,11 +497,12 @@ class GaussOracle:
         where tan(V) = V - eps Tg(V, N) N; ``_from_induced`` drops that N part,
         so tan is not taken separately.
         """
+        p = self._point(a, b, c)
         a_ind, b_ind, c_ind = (_embed_induced(self.m, v) for v in (a, b, c))
         v = np.einsum("iabc,a,b,c->i", self.r_tilde, a_ind, b_ind, c_ind)
         ii_bc = self.second_fundamental_form(b, c)
         ii_ac = self.second_fundamental_form(a, c)
-        return _from_induced(self.m, self.p, v - ii_bc * self.weingarten(a) + ii_ac * self.weingarten(b))
+        return _from_induced(self.m, p, v - ii_bc * self.weingarten(a) + ii_ac * self.weingarten(b))
 
     def nabla_endomorphism(self, phi_fn) -> Callable[[SBVec, SBVec], SBVec]:
         """(a, b) -> (nabla-bar_a phi) b for an endomorphism field of induced components on TM.
@@ -504,16 +517,21 @@ class GaussOracle:
         nabla = np.einsum("lik->ilk", dphi) + np.einsum("ilm,mk->ilk", gam, phi) - np.einsum("im,mlk->ilk", phi, gam)
 
         def apply(a: SBVec, b: SBVec) -> SBVec:
-            require_same_sb_point(self.p, a, b)
+            p = self._point(a, b)
             v = (nabla @ _embed_induced(self.m, b)) @ _embed_induced(self.m, a)
-            return _from_induced(self.m, self.p, v)
+            return _from_induced(self.m, p, v)
 
         return apply
 
 
+def gauss_oracle(m: ChartedMetric, p: SBPoint) -> GaussOracle:
+    """The one ``GaussOracle`` of chart ``m`` at p, kept by p; R-tilde is built on first use."""
+    return kept_geometry(m, p, GaussOracle)
+
+
 def gauss_curvature_oracle(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec, c: SBVec) -> SBVec:
-    """R-bar(a, b)c by the Gauss equation; see ``GaussOracle`` to reuse one point."""
-    return GaussOracle(m, p).curvature(a, b, c)
+    """R-bar(a, b)c by the Gauss equation, from the context ``gauss_oracle(m, p)``."""
+    return gauss_oracle(m, p).curvature(a, b, c)
 
 
 def sb_nabla_via_ambient(
@@ -527,12 +545,12 @@ def sb_nabla_via_ambient(
     """The tangential part of the ambient derivative of lift fields, nabla-bar_A B.
 
     The ambient derivative is taken in induced coordinates against the
-    oracle's own Christoffels of Tg at p, read from ``GaussOracle(m, p)``;
+    oracle's own Christoffels of Tg at p, read from ``gauss_oracle(m, p)``;
     ``_from_induced`` drops its N part.  For a constant base vector (any
     field that is not callable) on charts with analytic derivatives the
     component Jacobian is exact; otherwise it is central-differenced.
     """
-    ctx = GaussOracle(m, p)
+    ctx = gauss_oracle(m, p)
     aval = sb_lift_field_fn(m, xfield, kind_x, p.eps)(ctx.z0)
     b_jac_fn = None if callable(yfield) else const_lift_jacobian_fn(m, as_field(yfield)(p.x), kind_y, p.eps)
     nab = ambient_nabla(aval, sb_lift_field_fn(m, yfield, kind_y, p.eps), ctx.z0, ctx.gamma0, b_jac_fn=b_jac_fn)

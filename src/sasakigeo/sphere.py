@@ -30,9 +30,9 @@ from .tangent import (
 class SBPoint:
     """A point (x, u) of T_eps M; use ``sb_point`` to construct validated.
 
-    It keeps one ``PointGeometry`` per chart it is used with (see
-    ``point_geometry``), so x and u must not be changed in place: build a
-    new point instead.
+    It keeps one ``PointGeometry`` and one ``oracle.GaussOracle`` per chart
+    it is used with (see ``point_geometry`` and ``oracle.gauss_oracle``), so
+    x and u must not be changed in place: build a new point instead.
     """
 
     x: np.ndarray

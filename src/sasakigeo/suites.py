@@ -383,7 +383,7 @@ def _suite_oracle(cfg: SuiteConfig, m: ChartedMetric, params: dict):
 
         p = sample_sb_point(m, cfg.eps, rng)
         z0 = np.concatenate([p.x, p.u])
-        gauss = orc.GaussOracle(m, p)
+        gauss = orc.gauss_oracle(m, p)
         for _ in range(max(2, cfg.num_samples // 8)):
             a = sample_sb_vec(m, p, rng)
             b = sample_sb_vec(m, p, rng)

@@ -92,12 +92,24 @@ class BaseGeometry:
 
 
 def kept_geometry(m: ChartedMetric, point, build: Callable):
-    """The one ``build(m, point)`` of chart ``m``, kept by the point (charts compared by ``is``)."""
-    for chart, geo in point._geometry:
-        if chart is m:
-            return geo
+    """The one ``build(m, point)`` of chart ``m``, kept by the point.
+
+    Entries are keyed by (chart, build), the chart compared by ``is``, so one
+    point keeps a ``PointGeometry`` and a ``GaussOracle`` of a chart side by
+    side.  Like ``oracle.base_jet``, an entry remembers the chart's metric
+    callables it was built from (compared by ``is``) and is built again once
+    the chart holds others.
+    """
+    kept = point._geometry
+    for entry in kept:
+        chart, kind, metric_fn, deriv1_fn, deriv2_fn, geo = entry
+        if chart is m and kind is build:
+            if metric_fn is m.metric_fn and deriv1_fn is m.deriv1_fn and deriv2_fn is m.deriv2_fn:
+                return geo
+            kept[:] = [e for e in kept if e is not entry]
+            break
     geo = build(m, point)
-    point._geometry.append((m, geo))
+    kept.append((m, build, m.metric_fn, m.deriv1_fn, m.deriv2_fn, geo))
     return geo
 
 

@@ -1,6 +1,7 @@
 """The finite-difference ground-truth path itself."""
 
 import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from sasakigeo.oracle import (
     fd_nijenhuis,
     fd_riemann,
     gauss_curvature_oracle,
+    gauss_oracle,
     geodesic_flow_field_fn,
     GaussOracle,
     hypersurface_pullback,
@@ -32,7 +34,16 @@ from sasakigeo.oracle import (
     _embed_induced,
 )
 from sasakigeo.sampling import sample_domain_point, sample_sb_point, sample_sb_vec
-from sasakigeo.sphere import horizontal_sb, induced_metric_at, sb_bracket, sb_point, tangential_lift
+from sasakigeo.sphere import (
+    SBPoint,
+    SBVec,
+    horizontal_sb,
+    induced_metric_at,
+    point_geometry,
+    sb_bracket,
+    sb_point,
+    tangential_lift,
+)
 from sasakigeo.stencil import FD_STEP_FIRST, central_difference
 
 from conftest import bumpy_chart, patch_everywhere
@@ -577,6 +588,91 @@ class TestPerPointOracles:
         run_suite(SuiteConfig("oracle-crosscheck", n=2, num_points=2, num_samples=24))  # 3 triples a point
         assert sizes.count(4) == 2  # R-tilde on the 2n-dimensional TM chart
         assert sizes.count(2) == 2  # the base curvature check
+
+
+class TestKeptGaussOracle:
+    """One ``GaussOracle`` per (chart, bundle point), kept by the point."""
+
+    @pytest.mark.parametrize("chart,eps", [("space form", -1), ("bumpy", 1)])
+    def test_one_build_and_one_r_tilde_per_chart_and_point(self, monkeypatch, rng, chart, eps):
+        m = space_form_chart(SpaceFormSpec(3, 1, 2.0)) if chart == "space form" else bumpy_chart(3, 1)
+        p = sample_sb_point(m, eps, rng)
+        geo = point_geometry(m, p)
+        triples = [tuple(sample_sb_vec(m, p, rng) for _ in range(3)) for _ in range(4)]
+        pairs = [(rng.normal(size=3), rng.normal(size=3), kx, ky) for kx, ky in ("hh", "ht", "th", "tt")]
+        fresh, copy = GaussOracle(m, p), SBPoint(p.x.copy(), p.u.copy(), eps)
+        curvatures = [fresh.curvature(a, b, cv).comps() for a, b, cv in triples]
+        nablas = [sb_nabla_via_ambient(m, xc, yc, kx, ky, copy).comps() for xc, yc, kx, ky in pairs]
+
+        builds, riemanns = [], []
+        init, real_fd_riemann = GaussOracle.__init__, oracle.fd_riemann
+
+        def counted_init(self, m, p):
+            builds.append(m)
+            init(self, m, p)
+
+        def counted_fd_riemann(*args):
+            riemanns.append(None)
+            return real_fd_riemann(*args)
+
+        monkeypatch.setattr(GaussOracle, "__init__", counted_init)
+        monkeypatch.setattr(oracle, "fd_riemann", counted_fd_riemann)
+        for (a, b, cv), curvature, (xc, yc, kx, ky), nabla in zip(triples, curvatures, pairs, nablas):
+            assert np.array_equal(gauss_curvature_oracle(m, p, a, b, cv).comps(), curvature)
+            assert np.array_equal(sb_nabla_via_ambient(m, xc, yc, kx, ky, p).comps(), nabla)
+        assert len(builds) == 1 and len(riemanns) == 1
+        assert gauss_oracle(m, p) is gauss_oracle(m, p) and point_geometry(m, p) is geo  # side by side on p
+
+        other = replace(m)  # an equal chart, but another object
+        assert np.array_equal(gauss_curvature_oracle(other, p, *triples[0]).comps(), curvatures[0])
+        assert builds == [m, other] and len(riemanns) == 2
+
+    def test_kept_contexts_follow_reassigned_metric_callables(self, rng):
+        m = replace(space_form_chart(SpaceFormSpec(3, 0, 1.0)), deriv1_fn=None, deriv2_fn=None)
+        p = sample_sb_point(m, 1, rng)
+        a, b, cv = (sample_sb_vec(m, p, rng) for _ in range(3))
+        g0, before = point_geometry(m, p).base.g, gauss_curvature_oracle(m, p, a, b, cv).comps()
+        metric = m.metric_fn
+        m.metric_fn = lambda y: 2.0 * metric(y)
+        assert np.array_equal(point_geometry(m, p).base.g, 2.0 * g0)
+        doubled = gauss_curvature_oracle(m, p, a, b, cv).comps()
+        assert np.array_equal(doubled, GaussOracle(m, p).curvature(a, b, cv).comps())
+        assert not np.allclose(doubled, before)
+        m.metric_fn = lambda y: 1.0 * metric(y)  # other callables again, the first values again
+        assert np.array_equal(point_geometry(m, p).base.g, g0)
+        assert np.array_equal(gauss_curvature_oracle(m, p, a, b, cv).comps(), before)
+
+    def test_the_kept_context_does_not_keep_its_point_alive(self, rng):
+        m = space_form_chart(SpaceFormSpec(3, 1, 2.0))
+        gc.disable()  # only reference counts can free p
+        try:
+            p = sample_sb_point(m, -1, rng)
+            a, b, cv = (sample_sb_vec(m, p, rng) for _ in range(3))
+            gauss_curvature_oracle(m, p, a, b, cv)
+            sb_nabla_via_ambient(m, rng.normal(size=3), rng.normal(size=3), "h", "t", p)
+            ref = weakref.ref(p)
+            del p, a, b, cv
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_vectors_at_another_point_are_refused(self, rng):
+        m = space_form_chart(SpaceFormSpec(2, 1, 1.0))
+        p1, p2 = sample_sb_point(m, 1, rng), sample_sb_point(m, 1, rng)
+        here, there = sample_sb_vec(m, p1, rng), sample_sb_vec(m, p2, rng)
+        gauss = gauss_oracle(m, p1)
+        nabla_phi = gauss.nabla_endomorphism(phi_matrix_fn(m, 1))
+        for vecs in ((there, here, here), (here, there, here), (here, here, there)):
+            with pytest.raises(PointMismatch):
+                gauss_curvature_oracle(m, p1, *vecs)
+        for a, b in ((there, here), (here, there)):
+            with pytest.raises(PointMismatch):
+                gauss.second_fundamental_form(a, b)
+            with pytest.raises(PointMismatch):
+                nabla_phi(a, b)
+        copy = SBPoint(p1.x.copy(), p1.u.copy(), 1)  # the same coordinates are the same point
+        moved = SBVec(copy, here.hpart, here.tpart)
+        assert np.array_equal(gauss.curvature(moved, here, here).comps(), gauss.curvature(here, here, here).comps())
 
 
 def _counted(fn, reads):
