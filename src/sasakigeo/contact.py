@@ -420,10 +420,9 @@ def psi_u_quadratics(m: ChartedMetric, p: SBPoint, km: KappaMu) -> CheckReport:
 def killing_residual(m: ChartedMetric, p: SBPoint) -> float:
     """max |(L_xi g_cm)_ab| in the solved hypersurface chart at p.
 
-    xi is tangent to T_eps M, so L_xi g_cm = (1/4) J^T (L_xi Tg) J, with J the chart's Jacobian at p.
+    xi is tangent to T_eps M, so L_xi g_cm = (1/4) J^T (L_xi Tg) J, with J the chart's exact Jacobian at p.
     """
-    chart = hypersurface_pullback(m, p)
-    j = chart.jacobian_fn(chart.center)
+    j = hypersurface_pullback(m, p).jacobian
     lie = fd_lie_derivative_metric(geodesic_flow_field_fn(m), sasaki_metric_fn(m), np.concatenate([p.x, p.u]))
     return float(np.abs(0.25 * (j.T @ lie @ j)).max())
 

@@ -179,7 +179,13 @@ def nabla_riemann_full(m: ChartedMetric, x: Point) -> np.ndarray:
 
 
 def plane_gram(g: np.ndarray, xv: np.ndarray, yv: np.ndarray) -> float:
+    """The Gram determinant g(X,X)g(Y,Y) - g(X,Y)^2 of the plane spanned by X, Y."""
     return float(xv @ g @ xv) * float(yv @ g @ yv) - float(xv @ g @ yv) ** 2
+
+
+def gram_scale(g: np.ndarray) -> float:
+    """max |g_ij|^2, the scale of a Gram determinant: thresholds on one are multiples of it."""
+    return float(np.abs(g).max()) ** 2
 
 
 def sectional_curvature(m: ChartedMetric, x: Point, xv: np.ndarray, yv: np.ndarray) -> float:
@@ -187,7 +193,7 @@ def sectional_curvature(m: ChartedMetric, x: Point, xv: np.ndarray, yv: np.ndarr
     x = np.asarray(x, dtype=float)
     g = metric_at(m, x)
     denom = plane_gram(g, xv, yv)
-    if abs(denom) <= 1e-8:
+    if abs(denom) <= 1e-8 * gram_scale(g):
         raise DegeneratePlane("plane spanned by X, Y is degenerate")
     numer = float(g @ np.einsum("iabc,a,b,c->i", riemann_at(m, x), xv, yv, yv) @ xv)
     return numer / denom

@@ -349,46 +349,38 @@ def ambient_nabla(aval: np.ndarray, bfield_fn, z: np.ndarray, gamma: np.ndarray,
 
 @dataclass
 class HypersurfaceChart:
-    """Local (2n-1)-coordinate chart of T_eps M solved from g_x(u, u) = eps."""
+    """Local (2n-1)-coordinate chart of T_eps M solved from g_x(u, u) = eps, with its J and J^T Tg J at p."""
 
-    m: ChartedMetric
-    p: SBPoint
     solved_index: int
-    param_fn: Callable[[np.ndarray], np.ndarray]
-    jacobian_fn: Callable[[np.ndarray], np.ndarray]
+    param_fn: Callable[[np.ndarray], np.ndarray]  # chart coordinates w -> induced coordinates z
     center: np.ndarray  # chart coordinates of p
-
-    def __post_init__(self):
-        # the induced coordinates that stay chart coordinates
-        self.keep = np.delete(np.arange(2 * self.m.dim), self.m.dim + self.solved_index)
+    keep: np.ndarray  # the induced coordinates that stay chart coordinates
+    jacobian: np.ndarray  # dz/dw at the center
+    pullback_metric: np.ndarray  # J^T Tg J at the center
 
     def drop(self, z_vec: np.ndarray) -> np.ndarray:
         """Chart components of an ambient induced-coordinate vector tangent to the chart."""
         return np.asarray(z_vec, dtype=float)[self.keep]
 
-    def pullback_metric_fn(self) -> Callable[[np.ndarray], np.ndarray]:
-        tg = sasaki_metric_fn(self.m)
-
-        def gbar(w):
-            j = self.jacobian_fn(w)
-            return j.T @ tg(self.param_fn(w)) @ j
-
-        return gbar
-
 
 def hypersurface_pullback(m: ChartedMetric, p: SBPoint) -> HypersurfaceChart:
-    """Solve the fiber constraint for the coordinate with the largest gradient."""
+    """Solve F = g_x(u, u) - eps = 0 at p for the fiber coordinate u_j with the largest |dF/du_j|.
+
+    At p, 2a u_j + b = dF/du_j = 2 (g u)_j for the quadratic a t^2 + b t + d
+    in u_j, so its sign picks the root.  J is exact by the implicit function
+    theorem: the kept rows are the identity and row n + j is
+    -dF[keep] / (dF/du_j), with dF/du = 2 g u and dF/dx_k = u^T (d_k g) u.
+    """
     n = m.dim
-    g0 = np.asarray(m.metric_fn(p.x), dtype=float)
-    grad = 2.0 * (g0 @ p.u)
-    j = int(np.argmax(np.abs(grad)))
-    if abs(grad[j]) < 1e-6:
+    jet = base_jet(m, p.x)
+    grad_u = 2.0 * (jet.g @ p.u)
+    j = int(np.argmax(np.abs(grad_u)))
+    if abs(grad_u[j]) < 1e-6:
         raise NoSolvableCoordinate("constraint gradient vanishes in every fiber direction")
     eps = float(p.eps)
-    uj0 = p.u[j]
+    branch = float(np.sign(grad_u[j]))
     rest = np.delete(np.arange(n), j)
     rest_block = np.ix_(rest, rest)
-    branch = [1.0]  # root-branch sign, fixed below from the center point
 
     def param_fn(w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)
@@ -402,24 +394,19 @@ def hypersurface_pullback(m: ChartedMetric, p: SBPoint) -> HypersurfaceChart:
             t = -dcoef / b
         else:
             disc = b * b - 4.0 * a * dcoef
-            t = (-b + branch[0] * np.sqrt(max(disc, 0.0))) / (2.0 * a)
+            t = (-b + branch * np.sqrt(max(disc, 0.0))) / (2.0 * a)
         u = np.empty(n)
         u[rest] = uhat
         u[j] = t
         return np.concatenate([x, u])
 
-    w0 = np.concatenate([p.x, p.u[rest]])
-    for sign in (1.0, -1.0):
-        branch[0] = sign
-        if abs(param_fn(w0)[n + j] - uj0) < 1e-8:
-            break
-    else:
-        raise NoSolvableCoordinate("neither quadratic branch reproduces the base fiber point")
-
-    def jacobian_fn(w: np.ndarray) -> np.ndarray:
-        return jacobian(param_fn, w, FD_STEP_FIRST)
-
-    return HypersurfaceChart(m, p, j, param_fn, jacobian_fn, w0)
+    keep = np.delete(np.arange(2 * n), n + j)
+    grad = np.concatenate([np.einsum("a,kab,b->k", p.u, jet.dg, p.u), grad_u])
+    jac = np.zeros((2 * n, 2 * n - 1))
+    jac[keep, np.arange(2 * n - 1)] = 1.0
+    jac[n + j] = -grad[keep] / grad_u[j]
+    tg = sasaki_metric_fn(m)(np.concatenate([p.x, p.u]))
+    return HypersurfaceChart(j, param_fn, np.concatenate([p.x, p.u[rest]]), keep, jac, jac.T @ tg @ jac)
 
 
 # -------------------- Gauss-equation curvature oracle --------------------
@@ -481,12 +468,15 @@ class GaussOracle:
     def second_fundamental_form(self, a: SBVec, b: SBVec) -> float:
         """II(A, B) = -eps Tg(B, nabla-tilde_A N), the Weingarten relation."""
         self._point(a, b)
-        return -self.eps * float(_embed_induced(self.m, b) @ self.tg0 @ self.weingarten(a))
+        return self._ii(self.weingarten(_embed_induced(self.m, a)), _embed_induced(self.m, b))
 
-    def weingarten(self, a: SBVec) -> np.ndarray:
-        """Induced components of nabla-tilde_A N = dN(A) + Gamma-tilde(A, N), N = (0; u)."""
+    def _ii(self, wa: np.ndarray, b_ind: np.ndarray) -> float:
+        """II(A, B) from A's Weingarten vector and B's induced components."""
+        return -self.eps * float(b_ind @ self.tg0 @ wa)
+
+    def weingarten(self, aval: np.ndarray) -> np.ndarray:
+        """nabla-tilde_A N = dN(A) + Gamma-tilde(A, N), N = (0; u), from and in induced components."""
         n = self.m.dim
-        aval = _embed_induced(self.m, a)
         dn = np.concatenate([np.zeros(n), aval[n:]])
         return dn + np.einsum("ijk,j,k->i", self.gamma0, aval, self.n_ind)
 
@@ -495,14 +485,13 @@ class GaussOracle:
 
         tan(R-tilde(A,B)C) - II(B,C) nabla-tilde_A N + II(A,C) nabla-tilde_B N,
         where tan(V) = V - eps Tg(V, N) N; ``_from_induced`` drops that N part,
-        so tan is not taken separately.
+        so tan is not taken separately.  Each vector is embedded once.
         """
         p = self._point(a, b, c)
         a_ind, b_ind, c_ind = (_embed_induced(self.m, v) for v in (a, b, c))
+        wa, wb = self.weingarten(a_ind), self.weingarten(b_ind)
         v = np.einsum("iabc,a,b,c->i", self.r_tilde, a_ind, b_ind, c_ind)
-        ii_bc = self.second_fundamental_form(b, c)
-        ii_ac = self.second_fundamental_form(a, c)
-        return _from_induced(self.m, p, v - ii_bc * self.weingarten(a) + ii_ac * self.weingarten(b))
+        return _from_induced(self.m, p, v - self._ii(wb, c_ind) * wa + self._ii(wa, c_ind) * wb)
 
     def nabla_endomorphism(self, phi_fn) -> Callable[[SBVec, SBVec], SBVec]:
         """(a, b) -> (nabla-bar_a phi) b for an endomorphism field of induced components on TM.

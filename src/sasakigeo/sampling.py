@@ -10,11 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SamplingFailure
-from .manifold import ChartedMetric, metric_at, plane_gram
+from .manifold import ChartedMetric, gram_scale, metric_at, plane_gram
 from .sphere import SBPoint, SBVec, horizontal_sb, point_geometry, sb_point, tangential_lift
 
 SAMPLE_BOX = 0.55  # chart points are drawn from [-box, box]^n, then domain-filtered
-PLANE_GRAM_MIN = 1e-3  # |Gram determinant| a sampled tangent plane must exceed
+PLANE_GRAM_MIN = 1e-3  # |Gram determinant| / gram_scale(g) a sampled tangent plane must exceed
 FIBER_NORM_MAX = 3.0  # ||u|| cap of a sampled fiber vector
 BASE_POINT_TRIES = 100  # base points x that ``sample_sb_point`` draws before it gives up
 
@@ -35,10 +35,11 @@ def sample_domain_point(m: ChartedMetric, rng: np.random.Generator, box: float =
 def sample_tangent_plane(m: ChartedMetric, x: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Components of two tangent vectors spanning a decisively nondegenerate plane."""
     g = metric_at(m, x)
+    floor = PLANE_GRAM_MIN * gram_scale(g)
     for _ in range(200):
         xv = rng.normal(size=m.dim)
         yv = rng.normal(size=m.dim)
-        if abs(plane_gram(g, xv, yv)) > PLANE_GRAM_MIN:
+        if abs(plane_gram(g, xv, yv)) > floor:
             return xv, yv
     raise SamplingFailure("could not sample a nondegenerate tangent plane")
 

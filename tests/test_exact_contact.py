@@ -8,18 +8,26 @@ of T_eps M:
     C^i_j = Gamma^i_jk y^k,   X^h = (X, -C X),   X^v = (0, X),   N = (0, y),
     Tg = [[g + C^T g C, C^T g], [g C, g]]   (the Sasaki metric),   g_cm = Tg / 4,
     xi = 2 y^h,   eta = (eps/2) g(x) y . dx,
-    phi(X^h) = X^t,  phi(X^v) = -X^h + eps g(X, y) y^h  (so phi(N) = 0),
-    h = (1/2) L_xi phi,
+    phi' (X^h) = X^t,  phi' (X^v) = -X^h + eps g(X, y) y^h  (so phi' (N) = 0),
+    phi = eps phi',   h = (1/2) L_xi phi,
 
 with X^t = X^v - eps g(X, y) N.  The contact identities d eta = g_cm(., phi .),
 h phi + phi h = 0 and nabla-bar xi = -eps phi - phi h, with nabla-bar the
 tangential part of the Levi-Civita connection of Tg, must hold exactly on
-T_eps M, and h has the spectrum {c - eps, eps - c, 0} there.  The library's
-float ``phi_parts`` and ``h_parts`` must agree with the exact phi and h.
+T_eps M, and h has the spectrum {c - eps, eps - c, 0} there.  At eps = +1,
+phi = phi'; at eps = -1 only eps phi' satisfies d eta = g_cm(., phi .) and
+nabla-bar xi = -eps phi - phi h (phi' fails both).
+
+The library's float ``phi_parts`` and ``h_parts`` must agree with the exact
+phi and h.  That is asserted on the eps = +1 cases only: the library builds
+phi' at eps = -1, a program fault (the eps = -1 fix of the roadmap), so its
+``phi_parts`` is -phi there and its ``h_parts`` is not (1/2) L_xi phi.
 
 d eta(A, B) = (1/2)[A(eta(B)) - B(eta(A)) - eta([A, B])], the library's normalization.
 Every configuration is a case of ``CASES``.  No derivative is a finite difference.
 """
+
+from functools import cache
 
 import numpy as np
 import pytest
@@ -31,8 +39,12 @@ from sasakigeo.sphere import point_geometry, sb_point
 R = sp.Rational
 X0 = (R(1, 5), R(1, 7))
 # u0 = F(x0) * direction, a unit vector of the flat metric diag(s), so g(u0, u0) = eps
-DIRECTION = {(0, 1): (R(3, 5), R(4, 5)), (1, 1): (R(3, 4), R(5, 4))}
-CASES = [(0, 1, R(2)), (0, 1, R(1)), (1, 1, R(3)), (1, 1, R(1))]  # (nu, eps, c)
+DIRECTION = {(0, 1): (R(3, 5), R(4, 5)), (1, 1): (R(3, 4), R(5, 4)), (1, -1): (R(5, 4), R(3, 4))}
+CASES = [(0, 1, R(2)), (0, 1, R(1)), (1, 1, R(3)), (1, 1, R(1)), (1, -1, R(2)), (1, -1, R(-1))]  # (nu, eps, c)
+
+
+def _case_id(case) -> str:
+    return f"nu={case[0]},eps={case[1]:+d},c={case[2]}"
 
 
 def _derivatives(expr: sp.Matrix, z: list, point: dict) -> list:
@@ -46,6 +58,7 @@ def _christoffel(ginv: sp.Matrix, dg: list) -> list:
     return [[[sum(ginv[i, l] * (dg[j][l, k] + dg[k][l, j] - dg[l][j, k]) for l in r) / 2 for k in r] for j in r] for i in r]
 
 
+@cache
 def exact_structure(nu: int, eps: int, c: sp.Rational) -> dict:
     x = sp.Matrix(sp.symbols("x0 x1"))
     y = sp.Matrix(sp.symbols("y0 y1"))
@@ -64,7 +77,7 @@ def exact_structure(nu: int, eps: int, c: sp.Rational) -> dict:
     eta = sp.Matrix.vstack(sp.Rational(eps, 2) * gy, sp.zeros(2, 1))
     phi_hor = ver - eps * normal * gy.T  # phi(e_i^h) = e_i^t
     phi_ver = -hor + eps * (hor * y) * gy.T  # phi(e_i^v) = phi(e_i^t)
-    phi = sp.Matrix.hstack(phi_hor, phi_ver) * sp.Matrix.hstack(hor, ver).inv()
+    phi = eps * sp.Matrix.hstack(phi_hor, phi_ver) * sp.Matrix.hstack(hor, ver).inv()
 
     u0 = f.xreplace(dict(zip(x, X0))) * sp.Matrix(DIRECTION[(nu, eps)])
     point = dict(zip(z, list(X0) + list(u0)))
@@ -107,7 +120,7 @@ def _is_zero(mat: sp.Matrix) -> bool:
     return all(e == 0 for e in mat)
 
 
-@pytest.fixture(scope="module", params=CASES, ids=lambda case: f"nu={case[0]},eps={case[1]:+d},c={case[2]}")
+@pytest.fixture(params=CASES, ids=_case_id)
 def exact(request):
     return exact_structure(*request.param)
 
@@ -141,7 +154,9 @@ def test_h_spectrum_on_the_tangent_space(exact):
     assert sp.expand(h_tangent.charpoly(lam).as_expr() - lam * (lam - (c - eps)) * (lam + (c - eps))) == 0
 
 
-def test_library_phi_and_h_match_the_exact_tensors(exact):
+@pytest.mark.parametrize("case", [case for case in CASES if case[1] == 1], ids=_case_id)
+def test_library_phi_and_h_match_the_exact_tensors(case):
+    exact = exact_structure(*case)
     x0, u0 = exact["point"]
     m = space_form_chart(SpaceFormSpec(2, exact["nu"], float(exact["c"])))
     geo = point_geometry(m, sb_point(m, np.array(x0), np.array(u0), exact["eps"]))

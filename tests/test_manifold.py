@@ -251,6 +251,17 @@ class TestSectionalCurvature:
         with pytest.raises(DegeneratePlane):
             sectional_curvature(flat2, x, v, v)
 
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_plane_test_is_scale_free(self, scale):
+        # a Gram determinant scales with g^2; the degeneracy test must not
+        m = ChartedMetric(2, 0, lambda x: scale * np.eye(2), name="scaled flat")
+        x = np.zeros(2)
+        plane = sample_tangent_plane(m, x, np.random.default_rng(3))
+        assert np.array_equal(plane, sample_tangent_plane(flat_chart(2, 0), x, np.random.default_rng(3)))
+        assert sectional_curvature(m, x, np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0, abs=1e-12)
+        with pytest.raises(DegeneratePlane):
+            sectional_curvature(m, x, np.array([1.0, 0.0]), np.array([1.0, 1e-5]))
+
 
 class TestSignature:
     def test_euclidean(self):

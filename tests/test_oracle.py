@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sasakigeo import contact, manifold, oracle, sphere
+from sasakigeo import contact, manifold, oracle, sphere, stencil
 from sasakigeo.contact import contact_data_at, d_eta_fd, d_eta_tensor, phi_matrix_fn
 from sasakigeo.errors import PointMismatch
 from sasakigeo.manifold import SpaceFormSpec, christoffel_at, metric_at, riemann_at, space_form_chart
@@ -99,26 +99,49 @@ class TestHypersurfacePullback:
         p = sb_point(flat2, np.zeros(2), np.array([0.6, 0.8]), 1)
         chart = hypersurface_pullback(flat2, p)
         assert chart.solved_index == 1
-        gbar = chart.pullback_metric_fn()(chart.center)
-        expected = np.diag([1.0, 1.0, 1.5625])
-        assert np.abs(gbar - expected).max() < 1e-9
+        assert list(chart.keep) == [0, 1, 2]
+        expected_jac = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [0, 0, -0.75]])
+        assert np.abs(chart.jacobian - expected_jac).max() < 1e-15
+        assert np.abs(chart.pullback_metric - np.diag([1.0, 1.0, 1.5625])).max() < 1e-15
 
     @pytest.mark.parametrize("n,nu,c,eps", [(2, 0, 1.0, 1), (3, 1, -1.0, -1), (3, 1, 2.0, 1)])
     def test_agreement_with_induced_metric(self, rng, n, nu, c, eps):
+        # the Jacobian is exact, so the pullback agrees with the induced metric to rounding
         m = space_form_chart(SpaceFormSpec(n, nu, c))
         p = sample_sb_point(m, eps, rng)
         chart = hypersurface_pullback(m, p)
-        gbar = chart.pullback_metric_fn()(chart.center)
         for _ in range(20):
             v1 = sample_sb_vec(m, p, rng)
             v2 = sample_sb_vec(m, p, rng)
             w1 = chart.drop(_embed_induced(m, v1))
             w2 = chart.drop(_embed_induced(m, v2))
-            assert float(w1 @ gbar @ w2) == pytest.approx(
-                induced_metric_at(m, p, v1, v2), abs=1e-8
+            assert float(w1 @ chart.pullback_metric @ w2) == pytest.approx(
+                induced_metric_at(m, p, v1, v2), abs=1e-12
             )
 
-    def test_constraint_and_rank_along_chart(self, rng):
+    @pytest.mark.parametrize("base", ["space form", "bumpy"])
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_exact_jacobian_matches_the_stencil(self, rng, base, eps):
+        m = space_form_chart(SpaceFormSpec(3, 1, 2.0)) if base == "space form" else bumpy_chart(3, 1)
+        for _ in range(3):
+            chart = hypersurface_pullback(m, sample_sb_point(m, eps, rng))
+            fd = stencil.jacobian(chart.param_fn, chart.center, FD_STEP_FIRST)
+            assert np.abs(chart.jacobian - fd).max() < 1e-8
+
+    @pytest.mark.parametrize("base", ["space form", "bumpy"])
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_both_root_branches_reproduce_the_point(self, rng, base, eps):
+        # u and -u are both fiber points; (g u)_j has opposite signs at them
+        m = space_form_chart(SpaceFormSpec(3, 1, 2.0)) if base == "space form" else bumpy_chart(3, 1)
+        p = sample_sb_point(m, eps, rng)
+        signs = set()
+        for q in (p, sb_point(m, p.x, -p.u, eps)):
+            chart = hypersurface_pullback(m, q)
+            signs.add(float(np.sign(metric_at(m, q.x) @ q.u)[chart.solved_index]))
+            assert np.abs(chart.param_fn(chart.center) - np.concatenate([q.x, q.u])).max() < 1e-12
+        assert signs == {1.0, -1.0}
+
+    def test_constraint_off_center_and_rank(self, rng):
         m = space_form_chart(SpaceFormSpec(2, 1, 1.0))
         p = sample_sb_point(m, -1, rng)
         chart = hypersurface_pullback(m, p)
@@ -127,8 +150,8 @@ class TestHypersurfacePullback:
             z = chart.param_fn(w)
             g = metric_at(m, z[:2])
             assert abs(float(z[2:] @ g @ z[2:]) + 1.0) < 1e-9
-            sv = np.linalg.svd(chart.jacobian_fn(w), compute_uv=False)
-            assert sv.min() > 1e-6
+        # J holds the identity on the kept coordinates, so its smallest singular value is >= 1
+        assert np.linalg.svd(chart.jacobian, compute_uv=False).min() >= 1.0 - 1e-12
 
     def test_solvable_index_gradient(self, rng):
         # the constraint gradient 2 g(., u) never vanishes for g(u,u) = eps

@@ -25,6 +25,17 @@ def test_compare_counts_flips_changes_and_growth_above_the_floor():
     assert "  a: 1e-08 -> 3e-08 (relative change 2)" in lines
 
 
+def test_compare_shows_the_largest_shrink_above_the_floor():
+    old = {"a": _report(True, x=2e-9, y=1e-15, z=0.5), "b": _report(True, x=4e-12)}
+    new = {"a": _report(True, x=2e-14, y=1e-17, z=0.5), "b": _report(True, x=1e-12)}
+    lines = residuals.compare(old, new, check=None)
+    # y shrank 100x but started below 1e-14, so the largest shrink counted is a / x (1e5x)
+    assert "largest shrink (old >= 1e-14): 1e+05x at a / x (2e-09 -> 2e-14)" in lines
+    assert "largest growth (new >= 1e-14): 0.25x at b / x (4e-12 -> 1e-12)" in lines
+    identical = residuals.compare(old, old, check=None)
+    assert "largest shrink (old >= 1e-14): none" in identical
+
+
 def test_compare_breaks_the_changes_down_by_check():
     old = {"a": _report(True, x=1e-8, y=2e-9, z=0.5), "b": _report(True, x=2e-8, y=2e-9, z=0.5)}
     new = {"a": _report(True, x=1.5e-8, y=2e-9, z=0.5), "b": _report(True, x=1e-8, y=3e-9, z=0.5)}

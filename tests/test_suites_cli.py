@@ -423,10 +423,18 @@ class TestCli:
         assert capsys.readouterr().out == ""
 
     def test_unsamplable_space_form_is_a_config_error(self, capsys):
-        # no nondegenerate tangent plane at c = 1234.567
-        assert main(["kappa-mu", "--c", "1234.567", "--eps", "-1", "--nu", "1"]) == 2
+        # F = 1 - 250000 |x|^2 leaves almost no in-domain point in the sample box
+        assert main(["curvature", "--c=-1e6"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.splitlines()[-1].startswith("error: could not sample")
+
+    def test_small_metric_samples_its_planes(self, capsys):
+        # g = I/F^2 with F ~ 16: the plane test is scale-free, so this reaches a report;
+        # at kappa ~ 1.5e6 the absolute tolerances of three rows are exceeded
+        assert main(["kappa-mu", "--c", "1234.567", "--eps", "-1", "--nu", "1"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        failing = {c["name"] for c in report["checks"] if not c["pass"]}
+        assert failing == {"(kappa,mu)-nullity residual", "psi_u quadratic (horizontal branch)", "h(xi) = 0"}
 
     @pytest.mark.parametrize(
         "argv", [["kappa-mu", "--c", "20", "--eps", "1"], ["curvature", "--c", "20"], ["index", "--c", "20", "--seed", "1"]]

@@ -11,8 +11,10 @@ its verdict and the residual, tolerance and verdict of each check.
 
 ``compare`` prints the verdict flips, how many residuals changed (and, per
 check, how many of its residuals changed and the largest |new - old|), and
-the largest growth new/old among new residuals of at least 1e-14; with
-``--check`` it also lists that check's residuals report by report.  It
+the largest growth new/old among new residuals of at least 1e-14 beside
+the largest shrink old/new among old residuals of at least 1e-14, so a
+tightened certificate shows; with ``--check`` it also lists that check's
+residuals report by report.  It
 exits 1 when a verdict flips or NEW lacks a report or check of OLD, and 0
 otherwise.  Two trees agree "within FD noise" when nothing flips and no
 growth is large.
@@ -75,6 +77,7 @@ def compare(old: dict, new: dict, check: str | None) -> list:
     lines += [f"missing in old: {k}" for k in new if k not in old]
     changed = [p for p in pairs if not (p[2] == p[3] or (p[2] != p[2] and p[3] != p[3]))]
     growth = [(b / a if a > 0 else float("inf"), k, name, a, b) for k, name, a, b in changed if b >= FLOOR]
+    shrink = [(a / b if b > 0 else float("inf"), k, name, a, b) for k, name, a, b in changed if a >= FLOOR and b < a]
     lines.append(f"reports: {len(old)} old, {len(new)} new; residuals compared: {len(pairs)}")
     lines.append(f"verdict flips: {len(flips)}")
     lines += [f"  {f}" for f in flips]
@@ -85,11 +88,12 @@ def compare(old: dict, new: dict, check: str | None) -> list:
         per_check[name] = (count + 1, max(largest, abs(b - a)))
     for name, (count, largest) in per_check.items():
         lines.append(f"  {name}: {count} changed, largest |new - old| {largest:.3g}")
-    if growth:
-        ratio, k, name, a, b = max(growth)
-        lines.append(f"largest growth (new >= {FLOOR:g}): {ratio:.3g}x at {k} / {name} ({a:.3g} -> {b:.3g})")
-    else:
-        lines.append(f"largest growth (new >= {FLOOR:g}): none")
+    for label, ratios in (("largest growth (new", growth), ("largest shrink (old", shrink)):
+        if ratios:
+            ratio, k, name, a, b = max(ratios)
+            lines.append(f"{label} >= {FLOOR:g}): {ratio:.3g}x at {k} / {name} ({a:.3g} -> {b:.3g})")
+        else:
+            lines.append(f"{label} >= {FLOOR:g}): none")
     if check is not None:
         lines.append(f"{check}:")
         for k, name, a, b in pairs:
