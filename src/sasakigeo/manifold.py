@@ -102,27 +102,36 @@ def metric_inverse(g: np.ndarray) -> np.ndarray:
         raise DegenerateMetric("metric matrix is singular") from exc
 
 
-def christoffel_at(m: ChartedMetric, x: Point) -> np.ndarray:
-    """Levi-Civita symbols Gamma^i_jk from the Koszul formula."""
-    x = np.asarray(x, dtype=float)
+def _levi_civita(m: ChartedMetric, x: Point) -> tuple:
+    """(g, g', g^-1, T, Gamma) at x from one read of g and g' and one inversion.
+
+    ``T[l, j, k]`` = d_j g_lk + d_k g_jl - d_l g_jk is twice the first-kind symbols.
+    """
     g = metric_at(m, x)
     dg = metric_deriv1_at(m, x)
     ginv = metric_inverse(g)
-    # T[l, j, k] = d_j g_lk + d_k g_jl - d_l g_jk
     t = np.einsum("jlk->ljk", dg) + np.einsum("kjl->ljk", dg) - dg
     gamma = 0.5 * np.einsum("il,ljk->ijk", ginv, t)
-    return 0.5 * (gamma + np.swapaxes(gamma, 1, 2))  # enforce exact lower symmetry
+    return g, dg, ginv, t, 0.5 * (gamma + np.swapaxes(gamma, 1, 2))  # enforce exact lower symmetry
 
 
-def _christoffel_deriv_at(m: ChartedMetric, x: Point) -> np.ndarray:
-    """d_c Gamma^i_ab, from analytic g-derivatives when available."""
-    if not m.uses_fd_derivatives:
-        g = metric_at(m, x)
-        dg = metric_deriv1_at(m, x)
+def christoffel_at(m: ChartedMetric, x: Point) -> np.ndarray:
+    """Levi-Civita symbols Gamma^i_jk from the Koszul formula."""
+    return _levi_civita(m, np.asarray(x, dtype=float))[-1]
+
+
+def _curvature_pass(m: ChartedMetric, x: Point) -> tuple:
+    """(g, Gamma, R) at x in one pass: g, g' and g'' are read once and g is inverted once.
+
+    d_c Gamma^i_ab comes from the analytic g'' when the chart has one, else
+    from central differences of ``christoffel_at``.
+    """
+    g, dg, ginv, t, gamma = _levi_civita(m, x)
+    if m.uses_fd_derivatives:
+        dgamma = partials(lambda y: christoffel_at(m, y), x, FD_STEP_SECOND)
+    else:
         ddg = np.asarray(m.deriv2_fn(x), dtype=float)
-        ginv = metric_inverse(g)
         dginv = -np.einsum("im,cmn,nl->cil", ginv, dg, ginv)
-        t = np.einsum("jlk->ljk", dg) + np.einsum("kjl->ljk", dg) - dg
         # dt[c, l, a, b] = d_c (d_a g_lb + d_b g_al - d_l g_ab)
         dt = (
             np.einsum("calb->clab", ddg)
@@ -132,21 +141,18 @@ def _christoffel_deriv_at(m: ChartedMetric, x: Point) -> np.ndarray:
         dgamma = 0.5 * (
             np.einsum("cil,lab->ciab", dginv, t) + np.einsum("il,clab->ciab", ginv, dt)
         )
-        return dgamma
-    return partials(lambda y: christoffel_at(m, y), x, FD_STEP_SECOND)
-
-
-def riemann_at(m: ChartedMetric, x: Point) -> np.ndarray:
-    """``r[i, a, b, c]`` = d_a Gamma^i_bc - d_b Gamma^i_ac + Gamma^i_am Gamma^m_bc - Gamma^i_bm Gamma^m_ac."""
-    x = np.asarray(x, dtype=float)
-    gamma = christoffel_at(m, x)
-    dgamma = _christoffel_deriv_at(m, x)
-    return (
+    r = (
         np.einsum("aibc->iabc", dgamma)
         - np.einsum("biac->iabc", dgamma)
         + np.einsum("iam,mbc->iabc", gamma, gamma)
         - np.einsum("ibm,mac->iabc", gamma, gamma)
     )
+    return g, gamma, r
+
+
+def riemann_at(m: ChartedMetric, x: Point) -> np.ndarray:
+    """``r[i, a, b, c]`` = d_a Gamma^i_bc - d_b Gamma^i_ac + Gamma^i_am Gamma^m_bc - Gamma^i_bm Gamma^m_ac."""
+    return _curvature_pass(m, np.asarray(x, dtype=float))[2]
 
 
 def lower_riemann(m: ChartedMetric, x: Point, r: np.ndarray) -> np.ndarray:
@@ -159,15 +165,15 @@ def nabla_riemann_full(m: ChartedMetric, x: Point) -> np.ndarray:
     """All components (nabla_m R)(e_a, e_b)e_c at x (index order [m, i, a, b, c]).
 
     d_m R is taken by central differences of ``riemann_at`` and corrected on
-    all four slots with the Christoffel symbols.  Charts flagged
+    all four slots with the Christoffel symbols; Gamma and R at x come from
+    one curvature pass.  Charts flagged
     ``locally_symmetric`` (space forms) short-circuit to zero.
     """
     x = np.asarray(x, dtype=float)
     n = m.dim
     if m.locally_symmetric:
         return np.zeros((n, n, n, n, n))
-    gamma = christoffel_at(m, x)
-    r = riemann_at(m, x)
+    _, gamma, r = _curvature_pass(m, x)
     dr = partials(lambda y: riemann_at(m, y), x, FD_STEP_FIRST)
     return (
         dr
@@ -191,11 +197,15 @@ def gram_scale(g: np.ndarray) -> float:
 def sectional_curvature(m: ChartedMetric, x: Point, xv: np.ndarray, yv: np.ndarray) -> float:
     """Sectional curvature K = R(X,Y,Y,X) / (g(X,X)g(Y,Y) - g(X,Y)^2) of component vectors X, Y."""
     x = np.asarray(x, dtype=float)
-    g = metric_at(m, x)
+    return _sectional(metric_at(m, x), riemann_at(m, x), xv, yv)
+
+
+def _sectional(g: np.ndarray, r: np.ndarray, xv: np.ndarray, yv: np.ndarray) -> float:
+    """``sectional_curvature`` contracted from g and R at a point."""
     denom = plane_gram(g, xv, yv)
     if abs(denom) <= 1e-8 * gram_scale(g):
         raise DegeneratePlane("plane spanned by X, Y is degenerate")
-    numer = float(g @ np.einsum("iabc,a,b,c->i", riemann_at(m, x), xv, yv, yv) @ xv)
+    numer = float(g @ np.einsum("iabc,a,b,c->i", r, xv, yv, yv) @ xv)
     return numer / denom
 
 
@@ -261,15 +271,19 @@ def validate_space_form(
     rng: np.random.Generator,
     num_points: int = 10,
 ) -> float:
-    """Max |K - c| over sampled nondegenerate planes; raises if above 1e-8 or not finite."""
+    """Max |K - c| over sampled nondegenerate planes; raises if above 1e-8 or not finite.
+
+    g and R are computed once per sampled point and serve all of its planes.
+    """
     from .sampling import sample_domain_point, sample_tangent_plane
 
     worst = 0.0
     for _ in range(num_points):
         x = sample_domain_point(m, rng)
+        g, r = metric_at(m, x), riemann_at(m, x)
         for _ in range(SPACE_FORM_PLANES):
             xv, yv = sample_tangent_plane(m, x, rng)
-            dev = abs(sectional_curvature(m, x, xv, yv) - spec.curvature)
+            dev = abs(_sectional(g, r, xv, yv) - spec.curvature)
             if not math.isfinite(dev):
                 raise DegenerateMetric(f"space form validation failed: K - c = {dev} for {spec}")
             worst = max(worst, dev)

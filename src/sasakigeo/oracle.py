@@ -41,7 +41,12 @@ def _first_kind(dg: np.ndarray) -> np.ndarray:
 
 
 def _koszul(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    return 0.5 * np.einsum("il,ljk->ijk", _inv(g), _first_kind(dg))
+    return _koszul_inv(_inv(g), dg)
+
+
+def _koszul_inv(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """The Koszul step from g^-1 and g'."""
+    return 0.5 * np.einsum("il,ljk->ijk", ginv, _first_kind(dg))
 
 
 def fd_christoffel(metric_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, step: float = FD_STEP_FIRST) -> np.ndarray:
@@ -80,10 +85,11 @@ class BaseJet:
     """The oracle's raw data of the base chart at one x; every array is read-only.
 
     g and g' (``dg[c]`` = d_c g; analytic when supplied, else central
-    differences) are read from the chart when the jet is built, and Gamma is
-    their Koszul step.  ``dgamma`` is built on first use, from the g'' the
-    chart held when the jet was built: only the stencils of Gamma-tilde and
-    of the exact lift Jacobians need it.
+    differences) are read from the chart when the jet is built, g is
+    inverted once (``ginv``), and Gamma is their Koszul step.  ``dgamma``
+    is built on first use, from that g^-1 and the g'' the chart held when
+    the jet was built: only the stencils of Gamma-tilde and of the exact
+    lift Jacobians need it.
     """
 
     def __init__(self, m: ChartedMetric, x: np.ndarray):
@@ -91,14 +97,15 @@ class BaseJet:
         self._deriv2_fn = m.deriv2_fn if m.deriv1_fn is not None else None
         self.g = _own(m.metric_fn(x))
         self.dg = _own(m.deriv1_fn(x) if m.deriv1_fn is not None else partials(m.metric_fn, x, FD_STEP_FIRST))
-        self.gamma = _own(_koszul(self.g, self.dg))
+        self.ginv = _own(_inv(self.g))
+        self.gamma = _own(_koszul_inv(self.ginv, self.dg))
 
     @cached_property
     def dgamma(self) -> Optional[np.ndarray]:
         """``dgamma[c, i, a, b]`` = d_c Gamma^i_ab on charts with analytic g' and g''; None elsewhere."""
         if self._deriv2_fn is None:
             return None
-        ginv, t = _inv(self.g), _first_kind(self.dg)
+        ginv, t = self.ginv, _first_kind(self.dg)
         ddg = np.asarray(self._deriv2_fn(self.x), dtype=float)
         dginv = -np.einsum("im,cmn,nl->cil", ginv, self.dg, ginv)
         dt = np.array([_first_kind(ddg_c) for ddg_c in ddg])  # dt[c] = d_c t
@@ -292,12 +299,21 @@ def const_lift_jacobian_fn(m: ChartedMetric, w: np.ndarray, kind: str, eps: int)
 # -------------------- generic FD differential operators --------------------
 
 
+def field_jet(field_fn, z: np.ndarray) -> tuple:
+    """(A(z), dA(z)): a field's components at z and their central-difference Jacobian there."""
+    z = np.asarray(z, dtype=float)
+    return np.asarray(field_fn(z), dtype=float), jacobian(field_fn, z, FD_STEP_FIRST)
+
+
+def jet_bracket(a_jet: tuple, b_jet: tuple) -> np.ndarray:
+    """[A, B]^i = A^j d_j B^i - B^j d_j A^i from the ``field_jet`` of A and of B at one z."""
+    (aval, ajac), (bval, bjac) = a_jet, b_jet
+    return bjac @ aval - ajac @ bval
+
+
 def fd_lie_bracket(afield_fn, bfield_fn, z: np.ndarray) -> np.ndarray:
     """[A, B]^i = A^j d_j B^i - B^j d_j A^i by central differences."""
-    z = np.asarray(z, dtype=float)
-    aval = np.asarray(afield_fn(z), dtype=float)
-    bval = np.asarray(bfield_fn(z), dtype=float)
-    return jacobian(bfield_fn, z, FD_STEP_FIRST) @ aval - jacobian(afield_fn, z, FD_STEP_FIRST) @ bval
+    return jet_bracket(field_jet(afield_fn, z), field_jet(bfield_fn, z))
 
 
 def fd_lie_derivative_metric(vfield_fn, metric_fn, z: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ from .tangent import (
     _check_kinds,
     _nabla_parts,
     _read_only,
+    _same_coords,
     base_geometry,
     kept_geometry,
 )
@@ -118,12 +119,11 @@ def sb_point(m: ChartedMetric, x: np.ndarray, u: np.ndarray, eps: int) -> SBPoin
 
 
 def require_same_sb_point(p: SBPoint, *vecs: SBVec) -> None:
-    """Every vector must live at p; a vector built at p itself passes at once."""
+    """Every vector must live at p; a vector built at p itself passes at once, and equal
+    coordinates pass before the 1e-12 tolerance is tried."""
     for v in vecs:
         q = v.at
-        if q is not p and not (
-            q.eps == p.eps and np.allclose(q.x, p.x, rtol=0, atol=1e-12) and np.allclose(q.u, p.u, rtol=0, atol=1e-12)
-        ):
+        if q is not p and not (q.eps == p.eps and _same_coords(q.x, p.x) and _same_coords(q.u, p.u)):
             raise PointMismatch("sphere-bundle vectors live at different points")
 
 

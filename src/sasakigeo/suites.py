@@ -32,11 +32,10 @@ from .errors import InvalidConfig
 from .manifold import (
     ChartedMetric,
     SpaceFormSpec,
+    _sectional,
     christoffel_at,
-    lower_riemann,
     metric_at,
     riemann_at,
-    sectional_curvature,
     signature_at,
     space_form_chart,
     validate_space_form,
@@ -244,15 +243,15 @@ def _suite_curvature(cfg: SuiteConfig, m: ChartedMetric, params: dict):
     for i in range(cfg.num_points):
         rng = rng_for(cfg.seed, 3, i)
         x = sample_domain_point(m, rng)
-        r = riemann_at(m, x)
-        rl = lower_riemann(m, x, r)  # rl[d, a, b, c] = g(R(e_a, e_b)e_c, e_d)
+        g, r = metric_at(m, x), riemann_at(m, x)
+        rl = np.einsum("im,mabc->iabc", g, r)  # rl[d, a, b, c] = g(R(e_a, e_b)e_c, e_d)
         yield "R antisymmetric in last pair", np.abs(rl + np.einsum("dabc->dbac", rl)).max(), 1e-10
         yield "R antisymmetric in first pair", np.abs(rl + np.einsum("dabc->cabd", rl)).max(), 1e-10
         yield "R pair symmetry", np.abs(rl - np.einsum("dabc->adcb", rl)).max(), 1e-10
         bianchi = r + np.einsum("ibca->iabc", r) + np.einsum("icab->iabc", r)
         yield "R first Bianchi identity", np.abs(bianchi).max(), 1e-10
         xv, yv = sample_tangent_plane(m, x, rng)
-        yield "sectional curvature = c", abs(sectional_curvature(m, x, xv, yv) - cfg.c), 1e-8
+        yield "sectional curvature = c", abs(_sectional(g, r, xv, yv) - cfg.c), 1e-8
 
         p = sample_sb_point(m, cfg.eps, rng)
         geo = sb.point_geometry(m, p)
@@ -480,31 +479,34 @@ def _suite_index(cfg: SuiteConfig, m: ChartedMetric, params: dict):
 
 def _suite_brackets(cfg: SuiteConfig, m: ChartedMetric, params: dict):
     n = cfg.n
+    labels = {
+        ("h", "h"): "[X^h, Y^h] = [X,Y]^h - v{R(X,Y)u}",
+        ("h", "v"): "[X^h, Y^v] = (nabla_X Y)^v",
+        ("v", "v"): "[X^v, Y^v] = 0",
+    }
+    sb_labels = {
+        ("h", "t"): "[X^h, Y^t] = (nabla_X Y)^t",
+        ("t", "t"): "[X^t, Y^t] = eps g(X,u)Y^t - eps g(Y,u)X^t",
+        ("h", "h"): "[X^h, Y^h] on T_eps M",
+    }
     for i in range(cfg.num_points):
         rng = rng_for(cfg.seed, 10, i)
         p = sample_sb_point(m, cfg.eps, rng)
         z0 = np.concatenate([p.x, p.u])
         xf = _poly_field(n, rng)
         yf = _poly_field(n, rng)
-        labels = {
-            ("h", "h"): "[X^h, Y^h] = [X,Y]^h - v{R(X,Y)u}",
-            ("h", "v"): "[X^h, Y^v] = (nabla_X Y)^v",
-            ("v", "v"): "[X^v, Y^v] = 0",
-        }
+        jets = {}  # the jet at z0 of each lift of X and Y, one stencil each
+        for f in (xf, yf):
+            for kind in ("h", "v"):
+                jets[f, kind] = orc.field_jet(orc.lift_field_fn(m, f, kind), z0)
+            jets[f, "t"] = orc.field_jet(orc.tangential_field_fn(m, f, cfg.eps), z0)
         for (kx, ky), label in labels.items():
             closed = tb.to_induced_coords(m, tb.lift_bracket(m, xf, yf, kx, ky, p.tm))
-            fd = orc.fd_lie_bracket(orc.lift_field_fn(m, xf, kx), orc.lift_field_fn(m, yf, ky), z0)
+            fd = orc.jet_bracket(jets[xf, kx], jets[yf, ky])
             yield label, np.abs(closed - fd).max(), 1e-5
-        sb_labels = {
-            ("h", "t"): "[X^h, Y^t] = (nabla_X Y)^t",
-            ("t", "t"): "[X^t, Y^t] = eps g(X,u)Y^t - eps g(Y,u)X^t",
-            ("h", "h"): "[X^h, Y^h] on T_eps M",
-        }
         for (kx, ky), label in sb_labels.items():
             closed = orc._embed_induced(m, sb.sb_bracket(m, xf, yf, kx, ky, p))
-            fd = orc.fd_lie_bracket(
-                orc.sb_lift_field_fn(m, xf, kx, cfg.eps), orc.sb_lift_field_fn(m, yf, ky, cfg.eps), z0
-            )
+            fd = orc.jet_bracket(jets[xf, kx], jets[yf, ky])
             yield label, np.abs(closed - fd).max(), 1e-5
 
 

@@ -61,11 +61,20 @@ class BaseGeometry:
     The arrays are read-only because every closed form at the point shares
     them.  The object holds the chart and the coordinates x and u, never the
     point that keeps it.
+
+    ``nabla`` keeps the Jacobian at x of each callable field it is given,
+    keyed by the field object's identity and holding the field, so a field
+    is differentiated once per point and the memo dies with the point.  This
+    relies on the ``VectorField`` contract: a field is a function of x, so
+    one field object returns the same components whenever it is called at
+    the same x.  A constant field (a component vector) has Jacobian 0 and
+    runs no stencil.
     """
 
     def __init__(self, m: ChartedMetric, at: TMPoint):
         self.m = m
         self.x, self.u = at.x, at.u
+        self._jacobians: dict = {}  # id(field) -> (field, its Jacobian at x)
 
     @cached_property
     def g(self) -> np.ndarray:
@@ -86,9 +95,13 @@ class BaseGeometry:
 
     def nabla(self, xvec: np.ndarray, yfield: "VectorField") -> np.ndarray:
         """(nabla_X Y)^i = X^a d_a Y^i + Gamma^i_ab X^a Y^b at this base point."""
-        yval = field_at(yfield, self.x)
-        jac = jacobian(as_field(yfield), self.x, FD_STEP_FIRST)
-        return jac @ xvec + np.einsum("iab,a,b->i", self.gamma, xvec, yval)
+        term = np.einsum("iab,a,b->i", self.gamma, xvec, field_at(yfield, self.x))
+        if not callable(yfield):
+            return term
+        entry = self._jacobians.get(id(yfield))
+        if entry is None:
+            entry = self._jacobians[id(yfield)] = (yfield, jacobian(yfield, self.x, FD_STEP_FIRST))
+        return entry[1] @ xvec + term
 
 
 def kept_geometry(m: ChartedMetric, point, build: Callable):
@@ -144,10 +157,15 @@ class TMVec:
         return TMVec(self.at, -self.hpart, -self.vpart)
 
 
+def _same_coords(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal coordinates, or within 1e-12 of each other; exact equality is tried first, and NaN fails both."""
+    return bool((a == b).all()) or np.allclose(a, b, rtol=0, atol=1e-12)
+
+
 def require_same_tm_point(a: TMVec, b: TMVec) -> None:
-    if not (
-        np.allclose(a.at.x, b.at.x, rtol=0, atol=1e-12) and np.allclose(a.at.u, b.at.u, rtol=0, atol=1e-12)
-    ):
+    """Both vectors must live at one point; vectors built at one ``TMPoint`` pass at once."""
+    p, q = a.at, b.at
+    if p is not q and not (_same_coords(p.x, q.x) and _same_coords(p.u, q.u)):
         raise PointMismatch("TM vectors live at different bundle points")
 
 

@@ -1,10 +1,13 @@
 """Base-chart geometry: metric, connection, curvature, space forms."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sasakigeo import manifold
 from sasakigeo.errors import DegenerateMetric, DegeneratePlane, OutOfDomain
 from sasakigeo.manifold import (
     ChartedMetric,
@@ -22,6 +25,7 @@ from sasakigeo.manifold import (
 )
 from sasakigeo.oracle import fd_christoffel, fd_riemann
 from sasakigeo.sampling import sample_domain_point, sample_tangent_plane
+from sasakigeo.stencil import FD_STEP_FIRST, FD_STEP_SECOND, partials
 
 from conftest import bumpy_chart, flat_chart
 
@@ -301,3 +305,114 @@ class TestSpaceFormChart:
             e[k] = h
             fd = (m.metric_fn(x + e) - m.metric_fn(x - e)) / (2 * h)
             assert np.abs(m.deriv1_fn(x)[k] - fd).max() < 1e-9
+
+
+def _pass_charts():
+    """A space form, a generic analytic chart and a chart without analytic derivatives."""
+    spec = SpaceFormSpec(3, 1, 2.0)
+    return {
+        "space form": space_form_chart(spec),
+        "bumpy": bumpy_chart(3, 1),
+        "no derivatives": replace(space_form_chart(spec), deriv1_fn=None, deriv2_fn=None),
+    }
+
+
+def _two_step_riemann(m, x):
+    """R from Gamma and d Gamma, each read from the chart on its own (the reference)."""
+    gamma = christoffel_at(m, x)
+    if m.uses_fd_derivatives:
+        dgamma = partials(lambda y: christoffel_at(m, y), x, FD_STEP_SECOND)
+    else:
+        g, dg = metric_at(m, x), metric_deriv1_at(m, x)
+        ddg = np.asarray(m.deriv2_fn(x), dtype=float)
+        ginv = np.linalg.inv(g)
+        dginv = -np.einsum("im,cmn,nl->cil", ginv, dg, ginv)
+        t = np.einsum("jlk->ljk", dg) + np.einsum("kjl->ljk", dg) - dg
+        dt = np.einsum("calb->clab", ddg) + np.einsum("cbal->clab", ddg) - np.einsum("clab->clab", ddg)
+        dgamma = 0.5 * (np.einsum("cil,lab->ciab", dginv, t) + np.einsum("il,clab->ciab", ginv, dt))
+    return (
+        np.einsum("aibc->iabc", dgamma)
+        - np.einsum("biac->iabc", dgamma)
+        + np.einsum("iam,mbc->iabc", gamma, gamma)
+        - np.einsum("ibm,mac->iabc", gamma, gamma)
+    )
+
+
+class TestOnePassCurvature:
+    """``riemann_at`` reads g, g' and g'' once and inverts g once; the values do not move."""
+
+    @pytest.mark.parametrize("chart", ["space form", "bumpy", "no derivatives"])
+    def test_riemann_equals_the_two_step_reference_bit_for_bit(self, rng, chart):
+        m = _pass_charts()[chart]
+        for _ in range(3):
+            x = sample_domain_point(m, rng, box=0.4)
+            assert np.array_equal(riemann_at(m, x), _two_step_riemann(m, x))
+
+    def test_nabla_riemann_equals_the_two_step_reference_bit_for_bit(self, rng):
+        m = bumpy_chart(3, 1)
+        x = sample_domain_point(m, rng, box=0.4)
+        gamma, r = christoffel_at(m, x), riemann_at(m, x)
+        ref = (
+            partials(lambda y: riemann_at(m, y), x, FD_STEP_FIRST)
+            + np.einsum("imp,pjkl->mijkl", gamma, r)
+            - np.einsum("pmj,ipkl->mijkl", gamma, r)
+            - np.einsum("pmk,ijpl->mijkl", gamma, r)
+            - np.einsum("pml,ijkp->mijkl", gamma, r)
+        )
+        assert np.array_equal(nabla_riemann_full(m, x), ref)
+
+    @pytest.mark.parametrize("chart", ["space form", "bumpy"])
+    def test_one_read_of_each_chart_callable(self, rng, chart):
+        m = _pass_charts()[chart]
+        calls = {"metric_fn": 0, "deriv1_fn": 0, "deriv2_fn": 0}
+
+        def counted(name):
+            fn = getattr(m, name)
+
+            def wrapped(x):
+                calls[name] += 1
+                return fn(x)
+
+            return wrapped
+
+        counting = replace(m, **{name: counted(name) for name in calls})
+        x = sample_domain_point(m, rng, box=0.4)
+        r = riemann_at(counting, x)
+        assert calls == {"metric_fn": 1, "deriv1_fn": 1, "deriv2_fn": 1}
+        assert np.array_equal(r, riemann_at(m, x))
+
+    def test_one_inversion_per_call(self, monkeypatch, rng):
+        m = bumpy_chart(3, 1)
+        inversions = []
+        real = np.linalg.inv
+
+        def counted(a):
+            inversions.append(1)
+            return real(a)
+
+        monkeypatch.setattr(manifold.np.linalg, "inv", counted)
+        riemann_at(m, sample_domain_point(m, rng, box=0.4))
+        assert len(inversions) == 1
+
+    @pytest.mark.parametrize("n,nu,c", [(2, 0, 1.0), (3, 1, -1.0), (3, 0, 2.5)])
+    def test_validation_computes_r_once_per_point(self, monkeypatch, n, nu, c):
+        spec = SpaceFormSpec(n, nu, c)
+        m = space_form_chart(spec)
+        # the reference: each plane's sectional curvature on its own, as before
+        rng = np.random.default_rng(5)
+        worst = 0.0
+        for _ in range(10):
+            x = sample_domain_point(m, rng)
+            for _ in range(manifold.SPACE_FORM_PLANES):
+                xv, yv = sample_tangent_plane(m, x, rng)
+                worst = max(worst, abs(sectional_curvature(m, x, xv, yv) - c))
+        calls = []
+        real = manifold.riemann_at
+
+        def counted(chart, x):
+            calls.append(1)
+            return real(chart, x)
+
+        monkeypatch.setattr(manifold, "riemann_at", counted)
+        assert validate_space_form(m, spec, np.random.default_rng(5), num_points=10) == worst
+        assert len(calls) == 10

@@ -818,3 +818,19 @@ class TestBaseJet:
         assert len(distinct) == 2 * n + 1
         assert sorted(reads["metric"]) == sorted(reads["deriv1"]) == sorted(distinct)
         assert reads["deriv2"] == []  # h-lift values need no d Gamma
+
+
+def test_base_jet_inverts_g_once(monkeypatch, rng):
+    m = bumpy_chart(3, 1)
+    x = sample_sb_point(m, 1, rng).x
+    inversions = []
+    real = oracle._inv
+
+    def counted(g):
+        inversions.append(1)
+        return real(g)
+
+    monkeypatch.setattr(oracle, "_inv", counted)
+    jet = oracle.BaseJet(m, x)
+    assert jet.dgamma is not None and len(inversions) == 1
+    assert np.array_equal(jet.gamma, oracle._koszul(m.metric_fn(x), m.deriv1_fn(x)))

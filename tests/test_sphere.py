@@ -687,3 +687,31 @@ class TestHardEdges:
         t = sign * np.arcsinh(ratio * f)
         p = sb_point(m, x, _unit_fiber_vector(n, 1, -1, f, t, spatial), -1)
         _assert_sound_at_the_edge(m, p)
+
+
+class TestSbPointGuardFastPath:
+    """Equal coordinates pass the guard before its tolerance is tried; the tolerance and NaN hold."""
+
+    def test_equal_and_near_coordinates_at_distinct_points_add(self, flat2):
+        p = SBPoint(np.array([0.1, 0.2]), np.array([0.6, 0.8]), 1)
+        for q in (SBPoint(p.x.copy(), p.u.copy(), 1), SBPoint(p.x + 5e-13, p.u - 5e-13, 1)):
+            total = horizontal_sb(p, np.ones(2)) + tangential_lift(flat2, q, np.array([0.8, -0.6]))
+            assert total.at is p and np.array_equal(total.hpart, [1.0, 1.0])
+            induced_metric_at(flat2, p, horizontal_sb(q, np.ones(2)), horizontal_sb(p, np.ones(2)))
+
+    @pytest.mark.parametrize("part", ["x", "u"])
+    @pytest.mark.parametrize("shift", [2e-12, np.nan])
+    def test_coordinates_apart_or_nan_raise(self, flat2, part, shift):
+        x, u = np.array([0.1, 0.2]), np.array([0.6, 0.8])
+        p = SBPoint(x, u, 1)
+        moved = {"x": x.copy(), "u": u.copy()}
+        moved[part][1] += shift
+        q = SBPoint(moved["x"], moved["u"], 1)  # unvalidated on purpose: sb_point refuses NaN
+        with pytest.raises(PointMismatch):
+            horizontal_sb(p, np.ones(2)) + horizontal_sb(q, np.ones(2))
+        with pytest.raises(PointMismatch):
+            induced_metric_at(flat2, p, horizontal_sb(q, np.ones(2)), horizontal_sb(p, np.ones(2)))
+        if np.isnan(shift):  # two NaN points are not one point, even with equal bits
+            twin = SBPoint(moved["x"].copy(), moved["u"].copy(), 1)
+            with pytest.raises(PointMismatch):
+                horizontal_sb(q, np.ones(2)) + horizontal_sb(twin, np.ones(2))

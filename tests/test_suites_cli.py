@@ -9,10 +9,11 @@ import sys
 import numpy as np
 import pytest
 
-from sasakigeo import contact, sphere, suites
+from sasakigeo import contact, oracle, sphere, suites, tangent
 from sasakigeo.errors import DegenerateMetric, InvalidConfig
 from sasakigeo.cli import main
 from sasakigeo.report import CheckItem, CheckReport, emit_report, fold, report_to_dict, worst_of
+from sasakigeo.sampling import rng_for, sample_sb_point
 from sasakigeo.suites import SUITES, SuiteConfig, expected_pass, matrix_configs, run_suite
 
 from conftest import nan_on_call
@@ -475,3 +476,43 @@ class TestCli:
         assert out1.returncode == 0
         assert _strip_runtime(out1.stdout) == _strip_runtime(out2.stdout)
         assert "running suite" in out1.stderr  # diagnostics on stderr
+
+
+def _bracket_rows_one_stencil_per_bracket(cfg, m):
+    """The ``brackets`` rows with every bracket taken by ``fd_lie_bracket`` on its own (the reference)."""
+    for i in range(cfg.num_points):
+        rng = rng_for(cfg.seed, 10, i)
+        p = sample_sb_point(m, cfg.eps, rng)
+        z0 = np.concatenate([p.x, p.u])
+        xf, yf = suites._poly_field(cfg.n, rng), suites._poly_field(cfg.n, rng)
+        for kx, ky in [("h", "h"), ("h", "v"), ("v", "v")]:
+            closed = tangent.to_induced_coords(m, tangent.lift_bracket(m, xf, yf, kx, ky, p.tm))
+            fd = oracle.fd_lie_bracket(oracle.lift_field_fn(m, xf, kx), oracle.lift_field_fn(m, yf, ky), z0)
+            yield np.abs(closed - fd).max()
+        for kx, ky in [("h", "t"), ("t", "t"), ("h", "h")]:
+            closed = oracle._embed_induced(m, sphere.sb_bracket(m, xf, yf, kx, ky, p))
+            fd = oracle.fd_lie_bracket(
+                oracle.sb_lift_field_fn(m, xf, kx, cfg.eps), oracle.sb_lift_field_fn(m, yf, ky, cfg.eps), z0
+            )
+            yield np.abs(closed - fd).max()
+
+
+class TestBracketsSuite:
+    @pytest.mark.parametrize("n,nu,eps,c", [(2, 0, 1, 1.0), (3, 1, -1, 2.0)])
+    def test_six_stencils_per_point_and_rows_equal_fd_lie_bracket(self, monkeypatch, n, nu, eps, c):
+        cfg = SuiteConfig(suite="brackets", n=n, nu=nu, eps=eps, c=c, num_points=3)
+        m = suites._chart(cfg)
+        reference = list(_bracket_rows_one_stencil_per_bracket(cfg, m))
+        stencils = []
+        real = oracle.jacobian
+
+        def counted(fn, z, step):
+            stencils.append(fn)
+            return real(fn, z, step)
+
+        monkeypatch.setattr(oracle, "jacobian", counted)
+        rows = list(suites._suite_brackets(cfg, m, cfg.params()))
+        assert len(stencils) == 6 * cfg.num_points
+        assert [row[0] for row in rows] == CHECK_NAMES["brackets"] * cfg.num_points
+        assert [row[1] for row in rows] == reference
+        assert all(row[2] == 1e-5 for row in rows)

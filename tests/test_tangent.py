@@ -1,19 +1,24 @@
 """Tangent bundle: lifts, induced coordinates, Sasaki metric, connection, J."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sasakigeo import tangent
 from sasakigeo.errors import PointMismatch
 from sasakigeo.manifold import SpaceFormSpec, metric_at, space_form_chart
 from sasakigeo.oracle import fd_christoffel, fd_lie_bracket, lift_field_fn, sasaki_gamma_fn, ambient_nabla
 from sasakigeo.sampling import sample_domain_point, sample_fiber_vector
 from sasakigeo.sphere import frame_at, sb_point
+from sasakigeo.stencil import FD_STEP_FIRST, jacobian
 from sasakigeo.tangent import (
     TMPoint,
     TMVec,
     almost_complex_J,
+    base_geometry,
     from_induced_coords,
     lift_bracket,
     sasaki_metric_at,
@@ -225,3 +230,102 @@ class TestAlmostComplexJ:
             b = TMVec(at, rng.normal(size=3), rng.normal(size=3))
             lhs = sasaki_metric_at(m, at, almost_complex_J(a), almost_complex_J(b))
             assert lhs == pytest.approx(sasaki_metric_at(m, at, a, b), abs=1e-12)
+
+
+@pytest.fixture
+def stencils(monkeypatch):
+    """The fields that ``tangent`` runs a Jacobian stencil of, in order."""
+    seen = []
+
+    def counted(fn, z, step):
+        seen.append(fn)
+        return jacobian(fn, z, step)
+
+    monkeypatch.setattr(tangent, "jacobian", counted)
+    return seen
+
+
+def _quadratic_field(rng, n=3):
+    a1, a2 = rng.normal(size=(n, n)), rng.normal(size=(n, n, n))
+
+    def field(x):
+        return a1 @ x + np.einsum("ijk,j,k->i", a2, x, x)
+
+    return field
+
+
+class TestNablaJacobianMemo:
+    """``BaseGeometry.nabla`` differentiates each callable field once per point and never a constant one."""
+
+    def test_constant_field_runs_no_stencil(self, rng, stencils):
+        m = bumpy_chart(3, 1)
+        at = _tm_point(m, rng)
+        base = base_geometry(m, at)
+        xv, w = rng.normal(size=3), rng.normal(size=3)
+        assert np.array_equal(base.nabla(xv, w), np.einsum("iab,a,b->i", base.gamma, xv, w))
+        for ky in ("h", "v"):
+            tm_nabla(m, xv, w, "h", ky, at)
+        lift_bracket(m, xv, w, "h", "h", at)
+        assert stencils == []
+
+    def test_callable_field_runs_one_stencil_per_point(self, rng, stencils):
+        m = bumpy_chart(3, 1)
+        at = _tm_point(m, rng)
+        base = base_geometry(m, at)
+        f, h = _quadratic_field(rng), _quadratic_field(rng)
+        jac = jacobian(f, at.x, FD_STEP_FIRST)
+        for _ in range(3):
+            xv = rng.normal(size=3)
+            expected = jac @ xv + np.einsum("iab,a,b->i", base.gamma, xv, f(at.x))
+            assert np.array_equal(base.nabla(xv, f), expected)
+        assert stencils == [f]
+        for kx, ky in [("h", "h"), ("h", "v"), ("v", "h")]:
+            lift_bracket(m, f, h, kx, ky, at)
+        assert stencils == [f, h]
+
+    def test_a_new_point_recomputes(self, rng, stencils):
+        m = bumpy_chart(3, 1)
+        at = _tm_point(m, rng)
+        f = _quadratic_field(rng)
+        xv = rng.normal(size=3)
+        first = base_geometry(m, at).nabla(xv, f)
+        again = TMPoint(at.x.copy(), at.u.copy())  # the same coordinates, another point
+        moved = TMPoint(at.x + 0.01, at.u)
+        base = base_geometry(m, moved)
+        expected = jacobian(f, moved.x, FD_STEP_FIRST) @ xv + np.einsum("iab,a,b->i", base.gamma, xv, f(moved.x))
+        for _ in range(2):
+            assert np.array_equal(base_geometry(m, again).nabla(xv, f), first)
+            assert np.array_equal(base.nabla(xv, f), expected)
+        assert stencils == [f, f, f]  # one at each of the three points
+
+    def test_a_field_outlived_by_its_id_is_not_served_a_stale_jacobian(self, flat2, rng):
+        base = base_geometry(flat2, _tm_point(flat2, rng))
+        xv = rng.normal(size=2)
+        for c in (1.0, 2.0, 3.0, 4.0):
+            assert np.allclose(base.nabla(xv, lambda x, c=c: c * x), c * xv)
+            gc.collect()  # the memo holds each field, so no later field can take its id
+
+
+class TestTmPointGuardFastPath:
+    def test_equal_coordinates_at_distinct_points_add(self):
+        at1 = TMPoint(np.array([0.4, -0.3]), np.array([1.0, 0.5]))
+        at2 = TMPoint(at1.x.copy(), at1.u.copy())
+        total = TMVec(at1, np.ones(2), np.zeros(2)) + TMVec(at2, np.ones(2), np.ones(2))
+        assert total.at is at1 and np.array_equal(total.hpart, [2.0, 2.0])
+        near = TMPoint(at1.x + 5e-13, at1.u)  # within the guard's 1e-12
+        TMVec(at1, np.ones(2), np.zeros(2)) + TMVec(near, np.ones(2), np.zeros(2))
+
+    @pytest.mark.parametrize("part", ["x", "u"])
+    @pytest.mark.parametrize("shift", [2e-12, np.nan])
+    def test_coordinates_apart_or_nan_raise(self, part, shift):
+        x, u = np.array([0.4, -0.3]), np.array([1.0, 0.5])
+        at1 = TMPoint(x, u)
+        moved = {"x": x.copy(), "u": u.copy()}
+        moved[part][0] += shift
+        at2 = TMPoint(moved["x"], moved["u"])
+        with pytest.raises(PointMismatch):
+            TMVec(at1, np.ones(2), np.zeros(2)) + TMVec(at2, np.ones(2), np.zeros(2))
+        if np.isnan(shift):  # two NaN points are not one point, even with equal bits
+            twin = TMPoint(moved["x"].copy(), moved["u"].copy())
+            with pytest.raises(PointMismatch):
+                TMVec(at2, np.ones(2), np.zeros(2)) + TMVec(twin, np.ones(2), np.zeros(2))
