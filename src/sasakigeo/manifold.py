@@ -155,12 +155,6 @@ def riemann_at(m: ChartedMetric, x: Point) -> np.ndarray:
     return _curvature_pass(m, np.asarray(x, dtype=float))[2]
 
 
-def lower_riemann(m: ChartedMetric, x: Point, r: np.ndarray) -> np.ndarray:
-    """``g_im r[m, a, b, c]`` = g(R(e_a, e_b)e_c, e_i)."""
-    g = metric_at(m, x)
-    return np.einsum("im,mabc->iabc", g, r)
-
-
 def nabla_riemann_full(m: ChartedMetric, x: Point) -> np.ndarray:
     """All components (nabla_m R)(e_a, e_b)e_c at x (index order [m, i, a, b, c]).
 

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DegenerateMetric, NoSolvableCoordinate
 from .manifold import ChartedMetric
 from .sphere import SBPoint, SBVec, require_same_sb_point
-from .stencil import FD_STEP_FIRST, FD_STEP_GAMMA, FD_STEP_SECOND, jacobian, partials
+from .stencil import FD_STEP_FIRST, FD_STEP_GAMMA, FD_STEP_SECOND, jacobian, partials, points, quotient
 from .tangent import VectorField, as_field, kept_geometry
 
 
@@ -36,8 +36,8 @@ def _inv(g: np.ndarray) -> np.ndarray:
 
 
 def _first_kind(dg: np.ndarray) -> np.ndarray:
-    """t[l, j, k] = d_j g_lk + d_k g_jl - d_l g_jk, twice the first-kind symbols."""
-    return np.einsum("jlk->ljk", dg) + np.einsum("kjl->ljk", dg) - dg
+    """t[..., l, j, k] = d_j g_lk + d_k g_jl - d_l g_jk, twice the first-kind symbols, for any stack of g'."""
+    return np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg
 
 
 def _koszul(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
@@ -45,8 +45,8 @@ def _koszul(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
 
 
 def _koszul_inv(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """The Koszul step from g^-1 and g'."""
-    return 0.5 * np.einsum("il,ljk->ijk", ginv, _first_kind(dg))
+    """The Koszul step from g^-1 and g', for any stack of them."""
+    return 0.5 * np.einsum("...il,...ljk->...ijk", ginv, _first_kind(dg))
 
 
 def fd_christoffel(metric_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, step: float = FD_STEP_FIRST) -> np.ndarray:
@@ -59,8 +59,11 @@ def fd_christoffel(metric_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
 def fd_riemann(gamma_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, step: float = FD_STEP_SECOND) -> np.ndarray:
     """Coordinate curvature ``r[i, a, b, c]``, ordered as ``riemann_at``, from central differences of Gamma."""
     x = np.asarray(x, dtype=float)
-    gamma = np.asarray(gamma_fn(x), dtype=float)
-    dgamma = partials(gamma_fn, x, step)
+    return _riemann(np.asarray(gamma_fn(x), dtype=float), partials(gamma_fn, x, step))
+
+
+def _riemann(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
+    """R in operator order from Gamma and ``dgamma[c, i, a, b]`` = d_c Gamma^i_ab."""
     return (
         np.einsum("aibc->iabc", dgamma)
         - np.einsum("biac->iabc", dgamma)
@@ -108,7 +111,7 @@ class BaseJet:
         ginv, t = self.ginv, _first_kind(self.dg)
         ddg = np.asarray(self._deriv2_fn(self.x), dtype=float)
         dginv = -np.einsum("im,cmn,nl->cil", ginv, self.dg, ginv)
-        dt = np.array([_first_kind(ddg_c) for ddg_c in ddg])  # dt[c] = d_c t
+        dt = _first_kind(ddg)  # dt[c] = d_c t
         return _own(0.5 * (np.einsum("cil,lab->ciab", dginv, t) + np.einsum("il,clab->ciab", ginv, dt)))
 
 
@@ -141,14 +144,14 @@ def base_gamma(m: ChartedMetric, x: np.ndarray) -> np.ndarray:
 
 
 def _sasaki_blocks(g: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """[[g + C^T g C, C^T g], [g C, g]] for C^i_a = Gamma^i_ab u^b."""
-    n = g.shape[0]
-    gc = g @ c
-    out = np.empty((2 * n, 2 * n))
-    out[:n, :n] = g + c.T @ gc
-    out[:n, n:] = c.T @ g
-    out[n:, :n] = gc
-    out[n:, n:] = g
+    """[[g + C^T g C, C^T g], [g C, g]] for C^i_a = Gamma^i_ab u^b, for any stack of g and C."""
+    n = g.shape[-1]
+    gc, ct = g @ c, np.swapaxes(c, -1, -2)
+    out = np.empty(g.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n] = g + ct @ gc
+    out[..., :n, n:] = ct @ g
+    out[..., n:, :n] = gc
+    out[..., n:, n:] = g
     return out
 
 
@@ -167,40 +170,55 @@ def sasaki_metric_fn(m: ChartedMetric) -> Callable[[np.ndarray], np.ndarray]:
     return tg
 
 
-def sasaki_gamma_fn(m: ChartedMetric) -> Callable[[np.ndarray], np.ndarray]:
-    """z -> Christoffel symbols of Tg.
+def _stacked_jets(m: ChartedMetric, x: np.ndarray) -> list:
+    """g, g', Gamma and d Gamma of the base jets at the rows of x, stacked in x's leading shape."""
+    jets = [base_jet(m, row) for row in x.reshape(-1, m.dim)]
+    return [
+        np.stack([getattr(jet, name) for jet in jets]).reshape(x.shape[:-1] + getattr(jets[0], name).shape)
+        for name in ("g", "dg", "gamma", "dgamma")
+    ]
 
-    On charts with analytic g' and g'' each z takes g, g', Gamma and d Gamma
-    from the base jet at x, builds Tg and its z-derivative d_K Tg_IJ in closed
-    form, and takes one Koszul step; otherwise Tg is central-differenced.
+
+def sasaki_gamma_fn(m: ChartedMetric) -> Callable[[np.ndarray], np.ndarray]:
+    """z -> Christoffel symbols of Tg, for z of shape (..., 2n) (one point or a stack of them).
+
+    On charts with analytic g' and g'' each row of z takes g, g', Gamma and
+    d Gamma from the base jet at its x, and the whole stack builds Tg and its
+    z-derivative d_K Tg_IJ in closed form and takes one Koszul step;
+    otherwise Tg is central-differenced row by row.
     """
     tg = sasaki_metric_fn(m)
-    if m.deriv1_fn is None or m.deriv2_fn is None:
-        return lambda z: fd_christoffel(tg, z)
     n = m.dim
+    if m.deriv1_fn is None or m.deriv2_fn is None:
+
+        def gamma_fd(z: np.ndarray) -> np.ndarray:
+            z = np.asarray(z, dtype=float)
+            rows = [fd_christoffel(tg, row) for row in z.reshape(-1, 2 * n)]
+            return np.array(rows).reshape(z.shape + (2 * n, 2 * n))
+
+        return gamma_fd
 
     def gamma_tilde(z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        x, u = z[:n], z[n:]
-        jet = base_jet(m, x)
-        g, dg, gamma, dgamma = jet.g, jet.dg, jet.gamma, jet.dgamma
-        c = np.einsum("iab,b->ia", gamma, u)
+        u = z[..., n:]
+        g, dg, gamma, dgamma = _stacked_jets(m, z[..., :n])
+        c = np.einsum("...iab,...b->...ia", gamma, u)
         gc = g @ c
-        dc_x = np.einsum("kiab,b->kia", dgamma, u)  # d C / d x^k
-        dc_u = np.einsum("iak->kia", gamma)  # d C / d u^k
-        dtg = np.zeros((2 * n, 2 * n, 2 * n))
+        dc_x = np.einsum("...kiab,...b->...kia", dgamma, u)  # d C / d x^k
+        dc_u = np.einsum("...iak->...kia", gamma)  # d C / d u^k
+        dtg = np.zeros(z.shape[:-1] + (2 * n,) * 3)
         # d_k (C^T g C) = dC_k^T g C + C^T dg_k C + (dC_k^T g C)^T, g symmetric
-        dcgc = np.einsum("kia,ib->kab", dc_x, gc)
-        dtg[:n, :n, :n] = dg + dcgc + np.swapaxes(dcgc, 1, 2) + np.einsum("ia,kij,jb->kab", c, dg, c)
-        xu = np.einsum("kia,ib->kab", dc_x, g) + np.einsum("ia,kib->kab", c, dg)
-        dtg[:n, :n, n:] = xu
-        dtg[:n, n:, :n] = np.swapaxes(xu, 1, 2)
-        dtg[:n, n:, n:] = dg
-        dcgc = np.einsum("kia,ib->kab", dc_u, gc)
-        dtg[n:, :n, :n] = dcgc + np.swapaxes(dcgc, 1, 2)
-        xu = np.einsum("kia,ib->kab", dc_u, g)
-        dtg[n:, :n, n:] = xu
-        dtg[n:, n:, :n] = np.swapaxes(xu, 1, 2)
+        dcgc = np.einsum("...kia,...ib->...kab", dc_x, gc)
+        dtg[..., :n, :n, :n] = dg + dcgc + np.swapaxes(dcgc, -1, -2) + np.einsum("...ia,...kij,...jb->...kab", c, dg, c)
+        xu = np.einsum("...kia,...ib->...kab", dc_x, g) + np.einsum("...ia,...kib->...kab", c, dg)
+        dtg[..., :n, :n, n:] = xu
+        dtg[..., :n, n:, :n] = np.swapaxes(xu, -1, -2)
+        dtg[..., :n, n:, n:] = dg
+        dcgc = np.einsum("...kia,...ib->...kab", dc_u, gc)
+        dtg[..., n:, :n, :n] = dcgc + np.swapaxes(dcgc, -1, -2)
+        xu = np.einsum("...kia,...ib->...kab", dc_u, g)
+        dtg[..., n:, :n, n:] = xu
+        dtg[..., n:, n:, :n] = np.swapaxes(xu, -1, -2)
         return _koszul(_sasaki_blocks(g, c), dtg)
 
     return gamma_tilde
@@ -448,14 +466,14 @@ class GaussOracle:
     """The oracle's context at one bundle point p.
 
     Gamma-tilde(z0), Tg(z0) and the normal N = (0; u) depend only on p, so
-    they are built once here, and the ambient curvature R-tilde of Tg is
-    built on first use.  ``curvature``, ``second_fundamental_form``,
-    ``weingarten`` and ``nabla_endomorphism`` only contract them with the
-    sampled vectors.  ``gauss_oracle`` keeps one context per (chart, point)
-    on the point, and ``gauss_curvature_oracle`` and ``sb_nabla_via_ambient``
-    read that one.  The context holds p's x, u and eps but never p itself:
-    it takes the point from the vectors it is given, checking them against
-    its own coordinates.
+    they are built once here; the ambient curvature R-tilde of Tg and the
+    induced curvature R-bar are built on first use.  ``curvature``,
+    ``second_fundamental_form``, ``weingarten`` and ``nabla_endomorphism``
+    only contract them with the sampled vectors.  ``gauss_oracle`` keeps one
+    context per (chart, point) on the point, and ``gauss_curvature_oracle``
+    and ``sb_nabla_via_ambient`` read that one.  The context holds p's x,
+    u and eps but never p itself: it takes the point from the vectors it is
+    given, checking them against its own coordinates.
     """
 
     def __init__(self, m: ChartedMetric, p: SBPoint):
@@ -471,7 +489,33 @@ class GaussOracle:
         # the coarser second-derivative step is only needed when Gamma itself
         # carries finite-difference noise
         step = FD_STEP_SECOND if self.m.uses_fd_derivatives else FD_STEP_GAMMA
-        return fd_riemann(sasaki_gamma_fn(self.m), self.z0, step)
+        dgamma = quotient(sasaki_gamma_fn(self.m)(points(self.z0, step)), step)  # one call on the whole stencil
+        return _riemann(self.gamma0, dgamma)
+
+    @cached_property
+    def rbar(self) -> np.ndarray:
+        """R-bar in the (h, t) parts basis: ``rbar[o, a, b, c]`` is the o-part of R-bar(e_a, e_b)e_c.
+
+        In induced components R-bar(A, B)C = R-tilde(A, B)C - II(B, C) W A + II(A, C) W B,
+        with the Weingarten matrix W = dN + Gamma-tilde(., N) and II(A, B) = B^T S A for
+        S = -eps Tg W.  Each slot is pulled back from parts by E = [[I, 0], [-C, I]]
+        (``_embed_induced``) and the output is mapped to parts by F = [[I, 0], [P C, P]]
+        (``_from_induced``), with C^i_a = Gamma^i_ab u^b and P = I - eps u (g u)^T.
+        """
+        n, eps = self.m.dim, self.eps
+        w = np.einsum("ijk,k->ij", self.gamma0, self.n_ind)
+        w[n:, n:] += np.eye(n)
+        ii = -eps * self.tg0 @ w  # ii[c, a] = II(e_a, e_c)
+        rind = self.r_tilde - np.einsum("ia,cb->iabc", w, ii) + np.einsum("ib,ca->iabc", w, ii)
+        jet = base_jet(self.m, self.x)
+        c = np.einsum("iab,b->ia", jet.gamma, self.u)
+        proj = np.eye(n) - eps * np.outer(self.u, jet.g @ self.u)
+        e, f = np.eye(2 * n), np.eye(2 * n)
+        e[n:, :n] = -c
+        f[n:, :n], f[n:, n:] = proj @ c, proj
+        rb = np.einsum("oi,iabc->oabc", f, rind) @ e
+        rb = np.einsum("oajc,jb->oabc", rb, e)
+        return _own(np.einsum("ojbc,ja->oabc", rb, e))
 
     def _point(self, *vecs: SBVec) -> SBPoint:
         """The point the vectors live at; it must carry this context's x, u and eps."""
@@ -497,17 +541,15 @@ class GaussOracle:
         return dn + np.einsum("ijk,j,k->i", self.gamma0, aval, self.n_ind)
 
     def curvature(self, a: SBVec, b: SBVec, c: SBVec) -> SBVec:
-        """R-bar(a, b)c from the ambient curvature of Tg plus second-fundamental terms.
+        """R-bar(a, b)c by the Gauss equation, contracted from ``rbar`` as ``sb_curvature`` contracts its own.
 
         tan(R-tilde(A,B)C) - II(B,C) nabla-tilde_A N + II(A,C) nabla-tilde_B N,
-        where tan(V) = V - eps Tg(V, N) N; ``_from_induced`` drops that N part,
-        so tan is not taken separately.  Each vector is embedded once.
+        where tan(V) = V - eps Tg(V, N) N; F drops that N part, so tan is not
+        taken separately.
         """
         p = self._point(a, b, c)
-        a_ind, b_ind, c_ind = (_embed_induced(self.m, v) for v in (a, b, c))
-        wa, wb = self.weingarten(a_ind), self.weingarten(b_ind)
-        v = np.einsum("iabc,a,b,c->i", self.r_tilde, a_ind, b_ind, c_ind)
-        return _from_induced(self.m, p, v - self._ii(wb, c_ind) * wa + self._ii(wa, c_ind) * wb)
+        out = ((self.rbar @ c.comps()) @ b.comps()) @ a.comps()
+        return SBVec(p, out[: self.m.dim], out[self.m.dim :])
 
     def nabla_endomorphism(self, phi_fn) -> Callable[[SBVec, SBVec], SBVec]:
         """(a, b) -> (nabla-bar_a phi) b for an endomorphism field of induced components on TM.

@@ -14,15 +14,18 @@ FD_STEP_SECOND = 1e-4  # differentiating a function that carries FD noise itself
 FD_STEP_GAMMA = 5e-6  # an analytically evaluated Gamma into R: a first-derivative problem
 
 
-def _coordinate_differences(fn, z: np.ndarray, step: float) -> np.ndarray:
-    """``out[k] = fn(z + step e_k) - fn(z - step e_k)``."""
+def points(z: np.ndarray, step: float) -> np.ndarray:
+    """The stencil around z as 2N rows: z + step e_k, then z - step e_k."""
     z = np.asarray(z, dtype=float)
-    out = []
-    for k in range(z.size):
-        e = np.zeros(z.size)
-        e[k] = step
-        out.append(np.asarray(fn(z + e)) - np.asarray(fn(z - e)))
-    return np.array(out)
+    d = step * np.eye(z.size)
+    return np.concatenate([z + d, z - d])
+
+
+def quotient(values, step: float) -> np.ndarray:
+    """``out[k, ...]`` = (values[k] - values[N + k]) / 2 step for the values of f on ``points``."""
+    values = np.asarray(values)
+    half = values.shape[0] // 2
+    return (values[:half] - values[half:]) / (2.0 * step)
 
 
 def central_difference(fn, z: np.ndarray, v: np.ndarray, step: float):
@@ -32,11 +35,11 @@ def central_difference(fn, z: np.ndarray, v: np.ndarray, step: float):
 
 
 def partials(fn, z: np.ndarray, step: float) -> np.ndarray:
-    """``out[k, ...] = d_k fn(z)``: the derivative index comes first."""
-    return _coordinate_differences(fn, z, step) / (2.0 * step)
+    """``out[k, ...] = d_k fn(z)``: the derivative index comes first; ``fn`` is called once per row."""
+    return quotient([np.asarray(fn(row)) for row in points(z, step)], step)
 
 
 def jacobian(fn, z: np.ndarray, step: float) -> np.ndarray:
     """``J[i, j] = d_j fn^i(z)`` of a vector-valued ``fn``, C-contiguous."""
     # a transposed view would round the matrix products it feeds differently
-    return np.ascontiguousarray(_coordinate_differences(fn, z, step).T) / (2.0 * step)
+    return np.ascontiguousarray(partials(fn, z, step).T)

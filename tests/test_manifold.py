@@ -13,7 +13,6 @@ from sasakigeo.manifold import (
     ChartedMetric,
     SpaceFormSpec,
     christoffel_at,
-    lower_riemann,
     metric_at,
     metric_deriv1_at,
     nabla_riemann_full,
@@ -28,6 +27,11 @@ from sasakigeo.sampling import sample_domain_point, sample_tangent_plane
 from sasakigeo.stencil import FD_STEP_FIRST, FD_STEP_SECOND, partials
 
 from conftest import bumpy_chart, flat_chart
+
+
+def lower_riemann(m, x, r):
+    """``g_im r[m, a, b, c]`` = g(R(e_a, e_b)e_c, e_i)."""
+    return np.einsum("im,mabc->iabc", metric_at(m, x), r)
 
 
 class TestMetricAt:

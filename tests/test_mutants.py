@@ -82,6 +82,20 @@ def test_halved_koszul_factor_of_the_oracle(monkeypatch):
     assert {"second fundamental form symmetric", "sb_curvature = Gauss-equation oracle"} <= killed
 
 
+def test_dropped_second_weingarten_term_of_the_oracle_rbar(monkeypatch):
+    # the oracle's R-bar(A, B)C without its + II(A, C) nabla-tilde_B N term; the closed forms are untouched.
+    # R-bar pulls R-tilde - II(B, C) W A + II(A, C) W B back to parts linearly, so the term is taken off R-tilde
+    real = oracle.GaussOracle.r_tilde.func
+
+    def mutant(gauss):
+        w = np.array([gauss.weingarten(e) for e in np.eye(gauss.z0.size)]).T  # w[:, b] = nabla-tilde_{e_b} N
+        ii = -gauss.eps * gauss.tg0 @ w  # ii[c, a] = II(e_a, e_c)
+        return real(gauss) - np.einsum("ib,ca->iabc", w, ii)
+
+    monkeypatch.setattr(oracle.GaussOracle, "r_tilde", property(mutant))
+    assert "sb_curvature = Gauss-equation oracle" in failing("oracle-crosscheck", **TIMELIKE)
+
+
 def test_flipped_eps_in_the_tangential_lift(monkeypatch):
     # X^t = X^v + eps g(X, u) N instead of X^v - eps g(X, u) N
     def flipped(m, p, xcomps):

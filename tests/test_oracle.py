@@ -601,13 +601,13 @@ class TestPerPointOracles:
         from sasakigeo.suites import SuiteConfig, run_suite
 
         sizes = []
-        fd_riemann_ = oracle.fd_riemann
+        riemann = oracle._riemann  # the R formula of both R-tilde and fd_riemann
 
-        def counted_fd_riemann(gamma_fn, x, *args):
-            sizes.append(np.asarray(x).size)
-            return fd_riemann_(gamma_fn, x, *args)
+        def counted_riemann(gamma, dgamma):
+            sizes.append(gamma.shape[0])
+            return riemann(gamma, dgamma)
 
-        monkeypatch.setattr(oracle, "fd_riemann", counted_fd_riemann)
+        monkeypatch.setattr(oracle, "_riemann", counted_riemann)
         run_suite(SuiteConfig("oracle-crosscheck", n=2, num_points=2, num_samples=24))  # 3 triples a point
         assert sizes.count(4) == 2  # R-tilde on the 2n-dimensional TM chart
         assert sizes.count(2) == 2  # the base curvature check
@@ -628,18 +628,18 @@ class TestKeptGaussOracle:
         nablas = [sb_nabla_via_ambient(m, xc, yc, kx, ky, copy).comps() for xc, yc, kx, ky in pairs]
 
         builds, riemanns = [], []
-        init, real_fd_riemann = GaussOracle.__init__, oracle.fd_riemann
+        init, real_riemann = GaussOracle.__init__, oracle._riemann
 
         def counted_init(self, m, p):
             builds.append(m)
             init(self, m, p)
 
-        def counted_fd_riemann(*args):
+        def counted_riemann(*args):
             riemanns.append(None)
-            return real_fd_riemann(*args)
+            return real_riemann(*args)
 
         monkeypatch.setattr(GaussOracle, "__init__", counted_init)
-        monkeypatch.setattr(oracle, "fd_riemann", counted_fd_riemann)
+        monkeypatch.setattr(oracle, "_riemann", counted_riemann)
         for (a, b, cv), curvature, (xc, yc, kx, ky), nabla in zip(triples, curvatures, pairs, nablas):
             assert np.array_equal(gauss_curvature_oracle(m, p, a, b, cv).comps(), curvature)
             assert np.array_equal(sb_nabla_via_ambient(m, xc, yc, kx, ky, p).comps(), nabla)
@@ -696,6 +696,106 @@ class TestKeptGaussOracle:
         copy = SBPoint(p1.x.copy(), p1.u.copy(), 1)  # the same coordinates are the same point
         moved = SBVec(copy, here.hpart, here.tpart)
         assert np.array_equal(gauss.curvature(moved, here, here).comps(), gauss.curvature(here, here, here).comps())
+
+
+def _oracle_chart(chart):
+    """A space form, a non-locally-symmetric chart, or a space form with no analytic derivatives."""
+    if chart == "bumpy":
+        return bumpy_chart(3, 1)
+    m = space_form_chart(SpaceFormSpec(3, 1, 2.0))
+    return replace(m, deriv1_fn=None, deriv2_fn=None) if chart == "no derivatives" else m
+
+
+def _r_tilde_step(m):
+    return stencil.FD_STEP_SECOND if m.uses_fd_derivatives else stencil.FD_STEP_GAMMA
+
+
+def _per_call_gauss(gauss, a, b, c):
+    """Reference: R-bar(a, b)c from one triple, tan(R-tilde(A,B)C) - II(B,C) nabla-tilde_A N + II(A,C) nabla-tilde_B N."""
+    a_ind, b_ind, c_ind = (_embed_induced(gauss.m, v) for v in (a, b, c))
+    wa, wb = gauss.weingarten(a_ind), gauss.weingarten(b_ind)
+    v = np.einsum("iabc,a,b,c->i", gauss.r_tilde, a_ind, b_ind, c_ind)
+    return oracle._from_induced(gauss.m, a.at, v - gauss._ii(wb, c_ind) * wa + gauss._ii(wa, c_ind) * wb).comps()
+
+
+CHARTS = ["space form", "bumpy", "no derivatives"]
+
+
+class TestStackedGaussOracle:
+    """Gamma-tilde on a whole stencil in one call, and R-bar as one parts-basis tensor per point."""
+
+    @pytest.mark.parametrize("chart", CHARTS)
+    def test_stacked_gamma_tilde_equals_per_row_calls(self, rng, chart):
+        m = _oracle_chart(chart)
+        p = sample_sb_point(m, 1, rng)
+        rows = stencil.points(np.concatenate([p.x, p.u]), _r_tilde_step(m))
+        gamma_fn = sasaki_gamma_fn(m)
+        per_row = np.array([gamma_fn(row) for row in rows])
+        assert np.array_equal(gamma_fn(rows), per_row)
+        assert np.array_equal(gamma_fn(rows.reshape(2, -1, 2 * m.dim)), per_row.reshape((2, -1) + per_row.shape[1:]))
+
+    @pytest.mark.parametrize("chart", CHARTS)
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_r_tilde_equals_fd_riemann_bit_for_bit(self, rng, chart, eps):
+        m = _oracle_chart(chart)
+        for _ in range(2):
+            p = sample_sb_point(m, eps, rng)
+            z0 = np.concatenate([p.x, p.u])
+            assert np.array_equal(GaussOracle(m, p).r_tilde, fd_riemann(sasaki_gamma_fn(m), z0, _r_tilde_step(m)))
+
+    @pytest.mark.parametrize("chart", CHARTS)
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_rbar_matches_the_per_call_gauss_formula(self, rng, chart, eps):
+        m = _oracle_chart(chart)
+        p = sample_sb_point(m, eps, rng)
+        gauss = GaussOracle(m, p)
+        assert gauss.rbar.shape == (2 * m.dim,) * 4 and not gauss.rbar.flags.writeable
+        for _ in range(6):
+            a, b, cv = (sample_sb_vec(m, p, rng) for _ in range(3))
+            ref = _per_call_gauss(gauss, a, b, cv)
+            assert np.abs(gauss.curvature(a, b, cv).comps() - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("chart", CHARTS)
+    def test_r_tilde_takes_one_gamma_tilde_call_on_the_stencil(self, monkeypatch, rng, chart):
+        m = _oracle_chart(chart)
+        gauss = GaussOracle(m, sample_sb_point(m, -1, rng))
+        shapes = []
+        make = oracle.sasaki_gamma_fn
+
+        def counted_make(m):
+            gamma_fn = make(m)
+
+            def counted(z):
+                shapes.append(np.shape(z))
+                return gamma_fn(z)
+
+            return counted
+
+        monkeypatch.setattr(oracle, "sasaki_gamma_fn", counted_make)
+        gauss.r_tilde
+        assert shapes == [(4 * m.dim, 2 * m.dim)]
+
+    def test_curvature_calls_read_no_jet_and_no_gamma_tilde(self, monkeypatch, rng):
+        m = bumpy_chart(3, 1)
+        p = sample_sb_point(m, -1, rng)
+        triples = [tuple(sample_sb_vec(m, p, rng) for _ in range(3)) for _ in range(4)]
+        gauss_oracle(m, p).curvature(*triples[0])  # builds R-tilde and R-bar
+        calls = []
+
+        def counted(name):
+            real = getattr(oracle, name)
+
+            def wrapped(*args):
+                calls.append(name)
+                return real(*args)
+
+            return wrapped
+
+        for name in ("base_gamma", "base_jet", "sasaki_gamma_fn"):
+            monkeypatch.setattr(oracle, name, counted(name))
+        for a, b, cv in triples:
+            gauss_curvature_oracle(m, p, a, b, cv)
+        assert calls == []
 
 
 def _counted(fn, reads):

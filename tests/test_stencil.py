@@ -6,7 +6,7 @@ import pytest
 from sasakigeo.manifold import ChartedMetric, SpaceFormSpec, christoffel_at, riemann_at, space_form_chart
 from sasakigeo.oracle import base_gamma
 from sasakigeo.sampling import sample_domain_point
-from sasakigeo.stencil import FD_STEP_FIRST, central_difference, jacobian, partials
+from sasakigeo.stencil import FD_STEP_FIRST, central_difference, jacobian, partials, points, quotient
 
 A = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, 1.5]])
 Q = np.array([[[2.0, 0.5, 0.0], [0.5, -1.0, 0.3], [0.0, 0.3, 4.0]],
@@ -23,6 +23,16 @@ def quad_jac(z):
 
 
 Z = np.array([0.3, -1.2, 0.8])
+
+
+def _coordinate_differences(fn, z, step):
+    """Reference: ``out[k] = fn(z + step e_k) - fn(z - step e_k)``, one coordinate at a time."""
+    out = []
+    for k in range(z.size):
+        e = np.zeros(z.size)
+        e[k] = step
+        out.append(np.asarray(fn(z + e)) - np.asarray(fn(z - e)))
+    return np.array(out)
 
 
 class TestStencil:
@@ -47,6 +57,23 @@ class TestStencil:
     def test_central_difference_is_a_row_of_partials(self, k):
         along = central_difference(quad, Z, np.eye(3)[k], FD_STEP_FIRST)
         assert np.array_equal(along, partials(quad, Z, FD_STEP_FIRST)[k])
+
+    def test_points_are_the_plus_rows_then_the_minus_rows(self):
+        rows = points(Z, 1e-3)
+        assert rows.shape == (6, 3)
+        for k in range(3):
+            e = np.zeros(3)
+            e[k] = 1e-3
+            assert np.array_equal(rows[k], Z + e) and np.array_equal(rows[3 + k], Z - e)
+
+    @pytest.mark.parametrize("fn", [quad, lambda z: np.outer(z, np.sin(z))])
+    @pytest.mark.parametrize("step", [FD_STEP_FIRST, 1e-3])
+    def test_points_and_quotient_reproduce_the_coordinate_stencil(self, fn, step):
+        ref = _coordinate_differences(fn, Z, step) / (2.0 * step)
+        stacked = quotient(np.array([fn(row) for row in points(Z, step)]), step)
+        assert np.array_equal(stacked, ref) and np.array_equal(partials(fn, Z, step), ref)
+        if ref.ndim == 2:
+            assert np.array_equal(jacobian(fn, Z, step), ref.T)
 
     def test_directional_derivative_of_a_scalar(self):
         v = np.array([1.0, 2.0, -0.5])
