@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateMetric, DegeneratePlane, OutOfDomain
-from .stencil import FD_STEP_FIRST, FD_STEP_SECOND, partials
+from .stencil import FD_STEP_FIRST, FD_STEP_SECOND, partials, points, quotient
 
 Point = np.ndarray
 SPACE_FORM_PLANES = 2  # tangent planes per point that ``validate_space_form`` measures
@@ -102,17 +102,28 @@ def metric_inverse(g: np.ndarray) -> np.ndarray:
         raise DegenerateMetric("metric matrix is singular") from exc
 
 
-def _levi_civita(m: ChartedMetric, x: Point) -> tuple:
-    """(g, g', g^-1, T, Gamma) at x from one read of g and g' and one inversion.
+def _per_row(fn, x: np.ndarray, shape: tuple) -> np.ndarray:
+    """``fn`` at each row of x (shape (..., n)), stacked in x's leading shape: a chart callable takes one point."""
+    if x.ndim == 1:
+        return np.asarray(fn(x), dtype=float)
+    rows = x.reshape(-1, x.shape[-1])
+    return np.stack([np.asarray(fn(row), dtype=float) for row in rows]).reshape(x.shape[:-1] + shape)
 
-    ``T[l, j, k]`` = d_j g_lk + d_k g_jl - d_l g_jk is twice the first-kind symbols.
+
+def _levi_civita(m: ChartedMetric, x: Point, g: Optional[np.ndarray] = None) -> tuple:
+    """(g, g', g^-1, T, Gamma) at x of shape (..., n): g and g' read once per row, one inversion of the stack.
+
+    ``T[..., l, j, k]`` = d_j g_lk + d_k g_jl - d_l g_jk is twice the first-kind
+    symbols.  A g already read at x by ``metric_at`` may be passed in.
     """
-    g = metric_at(m, x)
-    dg = metric_deriv1_at(m, x)
+    n = m.dim
+    if g is None:
+        g = _per_row(lambda y: metric_at(m, y), x, (n, n))
+    dg = _per_row(lambda y: metric_deriv1_at(m, y), x, (n, n, n))
     ginv = metric_inverse(g)
-    t = np.einsum("jlk->ljk", dg) + np.einsum("kjl->ljk", dg) - dg
-    gamma = 0.5 * np.einsum("il,ljk->ijk", ginv, t)
-    return g, dg, ginv, t, 0.5 * (gamma + np.swapaxes(gamma, 1, 2))  # enforce exact lower symmetry
+    t = np.einsum("...jlk->...ljk", dg) + np.einsum("...kjl->...ljk", dg) - dg
+    gamma = 0.5 * np.einsum("...il,...ljk->...ijk", ginv, t)
+    return g, dg, ginv, t, 0.5 * (gamma + np.swapaxes(gamma, -1, -2))  # enforce exact lower symmetry
 
 
 def christoffel_at(m: ChartedMetric, x: Point) -> np.ndarray:
@@ -120,32 +131,36 @@ def christoffel_at(m: ChartedMetric, x: Point) -> np.ndarray:
     return _levi_civita(m, np.asarray(x, dtype=float))[-1]
 
 
-def _curvature_pass(m: ChartedMetric, x: Point) -> tuple:
-    """(g, Gamma, R) at x in one pass: g, g' and g'' are read once and g is inverted once.
+def _curvature_pass(m: ChartedMetric, x: Point, g: Optional[np.ndarray] = None) -> tuple:
+    """(g, Gamma, R) at x of shape (..., n) in one pass over the stack.
 
-    d_c Gamma^i_ab comes from the analytic g'' when the chart has one, else
-    from central differences of ``christoffel_at``.
+    Each chart callable is read once per row; g is inverted once for the
+    whole stack and the Koszul step, d Gamma and R are one step on it.  A g
+    already read at x by ``metric_at`` may be passed in.  d_c Gamma^i_ab
+    comes from the analytic g'' when the chart has one, else from central
+    differences of ``christoffel_at``, row by row.
     """
-    g, dg, ginv, t, gamma = _levi_civita(m, x)
+    n = m.dim
+    g, dg, ginv, t, gamma = _levi_civita(m, x, g)
     if m.uses_fd_derivatives:
-        dgamma = partials(lambda y: christoffel_at(m, y), x, FD_STEP_SECOND)
+        dgamma = _per_row(lambda y: partials(lambda w: christoffel_at(m, w), y, FD_STEP_SECOND), x, (n,) * 4)
     else:
-        ddg = np.asarray(m.deriv2_fn(x), dtype=float)
-        dginv = -np.einsum("im,cmn,nl->cil", ginv, dg, ginv)
+        ddg = _per_row(m.deriv2_fn, x, (n,) * 4)
+        dginv = -np.einsum("...im,...cmn,...nl->...cil", ginv, dg, ginv)
         # dt[c, l, a, b] = d_c (d_a g_lb + d_b g_al - d_l g_ab)
         dt = (
-            np.einsum("calb->clab", ddg)
-            + np.einsum("cbal->clab", ddg)
-            - np.einsum("clab->clab", ddg)
+            np.einsum("...calb->...clab", ddg)
+            + np.einsum("...cbal->...clab", ddg)
+            - np.einsum("...clab->...clab", ddg)
         )
         dgamma = 0.5 * (
-            np.einsum("cil,lab->ciab", dginv, t) + np.einsum("il,clab->ciab", ginv, dt)
+            np.einsum("...cil,...lab->...ciab", dginv, t) + np.einsum("...il,...clab->...ciab", ginv, dt)
         )
     r = (
-        np.einsum("aibc->iabc", dgamma)
-        - np.einsum("biac->iabc", dgamma)
-        + np.einsum("iam,mbc->iabc", gamma, gamma)
-        - np.einsum("ibm,mac->iabc", gamma, gamma)
+        np.einsum("...aibc->...iabc", dgamma)
+        - np.einsum("...biac->...iabc", dgamma)
+        + np.einsum("...iam,...mbc->...iabc", gamma, gamma)
+        - np.einsum("...ibm,...mac->...iabc", gamma, gamma)
     )
     return g, gamma, r
 
@@ -158,19 +173,19 @@ def riemann_at(m: ChartedMetric, x: Point) -> np.ndarray:
 def nabla_riemann_full(m: ChartedMetric, x: Point) -> np.ndarray:
     """All components (nabla_m R)(e_a, e_b)e_c at x (index order [m, i, a, b, c]).
 
-    d_m R is taken by central differences of ``riemann_at`` and corrected on
-    all four slots with the Christoffel symbols; Gamma and R at x come from
-    one curvature pass.  Charts flagged
-    ``locally_symmetric`` (space forms) short-circuit to zero.
+    One curvature pass runs on x and its central-difference stencil: row 0
+    gives Gamma and R at x, and d_m R is the difference quotient of the
+    other rows, corrected on all four slots with the Christoffel symbols.
+    Charts flagged ``locally_symmetric`` (space forms) short-circuit to zero.
     """
     x = np.asarray(x, dtype=float)
     n = m.dim
     if m.locally_symmetric:
         return np.zeros((n, n, n, n, n))
-    _, gamma, r = _curvature_pass(m, x)
-    dr = partials(lambda y: riemann_at(m, y), x, FD_STEP_FIRST)
+    _, gammas, rs = _curvature_pass(m, np.concatenate([x[None], points(x, FD_STEP_FIRST)]))
+    gamma, r = gammas[0], rs[0]
     return (
-        dr
+        quotient(rs[1:], FD_STEP_FIRST)
         + np.einsum("imp,pjkl->mijkl", gamma, r)
         - np.einsum("pmj,ipkl->mijkl", gamma, r)
         - np.einsum("pmk,ijpl->mijkl", gamma, r)

@@ -84,6 +84,13 @@ def _own(a) -> np.ndarray:
     return a
 
 
+def _dgamma(ginv: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndarray:
+    """``dgamma[..., c, i, a, b]`` = d_c Gamma^i_ab from g^-1, g' and g'', for any stack of them."""
+    dginv = -np.einsum("...im,...cmn,...nl->...cil", ginv, dg, ginv)
+    dt = _first_kind(ddg)  # dt[c] = d_c t
+    return 0.5 * (np.einsum("...cil,...lab->...ciab", dginv, _first_kind(dg)) + np.einsum("...il,...clab->...ciab", ginv, dt))
+
+
 class BaseJet:
     """The oracle's raw data of the base chart at one x; every array is read-only.
 
@@ -92,27 +99,69 @@ class BaseJet:
     inverted once (``ginv``), and Gamma is their Koszul step.  ``dgamma``
     is built on first use, from that g^-1 and the g'' the chart held when
     the jet was built: only the stencils of Gamma-tilde and of the exact
-    lift Jacobians need it.
+    lift Jacobians need it.  ``BaseJet.stack`` builds the jets of many
+    points at once, ``dgamma`` included.
     """
 
     def __init__(self, m: ChartedMetric, x: np.ndarray):
+        g, dg = _read_jet(m, x)
+        ginv = _inv(g)
+        self._fill(m, x, g, dg, ginv, _koszul_inv(ginv, dg))
+
+    def _fill(self, m: ChartedMetric, x, g, dg, ginv, gamma) -> None:
         self.x = _own(x)
         self._deriv2_fn = m.deriv2_fn if m.deriv1_fn is not None else None
-        self.g = _own(m.metric_fn(x))
-        self.dg = _own(m.deriv1_fn(x) if m.deriv1_fn is not None else partials(m.metric_fn, x, FD_STEP_FIRST))
-        self.ginv = _own(_inv(self.g))
-        self.gamma = _own(_koszul_inv(self.ginv, self.dg))
+        self.g, self.dg, self.ginv, self.gamma = (_own(a) for a in (g, dg, ginv, gamma))
+
+    @classmethod
+    def stack(cls, m: ChartedMetric, xs: np.ndarray) -> list:
+        """The jets at the rows of xs, ``dgamma`` included, on a chart with analytic g' and g''.
+
+        The chart is read once per row, and g^-1, Gamma and d Gamma are one
+        step each on the stack; each jet equals ``BaseJet(m, x)`` bit for bit.
+        """
+        g, dg = (np.array(part) for part in zip(*(_read_jet(m, x) for x in xs)))
+        ginv = _inv(g)
+        gamma = _koszul_inv(ginv, dg)
+        dgamma = _dgamma(ginv, dg, np.array([m.deriv2_fn(x) for x in xs], dtype=float))
+        jets = []
+        for k, x in enumerate(xs):
+            jet = cls.__new__(cls)
+            jet._fill(m, x, g[k], dg[k], ginv[k], gamma[k])
+            jet.__dict__["dgamma"] = _own(dgamma[k])  # what the cached property would build
+            jets.append(jet)
+        return jets
 
     @cached_property
     def dgamma(self) -> Optional[np.ndarray]:
         """``dgamma[c, i, a, b]`` = d_c Gamma^i_ab on charts with analytic g' and g''; None elsewhere."""
         if self._deriv2_fn is None:
             return None
-        ginv, t = self.ginv, _first_kind(self.dg)
-        ddg = np.asarray(self._deriv2_fn(self.x), dtype=float)
-        dginv = -np.einsum("im,cmn,nl->cil", ginv, self.dg, ginv)
-        dt = _first_kind(ddg)  # dt[c] = d_c t
-        return _own(0.5 * (np.einsum("cil,lab->ciab", dginv, t) + np.einsum("il,clab->ciab", ginv, dt)))
+        return _own(_dgamma(self.ginv, self.dg, np.asarray(self._deriv2_fn(self.x), dtype=float)))
+
+
+def _read_jet(m: ChartedMetric, x: np.ndarray) -> tuple:
+    """g and g' of the chart at x, as floats; g' by central differences when the chart has none."""
+    g = np.asarray(m.metric_fn(x), dtype=float)
+    return g, np.asarray(m.deriv1_fn(x) if m.deriv1_fn is not None else partials(m.metric_fn, x, FD_STEP_FIRST), dtype=float)
+
+
+def _kept_jet(m: ChartedMetric, key: bytes) -> Optional[BaseJet]:
+    """The memo's jet under key, made the most recently used; None when absent or read from other callables."""
+    entry = m._oracle_jets.pop(key, None)
+    if entry is None or any(a is not b for a, b in zip(entry[0], (m.metric_fn, m.deriv1_fn, m.deriv2_fn))):
+        return None
+    m._oracle_jets[key] = entry
+    return entry[1]
+
+
+def _remember(m: ChartedMetric, key: bytes, jet: BaseJet) -> BaseJet:
+    """Keep jet under key, dropping the least recently used entry when the memo is full."""
+    memo = m._oracle_jets
+    if len(memo) >= JET_MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[key] = ((m.metric_fn, m.deriv1_fn, m.deriv2_fn), jet)
+    return jet
 
 
 def base_jet(m: ChartedMetric, x: np.ndarray) -> BaseJet:
@@ -123,16 +172,9 @@ def base_jet(m: ChartedMetric, x: np.ndarray) -> BaseJet:
     while the chart still holds those same callables.
     """
     x = np.asarray(x, dtype=float)
-    fns = (m.metric_fn, m.deriv1_fn, m.deriv2_fn)
-    memo = m._oracle_jets
     key = x.tobytes()
-    entry = memo.pop(key, None)
-    if entry is None or any(a is not b for a, b in zip(entry[0], fns)):
-        entry = (fns, BaseJet(m, x))
-        if len(memo) >= JET_MEMO_SIZE:
-            del memo[next(iter(memo))]  # the least recently used
-    memo[key] = entry
-    return entry[1]
+    jet = _kept_jet(m, key)
+    return _remember(m, key, BaseJet(m, x)) if jet is None else jet
 
 
 def base_gamma(m: ChartedMetric, x: np.ndarray) -> np.ndarray:
@@ -171,10 +213,26 @@ def sasaki_metric_fn(m: ChartedMetric) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _stacked_jets(m: ChartedMetric, x: np.ndarray) -> list:
-    """g, g', Gamma and d Gamma of the base jets at the rows of x, stacked in x's leading shape."""
-    jets = [base_jet(m, row) for row in x.reshape(-1, m.dim)]
+    """g, g', Gamma and d Gamma of the base jets at the rows of x, stacked in x's leading shape.
+
+    The jets the memo lacks are built together (``BaseJet.stack``) and kept
+    under the memo's rule.  The stack is gathered from the jets in hand, so
+    a stencil with more distinct rows than the memo holds builds none twice.
+    """
+    rows = x.reshape(-1, m.dim)
+    jets, new = {}, {}  # key -> jet in hand; key -> row the memo lacks
+    for row in rows:
+        key = row.tobytes()
+        if key not in jets:
+            jets[key] = _kept_jet(m, key)
+            if jets[key] is None:
+                new[key] = row
+    if new:
+        for key, jet in zip(new, BaseJet.stack(m, list(new.values()))):
+            jets[key] = _remember(m, key, jet)
+    kept = [jets[row.tobytes()] for row in rows]
     return [
-        np.stack([getattr(jet, name) for jet in jets]).reshape(x.shape[:-1] + getattr(jets[0], name).shape)
+        np.stack([getattr(jet, name) for jet in kept]).reshape(x.shape[:-1] + getattr(kept[0], name).shape)
         for name in ("g", "dg", "gamma", "dgamma")
     ]
 
@@ -466,10 +524,11 @@ class GaussOracle:
     """The oracle's context at one bundle point p.
 
     Gamma-tilde(z0), Tg(z0) and the normal N = (0; u) depend only on p, so
-    they are built once here; the ambient curvature R-tilde of Tg and the
+    they are built once here; the Weingarten matrix W, the second
+    fundamental form's matrix, the ambient curvature R-tilde of Tg and the
     induced curvature R-bar are built on first use.  ``curvature``,
-    ``second_fundamental_form``, ``weingarten`` and ``nabla_endomorphism``
-    only contract them with the sampled vectors.  ``gauss_oracle`` keeps one
+    ``second_fundamental_form`` and ``nabla_endomorphism`` only contract
+    them with the sampled vectors.  ``gauss_oracle`` keeps one
     context per (chart, point) on the point, and ``gauss_curvature_oracle``
     and ``sb_nabla_via_ambient`` read that one.  The context holds p's x,
     u and eps but never p itself: it takes the point from the vectors it is
@@ -493,19 +552,28 @@ class GaussOracle:
         return _riemann(self.gamma0, dgamma)
 
     @cached_property
+    def w(self) -> np.ndarray:
+        """The Weingarten matrix: ``w[:, a]`` = nabla-tilde_{e_a} N = dN(e_a) + Gamma-tilde(e_a, N), N = (0; u)."""
+        n = self.m.dim
+        w = np.einsum("ijk,k->ij", self.gamma0, self.n_ind)
+        w[n:, n:] += np.eye(n)
+        return _own(w)
+
+    @cached_property
+    def ii(self) -> np.ndarray:
+        """The second fundamental form's matrix -eps Tg W: ``ii[c, a]`` = II(e_a, e_c) in induced components."""
+        return _own(-self.eps * self.tg0 @ self.w)
+
+    @cached_property
     def rbar(self) -> np.ndarray:
         """R-bar in the (h, t) parts basis: ``rbar[o, a, b, c]`` is the o-part of R-bar(e_a, e_b)e_c.
 
         In induced components R-bar(A, B)C = R-tilde(A, B)C - II(B, C) W A + II(A, C) W B,
-        with the Weingarten matrix W = dN + Gamma-tilde(., N) and II(A, B) = B^T S A for
-        S = -eps Tg W.  Each slot is pulled back from parts by E = [[I, 0], [-C, I]]
-        (``_embed_induced``) and the output is mapped to parts by F = [[I, 0], [P C, P]]
+        with the Weingarten matrix W (``w``) and II(A, B) = B^T ``ii`` A.  Each slot
+        is pulled back from parts by E = [[I, 0], [-C, I]] (``_embed_induced``) and the output is mapped to parts by F = [[I, 0], [P C, P]]
         (``_from_induced``), with C^i_a = Gamma^i_ab u^b and P = I - eps u (g u)^T.
         """
-        n, eps = self.m.dim, self.eps
-        w = np.einsum("ijk,k->ij", self.gamma0, self.n_ind)
-        w[n:, n:] += np.eye(n)
-        ii = -eps * self.tg0 @ w  # ii[c, a] = II(e_a, e_c)
+        n, eps, w, ii = self.m.dim, self.eps, self.w, self.ii
         rind = self.r_tilde - np.einsum("ia,cb->iabc", w, ii) + np.einsum("ib,ca->iabc", w, ii)
         jet = base_jet(self.m, self.x)
         c = np.einsum("iab,b->ia", jet.gamma, self.u)
@@ -526,19 +594,9 @@ class GaussOracle:
         return p
 
     def second_fundamental_form(self, a: SBVec, b: SBVec) -> float:
-        """II(A, B) = -eps Tg(B, nabla-tilde_A N), the Weingarten relation."""
+        """II(A, B) = -eps Tg(B, nabla-tilde_A N), the Weingarten relation, contracted from ``ii``."""
         self._point(a, b)
-        return self._ii(self.weingarten(_embed_induced(self.m, a)), _embed_induced(self.m, b))
-
-    def _ii(self, wa: np.ndarray, b_ind: np.ndarray) -> float:
-        """II(A, B) from A's Weingarten vector and B's induced components."""
-        return -self.eps * float(b_ind @ self.tg0 @ wa)
-
-    def weingarten(self, aval: np.ndarray) -> np.ndarray:
-        """nabla-tilde_A N = dN(A) + Gamma-tilde(A, N), N = (0; u), from and in induced components."""
-        n = self.m.dim
-        dn = np.concatenate([np.zeros(n), aval[n:]])
-        return dn + np.einsum("ijk,j,k->i", self.gamma0, aval, self.n_ind)
+        return float(_embed_induced(self.m, b) @ self.ii @ _embed_induced(self.m, a))
 
     def curvature(self, a: SBVec, b: SBVec, c: SBVec) -> SBVec:
         """R-bar(a, b)c by the Gauss equation, contracted from ``rbar`` as ``sb_curvature`` contracts its own.

@@ -22,7 +22,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import PointMismatch
-from .manifold import ChartedMetric, christoffel_at, metric_at, riemann_at
+from .manifold import ChartedMetric, _curvature_pass, metric_at
 from .stencil import FD_STEP_FIRST, jacobian
 
 VectorField = Union[Callable[[np.ndarray], np.ndarray], np.ndarray]
@@ -56,7 +56,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 class BaseGeometry:
     """g, Gamma and R of one chart at the base point of (x, u), and the
-    Sasaki connection array at (x, u), each built at most once.
+    Sasaki connection array at (x, u), each built at most once.  g alone is
+    one ``metric_at``; Gamma and R come together from one curvature pass
+    that reuses that g, so the chart is read once at x whichever is asked
+    for first.
 
     The arrays are read-only because every closed form at the point shares
     them.  The object holds the chart and the coordinates x and u, never the
@@ -81,12 +84,18 @@ class BaseGeometry:
         return _read_only(metric_at(self.m, self.x))
 
     @cached_property
-    def gamma(self) -> np.ndarray:
-        return _read_only(christoffel_at(self.m, self.x))
+    def _curvature(self) -> tuple:
+        """(Gamma, R) from one curvature pass, which reuses ``g`` and reads g' and g'' once."""
+        _, gamma, r = _curvature_pass(self.m, self.x, self.g)
+        return _read_only(gamma), _read_only(r)
 
-    @cached_property
+    @property
+    def gamma(self) -> np.ndarray:
+        return self._curvature[0]
+
+    @property
     def riem(self) -> np.ndarray:
-        return _read_only(riemann_at(self.m, self.x))
+        return self._curvature[1]
 
     @cached_property
     def connection(self) -> np.ndarray:

@@ -398,6 +398,42 @@ class TestOnePassCurvature:
         riemann_at(m, sample_domain_point(m, rng, box=0.4))
         assert len(inversions) == 1
 
+    @pytest.mark.parametrize("chart", ["space form", "bumpy", "no derivatives"])
+    def test_stacked_pass_equals_per_row_passes_bit_for_bit(self, rng, chart):
+        m = _pass_charts()[chart]
+        xs = np.array([sample_domain_point(m, rng, box=0.4) for _ in range(6)]).reshape(2, 3, m.dim)
+        stacked = manifold._curvature_pass(m, xs)
+        for idx in np.ndindex(2, 3):
+            for a, b in zip(stacked, manifold._curvature_pass(m, xs[idx])):
+                assert np.array_equal(a[idx], b)
+
+    def test_nabla_riemann_inverts_once_and_reads_each_callable_per_stencil_row(self, monkeypatch, rng):
+        m = bumpy_chart(3, 1)
+        x = sample_domain_point(m, rng, box=0.4)
+        calls = {"metric_fn": 0, "deriv1_fn": 0, "deriv2_fn": 0}
+
+        def counted(name):
+            fn = getattr(m, name)
+
+            def wrapped(y):
+                calls[name] += 1
+                return fn(y)
+
+            return wrapped
+
+        counting = replace(m, **{name: counted(name) for name in calls})
+        inversions = []
+        real = np.linalg.inv
+
+        def counted_inv(a):
+            inversions.append(np.shape(a))
+            return real(a)
+
+        monkeypatch.setattr(manifold.np.linalg, "inv", counted_inv)
+        nabla_riemann_full(counting, x)
+        assert inversions == [(2 * m.dim + 1, m.dim, m.dim)]
+        assert calls == dict.fromkeys(calls, 2 * m.dim + 1)
+
     @pytest.mark.parametrize("n,nu,c", [(2, 0, 1.0), (3, 1, -1.0), (3, 0, 2.5)])
     def test_validation_computes_r_once_per_point(self, monkeypatch, n, nu, c):
         spec = SpaceFormSpec(n, nu, c)

@@ -710,12 +710,24 @@ def _r_tilde_step(m):
     return stencil.FD_STEP_SECOND if m.uses_fd_derivatives else stencil.FD_STEP_GAMMA
 
 
+def _per_call_weingarten(gauss, aval):
+    """Reference: nabla-tilde_A N = dN(A) + Gamma-tilde(A, N), N = (0; u), from and in induced components."""
+    n = gauss.m.dim
+    dn = np.concatenate([np.zeros(n), aval[n:]])
+    return dn + np.einsum("ijk,j,k->i", gauss.gamma0, aval, gauss.n_ind)
+
+
+def _per_call_ii(gauss, wa, b_ind):
+    """Reference: II(A, B) = -eps Tg(B, nabla-tilde_A N) from A's Weingarten vector and B's induced components."""
+    return -gauss.eps * float(b_ind @ gauss.tg0 @ wa)
+
+
 def _per_call_gauss(gauss, a, b, c):
     """Reference: R-bar(a, b)c from one triple, tan(R-tilde(A,B)C) - II(B,C) nabla-tilde_A N + II(A,C) nabla-tilde_B N."""
     a_ind, b_ind, c_ind = (_embed_induced(gauss.m, v) for v in (a, b, c))
-    wa, wb = gauss.weingarten(a_ind), gauss.weingarten(b_ind)
+    wa, wb = _per_call_weingarten(gauss, a_ind), _per_call_weingarten(gauss, b_ind)
     v = np.einsum("iabc,a,b,c->i", gauss.r_tilde, a_ind, b_ind, c_ind)
-    return oracle._from_induced(gauss.m, a.at, v - gauss._ii(wb, c_ind) * wa + gauss._ii(wa, c_ind) * wb).comps()
+    return oracle._from_induced(gauss.m, a.at, v - _per_call_ii(gauss, wb, c_ind) * wa + _per_call_ii(gauss, wa, c_ind) * wb).comps()
 
 
 CHARTS = ["space form", "bumpy", "no derivatives"]
@@ -754,6 +766,21 @@ class TestStackedGaussOracle:
             a, b, cv = (sample_sb_vec(m, p, rng) for _ in range(3))
             ref = _per_call_gauss(gauss, a, b, cv)
             assert np.abs(gauss.curvature(a, b, cv).comps() - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("chart", CHARTS)
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_second_fundamental_form_matches_the_per_call_formula(self, rng, chart, eps):
+        m = _oracle_chart(chart)
+        p = sample_sb_point(m, eps, rng)
+        gauss = GaussOracle(m, p)
+        ref_w = np.array([_per_call_weingarten(gauss, e) for e in np.eye(2 * m.dim)]).T
+        assert np.abs(gauss.w - ref_w).max() <= 1e-14 * np.abs(ref_w).max()
+        for _ in range(6):
+            a, b = sample_sb_vec(m, p, rng), sample_sb_vec(m, p, rng)
+            a_ind, b_ind = _embed_induced(m, a), _embed_induced(m, b)
+            ref = _per_call_ii(gauss, _per_call_weingarten(gauss, a_ind), b_ind)
+            scale = np.abs(gauss.tg0).max() * np.abs(gauss.w).max() * np.abs(a_ind).max() * np.abs(b_ind).max()
+            assert abs(gauss.second_fundamental_form(a, b) - ref) <= 1e-12 * scale
 
     @pytest.mark.parametrize("chart", CHARTS)
     def test_r_tilde_takes_one_gamma_tilde_call_on_the_stencil(self, monkeypatch, rng, chart):
@@ -918,6 +945,47 @@ class TestBaseJet:
         assert len(distinct) == 2 * n + 1
         assert sorted(reads["metric"]) == sorted(reads["deriv1"]) == sorted(distinct)
         assert reads["deriv2"] == []  # h-lift values need no d Gamma
+
+
+class TestStackedJets:
+    """The jets of a Gamma-tilde stack that the memo lacks are built in one batch."""
+
+    @pytest.mark.parametrize("chart", ["space form", "bumpy"])
+    def test_a_fresh_r_tilde_stencil_inverts_the_base_metrics_once(self, monkeypatch, rng, chart):
+        m = _oracle_chart(chart)
+        n = m.dim
+        gauss = GaussOracle(m, sample_sb_point(m, -1, rng))
+        shapes = []
+        real = oracle._inv
+
+        def counted(g):
+            shapes.append(np.shape(g))
+            return real(g)
+
+        monkeypatch.setattr(oracle, "_inv", counted)
+        gauss.r_tilde
+        # one inversion of the 2n new base metrics, then the one of the stacked Tg
+        assert shapes == [(2 * n, n, n), (4 * n, 2 * n, 2 * n)]
+        z_rows = stencil.points(gauss.z0, stencil.FD_STEP_GAMMA)
+        for x in {row[:n].tobytes(): row[:n] for row in z_rows}.values():
+            jet, ref = oracle.base_jet(m, x), oracle.BaseJet(m, x)
+            for name in ("g", "dg", "ginv", "gamma", "dgamma"):
+                assert np.array_equal(getattr(jet, name), getattr(ref, name))
+
+    def test_a_stack_wider_than_the_memo_reads_each_row_once(self, rng):
+        m = bumpy_chart(3, 1)
+        reads = []
+        m.metric_fn = _counted(m.metric_fn, reads)
+        size = oracle.JET_MEMO_SIZE
+        xs = rng.uniform(-0.4, 0.4, size=(size + 5, 3))
+        stack = np.concatenate([xs, xs[::-1]])
+        g, dg, gamma, dgamma = oracle._stacked_jets(m, stack)
+        assert sorted(reads) == sorted(x.tobytes() for x in xs)
+        assert len(m._oracle_jets) == size
+        for k, x in enumerate(stack):
+            ref = oracle.BaseJet(bumpy_chart(3, 1), x)
+            for a, b in zip((g, dg, gamma, dgamma), (ref.g, ref.dg, ref.gamma, ref.dgamma)):
+                assert np.array_equal(a[k], b)
 
 
 def test_base_jet_inverts_g_once(monkeypatch, rng):

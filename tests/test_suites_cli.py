@@ -74,7 +74,6 @@ CHECK_NAMES = {
         "sb_nabla = projection of ambient FD derivative",
         "tm_nabla = FD Christoffels of Tg on lift fields",
         "hypersurface pullback = induced metric",
-        "pullback chart rank 2n-1",
         "pullback constraint g(u,u) = eps",
         "fd_exterior_derivative of exact form = 0",
         "2 d eta'(A,B) = eps gbar(A, phi'B)",

@@ -1,6 +1,7 @@
 """Tangent bundle: lifts, induced coordinates, Sasaki metric, connection, J."""
 
 import gc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from sasakigeo import tangent
 from sasakigeo.errors import PointMismatch
-from sasakigeo.manifold import SpaceFormSpec, metric_at, space_form_chart
+from sasakigeo.manifold import SpaceFormSpec, christoffel_at, metric_at, riemann_at, space_form_chart
 from sasakigeo.oracle import fd_christoffel, fd_lie_bracket, lift_field_fn, sasaki_gamma_fn, ambient_nabla
 from sasakigeo.sampling import sample_domain_point, sample_fiber_vector
 from sasakigeo.sphere import frame_at, sb_point
@@ -304,6 +305,44 @@ class TestNablaJacobianMemo:
         for c in (1.0, 2.0, 3.0, 4.0):
             assert np.allclose(base.nabla(xv, lambda x, c=c: c * x), c * xv)
             gc.collect()  # the memo holds each field, so no later field can take its id
+
+
+class TestBaseGeometryReadsTheChartOnce:
+    """g, Gamma and R at one base point share one read of g, g' and g''."""
+
+    @staticmethod
+    def _counting(m, calls):
+        def counted(name):
+            fn = getattr(m, name)
+
+            def wrapped(y):
+                calls[name] += 1
+                return fn(y)
+
+            return wrapped
+
+        return replace(m, **{name: counted(name) for name in calls})
+
+    @pytest.mark.parametrize("order", [("g", "gamma", "riem"), ("riem", "gamma", "g"), ("gamma", "riem", "g")])
+    def test_one_read_of_each_callable_in_any_order(self, rng, order):
+        m = bumpy_chart(3, 1)
+        calls = dict.fromkeys(("metric_fn", "deriv1_fn", "deriv2_fn"), 0)
+        counting = self._counting(m, calls)
+        at = _tm_point(m, rng)
+        base = tangent.BaseGeometry(counting, at)
+        for part in order:
+            getattr(base, part)
+        assert calls == dict.fromkeys(calls, 1)
+        assert np.array_equal(base.g, metric_at(m, at.x))
+        assert np.array_equal(base.gamma, christoffel_at(m, at.x))
+        assert np.array_equal(base.riem, riemann_at(m, at.x))
+
+    def test_g_alone_reads_only_the_metric(self, rng):
+        m = bumpy_chart(3, 1)
+        calls = dict.fromkeys(("metric_fn", "deriv1_fn", "deriv2_fn"), 0)
+        base = tangent.BaseGeometry(self._counting(m, calls), _tm_point(m, rng))
+        base.g
+        assert calls == {"metric_fn": 1, "deriv1_fn": 0, "deriv2_fn": 0}
 
 
 class TestTmPointGuardFastPath:
