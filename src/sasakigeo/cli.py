@@ -6,9 +6,10 @@
 
 The report goes to stdout (JSON by default); diagnostics go to stderr.
 Exit code 0 when every check passes, 1 when any check fails, 2 on a
-configuration error, including one whose geometry the samplers cannot
-sample.  The ``SASAKIGEO_SEED`` environment variable supplies the default
-seed and is overridden by ``--seed``.
+configuration error, including a space form that cannot be built or
+validated and one whose geometry the samplers cannot sample.  The
+``SASAKIGEO_SEED`` environment variable supplies the default seed and is
+overridden by ``--seed``.
 """
 
 from __future__ import annotations
@@ -74,6 +75,9 @@ def main(argv=None) -> int:
     print(f"running suite {cfg.suite!r} (seed {cfg.seed})", file=sys.stderr)
     try:
         report = run_suite(cfg)
+    except InvalidConfig as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
     except SamplingFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,6 +13,10 @@ class DegenerateMetric(GeometryError):
     """Metric matrix is singular or has the wrong signature."""
 
 
+class SpaceFormMismatch(DegenerateMetric):
+    """A space-form chart's sampled sectional curvature is not finite or misses its c beyond the bound."""
+
+
 class DegeneratePlane(GeometryError):
     """A 2-plane is degenerate for the metric (Gram determinant ~ 0)."""
 

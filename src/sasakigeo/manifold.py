@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegenerateMetric, DegeneratePlane, OutOfDomain
+from .errors import DegenerateMetric, DegeneratePlane, OutOfDomain, SpaceFormMismatch
 from .stencil import FD_STEP_FIRST, FD_STEP_SECOND, partials, points, quotient
 
 Point = np.ndarray
@@ -280,7 +280,7 @@ def validate_space_form(
     rng: np.random.Generator,
     num_points: int = 10,
 ) -> float:
-    """Max |K - c| over sampled nondegenerate planes; raises if above 1e-8 or not finite.
+    """Max |K - c| over sampled nondegenerate planes; raises ``SpaceFormMismatch`` if above 1e-8 or not finite.
 
     g and R are computed once per sampled point and serve all of its planes.
     """
@@ -294,10 +294,8 @@ def validate_space_form(
             xv, yv = sample_tangent_plane(m, x, rng)
             dev = abs(_sectional(g, r, xv, yv) - spec.curvature)
             if not math.isfinite(dev):
-                raise DegenerateMetric(f"space form validation failed: K - c = {dev} for {spec}")
+                raise SpaceFormMismatch(f"space form validation failed: K - c = {dev} for {spec}")
             worst = max(worst, dev)
     if worst > 1e-8:
-        raise DegenerateMetric(
-            f"space form validation failed: max |K - c| = {worst:.3e} for {spec}"
-        )
+        raise SpaceFormMismatch(f"space form validation failed: max |K - c| = {worst:.3e} for {spec}")
     return worst

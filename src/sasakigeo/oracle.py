@@ -441,14 +441,12 @@ def ambient_nabla(aval: np.ndarray, bfield_fn, z: np.ndarray, gamma: np.ndarray,
 
 @dataclass
 class HypersurfaceChart:
-    """Local (2n-1)-coordinate chart of T_eps M solved from g_x(u, u) = eps, with its J and J^T Tg J at p."""
+    """The chart of T_eps M at p whose coordinates are the induced ones but the solved u_j: its J and J^T Tg J at p."""
 
     solved_index: int
-    param_fn: Callable[[np.ndarray], np.ndarray]  # chart coordinates w -> induced coordinates z
-    center: np.ndarray  # chart coordinates of p
     keep: np.ndarray  # the induced coordinates that stay chart coordinates
-    jacobian: np.ndarray  # dz/dw at the center
-    pullback_metric: np.ndarray  # J^T Tg J at the center
+    jacobian: np.ndarray  # dz/dw at p
+    pullback_metric: np.ndarray  # J^T Tg J at p
 
     def drop(self, z_vec: np.ndarray) -> np.ndarray:
         """Chart components of an ambient induced-coordinate vector tangent to the chart."""
@@ -456,12 +454,11 @@ class HypersurfaceChart:
 
 
 def hypersurface_pullback(m: ChartedMetric, p: SBPoint) -> HypersurfaceChart:
-    """Solve F = g_x(u, u) - eps = 0 at p for the fiber coordinate u_j with the largest |dF/du_j|.
+    """The chart of F = g_x(u, u) - eps = 0 at p that solves for the fiber coordinate u_j with the largest |dF/du_j|.
 
-    At p, 2a u_j + b = dF/du_j = 2 (g u)_j for the quadratic a t^2 + b t + d
-    in u_j, so its sign picks the root.  J is exact by the implicit function
-    theorem: the kept rows are the identity and row n + j is
-    -dF[keep] / (dF/du_j), with dF/du = 2 g u and dF/dx_k = u^T (d_k g) u.
+    J is exact by the implicit function theorem: the kept rows are the
+    identity and row n + j is -dF[keep] / (dF/du_j), with dF/du = 2 g u and
+    dF/dx_k = u^T (d_k g) u.
     """
     n = m.dim
     jet = base_jet(m, p.x)
@@ -469,36 +466,13 @@ def hypersurface_pullback(m: ChartedMetric, p: SBPoint) -> HypersurfaceChart:
     j = int(np.argmax(np.abs(grad_u)))
     if abs(grad_u[j]) < 1e-6:
         raise NoSolvableCoordinate("constraint gradient vanishes in every fiber direction")
-    eps = float(p.eps)
-    branch = float(np.sign(grad_u[j]))
-    rest = np.delete(np.arange(n), j)
-    rest_block = np.ix_(rest, rest)
-
-    def param_fn(w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        x = w[:n]
-        uhat = w[n:]
-        g = np.asarray(m.metric_fn(x), dtype=float)
-        a = g[j, j]
-        b = 2.0 * float(g[j, rest] @ uhat)
-        dcoef = float(uhat @ g[rest_block] @ uhat) - eps
-        if abs(a) < 1e-12:
-            t = -dcoef / b
-        else:
-            disc = b * b - 4.0 * a * dcoef
-            t = (-b + branch * np.sqrt(max(disc, 0.0))) / (2.0 * a)
-        u = np.empty(n)
-        u[rest] = uhat
-        u[j] = t
-        return np.concatenate([x, u])
-
     keep = np.delete(np.arange(2 * n), n + j)
     grad = np.concatenate([np.einsum("a,kab,b->k", p.u, jet.dg, p.u), grad_u])
     jac = np.zeros((2 * n, 2 * n - 1))
     jac[keep, np.arange(2 * n - 1)] = 1.0
     jac[n + j] = -grad[keep] / grad_u[j]
     tg = sasaki_metric_fn(m)(np.concatenate([p.x, p.u]))
-    return HypersurfaceChart(j, param_fn, np.concatenate([p.x, p.u[rest]]), keep, jac, jac.T @ tg @ jac)
+    return HypersurfaceChart(j, keep, jac, jac.T @ tg @ jac)
 
 
 # -------------------- Gauss-equation curvature oracle --------------------

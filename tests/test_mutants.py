@@ -33,6 +33,10 @@ KILLING_CHECKS = [
     ("kappa-mu", TIMELIKE, "h eigenvalues = {2 - eps(1+c), eps(c-1), 0}"),
     ("connection", TIMELIKE, "nabla xi = -eps phi - phi h"),
     ("index", TIMELIKE, "frame Gram diagonal = +-1"),
+    ("connection", {}, "tm_nabla metric compatibility (FD)"),
+    ("connection", TIMELIKE, "tm_nabla metric compatibility (FD)"),
+    ("connection", {}, "sb_nabla metric compatibility (FD)"),
+    ("connection", TIMELIKE, "sb_nabla metric compatibility (FD)"),
 ]
 
 
@@ -60,6 +64,36 @@ def test_flipped_eps_in_the_normal_term(monkeypatch):
     monkeypatch.setattr(sphere.PointGeometry, "connection", property(flipped))
     assert "[X^t, Y^t] = eps g(X,u)Y^t - eps g(Y,u)X^t" in failing("brackets")
     assert "sb_nabla = projection of ambient FD derivative" in failing("oracle-crosscheck")
+
+
+# a skew change of nabla_A keeps it metric-compatible; 0.1 I in the (o, b) slots of one block,
+# nabla_{e_a^h} e_b += 0.1 e_b there for every a, is symmetric and must break compatibility
+def test_symmetric_vhv_block_of_the_tm_array(monkeypatch):
+    real = tangent.lift_connection_array
+
+    def mutant(r, u):
+        n = u.size
+        c = real(r, u)
+        c[n:, :n, n:] += 0.1 * np.eye(n)[:, None, :]
+        return c
+
+    monkeypatch.setattr(tangent, "lift_connection_array", mutant)
+    for config in ({}, TIMELIKE):
+        assert "tm_nabla metric compatibility (FD)" in failing("connection", **config)
+
+
+def test_symmetric_tht_block_of_the_sb_array(monkeypatch):
+    real = sphere.PointGeometry.connection.func
+
+    def mutant(geo):
+        n = geo.u.size
+        gb = np.array(real(geo))
+        gb[n:, :n, n:] += 0.1 * np.eye(n)[:, None, :]
+        return gb
+
+    monkeypatch.setattr(sphere.PointGeometry, "connection", property(mutant))
+    for config in ({}, TIMELIKE):
+        assert "sb_nabla metric compatibility (FD)" in failing("connection", **config)
 
 
 def test_flipped_th_curvature_coefficient_of_nabla_phi(monkeypatch):

@@ -122,34 +122,24 @@ class TestHypersurfacePullback:
     @pytest.mark.parametrize("base", ["space form", "bumpy"])
     @pytest.mark.parametrize("eps", [1, -1])
     def test_exact_jacobian_matches_the_stencil(self, rng, base, eps):
+        # each column of J is tangent to F = g_x(u, u) - eps = 0, by one stencil of the raw F,
+        # and J holds the identity on the kept coordinates
         m = space_form_chart(SpaceFormSpec(3, 1, 2.0)) if base == "space form" else bumpy_chart(3, 1)
+
+        def constraint(z):
+            return float(z[3:] @ m.metric_fn(z[:3]) @ z[3:]) - eps
+
         for _ in range(3):
-            chart = hypersurface_pullback(m, sample_sb_point(m, eps, rng))
-            fd = stencil.jacobian(chart.param_fn, chart.center, FD_STEP_FIRST)
-            assert np.abs(chart.jacobian - fd).max() < 1e-8
+            p = sample_sb_point(m, eps, rng)
+            chart = hypersurface_pullback(m, p)
+            z0 = np.concatenate([p.x, p.u])
+            for col in chart.jacobian.T:
+                assert abs(central_difference(constraint, z0, col, FD_STEP_FIRST)) < 1e-8
+            assert (chart.jacobian[chart.keep] == np.eye(5)).all()
 
-    @pytest.mark.parametrize("base", ["space form", "bumpy"])
-    @pytest.mark.parametrize("eps", [1, -1])
-    def test_both_root_branches_reproduce_the_point(self, rng, base, eps):
-        # u and -u are both fiber points; (g u)_j has opposite signs at them
-        m = space_form_chart(SpaceFormSpec(3, 1, 2.0)) if base == "space form" else bumpy_chart(3, 1)
-        p = sample_sb_point(m, eps, rng)
-        signs = set()
-        for q in (p, sb_point(m, p.x, -p.u, eps)):
-            chart = hypersurface_pullback(m, q)
-            signs.add(float(np.sign(metric_at(m, q.x) @ q.u)[chart.solved_index]))
-            assert np.abs(chart.param_fn(chart.center) - np.concatenate([q.x, q.u])).max() < 1e-12
-        assert signs == {1.0, -1.0}
-
-    def test_constraint_off_center_and_rank(self, rng):
+    def test_jacobian_has_full_rank(self, rng):
         m = space_form_chart(SpaceFormSpec(2, 1, 1.0))
-        p = sample_sb_point(m, -1, rng)
-        chart = hypersurface_pullback(m, p)
-        for _ in range(5):
-            w = chart.center + rng.normal(size=3) * 0.05
-            z = chart.param_fn(w)
-            g = metric_at(m, z[:2])
-            assert abs(float(z[2:] @ g @ z[2:]) + 1.0) < 1e-9
+        chart = hypersurface_pullback(m, sample_sb_point(m, -1, rng))
         # J holds the identity on the kept coordinates, so its smallest singular value is >= 1
         assert np.linalg.svd(chart.jacobian, compute_uv=False).min() >= 1.0 - 1e-12
 

@@ -71,3 +71,11 @@ def test_compare_exits_1_when_a_report_or_check_is_missing(tmp_path):
     old = {"a": _report(True, x=1e-8, y=1e-9), "b": _report(True, x=1e-8)}
     assert _main_compare(tmp_path, old, {"a": old["a"]}) == 1
     assert _main_compare(tmp_path, old, {"a": _report(True, x=1e-8), "b": old["b"]}) == 1
+
+
+def test_compare_lists_a_missing_check_once_with_its_report_count(tmp_path):
+    old = {k: _report(True, x=1e-8, y=1e-9) for k in ("a", "b", "c")}
+    new = {"a": _report(True, x=1e-8), "b": _report(True, x=1e-8), "c": old["c"]}
+    lines = residuals.compare(old, new, check=None)
+    assert [line for line in lines if line.startswith("missing")] == ["missing in new: check 'y' in 2 reports"]
+    assert _main_compare(tmp_path, old, new) == 1

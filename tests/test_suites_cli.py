@@ -74,7 +74,6 @@ CHECK_NAMES = {
         "sb_nabla = projection of ambient FD derivative",
         "tm_nabla = FD Christoffels of Tg on lift fields",
         "hypersurface pullback = induced metric",
-        "pullback constraint g(u,u) = eps",
         "fd_exterior_derivative of exact form = 0",
         "2 d eta'(A,B) = eps gbar(A, phi'B)",
         "nabla phi = FD ambient derivative",
@@ -427,6 +426,14 @@ class TestCli:
         assert main(["curvature", "--c=-1e6"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.splitlines()[-1].startswith("error: could not sample")
+
+    @pytest.mark.parametrize("c", ["1e6", "1e200"])
+    def test_space_form_that_cannot_be_built_is_a_config_error(self, capsys, c):
+        # at c = 1e6 the chart's curvature misses c by 7e-5 (> 1e-8); at c = 1e200 F(x)^2 overflows
+        assert main(["axioms", "--c", c]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.splitlines()[-1].startswith("configuration error: cannot build or validate SpaceFormSpec")
 
     def test_small_metric_samples_its_planes(self, capsys):
         # g = I/F^2 with F ~ 16: the plane test is scale-free, so this reaches a report;

@@ -14,9 +14,10 @@ check, how many of its residuals changed and the largest |new - old|), and
 the largest growth new/old among new residuals of at least 1e-14 beside
 the largest shrink old/new among old residuals of at least 1e-14, so a
 tightened certificate shows; with ``--check`` it also lists that check's
-residuals report by report.  It
-exits 1 when a verdict flips or NEW lacks a report or check of OLD, and 0
-otherwise.  Two trees agree "within FD noise" when nothing flips and no
+residuals report by report.  A report NEW lacks is listed on its own
+line, and a check NEW lacks on one line with the number of reports that
+lack it.  It exits 1 when a verdict flips or NEW lacks a report or check
+of OLD, and 0 otherwise.  Two trees agree "within FD noise" when nothing flips and no
 growth is large.
 """
 
@@ -60,6 +61,7 @@ def dump(src: Path) -> dict:
 def compare(old: dict, new: dict, check: str | None) -> list:
     lines = []
     flips, pairs = [], []
+    missing: dict = {}  # check name -> how many reports of NEW lack it
     for k in old:
         if k not in new:
             lines.append(f"missing in new: {k}")
@@ -69,11 +71,12 @@ def compare(old: dict, new: dict, check: str | None) -> list:
         for name, a in old[k]["checks"].items():
             b = new[k]["checks"].get(name)
             if b is None:
-                lines.append(f"missing in new: {k} / {name}")
+                missing[name] = missing.get(name, 0) + 1
                 continue
             if a["pass"] != b["pass"]:
                 flips.append(f"check {k} / {name}: {a['pass']} -> {b['pass']}")
             pairs.append((k, name, a["residual"], b["residual"]))
+    lines += [f"missing in new: check {name!r} in {count} reports" for name, count in missing.items()]
     lines += [f"missing in old: {k}" for k in new if k not in old]
     changed = [p for p in pairs if not (p[2] == p[3] or (p[2] != p[2] and p[3] != p[3]))]
     growth = [(b / a if a > 0 else float("inf"), k, name, a, b) for k, name, a, b in changed if b >= FLOOR]
