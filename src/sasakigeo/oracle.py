@@ -8,6 +8,9 @@ points, so stencils that share a base point read the metric there once.  It
 certifies: the Koszul symbols, the coordinate curvature, the bracket
 identities, the induced-hypersurface metric, and the sphere-bundle
 connection/curvature via the Gauss equation in the induced chart of TM.
+The Gauss side lives in one ``GaussOracle`` per bundle point, which keeps
+R-bar and, on charts with analytic g' and g'', nabla-bar of the lifts of
+constant base vectors as arrays in the (h, t) parts basis.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .errors import DegenerateMetric, NoSolvableCoordinate
 from .manifold import ChartedMetric
 from .sphere import SBPoint, SBVec, require_same_sb_point
 from .stencil import FD_STEP_FIRST, FD_STEP_GAMMA, FD_STEP_SECOND, jacobian, partials, points, quotient
-from .tangent import VectorField, as_field, kept_geometry
+from .tangent import VectorField, as_field, field_at, kept_geometry
 
 
 # -------------------- raw metric data (oracle's own access) --------------------
@@ -343,8 +346,25 @@ def sb_lift_field_fn(m: ChartedMetric, field: VectorField, kind: str, eps: int) 
     raise ValueError(f"unknown sphere-bundle lift kind {kind!r}")
 
 
+def _lift_jacobians(jet: BaseJet, u: np.ndarray, eps: int) -> np.ndarray:
+    """``jac[b]``, the exact z-Jacobian at (x, u) of the lift field E_b: e_b^h for b < n, else e_{b-n}^t.
+
+    The h-lift (w; -Gamma(w, u)) has d/dx = -d Gamma(w, u) and d/du = -Gamma(w, .);
+    the t-lift (0; w - eps g(w, u) u) has d/dx = -eps u (w^T d g u)^T and
+    d/du = -eps (u (g w)^T + g(w, u) I).  Needs the jet's d Gamma.
+    """
+    n = u.size
+    jac = np.zeros((2 * n, 2 * n, 2 * n))
+    jac[:n, n:, :n] = -np.transpose(jet.dgamma @ u, (2, 1, 0))  # [b, i, c] = -d_c Gamma^i_bk u^k
+    jac[:n, n:, n:] = -np.transpose(jet.gamma, (1, 0, 2))  # [b, i, c] = -Gamma^i_bc
+    u_col = u[None, :, None]
+    jac[n:, n:, :n] = -eps * u_col * (jet.dg @ u).T[:, None, :]  # [b, i, c] = -eps u^i d_c g_bk u^k
+    jac[n:, n:, n:] = -eps * (u_col * jet.g[:, None, :] + (jet.g @ u)[:, None, None] * np.eye(n))
+    return jac
+
+
 def const_lift_jacobian_fn(m: ChartedMetric, w: np.ndarray, kind: str, eps: int):
-    """Exact z-Jacobian of the lift field of a constant base vector.
+    """Exact z-Jacobian of the lift field of a constant base vector w: w contracted with ``_lift_jacobians``.
 
     Available when the chart carries analytic metric derivatives; returns
     None otherwise (callers then fall back to finite differences).
@@ -353,21 +373,10 @@ def const_lift_jacobian_fn(m: ChartedMetric, w: np.ndarray, kind: str, eps: int)
         return None
     n = m.dim
     w = np.asarray(w, dtype=float)
+    part = slice(None, n) if kind == "h" else slice(n, None)
 
     def jac(z: np.ndarray) -> np.ndarray:
-        x, u = z[:n], z[n:]
-        jet = base_jet(m, x)
-        out = np.zeros((2 * n, 2 * n))
-        if kind == "h":
-            out[n:, :n] = -np.einsum("ciab,a,b->ic", jet.dgamma, w, u)
-            out[n:, n:] = -np.einsum("iac,a->ic", jet.gamma, w)
-        else:
-            s = float(w @ jet.g @ u)
-            ds_dx = np.einsum("a,cab,b->c", w, jet.dg, u)
-            gw = jet.g @ w
-            out[n:, :n] = -eps * np.outer(u, ds_dx)
-            out[n:, n:] = -eps * (np.outer(u, gw) + s * np.eye(n))
-        return out
+        return np.tensordot(w, _lift_jacobians(base_jet(m, z[:n]), z[n:], eps)[part], 1)
 
     return jac
 
@@ -499,14 +508,17 @@ class GaussOracle:
 
     Gamma-tilde(z0), Tg(z0) and the normal N = (0; u) depend only on p, so
     they are built once here; the Weingarten matrix W, the second
-    fundamental form's matrix, the ambient curvature R-tilde of Tg and the
-    induced curvature R-bar are built on first use.  ``curvature``,
-    ``second_fundamental_form`` and ``nabla_endomorphism`` only contract
-    them with the sampled vectors.  ``gauss_oracle`` keeps one
-    context per (chart, point) on the point, and ``gauss_curvature_oracle``
-    and ``sb_nabla_via_ambient`` read that one.  The context holds p's x,
-    u and eps but never p itself: it takes the point from the vectors it is
-    given, checking them against its own coordinates.
+    fundamental form's matrix, the ambient curvature R-tilde of Tg, the
+    induced curvature R-bar and the induced connection nabla-bar of the
+    basis lift fields are built on first use, each as one read-only array.
+    ``curvature``, ``second_fundamental_form``, ``nabla_endomorphism`` and
+    ``sb_nabla_via_ambient`` only contract them with the sampled vectors.
+    ``gauss_oracle`` keeps one context per (chart, point) on the point, and
+    ``gauss_curvature_oracle`` and ``sb_nabla_via_ambient`` read that one.
+    Everything is built from the base jet at x and Gamma-tilde, never from
+    the closed forms.  The context holds p's x, u and eps but never p
+    itself: it takes the point from the vectors it is given, checking them
+    against its own coordinates.
     """
 
     def __init__(self, m: ChartedMetric, p: SBPoint):
@@ -539,25 +551,55 @@ class GaussOracle:
         return _own(-self.eps * self.tg0 @ self.w)
 
     @cached_property
+    def _parts_maps(self) -> tuple:
+        """(C, P, F) at p: C^i_a = Gamma^i_ab u^b, P = I - eps u (g u)^T, and F = [[I, 0], [P C, P]],
+        which maps induced components to (h, t) parts as ``_from_induced`` does."""
+        n = self.m.dim
+        jet = base_jet(self.m, self.x)
+        c = np.einsum("iab,b->ia", jet.gamma, self.u)
+        proj = np.eye(n) - self.eps * np.outer(self.u, jet.g @ self.u)
+        f = np.eye(2 * n)
+        f[n:, :n], f[n:, n:] = proj @ c, proj
+        return c, proj, f
+
+    @cached_property
     def rbar(self) -> np.ndarray:
         """R-bar in the (h, t) parts basis: ``rbar[o, a, b, c]`` is the o-part of R-bar(e_a, e_b)e_c.
 
         In induced components R-bar(A, B)C = R-tilde(A, B)C - II(B, C) W A + II(A, C) W B,
         with the Weingarten matrix W (``w``) and II(A, B) = B^T ``ii`` A.  Each slot
-        is pulled back from parts by E = [[I, 0], [-C, I]] (``_embed_induced``) and the output is mapped to parts by F = [[I, 0], [P C, P]]
-        (``_from_induced``), with C^i_a = Gamma^i_ab u^b and P = I - eps u (g u)^T.
+        is pulled back from parts by E = [[I, 0], [-C, I]] (``_embed_induced``) and the output
+        is mapped to parts by F (``_parts_maps``).
         """
-        n, eps, w, ii = self.m.dim, self.eps, self.w, self.ii
+        n, w, ii = self.m.dim, self.w, self.ii
         rind = self.r_tilde - np.einsum("ia,cb->iabc", w, ii) + np.einsum("ib,ca->iabc", w, ii)
-        jet = base_jet(self.m, self.x)
-        c = np.einsum("iab,b->ia", jet.gamma, self.u)
-        proj = np.eye(n) - eps * np.outer(self.u, jet.g @ self.u)
-        e, f = np.eye(2 * n), np.eye(2 * n)
+        c, _, f = self._parts_maps
+        e = np.eye(2 * n)
         e[n:, :n] = -c
-        f[n:, :n], f[n:, n:] = proj @ c, proj
         rb = np.einsum("oi,iabc->oabc", f, rind) @ e
         rb = np.einsum("oajc,jb->oabc", rb, e)
         return _own(np.einsum("ojbc,ja->oabc", rb, e))
+
+    @cached_property
+    def nabla(self) -> Optional[np.ndarray]:
+        """nabla-bar of constant-vector lift fields in the (h, t) parts basis; None on charts without analytic g', g''.
+
+        ``nabla[o, a, b]`` is the o-part of nabla-bar_{E_a} E_b for the lift fields
+        E_a = e_a^h (a < n) and E_a = e_{a-n}^t (a >= n).  By the Gauss formula it is
+        F (dE_b(E_a) + Gamma-tilde(E_a, E_b)) at z0, from the values V = [[I, 0], [-C, P]]
+        of the E_a at z0, their exact Jacobians (``_lift_jacobians``), Gamma-tilde
+        (``gamma0``) and F (``_parts_maps``), which drops the N part that tan removes.
+        """
+        jet = base_jet(self.m, self.x)
+        if jet.dgamma is None:
+            return None
+        n = self.m.dim
+        c, proj, f = self._parts_maps
+        v = np.eye(2 * n)
+        v[n:, :n], v[n:, n:] = -c, proj
+        amb = np.transpose(_lift_jacobians(jet, self.u, self.eps) @ v, (1, 2, 0))  # [i, a, b] = dE_b(E_a)^i
+        amb += np.einsum("ijk,ja->iak", self.gamma0, v) @ v
+        return _own(np.einsum("oi,iab->oab", f, amb))
 
     def _point(self, *vecs: SBVec) -> SBPoint:
         """The point the vectors live at; it must carry this context's x, u and eps."""
@@ -613,6 +655,14 @@ def gauss_curvature_oracle(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec, c: 
     return gauss_oracle(m, p).curvature(a, b, c)
 
 
+def _lift_coefficients(kind: str, w: np.ndarray) -> np.ndarray:
+    """The coefficients of w's lift field on the fields E_a of ``GaussOracle.nabla``: (w; 0) for 'h', (0; w) for 't'."""
+    if kind not in ("h", "t"):
+        raise ValueError(f"unknown sphere-bundle lift kind {kind!r}")
+    zero = np.zeros_like(w)
+    return np.concatenate([w, zero] if kind == "h" else [zero, w])
+
+
 def sb_nabla_via_ambient(
     m: ChartedMetric,
     xfield: VectorField,
@@ -623,14 +673,21 @@ def sb_nabla_via_ambient(
 ) -> SBVec:
     """The tangential part of the ambient derivative of lift fields, nabla-bar_A B.
 
-    The ambient derivative is taken in induced coordinates against the
-    oracle's own Christoffels of Tg at p, read from ``gauss_oracle(m, p)``;
-    ``_from_induced`` drops its N part.  For a constant base vector (any
-    field that is not callable) on charts with analytic derivatives the
-    component Jacobian is exact; otherwise it is central-differenced.
+    Only A's value at p enters.  When B is the lift of a constant base vector
+    (any yfield that is not callable) on a chart with analytic g' and g'',
+    the context ``gauss_oracle(m, p)`` holds the answer for every pair of
+    basis lifts (``GaussOracle.nabla``), and the call contracts it with the
+    coefficients of B and of A.  Otherwise the ambient derivative is taken
+    in induced coordinates, the Jacobian of B's components central-differenced,
+    against the context's Christoffels of Tg at p, and ``_from_induced``
+    drops its N part.
     """
     ctx = gauss_oracle(m, p)
+    nabla = None if callable(yfield) else ctx.nabla
+    if nabla is not None:
+        b_coeffs = _lift_coefficients(kind_y, np.asarray(yfield, dtype=float))
+        out = (nabla @ b_coeffs) @ _lift_coefficients(kind_x, field_at(xfield, p.x))
+        return SBVec(p, out[: m.dim], out[m.dim :])
     aval = sb_lift_field_fn(m, xfield, kind_x, p.eps)(ctx.z0)
-    b_jac_fn = None if callable(yfield) else const_lift_jacobian_fn(m, as_field(yfield)(p.x), kind_y, p.eps)
-    nab = ambient_nabla(aval, sb_lift_field_fn(m, yfield, kind_y, p.eps), ctx.z0, ctx.gamma0, b_jac_fn=b_jac_fn)
+    nab = ambient_nabla(aval, sb_lift_field_fn(m, yfield, kind_y, p.eps), ctx.z0, ctx.gamma0)
     return _from_induced(m, p, nab)

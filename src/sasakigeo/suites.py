@@ -337,18 +337,14 @@ def _suite_oracle(cfg: SuiteConfig, m: ChartedMetric, params: dict):
     for i in range(cfg.num_points):
         rng = rng_for(cfg.seed, 8, i)
         x = sample_domain_point(m, rng)
-        yield (
-            "christoffel_at = Koszul FD oracle",
-            np.abs(christoffel_at(m, x) - orc.fd_christoffel(m.metric_fn, x)).max(),
-            1e-6,
-        )
+        g_h = orc.fd_christoffel(m.metric_fn, x)
+        yield "christoffel_at = Koszul FD oracle", np.abs(christoffel_at(m, x) - g_h).max(), 1e-6
         yield (
             "riemann_at = FD curvature oracle",
             np.abs(riemann_at(m, x) - orc.fd_riemann(lambda y: christoffel_at(m, y), x)).max(),
             1e-5,
         )
         # second-order convergence spot check of the FD Christoffel oracle
-        g_h = orc.fd_christoffel(m.metric_fn, x)
         g_h2 = orc.fd_christoffel(m.metric_fn, x, FD_STEP_FIRST / 2.0)
         yield "FD step halving stays within 4x tolerance", np.abs(g_h - g_h2).max() / 4.0, 1e-6
 
@@ -373,10 +369,12 @@ def _suite_oracle(cfg: SuiteConfig, m: ChartedMetric, params: dict):
             closed = sb.sb_nabla(m, xc, yc, kx, ky, p)
             via = orc.sb_nabla_via_ambient(m, xc, yc, kx, ky, p)
             yield "sb_nabla = projection of ambient FD derivative", np.abs((closed - via).comps()).max(), 1e-9
+        y_lifts = {ky: orc.lift_field_fn(m, yf, ky) for ky in ("h", "v")}
+        y_jacs = {ky: orc.field_jet(fn, z0)[1] for ky, fn in y_lifts.items()}  # each y-lift differenced once
         for kx, ky in [("h", "h"), ("h", "v"), ("v", "h")]:
             closed_ind = tb.to_induced_coords(m, tb.tm_nabla(m, xf, yf, kx, ky, p.tm))
             amb = orc.ambient_nabla(
-                orc.lift_field_fn(m, xf, kx)(z0), orc.lift_field_fn(m, yf, ky), z0, gauss.gamma0
+                orc.lift_field_fn(m, xf, kx)(z0), y_lifts[ky], z0, gauss.gamma0, b_jac_fn=lambda z, jac=y_jacs[ky]: jac
             )
             yield "tm_nabla = FD Christoffels of Tg on lift fields", np.abs(closed_ind - amb).max(), 1e-5
 

@@ -37,6 +37,7 @@ KILLING_CHECKS = [
     ("connection", TIMELIKE, "tm_nabla metric compatibility (FD)"),
     ("connection", {}, "sb_nabla metric compatibility (FD)"),
     ("connection", TIMELIKE, "sb_nabla metric compatibility (FD)"),
+    ("connection", {}, "sb_nabla = projected ambient derivative"),
 ]
 
 
@@ -127,6 +128,19 @@ def test_dropped_second_weingarten_term_of_the_oracle_rbar(monkeypatch):
 
     monkeypatch.setattr(oracle.GaussOracle, "r_tilde", property(mutant))
     assert "sb_curvature = Gauss-equation oracle" in failing("oracle-crosscheck", **TIMELIKE)
+
+
+def test_perturbed_entry_of_the_oracle_nabla_array(monkeypatch):
+    # one entry of the oracle's nabla-bar of basis lifts, nabla-bar_{e_1^h} e_1^h, off by 1e-6 in its first h slot
+    real = oracle.GaussOracle.nabla.func
+
+    def mutant(gauss):
+        nabla = np.array(real(gauss))
+        nabla[0, 0, 0] += 1e-6
+        return nabla
+
+    monkeypatch.setattr(oracle.GaussOracle, "nabla", property(mutant))
+    assert "sb_nabla = projected ambient derivative" in failing("connection")
 
 
 def test_flipped_eps_in_the_tangential_lift(monkeypatch):

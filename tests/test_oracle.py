@@ -48,6 +48,8 @@ from sasakigeo.stencil import FD_STEP_FIRST, central_difference
 
 from conftest import bumpy_chart, patch_everywhere
 
+LIFT_PAIRS = [("h", "h"), ("h", "t"), ("t", "h"), ("t", "t")]
+
 
 class TestFdChristoffel:
     def test_flat_zero(self, flat2):
@@ -617,8 +619,8 @@ class TestKeptGaussOracle:
         curvatures = [fresh.curvature(a, b, cv).comps() for a, b, cv in triples]
         nablas = [sb_nabla_via_ambient(m, xc, yc, kx, ky, copy).comps() for xc, yc, kx, ky in pairs]
 
-        builds, riemanns = [], []
-        init, real_riemann = GaussOracle.__init__, oracle._riemann
+        builds, riemanns, nabla_arrays = [], [], []
+        init, real_riemann, real_jacobians = GaussOracle.__init__, oracle._riemann, oracle._lift_jacobians
 
         def counted_init(self, m, p):
             builds.append(m)
@@ -628,12 +630,17 @@ class TestKeptGaussOracle:
             riemanns.append(None)
             return real_riemann(*args)
 
+        def counted_jacobians(*args):
+            nabla_arrays.append(None)
+            return real_jacobians(*args)
+
         monkeypatch.setattr(GaussOracle, "__init__", counted_init)
         monkeypatch.setattr(oracle, "_riemann", counted_riemann)
+        monkeypatch.setattr(oracle, "_lift_jacobians", counted_jacobians)
         for (a, b, cv), curvature, (xc, yc, kx, ky), nabla in zip(triples, curvatures, pairs, nablas):
             assert np.array_equal(gauss_curvature_oracle(m, p, a, b, cv).comps(), curvature)
             assert np.array_equal(sb_nabla_via_ambient(m, xc, yc, kx, ky, p).comps(), nabla)
-        assert len(builds) == 1 and len(riemanns) == 1
+        assert len(builds) == 1 and len(riemanns) == 1 and len(nabla_arrays) == 1
         assert gauss_oracle(m, p) is gauss_oracle(m, p) and point_geometry(m, p) is geo  # side by side on p
 
         other = replace(m)  # an equal chart, but another object
@@ -654,6 +661,28 @@ class TestKeptGaussOracle:
         m.metric_fn = lambda y: 1.0 * metric(y)  # other callables again, the first values again
         assert np.array_equal(point_geometry(m, p).base.g, g0)
         assert np.array_equal(gauss_curvature_oracle(m, p, a, b, cv).comps(), before)
+
+    def test_the_kept_nabla_array_follows_reassigned_metric_callables(self, monkeypatch, rng):
+        m = space_form_chart(SpaceFormSpec(3, 1, 2.0))
+        other = space_form_chart(SpaceFormSpec(3, 1, -1.0))
+        own = (m.metric_fn, m.deriv1_fn, m.deriv2_fn)
+        p = sample_sb_point(m, 1, rng)
+        pairs = [(rng.normal(size=3), rng.normal(size=3), kx, ky) for kx, ky in LIFT_PAIRS]
+        arrays, real = [], oracle._lift_jacobians
+        monkeypatch.setattr(oracle, "_lift_jacobians", lambda *args: arrays.append(None) or real(*args))
+
+        def nablas(chart, at):
+            return [sb_nabla_via_ambient(chart, xc, yc, kx, ky, at).comps() for xc, yc, kx, ky in pairs]
+
+        before = nablas(m, p)
+        assert len(arrays) == 1
+        m.metric_fn, m.deriv1_fn, m.deriv2_fn = other.metric_fn, other.deriv1_fn, other.deriv2_fn
+        swapped = nablas(m, p)
+        assert len(arrays) == 2
+        assert all(np.array_equal(a, b) for a, b in zip(swapped, nablas(other, SBPoint(p.x.copy(), p.u.copy(), 1))))
+        assert not all(np.allclose(a, b) for a, b in zip(swapped, before))
+        m.metric_fn, m.deriv1_fn, m.deriv2_fn = own  # the first callables again, the first values again
+        assert all(np.array_equal(a, b) for a, b in zip(nablas(m, p), before)) and len(arrays) == 4
 
     def test_the_kept_context_does_not_keep_its_point_alive(self, rng):
         m = space_form_chart(SpaceFormSpec(3, 1, 2.0))
@@ -813,6 +842,112 @@ class TestStackedGaussOracle:
         for a, b, cv in triples:
             gauss_curvature_oracle(m, p, a, b, cv)
         assert calls == []
+
+
+def _per_pair_nabla(m, p, xc, yc, kx, ky):
+    """Reference: nabla-bar_A B for one lift pair, from the ambient derivative with B's exact Jacobian."""
+    z0 = np.concatenate([p.x, p.u])
+    aval = sb_lift_field_fn(m, xc, kx, p.eps)(z0)
+    b_jac_fn = const_lift_jacobian_fn(m, yc, ky, p.eps)
+    nab = ambient_nabla(aval, sb_lift_field_fn(m, yc, ky, p.eps), z0, sasaki_gamma_fn(m)(z0), b_jac_fn=b_jac_fn)
+    return oracle._from_induced(m, p, nab).comps()
+
+
+def _parent_fd_nabla(m, p, xfield, yfield, kx, ky):
+    """Reference: nabla-bar_A B with B's Jacobian central-differenced, the path the array does not serve."""
+    gauss = gauss_oracle(m, p)
+    aval = sb_lift_field_fn(m, xfield, kx, p.eps)(gauss.z0)
+    nab = ambient_nabla(aval, sb_lift_field_fn(m, yfield, ky, p.eps), gauss.z0, gauss.gamma0)
+    return oracle._from_induced(m, p, nab).comps()
+
+
+class TestOracleNablaArray:
+    """nabla-bar of the constant-vector lift fields as one parts-basis array per point (``GaussOracle.nabla``)."""
+
+    @pytest.mark.parametrize("chart", ["space form", "bumpy"])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_array_equals_the_per_pair_path(self, rng, chart, n, eps):
+        m = space_form_chart(SpaceFormSpec(n, 1, 2.0)) if chart == "space form" else bumpy_chart(n, 1)
+        for _ in range(2):
+            p = sample_sb_point(m, eps, rng)
+            for kx, ky in LIFT_PAIRS:
+                xc, yc = rng.normal(size=n), rng.normal(size=n)
+                ref = _per_pair_nabla(m, p, xc, yc, kx, ky)
+                got = sb_nabla_via_ambient(m, xc, yc, kx, ky, p).comps()
+                assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), (kx, ky)
+
+    @pytest.mark.parametrize("chart", ["space form", "bumpy"])
+    def test_exact_lift_jacobians_match_the_stencil(self, rng, chart):
+        m = space_form_chart(SpaceFormSpec(3, 1, 2.0)) if chart == "space form" else bumpy_chart(3, 1)
+        for eps in (1, -1):
+            p = sample_sb_point(m, eps, rng)
+            z0 = np.concatenate([p.x, p.u])
+            for kind in ("h", "t"):
+                w = rng.normal(size=3)
+                exact = const_lift_jacobian_fn(m, w, kind, eps)(z0)
+                _, fd = oracle.field_jet(sb_lift_field_fn(m, w, kind, eps), z0)
+                assert np.abs(exact - fd).max() <= 1e-8 * max(1.0, np.abs(exact).max()), kind
+
+    def test_the_array_is_read_only_and_absent_without_analytic_derivatives(self, rng):
+        m = space_form_chart(SpaceFormSpec(3, 1, 2.0))
+        gauss = GaussOracle(m, sample_sb_point(m, -1, rng))
+        assert gauss.nabla.shape == (6, 6, 6) and not gauss.nabla.flags.writeable
+        with pytest.raises(ValueError):
+            gauss.nabla[0, 0, 0] = 1.0
+        no_derivatives = replace(m, deriv1_fn=None, deriv2_fn=None)
+        assert GaussOracle(no_derivatives, sample_sb_point(no_derivatives, 1, rng)).nabla is None
+
+    @pytest.mark.parametrize("chart", ["space form", "bumpy", "no derivatives"])
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_the_fd_path_is_unchanged(self, rng, chart, eps):
+        # a callable yfield, or any yfield on a chart without analytic derivatives, differences B's components
+        m = _oracle_chart(chart)
+        p = sample_sb_point(m, eps, rng)
+        for kx, ky in LIFT_PAIRS:
+            xc, yc = rng.normal(size=3), rng.normal(size=3)
+            xfield = lambda x, xc=xc: xc + 0.1 * np.sin(x)
+            yfields = [lambda x, yc=yc: yc + 0.1 * x**2] + ([yc] if chart == "no derivatives" else [])
+            for yfield in yfields:
+                ref = _parent_fd_nabla(m, p, xfield, yfield, kx, ky)
+                assert np.array_equal(sb_nabla_via_ambient(m, xfield, yfield, kx, ky, p).comps(), ref)
+
+    def test_a_callable_xfield_reads_its_value_at_p(self, rng):
+        m = bumpy_chart(3, 1)
+        p = sample_sb_point(m, 1, rng)
+        xc, yc = rng.normal(size=3), rng.normal(size=3)
+        xfield = lambda x: xc + x  # only its value at p enters
+        for kx, ky in LIFT_PAIRS:
+            got = sb_nabla_via_ambient(m, xfield, yc, kx, ky, p).comps()
+            assert np.array_equal(got, sb_nabla_via_ambient(m, xc + p.x, yc, kx, ky, p).comps())
+
+    def test_an_unknown_kind_is_refused(self, rng):
+        m = space_form_chart(SpaceFormSpec(3, 1, 2.0))
+        p = sample_sb_point(m, 1, rng)
+        for kx, ky in (("v", "h"), ("h", "v")):
+            with pytest.raises(ValueError):
+                sb_nabla_via_ambient(m, rng.normal(size=3), rng.normal(size=3), kx, ky, p)
+
+    @pytest.mark.parametrize("chart", ["space form", "bumpy"])
+    def test_the_array_reads_only_the_base_jet_and_gamma_tilde(self, monkeypatch, rng, chart):
+        m = space_form_chart(SpaceFormSpec(3, 1, 2.0)) if chart == "space form" else bumpy_chart(3, 1)
+        p = sample_sb_point(m, -1, rng)
+        gauss = gauss_oracle(m, p)  # Gamma-tilde(z0) is built with the context
+        pairs = [(rng.normal(size=3), rng.normal(size=3), kx, ky) for kx, ky in LIFT_PAIRS]
+        calls = []
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the array read the closed-form geometry or a lift field")
+
+        for fn in (manifold.riemann_at, manifold.christoffel_at, manifold.metric_at, sphere.point_geometry):
+            patch_everywhere(monkeypatch, fn, forbidden)
+        for name in ("sasaki_gamma_fn", "sasaki_metric_fn", "sb_lift_field_fn", "base_gamma", "ambient_nabla"):
+            monkeypatch.setattr(oracle, name, forbidden)
+        real_jet = oracle.base_jet
+        monkeypatch.setattr(oracle, "base_jet", lambda m, x: calls.append(x) or real_jet(m, x))
+        for xc, yc, kx, ky in pairs:
+            sb_nabla_via_ambient(m, xc, yc, kx, ky, p)
+        assert gauss.nabla is not None and all(x is p.x for x in calls) and len(calls) == 2  # F, then the array
 
 
 def _counted(fn, reads):

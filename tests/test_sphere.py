@@ -1,5 +1,7 @@
 """Sphere bundle: normal, tangential lifts, frames, brackets, connection, curvature."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -302,6 +304,18 @@ class TestSbNabla:
             closed = sb_nabla(m, xc, yc, kx, ky, p)
             via = sb_nabla_via_ambient(m, xc, yc, kx, ky, p)
             assert np.abs((closed - via).comps()).max() < 1e-9
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_projection_identity_without_analytic_derivatives(self, rng, n, eps):
+        # the oracle then central-differences the metric and the lift fields, so the suite's FD tolerance holds
+        m = replace(space_form_chart(SpaceFormSpec(n, 1, 2.0)), deriv1_fn=None, deriv2_fn=None)
+        p = sample_sb_point(m, eps, rng)
+        for kx, ky in [("h", "h"), ("h", "t"), ("t", "h"), ("t", "t")]:
+            xc, yc = rng.normal(size=n), rng.normal(size=n)
+            closed = sb_nabla(m, xc, yc, kx, ky, p)
+            via = sb_nabla_via_ambient(m, xc, yc, kx, ky, p)
+            assert np.abs((closed - via).comps()).max() < 1e-5
 
     @pytest.mark.parametrize("form", ["array", "callable"])
     def test_projection_identity_for_every_field_form(self, rng, form):
