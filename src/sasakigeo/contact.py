@@ -47,7 +47,6 @@ from .sphere import (
     horizontal_sb,
     induced_metric_at,
     lift,
-    parts_metric,
     point_geometry,
     require_same_sb_point,
     sb_curvature,
@@ -92,7 +91,7 @@ class HOperator:
 
 def contact_data_at(m: ChartedMetric, p: SBPoint) -> ContactData:
     geo = point_geometry(m, p)
-    g, n = geo.base.g, m.dim
+    g = geo.base.g
     u, eps = p.u, p.eps
     xi = horizontal_sb(p, 2.0 * u)
 
@@ -102,8 +101,7 @@ def contact_data_at(m: ChartedMetric, p: SBPoint) -> ContactData:
 
     def phi(a: SBVec) -> SBVec:
         require_same_sb_point(p, a)
-        out = geo.phi_parts @ a.comps()
-        return SBVec(p, out[:n], out[n:])
+        return SBVec.of(p, geo.phi_parts @ a.comps())
 
     def gcm(a: SBVec, b: SBVec) -> float:
         return 0.25 * induced_metric_at(m, p, a, b)
@@ -243,29 +241,25 @@ def nabla_xi(m: ChartedMetric, p: SBPoint, a: SBVec) -> SBVec:
     """
     require_same_sb_point(p, a)
     n = m.dim
-    out = (point_geometry(m, p).connection @ np.concatenate([2.0 * p.u, np.zeros(n)])) @ a.comps()
+    out = (point_geometry(m, p).connection[:, :, :n] @ (2.0 * p.u)) @ a.comps()  # XI fills the h slot
     out[:n] += 2.0 * a.tpart
-    return SBVec(p, out[:n], out[n:])
+    return SBVec.of(p, out)
 
 
 def h_at(m: ChartedMetric, p: SBPoint) -> HOperator:
-    """The operator h = (matrix in ``frame_at(m, p)``, pointwise action).
+    """The operator h = (matrix in ``frame_at(m, p)``, pointwise action), wrapped with p.
 
-    Both come from one array on the (h, t) parts, ``PointGeometry.h_parts``.
+    The action is ``PointGeometry.h_parts`` on (h, t) parts, and the matrix
+    ``PointGeometry.h_matrix``, built from it once per point.
     """
     geo = point_geometry(m, p)
-    n = m.dim
     hmat = geo.h_parts
 
     def apply(a: SBVec) -> SBVec:
         require_same_sb_point(p, a)
-        out = hmat @ a.comps()
-        return SBVec(p, out[:n], out[n:])
+        return SBVec.of(p, hmat @ a.comps())
 
-    frame = frame_at(m, p)
-    f = frame.parts()
-    matrix = frame.signs[:, None] * parts_metric(geo.base.g, f, hmat @ f)
-    return HOperator(p, frame, matrix, apply)
+    return HOperator(p, frame_at(m, p), geo.h_matrix, apply)
 
 
 def nabla_phi(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec) -> SBVec:
@@ -293,7 +287,8 @@ def nabla_phi(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec) -> SBVec:
 
     out = np.concatenate([-a_p(b.tpart), a_p(b.hpart)])
     out += (conn @ (phi @ bv)) @ av - phi @ ((conn @ bv) @ av)
-    return SBVec(p, out[:n], geo.proj @ out[n:])
+    out[n:] = geo.proj @ out[n:]
+    return SBVec.of(p, out)
 
 
 def nabla_phi_defn(

@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import DegenerateMetric, NoSolvableCoordinate
 from .manifold import ChartedMetric
-from .sphere import SBPoint, SBVec, require_same_sb_point
+from .sphere import SBPoint, SBVec, contract, require_same_sb_point
 from .stencil import FD_STEP_FIRST, FD_STEP_GAMMA, FD_STEP_SECOND, jacobian, partials, points, quotient
-from .tangent import VectorField, as_field, field_at, kept_geometry
+from .tangent import VectorField, _check_kinds, _lift_slot, as_field, field_at, kept_geometry
 
 
 # -------------------- raw metric data (oracle's own access) --------------------
@@ -552,15 +552,18 @@ class GaussOracle:
 
     @cached_property
     def _parts_maps(self) -> tuple:
-        """(C, P, F) at p: C^i_a = Gamma^i_ab u^b, P = I - eps u (g u)^T, and F = [[I, 0], [P C, P]],
-        which maps induced components to (h, t) parts as ``_from_induced`` does."""
+        """(C, P, E, F) at p: C^i_a = Gamma^i_ab u^b, P = I - eps u (g u)^T, E = [[I, 0], [-C, I]],
+        which maps (h, t) parts to induced components as ``_embed_induced`` does, and
+        F = [[I, 0], [P C, P]], which maps induced components to (h, t) parts as ``_from_induced`` does."""
         n = self.m.dim
         jet = base_jet(self.m, self.x)
         c = np.einsum("iab,b->ia", jet.gamma, self.u)
         proj = np.eye(n) - self.eps * np.outer(self.u, jet.g @ self.u)
+        e = np.eye(2 * n)
+        e[n:, :n] = -c
         f = np.eye(2 * n)
         f[n:, :n], f[n:, n:] = proj @ c, proj
-        return c, proj, f
+        return c, proj, _own(e), _own(f)
 
     @cached_property
     def rbar(self) -> np.ndarray:
@@ -571,11 +574,9 @@ class GaussOracle:
         is pulled back from parts by E = [[I, 0], [-C, I]] (``_embed_induced``) and the output
         is mapped to parts by F (``_parts_maps``).
         """
-        n, w, ii = self.m.dim, self.w, self.ii
+        w, ii = self.w, self.ii
         rind = self.r_tilde - np.einsum("ia,cb->iabc", w, ii) + np.einsum("ib,ca->iabc", w, ii)
-        c, _, f = self._parts_maps
-        e = np.eye(2 * n)
-        e[n:, :n] = -c
+        _, _, e, f = self._parts_maps
         rb = np.einsum("oi,iabc->oabc", f, rind) @ e
         rb = np.einsum("oajc,jb->oabc", rb, e)
         return _own(np.einsum("ojbc,ja->oabc", rb, e))
@@ -594,7 +595,7 @@ class GaussOracle:
         if jet.dgamma is None:
             return None
         n = self.m.dim
-        c, proj, f = self._parts_maps
+        c, proj, _, f = self._parts_maps
         v = np.eye(2 * n)
         v[n:, :n], v[n:, n:] = -c, proj
         amb = np.transpose(_lift_jacobians(jet, self.u, self.eps) @ v, (1, 2, 0))  # [i, a, b] = dE_b(E_a)^i
@@ -610,9 +611,11 @@ class GaussOracle:
         return p
 
     def second_fundamental_form(self, a: SBVec, b: SBVec) -> float:
-        """II(A, B) = -eps Tg(B, nabla-tilde_A N), the Weingarten relation, contracted from ``ii``."""
+        """II(A, B) = -eps Tg(B, nabla-tilde_A N), the Weingarten relation, contracted from ``ii``
+        with the induced components E a and E b (E of ``_parts_maps``)."""
         self._point(a, b)
-        return float(_embed_induced(self.m, b) @ self.ii @ _embed_induced(self.m, a))
+        e = self._parts_maps[2]
+        return float((e @ b.comps()) @ self.ii @ (e @ a.comps()))
 
     def curvature(self, a: SBVec, b: SBVec, c: SBVec) -> SBVec:
         """R-bar(a, b)c by the Gauss equation, contracted from ``rbar`` as ``sb_curvature`` contracts its own.
@@ -622,8 +625,7 @@ class GaussOracle:
         taken separately.
         """
         p = self._point(a, b, c)
-        out = ((self.rbar @ c.comps()) @ b.comps()) @ a.comps()
-        return SBVec(p, out[: self.m.dim], out[self.m.dim :])
+        return SBVec.of(p, contract(self.rbar, a.comps(), b.comps(), c.comps()))
 
     def nabla_endomorphism(self, phi_fn) -> Callable[[SBVec, SBVec], SBVec]:
         """(a, b) -> (nabla-bar_a phi) b for an endomorphism field of induced components on TM.
@@ -631,16 +633,18 @@ class GaussOracle:
         (nabla-tilde Phi)^I_LK = d_L Phi^I_K + Gamma-tilde^I_LM Phi^M_K - Phi^I_M Gamma-tilde^M_LK
         from one stencil of ``phi_fn`` at z0.  When Phi N = 0 and Phi maps
         into T(T_eps M) at p, (nabla-bar_A phi)B = tan((nabla-tilde_A Phi)B);
-        ``_from_induced`` drops the N part that tan removes.
+        F drops the N part that tan removes.  ``apply`` contracts nabla-tilde Phi
+        with the induced components E a and E b and maps the result to parts by F
+        (E and F of ``_parts_maps``).
         """
         phi, gam = np.asarray(phi_fn(self.z0), dtype=float), self.gamma0
         dphi = partials(phi_fn, self.z0, FD_STEP_FIRST)  # dphi[l, i, k] = d_l Phi^i_k
         nabla = np.einsum("lik->ilk", dphi) + np.einsum("ilm,mk->ilk", gam, phi) - np.einsum("im,mlk->ilk", phi, gam)
+        _, _, e, f = self._parts_maps
 
         def apply(a: SBVec, b: SBVec) -> SBVec:
             p = self._point(a, b)
-            v = (nabla @ _embed_induced(self.m, b)) @ _embed_induced(self.m, a)
-            return _from_induced(self.m, p, v)
+            return SBVec.of(p, f @ ((nabla @ (e @ b.comps())) @ (e @ a.comps())))
 
         return apply
 
@@ -653,14 +657,6 @@ def gauss_oracle(m: ChartedMetric, p: SBPoint) -> GaussOracle:
 def gauss_curvature_oracle(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec, c: SBVec) -> SBVec:
     """R-bar(a, b)c by the Gauss equation, from the context ``gauss_oracle(m, p)``."""
     return gauss_oracle(m, p).curvature(a, b, c)
-
-
-def _lift_coefficients(kind: str, w: np.ndarray) -> np.ndarray:
-    """The coefficients of w's lift field on the fields E_a of ``GaussOracle.nabla``: (w; 0) for 'h', (0; w) for 't'."""
-    if kind not in ("h", "t"):
-        raise ValueError(f"unknown sphere-bundle lift kind {kind!r}")
-    zero = np.zeros_like(w)
-    return np.concatenate([w, zero] if kind == "h" else [zero, w])
 
 
 def sb_nabla_via_ambient(
@@ -676,18 +672,19 @@ def sb_nabla_via_ambient(
     Only A's value at p enters.  When B is the lift of a constant base vector
     (any yfield that is not callable) on a chart with analytic g' and g'',
     the context ``gauss_oracle(m, p)`` holds the answer for every pair of
-    basis lifts (``GaussOracle.nabla``), and the call contracts it with the
-    coefficients of B and of A.  Otherwise the ambient derivative is taken
+    basis lifts (``GaussOracle.nabla``), and the call contracts the slots of
+    A's and B's kinds, ``nabla[:, slot(A), slot(B)]``, with their base
+    components.  Otherwise the ambient derivative is taken
     in induced coordinates, the Jacobian of B's components central-differenced,
     against the context's Christoffels of Tg at p, and ``_from_induced``
     drops its N part.
     """
+    _check_kinds(kind_x, kind_y, allowed=("h", "t"))
     ctx = gauss_oracle(m, p)
     nabla = None if callable(yfield) else ctx.nabla
     if nabla is not None:
-        b_coeffs = _lift_coefficients(kind_y, np.asarray(yfield, dtype=float))
-        out = (nabla @ b_coeffs) @ _lift_coefficients(kind_x, field_at(xfield, p.x))
-        return SBVec(p, out[: m.dim], out[m.dim :])
+        block = nabla[:, _lift_slot(kind_x, m.dim), _lift_slot(kind_y, m.dim)]
+        return SBVec.of(p, (block @ np.asarray(yfield, dtype=float)) @ field_at(xfield, p.x))
     aval = sb_lift_field_fn(m, xfield, kind_x, p.eps)(ctx.z0)
     nab = ambient_nabla(aval, sb_lift_field_fn(m, yfield, kind_y, p.eps), ctx.z0, ctx.gamma0)
     return _from_induced(m, p, nab)

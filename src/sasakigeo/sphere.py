@@ -16,6 +16,7 @@ import numpy as np
 from .errors import PointMismatch
 from .manifold import ChartedMetric, nabla_riemann_full
 from .tangent import (
+    PartsVector,
     TMPoint,
     VectorField,
     _check_kinds,
@@ -51,34 +52,21 @@ class SBPoint:
         return TMPoint(self.x, self.u)
 
 
-@dataclass(frozen=True)
-class SBVec:
+class SBVec(PartsVector):
     """hpart^h + tpart^t at an SBPoint with g(tpart, u) = 0, the caller's duty (unchecked; lifts, samplers
-    and closed forms keep it).  Closed forms read the t part as given: a u component gives wrong values."""
+    and closed forms keep it).  Closed forms read the t part as given: a u component gives wrong values.
 
-    at: SBPoint
-    hpart: np.ndarray
-    tpart: np.ndarray
+    The (h, t) parts are one read-only array of length 2n (``PartsVector``):
+    ``comps()`` returns it without a copy, ``hpart`` and ``tpart`` are views of
+    its halves, and a closed form hands over the array it computed with
+    ``SBVec.of(p, parts)``.  ``SBVec(p, hpart, tpart)`` joins two parts.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "hpart", np.asarray(self.hpart, dtype=float))
-        object.__setattr__(self, "tpart", np.asarray(self.tpart, dtype=float))
+    __slots__ = ()
+    tpart = property(PartsVector._second)
 
-    def __add__(self, other: "SBVec") -> "SBVec":
+    def _require_same(self, other: "SBVec") -> None:
         require_same_sb_point(self.at, other)
-        return SBVec(self.at, self.hpart + other.hpart, self.tpart + other.tpart)
-
-    def __sub__(self, other: "SBVec") -> "SBVec":
-        return self + (-1.0) * other
-
-    def __rmul__(self, s: float) -> "SBVec":
-        return SBVec(self.at, s * self.hpart, s * self.tpart)
-
-    def __neg__(self) -> "SBVec":
-        return SBVec(self.at, -self.hpart, -self.tpart)
-
-    def comps(self) -> np.ndarray:
-        return np.concatenate([self.hpart, self.tpart])
 
 
 @dataclass(frozen=True)
@@ -86,18 +74,24 @@ class SBFrame:
     """Pseudo-orthonormal frame [e_1^t .. e_{n-1}^t, e_1^h .. e_{n-1}^h, u^h].
 
     {e_1, .., e_{n-1}, u} is a g-orthonormal base frame with g(u, u) = eps.
-    ``signs`` are the diagonal Gram entries of the listed bundle vectors.
+    ``columns`` holds the (h, t) parts of the listed bundle vectors as columns and
+    ``signs`` their diagonal Gram entries, both the arrays ``PointGeometry.frame``
+    keeps; ``vectors`` wraps the columns as ``SBVec`` on first use.
     """
 
     at: SBPoint
-    vectors: tuple
+    columns: np.ndarray
     signs: np.ndarray
     base_frame: tuple
     base_signs: np.ndarray
 
+    @cached_property
+    def vectors(self) -> tuple:
+        return tuple(SBVec.of(self.at, col) for col in self.columns.T)
+
     def parts(self) -> np.ndarray:
-        """The frame vectors' (h, t) parts as columns."""
-        return np.stack([v.comps() for v in self.vectors], axis=1)
+        """The frame vectors' (h, t) parts as columns: the kept, read-only ``columns``."""
+        return self.columns
 
 
 def sb_point(m: ChartedMetric, x: np.ndarray, u: np.ndarray, eps: int) -> SBPoint:
@@ -129,9 +123,7 @@ def require_same_sb_point(p: SBPoint, *vecs: SBVec) -> None:
 
 def tangential_lift(m: ChartedMetric, p: SBPoint, xcomps: np.ndarray) -> SBVec:
     """X^t = X^v - eps g(X, u) N, stored via its u-orthogonal vertical part."""
-    g = point_geometry(m, p).base.g
-    x = np.asarray(xcomps, dtype=float)
-    return SBVec(p, np.zeros(m.dim), x - p.eps * float(x @ g @ p.u) * p.u)
+    return SBVec(p, np.zeros(m.dim), point_geometry(m, p).tangential_part(np.asarray(xcomps, dtype=float)))
 
 
 def horizontal_sb(p: SBPoint, xcomps: np.ndarray) -> SBVec:
@@ -149,22 +141,17 @@ def lift(m: ChartedMetric, p: SBPoint, kind: str, w: np.ndarray) -> SBVec:
 
 
 def induced_metric_at(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec) -> float:
-    """The metric induced from Tg: g(a_h, b_h) + g(a_t, b_t)."""
+    """The metric induced from Tg: g(a_h, b_h) + g(a_t, b_t), one product with ``PointGeometry.gbar``."""
     require_same_sb_point(p, a, b)
-    g = point_geometry(m, p).base.g
-    return float(a.hpart @ g @ b.hpart + a.tpart @ g @ b.tpart)
+    return float(a.comps() @ point_geometry(m, p).gbar @ b.comps())
 
 
 def frame_at(m: ChartedMetric, p: SBPoint) -> SBFrame:
-    """The pseudo-orthonormal frame at p on ``PointGeometry.base_frame``."""
-    es, e_signs = point_geometry(m, p).base_frame
-    vectors = (
-        [tangential_lift(m, p, e) for e in es]
-        + [horizontal_sb(p, e) for e in es]
-        + [horizontal_sb(p, p.u)]
-    )
-    frame_signs = np.concatenate([e_signs, e_signs, [float(p.eps)]])
-    return SBFrame(p, tuple(vectors), frame_signs, es, e_signs)
+    """The pseudo-orthonormal frame at p: the arrays of ``PointGeometry.frame`` and ``base_frame``, wrapped with p."""
+    geo = point_geometry(m, p)
+    columns, signs = geo.frame
+    es, e_signs = geo.base_frame
+    return SBFrame(p, columns, signs, es, e_signs)
 
 
 def frame_gram(m: ChartedMetric, frame: SBFrame) -> np.ndarray:
@@ -211,7 +198,8 @@ def sb_nabla(
     _check_kinds(kind_x, kind_y, allowed=("h", "t"))
     geo = point_geometry(m, p)
     out = _nabla_parts(geo.connection, geo.base, xfield, yfield, kind_x, kind_y)
-    return SBVec(p, out[: m.dim], geo.proj @ out[m.dim :])
+    out[m.dim :] = geo.proj @ out[m.dim :]
+    return SBVec.of(p, out)
 
 
 class PointGeometry:
@@ -227,7 +215,11 @@ class PointGeometry:
     vertical part to its u-orthogonal tangential representative.
     ``nabla_r`` is ``nabla_riemann_full``, or None when the chart is locally
     symmetric (then it is zero).  ``base_frame`` is read off one SVD of
-    ``proj`` and one eigendecomposition of the metric on its range.
+    ``proj`` and one eigendecomposition of the metric on its range.  ``gbar``
+    = diag(g, g) is the induced metric on (h, t) parts.  For the bundle frame
+    it keeps ``frame`` (the frame's parts matrix and signs) and h's matrix in
+    that frame (``h_matrix``), so ``frame_at`` and ``h_at`` only wrap arrays
+    with p; like every kept array, neither refers to p.
     """
 
     def __init__(self, m: ChartedMetric, p: SBPoint):
@@ -242,6 +234,16 @@ class PointGeometry:
     @cached_property
     def proj(self) -> np.ndarray:
         return _read_only(np.eye(self.m.dim) - self.eps * np.outer(self.u, self.gu))
+
+    @cached_property
+    def gbar(self) -> np.ndarray:
+        g = self.base.g
+        zero = np.zeros_like(g)
+        return _read_only(np.block([[g, zero], [zero, g]]))
+
+    def tangential_part(self, x: np.ndarray) -> np.ndarray:
+        """The u-orthogonal t part X - eps g(X, u) u of the tangential lift X^t."""
+        return x - self.eps * float(x @ self.base.g @ self.u) * self.u
 
     @cached_property
     def ruu(self) -> np.ndarray:
@@ -306,6 +308,25 @@ class PointGeometry:
         lam, q = np.linalg.eigh(b.T @ self.base.g @ b)
         es = b @ q / np.sqrt(np.abs(lam))
         return tuple(_read_only(e) for e in es.T), _read_only(np.sign(lam))
+
+    @cached_property
+    def frame(self) -> tuple:
+        """(F, signs) of the bundle frame [e_1^t .. e_{n-1}^t, e_1^h .. e_{n-1}^h, u^h] on ``base_frame``:
+        F holds the frame vectors' (h, t) parts as columns, and signs their diagonal Gram entries."""
+        es, e_signs = self.base_frame
+        n = self.u.size
+        f = np.zeros((2 * n, 2 * n - 1))
+        for k, e in enumerate(es):
+            f[n:, k] = self.tangential_part(e)
+            f[:n, n - 1 + k] = e
+        f[:n, -1] = self.u
+        return _read_only(f), _read_only(np.concatenate([e_signs, e_signs, [float(self.eps)]]))
+
+    @cached_property
+    def h_matrix(self) -> np.ndarray:
+        """h's matrix in the bundle frame, signs * parts_metric(g, F, H F) with H = ``h_parts``."""
+        f, signs = self.frame
+        return _read_only(signs[:, None] * parts_metric(self.base.g, f, self.h_parts @ f))
 
 
 def point_geometry(m: ChartedMetric, p: SBPoint) -> PointGeometry:
@@ -379,6 +400,16 @@ def sb_curvature_array(geo: PointGeometry) -> np.ndarray:
 def sb_curvature(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec, c: SBVec) -> SBVec:
     """Curvature operator R(a, b)c of the induced metric, contracted from R-bar."""
     require_same_sb_point(p, a, b, c)
-    rb = point_geometry(m, p).rbar
-    out = ((rb @ c.comps()) @ b.comps()) @ a.comps()
-    return SBVec(p, out[: m.dim], out[m.dim :])
+    return SBVec.of(p, contract(point_geometry(m, p).rbar, a.comps(), b.comps(), c.comps()))
+
+
+def contract(t: np.ndarray, *vecs: np.ndarray) -> np.ndarray:
+    """t contracted with vecs on its last len(vecs) axes, t(.., a, b, c) for vecs (a, b, c).
+
+    The last vector goes first, and each step is one 2-D product of the
+    flattened array with a vector: ``contract(rb, a, b, c)`` equals
+    ``((rb @ c) @ b) @ a``.  A C-contiguous t is reshaped without a copy.
+    """
+    for v in reversed(vecs):
+        t = t.reshape(-1, v.size) @ v
+    return t

@@ -140,30 +140,81 @@ def base_geometry(m: ChartedMetric, at: TMPoint) -> BaseGeometry:
     return kept_geometry(m, at, BaseGeometry)
 
 
-@dataclass(frozen=True)
-class TMVec:
-    """X^h + Y^v at a TMPoint, stored as hpart=X, vpart=Y."""
+class PartsVector:
+    """A tangent vector of a bundle at ``at``, kept as one read-only array of its two parts.
 
-    at: TMPoint
-    hpart: np.ndarray
-    vpart: np.ndarray
+    The parts are base components, the horizontal part first: ``comps()`` is
+    that array itself (no copy), and ``hpart`` and the second part are views
+    of its halves.  ``cls(at, hpart, second)`` joins two parts once, and
+    ``cls.of(at, parts)`` takes over an array a closed form has just
+    computed, so a result is never split and joined again.  Vectors are
+    immutable; arithmetic builds new ones and leaves its operands as they are.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "hpart", np.asarray(self.hpart, dtype=float))
-        object.__setattr__(self, "vpart", np.asarray(self.vpart, dtype=float))
+    __slots__ = ("at", "_parts")
 
-    def __add__(self, other: "TMVec") -> "TMVec":
+    def __init__(self, at, hpart: np.ndarray, second: np.ndarray):
+        hpart, second = np.asarray(hpart, dtype=float), np.asarray(second, dtype=float)
+        if hpart.shape != second.shape or hpart.ndim != 1:
+            raise ValueError(f"the two parts must be vectors of one length, got shapes {hpart.shape} and {second.shape}")
+        parts = np.concatenate([hpart, second])
+        parts.setflags(write=False)
+        object.__setattr__(self, "at", at)
+        object.__setattr__(self, "_parts", parts)
+
+    @classmethod
+    def of(cls, at, parts: np.ndarray):
+        """The vector whose parts are the float array ``parts``, which it marks read-only and keeps."""
+        parts.setflags(write=False)
+        v = object.__new__(cls)
+        object.__setattr__(v, "at", at)
+        object.__setattr__(v, "_parts", parts)
+        return v
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def comps(self) -> np.ndarray:
+        """The parts, (hpart, second part), as the stored read-only array."""
+        return self._parts
+
+    @property
+    def hpart(self) -> np.ndarray:
+        return self._parts[: self._parts.size // 2]
+
+    def _second(self) -> np.ndarray:
+        return self._parts[self._parts.size // 2 :]
+
+    def _require_same(self, other) -> None:
+        raise NotImplementedError
+
+    def __add__(self, other):
+        self._require_same(other)
+        return self.of(self.at, self._parts + other._parts)
+
+    def __sub__(self, other):
+        self._require_same(other)
+        return self.of(self.at, self._parts - other._parts)
+
+    def __rmul__(self, s: float):
+        return self.of(self.at, s * self._parts)
+
+    def __neg__(self):
+        return self.of(self.at, -self._parts)
+
+    def __repr__(self) -> str:
+        n = self._parts.size // 2
+        return f"{type(self).__name__}(at={self.at!r}, parts={self._parts[:n]!r} | {self._parts[n:]!r})"
+
+
+class TMVec(PartsVector):
+    """X^h + Y^v at a TMPoint: ``PartsVector`` with hpart = X and vpart = Y."""
+
+    __slots__ = ()
+    vpart = property(PartsVector._second)
+
+    def _require_same(self, other: "TMVec") -> None:
         require_same_tm_point(self, other)
-        return TMVec(self.at, self.hpart + other.hpart, self.vpart + other.vpart)
-
-    def __sub__(self, other: "TMVec") -> "TMVec":
-        return self + (-1.0) * other
-
-    def __rmul__(self, s: float) -> "TMVec":
-        return TMVec(self.at, s * self.hpart, s * self.vpart)
-
-    def __neg__(self) -> "TMVec":
-        return TMVec(self.at, -self.hpart, -self.vpart)
 
 
 def _same_coords(a: np.ndarray, b: np.ndarray) -> bool:
@@ -187,7 +238,10 @@ def as_field(field: VectorField) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def field_at(field: VectorField, x: np.ndarray) -> np.ndarray:
-    return np.asarray(as_field(field)(np.asarray(x, dtype=float)), dtype=float)
+    """The field's components at x; a constant field is its own components."""
+    if callable(field):
+        return np.asarray(field(np.asarray(x, dtype=float)), dtype=float)
+    return np.asarray(field, dtype=float)
 
 
 def to_induced_coords(m: ChartedMetric, v: TMVec) -> np.ndarray:
@@ -227,18 +281,22 @@ def lift_connection_array(r: np.ndarray, u: np.ndarray) -> np.ndarray:
     return c
 
 
-def _lift_parts(kind: str, w: np.ndarray) -> np.ndarray:
-    """The 2n parts of the lift of w: w in the horizontal slot for kind 'h', else the other."""
-    zero = np.zeros_like(w)
-    return np.concatenate([w, zero] if kind == "h" else [zero, w])
+def _lift_slot(kind: str, n: int) -> slice:
+    """The parts a lift of kind ``kind`` fills: the horizontal half for 'h', else the other."""
+    return slice(None, n) if kind == "h" else slice(n, None)
 
 
 def _nabla_parts(conn: np.ndarray, base: BaseGeometry, xfield, yfield, kind_x: str, kind_y: str) -> np.ndarray:
-    """``conn`` contracted with the lifts A and B, plus (nabla_X Y) in B's slot when A = X^h."""
+    """``conn`` contracted by slot with the lifts A and B, plus (nabla_X Y) in B's slot when A = X^h.
+
+    A lift has one nonzero half, so ``conn[:, _lift_slot(A), _lift_slot(B)]`` is contracted
+    with the base components themselves; the result is a new array.
+    """
+    n = base.x.size
     xval = field_at(xfield, base.x)
-    out = (conn @ _lift_parts(kind_y, field_at(yfield, base.x))) @ _lift_parts(kind_x, xval)
+    out = (conn[:, _lift_slot(kind_x, n), _lift_slot(kind_y, n)] @ field_at(yfield, base.x)) @ xval
     if kind_x == "h":
-        out = out + _lift_parts(kind_y, base.nabla(xval, yfield))
+        out[_lift_slot(kind_y, n)] += base.nabla(xval, yfield)
     return out
 
 
@@ -262,8 +320,7 @@ def tm_nabla(
     """
     _check_kinds(kind_x, kind_y, allowed=("h", "v"))
     base = base_geometry(m, at)
-    out = _nabla_parts(base.connection, base, xfield, yfield, kind_x, kind_y)
-    return TMVec(at, out[: m.dim], out[m.dim :])
+    return TMVec.of(at, _nabla_parts(base.connection, base, xfield, yfield, kind_x, kind_y))
 
 
 def lift_bracket(

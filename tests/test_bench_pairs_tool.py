@@ -75,3 +75,16 @@ def test_the_claim_needs_nine_of_ten_wins_and_a_gap_beyond_the_parent_iqr():
     e2e = bench_pairs.summarize(_lines(parent), _lines(small_gap), BENCHMARK)
     claim = bench_pairs.claim_verdict(e2e, "w/item_ms_p50", BENCHMARK)
     assert claim["pairs_change_better"] == 10 and not claim["met"]
+
+
+@pytest.mark.parametrize("pairs", ["1", "0", "-3"])
+def test_fewer_than_two_pairs_are_refused_before_any_run(monkeypatch, tmp_path, pairs):
+    def no_run(*args):
+        raise AssertionError("the benchmark ran")
+
+    monkeypatch.setattr(bench_pairs, "run_once", no_run)
+    out = tmp_path / "out.json"
+    argv = [str(tmp_path), str(tmp_path), "--pairs", pairs, "--seed-base", "1", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert exc.value.code == 2 and not out.exists()

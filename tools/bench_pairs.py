@@ -3,7 +3,8 @@
     python tools/bench_pairs.py PARENT_DIR CHANGE_DIR --pairs N --seed-base S --out BENCH_N.json
                                 [--claim WORKLOAD/METRIC]
 
-Pair k (k = 1 .. N) runs ``bench/run.py --workload all --seed S+k-1
+N must be at least 2, since each side's interquartile range needs two
+runs; a smaller N is refused before any run.  Pair k (k = 1 .. N) runs ``bench/run.py --workload all --seed S+k-1
 --seconds T`` once from each tree, each with its own ``src``; odd pairs run
 the parent first and even pairs the change, so a drift of the host's speed
 does not favour one side.  T is ``run_seconds`` of CHANGE_DIR's
@@ -131,6 +132,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--claim", help="WORKLOAD/METRIC whose gain to judge")
     args = parser.parse_args(argv)
+    if args.pairs < 2:  # quartiles, and so the IQR of each side, need two runs
+        parser.error(f"--pairs must be at least 2, got {args.pairs}")
     parent, change = args.parent.resolve(), args.change.resolve()
     benchmark = json.loads((change / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
