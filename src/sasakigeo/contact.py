@@ -240,9 +240,8 @@ def nabla_xi(m: ChartedMetric, p: SBPoint, a: SBVec) -> SBVec:
     nabla_{X^h} xi = -t{R(X, u)u} (g-orthogonal to u);  nabla_{W^t} xi = 2 W^h - h{R(W, u)u}.
     """
     require_same_sb_point(p, a)
-    n = m.dim
-    out = (point_geometry(m, p).connection[:, :, :n] @ (2.0 * p.u)) @ a.comps()  # XI fills the h slot
-    out[:n] += 2.0 * a.tpart
+    out = point_geometry(m, p).connection_xi @ a.comps()
+    out[: m.dim] += 2.0 * a.tpart
     return SBVec.of(p, out)
 
 

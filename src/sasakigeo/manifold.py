@@ -253,14 +253,14 @@ def space_form_chart(spec: SpaceFormSpec) -> ChartedMetric:
     def deriv1_fn(x):
         f = conf(x)
         df = 0.5 * c * signs * x  # d_k F
-        return np.einsum("k,ij->kij", -2.0 * df / f**3, eps_diag)
+        return (-2.0 * df / f**3)[:, None, None] * eps_diag
 
     def deriv2_fn(x):
         f = conf(x)
         df = 0.5 * c * signs * x
         ddf = 0.5 * c * np.diag(signs)  # d_k d_l F
         coef = 6.0 * np.outer(df, df) / f**4 - 2.0 * ddf / f**3
-        return np.einsum("kl,ij->klij", coef, eps_diag)
+        return coef[:, :, None, None] * eps_diag
 
     return ChartedMetric(
         dim=n,
@@ -282,16 +282,20 @@ def validate_space_form(
 ) -> float:
     """Max |K - c| over sampled nondegenerate planes; raises ``SpaceFormMismatch`` if above 1e-8 or not finite.
 
-    g and R are computed once per sampled point and serve all of its planes.
+    Each point is drawn with its ``SPACE_FORM_PLANES`` planes in turn, and then
+    one ``_curvature_pass`` over all the points gives the g and R that serve
+    every plane.
     """
     from .sampling import sample_domain_point, sample_tangent_plane
 
-    worst = 0.0
+    xs, planes = [], []
     for _ in range(num_points):
-        x = sample_domain_point(m, rng)
-        g, r = metric_at(m, x), riemann_at(m, x)
-        for _ in range(SPACE_FORM_PLANES):
-            xv, yv = sample_tangent_plane(m, x, rng)
+        xs.append(sample_domain_point(m, rng))
+        planes.append([sample_tangent_plane(m, xs[-1], rng) for _ in range(SPACE_FORM_PLANES)])
+    gs, _, rs = _curvature_pass(m, np.array(xs))
+    worst = 0.0
+    for g, r, point_planes in zip(gs, rs, planes):
+        for xv, yv in point_planes:
             dev = abs(_sectional(g, r, xv, yv) - spec.curvature)
             if not math.isfinite(dev):
                 raise SpaceFormMismatch(f"space form validation failed: K - c = {dev} for {spec}")

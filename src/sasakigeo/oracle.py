@@ -123,10 +123,7 @@ class BaseJet:
         The chart is read once per row, and g^-1, Gamma and d Gamma are one
         step each on the stack; each jet equals ``BaseJet(m, x)`` bit for bit.
         """
-        g, dg = (np.array(part) for part in zip(*(_read_jet(m, x) for x in xs)))
-        ginv = _inv(g)
-        gamma = _koszul_inv(ginv, dg)
-        dgamma = _dgamma(ginv, dg, np.array([m.deriv2_fn(x) for x in xs], dtype=float))
+        g, dg, ginv, gamma, dgamma = _jet_arrays(m, xs)
         jets = []
         for k, x in enumerate(xs):
             jet = cls.__new__(cls)
@@ -149,10 +146,24 @@ def _read_jet(m: ChartedMetric, x: np.ndarray) -> tuple:
     return g, np.asarray(m.deriv1_fn(x) if m.deriv1_fn is not None else partials(m.metric_fn, x, FD_STEP_FIRST), dtype=float)
 
 
+def _jet_arrays(m: ChartedMetric, xs) -> tuple:
+    """(g, g', g^-1, Gamma, d Gamma) at the rows of xs, stacked, on a chart with analytic g' and g''.
+
+    The chart is read once per row, and g^-1, Gamma and d Gamma are one step
+    each on the stack; row k equals the arrays of ``BaseJet(m, xs[k])`` bit for bit.
+    """
+    g, dg = (np.array(part) for part in zip(*(_read_jet(m, x) for x in xs)))
+    ginv = _inv(g)
+    return g, dg, ginv, _koszul_inv(ginv, dg), _dgamma(ginv, dg, np.array([m.deriv2_fn(x) for x in xs], dtype=float))
+
+
 def _kept_jet(m: ChartedMetric, key: bytes) -> Optional[BaseJet]:
     """The memo's jet under key, made the most recently used; None when absent or read from other callables."""
     entry = m._oracle_jets.pop(key, None)
-    if entry is None or any(a is not b for a, b in zip(entry[0], (m.metric_fn, m.deriv1_fn, m.deriv2_fn))):
+    if entry is None:
+        return None
+    metric_fn, deriv1_fn, deriv2_fn = entry[0]
+    if metric_fn is not m.metric_fn or deriv1_fn is not m.deriv1_fn or deriv2_fn is not m.deriv2_fn:
         return None
     m._oracle_jets[key] = entry
     return entry[1]
@@ -240,17 +251,45 @@ def _stacked_jets(m: ChartedMetric, x: np.ndarray) -> list:
     ]
 
 
+def _tg_gamma_tilde(z: np.ndarray, g, dg, gamma, dgamma) -> tuple:
+    """(Tg, Gamma-tilde) at the rows of z = (x, u) whose base jets hold g, g', Gamma and d Gamma, for any stack of them.
+
+    Tg is ``_sasaki_blocks(g, C)``; its z-derivative d_K Tg_IJ is built in
+    closed form from the jet and u, and Gamma-tilde is one Koszul step on them.
+    """
+    n = z.shape[-1] // 2
+    u = z[..., n:]
+    c = np.einsum("...iab,...b->...ia", gamma, u)
+    gc = g @ c
+    dc_x = np.einsum("...kiab,...b->...kia", dgamma, u)  # d C / d x^k
+    dc_u = np.einsum("...iak->...kia", gamma)  # d C / d u^k
+    dtg = np.zeros(z.shape[:-1] + (2 * n,) * 3)
+    # d_k (C^T g C) = dC_k^T g C + C^T dg_k C + (dC_k^T g C)^T, g symmetric
+    dcgc = np.einsum("...kia,...ib->...kab", dc_x, gc)
+    dtg[..., :n, :n, :n] = dg + dcgc + np.swapaxes(dcgc, -1, -2) + np.einsum("...ia,...kij,...jb->...kab", c, dg, c)
+    xu = np.einsum("...kia,...ib->...kab", dc_x, g) + np.einsum("...ia,...kib->...kab", c, dg)
+    dtg[..., :n, :n, n:] = xu
+    dtg[..., :n, n:, :n] = np.swapaxes(xu, -1, -2)
+    dtg[..., :n, n:, n:] = dg
+    dcgc = np.einsum("...kia,...ib->...kab", dc_u, gc)
+    dtg[..., n:, :n, :n] = dcgc + np.swapaxes(dcgc, -1, -2)
+    xu = np.einsum("...kia,...ib->...kab", dc_u, g)
+    dtg[..., n:, :n, n:] = xu
+    dtg[..., n:, n:, :n] = np.swapaxes(xu, -1, -2)
+    tg = _sasaki_blocks(g, c)
+    return tg, _koszul(tg, dtg)
+
+
 def sasaki_gamma_fn(m: ChartedMetric) -> Callable[[np.ndarray], np.ndarray]:
     """z -> Christoffel symbols of Tg, for z of shape (..., 2n) (one point or a stack of them).
 
     On charts with analytic g' and g'' each row of z takes g, g', Gamma and
-    d Gamma from the base jet at its x, and the whole stack builds Tg and its
-    z-derivative d_K Tg_IJ in closed form and takes one Koszul step;
-    otherwise Tg is central-differenced row by row.
+    d Gamma from the base jet at its x, and the whole stack takes one
+    ``_tg_gamma_tilde`` step; otherwise Tg is central-differenced row by row.
     """
     tg = sasaki_metric_fn(m)
     n = m.dim
-    if m.deriv1_fn is None or m.deriv2_fn is None:
+    if m.uses_fd_derivatives:
 
         def gamma_fd(z: np.ndarray) -> np.ndarray:
             z = np.asarray(z, dtype=float)
@@ -261,26 +300,7 @@ def sasaki_gamma_fn(m: ChartedMetric) -> Callable[[np.ndarray], np.ndarray]:
 
     def gamma_tilde(z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        u = z[..., n:]
-        g, dg, gamma, dgamma = _stacked_jets(m, z[..., :n])
-        c = np.einsum("...iab,...b->...ia", gamma, u)
-        gc = g @ c
-        dc_x = np.einsum("...kiab,...b->...kia", dgamma, u)  # d C / d x^k
-        dc_u = np.einsum("...iak->...kia", gamma)  # d C / d u^k
-        dtg = np.zeros(z.shape[:-1] + (2 * n,) * 3)
-        # d_k (C^T g C) = dC_k^T g C + C^T dg_k C + (dC_k^T g C)^T, g symmetric
-        dcgc = np.einsum("...kia,...ib->...kab", dc_x, gc)
-        dtg[..., :n, :n, :n] = dg + dcgc + np.swapaxes(dcgc, -1, -2) + np.einsum("...ia,...kij,...jb->...kab", c, dg, c)
-        xu = np.einsum("...kia,...ib->...kab", dc_x, g) + np.einsum("...ia,...kib->...kab", c, dg)
-        dtg[..., :n, :n, n:] = xu
-        dtg[..., :n, n:, :n] = np.swapaxes(xu, -1, -2)
-        dtg[..., :n, n:, n:] = dg
-        dcgc = np.einsum("...kia,...ib->...kab", dc_u, gc)
-        dtg[..., n:, :n, :n] = dcgc + np.swapaxes(dcgc, -1, -2)
-        xu = np.einsum("...kia,...ib->...kab", dc_u, g)
-        dtg[..., n:, :n, n:] = xu
-        dtg[..., n:, n:, :n] = np.swapaxes(xu, -1, -2)
-        return _koszul(_sasaki_blocks(g, c), dtg)
+        return _tg_gamma_tilde(z, *_stacked_jets(m, z[..., :n]))[1]
 
     return gamma_tilde
 
@@ -360,24 +380,6 @@ def _lift_jacobians(jet: BaseJet, u: np.ndarray, eps: int) -> np.ndarray:
     u_col = u[None, :, None]
     jac[n:, n:, :n] = -eps * u_col * (jet.dg @ u).T[:, None, :]  # [b, i, c] = -eps u^i d_c g_bk u^k
     jac[n:, n:, n:] = -eps * (u_col * jet.g[:, None, :] + (jet.g @ u)[:, None, None] * np.eye(n))
-    return jac
-
-
-def const_lift_jacobian_fn(m: ChartedMetric, w: np.ndarray, kind: str, eps: int):
-    """Exact z-Jacobian of the lift field of a constant base vector w: w contracted with ``_lift_jacobians``.
-
-    Available when the chart carries analytic metric derivatives; returns
-    None otherwise (callers then fall back to finite differences).
-    """
-    if m.deriv1_fn is None or m.deriv2_fn is None:
-        return None
-    n = m.dim
-    w = np.asarray(w, dtype=float)
-    part = slice(None, n) if kind == "h" else slice(n, None)
-
-    def jac(z: np.ndarray) -> np.ndarray:
-        return np.tensordot(w, _lift_jacobians(base_jet(m, z[:n]), z[n:], eps)[part], 1)
-
     return jac
 
 
@@ -507,7 +509,10 @@ class GaussOracle:
     """The oracle's context at one bundle point p.
 
     Gamma-tilde(z0), Tg(z0) and the normal N = (0; u) depend only on p, so
-    they are built once here; the Weingarten matrix W, the second
+    they are built once here, Tg and Gamma-tilde by one ``_tg_gamma_tilde``
+    step on the base jet at x on charts with analytic g' and g'' (bit for
+    bit ``sasaki_metric_fn(m)(z0)`` and ``sasaki_gamma_fn(m)(z0)``, which
+    build them on other charts); the Weingarten matrix W, the second
     fundamental form's matrix, the ambient curvature R-tilde of Tg, the
     induced curvature R-bar and the induced connection nabla-bar of the
     basis lift fields are built on first use, each as one read-only array.
@@ -525,17 +530,38 @@ class GaussOracle:
         self.m = m
         self.x, self.u, self.eps = p.x, p.u, p.eps
         self.z0 = np.concatenate([p.x, p.u])
-        self.gamma0 = sasaki_gamma_fn(m)(self.z0)
-        self.tg0 = sasaki_metric_fn(m)(self.z0)
+        if m.uses_fd_derivatives:
+            self.tg0, self.gamma0 = sasaki_metric_fn(m)(self.z0), sasaki_gamma_fn(m)(self.z0)
+        else:
+            jet = base_jet(m, p.x)
+            self.tg0, self.gamma0 = _tg_gamma_tilde(self.z0, jet.g, jet.dg, jet.gamma, jet.dgamma)
         self.n_ind = np.concatenate([np.zeros(m.dim), p.u])
 
     @cached_property
     def r_tilde(self) -> np.ndarray:
-        # the coarser second-derivative step is only needed when Gamma itself
-        # carries finite-difference noise
-        step = FD_STEP_SECOND if self.m.uses_fd_derivatives else FD_STEP_GAMMA
-        dgamma = quotient(sasaki_gamma_fn(self.m)(points(self.z0, step)), step)  # one call on the whole stencil
-        return _riemann(self.gamma0, dgamma)
+        """R-tilde of Tg at z0 from one Gamma-tilde evaluation on the whole central-difference stencil.
+
+        On charts with analytic g' and g'' the stencil's 2n x-rows are read and
+        built in one stacked step (``_jet_arrays``), kept by no memo, and its
+        2n u-rows reuse the jet at x; elsewhere ``sasaki_gamma_fn`` takes the
+        stencil, with the coarser second-derivative step, as Gamma itself
+        carries finite-difference noise there.
+        """
+        m, n = self.m, self.m.dim
+        if m.uses_fd_derivatives:
+            gamma = sasaki_gamma_fn(m)(points(self.z0, FD_STEP_SECOND))
+            return _riemann(self.gamma0, quotient(gamma, FD_STEP_SECOND))
+        rows = points(self.z0, FD_STEP_GAMMA)
+        x_rows = np.r_[:n, 2 * n : 3 * n]  # z0 +- step e_k moves x for k < n
+        g, dg, _, gamma, dgamma = _jet_arrays(m, rows[x_rows, :n])
+        jet = base_jet(m, self.x)
+        stacks = []
+        for at_rows, at_x in zip((g, dg, gamma, dgamma), (jet.g, jet.dg, jet.gamma, jet.dgamma)):
+            full = np.empty((4 * n,) + at_x.shape)
+            full[:] = at_x  # the u-rows sit at x
+            full[x_rows] = at_rows
+            stacks.append(full)
+        return _riemann(self.gamma0, quotient(_tg_gamma_tilde(rows, *stacks)[1], FD_STEP_GAMMA))
 
     @cached_property
     def w(self) -> np.ndarray:

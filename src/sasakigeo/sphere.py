@@ -219,7 +219,9 @@ class PointGeometry:
     = diag(g, g) is the induced metric on (h, t) parts.  For the bundle frame
     it keeps ``frame`` (the frame's parts matrix and signs) and h's matrix in
     that frame (``h_matrix``), so ``frame_at`` and ``h_at`` only wrap arrays
-    with p; like every kept array, neither refers to p.
+    with p; like every kept array, neither refers to p.  ``connection_xi``
+    is the connection term of nabla-bar_. xi, so ``nabla_xi`` is one product
+    and one add per call.
     """
 
     def __init__(self, m: ChartedMetric, p: SBPoint):
@@ -270,6 +272,12 @@ class PointGeometry:
         gb = np.array(self.base.connection)
         gb[n:, n:, n:] = -self.eps * np.einsum("oa,b->oab", np.eye(n), self.gu)
         return _read_only(gb)
+
+    @cached_property
+    def connection_xi(self) -> np.ndarray:
+        """The matrix of a -> Gamma-bar(a, XI) on parts, XI = (2u, 0) the parts of xi: the
+        connection term of nabla-bar_a xi (``contact.nabla_xi``), which fills the h slot."""
+        return _read_only(self.connection[:, :, : self.u.size] @ (2.0 * self.u))
 
     @cached_property
     def phi_parts(self) -> np.ndarray:

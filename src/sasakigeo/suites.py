@@ -125,13 +125,25 @@ def _chart(cfg: SuiteConfig) -> ChartedMetric:
 
 
 def _poly_field(n: int, rng: np.random.Generator):
-    """A smooth random polynomial vector field (degree 2 components)."""
+    """A smooth random polynomial vector field (degree 2 components).
+
+    The field keeps a read-only value for each x it has evaluated, keyed by
+    x's bytes: a field is a function of x (``BaseGeometry.nabla`` relies on
+    that too), and the suites ask for it at the same few points many times.
+    """
     a0 = rng.normal(size=n)
     a1 = rng.normal(size=(n, n))
     a2 = rng.normal(size=(n, n, n)) * 0.5
+    values = {}
 
     def fn(x):
-        return a0 + a1 @ x + np.einsum("ijk,j,k->i", a2, x, x)
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        if key not in values:
+            value = a0 + a1 @ x + np.einsum("ijk,j,k->i", a2, x, x)
+            value.flags.writeable = False
+            values[key] = value
+        return values[key]
 
     return fn
 

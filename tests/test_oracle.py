@@ -13,7 +13,6 @@ from sasakigeo.errors import PointMismatch
 from sasakigeo.manifold import SpaceFormSpec, christoffel_at, metric_at, riemann_at, space_form_chart
 from sasakigeo.oracle import (
     ambient_nabla,
-    const_lift_jacobian_fn,
     fd_christoffel,
     fd_exterior_derivative,
     fd_lie_bracket,
@@ -151,6 +150,21 @@ class TestHypersurfacePullback:
         p = sample_sb_point(m, -1, rng)
         g = metric_at(m, p.x)
         assert np.abs(2.0 * g @ p.u).max() > 1e-6
+
+
+def const_lift_jacobian_fn(m, w, kind, eps):
+    """Exact z-Jacobian of the lift field of a constant base vector w: w contracted with ``oracle._lift_jacobians``.
+
+    The chart must carry analytic g' and g''.
+    """
+    n = m.dim
+    w = np.asarray(w, dtype=float)
+    part = slice(None, n) if kind == "h" else slice(n, None)
+
+    def jac(z):
+        return np.tensordot(w, oracle._lift_jacobians(oracle.base_jet(m, z[:n]), z[n:], eps)[part], 1)
+
+    return jac
 
 
 def _ii_derivative_reference(m, p, a, b):
@@ -774,6 +788,21 @@ class TestStackedGaussOracle:
             z0 = np.concatenate([p.x, p.u])
             assert np.array_equal(GaussOracle(m, p).r_tilde, fd_riemann(sasaki_gamma_fn(m), z0, _r_tilde_step(m)))
 
+    @pytest.mark.parametrize("chart", ["space form", "bumpy"])
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_cold_context_equals_the_gamma_tilde_function_and_keeps_no_stencil_jet(self, rng, chart, eps):
+        m = _oracle_chart(chart)
+        p = sample_sb_point(m, eps, rng)
+        z0 = np.concatenate([p.x, p.u])
+        gauss = GaussOracle(m, p)
+        kept = len(m._oracle_jets)
+        r_tilde = gauss.r_tilde
+        assert len(m._oracle_jets) == kept  # the stencil's x-rows enter no memo
+        gamma_fn = sasaki_gamma_fn(m)
+        assert np.array_equal(gauss.gamma0, gamma_fn(z0))
+        assert np.array_equal(gauss.tg0, sasaki_metric_fn(m)(z0))
+        assert np.array_equal(r_tilde, fd_riemann(gamma_fn, z0, stencil.FD_STEP_GAMMA))
+
     @pytest.mark.parametrize("chart", CHARTS)
     @pytest.mark.parametrize("eps", [1, -1])
     def test_rbar_matches_the_per_call_gauss_formula(self, rng, chart, eps):
@@ -806,7 +835,7 @@ class TestStackedGaussOracle:
         m = _oracle_chart(chart)
         gauss = GaussOracle(m, sample_sb_point(m, -1, rng))
         shapes = []
-        make = oracle.sasaki_gamma_fn
+        make, step = oracle.sasaki_gamma_fn, oracle._tg_gamma_tilde
 
         def counted_make(m):
             gamma_fn = make(m)
@@ -817,7 +846,13 @@ class TestStackedGaussOracle:
 
             return counted
 
+        def counted_step(z, *jet):
+            shapes.append(np.shape(z))
+            return step(z, *jet)
+
+        # charts with analytic g', g'' take the Gamma-tilde step directly, the others sasaki_gamma_fn
         monkeypatch.setattr(oracle, "sasaki_gamma_fn", counted_make)
+        monkeypatch.setattr(oracle, "_tg_gamma_tilde", counted_step)
         gauss.r_tilde
         assert shapes == [(4 * m.dim, 2 * m.dim)]
 

@@ -372,6 +372,30 @@ class TestMatrixCharts:
         assert validations == [(2, 1, 0.0)] * 2
 
 
+def test_poly_field_evaluates_each_x_once_and_returns_read_only_values(monkeypatch):
+    n = 3
+    field = suites._poly_field(n, np.random.default_rng(7))
+    ref = np.random.default_rng(7)  # the same draws, for a fresh evaluation
+    a0, a1, a2 = ref.normal(size=n), ref.normal(size=(n, n)), ref.normal(size=(n, n, n)) * 0.5
+    xs = np.random.default_rng(8).normal(size=(4, n))
+    calls = []
+    einsum = np.einsum
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    asked = [*xs, *xs, xs[0].copy(), list(xs[1])]
+    values = [field(x) for x in asked]
+    monkeypatch.undo()
+    assert len(calls) == len(xs)  # one evaluation per distinct x
+    for x, value in zip(asked, values):
+        x = np.asarray(x)
+        assert np.array_equal(value, a0 + a1 @ x + np.einsum("ijk,j,k->i", a2, x, x))
+        assert not value.flags.writeable
+
+
 class TestEmitReport:
     def _report(self):
         return CheckReport.build(
