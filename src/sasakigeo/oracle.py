@@ -102,8 +102,7 @@ class BaseJet:
     inverted once (``ginv``), and Gamma is their Koszul step.  ``dgamma``
     is built on first use, from that g^-1 and the g'' the chart held when
     the jet was built: only the stencils of Gamma-tilde and of the exact
-    lift Jacobians need it.  ``BaseJet.stack`` builds the jets of many
-    points at once, ``dgamma`` included.
+    lift Jacobians need it.
     """
 
     def __init__(self, m: ChartedMetric, x: np.ndarray):
@@ -115,22 +114,6 @@ class BaseJet:
         self.x = _own(x)
         self._deriv2_fn = m.deriv2_fn if m.deriv1_fn is not None else None
         self.g, self.dg, self.ginv, self.gamma = (_own(a) for a in (g, dg, ginv, gamma))
-
-    @classmethod
-    def stack(cls, m: ChartedMetric, xs: np.ndarray) -> list:
-        """The jets at the rows of xs, ``dgamma`` included, on a chart with analytic g' and g''.
-
-        The chart is read once per row, and g^-1, Gamma and d Gamma are one
-        step each on the stack; each jet equals ``BaseJet(m, x)`` bit for bit.
-        """
-        g, dg, ginv, gamma, dgamma = _jet_arrays(m, xs)
-        jets = []
-        for k, x in enumerate(xs):
-            jet = cls.__new__(cls)
-            jet._fill(m, x, g[k], dg[k], ginv[k], gamma[k])
-            jet.__dict__["dgamma"] = _own(dgamma[k])  # what the cached property would build
-            jets.append(jet)
-        return jets
 
     @cached_property
     def dgamma(self) -> Optional[np.ndarray]:
@@ -226,31 +209,6 @@ def sasaki_metric_fn(m: ChartedMetric) -> Callable[[np.ndarray], np.ndarray]:
     return tg
 
 
-def _stacked_jets(m: ChartedMetric, x: np.ndarray) -> list:
-    """g, g', Gamma and d Gamma of the base jets at the rows of x, stacked in x's leading shape.
-
-    The jets the memo lacks are built together (``BaseJet.stack``) and kept
-    under the memo's rule.  The stack is gathered from the jets in hand, so
-    a stencil with more distinct rows than the memo holds builds none twice.
-    """
-    rows = x.reshape(-1, m.dim)
-    jets, new = {}, {}  # key -> jet in hand; key -> row the memo lacks
-    for row in rows:
-        key = row.tobytes()
-        if key not in jets:
-            jets[key] = _kept_jet(m, key)
-            if jets[key] is None:
-                new[key] = row
-    if new:
-        for key, jet in zip(new, BaseJet.stack(m, list(new.values()))):
-            jets[key] = _remember(m, key, jet)
-    kept = [jets[row.tobytes()] for row in rows]
-    return [
-        np.stack([getattr(jet, name) for jet in kept]).reshape(x.shape[:-1] + getattr(kept[0], name).shape)
-        for name in ("g", "dg", "gamma", "dgamma")
-    ]
-
-
 def _tg_gamma_tilde(z: np.ndarray, g, dg, gamma, dgamma) -> tuple:
     """(Tg, Gamma-tilde) at the rows of z = (x, u) whose base jets hold g, g', Gamma and d Gamma, for any stack of them.
 
@@ -280,27 +238,30 @@ def _tg_gamma_tilde(z: np.ndarray, g, dg, gamma, dgamma) -> tuple:
     return tg, _koszul(tg, dtg)
 
 
-def sasaki_gamma_fn(m: ChartedMetric) -> Callable[[np.ndarray], np.ndarray]:
-    """z -> Christoffel symbols of Tg, for z of shape (..., 2n) (one point or a stack of them).
+def _sasaki_at(m: ChartedMetric, z: np.ndarray) -> tuple:
+    """(Tg, Gamma-tilde) at one z = (x, u).
 
-    On charts with analytic g' and g'' each row of z takes g, g', Gamma and
-    d Gamma from the base jet at its x, and the whole stack takes one
-    ``_tg_gamma_tilde`` step; otherwise Tg is central-differenced row by row.
+    On charts with analytic g' and g'' both come from one ``_tg_gamma_tilde``
+    step on the base jet at x; otherwise Gamma-tilde is the Koszul step on
+    central differences of Tg, which reuses the Tg at z.
     """
-    tg = sasaki_metric_fn(m)
-    n = m.dim
+    z = np.asarray(z, dtype=float)
     if m.uses_fd_derivatives:
+        tg_fn = sasaki_metric_fn(m)
+        tg = tg_fn(z)
+        return tg, _koszul(tg, partials(tg_fn, z, FD_STEP_FIRST))
+    jet = base_jet(m, z[: m.dim])
+    return _tg_gamma_tilde(z, jet.g, jet.dg, jet.gamma, jet.dgamma)
 
-        def gamma_fd(z: np.ndarray) -> np.ndarray:
-            z = np.asarray(z, dtype=float)
-            rows = [fd_christoffel(tg, row) for row in z.reshape(-1, 2 * n)]
-            return np.array(rows).reshape(z.shape + (2 * n, 2 * n))
 
-        return gamma_fd
+def sasaki_gamma_fn(m: ChartedMetric) -> Callable[[np.ndarray], np.ndarray]:
+    """z -> Christoffel symbols of Tg, for z of shape (..., 2n) (one point or a stack of them), row by row (``_sasaki_at``)."""
+    n = m.dim
 
     def gamma_tilde(z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        return _tg_gamma_tilde(z, *_stacked_jets(m, z[..., :n]))[1]
+        rows = [_sasaki_at(m, row)[1] for row in z.reshape(-1, 2 * n)]
+        return np.array(rows).reshape(z.shape + (2 * n, 2 * n))
 
     return gamma_tilde
 
@@ -509,10 +470,8 @@ class GaussOracle:
     """The oracle's context at one bundle point p.
 
     Gamma-tilde(z0), Tg(z0) and the normal N = (0; u) depend only on p, so
-    they are built once here, Tg and Gamma-tilde by one ``_tg_gamma_tilde``
-    step on the base jet at x on charts with analytic g' and g'' (bit for
-    bit ``sasaki_metric_fn(m)(z0)`` and ``sasaki_gamma_fn(m)(z0)``, which
-    build them on other charts); the Weingarten matrix W, the second
+    they are built once here, Tg and Gamma-tilde by one ``_sasaki_at``; the
+    Weingarten matrix W, the second
     fundamental form's matrix, the ambient curvature R-tilde of Tg, the
     induced curvature R-bar and the induced connection nabla-bar of the
     basis lift fields are built on first use, each as one read-only array.
@@ -530,11 +489,7 @@ class GaussOracle:
         self.m = m
         self.x, self.u, self.eps = p.x, p.u, p.eps
         self.z0 = np.concatenate([p.x, p.u])
-        if m.uses_fd_derivatives:
-            self.tg0, self.gamma0 = sasaki_metric_fn(m)(self.z0), sasaki_gamma_fn(m)(self.z0)
-        else:
-            jet = base_jet(m, p.x)
-            self.tg0, self.gamma0 = _tg_gamma_tilde(self.z0, jet.g, jet.dg, jet.gamma, jet.dgamma)
+        self.tg0, self.gamma0 = _sasaki_at(m, self.z0)
         self.n_ind = np.concatenate([np.zeros(m.dim), p.u])
 
     @cached_property

@@ -770,16 +770,6 @@ class TestStackedGaussOracle:
     """Gamma-tilde on a whole stencil in one call, and R-bar as one parts-basis tensor per point."""
 
     @pytest.mark.parametrize("chart", CHARTS)
-    def test_stacked_gamma_tilde_equals_per_row_calls(self, rng, chart):
-        m = _oracle_chart(chart)
-        p = sample_sb_point(m, 1, rng)
-        rows = stencil.points(np.concatenate([p.x, p.u]), _r_tilde_step(m))
-        gamma_fn = sasaki_gamma_fn(m)
-        per_row = np.array([gamma_fn(row) for row in rows])
-        assert np.array_equal(gamma_fn(rows), per_row)
-        assert np.array_equal(gamma_fn(rows.reshape(2, -1, 2 * m.dim)), per_row.reshape((2, -1) + per_row.shape[1:]))
-
-    @pytest.mark.parametrize("chart", CHARTS)
     @pytest.mark.parametrize("eps", [1, -1])
     def test_r_tilde_equals_fd_riemann_bit_for_bit(self, rng, chart, eps):
         m = _oracle_chart(chart)
@@ -1108,7 +1098,7 @@ class TestBaseJet:
 
 
 class TestStackedJets:
-    """The jets of a Gamma-tilde stack that the memo lacks are built in one batch."""
+    """The base jets of R-tilde's stencil rows are built in one batch."""
 
     @pytest.mark.parametrize("chart", ["space form", "bumpy"])
     def test_a_fresh_r_tilde_stencil_inverts_the_base_metrics_once(self, monkeypatch, rng, chart):
@@ -1131,21 +1121,6 @@ class TestStackedJets:
             jet, ref = oracle.base_jet(m, x), oracle.BaseJet(m, x)
             for name in ("g", "dg", "ginv", "gamma", "dgamma"):
                 assert np.array_equal(getattr(jet, name), getattr(ref, name))
-
-    def test_a_stack_wider_than_the_memo_reads_each_row_once(self, rng):
-        m = bumpy_chart(3, 1)
-        reads = []
-        m.metric_fn = _counted(m.metric_fn, reads)
-        size = oracle.JET_MEMO_SIZE
-        xs = rng.uniform(-0.4, 0.4, size=(size + 5, 3))
-        stack = np.concatenate([xs, xs[::-1]])
-        g, dg, gamma, dgamma = oracle._stacked_jets(m, stack)
-        assert sorted(reads) == sorted(x.tobytes() for x in xs)
-        assert len(m._oracle_jets) == size
-        for k, x in enumerate(stack):
-            ref = oracle.BaseJet(bumpy_chart(3, 1), x)
-            for a, b in zip((g, dg, gamma, dgamma), (ref.g, ref.dg, ref.gamma, ref.dgamma)):
-                assert np.array_equal(a[k], b)
 
 
 def test_base_jet_inverts_g_once(monkeypatch, rng):
