@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -72,18 +73,33 @@ class ContactData:
     gcm: Callable[[SBVec, SBVec], float]
 
 
-@dataclass
 class HOperator:
-    """The tensor h tying nabla xi to phi, as a matrix in an SBFrame.
+    """The tensor h tying nabla xi to phi at ``at``: its pointwise action and its matrix in an SBFrame.
 
     h vanishes on xi and acts on ker(eta) by
     h(V^t) = (2 - eps) V^t - t{R(V, u)u},  h(X^h) = -eps X^h + h{R(X, u)u}.
+    ``apply`` is ``PointGeometry.h_parts`` on (h, t) parts; ``frame``
+    (``frame_at``) and ``matrix`` (``PointGeometry.h_matrix``) are read from
+    the point's geometry on first use, so an operator that only applies h
+    builds no frame.
     """
 
-    at: SBPoint
-    frame: SBFrame
-    matrix: np.ndarray
-    apply: Callable[[SBVec], SBVec]
+    def __init__(self, m: ChartedMetric, at: SBPoint):
+        self.at = at
+        self._m = m
+        self._geo = point_geometry(m, at)
+
+    @cached_property
+    def frame(self) -> SBFrame:
+        return frame_at(self._m, self.at)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self._geo.h_matrix
+
+    def apply(self, a: SBVec) -> SBVec:
+        require_same_sb_point(self.at, a)
+        return SBVec.of(self.at, self._geo.h_parts @ a.comps())
 
     def eigenvalues(self) -> np.ndarray:
         return np.sort(np.linalg.eigvals(self.matrix).real)
@@ -246,19 +262,9 @@ def nabla_xi(m: ChartedMetric, p: SBPoint, a: SBVec) -> SBVec:
 
 
 def h_at(m: ChartedMetric, p: SBPoint) -> HOperator:
-    """The operator h = (matrix in ``frame_at(m, p)``, pointwise action), wrapped with p.
-
-    The action is ``PointGeometry.h_parts`` on (h, t) parts, and the matrix
-    ``PointGeometry.h_matrix``, built from it once per point.
-    """
-    geo = point_geometry(m, p)
-    hmat = geo.h_parts
-
-    def apply(a: SBVec) -> SBVec:
-        require_same_sb_point(p, a)
-        return SBVec.of(p, hmat @ a.comps())
-
-    return HOperator(p, frame_at(m, p), geo.h_matrix, apply)
+    """The operator h at p (``HOperator``): its action is ``PointGeometry.h_parts`` on (h, t) parts, and
+    its frame and matrix in ``frame_at(m, p)`` are built once per point, when first read."""
+    return HOperator(m, p)
 
 
 def nabla_phi(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec) -> SBVec:
@@ -423,12 +429,16 @@ def killing_residual(m: ChartedMetric, p: SBPoint) -> float:
 
 def xi_plane_curvature(m: ChartedMetric, p: SBPoint, a: SBVec) -> float:
     """Sectional curvature (for g_cm) of the plane spanned by xi and a."""
-    data = contact_data_at(m, p)
+    return _xi_plane_curvature(m, contact_data_at(m, p), a)
+
+
+def _xi_plane_curvature(m: ChartedMetric, data: ContactData, a: SBVec) -> float:
+    """``xi_plane_curvature`` from the ``contact_data_at`` of the point, built once for all its planes."""
     xi = data.xi
     den = data.gcm(xi, xi) * data.gcm(a, a) - data.gcm(xi, a) ** 2
     if abs(den) <= 1e-8:
         raise DegeneratePlane("plane span(xi, a) is degenerate")
-    riem = sb_curvature(m, p, xi, a, a)
+    riem = sb_curvature(m, data.at, xi, a, a)
     return data.gcm(riem, xi) / den
 
 
@@ -462,7 +472,7 @@ def _k_contact_rows(m: ChartedMetric, points: list, rng: np.random.Generator, sa
             den = data.gcm(data.xi, data.xi) * data.gcm(a, a) - data.gcm(data.xi, a) ** 2
             if abs(den) <= 1e-4:
                 continue
-            yield "K(xi-plane) = eps", abs(xi_plane_curvature(m, p, a) - eps), 1e-5
+            yield "K(xi-plane) = eps", abs(_xi_plane_curvature(m, data, a) - eps), 1e-5
             planes += 1
     if not planes:  # a check that measured no plane has shown nothing, so it fails
         yield "K(xi-plane) = eps", math.inf, 1e-5
@@ -470,14 +480,18 @@ def _k_contact_rows(m: ChartedMetric, points: list, rng: np.random.Generator, sa
 
 def phi_sectional(m: ChartedMetric, p: SBPoint, a: SBVec) -> float:
     """Sectional curvature (for g_cm) of span(a, phi a) for a in ker eta."""
-    data = contact_data_at(m, p)
+    return _phi_sectional(m, contact_data_at(m, p), a)
+
+
+def _phi_sectional(m: ChartedMetric, data: ContactData, a: SBVec) -> float:
+    """``phi_sectional`` from the ``contact_data_at`` of the point, built once for all its planes."""
     if abs(data.eta(a)) > 1e-10:
         raise DegeneratePlane("phi-sectional curvature needs a in ker(eta)")
     phia = data.phi(a)
     den = data.gcm(a, a) * data.gcm(phia, phia) - data.gcm(a, phia) ** 2
     if abs(den) <= 1e-8:
         raise DegeneratePlane("plane span(a, phi a) is degenerate")
-    riem = sb_curvature(m, p, a, phia, phia)
+    riem = sb_curvature(m, data.at, a, phia, phia)
     return data.gcm(riem, a) / den
 
 

@@ -170,22 +170,28 @@ def riemann_at(m: ChartedMetric, x: Point) -> np.ndarray:
     return _curvature_pass(m, np.asarray(x, dtype=float))[2]
 
 
-def nabla_riemann_full(m: ChartedMetric, x: Point) -> np.ndarray:
+def nabla_riemann_full(m: ChartedMetric, x: Point, curvature: Optional[tuple] = None) -> np.ndarray:
     """All components (nabla_m R)(e_a, e_b)e_c at x (index order [m, i, a, b, c]).
 
-    One curvature pass runs on x and its central-difference stencil: row 0
-    gives Gamma and R at x, and d_m R is the difference quotient of the
-    other rows, corrected on all four slots with the Christoffel symbols.
-    Charts flagged ``locally_symmetric`` (space forms) short-circuit to zero.
+    d_m R is the difference quotient of one curvature pass on x's
+    central-difference stencil, corrected on all four slots with the
+    Christoffel symbols at x.  ``curvature`` = (Gamma, R) at x, from a pass
+    already run there, is used as given; without it, x is row 0 of the same
+    pass.  Charts flagged ``locally_symmetric`` (space forms) short-circuit
+    to zero.
     """
     x = np.asarray(x, dtype=float)
     n = m.dim
     if m.locally_symmetric:
         return np.zeros((n, n, n, n, n))
-    _, gammas, rs = _curvature_pass(m, np.concatenate([x[None], points(x, FD_STEP_FIRST)]))
-    gamma, r = gammas[0], rs[0]
+    rows = points(x, FD_STEP_FIRST)
+    if curvature is None:
+        _, gammas, rs = _curvature_pass(m, np.concatenate([x[None], rows]))
+        gamma, r, rs = gammas[0], rs[0], rs[1:]
+    else:
+        (gamma, r), (_, _, rs) = curvature, _curvature_pass(m, rows)
     return (
-        quotient(rs[1:], FD_STEP_FIRST)
+        quotient(rs, FD_STEP_FIRST)
         + np.einsum("imp,pjkl->mijkl", gamma, r)
         - np.einsum("pmj,ipkl->mijkl", gamma, r)
         - np.einsum("pmk,ijpl->mijkl", gamma, r)
@@ -250,16 +256,17 @@ def space_form_chart(spec: SpaceFormSpec) -> ChartedMetric:
     def metric_fn(x):
         return eps_diag / conf(x) ** 2
 
+    half_c_signs = 0.5 * c * signs  # d_k F = half_c_signs[k] x_k
+    ddf = 0.5 * c * eps_diag  # d_k d_l F
+
     def deriv1_fn(x):
-        f = conf(x)
-        df = 0.5 * c * signs * x  # d_k F
-        return (-2.0 * df / f**3)[:, None, None] * eps_diag
+        df = half_c_signs * x
+        return (-2.0 * df / conf(x) ** 3)[:, None, None] * eps_diag
 
     def deriv2_fn(x):
         f = conf(x)
-        df = 0.5 * c * signs * x
-        ddf = 0.5 * c * np.diag(signs)  # d_k d_l F
-        coef = 6.0 * np.outer(df, df) / f**4 - 2.0 * ddf / f**3
+        df = half_c_signs * x
+        coef = 6.0 * (df[:, None] * df) / f**4 - 2.0 * ddf / f**3
         return coef[:, :, None, None] * eps_diag
 
     return ChartedMetric(

@@ -110,6 +110,14 @@ class BaseJet:
         ginv = _inv(g)
         self._fill(m, x, g, dg, ginv, _koszul_inv(ginv, dg))
 
+    @classmethod
+    def _of(cls, m: ChartedMetric, x, g, dg, ginv, gamma, dgamma) -> "BaseJet":
+        """The jet at x from the arrays one row of ``_jet_arrays`` holds there."""
+        jet = cls.__new__(cls)
+        jet._fill(m, x, g, dg, ginv, gamma)
+        jet.dgamma = _own(dgamma)
+        return jet
+
     def _fill(self, m: ChartedMetric, x, g, dg, ginv, gamma) -> None:
         self.x = _own(x)
         self._deriv2_fn = m.deriv2_fn if m.deriv1_fn is not None else None
@@ -469,12 +477,13 @@ def _from_induced(m: ChartedMetric, p: SBPoint, w: np.ndarray) -> SBVec:
 class GaussOracle:
     """The oracle's context at one bundle point p.
 
-    Gamma-tilde(z0), Tg(z0) and the normal N = (0; u) depend only on p, so
-    they are built once here, Tg and Gamma-tilde by one ``_sasaki_at``; the
-    Weingarten matrix W, the second
-    fundamental form's matrix, the ambient curvature R-tilde of Tg, the
-    induced curvature R-bar and the induced connection nabla-bar of the
-    basis lift fields are built on first use, each as one read-only array.
+    Tg(z0), Gamma-tilde(z0) (``tg0``, ``gamma0``), the Weingarten matrix W,
+    the second fundamental form's matrix, the ambient curvature R-tilde of
+    Tg, the induced curvature R-bar and the induced connection nabla-bar of
+    the basis lift fields depend only on p, so each is built once, on first
+    use.  Tg and Gamma-tilde at z0 come from one ``_tg_gamma_tilde`` step:
+    row 0 of R-tilde's stencil step when R-tilde is built first, else one
+    ``_sasaki_at``.
     ``curvature``, ``second_fundamental_form``, ``nabla_endomorphism`` and
     ``sb_nabla_via_ambient`` only contract them with the sampled vectors.
     ``gauss_oracle`` keeps one context per (chart, point) on the point, and
@@ -489,16 +498,31 @@ class GaussOracle:
         self.m = m
         self.x, self.u, self.eps = p.x, p.u, p.eps
         self.z0 = np.concatenate([p.x, p.u])
-        self.tg0, self.gamma0 = _sasaki_at(m, self.z0)
         self.n_ind = np.concatenate([np.zeros(m.dim), p.u])
+
+    @cached_property
+    def _at_z0(self) -> tuple:
+        """(Tg, Gamma-tilde) at z0 by one ``_sasaki_at``, unless ``r_tilde`` has taken them from its stack."""
+        return _sasaki_at(self.m, self.z0)
+
+    @property
+    def tg0(self) -> np.ndarray:
+        return self._at_z0[0]
+
+    @property
+    def gamma0(self) -> np.ndarray:
+        return self._at_z0[1]
 
     @cached_property
     def r_tilde(self) -> np.ndarray:
         """R-tilde of Tg at z0 from one Gamma-tilde evaluation on the whole central-difference stencil.
 
-        On charts with analytic g' and g'' the stencil's 2n x-rows are read and
-        built in one stacked step (``_jet_arrays``), kept by no memo, and its
-        2n u-rows reuse the jet at x; elsewhere ``sasaki_gamma_fn`` takes the
+        On charts with analytic g' and g'' one ``_tg_gamma_tilde`` step takes
+        z0 and its 4n stencil rows.  The jets of x and of the 2n x-rows are
+        read and built in one stacked step (``_jet_arrays``), and the 2n
+        u-rows sit on the jet at x.  The jet at x enters the memo when the
+        memo lacks it, and no x-row's does; row 0 gives ``tg0`` and
+        ``gamma0`` when they are not built yet.  Elsewhere ``sasaki_gamma_fn`` takes the
         stencil, with the coarser second-derivative step, as Gamma itself
         carries finite-difference noise there.
         """
@@ -506,17 +530,21 @@ class GaussOracle:
         if m.uses_fd_derivatives:
             gamma = sasaki_gamma_fn(m)(points(self.z0, FD_STEP_SECOND))
             return _riemann(self.gamma0, quotient(gamma, FD_STEP_SECOND))
-        rows = points(self.z0, FD_STEP_GAMMA)
-        x_rows = np.r_[:n, 2 * n : 3 * n]  # z0 +- step e_k moves x for k < n
-        g, dg, _, gamma, dgamma = _jet_arrays(m, rows[x_rows, :n])
-        jet = base_jet(m, self.x)
+        rows = np.concatenate([self.z0[None], points(self.z0, FD_STEP_GAMMA)])
+        read = np.r_[0, 1 : n + 1, 2 * n + 1 : 3 * n + 1]  # z0, then the rows z0 +- step e_k with k < n, which move x
+        g, dg, ginv, gamma, dgamma = _jet_arrays(m, rows[read, :n])
+        key = self.x.tobytes()
+        if _kept_jet(m, key) is None:
+            _remember(m, key, BaseJet._of(m, self.x, g[0], dg[0], ginv[0], gamma[0], dgamma[0]))
         stacks = []
-        for at_rows, at_x in zip((g, dg, gamma, dgamma), (jet.g, jet.dg, jet.gamma, jet.dgamma)):
-            full = np.empty((4 * n,) + at_x.shape)
-            full[:] = at_x  # the u-rows sit at x
-            full[x_rows] = at_rows
+        for at_rows in (g, dg, gamma, dgamma):
+            full = np.empty((4 * n + 1,) + at_rows.shape[1:])
+            full[:] = at_rows[0]  # the u-rows sit at x
+            full[read] = at_rows
             stacks.append(full)
-        return _riemann(self.gamma0, quotient(_tg_gamma_tilde(rows, *stacks)[1], FD_STEP_GAMMA))
+        tg, gamma_tilde = _tg_gamma_tilde(rows, *stacks)
+        vars(self).setdefault("_at_z0", (tg[0].copy(), gamma_tilde[0].copy()))
+        return _riemann(self.gamma0, quotient(gamma_tilde[1:], FD_STEP_GAMMA))
 
     @cached_property
     def w(self) -> np.ndarray:
@@ -555,8 +583,9 @@ class GaussOracle:
         is pulled back from parts by E = [[I, 0], [-C, I]] (``_embed_induced``) and the output
         is mapped to parts by F (``_parts_maps``).
         """
+        r_tilde = self.r_tilde  # before W and II: a cold R-tilde step also yields the Gamma-tilde(z0) they read
         w, ii = self.w, self.ii
-        rind = self.r_tilde - np.einsum("ia,cb->iabc", w, ii) + np.einsum("ib,ca->iabc", w, ii)
+        rind = r_tilde - np.einsum("ia,cb->iabc", w, ii) + np.einsum("ib,ca->iabc", w, ii)
         _, _, e, f = self._parts_maps
         rb = np.einsum("oi,iabc->oabc", f, rind) @ e
         rb = np.einsum("oajc,jb->oabc", rb, e)

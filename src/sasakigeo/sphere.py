@@ -213,13 +213,15 @@ class PointGeometry:
     R is ``base.riem`` (``riemann_at``, operator order), ``ruu[i, a]`` is the
     i-component of R(e_a, u)u, and ``proj`` = I - eps u (g u)^T maps a
     vertical part to its u-orthogonal tangential representative.
-    ``nabla_r`` is ``nabla_riemann_full``, or None when the chart is locally
-    symmetric (then it is zero).  ``base_frame`` is read off one SVD of
+    ``nabla_r`` is ``nabla_riemann_full`` on the Gamma and R the point
+    already holds, or None when the chart is locally symmetric (then it is
+    zero).  ``base_frame`` is read off one SVD of
     ``proj`` and one eigendecomposition of the metric on its range.  ``gbar``
     = diag(g, g) is the induced metric on (h, t) parts.  For the bundle frame
     it keeps ``frame`` (the frame's parts matrix and signs) and h's matrix in
-    that frame (``h_matrix``), so ``frame_at`` and ``h_at`` only wrap arrays
-    with p; like every kept array, neither refers to p.  ``connection_xi``
+    that frame (``h_matrix``), both built on first use, so ``frame_at`` and
+    ``h_at`` only wrap arrays with p; like every kept array, neither refers
+    to p.  ``connection_xi``
     is the connection term of nabla-bar_. xi, so ``nabla_xi`` is one product
     and one add per call.
     """
@@ -239,9 +241,10 @@ class PointGeometry:
 
     @cached_property
     def gbar(self) -> np.ndarray:
-        g = self.base.g
-        zero = np.zeros_like(g)
-        return _read_only(np.block([[g, zero], [zero, g]]))
+        n = self.u.size
+        gb = np.zeros((2 * n, 2 * n))
+        gb[:n, :n] = gb[n:, n:] = self.base.g
+        return _read_only(gb)
 
     def tangential_part(self, x: np.ndarray) -> np.ndarray:
         """The u-orthogonal t part X - eps g(X, u) u of the tangential lift X^t."""
@@ -255,7 +258,7 @@ class PointGeometry:
     def nabla_r(self) -> np.ndarray | None:
         if self.m.locally_symmetric:
             return None
-        return _read_only(nabla_riemann_full(self.m, self.base.x))
+        return _read_only(nabla_riemann_full(self.m, self.base.x, (self.base.gamma, self.base.riem)))
 
     @cached_property
     def rbar(self) -> np.ndarray:
@@ -287,8 +290,11 @@ class PointGeometry:
         phi(X^h) = (P X)^t and phi(W^t) = -W^h.  The -I block leaves the t part
         as it is: a second P on an already projected part only adds rounding.
         """
-        zero = np.zeros_like(self.proj)
-        return _read_only(np.block([[zero, -np.eye(self.u.size)], [self.proj, zero]]))
+        n = self.u.size
+        phi = np.zeros((2 * n, 2 * n))
+        phi[:n, n:] = -np.eye(n)
+        phi[n:, :n] = self.proj
+        return _read_only(phi)
 
     @cached_property
     def h_parts(self) -> np.ndarray:

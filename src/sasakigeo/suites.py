@@ -334,7 +334,7 @@ def _suite_phi_sectional(cfg: SuiteConfig, m: ChartedMetric, params: dict):
             den = data.gcm(a, a) * data.gcm(phia, phia) - data.gcm(a, phia) ** 2
             if abs(den) <= 1e-4:
                 continue
-            values.append(ct.phi_sectional(m, p, a))
+            values.append(ct._phi_sectional(m, data, a))
     values = np.array(values)
     spread = float(values.max() - values.min()) if values.size else float("inf")
     mean = float(values.mean()) if values.size else float("nan")

@@ -407,9 +407,13 @@ class TestOnePassCurvature:
             for a, b in zip(stacked, manifold._curvature_pass(m, xs[idx])):
                 assert np.array_equal(a[idx], b)
 
-    def test_nabla_riemann_inverts_once_and_reads_each_callable_per_stencil_row(self, monkeypatch, rng):
+    @pytest.mark.parametrize("given", [False, True], ids=["alone", "with the point's curvature"])
+    def test_nabla_riemann_inverts_once_and_reads_each_callable_per_stencil_row(self, monkeypatch, rng, given):
+        # alone, x is row 0 of the pass; with the (Gamma, R) already held at x, only the 2n stencil rows are read
         m = bumpy_chart(3, 1)
         x = sample_domain_point(m, rng, box=0.4)
+        curvature = manifold._curvature_pass(m, x)[1:] if given else None
+        rows = 2 * m.dim + (0 if given else 1)
         calls = {"metric_fn": 0, "deriv1_fn": 0, "deriv2_fn": 0}
 
         def counted(name):
@@ -430,9 +434,20 @@ class TestOnePassCurvature:
             return real(a)
 
         monkeypatch.setattr(manifold.np.linalg, "inv", counted_inv)
-        nabla_riemann_full(counting, x)
-        assert inversions == [(2 * m.dim + 1, m.dim, m.dim)]
-        assert calls == dict.fromkeys(calls, 2 * m.dim + 1)
+        nabla_riemann_full(counting, x, curvature)
+        assert inversions == [(rows, m.dim, m.dim)]
+        assert calls == dict.fromkeys(calls, rows)
+
+    @pytest.mark.parametrize("chart", ["bumpy", "no derivatives"])
+    @pytest.mark.parametrize("n,nu", [(2, 0), (3, 1)])
+    def test_nabla_riemann_takes_the_same_bits_with_and_without_the_points_curvature(self, rng, chart, n, nu):
+        m = bumpy_chart(n, nu, seed=4)
+        if chart == "no derivatives":
+            m = replace(m, deriv1_fn=None, deriv2_fn=None)
+        for _ in range(3):
+            x = sample_domain_point(m, rng, box=0.4)
+            _, gamma, r = manifold._curvature_pass(m, x, metric_at(m, x))
+            assert np.array_equal(nabla_riemann_full(m, x, (gamma, r)), nabla_riemann_full(m, x))
 
     @pytest.mark.parametrize("n,nu,c", [(2, 0, 1.0), (3, 1, -1.0), (3, 0, 2.5)])
     def test_validation_computes_r_once_per_point(self, monkeypatch, n, nu, c):

@@ -785,9 +785,9 @@ class TestStackedGaussOracle:
         p = sample_sb_point(m, eps, rng)
         z0 = np.concatenate([p.x, p.u])
         gauss = GaussOracle(m, p)
-        kept = len(m._oracle_jets)
+        kept = set(m._oracle_jets)
         r_tilde = gauss.r_tilde
-        assert len(m._oracle_jets) == kept  # the stencil's x-rows enter no memo
+        assert set(m._oracle_jets) - kept == {p.x.tobytes()}  # the jet at x enters the memo, the stencil's x-rows do not
         gamma_fn = sasaki_gamma_fn(m)
         assert np.array_equal(gauss.gamma0, gamma_fn(z0))
         assert np.array_equal(gauss.tg0, sasaki_metric_fn(m)(z0))
@@ -844,7 +844,28 @@ class TestStackedGaussOracle:
         monkeypatch.setattr(oracle, "sasaki_gamma_fn", counted_make)
         monkeypatch.setattr(oracle, "_tg_gamma_tilde", counted_step)
         gauss.r_tilde
-        assert shapes == [(4 * m.dim, 2 * m.dim)]
+        # with analytic g', g'' the step also takes z0, as row 0, for Tg and Gamma-tilde there
+        assert shapes == [(4 * m.dim + (0 if m.uses_fd_derivatives else 1), 2 * m.dim)]
+
+    @pytest.mark.parametrize("chart", ["space form", "bumpy"])
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_r_tilde_first_and_gamma0_first_give_the_same_bits(self, rng, chart, eps):
+        p = sample_sb_point(_oracle_chart(chart), eps, rng)
+        contexts, jets = [], []
+        for first in ("r_tilde", "gamma0"):
+            m = _oracle_chart(chart)  # a fresh jet memo
+            gauss = GaussOracle(m, p)
+            getattr(gauss, first)
+            jet = oracle.base_jet(m, p.x)  # row 0 of R-tilde's jet step, or the jet Gamma-tilde(z0) was read from
+            gauss.r_tilde
+            assert oracle.base_jet(m, p.x) is jet
+            contexts.append(gauss)
+            jets.append(jet)
+        for name in ("tg0", "gamma0", "r_tilde"):
+            assert np.array_equal(getattr(contexts[0], name), getattr(contexts[1], name)), name
+        for name in ("x", "g", "dg", "ginv", "gamma", "dgamma"):
+            assert np.array_equal(getattr(jets[0], name), getattr(jets[1], name)), name
+            assert not getattr(jets[0], name).flags.writeable
 
     def test_curvature_calls_read_no_jet_and_no_gamma_tilde(self, monkeypatch, rng):
         m = bumpy_chart(3, 1)
@@ -957,7 +978,8 @@ class TestOracleNablaArray:
     def test_the_array_reads_only_the_base_jet_and_gamma_tilde(self, monkeypatch, rng, chart):
         m = space_form_chart(SpaceFormSpec(3, 1, 2.0)) if chart == "space form" else bumpy_chart(3, 1)
         p = sample_sb_point(m, -1, rng)
-        gauss = gauss_oracle(m, p)  # Gamma-tilde(z0) is built with the context
+        gauss = gauss_oracle(m, p)
+        gauss.gamma0  # Gamma-tilde(z0) is built on first use, here before the patches
         pairs = [(rng.normal(size=3), rng.normal(size=3), kx, ky) for kx, ky in LIFT_PAIRS]
         calls = []
 
@@ -1114,8 +1136,8 @@ class TestStackedJets:
 
         monkeypatch.setattr(oracle, "_inv", counted)
         gauss.r_tilde
-        # one inversion of the 2n new base metrics, then the one of the stacked Tg
-        assert shapes == [(2 * n, n, n), (4 * n, 2 * n, 2 * n)]
+        # one inversion of the base metrics at x and its 2n x-rows, then the one of the stacked Tg at z0 and its stencil
+        assert shapes == [(2 * n + 1, n, n), (4 * n + 1, 2 * n, 2 * n)]
         z_rows = stencil.points(gauss.z0, stencil.FD_STEP_GAMMA)
         for x in {row[:n].tobytes(): row[:n] for row in z_rows}.values():
             jet, ref = oracle.base_jet(m, x), oracle.BaseJet(m, x)

@@ -535,9 +535,9 @@ class TestPointGeometry:
         calls = []
         real = manifold.nabla_riemann_full
 
-        def counted(m, x):
-            calls.append(None)
-            return real(m, x)
+        def counted(m, x, curvature=None):
+            calls.append(curvature)
+            return real(m, x, curvature)
 
         patch_everywhere(monkeypatch, real, counted)
         m = bumpy_chart(2, 1)
@@ -547,7 +547,9 @@ class TestPointGeometry:
         sb_curvature(m, p, c, b, a)
         km = contact.kappa_mu_for_space_form(1.0, -1)
         contact.kappa_mu_residual(m, p, km, rng, num_samples=6)
-        assert len(calls) == 1
+        base = point_geometry(m, p).base
+        assert len(calls) == 1  # and it reads the Gamma and R the point already holds at x
+        assert calls[0][0] is base.gamma and calls[0][1] is base.riem
 
     def test_each_chart_gets_its_own_values(self):
         x, u = np.array([0.1, -0.2]), np.array([0.3, 1.1])

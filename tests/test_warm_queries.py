@@ -3,6 +3,7 @@ R-bar contracted as 2-D products, and the frame arrays a ``PointGeometry`` keeps
 
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -226,6 +227,50 @@ class TestKeptFrameArrays:
         m.metric_fn = lambda x, fn=m.metric_fn: fn(x)  # the same metric through a new callable
         again = h_at(m, p).matrix
         assert len(builds) == 2 and again is not first[0] and np.array_equal(again, first[0])
+
+
+    @pytest.mark.parametrize("chart,eps", CHART_EPS)
+    def test_apply_builds_no_frame_and_the_eigenvalues_stay(self, rng, chart, eps):
+        m = _chart(chart)
+        p = sample_sb_point(m, eps, rng)
+        geo = point_geometry(m, p)
+        hop = h_at(m, p)
+        a = sample_sb_vec(m, p, rng)
+        assert np.array_equal(hop.apply(a).comps(), geo.h_parts @ a.comps())
+        assert not {"base_frame", "frame", "h_matrix"} & set(vars(geo))
+        assert np.array_equal(hop.eigenvalues(), np.sort(np.linalg.eigvals(geo.h_matrix).real))
+        assert hop.frame.parts() is geo.frame[0] and hop.at is p
+
+
+class TestColdPoint:
+    """A cold bundle point reads g', g'' at x and at its 2n stencil rows once on each side:
+    the closed forms once and the independent oracle once."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("eps", [1, -1])
+    @pytest.mark.parametrize("oracle_first", [False, True], ids=["closed form first", "oracle first"])
+    def test_the_first_queries_read_the_chart_at_the_budget(self, n, eps, oracle_first):
+        calls = {"metric_fn": 0, "deriv1_fn": 0, "deriv2_fn": 0}
+
+        def counted(name, fn):
+            def wrapped(x):
+                calls[name] += 1
+                return fn(x)
+
+            return wrapped
+
+        bumpy = bumpy_chart(n, 1)
+        m = replace(bumpy, **{name: counted(name, getattr(bumpy, name)) for name in calls})
+        rng = np.random.default_rng(11)
+        p = sample_sb_point(m, eps, rng)  # reads g at x
+        a, b, c = (sample_sb_vec(m, p, rng) for _ in range(3))
+        calls.update(dict.fromkeys(calls, 0))
+        queries = [lambda: sb_curvature(m, p, a, b, c), lambda: gauss_curvature_oracle(m, p, a, b, c)]
+        for query in queries[::-1] if oracle_first else queries:
+            query()
+        h_at(m, p).apply(a)
+        # 2n + 1 rows on the oracle side, x's g' and g'' and the 2n rows of nabla R on the closed side
+        assert calls == {"metric_fn": 4 * n + 1, "deriv1_fn": 4 * n + 2, "deriv2_fn": 4 * n + 2}
 
 
 def _ops():
