@@ -35,6 +35,7 @@ from .oracle import (
     fd_nijenhuis,
     geodesic_flow_field_fn,
     hypersurface_pullback,
+    read_stencil_jets,
     sasaki_metric_fn,
     sb_lift_field_fn,
 )
@@ -142,7 +143,9 @@ def d_eta_tensor(m: ChartedMetric, p: SBPoint) -> np.ndarray:
     point, from raw metric components only.  The factor 1/2 is the
     normalization d(eta)(A, B) = (1/2)[A(eta(B)) - B(eta(A)) - eta([A, B])].
     """
-    return fd_exterior_derivative(eta_form_fn(m, p.eps), np.concatenate([p.x, p.u]))
+    z0 = np.concatenate([p.x, p.u])
+    read_stencil_jets(m, z0)
+    return fd_exterior_derivative(eta_form_fn(m, p.eps), z0)
 
 
 def phi_matrix_fn(m: ChartedMetric, eps: int):
@@ -310,7 +313,6 @@ def nabla_phi_defn(
     is differentiated by the product rule; a(s) is eps g(nabla_X Y, u) for a
     horizontal direction and eps g(Y, W) for a tangential direction W.
     """
-    data = contact_data_at(m, p)
     geo = point_geometry(m, p)
     g = geo.base.g
     u, eps = p.u, p.eps
@@ -329,7 +331,7 @@ def nabla_phi_defn(
         a_vec = lift(m, p, kind_a, xval)
         xi_prime = horizontal_sb(p, u)
         term1 = term1 + a_of_s * xi_prime + (0.5 * s0) * nabla_xi(m, p, a_vec)
-    term2 = data.phi(sb_nabla(m, xfield, yfield, kind_a, kind_b, p))
+    term2 = SBVec.of(p, geo.phi_parts @ sb_nabla(m, xfield, yfield, kind_a, kind_b, p).comps())
     return term1 - term2
 
 
@@ -422,8 +424,10 @@ def killing_residual(m: ChartedMetric, p: SBPoint) -> float:
 
     xi is tangent to T_eps M, so L_xi g_cm = (1/4) J^T (L_xi Tg) J, with J the chart's exact Jacobian at p.
     """
+    z0 = np.concatenate([p.x, p.u])
+    read_stencil_jets(m, z0)
     j = hypersurface_pullback(m, p).jacobian
-    lie = fd_lie_derivative_metric(geodesic_flow_field_fn(m), sasaki_metric_fn(m), np.concatenate([p.x, p.u]))
+    lie = fd_lie_derivative_metric(geodesic_flow_field_fn(m), sasaki_metric_fn(m), z0)
     return float(np.abs(0.25 * (j.T @ lie @ j)).max())
 
 
@@ -516,6 +520,7 @@ def _sasakian_rows(m: ChartedMetric, p: SBPoint, rng: np.random.Generator, num_s
     data = contact_data_at(m, p)
     eps = p.eps
     z0 = np.concatenate([p.x, p.u])
+    read_stencil_jets(m, z0)
     nphi_t = fd_nijenhuis(phi_matrix_fn(m, eps), z0)
     deta_t = d_eta_tensor(m, p)
     xi_ind = geodesic_flow_field_fn(m)(z0)

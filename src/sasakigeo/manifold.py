@@ -289,16 +289,20 @@ def validate_space_form(
 ) -> float:
     """Max |K - c| over sampled nondegenerate planes; raises ``SpaceFormMismatch`` if above 1e-8 or not finite.
 
-    g and R are computed once per sampled point and serve all of its planes.
+    Each point is drawn with its ``SPACE_FORM_PLANES`` planes in turn, and
+    then one ``_curvature_pass`` over the (num_points, n) stack of points
+    gives the g and R that serve all of their planes.
     """
     from .sampling import sample_domain_point, sample_tangent_plane
 
-    worst = 0.0
+    xs, planes = [], []
     for _ in range(num_points):
-        x = sample_domain_point(m, rng)
-        g, r = metric_at(m, x), riemann_at(m, x)
-        for _ in range(SPACE_FORM_PLANES):
-            xv, yv = sample_tangent_plane(m, x, rng)
+        xs.append(sample_domain_point(m, rng))
+        planes.append([sample_tangent_plane(m, xs[-1], rng) for _ in range(SPACE_FORM_PLANES)])
+    gs, _, rs = _curvature_pass(m, np.array(xs))
+    worst = 0.0
+    for g, r, point_planes in zip(gs, rs, planes):
+        for xv, yv in point_planes:
             dev = abs(_sectional(g, r, xv, yv) - spec.curvature)
             if not math.isfinite(dev):
                 raise SpaceFormMismatch(f"space form validation failed: K - c = {dev} for {spec}")

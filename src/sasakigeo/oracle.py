@@ -4,7 +4,8 @@ Everything in this module is built from raw metric components (plus the
 chart's own analytic derivative callables when supplied) and never consumes
 Christoffel or curvature values computed by the closed-form modules; the
 chart keeps the oracle's own base jets (``base_jet``) for its latest base
-points, so stencils that share a base point read the metric there once.  It
+points, so stencils that share a base point read the metric there once, and
+a per-point stencil reads the jets it lacks in one stacked step.  It
 certifies: the Koszul symbols, the coordinate curvature, the bracket
 identities, the induced-hypersurface metric, and the sphere-bundle
 connection/curvature via the Gauss equation in the induced chart of TM.
@@ -98,30 +99,15 @@ class BaseJet:
     """The oracle's raw data of the base chart at one x; every array is read-only.
 
     g and g' (``dg[c]`` = d_c g; analytic when supplied, else central
-    differences) are read from the chart when the jet is built, g is
-    inverted once (``ginv``), and Gamma is their Koszul step.  ``dgamma``
-    is built on first use, from that g^-1 and the g'' the chart held when
-    the jet was built: only the stencils of Gamma-tilde and of the exact
-    lift Jacobians need it.
+    differences), g^-1 (``ginv``) and Gamma, their Koszul step, are row
+    views of one ``_jet_arrays`` step: ``_read_jets`` builds every jet, and
+    ``BaseJet(m, x)`` is its one-row case.  ``dgamma`` is built on first
+    use, from that g^-1 and the g'' the chart held when the jet was built:
+    only the stencils of Gamma-tilde and of the exact lift Jacobians need it.
     """
 
-    def __init__(self, m: ChartedMetric, x: np.ndarray):
-        g, dg = _read_jet(m, x)
-        ginv = _inv(g)
-        self._fill(m, x, g, dg, ginv, _koszul_inv(ginv, dg))
-
-    @classmethod
-    def _of(cls, m: ChartedMetric, x, g, dg, ginv, gamma, dgamma) -> "BaseJet":
-        """The jet at x from the arrays one row of ``_jet_arrays`` holds there."""
-        jet = cls.__new__(cls)
-        jet._fill(m, x, g, dg, ginv, gamma)
-        jet.dgamma = _own(dgamma)
-        return jet
-
-    def _fill(self, m: ChartedMetric, x, g, dg, ginv, gamma) -> None:
-        self.x = _own(x)
-        self._deriv2_fn = m.deriv2_fn if m.deriv1_fn is not None else None
-        self.g, self.dg, self.ginv, self.gamma = (_own(a) for a in (g, dg, ginv, gamma))
+    def __new__(cls, m: ChartedMetric, x: np.ndarray) -> "BaseJet":
+        return _read_jets(m, np.asarray(x, dtype=float)[None])[0]
 
     @cached_property
     def dgamma(self) -> Optional[np.ndarray]:
@@ -138,14 +124,33 @@ def _read_jet(m: ChartedMetric, x: np.ndarray) -> tuple:
 
 
 def _jet_arrays(m: ChartedMetric, xs) -> tuple:
-    """(g, g', g^-1, Gamma, d Gamma) at the rows of xs, stacked, on a chart with analytic g' and g''.
+    """(x, g, g', g^-1, Gamma) at the rows of xs (shape (k, n)), stacked and read-only.
 
-    The chart is read once per row, and g^-1, Gamma and d Gamma are one step
-    each on the stack; row k equals the arrays of ``BaseJet(m, xs[k])`` bit for bit.
+    The one step every jet is built by: the chart is read once per row, g^-1
+    is one ``_inv`` of the (k, n, n) stack and Gamma one Koszul step on it,
+    so row k equals the one-row step at xs[k] bit for bit.
     """
+    xs = np.array(xs, dtype=float)
     g, dg = (np.array(part) for part in zip(*(_read_jet(m, x) for x in xs)))
     ginv = _inv(g)
-    return g, dg, ginv, _koszul_inv(ginv, dg), _dgamma(ginv, dg, np.array([m.deriv2_fn(x) for x in xs], dtype=float))
+    arrays = (xs, g, dg, ginv, _koszul_inv(ginv, dg))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _row_jet(m: ChartedMetric, arrays: tuple, k: int) -> BaseJet:
+    """The jet of m whose arrays are the read-only row k views of one ``_jet_arrays`` step."""
+    jet = object.__new__(BaseJet)
+    jet.x, jet.g, jet.dg, jet.ginv, jet.gamma = (a[k] for a in arrays)
+    jet._deriv2_fn = m.deriv2_fn if m.deriv1_fn is not None else None
+    return jet
+
+
+def _read_jets(m: ChartedMetric, xs) -> list:
+    """The jets at the rows of xs, all from one ``_jet_arrays`` step."""
+    arrays = _jet_arrays(m, xs)
+    return [_row_jet(m, arrays, k) for k in range(len(arrays[0]))]
 
 
 def _kept_jet(m: ChartedMetric, key: bytes) -> Optional[BaseJet]:
@@ -174,12 +179,29 @@ def base_jet(m: ChartedMetric, x: np.ndarray) -> BaseJet:
 
     The memo dies with the chart.  An entry is keyed by the exact bytes of x
     and remembers the metric callables it was read from, so it is used only
-    while the chart still holds those same callables.
+    while the chart still holds those same callables.  A miss reads the one
+    row x (``BaseJet(m, x)``); ``read_stencil_jets`` fills the memo for a
+    whole stencil in one step beforehand.
     """
     x = np.asarray(x, dtype=float)
     key = x.tobytes()
     jet = _kept_jet(m, key)
     return _remember(m, key, BaseJet(m, x)) if jet is None else jet
+
+
+def read_stencil_jets(m: ChartedMetric, z0: np.ndarray) -> None:
+    """Put the jets at z0's base point x and at the 2n base points of z0's ``FD_STEP_FIRST`` stencil in the memo.
+
+    Those the memo lacks are read in one ``_read_jets`` step, so the
+    ``base_jet`` calls of an oracle field differenced on that stencil all
+    hit the memo.  A per-point FD operator calls it before it differences.
+    """
+    z0 = np.asarray(z0, dtype=float)
+    xs = np.concatenate([z0[None], points(z0, FD_STEP_FIRST)])[:, : m.dim]
+    missing = {key: x for key, x in zip([x.tobytes() for x in xs], xs) if _kept_jet(m, key) is None}
+    if missing:
+        for key, jet in zip(missing, _read_jets(m, list(missing.values()))):
+            _remember(m, key, jet)
 
 
 def base_gamma(m: ChartedMetric, x: np.ndarray) -> np.ndarray:
@@ -518,10 +540,10 @@ class GaussOracle:
         """R-tilde of Tg at z0 from one Gamma-tilde evaluation on the whole central-difference stencil.
 
         On charts with analytic g' and g'' one ``_tg_gamma_tilde`` step takes
-        z0 and its 4n stencil rows.  The jets of x and of the 2n x-rows are
-        read and built in one stacked step (``_jet_arrays``), and the 2n
-        u-rows sit on the jet at x.  The jet at x enters the memo when the
-        memo lacks it, and no x-row's does; row 0 gives ``tg0`` and
+        z0 and its 4n stencil rows.  g, g', g^-1 and Gamma at x and at the 2n
+        x-rows come from one ``_jet_arrays`` step and d Gamma from one step on
+        the same stack, and the 2n u-rows sit on the jet at x.  The jet at x
+        enters the memo when the memo lacks it, and no x-row's does; row 0 gives ``tg0`` and
         ``gamma0`` when they are not built yet.  Elsewhere ``sasaki_gamma_fn`` takes the
         stencil, with the coarser second-derivative step, as Gamma itself
         carries finite-difference noise there.
@@ -532,10 +554,15 @@ class GaussOracle:
             return _riemann(self.gamma0, quotient(gamma, FD_STEP_SECOND))
         rows = np.concatenate([self.z0[None], points(self.z0, FD_STEP_GAMMA)])
         read = np.r_[0, 1 : n + 1, 2 * n + 1 : 3 * n + 1]  # z0, then the rows z0 +- step e_k with k < n, which move x
-        g, dg, ginv, gamma, dgamma = _jet_arrays(m, rows[read, :n])
+        arrays = _jet_arrays(m, rows[read, :n])
+        xs, g, dg, ginv, gamma = arrays
+        dgamma = _dgamma(ginv, dg, np.array([m.deriv2_fn(x) for x in xs], dtype=float))
+        dgamma.flags.writeable = False
         key = self.x.tobytes()
         if _kept_jet(m, key) is None:
-            _remember(m, key, BaseJet._of(m, self.x, g[0], dg[0], ginv[0], gamma[0], dgamma[0]))
+            jet = _row_jet(m, arrays, 0)
+            jet.dgamma = dgamma[0]
+            _remember(m, key, jet)
         stacks = []
         for at_rows in (g, dg, gamma, dgamma):
             full = np.empty((4 * n + 1,) + at_rows.shape[1:])
@@ -641,12 +668,14 @@ class GaussOracle:
         """(a, b) -> (nabla-bar_a phi) b for an endomorphism field of induced components on TM.
 
         (nabla-tilde Phi)^I_LK = d_L Phi^I_K + Gamma-tilde^I_LM Phi^M_K - Phi^I_M Gamma-tilde^M_LK
-        from one stencil of ``phi_fn`` at z0.  When Phi N = 0 and Phi maps
+        from one stencil of ``phi_fn`` at z0, whose base jets are read first
+        in one step (``read_stencil_jets``).  When Phi N = 0 and Phi maps
         into T(T_eps M) at p, (nabla-bar_A phi)B = tan((nabla-tilde_A Phi)B);
         F drops the N part that tan removes.  ``apply`` contracts nabla-tilde Phi
         with the induced components E a and E b and maps the result to parts by F
         (E and F of ``_parts_maps``).
         """
+        read_stencil_jets(self.m, self.z0)
         phi, gam = np.asarray(phi_fn(self.z0), dtype=float), self.gamma0
         dphi = partials(phi_fn, self.z0, FD_STEP_FIRST)  # dphi[l, i, k] = d_l Phi^i_k
         nabla = np.einsum("lik->ilk", dphi) + np.einsum("ilm,mk->ilk", gam, phi) - np.einsum("im,mlk->ilk", phi, gam)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import SamplingFailure
 from .manifold import ChartedMetric, gram_scale, metric_at, plane_gram
-from .sphere import SBPoint, SBVec, horizontal_sb, point_geometry, sb_point, tangential_lift
+from .sphere import SBPoint, SBVec, point_geometry, sb_point
 
 SAMPLE_BOX = 0.55  # chart points are drawn from [-box, box]^n, then domain-filtered
 PLANE_GRAM_MIN = 1e-3  # |Gram determinant| / gram_scale(g) a sampled tangent plane must exceed
@@ -79,7 +79,7 @@ def sample_sb_point(m: ChartedMetric, eps: int, rng: np.random.Generator) -> SBP
 
 def sample_sb_vec(m: ChartedMetric, p: SBPoint, rng: np.random.Generator) -> SBVec:
     """Random tangent vector of T_eps M (tangential part canonicalized)."""
-    return horizontal_sb(p, rng.normal(size=m.dim)) + tangential_lift(m, p, rng.normal(size=m.dim))
+    return _lift_sum(m, p, rng.normal(size=m.dim), rng.normal(size=m.dim))
 
 
 def sample_ker_eta_vec(m: ChartedMetric, p: SBPoint, rng: np.random.Generator) -> SBVec:
@@ -87,4 +87,9 @@ def sample_ker_eta_vec(m: ChartedMetric, p: SBPoint, rng: np.random.Generator) -
     g = point_geometry(m, p).base.g
     h = rng.normal(size=m.dim)
     h = h - p.eps * float(h @ g @ p.u) * p.u
-    return horizontal_sb(p, h) + tangential_lift(m, p, rng.normal(size=m.dim))
+    return _lift_sum(m, p, h, rng.normal(size=m.dim))
+
+
+def _lift_sum(m: ChartedMetric, p: SBPoint, h: np.ndarray, t: np.ndarray) -> SBVec:
+    """h^h + t^t as one parts array (h, P t), the parts of ``horizontal_sb(p, h) + tangential_lift(m, p, t)``."""
+    return SBVec.of(p, np.concatenate([h, point_geometry(m, p).tangential_part(t)]))

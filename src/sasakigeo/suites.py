@@ -98,21 +98,26 @@ class SuiteConfig:
         }
 
 
-# validated charts by (n, nu, c, seed) while ``_run_all_matrix`` runs, else None
+# the validated chart of the running chart group of ``_run_all_matrix``, by ``_chart_key``, else None
 _matrix_charts: dict | None = None
 
 
-def _chart(cfg: SuiteConfig) -> ChartedMetric:
-    """The validated space form of ``cfg``; eps does not enter the chart.
+def _chart_key(cfg: SuiteConfig) -> tuple:
+    """What the chart of ``cfg`` depends on: eps does not enter it."""
+    return (cfg.n, cfg.nu, cfg.c, cfg.seed)
 
-    Inside the ``all`` matrix each chart is built and validated once and then
-    shared by the suites and fiber signs of its configuration.  A validation
-    that raises is not kept, so the next row validates again.  A c whose
-    chart overflows or misses c beyond the validation bound is an
-    ``InvalidConfig``.
+
+def _chart(cfg: SuiteConfig) -> ChartedMetric:
+    """The validated space form of ``cfg``.
+
+    Inside the ``all`` matrix the running chart is built and validated once
+    and then shared by the suites and fiber signs of its configurations;
+    ``_run_all_matrix`` holds no other chart.  A validation that raises is
+    not kept, so the next row validates again.  A c whose chart overflows or
+    misses c beyond the validation bound is an ``InvalidConfig``.
     """
     charts = {} if _matrix_charts is None else _matrix_charts
-    key = (cfg.n, cfg.nu, cfg.c, cfg.seed)
+    key = _chart_key(cfg)
     if key not in charts:
         spec = SpaceFormSpec(cfg.n, cfg.nu, cfg.c)
         try:
@@ -381,6 +386,7 @@ def _suite_oracle(cfg: SuiteConfig, m: ChartedMetric, params: dict):
             closed = sb.sb_nabla(m, xc, yc, kx, ky, p)
             via = orc.sb_nabla_via_ambient(m, xc, yc, kx, ky, p)
             yield "sb_nabla = projection of ambient FD derivative", np.abs((closed - via).comps()).max(), 1e-9
+        orc.read_stencil_jets(m, z0)
         y_lifts = {ky: orc.lift_field_fn(m, yf, ky) for ky in ("h", "v")}
         y_jacs = {ky: orc.field_jet(fn, z0)[1] for ky, fn in y_lifts.items()}  # each y-lift differenced once
         for kx, ky in [("h", "h"), ("h", "v"), ("v", "h")]:
@@ -472,6 +478,7 @@ def _suite_brackets(cfg: SuiteConfig, m: ChartedMetric, params: dict):
         z0 = np.concatenate([p.x, p.u])
         xf = _poly_field(n, rng)
         yf = _poly_field(n, rng)
+        orc.read_stencil_jets(m, z0)
         jets = {}  # the jet at z0 of each lift of X and Y, one stencil each
         for f in (xf, yf):
             for kind in ("h", "v"):
@@ -551,22 +558,35 @@ def expected_pass(suite: str, cfg: SuiteConfig) -> bool:
 
 
 def _run_all_matrix(cfg: SuiteConfig) -> list:
+    """One verdict row per (configuration, suite), reported in ``matrix_configs`` order.
+
+    The rows run chart by chart: charts in the order of their first
+    configuration, suites in ``_SUITE_FNS`` order, and each suite's eps = +1
+    row just before its eps = -1 twin.  A twin draws from the same seed
+    streams, so it finds its base points' jets still in the chart's memo,
+    and only the running chart is held.
+    """
     global _matrix_charts
     # the meta-suite trades sample counts for matrix coverage
     base = replace(cfg, num_points=max(2, cfg.num_points // 5), num_samples=max(6, cfg.num_samples // 3))
-    checks = []
-    _matrix_charts = {}
+    configs = list(matrix_configs(base))
+    charts = {}
+    for k, sub_cfg in enumerate(configs):
+        charts.setdefault(_chart_key(sub_cfg), []).append(k)
+    rows = [{} for _ in configs]
     try:
-        for sub_cfg in matrix_configs(base):
+        for group in charts.values():
+            _matrix_charts = {}
             for suite in _SUITE_FNS:
-                one = replace(sub_cfg, suite=suite)
-                report = run_suite(one)
-                expect = expected_pass(suite, one)
-                label = (
-                    f"{suite}[n={one.n},nu={one.nu},eps={one.eps:+d},c={one.c:.6g}]"
-                    f" (expect {'pass' if expect else 'fail'})"
-                )
-                checks.append(CheckItem(label, 0.0 if report.passed == expect else 1.0, 0.0))
+                for k in sorted(group, key=lambda j: -configs[j].eps):
+                    one = replace(configs[k], suite=suite)
+                    report = run_suite(one)
+                    expect = expected_pass(suite, one)
+                    label = (
+                        f"{suite}[n={one.n},nu={one.nu},eps={one.eps:+d},c={one.c:.6g}]"
+                        f" (expect {'pass' if expect else 'fail'})"
+                    )
+                    rows[k][suite] = CheckItem(label, 0.0 if report.passed == expect else 1.0, 0.0)
     finally:
         _matrix_charts = None
-    return checks
+    return [row[suite] for row in rows for suite in _SUITE_FNS]

@@ -1145,6 +1145,74 @@ class TestStackedJets:
                 assert np.array_equal(getattr(jet, name), getattr(ref, name))
 
 
+    @staticmethod
+    def _two_charts(chart, n):
+        """Two equal charts of one kind: a jet of the first is compared with a fresh jet of the second."""
+
+        def make():
+            if chart == "bumpy":
+                return bumpy_chart(n, 1)
+            m = space_form_chart(SpaceFormSpec(n, 1, 2.0))
+            return replace(m, deriv1_fn=None, deriv2_fn=None) if chart == "no derivatives" else m
+
+        return make(), make()
+
+    @pytest.mark.parametrize("chart", CHARTS)
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_a_cold_stencil_read_is_one_stacked_step(self, monkeypatch, rng, chart, n, eps):
+        m, fresh = self._two_charts(chart, n)
+        p = sample_sb_point(m, eps, rng)
+        z0 = np.concatenate([p.x, p.u])
+        reads = {"metric": [], "deriv1": [], "deriv2": []}
+        m.metric_fn = _counted(m.metric_fn, reads["metric"])
+        if chart != "no derivatives":
+            m.deriv1_fn = _counted(m.deriv1_fn, reads["deriv1"])
+            m.deriv2_fn = _counted(m.deriv2_fn, reads["deriv2"])
+        shapes = []
+        real = oracle._inv
+        monkeypatch.setattr(oracle, "_inv", lambda g: shapes.append(np.shape(g)) or real(g))
+        oracle.read_stencil_jets(m, z0)
+        assert shapes == [(2 * n + 1, n, n)]
+        distinct = {x.tobytes() for x in TestBaseJet._stencil_xs(m, z0)}
+        assert len(distinct) == 2 * n + 1 and set(m._oracle_jets) == distinct
+        if chart == "no derivatives":
+            # g' by central differences: g at each base point, then at its 2n stencil rows
+            assert distinct <= set(reads["metric"]) and len(reads["metric"]) == (2 * n + 1) ** 2
+        else:
+            assert sorted(reads["metric"]) == sorted(reads["deriv1"]) == sorted(distinct)
+        assert reads["deriv2"] == []  # d Gamma stays lazy
+        oracle.read_stencil_jets(m, z0)
+        assert len(shapes) == 1  # a warm stencil reads nothing
+        for key in distinct:
+            jet = m._oracle_jets[key][1]
+            ref = oracle.base_jet(fresh, jet.x)
+            for name in ("x", "g", "dg", "ginv", "gamma", "dgamma"):
+                a, b = getattr(jet, name), getattr(ref, name)
+                if chart == "no derivatives" and name == "dgamma":
+                    assert a is None and b is None
+                    continue
+                assert np.array_equal(a, b) and a.tobytes() == b.tobytes(), name
+                assert not a.flags.writeable, name
+
+    @pytest.mark.parametrize("operator", ["d_eta_tensor", "killing_residual", "sasakian", "nabla_endomorphism"])
+    def test_per_point_fd_operators_read_their_stencil_in_one_step(self, monkeypatch, rng, operator):
+        m = bumpy_chart(3, 1)
+        p = sample_sb_point(m, -1, rng)
+        rows = []
+        real = oracle._jet_arrays
+        monkeypatch.setattr(oracle, "_jet_arrays", lambda m, xs: rows.append(len(xs)) or real(m, xs))
+        if operator == "d_eta_tensor":
+            d_eta_tensor(m, p)
+        elif operator == "killing_residual":
+            contact.killing_residual(m, p)
+        elif operator == "sasakian":
+            contact.sasakian_residual(m, p, rng, num_samples=4)
+        else:
+            gauss_oracle(m, p).nabla_endomorphism(phi_matrix_fn(m, -1))
+        assert rows == [2 * m.dim + 1]  # every base_jet call of the stencil then hits the memo
+
+
 def test_base_jet_inverts_g_once(monkeypatch, rng):
     m = bumpy_chart(3, 1)
     x = sample_sb_point(m, 1, rng).x

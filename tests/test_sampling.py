@@ -7,6 +7,7 @@ from sasakigeo import sampling
 from sasakigeo.errors import SamplingFailure
 from sasakigeo.manifold import SpaceFormSpec, metric_at, space_form_chart
 from sasakigeo.sampling import FIBER_NORM_MAX, sample_domain_point, sample_fiber_vector, sample_sb_point
+from sasakigeo.sphere import horizontal_sb, point_geometry, tangential_lift
 
 STEEP = space_form_chart(SpaceFormSpec(2, 0, 20.0))  # F(x) = 1 + 5|x|^2 passes 3 inside the sample box
 NO_FIBER_SEED = 25  # the first x it draws has F(x) = 3.2
@@ -51,3 +52,23 @@ class TestSampleSbPoint:
         monkeypatch.setattr(sampling, "sample_domain_point", lambda *args, **kwargs: pytest.fail("drew a base point"))
         with pytest.raises(SamplingFailure, match="index"):
             sample_sb_point(space_form_chart(SpaceFormSpec(2, nu, 1.0)), eps, np.random.default_rng(0))
+
+
+class TestSampledBundleVectors:
+    @pytest.mark.parametrize("eps", [1, -1])
+    @pytest.mark.parametrize("sampler", ["sample_sb_vec", "sample_ker_eta_vec"])
+    def test_parts_equal_the_lift_sum_and_the_draws_stay(self, eps, sampler):
+        m = space_form_chart(SpaceFormSpec(3, 1, 2.0))
+        p = sample_sb_point(m, eps, np.random.default_rng(3))
+        g = point_geometry(m, p).base.g
+        for seed in range(6):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = getattr(sampling, sampler)(m, p, rng)
+            # the reference: the sum of the two lifts, drawn h first, then t
+            h = ref_rng.normal(size=3)
+            if sampler == "sample_ker_eta_vec":
+                h = h - eps * float(h @ g @ p.u) * p.u
+            ref = horizontal_sb(p, h) + tangential_lift(m, p, ref_rng.normal(size=3))
+            assert got.at is p and got.comps().tobytes() == ref.comps().tobytes()
+            assert not got.comps().flags.writeable
+            assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -323,6 +323,29 @@ class TestMatrixCharts:
         run_suite(SuiteConfig(suite="all"))
         assert validations == [(2, 1, 0.0), (2, 1, 1.0)] * 2
 
+    def test_rows_run_chart_by_chart_with_twins_adjacent_and_report_in_matrix_order(self, two_charts, monkeypatch):
+        inner = suites.run_suite
+        ran, held = [], []
+
+        def row(cfg):
+            report = inner(cfg)
+            if cfg.suite != "all":
+                ran.append((cfg.c, cfg.eps, cfg.suite))
+                held.append(dict(suites._matrix_charts))
+            return report
+
+        monkeypatch.setattr(suites, "run_suite", row)
+        report = inner(SuiteConfig(suite="all"))
+        names = list(suites._SUITE_FNS)
+        # chart c = 0 first, each suite's eps = +1 row just before its eps = -1 twin, then chart c = 1
+        assert ran == [(0.0, eps, s) for s in names for eps in (1, -1)] + [(1.0, 1, s) for s in names]
+        # one chart held at a time: the running one, shared by all of its rows
+        assert all(list(charts) == [(2, 1, c, 42)] for charts, (c, _, _) in zip(held, ran))
+        assert len({id(charts[(2, 1, c, 42)]) for charts, (c, _, _) in zip(held, ran)}) == 2
+        assert suites._matrix_charts is None
+        order = [f"{s}[n=2,nu=1,eps={cfg.eps:+d},c={cfg.c:.6g}]" for cfg in suites.matrix_configs(SuiteConfig("all")) for s in names]
+        assert [chk.name.split(" (expect")[0] for chk in report.checks] == order
+
     def test_single_suites_validate_every_time(self, validations):
         for _ in range(2):
             run_suite(SuiteConfig(suite="index", **FAST))
