@@ -1144,7 +1144,6 @@ class TestStackedJets:
             for name in ("g", "dg", "ginv", "gamma", "dgamma"):
                 assert np.array_equal(getattr(jet, name), getattr(ref, name))
 
-
     @staticmethod
     def _two_charts(chart, n):
         """Two equal charts of one kind: a jet of the first is compared with a fresh jet of the second."""
