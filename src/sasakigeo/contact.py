@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -42,12 +41,10 @@ from .oracle import (
 from .report import CheckReport, fold
 from .sampling import sample_ker_eta_vec, sample_sb_vec
 from .sphere import (
-    SBFrame,
+    PointGeometry,
     SBPoint,
     SBVec,
-    frame_at,
     horizontal_sb,
-    induced_metric_at,
     lift,
     point_geometry,
     require_same_sb_point,
@@ -63,67 +60,55 @@ class KappaMu:
     mu: float
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ContactData:
-    """The tensors (phi, xi, eta, g_cm) at one point of T_eps M."""
+    """The tensors (phi, xi, eta, g_cm) at ``at``, a view of its ``geo`` = ``point_geometry(m, p)``: xi is
+    built once per view, and eta, phi and g_cm are each one product with the kept g, ``phi_parts`` or ``gbar``."""
 
     at: SBPoint
-    xi: SBVec
-    eta: Callable[[SBVec], float]
-    phi: Callable[[SBVec], SBVec]
-    gcm: Callable[[SBVec, SBVec], float]
+    geo: PointGeometry
+
+    @cached_property
+    def xi(self) -> SBVec:
+        return horizontal_sb(self.at, 2.0 * self.at.u)
+
+    def eta(self, a: SBVec) -> float:
+        require_same_sb_point(self.at, a)
+        return 0.5 * self.at.eps * float(a.hpart @ self.geo.base.g @ self.at.u)
+
+    def phi(self, a: SBVec) -> SBVec:
+        require_same_sb_point(self.at, a)
+        return SBVec.of(self.at, self.geo.phi_parts @ a.comps())
+
+    def gcm(self, a: SBVec, b: SBVec) -> float:
+        require_same_sb_point(self.at, a, b)
+        return 0.25 * float(a.comps() @ self.geo.gbar @ b.comps())
 
 
-class HOperator:
-    """The tensor h tying nabla xi to phi at ``at``: its pointwise action and its matrix in an SBFrame.
+class HOperator(ContactData):
+    """The contact view at ``at`` with the tensor h tying nabla xi to phi.
 
     h vanishes on xi and acts on ker(eta) by
     h(V^t) = (2 - eps) V^t - t{R(V, u)u},  h(X^h) = -eps X^h + h{R(X, u)u}.
-    ``apply`` is ``PointGeometry.h_parts`` on (h, t) parts; ``frame``
-    (``frame_at``) and ``matrix`` (``PointGeometry.h_matrix``) are read from
-    the point's geometry on first use, so an operator that only applies h
-    builds no frame.
+    ``apply`` is ``PointGeometry.h_parts`` on (h, t) parts and ``matrix`` is
+    ``PointGeometry.h_matrix``, h's matrix in ``frame_at(m, p)``.
     """
-
-    def __init__(self, m: ChartedMetric, at: SBPoint):
-        self.at = at
-        self._m = m
-        self._geo = point_geometry(m, at)
-
-    @cached_property
-    def frame(self) -> SBFrame:
-        return frame_at(self._m, self.at)
 
     @property
     def matrix(self) -> np.ndarray:
-        return self._geo.h_matrix
+        return self.geo.h_matrix
 
     def apply(self, a: SBVec) -> SBVec:
         require_same_sb_point(self.at, a)
-        return SBVec.of(self.at, self._geo.h_parts @ a.comps())
+        return SBVec.of(self.at, self.geo.h_parts @ a.comps())
 
     def eigenvalues(self) -> np.ndarray:
         return np.sort(np.linalg.eigvals(self.matrix).real)
 
 
 def contact_data_at(m: ChartedMetric, p: SBPoint) -> ContactData:
-    geo = point_geometry(m, p)
-    g = geo.base.g
-    u, eps = p.u, p.eps
-    xi = horizontal_sb(p, 2.0 * u)
-
-    def eta(a: SBVec) -> float:
-        require_same_sb_point(p, a)
-        return 0.5 * eps * float(a.hpart @ g @ u)
-
-    def phi(a: SBVec) -> SBVec:
-        require_same_sb_point(p, a)
-        return SBVec.of(p, geo.phi_parts @ a.comps())
-
-    def gcm(a: SBVec, b: SBVec) -> float:
-        return 0.25 * induced_metric_at(m, p, a, b)
-
-    return ContactData(p, xi, eta, phi, gcm)
+    """The ``ContactData`` view of ``point_geometry(m, p)``."""
+    return ContactData(p, point_geometry(m, p))
 
 
 def eta_form_fn(m: ChartedMetric, eps: int):
@@ -265,9 +250,8 @@ def nabla_xi(m: ChartedMetric, p: SBPoint, a: SBVec) -> SBVec:
 
 
 def h_at(m: ChartedMetric, p: SBPoint) -> HOperator:
-    """The operator h at p (``HOperator``): its action is ``PointGeometry.h_parts`` on (h, t) parts, and
-    its frame and matrix in ``frame_at(m, p)`` are built once per point, when first read."""
-    return HOperator(m, p)
+    """The ``HOperator`` view of ``point_geometry(m, p)``: the contact tensors at p and h."""
+    return HOperator(p, point_geometry(m, p))
 
 
 def nabla_phi(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec) -> SBVec:
@@ -362,8 +346,7 @@ def kappa_mu_residual(
     """
     _require_samples(num_samples, "num_samples")
     data = contact_data_at(m, p)
-    geo = point_geometry(m, p)
-    rb_xi = geo.rbar @ data.xi.comps()  # R-bar(., .)xi
+    rb_xi = data.geo.rbar @ data.xi.comps()  # R-bar(., .)xi
     lhs, v1 = [], []
     for k in range(num_samples):
         a = sample_sb_vec(m, p, rng)
@@ -371,7 +354,7 @@ def kappa_mu_residual(
         lhs.append((rb_xi @ b.comps()) @ a.comps())
         v1.append((p.eps * (data.eta(b) * a + (-data.eta(a)) * b)).comps())
     lhs, v1 = np.array(lhs), np.array(v1)
-    design = np.stack([v1, v1 @ geo.h_parts.T], axis=-1)  # [sample, component, (kappa, mu)]
+    design = np.stack([v1, v1 @ data.geo.h_parts.T], axis=-1)  # [sample, component, (kappa, mu)]
 
     def residuals(kappa: float, mu: float) -> np.ndarray:
         return np.linalg.norm(lhs - design @ np.array([kappa, mu]), axis=1)
@@ -431,19 +414,22 @@ def killing_residual(m: ChartedMetric, p: SBPoint) -> float:
     return float(np.abs(0.25 * (j.T @ lie @ j)).max())
 
 
+def _sectional(m: ChartedMetric, data: ContactData, x: SBVec, y: SBVec, floor: float) -> float | None:
+    """K(x, y) = g_cm(R-bar(x, y)y, x) / den for g_cm, den = g_cm(x, x) g_cm(y, y) - g_cm(x, y)^2,
+    or None when the plane is degenerate to within |den| <= floor."""
+    den = data.gcm(x, x) * data.gcm(y, y) - data.gcm(x, y) ** 2
+    if abs(den) <= floor:
+        return None
+    return data.gcm(sb_curvature(m, data.at, x, y, y), x) / den
+
+
 def xi_plane_curvature(m: ChartedMetric, p: SBPoint, a: SBVec) -> float:
     """Sectional curvature (for g_cm) of the plane spanned by xi and a."""
-    return _xi_plane_curvature(m, contact_data_at(m, p), a)
-
-
-def _xi_plane_curvature(m: ChartedMetric, data: ContactData, a: SBVec) -> float:
-    """``xi_plane_curvature`` from the ``contact_data_at`` of the point, built once for all its planes."""
-    xi = data.xi
-    den = data.gcm(xi, xi) * data.gcm(a, a) - data.gcm(xi, a) ** 2
-    if abs(den) <= 1e-8:
+    data = contact_data_at(m, p)
+    k = _sectional(m, data, data.xi, a, 1e-8)
+    if k is None:
         raise DegeneratePlane("plane span(xi, a) is degenerate")
-    riem = sb_curvature(m, data.at, xi, a, a)
-    return data.gcm(riem, xi) / den
+    return k
 
 
 def k_contact_residual(
@@ -473,10 +459,10 @@ def _k_contact_rows(m: ChartedMetric, points: list, rng: np.random.Generator, sa
             samples.append(sample_ker_eta_vec(m, p, rng))
         data = contact_data_at(m, p)
         for a in samples:
-            den = data.gcm(data.xi, data.xi) * data.gcm(a, a) - data.gcm(data.xi, a) ** 2
-            if abs(den) <= 1e-4:
+            k = _sectional(m, data, data.xi, a, 1e-4)
+            if k is None:
                 continue
-            yield "K(xi-plane) = eps", abs(_xi_plane_curvature(m, data, a) - eps), 1e-5
+            yield "K(xi-plane) = eps", abs(k - eps), 1e-5
             planes += 1
     if not planes:  # a check that measured no plane has shown nothing, so it fails
         yield "K(xi-plane) = eps", math.inf, 1e-5
@@ -484,19 +470,18 @@ def _k_contact_rows(m: ChartedMetric, points: list, rng: np.random.Generator, sa
 
 def phi_sectional(m: ChartedMetric, p: SBPoint, a: SBVec) -> float:
     """Sectional curvature (for g_cm) of span(a, phi a) for a in ker eta."""
-    return _phi_sectional(m, contact_data_at(m, p), a)
+    data = contact_data_at(m, p)
+    _require_ker_eta(data, a)
+    k = _sectional(m, data, a, data.phi(a), 1e-8)
+    if k is None:
+        raise DegeneratePlane("plane span(a, phi a) is degenerate")
+    return k
 
 
-def _phi_sectional(m: ChartedMetric, data: ContactData, a: SBVec) -> float:
-    """``phi_sectional`` from the ``contact_data_at`` of the point, built once for all its planes."""
+def _require_ker_eta(data: ContactData, a: SBVec) -> None:
+    """A phi-section span(a, phi a) is taken for a in ker eta only."""
     if abs(data.eta(a)) > 1e-10:
         raise DegeneratePlane("phi-sectional curvature needs a in ker(eta)")
-    phia = data.phi(a)
-    den = data.gcm(a, a) * data.gcm(phia, phia) - data.gcm(a, phia) ** 2
-    if abs(den) <= 1e-8:
-        raise DegeneratePlane("plane span(a, phi a) is degenerate")
-    riem = sb_curvature(m, data.at, a, phia, phia)
-    return data.gcm(riem, a) / den
 
 
 def sasakian_residual(

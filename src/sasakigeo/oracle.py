@@ -426,22 +426,19 @@ def fd_nijenhuis(phi_fn, z: np.ndarray) -> np.ndarray:
     return s - np.swapaxes(s, 1, 2)
 
 
-def ambient_nabla(aval: np.ndarray, bfield_fn, z: np.ndarray, gamma: np.ndarray, b_jac_fn=None) -> np.ndarray:
-    """(nabla_A B)^I = A^J d_J B^I + Gamma^I_JK A^J B^K at z, from A's value and Gamma at z.
+def ambient_nabla(aval: np.ndarray, b_jet: tuple, gamma: np.ndarray) -> np.ndarray:
+    """(nabla_A B)^I = A^J d_J B^I + Gamma^I_JK A^J B^K at z, from A's value, B's jet and Gamma at z.
 
-    The component derivative d_J B^I is central-differenced unless an exact
-    Jacobian function is supplied.
+    ``b_jet`` = (B(z), dB(z)) is B's ``field_jet``, or its value with an exact Jacobian.
     """
-    z = np.asarray(z, dtype=float)
-    bval = np.asarray(bfield_fn(z), dtype=float)
-    jac = jacobian(bfield_fn, z, FD_STEP_FIRST) if b_jac_fn is None else np.asarray(b_jac_fn(z))
-    return jac @ aval + np.einsum("ijk,j,k->i", gamma, aval, bval)
+    bval, bjac = b_jet
+    return bjac @ aval + np.einsum("ijk,j,k->i", gamma, aval, bval)
 
 
 # -------------------- hypersurface pullback of T_eps M --------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class HypersurfaceChart:
     """The chart of T_eps M at p whose coordinates are the induced ones but the solved u_j: its J and J^T Tg J at p."""
 
@@ -725,5 +722,5 @@ def sb_nabla_via_ambient(
         block = nabla[:, _lift_slot(kind_x, m.dim), _lift_slot(kind_y, m.dim)]
         return SBVec.of(p, (block @ np.asarray(yfield, dtype=float)) @ field_at(xfield, p.x))
     aval = sb_lift_field_fn(m, xfield, kind_x, p.eps)(ctx.z0)
-    nab = ambient_nabla(aval, sb_lift_field_fn(m, yfield, kind_y, p.eps), ctx.z0, ctx.gamma0)
+    nab = ambient_nabla(aval, field_jet(sb_lift_field_fn(m, yfield, kind_y, p.eps), ctx.z0), ctx.gamma0)
     return _from_induced(m, p, nab)

@@ -28,7 +28,7 @@ from .tangent import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SBPoint:
     """A point (x, u) of T_eps M; use ``sb_point`` to construct validated.
 
@@ -40,7 +40,7 @@ class SBPoint:
     x: np.ndarray
     u: np.ndarray
     eps: int
-    _geometry: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _geometry: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
@@ -69,7 +69,7 @@ class SBVec(PartsVector):
         require_same_sb_point(self.at, other)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SBFrame:
     """Pseudo-orthonormal frame [e_1^t .. e_{n-1}^t, e_1^h .. e_{n-1}^h, u^h].
 
@@ -88,10 +88,6 @@ class SBFrame:
     @cached_property
     def vectors(self) -> tuple:
         return tuple(SBVec.of(self.at, col) for col in self.columns.T)
-
-    def parts(self) -> np.ndarray:
-        """The frame vectors' (h, t) parts as columns: the kept, read-only ``columns``."""
-        return self.columns
 
 
 def sb_point(m: ChartedMetric, x: np.ndarray, u: np.ndarray, eps: int) -> SBPoint:
@@ -156,8 +152,7 @@ def frame_at(m: ChartedMetric, p: SBPoint) -> SBFrame:
 
 def frame_gram(m: ChartedMetric, frame: SBFrame) -> np.ndarray:
     """Induced-metric Gram matrix of the frame vectors."""
-    f = frame.parts()
-    return parts_metric(point_geometry(m, frame.at).base.g, f, f)
+    return parts_metric(point_geometry(m, frame.at).base.g, frame.columns, frame.columns)
 
 
 def sb_bracket(

@@ -28,7 +28,7 @@ from .stencil import FD_STEP_FIRST, jacobian
 VectorField = Union[Callable[[np.ndarray], np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TMPoint:
     """A point (x, u) of TM.
 
@@ -39,7 +39,7 @@ class TMPoint:
 
     x: np.ndarray
     u: np.ndarray
-    _geometry: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _geometry: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))

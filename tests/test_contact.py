@@ -2,11 +2,12 @@
 phi-sectional and Sasakian checks."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from sasakigeo import contact
+from sasakigeo import contact, suites
 from sasakigeo.contact import (
     KappaMu,
     check_contact_axioms,
@@ -25,9 +26,17 @@ from sasakigeo.contact import (
     xi_plane_curvature,
 )
 from sasakigeo.errors import DegeneratePlane
-from sasakigeo.manifold import SpaceFormSpec, metric_at, space_form_chart
+from sasakigeo.manifold import ChartedMetric, SpaceFormSpec, metric_at, space_form_chart
 from sasakigeo.sampling import sample_ker_eta_vec, sample_sb_point, sample_sb_vec
-from sasakigeo.sphere import SBVec, horizontal_sb, induced_metric_at, tangential_lift
+from sasakigeo.sphere import (
+    SBVec,
+    frame_at,
+    horizontal_sb,
+    induced_metric_at,
+    point_geometry,
+    sb_curvature,
+    tangential_lift,
+)
 from sasakigeo.suites import SuiteConfig, matrix_configs, run_suite
 
 from conftest import bumpy_chart, flat_chart, nan_on_call
@@ -64,6 +73,28 @@ class TestContactData:
         data = contact_data_at(m, p)
         assert data.gcm(data.xi, data.xi) == pytest.approx(eps, abs=1e-14)
         assert np.abs(data.phi(data.xi).comps()).max() < 1e-14
+
+    @pytest.mark.parametrize("view", [contact_data_at, h_at])
+    def test_a_view_holds_the_point_and_its_geometry_only(self, view):
+        m, p, rng = _chart_point(3, 1, 2.0, -1)
+        v = view(m, p)
+        a = sample_sb_vec(m, p, rng)
+        v.eta(a), v.phi(a), v.gcm(a, v.xi)  # every tensor read once
+        assert [f.name for f in fields(v)] == ["at", "geo"]
+        assert v.at is p and v.geo is point_geometry(m, p)
+        assert set(vars(v)) == {"at", "geo", "xi"}  # xi is built on first use and kept
+        assert not any(callable(x) or isinstance(x, ChartedMetric) for x in vars(v).values())
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_tensors_equal_the_per_call_formulas_bit_for_bit(self, rng, eps):
+        m = bumpy_chart(3, 1, seed=4)
+        p = sample_sb_point(m, eps, rng)
+        data, geo = contact_data_at(m, p), point_geometry(m, p)
+        a, b = sample_sb_vec(m, p, rng), sample_sb_vec(m, p, rng)
+        assert np.array_equal(data.xi.comps(), np.concatenate([2.0 * p.u, np.zeros(3)]))
+        assert data.eta(a) == 0.5 * eps * float(a.hpart @ metric_at(m, p.x) @ p.u)
+        assert np.array_equal(data.phi(a).comps(), geo.phi_parts @ a.comps())
+        assert data.gcm(a, b) == 0.25 * induced_metric_at(m, p, a, b)
 
 
 class TestContactAxioms:
@@ -140,7 +171,7 @@ class TestHOperator:
         m = bumpy_chart(3, 1, seed=12) if generic else space_form_chart(SpaceFormSpec(3, 1, 2.0))
         p = sample_sb_point(m, eps, np.random.default_rng(8))
         hop = h_at(m, p)
-        frame = hop.frame
+        frame = frame_at(m, p)
         ref = np.array(
             [[s * induced_metric_at(m, p, hop.apply(e), f) for e in frame.vectors] for f, s in zip(frame.vectors, frame.signs)]
         )
@@ -364,6 +395,53 @@ class TestPhiSectional:
             spreads.append(max(vals) - min(vals))
         best = grid[int(np.argmin(spreads))]
         assert abs(best - (2.0 + SQRT5)) <= 0.5
+
+
+class TestOneSectionalCurvature:
+    """``xi_plane_curvature`` and ``phi_sectional`` against the suites' path, ``contact._sectional`` at floor 1e-4."""
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    @pytest.mark.parametrize("generic", [False, True], ids=["space-form", "generic"])
+    def test_public_values_equal_the_suite_path_bit_for_bit(self, eps, generic):
+        m = bumpy_chart(3, 1, seed=3) if generic else space_form_chart(SpaceFormSpec(3, 1, 2.0))
+        rng = np.random.default_rng(21)
+        p = sample_sb_point(m, eps, rng)
+        data = contact_data_at(m, p)
+        planes = 0
+        for _ in range(8):
+            a = sample_ker_eta_vec(m, p, rng)
+            for x, y, public in ((data.xi, a, xi_plane_curvature), (a, data.phi(a), phi_sectional)):
+                den = data.gcm(x, x) * data.gcm(y, y) - data.gcm(x, y) ** 2
+                if abs(den) <= 1e-4:
+                    assert contact._sectional(m, data, x, y, 1e-4) is None
+                    continue
+                ref = data.gcm(sb_curvature(m, p, x, y, y), x) / den
+                assert public(m, p, a) == contact._sectional(m, data, x, y, 1e-4) == ref
+                planes += 1
+        assert planes >= 8
+
+    def test_the_floors_raise_below_1e_8_and_skip_below_1e_4(self):
+        m, p, rng = _chart_point(3, 0, 2.0, 1, seed=22)
+        data = contact_data_at(m, p)
+        a = sample_ker_eta_vec(m, p, rng)
+        for public, plane in ((xi_plane_curvature, lambda v: (data.xi, v)), (phi_sectional, lambda v: (v, data.phi(v)))):
+            tiny = 1e-5 * a if public is xi_plane_curvature else 1e-3 * a  # |den| ~ 1e-10 and ~ 1e-12
+            with pytest.raises(DegeneratePlane):
+                public(m, p, tiny)
+            small = 3e-3 * a if public is xi_plane_curvature else 5e-2 * a  # 1e-8 < |den| <= 1e-4
+            x, y = plane(small)
+            assert 1e-8 < abs(data.gcm(x, x) * data.gcm(y, y) - data.gcm(x, y) ** 2) <= 1e-4
+            assert contact._sectional(m, data, x, y, 1e-4) is None
+            assert public(m, p, small) == contact._sectional(m, data, x, y, 1e-8)
+
+    def test_off_ker_eta_raises_on_both_paths(self, monkeypatch):
+        m, p, _ = _chart_point(3, 0, 2.0, 1, seed=23)
+        off = horizontal_sb(p, p.u) + sample_ker_eta_vec(m, p, np.random.default_rng(0))
+        with pytest.raises(DegeneratePlane, match="ker"):
+            phi_sectional(m, p, off)
+        monkeypatch.setattr(suites, "sample_ker_eta_vec", lambda m, p, rng: horizontal_sb(p, p.u))
+        with pytest.raises(DegeneratePlane, match="ker"):
+            run_suite(SuiteConfig("phi-sectional", n=3, c=2.0, num_points=1, num_samples=2))
 
 
 class TestSasakian:

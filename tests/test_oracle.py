@@ -19,6 +19,7 @@ from sasakigeo.oracle import (
     fd_lie_derivative_metric,
     fd_nijenhuis,
     fd_riemann,
+    field_jet,
     gauss_curvature_oracle,
     gauss_oracle,
     geodesic_flow_field_fn,
@@ -181,7 +182,7 @@ def _ii_derivative_reference(m, p, a, b):
         return lambda z: hf(z) + tf(z)
 
     jh, jt = const_lift_jacobian_fn(m, b.hpart, "h", p.eps), const_lift_jacobian_fn(m, b.tpart, "t", p.eps)
-    nab = ambient_nabla(extension(a)(z0), extension(b), z0, sasaki_gamma_fn(m)(z0), b_jac_fn=lambda z: jh(z) + jt(z))
+    nab = ambient_nabla(extension(a)(z0), (extension(b)(z0), jh(z0) + jt(z0)), sasaki_gamma_fn(m)(z0))
     return p.eps * float(nab @ sasaki_metric_fn(m)(z0) @ np.concatenate([np.zeros(m.dim), p.u]))
 
 
@@ -894,8 +895,8 @@ def _per_pair_nabla(m, p, xc, yc, kx, ky):
     """Reference: nabla-bar_A B for one lift pair, from the ambient derivative with B's exact Jacobian."""
     z0 = np.concatenate([p.x, p.u])
     aval = sb_lift_field_fn(m, xc, kx, p.eps)(z0)
-    b_jac_fn = const_lift_jacobian_fn(m, yc, ky, p.eps)
-    nab = ambient_nabla(aval, sb_lift_field_fn(m, yc, ky, p.eps), z0, sasaki_gamma_fn(m)(z0), b_jac_fn=b_jac_fn)
+    b_jet = sb_lift_field_fn(m, yc, ky, p.eps)(z0), const_lift_jacobian_fn(m, yc, ky, p.eps)(z0)
+    nab = ambient_nabla(aval, b_jet, sasaki_gamma_fn(m)(z0))
     return oracle._from_induced(m, p, nab).comps()
 
 
@@ -903,7 +904,7 @@ def _parent_fd_nabla(m, p, xfield, yfield, kx, ky):
     """Reference: nabla-bar_A B with B's Jacobian central-differenced, the path the array does not serve."""
     gauss = gauss_oracle(m, p)
     aval = sb_lift_field_fn(m, xfield, kx, p.eps)(gauss.z0)
-    nab = ambient_nabla(aval, sb_lift_field_fn(m, yfield, ky, p.eps), gauss.z0, gauss.gamma0)
+    nab = ambient_nabla(aval, field_jet(sb_lift_field_fn(m, yfield, ky, p.eps), gauss.z0), gauss.gamma0)
     return oracle._from_induced(m, p, nab).comps()
 
 

@@ -20,6 +20,7 @@ from sasakigeo.manifold import (
 from sasakigeo.oracle import (
     fd_lie_bracket,
     gauss_curvature_oracle,
+    hypersurface_pullback,
     sb_lift_field_fn,
     sb_nabla_via_ambient,
     _embed_induced,
@@ -105,8 +106,9 @@ class TestPointGuard:
             lambda m, p, v: h_at(m, p).apply(v),
             lambda m, p, v: contact_data_at(m, p).eta(v),
             lambda m, p, v: contact_data_at(m, p).phi(v),
+            lambda m, p, v: contact_data_at(m, p).gcm(v, v),
         ],
-        ids=["sb_curvature", "induced_metric_at", "nabla_phi", "nabla_xi", "h_at.apply", "eta", "phi"],
+        ids=["sb_curvature", "induced_metric_at", "nabla_phi", "nabla_xi", "h_at.apply", "eta", "phi", "gcm"],
     )
     def test_vectors_from_another_point_raise(self, rng, call):
         m = space_form_chart(SpaceFormSpec(3, 1, 2.0))
@@ -599,7 +601,7 @@ class TestPointGeometry:
                 lambda: sb_nabla(m, xc, yc, "h", "t", q).comps(),
                 lambda: sb_bracket(m, xc, yc, "h", "h", q).comps(),
                 lambda: psi_u_matrix(m, q),
-                lambda: frame_at(m, q).parts(),
+                lambda: frame_at(m, q).columns,
                 lambda: tangential_lift(m, q, xc).comps(),
             ]
             order = range(len(steps))[::-1] if reverse else range(len(steps))
@@ -646,7 +648,7 @@ def _assert_sound_at_the_edge(m, p):
     assert np.abs(hop.apply(contact_data_at(m, p).xi).comps()).max() < 1e-12
     fresh = SBPoint(p.x.copy(), p.u.copy(), p.eps)
     assert np.array_equal(h_at(m, fresh).matrix, hop.matrix)
-    assert np.array_equal(frame_at(m, fresh).parts(), frame.parts())
+    assert np.array_equal(frame_at(m, fresh).columns, frame.columns)
 
 
 EDGE_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -731,3 +733,22 @@ class TestSbPointGuardFastPath:
             twin = SBPoint(moved["x"].copy(), moved["u"].copy(), 1)
             with pytest.raises(PointMismatch):
                 horizontal_sb(q, np.ones(2)) + horizontal_sb(twin, np.ones(2))
+
+
+class TestIdentityEquality:
+    """Points, frames and pullback charts hold arrays, so they compare and hash by identity."""
+
+    @pytest.mark.parametrize("kind", ["SBPoint", "TMPoint", "SBFrame", "HypersurfaceChart"])
+    def test_eq_and_hash_are_identity(self, kind):
+        m = space_form_chart(SpaceFormSpec(3, 1, 2.0))
+        p = sample_sb_point(m, -1, np.random.default_rng(3))
+        twin = SBPoint(p.x.copy(), p.u.copy(), p.eps)
+        build = {
+            "SBPoint": lambda q: q,
+            "TMPoint": lambda q: q.tm,
+            "SBFrame": lambda q: frame_at(m, q),
+            "HypersurfaceChart": lambda q: hypersurface_pullback(m, q),
+        }[kind]
+        a, b = build(p), build(twin)
+        assert a == a and not (a == b) and a != b
+        assert hash(a) == hash(a) and len({a, b, a}) == 2

@@ -71,7 +71,6 @@ CHECK_NAMES = {
         "FD step halving stays within 4x tolerance",
         "sb_curvature = Gauss-equation oracle",
         "second fundamental form symmetric",
-        "sb_nabla = projection of ambient FD derivative",
         "tm_nabla = FD Christoffels of Tg on lift fields",
         "hypersurface pullback = induced metric",
         "fd_exterior_derivative of exact form = 0",

@@ -200,7 +200,7 @@ class TestKeptFrameArrays:
         e_signs = geo.base_frame[1]
         signs = np.concatenate([e_signs, e_signs, [float(p.eps)]])
         frame = frame_at(m, p)
-        assert np.array_equal(frame.parts(), f) and np.array_equal(frame.signs, signs)
+        assert np.array_equal(frame.columns, f) and np.array_equal(frame.signs, signs)
         assert all(np.array_equal(v.comps(), col) for v, col in zip(frame.vectors, f.T))
         old = signs[:, None] * parts_metric(geo.base.g, f, geo.h_parts @ f)
         assert np.array_equal(h_at(m, p).matrix, old)
@@ -210,8 +210,8 @@ class TestKeptFrameArrays:
         p = sample_sb_point(m, 1, rng)
         geo = point_geometry(m, p)
         frame, hop = frame_at(m, p), h_at(m, p)
-        assert frame.parts() is geo.frame[0] and frame.signs is geo.frame[1]
-        assert hop.matrix is geo.h_matrix and hop.frame.parts() is geo.frame[0]
+        assert frame.columns is geo.frame[0] and frame.signs is geo.frame[1]
+        assert hop.matrix is geo.h_matrix and frame_at(m, p).columns is geo.frame[0]
         for a in (geo.gbar, *geo.frame, geo.h_matrix):
             with pytest.raises(ValueError):
                 a[...] = 0.0
@@ -239,7 +239,7 @@ class TestKeptFrameArrays:
         assert np.array_equal(hop.apply(a).comps(), geo.h_parts @ a.comps())
         assert not {"base_frame", "frame", "h_matrix"} & set(vars(geo))
         assert np.array_equal(hop.eigenvalues(), np.sort(np.linalg.eigvals(geo.h_matrix).real))
-        assert hop.frame.parts() is geo.frame[0] and hop.at is p
+        assert frame_at(m, p).columns is geo.frame[0] and hop.at is p
 
 
 class TestColdPoint:
