@@ -29,11 +29,11 @@ from .errors import DegeneratePlane
 from .manifold import ChartedMetric
 from .oracle import (
     base_jet,
-    fd_exterior_derivative,
-    fd_lie_derivative_metric,
-    fd_nijenhuis,
+    exterior_derivative,
     geodesic_flow_field_fn,
     hypersurface_pullback,
+    lie_derivative_metric,
+    nijenhuis,
     read_stencil_jets,
     sasaki_metric_fn,
     sb_lift_field_fn,
@@ -112,11 +112,17 @@ def contact_data_at(m: ChartedMetric, p: SBPoint) -> ContactData:
 
 
 def eta_form_fn(m: ChartedMetric, eps: int):
-    """eta as a covector field of induced TM coordinates: z -> ((eps/2) g(x) u, 0)."""
+    """eta as a covector field of induced TM coordinates: z -> ((eps/2) g(x) u, 0).
+
+    ``eta_form(z)`` reads g at x; ``eta_form(z, jets)`` takes it from
+    ``jets``, so z may be the stacked rows of a ``StencilJets``.
+    """
     n = m.dim
 
-    def eta_form(z: np.ndarray) -> np.ndarray:
-        return np.concatenate([0.5 * eps * (base_jet(m, z[:n]).g @ z[n:]), np.zeros(n)])
+    def eta_form(z: np.ndarray, jets=None) -> np.ndarray:
+        g = base_jet(m, z[:n]).g if jets is None else jets.g
+        u = z[..., n:]
+        return np.concatenate([0.5 * eps * (g @ u[..., None])[..., 0], np.zeros(u.shape)], axis=-1)
 
     return eta_form
 
@@ -124,13 +130,14 @@ def eta_form_fn(m: ChartedMetric, eps: int):
 def d_eta_tensor(m: ChartedMetric, p: SBPoint) -> np.ndarray:
     """D with d(eta)(A, B) = (1/2) A^T D B on induced components at p.
 
-    D = ``fd_exterior_derivative`` of the eta covector field: one stencil per
-    point, from raw metric components only.  The factor 1/2 is the
-    normalization d(eta)(A, B) = (1/2)[A(eta(B)) - B(eta(A)) - eta([A, B])].
+    D is the ``exterior_derivative`` of the eta covector field, evaluated
+    once on the stacked rows of p's stencil (``read_stencil_jets``) and
+    differenced there: raw metric components only, and bit for bit
+    ``fd_exterior_derivative(eta_form_fn(m, eps), z0)``.  The factor 1/2 is
+    the normalization d(eta)(A, B) = (1/2)[A(eta(B)) - B(eta(A)) - eta([A, B])].
     """
-    z0 = np.concatenate([p.x, p.u])
-    read_stencil_jets(m, z0)
-    return fd_exterior_derivative(eta_form_fn(m, p.eps), z0)
+    jets = read_stencil_jets(m, np.concatenate([p.x, p.u]))
+    return exterior_derivative(jets.derivative(eta_form_fn(m, p.eps))[1])
 
 
 def phi_matrix_fn(m: ChartedMetric, eps: int):
@@ -138,24 +145,36 @@ def phi_matrix_fn(m: ChartedMetric, eps: int):
 
     The parts-action (X, Y) -> (-P Y, P X) with P = I - eps u (g u)^T is
     conjugated by the parts->induced transformation (X, Y) -> (X, Y - Gamma(X,u)).
+    ``phim(z)`` reads the jet at x; ``phim(z, jets)`` takes g and Gamma from
+    ``jets``, so z may be the stacked rows of a ``StencilJets``.
     """
     n = m.dim
 
-    def phim(z: np.ndarray) -> np.ndarray:
-        x, u = z[:n], z[n:]
-        jet = base_jet(m, x)
-        proj = np.eye(n) - eps * np.outer(u, jet.g @ u)
-        c = np.einsum("iab,b->ia", jet.gamma, u)
-        mp = np.zeros((2 * n, 2 * n))
-        mp[:n, n:] = -proj
-        mp[n:, :n] = proj
-        t = np.eye(2 * n)
-        t[n:, :n] = -c
-        tinv = np.eye(2 * n)
-        tinv[n:, :n] = c
+    def phim(z: np.ndarray, jets=None) -> np.ndarray:
+        jet = base_jet(m, z[:n]) if jets is None else jets
+        u = z[..., n:]
+        gu = (jet.g @ u[..., None])[..., 0]
+        proj = np.eye(n) - eps * (u[..., :, None] * gu[..., None, :])
+        c = np.einsum("...iab,...b->...ia", jet.gamma, u)
+        mp = np.zeros(z.shape[:-1] + (2 * n, 2 * n))
+        mp[..., :n, n:] = -proj
+        mp[..., n:, :n] = proj
+        t = np.empty_like(mp)
+        t[...] = np.eye(2 * n)
+        tinv = t.copy()
+        t[..., n:, :n] = -c
+        tinv[..., n:, :n] = c
         return t @ mp @ tinv
 
     return phim
+
+
+def nijenhuis_tensor(m: ChartedMetric, p: SBPoint) -> np.ndarray:
+    """``N[i, j, k]`` = N^i_jk of phi on induced components at p: the ``nijenhuis`` tensor of the phi
+    matrix field, evaluated once on the stacked rows of p's stencil and differenced there, bit for bit
+    ``fd_nijenhuis(phi_matrix_fn(m, eps), z0)``."""
+    jets = read_stencil_jets(m, np.concatenate([p.x, p.u]))
+    return nijenhuis(*jets.derivative(phi_matrix_fn(m, p.eps)))
 
 
 def d_eta_fd(
@@ -406,11 +425,12 @@ def killing_residual(m: ChartedMetric, p: SBPoint) -> float:
     """max |(L_xi g_cm)_ab| in the solved hypersurface chart at p.
 
     xi is tangent to T_eps M, so L_xi g_cm = (1/4) J^T (L_xi Tg) J, with J the chart's exact Jacobian at p.
+    L_xi Tg is ``lie_derivative_metric`` of the geodesic-flow field and Tg, each evaluated once on the
+    stacked rows of p's stencil, bit for bit ``fd_lie_derivative_metric`` of the two fields.
     """
-    z0 = np.concatenate([p.x, p.u])
-    read_stencil_jets(m, z0)
+    jets = read_stencil_jets(m, np.concatenate([p.x, p.u]))
     j = hypersurface_pullback(m, p).jacobian
-    lie = fd_lie_derivative_metric(geodesic_flow_field_fn(m), sasaki_metric_fn(m), z0)
+    lie = lie_derivative_metric(*jets.derivative(geodesic_flow_field_fn(m)), *jets.derivative(sasaki_metric_fn(m)))
     return float(np.abs(0.25 * (j.T @ lie @ j)).max())
 
 
@@ -492,9 +512,9 @@ def sasakian_residual(
 ) -> CheckReport:
     """Residuals of both Sasakian characterizations.
 
-    (i) N_phi(A, B) + 2 d eta(A, B) xi = 0, contracting the FD Nijenhuis
-        tensor of phi and ``d_eta_tensor``, each built once per point, with
-        the lift fields at p;
+    (i) N_phi(A, B) + 2 d eta(A, B) xi = 0, contracting ``nijenhuis_tensor``
+        and ``d_eta_tensor``, each built once per point from one stacked
+        evaluation of its field, with the lift fields at p;
     (ii) (nabla_a phi) b = g_cm(a, b) xi - eps eta(b) a via the closed forms.
     """
     _require_samples(num_samples, "num_samples")
@@ -504,11 +524,9 @@ def sasakian_residual(
 def _sasakian_rows(m: ChartedMetric, p: SBPoint, rng: np.random.Generator, num_samples: int):
     data = contact_data_at(m, p)
     eps = p.eps
-    z0 = np.concatenate([p.x, p.u])
-    read_stencil_jets(m, z0)
-    nphi_t = fd_nijenhuis(phi_matrix_fn(m, eps), z0)
+    nphi_t = nijenhuis_tensor(m, p)
     deta_t = d_eta_tensor(m, p)
-    xi_ind = geodesic_flow_field_fn(m)(z0)
+    xi_ind = geodesic_flow_field_fn(m)(np.concatenate([p.x, p.u]))
 
     for a, b, a0, b0 in _lift_pairs(m, p, rng, num_samples):
         nphi = (nphi_t @ b0) @ a0

@@ -5,7 +5,9 @@ chart's own analytic derivative callables when supplied) and never consumes
 Christoffel or curvature values computed by the closed-form modules; the
 chart keeps the oracle's own base jets (``base_jet``) for its latest base
 points, so stencils that share a base point read the metric there once, and
-a per-point stencil reads the jets it lacks in one stacked step.  It
+a per-point stencil reads the jets it lacks in one stacked step.  The
+fields that need only those jets (Tg, the geodesic flow field, and the
+contact layer's phi and eta) take a stencil's stacked rows in one call.  It
 certifies: the Koszul symbols, the coordinate curvature, the bracket
 identities, the induced-hypersurface metric, and the sphere-bundle
 connection/curvature via the Gauss equation in the induced chart of TM.
@@ -78,7 +80,12 @@ def _riemann(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
 
 # -------------------- the raw base jet, kept by the chart --------------------
 
-JET_MEMO_SIZE = 16  # base points a chart keeps jets for; one stencil at x reads 2n + 1 of them
+JET_MEMO_SIZE = 16  # the fewest base points a chart keeps jets for; one stencil at x reads 2n + 1 of them
+
+
+def _memo_size(m: ChartedMetric) -> int:
+    """Base points m keeps jets for: ``JET_MEMO_SIZE``, or one whole stencil's 2n + 1 when that is more (n >= 8)."""
+    return max(JET_MEMO_SIZE, 2 * m.dim + 1)
 
 
 def _own(a) -> np.ndarray:
@@ -168,20 +175,20 @@ def _kept_jet(m: ChartedMetric, key: bytes) -> Optional[BaseJet]:
 def _remember(m: ChartedMetric, key: bytes, jet: BaseJet) -> BaseJet:
     """Keep jet under key, dropping the least recently used entry when the memo is full."""
     memo = m._oracle_jets
-    if len(memo) >= JET_MEMO_SIZE:
+    if len(memo) >= _memo_size(m):
         del memo[next(iter(memo))]
     memo[key] = ((m.metric_fn, m.deriv1_fn, m.deriv2_fn), jet)
     return jet
 
 
 def base_jet(m: ChartedMetric, x: np.ndarray) -> BaseJet:
-    """The raw jet of ``m`` at x, kept by the chart for its ``JET_MEMO_SIZE`` latest base points.
+    """The raw jet of ``m`` at x, kept by the chart for its ``_memo_size(m)`` latest base points.
 
     The memo dies with the chart.  An entry is keyed by the exact bytes of x
     and remembers the metric callables it was read from, so it is used only
     while the chart still holds those same callables.  A miss reads the one
-    row x (``BaseJet(m, x)``); ``read_stencil_jets`` fills the memo for a
-    whole stencil in one step beforehand.
+    row x (``BaseJet(m, x)``); ``read_jets`` fills the memo for several
+    base points in one step beforehand.
     """
     x = np.asarray(x, dtype=float)
     key = x.tobytes()
@@ -189,19 +196,56 @@ def base_jet(m: ChartedMetric, x: np.ndarray) -> BaseJet:
     return _remember(m, key, BaseJet(m, x)) if jet is None else jet
 
 
-def read_stencil_jets(m: ChartedMetric, z0: np.ndarray) -> None:
-    """Put the jets at z0's base point x and at the 2n base points of z0's ``FD_STEP_FIRST`` stencil in the memo.
+def read_jets(m: ChartedMetric, xs) -> list:
+    """The kept jets at the base points xs (shape (k, n)), in order.
 
-    Those the memo lacks are read in one ``_read_jets`` step, so the
-    ``base_jet`` calls of an oracle field differenced on that stencil all
-    hit the memo.  A per-point FD operator calls it before it differences.
+    Those the memo lacks are read in one ``_read_jets`` step and kept, so
+    the ``base_jet`` calls at xs that follow all hit the memo.
     """
-    z0 = np.asarray(z0, dtype=float)
-    xs = np.concatenate([z0[None], points(z0, FD_STEP_FIRST)])[:, : m.dim]
-    missing = {key: x for key, x in zip([x.tobytes() for x in xs], xs) if _kept_jet(m, key) is None}
+    xs = np.asarray(xs, dtype=float)
+    keys = [x.tobytes() for x in xs]
+    jets = {}
+    for key in keys:
+        if key not in jets:
+            jets[key] = _kept_jet(m, key)
+    missing = {key: x for key, x in zip(keys, xs) if jets[key] is None}
     if missing:
         for key, jet in zip(missing, _read_jets(m, list(missing.values()))):
-            _remember(m, key, jet)
+            jets[key] = _remember(m, key, jet)
+    return [jets[key] for key in keys]
+
+
+@dataclass(frozen=True, eq=False)
+class StencilJets:
+    """The ``FD_STEP_FIRST`` stencil around z0 and the base jet of each row, stacked.
+
+    ``z`` holds z0 and then ``points(z0, FD_STEP_FIRST)``: 4n + 1 rows.
+    ``g[k]`` and ``gamma[k]`` are g and Gamma of the kept jet at row k's base
+    point, so the 2n rows that move only u repeat x's.  A jet-only field of
+    the oracle or contact layer takes ``field(jets.z, jets)`` and returns
+    its value at every row in one evaluation; ``derivative`` differences it.
+    """
+
+    z: np.ndarray
+    g: np.ndarray
+    gamma: np.ndarray
+
+    def derivative(self, field) -> tuple:
+        """(F(z0), dF) with ``dF[k]`` = d_k F(z0): F once on the stacked rows, then ``quotient``.
+
+        Each row equals ``field(row)`` bit for bit, so the pair equals
+        (``field(z0)``, ``partials(field, z0, FD_STEP_FIRST)``).
+        """
+        values = field(self.z, self)
+        return values[0], quotient(values[1:], FD_STEP_FIRST)
+
+
+def read_stencil_jets(m: ChartedMetric, z0: np.ndarray) -> StencilJets:
+    """The ``StencilJets`` of z0: the jets at x and at the 2n base points of the stencil, by ``read_jets``."""
+    z0 = np.asarray(z0, dtype=float)
+    rows = np.concatenate([z0[None], points(z0, FD_STEP_FIRST)])
+    jets = read_jets(m, rows[:, : m.dim])
+    return StencilJets(rows, np.array([jet.g for jet in jets]), np.array([jet.gamma for jet in jets]))
 
 
 def base_gamma(m: ChartedMetric, x: np.ndarray) -> np.ndarray:
@@ -224,17 +268,19 @@ def _sasaki_blocks(g: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def sasaki_metric_fn(m: ChartedMetric) -> Callable[[np.ndarray], np.ndarray]:
+def sasaki_metric_fn(m: ChartedMetric) -> Callable[..., np.ndarray]:
     """z = (x, u) -> components of Tg in induced coordinates.
 
     With C^i_a = Gamma^i_ab u^b the blocks are
-    [[g + C^T g C, C^T g], [g C, g]].
+    [[g + C^T g C, C^T g], [g C, g]].  ``tg(z)`` reads the jet at x;
+    ``tg(z, jets)`` takes g and Gamma from ``jets``, so z may be the
+    stacked rows of a ``StencilJets``.
     """
     n = m.dim
 
-    def tg(z: np.ndarray) -> np.ndarray:
-        jet = base_jet(m, z[:n])
-        return _sasaki_blocks(jet.g, np.einsum("iab,b->ia", jet.gamma, z[n:]))
+    def tg(z: np.ndarray, jets=None) -> np.ndarray:
+        jet = base_jet(m, z[:n]) if jets is None else jets
+        return _sasaki_blocks(jet.g, np.einsum("...iab,...b->...ia", jet.gamma, z[..., n:]))
 
     return tg
 
@@ -338,13 +384,18 @@ def tangential_field_fn(m: ChartedMetric, field: VectorField, eps: int) -> Calla
     return tfield
 
 
-def geodesic_flow_field_fn(m: ChartedMetric) -> Callable[[np.ndarray], np.ndarray]:
-    """Induced components of xi = 2 u^i (d/dx^i)^h, twice the geodesic flow field."""
+def geodesic_flow_field_fn(m: ChartedMetric) -> Callable[..., np.ndarray]:
+    """Induced components of xi = 2 u^i (d/dx^i)^h, twice the geodesic flow field.
+
+    ``flow(z)`` reads Gamma at x; ``flow(z, jets)`` takes it from ``jets``,
+    so z may be the stacked rows of a ``StencilJets``.
+    """
     n = m.dim
 
-    def flow(z):
-        x, u = z[:n], z[n:]
-        return 2.0 * np.concatenate([u, -np.einsum("iab,a,b->i", base_gamma(m, x), u, u)])
+    def flow(z, jets=None):
+        u = z[..., n:]
+        gamma = base_gamma(m, z[:n]) if jets is None else jets.gamma
+        return 2.0 * np.concatenate([u, -np.einsum("...iab,...a,...b->...i", gamma, u, u)], axis=-1)
 
     return flow
 
@@ -394,36 +445,46 @@ def fd_lie_bracket(afield_fn, bfield_fn, z: np.ndarray) -> np.ndarray:
     return jet_bracket(field_jet(afield_fn, z), field_jet(bfield_fn, z))
 
 
+def lie_derivative_metric(v: np.ndarray, dv: np.ndarray, g: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """(L_V g)_ij = V^k d_k g_ij + g_kj d_i V^k + g_ik d_j V^k from V, g and their partials ``dv[k, i]`` = d_k V^i, ``dg[k]``."""
+    jac = np.ascontiguousarray(dv.T)  # a transposed view would round the matrix products differently
+    return np.einsum("k,kij->ij", v, dg) + jac.T @ g + g @ jac
+
+
 def fd_lie_derivative_metric(vfield_fn, metric_fn, z: np.ndarray) -> np.ndarray:
-    """(L_V g)_ij = V^k d_k g_ij + g_kj d_i V^k + g_ik d_j V^k."""
+    """``lie_derivative_metric`` of V and g from one stencil of each."""
     z = np.asarray(z, dtype=float)
     vval = np.asarray(vfield_fn(z), dtype=float)
     g = np.asarray(metric_fn(z), dtype=float)
-    jac = jacobian(vfield_fn, z, FD_STEP_FIRST)
-    return np.einsum("k,kij->ij", vval, partials(metric_fn, z, FD_STEP_FIRST)) + jac.T @ g + g @ jac
+    return lie_derivative_metric(vval, partials(vfield_fn, z, FD_STEP_FIRST), g, partials(metric_fn, z, FD_STEP_FIRST))
+
+
+def exterior_derivative(domega: np.ndarray) -> np.ndarray:
+    """(d omega)_ij = d_i omega_j - d_j omega_i (determinant convention) from ``domega[i, j]`` = d_i omega_j."""
+    return domega - domega.T
 
 
 def fd_exterior_derivative(omega_fn, z: np.ndarray) -> np.ndarray:
-    """(d omega)_ij = d_i omega_j - d_j omega_i (determinant convention)."""
-    z = np.asarray(z, dtype=float)
-    jac = jacobian(omega_fn, z, FD_STEP_FIRST)  # jac[j, i] = d_i omega_j
-    return jac.T - jac
+    """``exterior_derivative`` of a covector field from one stencil."""
+    return exterior_derivative(partials(omega_fn, np.asarray(z, dtype=float), FD_STEP_FIRST))
 
 
-def fd_nijenhuis(phi_fn, z: np.ndarray) -> np.ndarray:
-    """The Nijenhuis tensor ``N[i, j, k]`` = N^i_jk of an endomorphism field.
+def nijenhuis(phi: np.ndarray, dphi: np.ndarray) -> np.ndarray:
+    """The Nijenhuis tensor ``N[i, j, k]`` = N^i_jk of an endomorphism field from its matrix and ``dphi[l]`` = d_l phi.
 
-    N^i_jk = phi^l_j d_l phi^i_k - phi^l_k d_l phi^i_j - phi^i_l (d_j phi^l_k - d_k phi^l_j)
-    from one stencil of ``phi_fn(z)``, the matrix on induced components;
-    N^i_jk A^j B^k = phi^2 [A,B] + [phi A, phi B] - phi [phi A, B] - phi [A, phi B]
+    N^i_jk = phi^l_j d_l phi^i_k - phi^l_k d_l phi^i_j - phi^i_l (d_j phi^l_k - d_k phi^l_j),
+    so N^i_jk A^j B^k = phi^2 [A,B] + [phi A, phi B] - phi [phi A, B] - phi [A, phi B]
     for any vector fields A, B.
     """
-    z = np.asarray(z, dtype=float)
-    phi = np.asarray(phi_fn(z), dtype=float)
-    dphi = partials(phi_fn, z, FD_STEP_FIRST)  # dphi[l, i, k] = d_l phi^i_k
     # s[i, j, k] = phi^l_j d_l phi^i_k - phi^i_l d_j phi^l_k; N is its (j, k) antisymmetrization
     s = np.einsum("lj,lik->ijk", phi, dphi) - np.einsum("il,jlk->ijk", phi, dphi)
     return s - np.swapaxes(s, 1, 2)
+
+
+def fd_nijenhuis(phi_fn, z: np.ndarray) -> np.ndarray:
+    """``nijenhuis`` of ``phi_fn(z)``, the matrix on induced components, from one stencil."""
+    z = np.asarray(z, dtype=float)
+    return nijenhuis(np.asarray(phi_fn(z), dtype=float), partials(phi_fn, z, FD_STEP_FIRST))
 
 
 def ambient_nabla(aval: np.ndarray, b_jet: tuple, gamma: np.ndarray) -> np.ndarray:
@@ -665,17 +726,17 @@ class GaussOracle:
         """(a, b) -> (nabla-bar_a phi) b for an endomorphism field of induced components on TM.
 
         (nabla-tilde Phi)^I_LK = d_L Phi^I_K + Gamma-tilde^I_LM Phi^M_K - Phi^I_M Gamma-tilde^M_LK
-        from one stencil of ``phi_fn`` at z0, whose base jets are read first
-        in one step (``read_stencil_jets``).  When Phi N = 0 and Phi maps
-        into T(T_eps M) at p, (nabla-bar_A phi)B = tan((nabla-tilde_A Phi)B);
-        F drops the N part that tan removes.  ``apply`` contracts nabla-tilde Phi
-        with the induced components E a and E b and maps the result to parts by F
+        (``_nabla_tilde_endomorphism``) from one evaluation of ``phi_fn`` on
+        z0's ``StencilJets`` (``read_stencil_jets``), so ``phi_fn`` must take
+        ``phi_fn(jets.z, jets)``, as the contact layer's phi matrix field
+        does.  When Phi N = 0 and Phi maps into T(T_eps M) at p,
+        (nabla-bar_A phi)B = tan((nabla-tilde_A Phi)B); F drops the N part
+        that tan removes.  ``apply`` contracts nabla-tilde Phi with the
+        induced components E a and E b and maps the result to parts by F
         (E and F of ``_parts_maps``).
         """
-        read_stencil_jets(self.m, self.z0)
-        phi, gam = np.asarray(phi_fn(self.z0), dtype=float), self.gamma0
-        dphi = partials(phi_fn, self.z0, FD_STEP_FIRST)  # dphi[l, i, k] = d_l Phi^i_k
-        nabla = np.einsum("lik->ilk", dphi) + np.einsum("ilm,mk->ilk", gam, phi) - np.einsum("im,mlk->ilk", phi, gam)
+        phi, dphi = read_stencil_jets(self.m, self.z0).derivative(phi_fn)
+        nabla = _nabla_tilde_endomorphism(phi, dphi, self.gamma0)
         _, _, e, f = self._parts_maps
 
         def apply(a: SBVec, b: SBVec) -> SBVec:
@@ -683,6 +744,12 @@ class GaussOracle:
             return SBVec.of(p, f @ ((nabla @ (e @ b.comps())) @ (e @ a.comps())))
 
         return apply
+
+
+def _nabla_tilde_endomorphism(phi: np.ndarray, dphi: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """``nabla[i, l, k]`` = (nabla_L Phi)^I_K = d_L Phi^I_K + Gamma^I_LM Phi^M_K - Phi^I_M Gamma^M_LK from
+    Phi, ``dphi[l]`` = d_L Phi and the Christoffel symbols Gamma."""
+    return np.einsum("lik->ilk", dphi) + np.einsum("ilm,mk->ilk", gamma, phi) - np.einsum("im,mlk->ilk", phi, gamma)
 
 
 def gauss_oracle(m: ChartedMetric, p: SBPoint) -> GaussOracle:

@@ -181,6 +181,9 @@ def _suite_connection(cfg: SuiteConfig, m: ChartedMetric, params: dict):
         # B and C off T_eps M, against Tg(nabla_A B, C) + Tg(B, nabla_A C) at p
         zf = _poly_field(n, rng)
         z0 = np.concatenate([p.x, p.u])
+        # every row below sits at x or at x +- h X(x), where the rows along A = X^h step, so one read holds them
+        ax = FD_STEP_FIRST * xf(p.x)
+        orc.read_jets(m, [p.x, p.x + ax, p.x - ax])
         tg_fn = orc.sasaki_metric_fn(m)
         tg0 = tg_fn(z0)
         bundles = [

@@ -405,29 +405,22 @@ class TestDEtaStencil:
             assert 0.5 * a0 @ d_eta_tensor(m, p) @ b0 == d_eta_fd(m, p, xf, kx, yf, ky)
 
     def test_eta_form_differenced_once_per_point(self, monkeypatch):
-        forms = []
+        shapes = []
         make_form = contact.eta_form_fn
 
         def tracked_eta_form_fn(m, eps):
-            forms.append(make_form(m, eps))
-            return forms[-1]
-
-        stencils = []
-        jacobian = oracle.jacobian
-
-        def counted_jacobian(fn, z, step):
-            stencils.append(any(fn is f for f in forms))
-            return jacobian(fn, z, step)
+            form = make_form(m, eps)
+            return lambda z, jets=None: shapes.append(np.shape(z)) or form(z, jets)
 
         monkeypatch.setattr(contact, "eta_form_fn", tracked_eta_form_fn)
-        monkeypatch.setattr(oracle, "jacobian", counted_jacobian)
         m = space_form_chart(SpaceFormSpec(2, 1, 1.0))
         for i in range(3):
             rng = np.random.default_rng(i)
             p = sample_sb_point(m, 1, rng)
             contact.sasakian_residual(m, p, rng, num_samples=8)
             contact.check_contact_axioms(m, p, rng, num_samples=32)  # 8 d eta samples
-        assert sum(stencils) == 6
+        # one evaluation on the 4n + 1 stacked rows of each point's stencil, none row by row
+        assert shapes == [(9, 4)] * 6
 
 
 class TestOracleIndependence:
@@ -579,29 +572,21 @@ class TestPerPointOracles:
             assert np.array_equal(oracle.curvature(a, b, cv).comps(), gauss_curvature_oracle(m, p, a, b, cv).comps())
 
     def test_sasakian_residual_differentiates_phi_once_per_point(self, monkeypatch):
-        from sasakigeo import contact, oracle
+        from sasakigeo import contact
 
-        phi_fns = []
+        shapes = []
         make_phi = contact.phi_matrix_fn
 
         def tracked_phi_matrix_fn(m, eps):
-            phi_fns.append(make_phi(m, eps))
-            return phi_fns[-1]
-
-        stencils = []
-        partials = oracle.partials
-
-        def counted_partials(fn, z, step):
-            stencils.append(any(fn is f for f in phi_fns))
-            return partials(fn, z, step)
+            phim = make_phi(m, eps)
+            return lambda z, jets=None: shapes.append(np.shape(z)) or phim(z, jets)
 
         monkeypatch.setattr(contact, "phi_matrix_fn", tracked_phi_matrix_fn)
-        monkeypatch.setattr(oracle, "partials", counted_partials)
         m = space_form_chart(SpaceFormSpec(2, 0, 1.0))
         for i in range(3):
             rng = np.random.default_rng(i)
             contact.sasakian_residual(m, sample_sb_point(m, 1, rng), rng, num_samples=8)
-        assert sum(stencils) == 3
+        assert shapes == [(9, 4)] * 3  # one evaluation on each point's stacked stencil rows
 
     def test_oracle_suite_builds_ambient_curvature_once_per_point(self, monkeypatch):
         from sasakigeo import oracle
@@ -1210,7 +1195,134 @@ class TestStackedJets:
             contact.sasakian_residual(m, p, rng, num_samples=4)
         else:
             gauss_oracle(m, p).nabla_endomorphism(phi_matrix_fn(m, -1))
-        assert rows == [2 * m.dim + 1]  # every base_jet call of the stencil then hits the memo
+        assert rows == [2 * m.dim + 1]  # every jet the stencil reads comes from that one step
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_a_stencil_and_a_lift_field_jet_make_one_step_past_n_7(self, monkeypatch, rng, n):
+        m = space_form_chart(SpaceFormSpec(n, 1, 2.0))
+        p = sample_sb_point(m, 1, rng)
+        z0 = np.concatenate([p.x, p.u])
+        rows = []
+        real = oracle._jet_arrays
+        monkeypatch.setattr(oracle, "_jet_arrays", lambda m, xs: rows.append(len(xs)) or real(m, xs))
+        oracle.read_stencil_jets(m, z0)
+        field_jet(lift_field_fn(m, rng.normal(size=n), "h"), z0)  # base_gamma at x and at each of the 2n rows
+        assert rows == [2 * n + 1]
+        assert len(m._oracle_jets) == oracle._memo_size(m) == 2 * n + 1
+
+    def test_the_memo_keeps_16_base_points_up_to_n_7(self):
+        for n in range(2, 8):
+            assert oracle._memo_size(space_form_chart(SpaceFormSpec(n, 0, 1.0))) == oracle.JET_MEMO_SIZE == 16
+        assert oracle._memo_size(space_form_chart(SpaceFormSpec(8, 0, 1.0))) == 17
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_a_connection_point_reads_its_base_points_in_one_step(self, monkeypatch, eps):
+        from sasakigeo.suites import SuiteConfig, run_suite
+
+        rows = []
+        real = oracle._jet_arrays
+        monkeypatch.setattr(oracle, "_jet_arrays", lambda m, xs: rows.append(len(xs)) or real(m, xs))
+        run_suite(SuiteConfig("connection", n=3, nu=1, eps=eps, num_points=1))
+        assert rows == [3]  # x and x +- h X(x), where the FD rows along A = X^h step
+
+
+class TestStackedFields:
+    """The jet-only fields on one stencil's stacked rows, and the tensors differenced from them."""
+
+    @staticmethod
+    def _chart(chart, n):
+        if chart == "bumpy":
+            return bumpy_chart(n, 1)
+        m = space_form_chart(SpaceFormSpec(n, 1, 2.0))
+        return replace(m, deriv1_fn=None, deriv2_fn=None) if chart == "no derivatives" else m
+
+    @staticmethod
+    def _fields(m, eps):
+        return {
+            "Tg": sasaki_metric_fn(m),
+            "xi": geodesic_flow_field_fn(m),
+            "eta": contact.eta_form_fn(m, eps),
+            "phi": phi_matrix_fn(m, eps),
+        }
+
+    @pytest.mark.parametrize("chart", CHARTS)
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_stacked_tensors_equal_the_per_row_operators_bit_for_bit(self, rng, chart, n, eps):
+        m = self._chart(chart, n)
+        p = sample_sb_point(m, eps, rng)
+        z0 = np.concatenate([p.x, p.u])
+        jets = oracle.read_stencil_jets(m, z0)
+        assert jets.z.shape == (4 * n + 1, 2 * n)
+        fresh = replace(m)  # keeps no jets: every per-row call below reads its own
+        stacked, per_row = self._fields(m, eps), self._fields(fresh, eps)
+        for name, field in stacked.items():
+            values = field(jets.z, jets)
+            assert values.shape[0] == 4 * n + 1
+            for row, value in zip(jets.z, values):
+                assert np.array_equal(value, per_row[name](row)), name
+            value, d = jets.derivative(field)
+            assert np.array_equal(value, per_row[name](z0)), name
+            assert np.array_equal(d, oracle.partials(per_row[name], z0, FD_STEP_FIRST)), name
+
+        assert np.array_equal(d_eta_tensor(m, p), fd_exterior_derivative(per_row["eta"], z0))
+        assert np.array_equal(contact.nijenhuis_tensor(m, p), fd_nijenhuis(per_row["phi"], z0))
+        j = hypersurface_pullback(fresh, p).jacobian
+        lie = fd_lie_derivative_metric(per_row["xi"], per_row["Tg"], z0)
+        assert contact.killing_residual(m, p) == float(np.abs(0.25 * (j.T @ lie @ j)).max())
+
+        # nabla-tilde Phi: the one formula on Phi(z0) and its per-row partials
+        gauss = GaussOracle(m, p)
+        nabla = oracle._nabla_tilde_endomorphism(
+            per_row["phi"](z0), oracle.partials(per_row["phi"], z0, FD_STEP_FIRST), gauss.gamma0
+        )
+        _, _, e, f = gauss._parts_maps
+        apply = gauss.nabla_endomorphism(stacked["phi"])
+        for ka, kb in LIFT_PAIRS:
+            a, b = sphere.lift(m, p, ka, rng.normal(size=n)), sphere.lift(m, p, kb, rng.normal(size=n))
+            expected = f @ ((nabla @ (e @ b.comps())) @ (e @ a.comps()))
+            assert np.array_equal(apply(a, b).comps(), SBVec.of(p, expected).comps())
+
+    @pytest.mark.parametrize("operator", ["d_eta_tensor", "nijenhuis_tensor", "killing_residual", "sasakian", "nabla_endomorphism"])
+    def test_each_tensor_evaluates_its_fields_once_per_stencil(self, monkeypatch, rng, operator):
+        m = bumpy_chart(3, 1)
+        n = m.dim
+        p = sample_sb_point(m, -1, rng)
+        shapes = {}
+
+        def tracked(name, make):
+            def factory(*args):
+                field = make(*args)
+                return lambda z, jets=None: shapes.setdefault(name, []).append(np.shape(z)) or field(z, jets)
+
+            return factory
+
+        for name in ("phi_matrix_fn", "eta_form_fn", "geodesic_flow_field_fn", "sasaki_metric_fn"):
+            monkeypatch.setattr(contact, name, tracked(name, getattr(contact, name)))
+        reads = []
+        for mod, name in ((oracle, "base_jet"), (contact, "base_jet"), (oracle, "base_gamma")):
+            real = getattr(mod, name)
+            monkeypatch.setattr(mod, name, lambda m, x, real=real: reads.append(np.asarray(x).tobytes()) or real(m, x))
+        stack = (4 * n + 1, 2 * n)
+        if operator == "d_eta_tensor":
+            d_eta_tensor(m, p)
+            expected = {"eta_form_fn": [stack]}
+        elif operator == "nijenhuis_tensor":
+            contact.nijenhuis_tensor(m, p)
+            expected = {"phi_matrix_fn": [stack]}
+        elif operator == "killing_residual":
+            contact.killing_residual(m, p)
+            expected = {"geodesic_flow_field_fn": [stack], "sasaki_metric_fn": [stack]}
+        elif operator == "sasakian":
+            contact.sasakian_residual(m, p, rng, num_samples=4)
+            # xi's value at p contracts the rows; it is not differenced
+            expected = {"phi_matrix_fn": [stack], "eta_form_fn": [stack], "geodesic_flow_field_fn": [(2 * n,)]}
+        else:
+            gauss_oracle(m, p).nabla_endomorphism(contact.phi_matrix_fn(m, -1))
+            expected = {"phi_matrix_fn": [stack]}
+        assert shapes == expected
+        # the jets of the stencil rows come from its one read: any jet read one by one is the one at p's x
+        assert set(reads) <= {p.x.tobytes()}
 
 
 def test_base_jet_inverts_g_once(monkeypatch, rng):
