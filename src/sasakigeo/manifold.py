@@ -62,7 +62,8 @@ class ChartedMetric:
     domain_fn: Callable[[Point], bool] = field(default=lambda x: True)
     locally_symmetric: bool = False
     name: str = ""
-    # the oracle's raw jets at recent base points (``oracle.base_jet``); they die with the chart
+    # recent base points' closed-form contexts (``base_context``) and oracle jets (``oracle.base_jet``)
+    _base_points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _oracle_jets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -81,7 +82,9 @@ def metric_at(m: ChartedMetric, x: Point) -> np.ndarray:
     g = np.asarray(m.metric_fn(x), dtype=float)
     if g.shape != (m.dim, m.dim):
         raise DegenerateMetric(f"metric has shape {g.shape}, expected {(m.dim, m.dim)}")
-    # exact symmetry is the common case; NaN entries fail it and reach allclose
+    if not np.isfinite(g).all():
+        raise DegenerateMetric("metric matrix has non-finite entries")
+    # exact symmetry is the common case
     if not (g == g.T).all() and not np.allclose(g, g.T, atol=1e-14 * max(1.0, np.abs(g).max())):
         raise DegenerateMetric("metric matrix is not symmetric")
     return g
@@ -170,6 +173,74 @@ def riemann_at(m: ChartedMetric, x: Point) -> np.ndarray:
     return _curvature_pass(m, np.asarray(x, dtype=float))[2]
 
 
+JET_MEMO_SIZE = 16  # the fewest base points a chart keeps in each memo; one stencil at x reads 2n + 1 of them
+
+
+def _memo_size(m: ChartedMetric) -> int:
+    """Base points m keeps in each memo: ``JET_MEMO_SIZE``, or one whole stencil's 2n + 1 when that is more (n >= 8)."""
+    return max(JET_MEMO_SIZE, 2 * m.dim + 1)
+
+
+def _memo_get(memo: dict, m: ChartedMetric, key: bytes):
+    """memo's value under key, made the most recently used; None if absent or kept from callables m no longer holds."""
+    entry = memo.pop(key, None)
+    if entry is None:
+        return None
+    metric_fn, deriv1_fn, deriv2_fn = entry[0]
+    if metric_fn is not m.metric_fn or deriv1_fn is not m.deriv1_fn or deriv2_fn is not m.deriv2_fn:
+        return None
+    memo[key] = entry
+    return entry[1]
+
+
+def _memo_put(memo: dict, m: ChartedMetric, key: bytes, value):
+    """Keep value under key with m's metric callables, dropping the least recently used entry when ``memo`` is full."""
+    if len(memo) >= _memo_size(m):
+        del memo[next(iter(memo))]
+    memo[key] = ((m.metric_fn, m.deriv1_fn, m.deriv2_fn), value)
+    return value
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view: a shared context array cannot be written through, and
+    the array a chart returned (possibly its own constant) stays writable."""
+    view = np.asarray(a).view()
+    view.flags.writeable = False
+    return view
+
+
+class BaseContext:
+    """The closed-form g, Gamma and R of one chart at one base point x (see ``base_context``).
+
+    g is one ``metric_at``, read when the context is built; Gamma and R come
+    from one ``_curvature_pass`` that reuses it, on first use.  All three are
+    read-only views.  It holds a copy of x and never the chart, so
+    ``curvature`` takes the chart that keeps it.
+    """
+
+    __slots__ = ("x", "g", "_curvature")
+
+    def __init__(self, m: ChartedMetric, x: np.ndarray):
+        self.x, self.g, self._curvature = x, _read_only(metric_at(m, x)), None
+
+    def curvature(self, m: ChartedMetric) -> tuple:
+        """(Gamma, R) at x."""
+        if self._curvature is None:
+            _, gamma, r = _curvature_pass(m, self.x, self.g)
+            self._curvature = _read_only(gamma), _read_only(r)
+        return self._curvature
+
+
+def base_context(m: ChartedMetric, x: Point) -> BaseContext:
+    """The one ``BaseContext`` of m at x, kept by the chart for its ``_memo_size(m)`` latest base points,
+    so the bundle points over one x (eps = +-1 twins too) share g, Gamma and R; an x where
+    ``metric_at`` raises is not kept.  Keys and callables as in ``oracle.base_jet``."""
+    x = np.asarray(x, dtype=float)
+    key = x.tobytes()
+    context = _memo_get(m._base_points, m, key)
+    return _memo_put(m._base_points, m, key, BaseContext(m, x.copy())) if context is None else context
+
+
 def nabla_riemann_full(m: ChartedMetric, x: Point, curvature: Optional[tuple] = None) -> np.ndarray:
     """All components (nabla_m R)(e_a, e_b)e_c at x (index order [m, i, a, b, c]).
 
@@ -226,7 +297,7 @@ def _sectional(g: np.ndarray, r: np.ndarray, xv: np.ndarray, yv: np.ndarray) -> 
 
 def signature_at(m: ChartedMetric, x: Point) -> tuple[int, int]:
     """(positive, negative) eigenvalue counts of g at x."""
-    g = metric_at(m, x)
+    g = base_context(m, x).g
     eig = np.linalg.eigvalsh(g)
     scale = np.abs(eig).max()
     if scale == 0.0 or np.abs(eig).min() < 1e-10 * scale:
@@ -290,16 +361,17 @@ def validate_space_form(
     """Max |K - c| over sampled nondegenerate planes; raises ``SpaceFormMismatch`` if above 1e-8 or not finite.
 
     Each point is drawn with its ``SPACE_FORM_PLANES`` planes in turn, and
-    then one ``_curvature_pass`` over the (num_points, n) stack of points
-    gives the g and R that serve all of their planes.
+    then one ``_curvature_pass`` over the (num_points, n) stack of points and
+    their kept g gives the R that serves all of their planes.
     """
     from .sampling import sample_domain_point, sample_tangent_plane
 
-    xs, planes = [], []
+    xs, gs, planes = [], [], []
     for _ in range(num_points):
         xs.append(sample_domain_point(m, rng))
+        gs.append(base_context(m, xs[-1]).g)
         planes.append([sample_tangent_plane(m, xs[-1], rng) for _ in range(SPACE_FORM_PLANES)])
-    gs, _, rs = _curvature_pass(m, np.array(xs))
+    gs, _, rs = _curvature_pass(m, np.array(xs), np.array(gs))
     worst = 0.0
     for g, r, point_planes in zip(gs, rs, planes):
         for xv, yv in point_planes:

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateMetric, NoSolvableCoordinate
-from .manifold import ChartedMetric
+from .manifold import JET_MEMO_SIZE, ChartedMetric, _memo_get, _memo_put, _memo_size
 from .sphere import SBPoint, SBVec, contract, require_same_sb_point
 from .stencil import FD_STEP_FIRST, FD_STEP_GAMMA, FD_STEP_SECOND, jacobian, partials, points, quotient
 from .tangent import VectorField, _check_kinds, _lift_slot, as_field, field_at, kept_geometry
@@ -79,14 +79,6 @@ def _riemann(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
 
 
 # -------------------- the raw base jet, kept by the chart --------------------
-
-JET_MEMO_SIZE = 16  # the fewest base points a chart keeps jets for; one stencil at x reads 2n + 1 of them
-
-
-def _memo_size(m: ChartedMetric) -> int:
-    """Base points m keeps jets for: ``JET_MEMO_SIZE``, or one whole stencil's 2n + 1 when that is more (n >= 8)."""
-    return max(JET_MEMO_SIZE, 2 * m.dim + 1)
-
 
 def _own(a) -> np.ndarray:
     """A read-only copy: a chart that reuses the buffer it returned cannot change a kept jet."""
@@ -160,27 +152,6 @@ def _read_jets(m: ChartedMetric, xs) -> list:
     return [_row_jet(m, arrays, k) for k in range(len(arrays[0]))]
 
 
-def _kept_jet(m: ChartedMetric, key: bytes) -> Optional[BaseJet]:
-    """The memo's jet under key, made the most recently used; None when absent or read from other callables."""
-    entry = m._oracle_jets.pop(key, None)
-    if entry is None:
-        return None
-    metric_fn, deriv1_fn, deriv2_fn = entry[0]
-    if metric_fn is not m.metric_fn or deriv1_fn is not m.deriv1_fn or deriv2_fn is not m.deriv2_fn:
-        return None
-    m._oracle_jets[key] = entry
-    return entry[1]
-
-
-def _remember(m: ChartedMetric, key: bytes, jet: BaseJet) -> BaseJet:
-    """Keep jet under key, dropping the least recently used entry when the memo is full."""
-    memo = m._oracle_jets
-    if len(memo) >= _memo_size(m):
-        del memo[next(iter(memo))]
-    memo[key] = ((m.metric_fn, m.deriv1_fn, m.deriv2_fn), jet)
-    return jet
-
-
 def base_jet(m: ChartedMetric, x: np.ndarray) -> BaseJet:
     """The raw jet of ``m`` at x, kept by the chart for its ``_memo_size(m)`` latest base points.
 
@@ -192,8 +163,8 @@ def base_jet(m: ChartedMetric, x: np.ndarray) -> BaseJet:
     """
     x = np.asarray(x, dtype=float)
     key = x.tobytes()
-    jet = _kept_jet(m, key)
-    return _remember(m, key, BaseJet(m, x)) if jet is None else jet
+    jet = _memo_get(m._oracle_jets, m, key)
+    return _memo_put(m._oracle_jets, m, key, BaseJet(m, x)) if jet is None else jet
 
 
 def read_jets(m: ChartedMetric, xs) -> list:
@@ -207,11 +178,11 @@ def read_jets(m: ChartedMetric, xs) -> list:
     jets = {}
     for key in keys:
         if key not in jets:
-            jets[key] = _kept_jet(m, key)
+            jets[key] = _memo_get(m._oracle_jets, m, key)
     missing = {key: x for key, x in zip(keys, xs) if jets[key] is None}
     if missing:
         for key, jet in zip(missing, _read_jets(m, list(missing.values()))):
-            jets[key] = _remember(m, key, jet)
+            jets[key] = _memo_put(m._oracle_jets, m, key, jet)
     return [jets[key] for key in keys]
 
 
@@ -617,10 +588,10 @@ class GaussOracle:
         dgamma = _dgamma(ginv, dg, np.array([m.deriv2_fn(x) for x in xs], dtype=float))
         dgamma.flags.writeable = False
         key = self.x.tobytes()
-        if _kept_jet(m, key) is None:
+        if _memo_get(m._oracle_jets, m, key) is None:
             jet = _row_jet(m, arrays, 0)
             jet.dgamma = dgamma[0]
-            _remember(m, key, jet)
+            _memo_put(m._oracle_jets, m, key, jet)
         stacks = []
         for at_rows in (g, dg, gamma, dgamma):
             full = np.empty((4 * n + 1,) + at_rows.shape[1:])

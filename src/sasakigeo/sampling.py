@@ -7,10 +7,12 @@ orders produce identical samples.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import SamplingFailure
-from .manifold import ChartedMetric, gram_scale, metric_at, plane_gram
+from .manifold import ChartedMetric, base_context, gram_scale, plane_gram
 from .sphere import SBPoint, SBVec, point_geometry, sb_point
 
 SAMPLE_BOX = 0.55  # chart points are drawn from [-box, box]^n, then domain-filtered
@@ -34,7 +36,7 @@ def sample_domain_point(m: ChartedMetric, rng: np.random.Generator, box: float =
 
 def sample_tangent_plane(m: ChartedMetric, x: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Components of two tangent vectors spanning a decisively nondegenerate plane."""
-    g = metric_at(m, x)
+    g = base_context(m, x).g
     floor = PLANE_GRAM_MIN * gram_scale(g)
     for _ in range(200):
         xv = rng.normal(size=m.dim)
@@ -50,14 +52,14 @@ def sample_fiber_vector(m: ChartedMetric, x: np.ndarray, eps: int, rng: np.rando
     The pseudo-spheres are noncompact; vectors rescaled to ||u|| > FIBER_NORM_MAX
     are rejected to keep finite-difference truncation well-conditioned.
     """
-    g = metric_at(m, x)
+    g = base_context(m, x).g
     for _ in range(1000):
         u = rng.normal(size=m.dim)
         q = float(u @ g @ u)
-        if abs(q) < 0.1 or np.sign(q) != eps:
+        if abs(q) < 0.1 or q * eps < 0.0:  # |q| >= 0.1, so q * eps < 0 is sign(q) != eps
             continue
         u = u / np.sqrt(abs(q))
-        if np.linalg.norm(u) > FIBER_NORM_MAX:
+        if math.sqrt(u @ u) > FIBER_NORM_MAX:
             continue
         return u
     raise SamplingFailure(f"could not sample a fiber vector with sign {eps}")

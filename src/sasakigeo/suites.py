@@ -553,8 +553,9 @@ def _run_all_matrix(cfg: SuiteConfig) -> list:
     The rows run chart by chart: charts in the order of their first
     configuration, suites in ``_SUITE_FNS`` order, and each suite's eps = +1
     row just before its eps = -1 twin.  A twin draws from the same seed
-    streams, so it finds its base points' jets still in the chart's memo,
-    and only the running chart is held.
+    streams, so it finds its base points' jets and closed-form g, Gamma and
+    R (``base_context``) still in the chart's memos, and only the running
+    chart is held.
     """
     global _matrix_charts
     # the meta-suite trades sample counts for matrix coverage

@@ -22,7 +22,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import PointMismatch
-from .manifold import ChartedMetric, _curvature_pass, metric_at
+from .manifold import BaseContext, ChartedMetric, _read_only, base_context
 from .stencil import FD_STEP_FIRST, jacobian
 
 VectorField = Union[Callable[[np.ndarray], np.ndarray], np.ndarray]
@@ -46,24 +46,15 @@ class TMPoint:
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """A read-only view: a shared context array cannot be written through, and
-    the array a chart returned (possibly its own constant) stays writable."""
-    view = np.asarray(a).view()
-    view.flags.writeable = False
-    return view
-
-
 class BaseGeometry:
-    """g, Gamma and R of one chart at the base point of (x, u), and the
-    Sasaki connection array at (x, u), each built at most once.  g alone is
-    one ``metric_at``; Gamma and R come together from one curvature pass
-    that reuses that g, so the chart is read once at x whichever is asked
-    for first.
+    """One chart's geometry at the point (x, u) of TM, each part built at most once.
 
-    The arrays are read-only because every closed form at the point shares
-    them.  The object holds the chart and the coordinates x and u, never the
-    point that keeps it.
+    g, Gamma and R are those of the ``base_context`` at x, which the chart
+    keeps, so every bundle point over x shares them; this object keeps only
+    what depends on u, the Sasaki connection array, and the Jacobians of the
+    fields it is given.  The arrays are read-only because every closed form
+    at the point shares them.  The object holds the chart and the
+    coordinates x and u, never the point that keeps it.
 
     ``nabla`` keeps the Jacobian at x of each callable field it is given,
     keyed by the field object's identity and holding the field, so a field
@@ -80,22 +71,12 @@ class BaseGeometry:
         self._jacobians: dict = {}  # id(field) -> (field, its Jacobian at x)
 
     @cached_property
-    def g(self) -> np.ndarray:
-        return _read_only(metric_at(self.m, self.x))
+    def _base(self) -> BaseContext:
+        return base_context(self.m, self.x)
 
-    @cached_property
-    def _curvature(self) -> tuple:
-        """(Gamma, R) from one curvature pass, which reuses ``g`` and reads g' and g'' once."""
-        _, gamma, r = _curvature_pass(self.m, self.x, self.g)
-        return _read_only(gamma), _read_only(r)
-
-    @property
-    def gamma(self) -> np.ndarray:
-        return self._curvature[0]
-
-    @property
-    def riem(self) -> np.ndarray:
-        return self._curvature[1]
+    g = property(lambda self: self._base.g)
+    gamma = property(lambda self: self._base.curvature(self.m)[0])
+    riem = property(lambda self: self._base.curvature(self.m)[1])
 
     @cached_property
     def connection(self) -> np.ndarray:

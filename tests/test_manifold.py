@@ -12,6 +12,7 @@ from sasakigeo.errors import DegenerateMetric, DegeneratePlane, OutOfDomain
 from sasakigeo.manifold import (
     ChartedMetric,
     SpaceFormSpec,
+    base_context,
     christoffel_at,
     metric_at,
     metric_deriv1_at,
@@ -23,7 +24,8 @@ from sasakigeo.manifold import (
     validate_space_form,
 )
 from sasakigeo.oracle import fd_christoffel, fd_riemann
-from sasakigeo.sampling import sample_domain_point, sample_tangent_plane
+from sasakigeo.sampling import sample_domain_point, sample_fiber_vector, sample_sb_vec, sample_tangent_plane
+from sasakigeo.sphere import point_geometry, sb_curvature, sb_point
 from sasakigeo.stencil import FD_STEP_FIRST, FD_STEP_SECOND, partials
 
 from conftest import bumpy_chart, flat_chart
@@ -70,6 +72,14 @@ class TestMetricAt:
         bad = ChartedMetric(dim=2, index=0, metric_fn=lambda x: np.full((2, 2), np.nan))
         with pytest.raises(DegenerateMetric):
             metric_at(bad, np.zeros(2))
+
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+    def test_non_finite_metric_rejected(self, entry):
+        g = np.array([[entry, 0.0], [0.0, 1.0]])  # symmetric, so only the finiteness guard catches inf
+        bad = ChartedMetric(dim=2, index=0, metric_fn=lambda x: g)
+        for read in (metric_at, signature_at, christoffel_at):
+            with pytest.raises(DegenerateMetric):
+                read(bad, np.zeros(2))
 
     def test_asymmetry_within_tolerance_accepted(self):
         # not exactly symmetric: decided by the allclose fallback, as before
@@ -461,13 +471,124 @@ class TestOnePassCurvature:
             for _ in range(manifold.SPACE_FORM_PLANES):
                 xv, yv = sample_tangent_plane(m, x, rng)
                 worst = max(worst, abs(sectional_curvature(m, x, xv, yv) - c))
-        shapes = []
-        real = manifold._curvature_pass
+        m = space_form_chart(spec)  # a fresh chart, which keeps no base point yet
+        shapes, metric_reads = [], []
+        real, real_metric = manifold._curvature_pass, m.metric_fn
 
         def counted(chart, x, g=None):
-            shapes.append(np.shape(x))
+            shapes.append((np.shape(x), np.shape(g)))
             return real(chart, x, g)
 
         monkeypatch.setattr(manifold, "_curvature_pass", counted)
+        m.metric_fn = lambda x: metric_reads.append(None) or real_metric(x)
         assert validate_space_form(m, spec, np.random.default_rng(5), num_points=10) == worst
-        assert shapes == [(10, n)]  # one pass over the stack of the 10 points
+        # g is read once per point, for its planes, and the one pass over the stack of the 10 points takes those g
+        assert len(metric_reads) == 10 and shapes == [((10, n), (10, n, n))]
+
+
+def _counting(m):
+    """A chart equal to m whose metric callables count their calls in the returned dict."""
+    calls = {"metric_fn": 0, "deriv1_fn": 0, "deriv2_fn": 0}
+
+    def counted(name, fn):
+        def wrapped(x):
+            calls[name] += 1
+            return fn(x)
+
+        return wrapped
+
+    return replace(m, **{name: counted(name, getattr(m, name)) for name in calls}), calls
+
+
+class TestBaseContext:
+    """The closed-form g, Gamma and R a chart keeps for its latest base points (``base_context``)."""
+
+    @pytest.mark.parametrize("chart", ["space form", "bumpy"])
+    def test_bundle_points_over_one_x_run_one_curvature_pass(self, monkeypatch, rng, chart):
+        m, calls = _counting(space_form_chart(SpaceFormSpec(3, 1, 2.0)) if chart == "space form" else bumpy_chart(3, 1))
+        x = np.array([0.1, -0.2, 0.15])
+        # the eps = +-1 twins, and a second u at eps = +1
+        points = [sb_point(m, x, sample_fiber_vector(m, x, eps, rng), eps) for eps in (1, -1, 1)]
+        assert calls == {"metric_fn": 1, "deriv1_fn": 0, "deriv2_fn": 0}
+        passes = []
+        real = manifold._curvature_pass
+        monkeypatch.setattr(manifold, "_curvature_pass", lambda chart, y, g=None: passes.append(np.shape(y)) or real(chart, y, g))
+        for p in points:
+            sb_curvature(m, p, *(sample_sb_vec(m, p, rng) for _ in range(3)))
+            base = point_geometry(m, p).base
+            assert base.g is point_geometry(m, points[0]).base.g and base.riem is point_geometry(m, points[0]).base.riem
+        assert [shape for shape in passes if len(shape) == 1] == [(3,)]  # one single-point pass at x for all three
+        if chart == "space form":  # no nabla R stencil: x's g, g' and g'' are all the chart reads
+            assert calls == {"metric_fn": 1, "deriv1_fn": 1, "deriv2_fn": 1}
+
+    def test_reassigned_metric_callables_are_seen(self):
+        m = space_form_chart(SpaceFormSpec(2, 1, 1.0))
+        x = np.array([0.1, 0.2])
+        before = base_context(m, x)
+        gamma, r = before.curvature(m)
+        assert base_context(m, x) is before
+        metric, deriv1, deriv2 = m.metric_fn, m.deriv1_fn, m.deriv2_fn
+        m.metric_fn = lambda y: 2.0 * metric(y)
+        after = base_context(m, x)
+        assert after is not before and np.array_equal(after.g, 2.0 * before.g)
+        assert signature_at(m, x) == (1, 1)
+        m.deriv1_fn = lambda y: 3.0 * deriv1(y)  # Gamma grows by 3/2 with g doubled
+        assert np.array_equal(base_context(m, x).curvature(m)[0], christoffel_at(m, x))
+        assert not np.array_equal(base_context(m, x).curvature(m)[0], gamma)
+        m.deriv2_fn = lambda y: 3.0 * deriv2(y)
+        assert np.array_equal(base_context(m, x).curvature(m)[1], riemann_at(m, x))
+        assert not np.array_equal(base_context(m, x).curvature(m)[1], r)
+
+    def test_memo_stays_within_its_bound_and_drops_the_least_recently_used(self, rng):
+        m, calls = _counting(space_form_chart(SpaceFormSpec(2, 0, 1.0)))
+        size = manifold._memo_size(m)
+        xs = [rng.uniform(-0.5, 0.5, size=2) for _ in range(3 * size)]
+        for x in xs:
+            base_context(m, x)
+            assert len(m._base_points) <= size
+        assert len(m._base_points) == size and calls["metric_fn"] == 3 * size
+        base_context(m, xs[-size])  # the oldest kept, now the most recently used
+        assert calls["metric_fn"] == 3 * size
+        base_context(m, np.array([0.45, 0.45]))  # drops xs[-size + 1]
+        base_context(m, xs[-size])
+        assert calls["metric_fn"] == 3 * size + 1
+        base_context(m, xs[-size + 1])
+        assert calls["metric_fn"] == 3 * size + 2
+
+    def test_kept_arrays_are_read_only_and_the_charts_buffer_stays_writable(self, flat2):
+        x = np.array([0.3, 0.7])
+        buffer = flat2.metric_fn(x)  # the chart returns this one constant array
+        context = base_context(flat2, x)
+        gamma, r = context.curvature(flat2)
+        for kept in (context.g, gamma, r):
+            assert not kept.flags.writeable
+            with pytest.raises(ValueError):
+                kept[(0,) * kept.ndim] = 1.0
+        assert np.shares_memory(context.g, buffer) and buffer.flags.writeable
+        assert flat2.metric_fn(x) is buffer and metric_at(flat2, x) is buffer  # metric_at stays a raw read
+
+    def test_an_out_of_domain_x_raises_on_every_call_and_is_never_kept(self, rng):
+        m, calls = _counting(space_form_chart(SpaceFormSpec(2, 0, -4.0)))  # F = 1 - |x|^2
+        x = np.array([1.5, 0.0])
+        for _ in range(2):
+            for read in (
+                lambda: base_context(m, x),
+                lambda: signature_at(m, x),
+                lambda: sample_tangent_plane(m, x, rng),
+                lambda: sample_fiber_vector(m, x, 1, rng),
+            ):
+                with pytest.raises(OutOfDomain):
+                    read()
+        assert m._base_points == {} and calls["metric_fn"] == 0
+
+    def test_equal_but_distinct_charts_do_not_share_contexts(self):
+        m = space_form_chart(SpaceFormSpec(2, 0, 1.0))
+        twin, calls = _counting(m)
+        twin = replace(twin, metric_fn=m.metric_fn, deriv1_fn=m.deriv1_fn, deriv2_fn=m.deriv2_fn)
+        assert twin == m and twin is not m
+        x = np.array([0.2, -0.1])
+        assert base_context(m, x) is not base_context(twin, x)
+        assert len(m._base_points) == len(twin._base_points) == 1
+        # a chart of another curvature at the same x reads its own g
+        other = space_form_chart(SpaceFormSpec(2, 0, -1.0))
+        assert not np.array_equal(base_context(other, x).g, base_context(m, x).g)

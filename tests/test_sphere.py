@@ -515,7 +515,7 @@ class TestPointGeometry:
         assert point_geometry(m, p) is geo
         assert p.tm is p.tm and geo.base is base_geometry(m, p.tm)  # shared with the TM layer
 
-    def test_riemann_read_once_per_bundle_point(self, monkeypatch):
+    def test_riemann_read_once_per_base_point(self, monkeypatch):
         reads = []
         real = manifold._curvature_pass
 
@@ -529,9 +529,10 @@ class TestPointGeometry:
         contact.sasakian_residual(m, sample_sb_point(m, 1, rng), rng, num_samples=8)
         assert len(reads) == 1
         reads.clear()
-        cfg = suites.SuiteConfig("connection", n=2, nu=1, num_points=2, num_samples=8)
-        rows = list(suites._suite_connection(cfg, m, cfg.params()))
-        assert rows and len(reads) == 2 and not np.array_equal(reads[0], reads[1])
+        for eps in (1, -1):  # the eps = -1 twin draws the same two base points
+            cfg = suites.SuiteConfig("connection", n=2, nu=1, eps=eps, num_points=2, num_samples=8)
+            assert list(suites._suite_connection(cfg, m, cfg.params()))
+        assert len(reads) == 2 and not np.array_equal(reads[0], reads[1])
 
     def test_nabla_riemann_built_once_per_bundle_point(self, monkeypatch, rng):
         calls = []

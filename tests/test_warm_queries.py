@@ -11,9 +11,9 @@ import pytest
 from sasakigeo import contact, sphere
 from sasakigeo.contact import contact_data_at, h_at, nabla_phi
 from sasakigeo.errors import PointMismatch
-from sasakigeo.manifold import SpaceFormSpec, space_form_chart
+from sasakigeo.manifold import SpaceFormSpec, signature_at, space_form_chart
 from sasakigeo.oracle import gauss_curvature_oracle, gauss_oracle, sb_nabla_via_ambient
-from sasakigeo.sampling import sample_sb_point, sample_sb_vec
+from sasakigeo.sampling import sample_fiber_vector, sample_sb_point, sample_sb_vec
 from sasakigeo.sphere import (
     SBVec,
     contract,
@@ -24,6 +24,7 @@ from sasakigeo.sphere import (
     point_geometry,
     sb_curvature,
     sb_nabla,
+    sb_point,
     tangential_lift,
 )
 from sasakigeo.tangent import TMPoint, TMVec, base_geometry, field_at, tm_nabla
@@ -288,6 +289,8 @@ def _ops():
         "frame_at": lambda m, p, rng: frame_at(m, p).vectors,
         "second_fundamental_form": lambda m, p, rng: gauss_oracle(m, p).second_fundamental_form(*vecs(m, p, rng, 2)),
         "sb_nabla_via_ambient": lambda m, p, rng: sb_nabla_via_ambient(m, rng.normal(size=3), rng.normal(size=3), "h", "t", p),
+        "base_geometry(...).riem": lambda m, p, rng: base_geometry(m, p.tm).riem,
+        "signature_at": lambda m, p, rng: signature_at(m, p.x),
     }
 
 
@@ -313,6 +316,22 @@ class TestNoKeptContextHoldsThePoint:
     @pytest.mark.parametrize("name", list(_ops()))
     def test_the_point_is_freed_by_reference_counting(self, chart, name):
         assert _point_freed(_chart(chart), _ops()[name])
+
+    @pytest.mark.parametrize("chart", ["space form", "bumpy"])
+    def test_the_base_context_a_twin_shares_keeps_no_point(self, chart):
+        m = _chart(chart)
+        rng = np.random.default_rng(5)
+        gc.disable()
+        try:
+            p = sample_sb_point(m, 1, rng)
+            sb_curvature(m, p, *(sample_sb_vec(m, p, rng) for _ in range(3)))
+            x, g, riem, freed = p.x.copy(), point_geometry(m, p).base.g, point_geometry(m, p).base.riem, weakref.ref(p)
+            del p
+            assert freed() is None  # the chart still keeps x's context
+            twin = sb_point(m, x, sample_fiber_vector(m, x, -1, rng), -1)
+            assert point_geometry(m, twin).base.g is g and point_geometry(m, twin).base.riem is riem
+        finally:
+            gc.enable()
 
     def test_a_context_that_keeps_its_point_is_caught(self, monkeypatch):
         real = sphere.PointGeometry.__init__
