@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -134,8 +134,36 @@ def christoffel_at(m: ChartedMetric, x: Point) -> np.ndarray:
     return _levi_civita(m, np.asarray(x, dtype=float))[-1]
 
 
-def _curvature_pass(m: ChartedMetric, x: Point, g: Optional[np.ndarray] = None) -> tuple:
-    """(g, Gamma, R) at x of shape (..., n) in one pass over the stack.
+class CurvaturePass(NamedTuple):
+    """What one ``_curvature_pass`` built at x of shape (..., n), jet and algebra alike.
+
+    g'' (``ddg``), d g^-1 and d T are None on a chart without analytic
+    derivatives; ``dgamma[..., c, i, a, b]`` is d_c Gamma^i_ab.
+    """
+
+    g: np.ndarray
+    gamma: np.ndarray
+    r: np.ndarray
+    dg: np.ndarray
+    ginv: np.ndarray
+    t: np.ndarray
+    dgamma: np.ndarray
+    ddg: Optional[np.ndarray]
+    dginv: Optional[np.ndarray]
+    dt: Optional[np.ndarray]
+
+
+def _first_kind_derivative(ddg: np.ndarray) -> np.ndarray:
+    """``out[..., c, l, a, b]`` = d_c T_lab = d_c (d_a g_lb + d_b g_al - d_l g_ab) from g'' (``ddg[..., c, k, i, j]``)."""
+    return (
+        np.einsum("...calb->...clab", ddg)
+        + np.einsum("...cbal->...clab", ddg)
+        - np.einsum("...clab->...clab", ddg)
+    )
+
+
+def _curvature_pass(m: ChartedMetric, x: Point, g: Optional[np.ndarray] = None) -> CurvaturePass:
+    """The ``CurvaturePass`` (g, Gamma, R and the jet behind them) at x of shape (..., n), over the stack at once.
 
     Each chart callable is read once per row; g is inverted once for the
     whole stack and the Koszul step, d Gamma and R are one step on it.  A g
@@ -145,17 +173,13 @@ def _curvature_pass(m: ChartedMetric, x: Point, g: Optional[np.ndarray] = None) 
     """
     n = m.dim
     g, dg, ginv, t, gamma = _levi_civita(m, x, g)
+    ddg = dginv = dt = None
     if m.uses_fd_derivatives:
         dgamma = _per_row(lambda y: partials(lambda w: christoffel_at(m, w), y, FD_STEP_SECOND), x, (n,) * 4)
     else:
         ddg = _per_row(m.deriv2_fn, x, (n,) * 4)
         dginv = -np.einsum("...im,...cmn,...nl->...cil", ginv, dg, ginv)
-        # dt[c, l, a, b] = d_c (d_a g_lb + d_b g_al - d_l g_ab)
-        dt = (
-            np.einsum("...calb->...clab", ddg)
-            + np.einsum("...cbal->...clab", ddg)
-            - np.einsum("...clab->...clab", ddg)
-        )
+        dt = _first_kind_derivative(ddg)
         dgamma = 0.5 * (
             np.einsum("...cil,...lab->...ciab", dginv, t) + np.einsum("...il,...clab->...ciab", ginv, dt)
         )
@@ -165,12 +189,12 @@ def _curvature_pass(m: ChartedMetric, x: Point, g: Optional[np.ndarray] = None) 
         + np.einsum("...iam,...mbc->...iabc", gamma, gamma)
         - np.einsum("...ibm,...mac->...iabc", gamma, gamma)
     )
-    return g, gamma, r
+    return CurvaturePass(g, gamma, r, dg, ginv, t, dgamma, ddg, dginv, dt)
 
 
 def riemann_at(m: ChartedMetric, x: Point) -> np.ndarray:
     """``r[i, a, b, c]`` = d_a Gamma^i_bc - d_b Gamma^i_ac + Gamma^i_am Gamma^m_bc - Gamma^i_bm Gamma^m_ac."""
-    return _curvature_pass(m, np.asarray(x, dtype=float))[2]
+    return _curvature_pass(m, np.asarray(x, dtype=float)).r
 
 
 JET_MEMO_SIZE = 16  # the fewest base points a chart keeps in each memo; one stencil at x reads 2n + 1 of them
@@ -210,30 +234,40 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 class BaseContext:
-    """The closed-form g, Gamma and R of one chart at one base point x (see ``base_context``).
+    """The closed-form g, Gamma, R and nabla R of one chart at one base point x (see ``base_context``).
 
     g is one ``metric_at``, read when the context is built; Gamma and R come
-    from one ``_curvature_pass`` that reuses it, on first use.  All three are
-    read-only views.  It holds a copy of x and never the chart, so
-    ``curvature`` takes the chart that keeps it.
+    from one ``_curvature_pass`` that reuses it, and nabla R from that pass's
+    jet (``_nabla_riemann``), each on first use.  All are read-only views.
+    It holds a copy of x and never the chart, so ``curvature`` and
+    ``nabla_r`` take the chart that keeps it.
     """
 
-    __slots__ = ("x", "g", "_curvature")
+    __slots__ = ("x", "g", "_pass", "_curvature", "_nabla_r")
 
     def __init__(self, m: ChartedMetric, x: np.ndarray):
-        self.x, self.g, self._curvature = x, _read_only(metric_at(m, x)), None
+        self.x, self.g = x, _read_only(metric_at(m, x))
+        self._pass = self._curvature = self._nabla_r = None
 
     def curvature(self, m: ChartedMetric) -> tuple:
         """(Gamma, R) at x."""
         if self._curvature is None:
-            _, gamma, r = _curvature_pass(m, self.x, self.g)
-            self._curvature = _read_only(gamma), _read_only(r)
+            self._pass = _curvature_pass(m, self.x, self.g)
+            self._curvature = _read_only(self._pass.gamma), _read_only(self._pass.r)
         return self._curvature
+
+    def nabla_r(self, m: ChartedMetric) -> np.ndarray:
+        """``nabla_riemann_full`` at x, from the jet ``curvature`` read there; for a chart
+        not flagged ``locally_symmetric`` (a flagged one has nabla R = 0 and no caller asks)."""
+        if self._nabla_r is None:
+            self.curvature(m)
+            self._nabla_r = _read_only(_nabla_riemann(m, self.x, self._pass))
+        return self._nabla_r
 
 
 def base_context(m: ChartedMetric, x: Point) -> BaseContext:
     """The one ``BaseContext`` of m at x, kept by the chart for its ``_memo_size(m)`` latest base points,
-    so the bundle points over one x (eps = +-1 twins too) share g, Gamma and R; an x where
+    so the bundle points over one x (eps = +-1 twins too) share g, Gamma, R and nabla R; an x where
     ``metric_at`` raises is not kept.  Keys and callables as in ``oracle.base_jet``."""
     x = np.asarray(x, dtype=float)
     key = x.tobytes()
@@ -241,28 +275,57 @@ def base_context(m: ChartedMetric, x: Point) -> BaseContext:
     return _memo_put(m._base_points, m, key, BaseContext(m, x.copy())) if context is None else context
 
 
-def nabla_riemann_full(m: ChartedMetric, x: Point, curvature: Optional[tuple] = None) -> np.ndarray:
+def nabla_riemann_full(m: ChartedMetric, x: Point) -> np.ndarray:
     """All components (nabla_m R)(e_a, e_b)e_c at x (index order [m, i, a, b, c]).
 
-    d_m R is the difference quotient of one curvature pass on x's
-    central-difference stencil, corrected on all four slots with the
-    Christoffel symbols at x.  ``curvature`` = (Gamma, R) at x, from a pass
-    already run there, is used as given; without it, x is row 0 of the same
-    pass.  Charts flagged ``locally_symmetric`` (space forms) short-circuit
-    to zero.
+    A raw read, like ``riemann_at``: one curvature pass at x, then
+    ``_nabla_riemann`` on its jet.  Charts flagged ``locally_symmetric``
+    (space forms) short-circuit to zero.
     """
     x = np.asarray(x, dtype=float)
-    n = m.dim
     if m.locally_symmetric:
-        return np.zeros((n, n, n, n, n))
+        return np.zeros((m.dim,) * 5)
+    return _nabla_riemann(m, x, _curvature_pass(m, x))
+
+
+def _nabla_riemann(m: ChartedMetric, x: np.ndarray, at_x: CurvaturePass) -> np.ndarray:
+    """``nabla_riemann_full`` at x from the ``CurvaturePass`` already run there and one stencil.
+
+    d_m R comes from one central-difference stencil on ``points(x,
+    FD_STEP_FIRST)``: on a chart with analytic g'', of ``deriv2_fn`` alone,
+    whose quotient gives d_m d_c T, and then d_m d_c Gamma and d_m R follow
+    in closed form from the jet at x; else the quotient of one curvature
+    pass over the stencil rows.  The four Gamma.R corrections turn d_m R
+    into nabla_m R (docs/nabla_riemann.md).
+    """
+    n = m.dim
     rows = points(x, FD_STEP_FIRST)
-    if curvature is None:
-        _, gammas, rs = _curvature_pass(m, np.concatenate([x[None], rows]))
-        gamma, r, rs = gammas[0], rs[0], rs[1:]
+    gamma, r = at_x.gamma, at_x.r
+    if m.uses_fd_derivatives:
+        dr = quotient(_curvature_pass(m, rows).r, FD_STEP_FIRST)
     else:
-        (gamma, r), (_, _, rs) = curvature, _curvature_pass(m, rows)
+        ginv, dg, dginv, t, dt, dgamma = at_x.ginv, at_x.dg, at_x.dginv, at_x.t, at_x.dt, at_x.dgamma
+        ddt = quotient(_first_kind_derivative(_per_row(m.deriv2_fn, rows, (n,) * 4)), FD_STEP_FIRST)
+        # d_m d_c g^-1 = -(d_m g^-1)(d_c g) g^-1 - (d_c g^-1)(d_m g) g^-1 - g^-1 (d_m d_c g) g^-1
+        half = np.einsum("mip,cpq,qj->mcij", dginv, dg, ginv)
+        ddginv = -half - np.swapaxes(half, 0, 1) - np.einsum("ip,mcpq,qj->mcij", ginv, at_x.ddg, ginv)
+        # d_m d_c Gamma^i_ab, the product rule on Gamma = g^-1 T / 2
+        cross = np.einsum("cil,mlab->mciab", dginv, dt)
+        ddgamma = 0.5 * (
+            np.einsum("mcil,lab->mciab", ddginv, t)
+            + cross
+            + np.swapaxes(cross, 0, 1)
+            + np.einsum("il,mclab->mciab", ginv, ddt)
+        )
+        # d_m of R^i_abc = d_a Gamma^i_bc + Gamma^i_ap Gamma^p_bc, less the same with a and b swapped
+        half_r = (
+            np.einsum("maibc->miabc", ddgamma)
+            + np.einsum("miap,pbc->miabc", dgamma, gamma)
+            + np.einsum("iap,mpbc->miabc", gamma, dgamma)
+        )
+        dr = half_r - np.swapaxes(half_r, 2, 3)
     return (
-        quotient(rs, FD_STEP_FIRST)
+        dr
         + np.einsum("imp,pjkl->mijkl", gamma, r)
         - np.einsum("pmj,ipkl->mijkl", gamma, r)
         - np.einsum("pmk,ijpl->mijkl", gamma, r)
@@ -371,7 +434,8 @@ def validate_space_form(
         xs.append(sample_domain_point(m, rng))
         gs.append(base_context(m, xs[-1]).g)
         planes.append([sample_tangent_plane(m, xs[-1], rng) for _ in range(SPACE_FORM_PLANES)])
-    gs, _, rs = _curvature_pass(m, np.array(xs), np.array(gs))
+    at = _curvature_pass(m, np.array(xs), np.array(gs))
+    gs, rs = at.g, at.r
     worst = 0.0
     for g, r, point_planes in zip(gs, rs, planes):
         for xv, yv in point_planes:

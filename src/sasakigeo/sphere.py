@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PointMismatch
-from .manifold import ChartedMetric, nabla_riemann_full
+from .manifold import ChartedMetric
 from .tangent import (
     PartsVector,
     TMPoint,
@@ -208,9 +208,9 @@ class PointGeometry:
     R is ``base.riem`` (``riemann_at``, operator order), ``ruu[i, a]`` is the
     i-component of R(e_a, u)u, and ``proj`` = I - eps u (g u)^T maps a
     vertical part to its u-orthogonal tangential representative.
-    ``nabla_r`` is ``nabla_riemann_full`` on the Gamma and R the point
-    already holds, or None when the chart is locally symmetric (then it is
-    zero).  ``base_frame`` is read off one SVD of
+    ``nabla_r`` is ``nabla_riemann_full`` at x, kept with g, Gamma and R
+    by the ``base_context`` at x, or None when the chart is locally
+    symmetric (then it is zero).  ``base_frame`` is read off one SVD of
     ``proj`` and one eigendecomposition of the metric on its range.  ``gbar``
     = diag(g, g) is the induced metric on (h, t) parts.  For the bundle frame
     it keeps ``frame`` (the frame's parts matrix and signs) and h's matrix in
@@ -253,7 +253,7 @@ class PointGeometry:
     def nabla_r(self) -> np.ndarray | None:
         if self.m.locally_symmetric:
             return None
-        return _read_only(nabla_riemann_full(self.m, self.base.x, (self.base.gamma, self.base.riem)))
+        return self.base.nabla_r
 
     @cached_property
     def rbar(self) -> np.ndarray:

@@ -49,7 +49,7 @@ class TMPoint:
 class BaseGeometry:
     """One chart's geometry at the point (x, u) of TM, each part built at most once.
 
-    g, Gamma and R are those of the ``base_context`` at x, which the chart
+    g, Gamma, R and nabla R are those of the ``base_context`` at x, which the chart
     keeps, so every bundle point over x shares them; this object keeps only
     what depends on u, the Sasaki connection array, and the Jacobians of the
     fields it is given.  The arrays are read-only because every closed form
@@ -77,6 +77,7 @@ class BaseGeometry:
     g = property(lambda self: self._base.g)
     gamma = property(lambda self: self._base.curvature(self.m)[0])
     riem = property(lambda self: self._base.curvature(self.m)[1])
+    nabla_r = property(lambda self: self._base.nabla_r(self.m))
 
     @cached_property
     def connection(self) -> np.ndarray:

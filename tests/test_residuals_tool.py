@@ -2,12 +2,39 @@
 
 import importlib.util
 import json
+import sys
+import types
 from pathlib import Path
 
-TOOL_PATH = Path(__file__).resolve().parents[1] / "tools" / "residuals.py"
-spec = importlib.util.spec_from_file_location("residuals_tool", TOOL_PATH)
-residuals = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(residuals)
+from sasakigeo import suites
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)  # registered, as its dataclasses need
+    spec.loader.exec_module(module)
+    return module
+
+
+residuals = _load("residuals_tool", ROOT / "tools" / "residuals.py")
+workloads = _load("bench_workloads", ROOT / "bench" / "workloads.py")
+
+
+def test_dump_covers_every_suite_report_and_each_generic_base_item():
+    assert len(list(residuals.configs(suites))) == 380
+    reports = residuals.generic_base_reports(workloads)
+    assert len(reports) == 36 and all(label.startswith("generic-base[n=") for label in reports)
+    assert all(rep["pass"] and rep["checks"] for rep in reports.values())
+
+
+def test_a_generic_base_item_is_judged_as_the_benchmark_judges_it():
+    item = types.SimpleNamespace(label="x", run=lambda: {"a": (1e-3, 1e-5), "b": (float("nan"), 1.0), "c": (0.0, 1.0)})
+    fake = types.SimpleNamespace(build_items=lambda workload, seed: ([item], ""), judge=workloads.judge)
+    report = residuals.generic_base_reports(fake)["generic-base[x]"]
+    assert report["pass"] is False
+    assert [check["pass"] for check in report["checks"].values()] == [False, False, True]
 
 
 def _report(passed, **checks):

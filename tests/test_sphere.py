@@ -25,7 +25,7 @@ from sasakigeo.oracle import (
     sb_nabla_via_ambient,
     _embed_induced,
 )
-from sasakigeo.sampling import sample_sb_point, sample_sb_vec
+from sasakigeo.sampling import sample_fiber_vector, sample_sb_point, sample_sb_vec
 from sasakigeo.sphere import (
     SBPoint,
     SBVec,
@@ -534,25 +534,29 @@ class TestPointGeometry:
             assert list(suites._suite_connection(cfg, m, cfg.params()))
         assert len(reads) == 2 and not np.array_equal(reads[0], reads[1])
 
-    def test_nabla_riemann_built_once_per_bundle_point(self, monkeypatch, rng):
+    def test_nabla_riemann_built_once_per_base_point(self, monkeypatch, rng):
         calls = []
-        real = manifold.nabla_riemann_full
+        real = manifold._nabla_riemann
 
-        def counted(m, x, curvature=None):
-            calls.append(curvature)
-            return real(m, x, curvature)
+        def counted(m, x, at_x):
+            calls.append(at_x)
+            return real(m, x, at_x)
 
-        patch_everywhere(monkeypatch, real, counted)
+        monkeypatch.setattr(manifold, "_nabla_riemann", counted)
         m = bumpy_chart(2, 1)
         p = sample_sb_point(m, -1, rng)
-        a, b, c = (sample_sb_vec(m, p, rng) for _ in range(3))
-        sb_curvature(m, p, a, b, c)
-        sb_curvature(m, p, c, b, a)
-        km = contact.kappa_mu_for_space_form(1.0, -1)
-        contact.kappa_mu_residual(m, p, km, rng, num_samples=6)
-        base = point_geometry(m, p).base
-        assert len(calls) == 1  # and it reads the Gamma and R the point already holds at x
-        assert calls[0][0] is base.gamma and calls[0][1] is base.riem
+        # the eps = +1 twin over p's x, and a second u at eps = -1
+        twins = [p, sb_point(m, p.x, sample_fiber_vector(m, p.x, 1, rng), 1), sb_point(m, p.x, sample_fiber_vector(m, p.x, -1, rng), -1)]
+        for q in twins:
+            a, b, c = (sample_sb_vec(m, q, rng) for _ in range(3))
+            sb_curvature(m, q, a, b, c)
+            sb_curvature(m, q, c, b, a)
+            km = contact.kappa_mu_for_space_form(1.0, q.eps)
+            contact.kappa_mu_residual(m, q, km, rng, num_samples=6)
+        assert len(calls) == 1  # and it reads the jet of the pass that gave the points' R
+        assert np.shares_memory(calls[0].r, point_geometry(m, p).base.riem)
+        nabla_r = manifold.base_context(m, p.x).nabla_r(m)
+        assert all(point_geometry(m, q).nabla_r is nabla_r for q in twins)
 
     def test_each_chart_gets_its_own_values(self):
         x, u = np.array([0.1, -0.2]), np.array([0.3, 1.1])

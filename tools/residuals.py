@@ -6,8 +6,11 @@
 ``dump`` imports ``sasakigeo`` from DIR (default: this tree's ``src``) and
 runs every suite at the 36 ``matrix_configs`` of ``verify all --seed 42``
 (its reduced point and sample counts) and at the CLI defaults for eps = +1
-and eps = -1 (nu = 1), 380 reports in all.  Each report is recorded with
-its verdict and the residual, tolerance and verdict of each check.
+and eps = -1 (nu = 1), 380 reports.  Those run on space forms only, so it
+then runs each of the 36 items of the benchmark's ``generic-base`` workload
+at seed 42 (``bench/workloads.py`` beside DIR, imported and not changed),
+one report per item, 416 reports in all.  Each report is recorded with its
+verdict and the residual, tolerance and verdict of each check.
 
 ``compare`` prints the verdict flips, how many residuals changed (and, per
 check, how many of its residuals changed and the largest |new - old|), and
@@ -31,6 +34,7 @@ from dataclasses import replace
 from pathlib import Path
 
 FLOOR = 1e-14  # residuals below this are rounding, and their growth is not counted
+GENERIC_SEED = 42  # the seed of the generic-base items, as ``verify all --seed 42``
 
 
 def configs(suites):
@@ -45,8 +49,21 @@ def configs(suites):
             yield label, one
 
 
+def generic_base_reports(workloads) -> dict:
+    """One report per item of the ``generic-base`` workload at ``GENERIC_SEED``, judged as the benchmark judges it."""
+    out = {}
+    items, _ = workloads.build_items("generic-base", GENERIC_SEED)
+    for item in items:
+        checks = {
+            name: {"residual": res, "tol": tol, "pass": not workloads.judge({name: (res, tol)})}
+            for name, (res, tol) in item.run().items()
+        }
+        out[f"generic-base[{item.label}]"] = {"pass": all(c["pass"] for c in checks.values()), "checks": checks}
+    return out
+
+
 def dump(src: Path) -> dict:
-    sys.path.insert(0, str(src))
+    sys.path[:0] = [str(src), str(src.parent / "bench")]
     suites = importlib.import_module("sasakigeo.suites")
     out = {}
     for label, cfg in configs(suites):
@@ -55,6 +72,7 @@ def dump(src: Path) -> dict:
             "pass": rep.passed,
             "checks": {c.name: {"residual": c.max_residual, "tol": c.tol, "pass": c.passed} for c in rep.checks},
         }
+    out.update(generic_base_reports(importlib.import_module("workloads")))
     return out
 
 
