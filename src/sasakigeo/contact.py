@@ -326,7 +326,7 @@ def nabla_phi_defn(
     else:
         term1 = (-1.0) * sb_nabla(m, xfield, yfield, kind_a, "h", p)
         if kind_a == "h":
-            a_of_s = eps * float(geo.base.nabla(xval, yfield) @ g @ u)
+            a_of_s = eps * float(geo.base.nabla(m, xval, yfield) @ g @ u)
         else:
             wt = xval - eps * float(xval @ g @ u) * u
             a_of_s = eps * float(yval @ g @ wt)

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import DegenerateMetric, DegeneratePlane, OutOfDomain, SpaceFormMismatch
-from .stencil import FD_STEP_FIRST, FD_STEP_SECOND, partials, points, quotient
+from .stencil import FD_STEP_FIRST, FD_STEP_SECOND, jacobian, partials, points, quotient
 
 Point = np.ndarray
 SPACE_FORM_PLANES = 2  # tangent planes per point that ``validate_space_form`` measures
@@ -52,6 +52,12 @@ class ChartedMetric:
     exactly ``index`` negative eigenvalues everywhere on the domain.  When
     the analytic derivative callables are absent, central finite differences
     (steps 1e-5 / 1e-4) are used and ``uses_fd_derivatives`` is True.
+
+    The chart and the points keep closed-form contexts built from it
+    (``base_context``, ``oracle.base_jet``, ``tangent.kept_geometry``).
+    Reassigning ``metric_fn``, ``deriv1_fn`` or ``deriv2_fn`` in place drops
+    every one of them: each is built again on its next use.  No other field
+    may be reassigned.
     """
 
     dim: int
@@ -239,15 +245,17 @@ class BaseContext:
     g is one ``metric_at``, read when the context is built; Gamma and R come
     from one ``_curvature_pass`` that reuses it, and nabla R from that pass's
     jet (``_nabla_riemann``), each on first use.  All are read-only views.
-    It holds a copy of x and never the chart, so ``curvature`` and
-    ``nabla_r`` take the chart that keeps it.
+    ``nabla`` keeps the Jacobian at x of each callable field it is given.
+    It holds a copy of x and never the chart, so its methods take the chart
+    that keeps it.
     """
 
-    __slots__ = ("x", "g", "_pass", "_curvature", "_nabla_r")
+    __slots__ = ("x", "g", "_pass", "_curvature", "_nabla_r", "_jacobians")
 
     def __init__(self, m: ChartedMetric, x: np.ndarray):
         self.x, self.g = x, _read_only(metric_at(m, x))
         self._pass = self._curvature = self._nabla_r = None
+        self._jacobians: dict = {}  # id(field) -> (field, its Jacobian at x)
 
     def curvature(self, m: ChartedMetric) -> tuple:
         """(Gamma, R) at x."""
@@ -263,6 +271,25 @@ class BaseContext:
             self.curvature(m)
             self._nabla_r = _read_only(_nabla_riemann(m, self.x, self._pass))
         return self._nabla_r
+
+    def nabla(self, m: ChartedMetric, xvec: np.ndarray, yfield) -> np.ndarray:
+        """(nabla_X Y)^i = X^a d_a Y^i + Gamma^i_ab X^a Y^b at x, for a ``tangent.VectorField`` Y.
+
+        A constant field (a component vector) has Jacobian 0 and runs no
+        stencil.  A callable one is differentiated once per context: its
+        Jacobian is kept under the field object's identity, with the field,
+        so no later field can take that identity.  This relies on a field
+        being a function of x, returning the same components whenever it is
+        called at the same x.
+        """
+        yval = np.asarray(yfield(self.x) if callable(yfield) else yfield, dtype=float)
+        term = np.einsum("iab,a,b->i", self.curvature(m)[0], xvec, yval)
+        if not callable(yfield):
+            return term
+        entry = self._jacobians.get(id(yfield))
+        if entry is None:
+            entry = self._jacobians[id(yfield)] = (yfield, jacobian(yfield, self.x, FD_STEP_FIRST))
+        return entry[1] @ xvec + term
 
 
 def base_context(m: ChartedMetric, x: Point) -> BaseContext:

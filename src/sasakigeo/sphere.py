@@ -14,16 +14,16 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PointMismatch
-from .manifold import ChartedMetric
+from .manifold import ChartedMetric, base_context
 from .tangent import (
     PartsVector,
     TMPoint,
     VectorField,
     _check_kinds,
+    _lift_connection,
     _nabla_parts,
     _read_only,
     _same_coords,
-    base_geometry,
     kept_geometry,
 )
 
@@ -48,7 +48,8 @@ class SBPoint:
 
     @cached_property
     def tm(self) -> TMPoint:
-        """The point of TM under p, one object per p so that both share g, Gamma and R."""
+        """The point of TM under p, one object per p, so that ``tm_nabla`` at it and
+        ``sb_nabla`` at p share its one ``lift_connection_array``."""
         return TMPoint(self.x, self.u)
 
 
@@ -192,7 +193,7 @@ def sb_nabla(
     """
     _check_kinds(kind_x, kind_y, allowed=("h", "t"))
     geo = point_geometry(m, p)
-    out = _nabla_parts(geo.connection, geo.base, xfield, yfield, kind_x, kind_y)
+    out = _nabla_parts(m, geo.connection, geo.base, xfield, yfield, kind_x, kind_y)
     out[m.dim :] = geo.proj @ out[m.dim :]
     return SBVec.of(p, out)
 
@@ -200,31 +201,23 @@ def sb_nabla(
 class PointGeometry:
     """The geometry of one chart at one bundle point p, each part built at most once.
 
-    ``point_geometry`` keeps one per chart on p, so every closed form at p
-    reads g, Gamma and R once (they come from the ``BaseGeometry`` that p's
-    ``tm`` point shares with the tangent-bundle layer).  The arrays are
-    read-only, and the object holds x, u and eps but never p itself.
+    ``point_geometry`` keeps one per chart on p.  ``base`` is the
+    ``base_context`` at x, shared by every bundle point over x, so g, Gamma,
+    R (``riemann_at``, operator order) and nabla R are built once per base
+    point; ``connection`` starts from the ``lift_connection_array`` that
+    ``p.tm`` keeps.  The arrays are read-only, and the object holds x, u,
+    eps and ``p.tm`` but never p itself.
 
-    R is ``base.riem`` (``riemann_at``, operator order), ``ruu[i, a]`` is the
-    i-component of R(e_a, u)u, and ``proj`` = I - eps u (g u)^T maps a
-    vertical part to its u-orthogonal tangential representative.
-    ``nabla_r`` is ``nabla_riemann_full`` at x, kept with g, Gamma and R
-    by the ``base_context`` at x, or None when the chart is locally
-    symmetric (then it is zero).  ``base_frame`` is read off one SVD of
-    ``proj`` and one eigendecomposition of the metric on its range.  ``gbar``
-    = diag(g, g) is the induced metric on (h, t) parts.  For the bundle frame
-    it keeps ``frame`` (the frame's parts matrix and signs) and h's matrix in
-    that frame (``h_matrix``), both built on first use, so ``frame_at`` and
-    ``h_at`` only wrap arrays with p; like every kept array, neither refers
-    to p.  ``connection_xi``
-    is the connection term of nabla-bar_. xi, so ``nabla_xi`` is one product
-    and one add per call.
+    ``ruu[i, a]`` is the i-component of R(e_a, u)u, ``proj`` = I - eps u (g u)^T
+    maps a vertical part to its u-orthogonal tangential representative,
+    ``gbar`` = diag(g, g) is the induced metric on (h, t) parts, and
+    ``nabla_r`` is None when the chart is locally symmetric (then nabla R = 0).
     """
 
     def __init__(self, m: ChartedMetric, p: SBPoint):
         self.m = m
-        self.u, self.eps = p.u, p.eps
-        self.base = base_geometry(m, p.tm)
+        self.u, self.eps, self._tm = p.u, p.eps, p.tm
+        self.base = base_context(m, p.x)
 
     @cached_property
     def gu(self) -> np.ndarray:
@@ -247,13 +240,13 @@ class PointGeometry:
 
     @cached_property
     def ruu(self) -> np.ndarray:
-        return _read_only(np.einsum("iabc,b,c->ia", self.base.riem, self.u, self.u))
+        return _read_only(np.einsum("iabc,b,c->ia", self.base.curvature(self.m)[1], self.u, self.u))
 
     @cached_property
     def nabla_r(self) -> np.ndarray | None:
         if self.m.locally_symmetric:
             return None
-        return self.base.nabla_r
+        return self.base.nabla_r(self.m)
 
     @cached_property
     def rbar(self) -> np.ndarray:
@@ -263,11 +256,11 @@ class PointGeometry:
     @cached_property
     def connection(self) -> np.ndarray:
         """The connection array of the induced metric on (h, t) parts, by the Gauss formula
-        nabla-bar_A B = tan(nabla-tilde_A B): ``BaseGeometry.connection`` plus the normal
-        term nabla-bar_{X^t} Y^t = -eps g(Y, u) X^t.  A tangential output part w is (P w)^t.
+        nabla-bar_A B = tan(nabla-tilde_A B): the ``lift_connection_array`` that ``p.tm`` keeps plus
+        the normal term nabla-bar_{X^t} Y^t = -eps g(Y, u) X^t.  A tangential output part w is (P w)^t.
         """
         n = self.u.size
-        gb = np.array(self.base.connection)
+        gb = np.array(kept_geometry(self.m, self._tm, _lift_connection))
         gb[n:, n:, n:] = -self.eps * np.einsum("oa,b->oab", np.eye(n), self.gu)
         return _read_only(gb)
 
@@ -357,7 +350,7 @@ def sb_curvature_array(geo: PointGeometry) -> np.ndarray:
     (a, b)), and every tangential output row is projected by P.
     """
     n, eps, u = geo.base.g.shape[0], geo.eps, geo.u
-    r, gu = geo.base.riem, geo.gu
+    r, gu = geo.base.curvature(geo.m)[1], geo.gu
     ru = np.einsum("iabc,a->ibc", r, u)  # R(u, .).
     rau = np.einsum("iabc,b->iac", r, u)  # R(., u).
     rabu = np.einsum("iabc,c->iab", r, u)  # R(., .)u

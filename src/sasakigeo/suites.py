@@ -133,7 +133,7 @@ def _poly_field(n: int, rng: np.random.Generator):
     """A smooth random polynomial vector field (degree 2 components).
 
     The field keeps a read-only value for each x it has evaluated, keyed by
-    x's bytes: a field is a function of x (``BaseGeometry.nabla`` relies on
+    x's bytes: a field is a function of x (``BaseContext.nabla`` relies on
     that too), and the suites ask for it at the same few points many times.
     """
     a0 = rng.normal(size=n)
@@ -248,7 +248,7 @@ def _suite_curvature(cfg: SuiteConfig, m: ChartedMetric, params: dict):
         geo = sb.point_geometry(m, p)
         w = rng.normal(size=n)
         w = w - cfg.eps * float(w @ geo.base.g @ p.u) * p.u
-        rxu = np.einsum("iabc,a,b,c->i", geo.base.riem, w, p.u, p.u) - cfg.eps * cfg.c * w
+        rxu = np.einsum("iabc,a,b,c->i", geo.base.curvature(m)[1], w, p.u, p.u) - cfg.eps * cfg.c * w
         yield "R(X,u)u = eps c X for X perp u", np.abs(rxu).max(), 1e-8
 
         # curvature symmetries of the induced metric via lowered samples

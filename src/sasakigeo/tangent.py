@@ -16,14 +16,12 @@ Hermitian property this is recorded here for reference only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
 
 from .errors import PointMismatch
 from .manifold import BaseContext, ChartedMetric, _read_only, base_context
-from .stencil import FD_STEP_FIRST, jacobian
 
 VectorField = Union[Callable[[np.ndarray], np.ndarray], np.ndarray]
 
@@ -32,9 +30,10 @@ VectorField = Union[Callable[[np.ndarray], np.ndarray], np.ndarray]
 class TMPoint:
     """A point (x, u) of TM.
 
-    It keeps one ``BaseGeometry`` per chart it is used with (see
-    ``base_geometry``), so x must not be changed in place: build a new
-    point instead.
+    Its g, Gamma and R are those of ``base_context(m, x)``, which every point
+    over x shares; the point itself keeps only, per chart, the
+    ``lift_connection_array`` at (x, u) (see ``kept_geometry``).  So x and u
+    must not be changed in place: build a new point instead.
     """
 
     x: np.ndarray
@@ -46,63 +45,14 @@ class TMPoint:
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
 
 
-class BaseGeometry:
-    """One chart's geometry at the point (x, u) of TM, each part built at most once.
-
-    g, Gamma, R and nabla R are those of the ``base_context`` at x, which the chart
-    keeps, so every bundle point over x shares them; this object keeps only
-    what depends on u, the Sasaki connection array, and the Jacobians of the
-    fields it is given.  The arrays are read-only because every closed form
-    at the point shares them.  The object holds the chart and the
-    coordinates x and u, never the point that keeps it.
-
-    ``nabla`` keeps the Jacobian at x of each callable field it is given,
-    keyed by the field object's identity and holding the field, so a field
-    is differentiated once per point and the memo dies with the point.  This
-    relies on the ``VectorField`` contract: a field is a function of x, so
-    one field object returns the same components whenever it is called at
-    the same x.  A constant field (a component vector) has Jacobian 0 and
-    runs no stencil.
-    """
-
-    def __init__(self, m: ChartedMetric, at: TMPoint):
-        self.m = m
-        self.x, self.u = at.x, at.u
-        self._jacobians: dict = {}  # id(field) -> (field, its Jacobian at x)
-
-    @cached_property
-    def _base(self) -> BaseContext:
-        return base_context(self.m, self.x)
-
-    g = property(lambda self: self._base.g)
-    gamma = property(lambda self: self._base.curvature(self.m)[0])
-    riem = property(lambda self: self._base.curvature(self.m)[1])
-    nabla_r = property(lambda self: self._base.nabla_r(self.m))
-
-    @cached_property
-    def connection(self) -> np.ndarray:
-        """The ``lift_connection_array`` at (x, u)."""
-        return _read_only(lift_connection_array(self.riem, self.u))
-
-    def nabla(self, xvec: np.ndarray, yfield: "VectorField") -> np.ndarray:
-        """(nabla_X Y)^i = X^a d_a Y^i + Gamma^i_ab X^a Y^b at this base point."""
-        term = np.einsum("iab,a,b->i", self.gamma, xvec, field_at(yfield, self.x))
-        if not callable(yfield):
-            return term
-        entry = self._jacobians.get(id(yfield))
-        if entry is None:
-            entry = self._jacobians[id(yfield)] = (yfield, jacobian(yfield, self.x, FD_STEP_FIRST))
-        return entry[1] @ xvec + term
-
-
 def kept_geometry(m: ChartedMetric, point, build: Callable):
     """The one ``build(m, point)`` of chart ``m``, kept by the point.
 
-    Entries are keyed by (chart, build), the chart compared by ``is``, so one
-    point keeps a ``PointGeometry`` and a ``GaussOracle`` of a chart side by
-    side.  Like ``oracle.base_jet``, an entry remembers the chart's metric
-    callables it was built from (compared by ``is``) and is built again once
-    the chart holds others.
+    A point of TM keeps its lift connection array this way, and a point of
+    T_eps M its ``PointGeometry`` and ``GaussOracle``.  Entries are keyed by
+    (chart, build), the chart compared by ``is``.  Like ``base_context``, an
+    entry remembers the chart's metric callables it was built from (compared
+    by ``is``) and is built again once the chart holds others.
     """
     kept = point._geometry
     for entry in kept:
@@ -115,11 +65,6 @@ def kept_geometry(m: ChartedMetric, point, build: Callable):
     geo = build(m, point)
     kept.append((m, build, m.metric_fn, m.deriv1_fn, m.deriv2_fn, geo))
     return geo
-
-
-def base_geometry(m: ChartedMetric, at: TMPoint) -> BaseGeometry:
-    """The one ``BaseGeometry`` of chart ``m`` at ``at``."""
-    return kept_geometry(m, at, BaseGeometry)
 
 
 class PartsVector:
@@ -228,7 +173,7 @@ def field_at(field: VectorField, x: np.ndarray) -> np.ndarray:
 
 def to_induced_coords(m: ChartedMetric, v: TMVec) -> np.ndarray:
     """Components in the induced chart (x^i; u^i) of TM."""
-    du = v.vpart - np.einsum("iab,a,b->i", base_geometry(m, v.at).gamma, v.hpart, v.at.u)
+    du = v.vpart - np.einsum("iab,a,b->i", base_context(m, v.at.x).curvature(m)[0], v.hpart, v.at.u)
     return np.concatenate([v.hpart, du])
 
 
@@ -236,14 +181,14 @@ def from_induced_coords(m: ChartedMetric, at: TMPoint, w: np.ndarray) -> TMVec:
     w = np.asarray(w, dtype=float)
     n = m.dim
     hpart = w[:n]
-    vpart = w[n:] + np.einsum("iab,a,b->i", base_geometry(m, at).gamma, hpart, at.u)
+    vpart = w[n:] + np.einsum("iab,a,b->i", base_context(m, at.x).curvature(m)[0], hpart, at.u)
     return TMVec(at, hpart, vpart)
 
 
 def sasaki_metric_at(m: ChartedMetric, at: TMPoint, a: TMVec, b: TMVec) -> float:
     """Tg(a, b) = g(a_h, b_h) + g(a_v, b_v) evaluated at pi(at)."""
     require_same_tm_point(a, b)
-    g = base_geometry(m, at).g
+    g = base_context(m, at.x).g
     return float(a.hpart @ g @ b.hpart + a.vpart @ g @ b.vpart)
 
 
@@ -263,12 +208,17 @@ def lift_connection_array(r: np.ndarray, u: np.ndarray) -> np.ndarray:
     return c
 
 
+def _lift_connection(m: ChartedMetric, at: TMPoint) -> np.ndarray:
+    """The read-only ``lift_connection_array`` of chart ``m`` at (x, u), as ``kept_geometry`` builds it."""
+    return _read_only(lift_connection_array(base_context(m, at.x).curvature(m)[1], at.u))
+
+
 def _lift_slot(kind: str, n: int) -> slice:
     """The parts a lift of kind ``kind`` fills: the horizontal half for 'h', else the other."""
     return slice(None, n) if kind == "h" else slice(n, None)
 
 
-def _nabla_parts(conn: np.ndarray, base: BaseGeometry, xfield, yfield, kind_x: str, kind_y: str) -> np.ndarray:
+def _nabla_parts(m: ChartedMetric, conn: np.ndarray, base: BaseContext, xfield, yfield, kind_x: str, kind_y: str) -> np.ndarray:
     """``conn`` contracted by slot with the lifts A and B, plus (nabla_X Y) in B's slot when A = X^h.
 
     A lift has one nonzero half, so ``conn[:, _lift_slot(A), _lift_slot(B)]`` is contracted
@@ -278,7 +228,7 @@ def _nabla_parts(conn: np.ndarray, base: BaseGeometry, xfield, yfield, kind_x: s
     xval = field_at(xfield, base.x)
     out = (conn[:, _lift_slot(kind_x, n), _lift_slot(kind_y, n)] @ field_at(yfield, base.x)) @ xval
     if kind_x == "h":
-        out[_lift_slot(kind_y, n)] += base.nabla(xval, yfield)
+        out[_lift_slot(kind_y, n)] += base.nabla(m, xval, yfield)
     return out
 
 
@@ -292,8 +242,9 @@ def tm_nabla(
 ) -> TMVec:
     """Levi-Civita connection of the Sasaki pseudo-metric on lift fields.
 
-    ``BaseGeometry.connection`` contracted with the lifts, plus the base
-    connection term when X^h is horizontal:
+    The ``lift_connection_array`` at (x, u), which the point keeps,
+    contracted with the lifts, plus the base connection term when X^h is
+    horizontal:
 
     nabla_{X^v} Y^v = 0
     nabla_{X^v} Y^h = 1/2 h{R(u,X)Y}
@@ -301,8 +252,8 @@ def tm_nabla(
     nabla_{X^h} Y^h = (nabla_X Y)^h - 1/2 v{R(X,Y)u}
     """
     _check_kinds(kind_x, kind_y, allowed=("h", "v"))
-    base = base_geometry(m, at)
-    return TMVec.of(at, _nabla_parts(base.connection, base, xfield, yfield, kind_x, kind_y))
+    conn = kept_geometry(m, at, _lift_connection)
+    return TMVec.of(at, _nabla_parts(m, conn, base_context(m, at.x), xfield, yfield, kind_x, kind_y))
 
 
 def lift_bracket(

@@ -218,14 +218,6 @@ class TestNablaRiemann:
         )
         assert np.abs(np.einsum("m,mijkl->ijkl", d, nabla_riemann_full(m_general, x))).max() < 1e-6
 
-    def test_second_bianchi_generic_chart(self, rng):
-        m = bumpy_chart(2, 0, seed=11)
-        x = sample_domain_point(m, rng, box=0.35)
-        full = nabla_riemann_full(m, x)  # [m, i, a, b, c]
-        cyc = full + np.einsum("bimac->miabc", full) + np.einsum("aibmc->miabc", full)
-        assert np.abs(full).max() > 1e-3  # genuinely non-symmetric chart
-        assert np.abs(cyc).max() < 1e-5
-
 
 def _five_point_nabla_riemann(m, x):
     """nabla R from the fourth-order five-point difference of ``riemann_at`` (the accuracy reference).
@@ -289,7 +281,9 @@ class TestNablaRiemannAccuracy:
         m = bumpy_chart(n, nu, seed=seed)
         rng = np.random.default_rng(seed)
         for _ in range(3):
-            assert _bianchi_residual(nabla_riemann_full(m, sample_domain_point(m, rng, box=0.4))) < BIANCHI_BOUND
+            full = nabla_riemann_full(m, sample_domain_point(m, rng, box=0.4))
+            assert np.abs(full).max() > 1e-3  # a genuinely non-symmetric chart, so the identity is not 0 = 0
+            assert _bianchi_residual(full) < BIANCHI_BOUND
 
     @pytest.mark.parametrize("n,nu,seed", ACCURACY_CHARTS)
     def test_lowered_nabla_riemann_antisymmetric_in_its_last_pair(self, n, nu, seed):
@@ -608,7 +602,7 @@ class TestBaseContext:
         for p in points:
             sb_curvature(m, p, *(sample_sb_vec(m, p, rng) for _ in range(3)))
             base = point_geometry(m, p).base
-            assert base.g is point_geometry(m, points[0]).base.g and base.riem is point_geometry(m, points[0]).base.riem
+            assert base is point_geometry(m, points[0]).base
         assert passes == [(3,)]  # one pass at x for all three, and none over a stencil
         # x's g, g' and g'', and on the generic chart g'' at the 6 rows of the one nabla R stencil
         stencil = 0 if chart == "space form" else 2 * m.dim

@@ -101,7 +101,7 @@ def test_flipped_th_curvature_coefficient_of_nabla_phi(monkeypatch):
     real = contact.nabla_phi
 
     def mutant(m, p, a, b):
-        r_wuy = np.einsum("iabc,a,b,c->i", sphere.point_geometry(m, p).base.riem, a.tpart, p.u, b.hpart)
+        r_wuy = np.einsum("iabc,a,b,c->i", sphere.point_geometry(m, p).base.curvature(m)[1], a.tpart, p.u, b.hpart)
         return real(m, p, a, b) - sphere.tangential_lift(m, p, r_wuy)
 
     monkeypatch.setattr(contact, "nabla_phi", mutant)
@@ -160,7 +160,7 @@ def test_dropped_commutator_of_the_htth_curvature_block(monkeypatch):
 
     def mutant(geo):
         n = geo.u.size
-        ru = np.einsum("iabc,a->ibc", geo.base.riem, geo.u)
+        ru = np.einsum("iabc,a->ibc", geo.base.curvature(geo.m)[1], geo.u)
         rb = real(geo)
         rb[:n, n:, n:, :n] -= 0.25 * (np.einsum("oam,mbc->oabc", ru, ru) - np.einsum("obm,mac->oabc", ru, ru))
         return rb

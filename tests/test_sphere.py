@@ -7,11 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sasakigeo import contact, manifold, suites
+from sasakigeo import contact, manifold, stencil, suites
 from sasakigeo.contact import contact_data_at, h_at, nabla_phi, nabla_xi, psi_u_matrix
 from sasakigeo.errors import PointMismatch
 from sasakigeo.manifold import (
     SpaceFormSpec,
+    base_context,
     metric_at,
     nabla_riemann_full,
     riemann_at,
@@ -41,7 +42,7 @@ from sasakigeo.sphere import (
     sb_point,
     tangential_lift,
 )
-from sasakigeo.tangent import TMVec, base_geometry, sasaki_metric_at
+from sasakigeo.tangent import TMVec, sasaki_metric_at, tm_nabla
 
 from conftest import bumpy_chart, flat_chart, patch_everywhere
 
@@ -513,7 +514,34 @@ class TestPointGeometry:
         p = sample_sb_point(m, 1, rng)
         geo = point_geometry(m, p)
         assert point_geometry(m, p) is geo
-        assert p.tm is p.tm and geo.base is base_geometry(m, p.tm)  # shared with the TM layer
+        assert p.tm is p.tm and geo.base is base_context(m, p.x)  # shared with the TM layer
+
+    def test_points_over_one_x_climb_two_tiers_to_one_base_context(self, monkeypatch, rng):
+        # the eps = +-1 twins and a second u over one x: every point's context reads x's base context,
+        # whose Jacobian memo serves sb_nabla at the points and tm_nabla at their p.tm alike
+        m, other = bumpy_chart(3, 1), bumpy_chart(3, 1, seed=7)
+        x = np.array([0.1, -0.2, 0.15])
+        points = [sb_point(m, x, sample_fiber_vector(m, x, eps, rng), eps) for eps in (1, -1, 1)]
+        stencils, real = [], stencil.partials  # each Jacobian stencil is one ``partials`` of ``stencil.jacobian``
+        monkeypatch.setattr(stencil, "partials", lambda fn, z, step: stencils.append(fn) or real(fn, z, step))
+        a1, a2 = rng.normal(size=(3, 3)), rng.normal(size=(3, 3, 3))
+        field, xc = (lambda y: a1 @ y + np.einsum("ijk,j,k->i", a2, y, y)), rng.normal(size=3)
+
+        def results(chart, q):
+            on_sb = [sb_nabla(chart, xc, field, "h", ky, q).comps() for ky in ("h", "t")]
+            return on_sb + [tm_nabla(chart, xc, field, "h", ky, q.tm).comps() for ky in ("h", "v")]
+
+        before = [results(m, p) for p in points]
+        assert stencils == [field]
+        assert all(point_geometry(m, p).base is base_context(m, p.x) for p in points)
+        # the chart's callables reassigned in place, as the benchmark's tests do: every kept context is rebuilt
+        m.metric_fn, m.deriv1_fn, m.deriv2_fn = other.metric_fn, other.deriv1_fn, other.deriv2_fn
+        for p, old in zip(points, before):
+            got, want = results(m, p), results(other, SBPoint(p.x.copy(), p.u.copy(), p.eps))
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert not any(np.array_equal(a, b) for a, b in zip(got, old))
+            assert point_geometry(m, p).base is base_context(m, p.x)
+        assert stencils == [field] * 3  # m's first context, its rebuilt one, and other's
 
     def test_riemann_read_once_per_base_point(self, monkeypatch):
         reads = []
@@ -554,8 +582,8 @@ class TestPointGeometry:
             km = contact.kappa_mu_for_space_form(1.0, q.eps)
             contact.kappa_mu_residual(m, q, km, rng, num_samples=6)
         assert len(calls) == 1  # and it reads the jet of the pass that gave the points' R
-        assert np.shares_memory(calls[0].r, point_geometry(m, p).base.riem)
-        nabla_r = manifold.base_context(m, p.x).nabla_r(m)
+        assert np.shares_memory(calls[0].r, point_geometry(m, p).base.curvature(m)[1])
+        nabla_r = base_context(m, p.x).nabla_r(m)
         assert all(point_geometry(m, q).nabla_r is nabla_r for q in twins)
 
     def test_each_chart_gets_its_own_values(self):
@@ -568,7 +596,7 @@ class TestPointGeometry:
         assert len({id(geo) for geo in geos}) == 3
         for m, geo in zip((m1, m2, m3), geos):
             assert np.array_equal(geo.base.g, metric_at(m, x))
-            assert np.array_equal(geo.base.riem, riemann_at(m, x))
+            assert np.array_equal(geo.base.curvature(m)[1], riemann_at(m, x))
             fresh = SBPoint(x.copy(), u.copy(), 1)
             assert np.array_equal(geo.rbar, point_geometry(m, fresh).rbar)
             assert np.array_equal(h_at(m, p).matrix, h_at(m, fresh).matrix)
@@ -578,7 +606,7 @@ class TestPointGeometry:
         m = bumpy_chart(2, 1)
         geo = point_geometry(m, sample_sb_point(m, -1, rng))
         es, signs = geo.base_frame
-        arrays = [geo.base.g, geo.base.gamma, geo.base.riem, geo.gu, geo.proj, geo.ruu,
+        arrays = [geo.base.g, *geo.base.curvature(m), geo.gu, geo.proj, geo.ruu,
                   geo.nabla_r, geo.rbar, geo.h_parts, signs, *es]
         for a in arrays:
             with pytest.raises(ValueError):

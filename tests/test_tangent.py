@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sasakigeo import tangent
+from sasakigeo import manifold
 from sasakigeo.errors import PointMismatch
-from sasakigeo.manifold import SpaceFormSpec, christoffel_at, metric_at, riemann_at, space_form_chart
+from sasakigeo.manifold import SpaceFormSpec, base_context, metric_at, space_form_chart
 from sasakigeo.oracle import ambient_nabla, fd_christoffel, fd_lie_bracket, field_jet, lift_field_fn, sasaki_gamma_fn
 from sasakigeo.sampling import sample_domain_point, sample_fiber_vector
 from sasakigeo.sphere import frame_at, sb_point
@@ -19,7 +19,6 @@ from sasakigeo.tangent import (
     TMPoint,
     TMVec,
     almost_complex_J,
-    base_geometry,
     from_induced_coords,
     lift_bracket,
     sasaki_metric_at,
@@ -235,14 +234,14 @@ class TestAlmostComplexJ:
 
 @pytest.fixture
 def stencils(monkeypatch):
-    """The fields that ``tangent`` runs a Jacobian stencil of, in order."""
+    """The fields that ``BaseContext.nabla`` runs a Jacobian stencil of, in order."""
     seen = []
 
     def counted(fn, z, step):
         seen.append(fn)
         return jacobian(fn, z, step)
 
-    monkeypatch.setattr(tangent, "jacobian", counted)
+    monkeypatch.setattr(manifold, "jacobian", counted)
     return seen
 
 
@@ -256,14 +255,14 @@ def _quadratic_field(rng, n=3):
 
 
 class TestNablaJacobianMemo:
-    """``BaseGeometry.nabla`` differentiates each callable field once per point and never a constant one."""
+    """``BaseContext.nabla`` differentiates each callable field once per base point and never a constant one."""
 
     def test_constant_field_runs_no_stencil(self, rng, stencils):
         m = bumpy_chart(3, 1)
         at = _tm_point(m, rng)
-        base = base_geometry(m, at)
+        base = base_context(m, at.x)
         xv, w = rng.normal(size=3), rng.normal(size=3)
-        assert np.array_equal(base.nabla(xv, w), np.einsum("iab,a,b->i", base.gamma, xv, w))
+        assert np.array_equal(base.nabla(m, xv, w), np.einsum("iab,a,b->i", base.curvature(m)[0], xv, w))
         for ky in ("h", "v"):
             tm_nabla(m, xv, w, "h", ky, at)
         lift_bracket(m, xv, w, "h", "h", at)
@@ -272,13 +271,13 @@ class TestNablaJacobianMemo:
     def test_callable_field_runs_one_stencil_per_point(self, rng, stencils):
         m = bumpy_chart(3, 1)
         at = _tm_point(m, rng)
-        base = base_geometry(m, at)
+        base = base_context(m, at.x)
         f, h = _quadratic_field(rng), _quadratic_field(rng)
         jac = jacobian(f, at.x, FD_STEP_FIRST)
         for _ in range(3):
             xv = rng.normal(size=3)
-            expected = jac @ xv + np.einsum("iab,a,b->i", base.gamma, xv, f(at.x))
-            assert np.array_equal(base.nabla(xv, f), expected)
+            expected = jac @ xv + np.einsum("iab,a,b->i", base.curvature(m)[0], xv, f(at.x))
+            assert np.array_equal(base.nabla(m, xv, f), expected)
         assert stencils == [f]
         for kx, ky in [("h", "h"), ("h", "v"), ("v", "h")]:
             lift_bracket(m, f, h, kx, ky, at)
@@ -289,26 +288,26 @@ class TestNablaJacobianMemo:
         at = _tm_point(m, rng)
         f = _quadratic_field(rng)
         xv = rng.normal(size=3)
-        first = base_geometry(m, at).nabla(xv, f)
+        first = tm_nabla(m, xv, f, "h", "h", at).hpart
         again = TMPoint(at.x.copy(), at.u.copy())  # the same coordinates, another point
         moved = TMPoint(at.x + 0.01, at.u)
-        base = base_geometry(m, moved)
-        expected = jacobian(f, moved.x, FD_STEP_FIRST) @ xv + np.einsum("iab,a,b->i", base.gamma, xv, f(moved.x))
+        base = base_context(m, moved.x)
+        expected = jacobian(f, moved.x, FD_STEP_FIRST) @ xv + np.einsum("iab,a,b->i", base.curvature(m)[0], xv, f(moved.x))
         for _ in range(2):
-            assert np.array_equal(base_geometry(m, again).nabla(xv, f), first)
-            assert np.array_equal(base.nabla(xv, f), expected)
-        assert stencils == [f, f, f]  # one at each of the three points
+            assert np.array_equal(tm_nabla(m, xv, f, "h", "h", again).hpart, first)
+            assert np.array_equal(tm_nabla(m, xv, f, "h", "h", moved).hpart, expected)
+        assert stencils == [f, f]  # one at each of the two base points
 
     def test_a_field_outlived_by_its_id_is_not_served_a_stale_jacobian(self, flat2, rng):
-        base = base_geometry(flat2, _tm_point(flat2, rng))
+        base = base_context(flat2, _tm_point(flat2, rng).x)
         xv = rng.normal(size=2)
         for c in (1.0, 2.0, 3.0, 4.0):
-            assert np.allclose(base.nabla(xv, lambda x, c=c: c * x), c * xv)
+            assert np.allclose(base.nabla(flat2, xv, lambda x, c=c: c * x), c * xv)
             gc.collect()  # the memo holds each field, so no later field can take its id
 
 
-class TestBaseGeometryReadsTheChartOnce:
-    """g, Gamma and R at one base point share one read of g, g' and g''."""
+class TestTmLayerReadsTheChartOnce:
+    """The TM layer's g, Gamma and R come from x's ``base_context``: one read of g, g' and g'' for every point over x."""
 
     @staticmethod
     def _counting(m, calls):
@@ -323,25 +322,34 @@ class TestBaseGeometryReadsTheChartOnce:
 
         return replace(m, **{name: counted(name) for name in calls})
 
+    @staticmethod
+    def _reads(m, at, xv):
+        """Each TM closed form by the base part it reads: g, Gamma, and R through the lift connection array."""
+        return {
+            "g": lambda: sasaki_metric_at(m, at, TMVec(at, xv, xv), TMVec(at, xv, xv)),
+            "gamma": lambda: to_induced_coords(m, TMVec(at, xv, xv)),
+            "riem": lambda: tm_nabla(m, xv, xv, "v", "h", at).comps(),
+        }
+
     @pytest.mark.parametrize("order", [("g", "gamma", "riem"), ("riem", "gamma", "g"), ("gamma", "riem", "g")])
     def test_one_read_of_each_callable_in_any_order(self, rng, order):
         m = bumpy_chart(3, 1)
         calls = dict.fromkeys(("metric_fn", "deriv1_fn", "deriv2_fn"), 0)
         counting = self._counting(m, calls)
-        at = _tm_point(m, rng)
-        base = tangent.BaseGeometry(counting, at)
-        for part in order:
-            getattr(base, part)
+        x, xv = sample_domain_point(m, rng, box=0.4), rng.normal(size=3)
+        points = [TMPoint(x, sample_fiber_vector(m, x, eps, rng)) for eps in (1, -1)]  # two u over one x
+        for at in points:
+            got, reads = self._reads(counting, at, xv), self._reads(m, TMPoint(at.x.copy(), at.u.copy()), xv)
+            for part in order:
+                assert np.array_equal(got[part](), reads[part]())
         assert calls == dict.fromkeys(calls, 1)
-        assert np.array_equal(base.g, metric_at(m, at.x))
-        assert np.array_equal(base.gamma, christoffel_at(m, at.x))
-        assert np.array_equal(base.riem, riemann_at(m, at.x))
 
     def test_g_alone_reads_only_the_metric(self, rng):
         m = bumpy_chart(3, 1)
         calls = dict.fromkeys(("metric_fn", "deriv1_fn", "deriv2_fn"), 0)
-        base = tangent.BaseGeometry(self._counting(m, calls), _tm_point(m, rng))
-        base.g
+        counting = self._counting(m, calls)
+        at, xv = _tm_point(m, rng), rng.normal(size=3)
+        self._reads(counting, at, xv)["g"]()
         assert calls == {"metric_fn": 1, "deriv1_fn": 0, "deriv2_fn": 0}
 
 

@@ -11,7 +11,7 @@ import pytest
 from sasakigeo import contact, sphere
 from sasakigeo.contact import contact_data_at, h_at, nabla_phi
 from sasakigeo.errors import PointMismatch
-from sasakigeo.manifold import SpaceFormSpec, signature_at, space_form_chart
+from sasakigeo.manifold import SpaceFormSpec, base_context, signature_at, space_form_chart
 from sasakigeo.oracle import gauss_curvature_oracle, gauss_oracle, sb_nabla_via_ambient
 from sasakigeo.sampling import sample_fiber_vector, sample_sb_point, sample_sb_vec
 from sasakigeo.sphere import (
@@ -27,7 +27,7 @@ from sasakigeo.sphere import (
     sb_point,
     tangential_lift,
 )
-from sasakigeo.tangent import TMPoint, TMVec, base_geometry, field_at, tm_nabla
+from sasakigeo.tangent import TMPoint, TMVec, field_at, lift_connection_array, tm_nabla
 
 from conftest import bumpy_chart
 
@@ -146,7 +146,7 @@ class TestContractions:
             conn = geo.connection
             padded = (conn @ _pad(ky, yc)) @ _pad(kx, xc)
             if kx == "h":
-                padded = padded + _pad(ky, geo.base.nabla(xc, yc))
+                padded = padded + _pad(ky, geo.base.nabla(m, xc, yc))
             padded[3:] = geo.proj @ padded[3:]
             got = sb_nabla(m, xc, yc, kx, ky, p).comps()
             assert np.abs(got - padded).max() <= 1e-14 * max(1.0, np.abs(padded).max()), (kx, ky)
@@ -157,12 +157,13 @@ class TestContractions:
     def test_tm_nabla_by_slot_equals_the_padded_contraction(self, rng):
         m = _chart("bumpy")
         at = TMPoint(np.array([0.1, -0.2, 0.05]), rng.normal(size=3))
-        base = base_geometry(m, at)
+        base = base_context(m, at.x)
+        conn = lift_connection_array(base.curvature(m)[1], at.u)
         for kx, ky in (("h", "h"), ("h", "v"), ("v", "h"), ("v", "v")):
             xc, yc = rng.normal(size=3), rng.normal(size=3)
-            padded = (base.connection @ _pad(ky, yc)) @ _pad(kx, xc)
+            padded = (conn @ _pad(ky, yc)) @ _pad(kx, xc)
             if kx == "h":
-                padded = padded + _pad(ky, base.nabla(xc, yc))
+                padded = padded + _pad(ky, base.nabla(m, xc, yc))
             got = tm_nabla(m, xc, yc, kx, ky, at).comps()
             assert np.abs(got - padded).max() <= 1e-14 * max(1.0, np.abs(padded).max()), (kx, ky)
 
@@ -290,7 +291,7 @@ def _ops():
         "frame_at": lambda m, p, rng: frame_at(m, p).vectors,
         "second_fundamental_form": lambda m, p, rng: gauss_oracle(m, p).second_fundamental_form(*vecs(m, p, rng, 2)),
         "sb_nabla_via_ambient": lambda m, p, rng: sb_nabla_via_ambient(m, rng.normal(size=3), rng.normal(size=3), "h", "t", p),
-        "base_geometry(...).riem": lambda m, p, rng: base_geometry(m, p.tm).riem,
+        "tm_nabla": lambda m, p, rng: tm_nabla(m, rng.normal(size=3), lambda x: 2.0 * x, "h", "v", p.tm),
         "signature_at": lambda m, p, rng: signature_at(m, p.x),
     }
 
@@ -326,11 +327,11 @@ class TestNoKeptContextHoldsThePoint:
         try:
             p = sample_sb_point(m, 1, rng)
             sb_curvature(m, p, *(sample_sb_vec(m, p, rng) for _ in range(3)))
-            x, g, riem, freed = p.x.copy(), point_geometry(m, p).base.g, point_geometry(m, p).base.riem, weakref.ref(p)
+            x, base, freed = p.x.copy(), point_geometry(m, p).base, weakref.ref(p)
             del p
             assert freed() is None  # the chart still keeps x's context
             twin = sb_point(m, x, sample_fiber_vector(m, x, -1, rng), -1)
-            assert point_geometry(m, twin).base.g is g and point_geometry(m, twin).base.riem is riem
+            assert point_geometry(m, twin).base is base
         finally:
             gc.enable()
 
