@@ -37,13 +37,15 @@ from .oracle import (
     read_stencil_jets,
     sasaki_metric_fn,
     sb_lift_field_fn,
+    sb_lift_values,
 )
 from .report import CheckReport, fold
-from .sampling import sample_ker_eta_vec, sample_sb_vec
+from .sampling import sample_ker_eta_vec, sample_sb_parts, sample_sb_vec
 from .sphere import (
     PointGeometry,
     SBPoint,
     SBVec,
+    contract_rows,
     horizontal_sb,
     lift,
     point_geometry,
@@ -63,7 +65,12 @@ class KappaMu:
 @dataclass(frozen=True, eq=False)
 class ContactData:
     """The tensors (phi, xi, eta, g_cm) at ``at``, a view of its ``geo`` = ``point_geometry(m, p)``: xi is
-    built once per view, and eta, phi and g_cm are each one product with the kept g, ``phi_parts`` or ``gbar``."""
+    built once per view, and eta, phi and g_cm are each one product with the kept g, ``phi_parts`` or ``gbar``.
+
+    ``eta_rows``, ``phi_rows`` and ``gcm_rows`` take (h, t) parts, one vector or a stack of rows (..., 2n),
+    with one (1, .) or (., 1) product per row; ``eta``, ``phi`` and ``gcm`` are their one-row case on
+    ``SBVec``, so a row of a stack equals the per-vector value bit for bit.
+    """
 
     at: SBPoint
     geo: PointGeometry
@@ -72,17 +79,27 @@ class ContactData:
     def xi(self) -> SBVec:
         return horizontal_sb(self.at, 2.0 * self.at.u)
 
+    def eta_rows(self, parts: np.ndarray) -> np.ndarray:
+        n = self.at.u.size
+        return 0.5 * self.at.eps * (parts[..., None, :n] @ self.geo.base.g @ self.at.u)[..., 0]
+
+    def phi_rows(self, parts: np.ndarray) -> np.ndarray:
+        return (self.geo.phi_parts @ parts[..., None])[..., 0]
+
+    def gcm_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return 0.25 * (a[..., None, :] @ self.geo.gbar @ b[..., None])[..., 0, 0]
+
     def eta(self, a: SBVec) -> float:
         require_same_sb_point(self.at, a)
-        return 0.5 * self.at.eps * float(a.hpart @ self.geo.base.g @ self.at.u)
+        return float(self.eta_rows(a.comps()))
 
     def phi(self, a: SBVec) -> SBVec:
         require_same_sb_point(self.at, a)
-        return SBVec.of(self.at, self.geo.phi_parts @ a.comps())
+        return SBVec.of(self.at, self.phi_rows(a.comps()))
 
     def gcm(self, a: SBVec, b: SBVec) -> float:
         require_same_sb_point(self.at, a, b)
-        return 0.25 * float(a.comps() @ self.geo.gbar @ b.comps())
+        return float(self.gcm_rows(a.comps(), b.comps()))
 
 
 class HOperator(ContactData):
@@ -136,8 +153,17 @@ def d_eta_tensor(m: ChartedMetric, p: SBPoint) -> np.ndarray:
     ``fd_exterior_derivative(eta_form_fn(m, eps), z0)``.  The factor 1/2 is
     the normalization d(eta)(A, B) = (1/2)[A(eta(B)) - B(eta(A)) - eta([A, B])].
     """
-    jets = read_stencil_jets(m, np.concatenate([p.x, p.u]))
-    return exterior_derivative(jets.derivative(eta_form_fn(m, p.eps))[1])
+    return _d_eta_on(m, p.eps, _stencil(m, p))
+
+
+def _stencil(m: ChartedMetric, p: SBPoint):
+    """The ``StencilJets`` of p's induced coordinates z0 = (x, u)."""
+    return read_stencil_jets(m, np.concatenate([p.x, p.u]))
+
+
+def _d_eta_on(m: ChartedMetric, eps: int, jets) -> np.ndarray:
+    """``d_eta_tensor`` from the ``StencilJets`` of its point."""
+    return exterior_derivative(jets.derivative(eta_form_fn(m, eps))[1])
 
 
 def phi_matrix_fn(m: ChartedMetric, eps: int):
@@ -173,8 +199,12 @@ def nijenhuis_tensor(m: ChartedMetric, p: SBPoint) -> np.ndarray:
     """``N[i, j, k]`` = N^i_jk of phi on induced components at p: the ``nijenhuis`` tensor of the phi
     matrix field, evaluated once on the stacked rows of p's stencil and differenced there, bit for bit
     ``fd_nijenhuis(phi_matrix_fn(m, eps), z0)``."""
-    jets = read_stencil_jets(m, np.concatenate([p.x, p.u]))
-    return nijenhuis(*jets.derivative(phi_matrix_fn(m, p.eps)))
+    return _nijenhuis_on(m, p.eps, _stencil(m, p))
+
+
+def _nijenhuis_on(m: ChartedMetric, eps: int, jets) -> np.ndarray:
+    """``nijenhuis_tensor`` from the ``StencilJets`` of its point."""
+    return nijenhuis(*jets.derivative(phi_matrix_fn(m, eps)))
 
 
 def d_eta_fd(
@@ -214,6 +244,15 @@ def check_contact_axioms(
     phi^2 = -Id + eta (x) xi, g_cm(phi., phi.) = g_cm - eps eta (x) eta.
     FD: d eta (. , .) = g_cm(. , phi .) on sampled lift-field pairs, with
     d eta from one ``d_eta_tensor`` per point.
+
+    Draw order: the num_samples pairs (a, b) first, as 2 num_samples rows
+    a_0, b_0, a_1, b_1, .. of one ``sample_sb_parts`` call, then the
+    max(8, num_samples // 4) lift pairs of ``_lift_pairs``, so the
+    numbers are those of the per-sample loops of ``sample_sb_vec`` and
+    ``normal(size=n)`` calls.  Each sampled identity is one stacked
+    contraction over the rows (``ContactData.*_rows``, ``contract_rows``),
+    and a check reports the largest residual of its rows; a NaN row is
+    reported as NaN.
     """
     _require_samples(num_samples, "num_samples")
     return CheckReport.build("contact-axioms", {}, fold(_contact_axiom_rows(m, p, rng, num_samples)))
@@ -226,33 +265,43 @@ def _contact_axiom_rows(m: ChartedMetric, p: SBPoint, rng: np.random.Generator, 
     yield "g_cm(xi, xi) = eps", abs(data.gcm(data.xi, data.xi) - eps), 1e-12
     yield "phi(xi) = 0", float(np.abs(data.phi(data.xi).comps()).max()), 1e-12
 
-    for _ in range(num_samples):
-        a = sample_sb_vec(m, p, rng)
-        b = sample_sb_vec(m, p, rng)
-        lhs = data.phi(data.phi(a))
-        rhs = (-1.0) * a + data.eta(a) * data.xi
-        yield "phi^2 = -Id + eta@xi", np.abs(lhs.comps() - rhs.comps()).max(), 1e-10
-        comp = data.gcm(data.phi(a), data.phi(b)) - (
-            data.gcm(a, b) - eps * data.eta(a) * data.eta(b)
-        )
-        yield "g_cm(phi.,phi.) = g_cm - eps eta@eta", abs(comp), 1e-10
+    ab = sample_sb_parts(m, p, rng, 2 * num_samples)
+    a, b = ab[0::2], ab[1::2]
+    phi_a, eta_a = data.phi_rows(a), data.eta_rows(a)
+    rhs = -a + eta_a[:, None] * data.xi.comps()
+    yield "phi^2 = -Id + eta@xi", np.abs(data.phi_rows(phi_a) - rhs).max(), 1e-10
+    comp = data.gcm_rows(phi_a, data.phi_rows(b)) - (data.gcm_rows(a, b) - eps * eta_a * data.eta_rows(b))
+    yield "g_cm(phi.,phi.) = g_cm - eps eta@eta", np.abs(comp).max(), 1e-10
 
     deta_t = d_eta_tensor(m, p)
-    for a, b, a0, b0 in _lift_pairs(m, p, rng, max(8, num_samples // 4)):
-        yield "d eta = g_cm(., phi .)", abs(0.5 * float(a0 @ deta_t @ b0) - data.gcm(a, data.phi(b))), 1e-5
+    a, b, a0, b0 = _lift_pairs(m, p, rng, max(8, num_samples // 4))
+    residuals = 0.5 * contract_rows(deta_t, a0, b0) - data.gcm_rows(a, data.phi_rows(b))
+    yield "d eta = g_cm(., phi .)", np.abs(residuals).max(), 1e-5
 
 
-def _lift_pairs(m: ChartedMetric, p: SBPoint, rng: np.random.Generator, count: int):
-    """``count`` lift pairs (a, b) of random base vectors X, Y (drawn in turn), cycling through
-    (X^h, Y^t), (X^h, Y^h), (X^t, Y^t), (X^t, Y^h), with their induced TM components a0, b0."""
+_LIFT_KINDS = (("h", "t"), ("h", "h"), ("t", "t"), ("t", "h"))  # the (X, Y) kinds of successive lift pairs
+
+
+def _lift_pairs(m: ChartedMetric, p: SBPoint, rng: np.random.Generator, count: int) -> tuple:
+    """(A, B, A0, B0) for ``count`` lift pairs (X^., Y^.) of random base vectors, cycling through
+    ``_LIFT_KINDS``: row k of A and B holds the parts of pair k (``lift``), and row k of A0 and B0
+    its induced TM components at p (``oracle.sb_lift_values``).
+
+    X and Y of every pair come from one ``rng.normal`` call, in the order X_0, Y_0, X_1, ..,
+    as ``count`` pairs of ``normal(size=n)`` calls would draw them.
+    """
     z0 = np.concatenate([p.x, p.u])
-    for k in range(count):
-        kx, ky = (("h", "t"), ("h", "h"), ("t", "t"), ("t", "h"))[k % 4]
-        xc = rng.normal(size=m.dim)
-        yc = rng.normal(size=m.dim)
-        a0 = sb_lift_field_fn(m, xc, kx, p.eps)(z0)
-        b0 = sb_lift_field_fn(m, yc, ky, p.eps)(z0)
-        yield lift(m, p, kx, xc), lift(m, p, ky, yc), a0, b0
+    draws = rng.normal(size=(count, 2, m.dim))
+    horizontal = (np.array(_LIFT_KINDS) == "h")[np.arange(count) % 4]
+    geo = point_geometry(m, p)
+    parts, comps = [], []
+    for slot in (0, 1):
+        w, h = draws[:, slot], horizontal[:, slot, None]
+        zero = np.zeros(w.shape)
+        hlift, tlift = np.concatenate([w, zero], axis=1), np.concatenate([zero, geo.tangential_part(w)], axis=1)
+        parts.append(np.where(h, hlift, tlift))
+        comps.append(np.where(h, sb_lift_values(m, z0, "h", w, p.eps), sb_lift_values(m, z0, "t", w, p.eps)))
+    return parts[0], parts[1], comps[0], comps[1]
 
 
 def nabla_xi(m: ChartedMetric, p: SBPoint, a: SBVec) -> SBVec:
@@ -277,10 +326,10 @@ def nabla_phi(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec) -> SBVec:
     """(nabla-bar_a phi) b = a(PHI) b + Gamma-bar(a, PHI b) - PHI Gamma-bar(a, b) on parts.
 
     The t parts W and Z of a = X^h + W^t and b = Y^h + Z^t must be
-    u-orthogonal (the ``SBVec`` invariant).  On such parts PHI =
-    ``PointGeometry.phi_parts`` acts as [[0, -P], [P, 0]], and P is parallel
-    along horizontal lifts, so
-    a(PHI) b = (-a(P) Z, a(P) Y) with a(P) = -eps (W (g u)^T + u (g W)^T):
+    u-orthogonal (the ``SBVec`` invariant).  The one-row case of the stacked
+    kernel ``contract_rows(N, A, B)`` with N = ``PointGeometry.nabla_phi_parts``
+    (built once per point, where the a(P) term is written), which the
+    ``sasakian`` rows contract with all their pairs at once:
 
     (nabla_{X^h} phi) Y^h = 1/2 h{R(u, X)Y}
     (nabla_{X^h} phi) Y^t = 1/2 t{R(X, u)Y}
@@ -288,18 +337,7 @@ def nabla_phi(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec) -> SBVec:
     (nabla_{W^t} phi) Z^t = 1/2 h{R(W, u)Z} + 2 eps g_cm(W^t, Z^t) xi
     """
     require_same_sb_point(p, a, b)
-    geo = point_geometry(m, p)
-    n, u, w, eps = m.dim, p.u, a.tpart, p.eps
-    conn, phi, gu, gw = geo.connection, geo.phi_parts, geo.gu, geo.base.g @ a.tpart
-    av, bv = a.comps(), b.comps()
-
-    def a_p(y: np.ndarray) -> np.ndarray:
-        return -eps * (w * float(gu @ y) + u * float(gw @ y))
-
-    out = np.concatenate([-a_p(b.tpart), a_p(b.hpart)])
-    out += (conn @ (phi @ bv)) @ av - phi @ ((conn @ bv) @ av)
-    out[n:] = geo.proj @ out[n:]
-    return SBVec.of(p, out)
+    return SBVec.of(p, contract_rows(point_geometry(m, p).nabla_phi_parts, a.comps(), b.comps()))
 
 
 def nabla_phi_defn(
@@ -326,10 +364,9 @@ def nabla_phi_defn(
     else:
         term1 = (-1.0) * sb_nabla(m, xfield, yfield, kind_a, "h", p)
         if kind_a == "h":
-            a_of_s = eps * float(geo.base.nabla(m, xval, yfield) @ g @ u)
+            a_of_s = eps * float(geo.base.nabla(m, xval, yfield, yval) @ g @ u)
         else:
-            wt = xval - eps * float(xval @ g @ u) * u
-            a_of_s = eps * float(yval @ g @ wt)
+            a_of_s = eps * float(yval @ g @ geo.tangential_part(xval))
         s0 = eps * float(yval @ g @ u)
         a_vec = lift(m, p, kind_a, xval)
         xi_prime = horizontal_sb(p, u)
@@ -428,7 +465,7 @@ def killing_residual(m: ChartedMetric, p: SBPoint) -> float:
     L_xi Tg is ``lie_derivative_metric`` of the geodesic-flow field and Tg, each evaluated once on the
     stacked rows of p's stencil, bit for bit ``fd_lie_derivative_metric`` of the two fields.
     """
-    jets = read_stencil_jets(m, np.concatenate([p.x, p.u]))
+    jets = _stencil(m, p)
     j = hypersurface_pullback(m, p).jacobian
     lie = lie_derivative_metric(*jets.derivative(geodesic_flow_field_fn(m)), *jets.derivative(sasaki_metric_fn(m)))
     return float(np.abs(0.25 * (j.T @ lie @ j)).max())
@@ -514,8 +551,15 @@ def sasakian_residual(
 
     (i) N_phi(A, B) + 2 d eta(A, B) xi = 0, contracting ``nijenhuis_tensor``
         and ``d_eta_tensor``, each built once per point from one stacked
-        evaluation of its field, with the lift fields at p;
+        evaluation of its field on p's one ``StencilJets``, with the lift
+        fields at p;
     (ii) (nabla_a phi) b = g_cm(a, b) xi - eps eta(b) a via the closed forms.
+
+    Draw order: the num_samples lift pairs of ``_lift_pairs``, X and Y of
+    each pair in turn from one ``rng.normal`` call.  Both identities are one
+    stacked contraction over the pairs (``contract_rows`` with the two FD
+    tensors and with ``PointGeometry.nabla_phi_parts``, whose one-row case
+    is ``nabla_phi``); a check reports the largest residual of its rows.
     """
     _require_samples(num_samples, "num_samples")
     return CheckReport.build("sasakian", {}, fold(_sasakian_rows(m, p, rng, num_samples)))
@@ -524,15 +568,15 @@ def sasakian_residual(
 def _sasakian_rows(m: ChartedMetric, p: SBPoint, rng: np.random.Generator, num_samples: int):
     data = contact_data_at(m, p)
     eps = p.eps
-    nphi_t = nijenhuis_tensor(m, p)
-    deta_t = d_eta_tensor(m, p)
-    xi_ind = geodesic_flow_field_fn(m)(np.concatenate([p.x, p.u]))
+    jets = _stencil(m, p)
+    nphi_t = _nijenhuis_on(m, eps, jets)
+    deta_t = _d_eta_on(m, eps, jets)
+    xi_ind = geodesic_flow_field_fn(m)(jets.z[0])
 
-    for a, b, a0, b0 in _lift_pairs(m, p, rng, num_samples):
-        nphi = (nphi_t @ b0) @ a0
-        two_deta = float(a0 @ deta_t @ b0)
-        yield "N_phi + 2 d eta @ xi = 0", np.abs(nphi + two_deta * xi_ind).max(), 1e-5
+    a, b, a0, b0 = _lift_pairs(m, p, rng, num_samples)
+    two_deta = contract_rows(deta_t, a0, b0)
+    yield "N_phi + 2 d eta @ xi = 0", np.abs(contract_rows(nphi_t, a0, b0) + two_deta[:, None] * xi_ind).max(), 1e-5
 
-        lhs = nabla_phi(m, p, a, b)
-        rhs = data.gcm(a, b) * data.xi + (-eps * data.eta(b)) * a
-        yield "(nabla phi) = g_cm @ xi - eps eta @ id", np.abs(lhs.comps() - rhs.comps()).max(), 1e-5
+    lhs = contract_rows(data.geo.nabla_phi_parts, a, b)
+    rhs = data.gcm_rows(a, b)[:, None] * data.xi.comps() + (-eps * data.eta_rows(b))[:, None] * a
+    yield "(nabla phi) = g_cm @ xi - eps eta @ id", np.abs(lhs - rhs).max(), 1e-5

@@ -272,8 +272,9 @@ class BaseContext:
             self._nabla_r = _read_only(_nabla_riemann(m, self.x, self._pass))
         return self._nabla_r
 
-    def nabla(self, m: ChartedMetric, xvec: np.ndarray, yfield) -> np.ndarray:
-        """(nabla_X Y)^i = X^a d_a Y^i + Gamma^i_ab X^a Y^b at x, for a ``tangent.VectorField`` Y.
+    def nabla(self, m: ChartedMetric, xvec: np.ndarray, yfield, yval: np.ndarray) -> np.ndarray:
+        """(nabla_X Y)^i = X^a d_a Y^i + Gamma^i_ab X^a Y^b at x, for a ``tangent.VectorField`` Y
+        whose components at x the caller has evaluated already: yval (``tangent.field_at(yfield, x)``).
 
         A constant field (a component vector) has Jacobian 0 and runs no
         stencil.  A callable one is differentiated once per context: its
@@ -282,7 +283,6 @@ class BaseContext:
         being a function of x, returning the same components whenever it is
         called at the same x.
         """
-        yval = np.asarray(yfield(self.x) if callable(yfield) else yfield, dtype=float)
         term = np.einsum("iab,a,b->i", self.curvature(m)[0], xvec, yval)
         if not callable(yfield):
             return term

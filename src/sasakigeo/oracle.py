@@ -328,9 +328,8 @@ def lift_field_fn(m: ChartedMetric, field: VectorField, kind: str) -> Callable[[
     if kind == "h":
 
         def hfield(z):
-            x, u = z[:n], z[n:]
-            xval = np.asarray(fn(x), dtype=float)
-            return np.concatenate([xval, -np.einsum("iab,a,b->i", base_gamma(m, x), xval, u)])
+            x = z[:n]
+            return _h_lift(base_gamma(m, x), np.asarray(fn(x), dtype=float), z[n:])
 
         return hfield
     if kind == "v":
@@ -348,11 +347,20 @@ def tangential_field_fn(m: ChartedMetric, field: VectorField, eps: int) -> Calla
     fn = as_field(field)
 
     def tfield(z):
-        x, u = z[:n], z[n:]
-        xval = np.asarray(fn(x), dtype=float)
-        return np.concatenate([np.zeros(n), xval - eps * float(xval @ base_jet(m, x).g @ u) * u])
+        x = z[:n]
+        return _t_lift(base_jet(m, x).g, np.asarray(fn(x), dtype=float), z[n:], eps)
 
     return tfield
+
+
+def _h_lift(gamma: np.ndarray, xs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Induced components (X; -Gamma(X, u)) of X^h at (x, u), Gamma at x, for each row X of xs (..., n)."""
+    return np.concatenate([xs, -np.einsum("iab,...a,b->...i", gamma, xs, u)], axis=-1)
+
+
+def _t_lift(g: np.ndarray, xs: np.ndarray, u: np.ndarray, eps: int) -> np.ndarray:
+    """Induced components (0; X - eps g(X, u) u) of X^t at (x, u), g at x, for each row X of xs (..., n)."""
+    return np.concatenate([np.zeros(xs.shape), xs - np.multiply.outer(eps * ((xs @ g) @ u), u)], axis=-1)
 
 
 def geodesic_flow_field_fn(m: ChartedMetric) -> Callable[..., np.ndarray]:
@@ -376,6 +384,22 @@ def sb_lift_field_fn(m: ChartedMetric, field: VectorField, kind: str, eps: int) 
         return lift_field_fn(m, field, "h")
     if kind == "t":
         return tangential_field_fn(m, field, eps)
+    raise ValueError(f"unknown sphere-bundle lift kind {kind!r}")
+
+
+def sb_lift_values(m: ChartedMetric, z0: np.ndarray, kind: str, xs: np.ndarray, eps: int) -> np.ndarray:
+    """Induced components at z0 = (x, u) of the lifts of kind 'h' or 't' of the constant base vectors xs (..., n).
+
+    The one formula of each lift, on z0's own jet (``base_jet``), as
+    ``sb_lift_field_fn(m, X, kind, eps)(z)`` evaluates it at any z: a vector
+    xs is that call bit for bit, and row k of a stack equals it to rounding.
+    """
+    n = m.dim
+    jet = base_jet(m, z0[:n])
+    if kind == "h":
+        return _h_lift(jet.gamma, xs, z0[n:])
+    if kind == "t":
+        return _t_lift(jet.g, xs, z0[n:], eps)
     raise ValueError(f"unknown sphere-bundle lift kind {kind!r}")
 
 

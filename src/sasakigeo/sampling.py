@@ -79,19 +79,29 @@ def sample_sb_point(m: ChartedMetric, eps: int, rng: np.random.Generator) -> SBP
     raise SamplingFailure(f"could not sample a bundle point with sign {eps} in {BASE_POINT_TRIES} base points")
 
 
+def sample_sb_parts(m: ChartedMetric, p: SBPoint, rng: np.random.Generator, count: int) -> np.ndarray:
+    """The (h, t) parts of ``count`` random tangent vectors of T_eps M as the rows of one (count, 2n) array.
+
+    All 2n * count normals come from one ``rng.normal`` call: it fills in C
+    order, so row k holds the h and then the t draw of the k-th of ``count``
+    sequential ``sample_sb_vec`` calls, and the generator ends in the same
+    state.  The t parts are canonicalized by ``PointGeometry.tangential_part``
+    row by row, so row k equals that call's parts bit for bit:
+    ``sample_sb_vec`` is the one-row case.
+    """
+    n = m.dim
+    draws = rng.normal(size=(count, 2 * n))
+    draws[:, n:] = point_geometry(m, p).tangential_part(draws[:, n:])
+    return draws
+
+
 def sample_sb_vec(m: ChartedMetric, p: SBPoint, rng: np.random.Generator) -> SBVec:
-    """Random tangent vector of T_eps M (tangential part canonicalized)."""
-    return _lift_sum(m, p, rng.normal(size=m.dim), rng.normal(size=m.dim))
+    """Random tangent vector of T_eps M (tangential part canonicalized): one row of ``sample_sb_parts``."""
+    return SBVec.of(p, sample_sb_parts(m, p, rng, 1)[0])
 
 
 def sample_ker_eta_vec(m: ChartedMetric, p: SBPoint, rng: np.random.Generator) -> SBVec:
-    """Random vector in ker eta: horizontal part g-orthogonal to u as well."""
-    g = point_geometry(m, p).base.g
-    h = rng.normal(size=m.dim)
-    h = h - p.eps * float(h @ g @ p.u) * p.u
-    return _lift_sum(m, p, h, rng.normal(size=m.dim))
+    """Random vector in ker eta: both parts of the draw made g-orthogonal to u, the horizontal one as well."""
+    geo = point_geometry(m, p)
+    return SBVec.of(p, geo.tangential_part(rng.normal(size=(2, m.dim))).ravel())
 
-
-def _lift_sum(m: ChartedMetric, p: SBPoint, h: np.ndarray, t: np.ndarray) -> SBVec:
-    """h^h + t^t as one parts array (h, P t), the parts of ``horizontal_sb(p, h) + tangential_lift(m, p, t)``."""
-    return SBVec.of(p, np.concatenate([h, point_geometry(m, p).tangential_part(t)]))

@@ -234,9 +234,20 @@ class PointGeometry:
         gb[:n, :n] = gb[n:, n:] = self.base.g
         return _read_only(gb)
 
+    @cached_property
+    def eps_u(self) -> np.ndarray:
+        """eps u, exact for eps = +-1, so g(X, u) (eps u) rounds as eps g(X, u) u does."""
+        return _read_only(self.eps * self.u)
+
     def tangential_part(self, x: np.ndarray) -> np.ndarray:
-        """The u-orthogonal t part X - eps g(X, u) u of the tangential lift X^t."""
-        return x - self.eps * float(x @ self.base.g @ self.u) * self.u
+        """The u-orthogonal t part X - eps g(X, u) u of the tangential lift X^t, for x of shape (..., n).
+
+        The one implementation of the projection on vectors (``proj`` is its
+        matrix): ``tangential_lift``, the samplers and the stacked lift pairs
+        of ``contact`` read it.  g(X, u) is one (1, n) product per row, so row
+        k of a stack equals the one-row case x[k] bit for bit.
+        """
+        return x - (x[..., None, :] @ self.base.g @ self.u) * self.eps_u
 
     @cached_property
     def ruu(self) -> np.ndarray:
@@ -283,6 +294,26 @@ class PointGeometry:
         phi[:n, n:] = -np.eye(n)
         phi[n:, :n] = self.proj
         return _read_only(phi)
+
+    @cached_property
+    def nabla_phi_parts(self) -> np.ndarray:
+        """``N[o, a, b]``, the o-part of (nabla-bar_{e_a} phi) e_b: (nabla-bar_a phi) b = ``contract(N, a, b)``
+        for parts a and b whose t parts are u-orthogonal (the ``SBVec`` invariant).
+
+        N(a, b) = a(PHI) b + Gamma-bar(a, PHI b) - PHI Gamma-bar(a, b) with PHI = ``phi_parts``, every
+        t output row projected by P.  On such parts PHI acts as [[0, -P], [P, 0]] and P is parallel along
+        horizontal lifts, so for a = X^h + W^t and b = Y^h + Z^t, a(PHI) b = (-a(P) Z, a(P) Y) with
+        a(P) = -eps (W (g u)^T + u (g W)^T).
+        """
+        n = self.u.size
+        conn, phi = self.connection, self.phi_parts
+        shape = conn.shape
+        out = (conn.reshape(-1, 2 * n) @ phi).reshape(shape) - (phi @ conn.reshape(2 * n, -1)).reshape(shape)
+        a_p = -self.eps * (np.eye(n)[:, :, None] * self.gu + self.u[:, None, None] * self.base.g)  # [i, W_j, y_l]
+        out[:n, n:, n:] -= a_p
+        out[n:, n:, :n] += a_p
+        out[n:] = (self.proj @ out[n:].reshape(n, -1)).reshape(n, 2 * n, 2 * n)
+        return _read_only(out)
 
     @cached_property
     def h_parts(self) -> np.ndarray:
@@ -415,3 +446,18 @@ def contract(t: np.ndarray, *vecs: np.ndarray) -> np.ndarray:
     for v in reversed(vecs):
         t = t.reshape(-1, v.size) @ v
     return t
+
+
+def contract_rows(t: np.ndarray, *rows: np.ndarray) -> np.ndarray:
+    """``contract`` row by row: ``out[k]`` = ``contract(t, *(r[k] for r in rows))`` for stacks of rows
+    of one shape (..., c_i), and ``contract`` itself for vectors.
+
+    Each step is one stacked product, a (M, c) by (c, 1) product per row, the
+    one ``contract`` makes, so a row does not depend on the others: a NaN
+    stays in its row, and the one-row case equals the stacked rows bit for bit.
+    """
+    lead = rows[0].shape[:-1]
+    out = t.reshape(-1, rows[-1].shape[-1]) @ rows[-1][..., None]
+    for r in reversed(rows[:-1]):
+        out = out.reshape(lead + (-1, r.shape[-1])) @ r[..., None]
+    return out.reshape(lead + t.shape[: t.ndim - len(rows)])

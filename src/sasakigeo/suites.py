@@ -246,8 +246,7 @@ def _suite_curvature(cfg: SuiteConfig, m: ChartedMetric, params: dict):
 
         p = sample_sb_point(m, cfg.eps, rng)
         geo = sb.point_geometry(m, p)
-        w = rng.normal(size=n)
-        w = w - cfg.eps * float(w @ geo.base.g @ p.u) * p.u
+        w = geo.tangential_part(rng.normal(size=n))
         rxu = np.einsum("iabc,a,b,c->i", geo.base.curvature(m)[1], w, p.u, p.u) - cfg.eps * cfg.c * w
         yield "R(X,u)u = eps c X for X perp u", np.abs(rxu).max(), 1e-8
 

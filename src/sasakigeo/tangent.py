@@ -225,10 +225,10 @@ def _nabla_parts(m: ChartedMetric, conn: np.ndarray, base: BaseContext, xfield, 
     with the base components themselves; the result is a new array.
     """
     n = base.x.size
-    xval = field_at(xfield, base.x)
-    out = (conn[:, _lift_slot(kind_x, n), _lift_slot(kind_y, n)] @ field_at(yfield, base.x)) @ xval
+    xval, yval = field_at(xfield, base.x), field_at(yfield, base.x)
+    out = (conn[:, _lift_slot(kind_x, n), _lift_slot(kind_y, n)] @ yval) @ xval
     if kind_x == "h":
-        out[_lift_slot(kind_y, n)] += base.nabla(m, xval, yfield)
+        out[_lift_slot(kind_y, n)] += base.nabla(m, xval, yfield, yval)
     return out
 
 

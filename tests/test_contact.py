@@ -27,7 +27,7 @@ from sasakigeo.contact import (
 )
 from sasakigeo.errors import DegeneratePlane
 from sasakigeo.manifold import ChartedMetric, SpaceFormSpec, metric_at, space_form_chart
-from sasakigeo.sampling import sample_ker_eta_vec, sample_sb_point, sample_sb_vec
+from sasakigeo.sampling import sample_ker_eta_vec, sample_sb_parts, sample_sb_point, sample_sb_vec
 from sasakigeo.sphere import (
     SBVec,
     frame_at,
@@ -39,7 +39,7 @@ from sasakigeo.sphere import (
 )
 from sasakigeo.suites import SuiteConfig, matrix_configs, run_suite
 
-from conftest import bumpy_chart, flat_chart, nan_on_call
+from conftest import bumpy_chart, flat_chart
 
 SQRT5 = math.sqrt(5.0)
 SQRT8 = 2.0 * math.sqrt(2.0)
@@ -473,8 +473,14 @@ class TestResidualsThatShowNothing:
     def test_a_nan_sample_fails_the_axioms(self, monkeypatch):
         m, p, _ = _chart_point(2, 0, 1.0, 1, seed=3)
         assert check_contact_axioms(m, p, np.random.default_rng(3), num_samples=8).passed
-        # the third vector drawn is the first sample of the second iteration
-        monkeypatch.setattr(contact, "sample_sb_vec", nan_on_call(sample_sb_vec, 3))
+        # the third vector drawn, row 2 of the one stacked draw, is the a of the second sample
+
+        def third_row_nan(m, p, rng, count):
+            rows = sample_sb_parts(m, p, rng, count)
+            rows[2] = math.nan
+            return rows
+
+        monkeypatch.setattr(contact, "sample_sb_parts", third_row_nan)
         rep = check_contact_axioms(m, p, np.random.default_rng(3), num_samples=8)
         failing = {c.name for c in rep.checks if not c.passed}
         assert failing == {"phi^2 = -Id + eta@xi", "g_cm(phi.,phi.) = g_cm - eps eta@eta"}

@@ -10,7 +10,6 @@ the dropped commutator and the negated h block pass every check.
 from dataclasses import replace
 
 import numpy as np
-from conftest import patch_everywhere
 
 from sasakigeo import contact, oracle, sphere, tangent
 from sasakigeo.suites import SuiteConfig, run_suite
@@ -143,12 +142,12 @@ def test_perturbed_entry_of_the_oracle_nabla_array(monkeypatch):
 
 
 def test_flipped_eps_in_the_tangential_lift(monkeypatch):
-    # X^t = X^v + eps g(X, u) N instead of X^v - eps g(X, u) N
-    def flipped(m, p, xcomps):
-        x = np.asarray(xcomps, dtype=float)
-        return sphere.SBVec(p, np.zeros(m.dim), x + p.eps * float(x @ sphere.point_geometry(m, p).gu) * p.u)
+    # X^t = X^v + eps g(X, u) N instead of X^v - eps g(X, u) N, in the one projection that every
+    # closed tangential lift reads, stacked (the lift pairs, the samplers) or one at a time
+    def flipped(geo, x):
+        return x + (x[..., None, :] @ geo.gu) * geo.eps_u
 
-    patch_everywhere(monkeypatch, sphere.tangential_lift, flipped)
+    monkeypatch.setattr(sphere.PointGeometry, "tangential_part", flipped)
     # the d eta axiom fails unmutated at eps = -1 (by a sign), so it is asserted at eps = +1
     assert "d eta = g_cm(., phi .)" in failing("axioms", **dict(TIMELIKE, eps=1))
     assert "nabla phi = FD ambient derivative" in failing("oracle-crosscheck", **TIMELIKE)

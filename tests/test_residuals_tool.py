@@ -106,3 +106,16 @@ def test_compare_lists_a_missing_check_once_with_its_report_count(tmp_path):
     lines = residuals.compare(old, new, check=None)
     assert [line for line in lines if line.startswith("missing")] == ["missing in new: check 'y' in 2 reports"]
     assert _main_compare(tmp_path, old, new) == 1
+
+
+def test_a_moved_tolerance_is_listed_and_fails_the_compare(tmp_path, capsys):
+    old = {"a": _report(True, x=1e-8, y=2e-9), "b": _report(True, x=2e-8)}
+    new = json.loads(json.dumps(old))
+    new["a"]["checks"]["y"]["tol"] = 1e-3  # looser, and still passing: no verdict flips
+    lines = residuals.compare(old, new, check=None)
+    assert "verdict flips: 0" in lines
+    at = lines.index("tolerances changed: 1")
+    assert lines[at + 1] == "  a / y: 1e-05 -> 0.001"
+    assert _main_compare(tmp_path, old, new) == 1
+    assert _main_compare(tmp_path, old, old) == 0
+    assert "tolerances changed: 0" in capsys.readouterr().out

@@ -13,7 +13,7 @@ from sasakigeo.errors import PointMismatch
 from sasakigeo.manifold import SpaceFormSpec, base_context, metric_at, space_form_chart
 from sasakigeo.oracle import ambient_nabla, fd_christoffel, fd_lie_bracket, field_jet, lift_field_fn, sasaki_gamma_fn
 from sasakigeo.sampling import sample_domain_point, sample_fiber_vector
-from sasakigeo.sphere import frame_at, sb_point
+from sasakigeo.sphere import frame_at, sb_nabla, sb_point
 from sasakigeo.stencil import FD_STEP_FIRST, jacobian
 from sasakigeo.tangent import (
     TMPoint,
@@ -262,7 +262,7 @@ class TestNablaJacobianMemo:
         at = _tm_point(m, rng)
         base = base_context(m, at.x)
         xv, w = rng.normal(size=3), rng.normal(size=3)
-        assert np.array_equal(base.nabla(m, xv, w), np.einsum("iab,a,b->i", base.curvature(m)[0], xv, w))
+        assert np.array_equal(base.nabla(m, xv, w, w), np.einsum("iab,a,b->i", base.curvature(m)[0], xv, w))
         for ky in ("h", "v"):
             tm_nabla(m, xv, w, "h", ky, at)
         lift_bracket(m, xv, w, "h", "h", at)
@@ -277,7 +277,7 @@ class TestNablaJacobianMemo:
         for _ in range(3):
             xv = rng.normal(size=3)
             expected = jac @ xv + np.einsum("iab,a,b->i", base.curvature(m)[0], xv, f(at.x))
-            assert np.array_equal(base.nabla(m, xv, f), expected)
+            assert np.array_equal(base.nabla(m, xv, f, f(at.x)), expected)
         assert stencils == [f]
         for kx, ky in [("h", "h"), ("h", "v"), ("v", "h")]:
             lift_bracket(m, f, h, kx, ky, at)
@@ -298,11 +298,33 @@ class TestNablaJacobianMemo:
             assert np.array_equal(tm_nabla(m, xv, f, "h", "h", moved).hpart, expected)
         assert stencils == [f, f]  # one at each of the two base points
 
+    @pytest.mark.parametrize("connection", ["tm_nabla", "sb_nabla"])
+    def test_a_callable_field_is_evaluated_at_x_once_per_call(self, rng, connection):
+        # cold: the Jacobian stencil (2n rows) and one value at x; warm: that value alone
+        m = bumpy_chart(3, 1)
+        at = _tm_point(m, rng)
+        f, calls = _quadratic_field(rng), []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        xv = rng.normal(size=3)
+        if connection == "tm_nabla":
+            query = lambda: tm_nabla(m, xv, counted, "h", "h", at)  # noqa: E731
+        else:
+            p = sb_point(m, at.x, at.u, 1)
+            query = lambda: sb_nabla(m, xv, counted, "h", "h", p)  # noqa: E731
+        query()
+        assert len(calls) == 7
+        query()
+        assert len(calls) == 8
+
     def test_a_field_outlived_by_its_id_is_not_served_a_stale_jacobian(self, flat2, rng):
         base = base_context(flat2, _tm_point(flat2, rng).x)
         xv = rng.normal(size=2)
         for c in (1.0, 2.0, 3.0, 4.0):
-            assert np.allclose(base.nabla(flat2, xv, lambda x, c=c: c * x), c * xv)
+            assert np.allclose(base.nabla(flat2, xv, lambda x, c=c: c * x, c * base.x), c * xv)
             gc.collect()  # the memo holds each field, so no later field can take its id
 
 

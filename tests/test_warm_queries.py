@@ -146,7 +146,7 @@ class TestContractions:
             conn = geo.connection
             padded = (conn @ _pad(ky, yc)) @ _pad(kx, xc)
             if kx == "h":
-                padded = padded + _pad(ky, geo.base.nabla(m, xc, yc))
+                padded = padded + _pad(ky, geo.base.nabla(m, xc, yc, yc))
             padded[3:] = geo.proj @ padded[3:]
             got = sb_nabla(m, xc, yc, kx, ky, p).comps()
             assert np.abs(got - padded).max() <= 1e-14 * max(1.0, np.abs(padded).max()), (kx, ky)
@@ -163,7 +163,7 @@ class TestContractions:
             xc, yc = rng.normal(size=3), rng.normal(size=3)
             padded = (conn @ _pad(ky, yc)) @ _pad(kx, xc)
             if kx == "h":
-                padded = padded + _pad(ky, base.nabla(m, xc, yc))
+                padded = padded + _pad(ky, base.nabla(m, xc, yc, yc))
             got = tm_nabla(m, xc, yc, kx, ky, at).comps()
             assert np.abs(got - padded).max() <= 1e-14 * max(1.0, np.abs(padded).max()), (kx, ky)
 

@@ -12,16 +12,19 @@ at seed 42 (``bench/workloads.py`` beside DIR, imported and not changed),
 one report per item, 416 reports in all.  Each report is recorded with its
 verdict and the residual, tolerance and verdict of each check.
 
-``compare`` prints the verdict flips, how many residuals changed (and, per
-check, how many of its residuals changed and the largest |new - old|), and
+``compare`` prints the verdict flips, every check whose tolerance differs
+between OLD and NEW (report, check, old and new tolerance), how many
+residuals changed (and, per check, how many of its residuals changed and
+the largest |new - old|), and
 the largest growth new/old among new residuals of at least 1e-14 beside
 the largest shrink old/new among old residuals of at least 1e-14, so a
 tightened certificate shows; with ``--check`` it also lists that check's
 residuals report by report.  A report NEW lacks is listed on its own
 line, and a check NEW lacks on one line with the number of reports that
-lack it.  It exits 1 when a verdict flips or NEW lacks a report or check
-of OLD, and 0 otherwise.  Two trees agree "within FD noise" when nothing flips and no
-growth is large.
+lack it.  It exits 1 when a verdict flips, a tolerance differs, or NEW
+lacks a report or check of OLD, and 0 otherwise: a moved tolerance shows
+even where it flips no verdict.  Two trees agree "within FD noise" when
+nothing flips, no tolerance moves and no growth is large.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ def dump(src: Path) -> dict:
 
 def compare(old: dict, new: dict, check: str | None) -> list:
     lines = []
-    flips, pairs = [], []
+    flips, tols, pairs = [], [], []
     missing: dict = {}  # check name -> how many reports of NEW lack it
     for k in old:
         if k not in new:
@@ -93,6 +96,8 @@ def compare(old: dict, new: dict, check: str | None) -> list:
                 continue
             if a["pass"] != b["pass"]:
                 flips.append(f"check {k} / {name}: {a['pass']} -> {b['pass']}")
+            if a["tol"] != b["tol"]:
+                tols.append(f"{k} / {name}: {a['tol']:.3g} -> {b['tol']:.3g}")
             pairs.append((k, name, a["residual"], b["residual"]))
     lines += [f"missing in new: check {name!r} in {count} reports" for name, count in missing.items()]
     lines += [f"missing in old: {k}" for k in new if k not in old]
@@ -102,6 +107,8 @@ def compare(old: dict, new: dict, check: str | None) -> list:
     lines.append(f"reports: {len(old)} old, {len(new)} new; residuals compared: {len(pairs)}")
     lines.append(f"verdict flips: {len(flips)}")
     lines += [f"  {f}" for f in flips]
+    lines.append(f"tolerances changed: {len(tols)}")
+    lines += [f"  {t}" for t in tols]
     lines.append(f"residuals changed: {len(changed)} of {len(pairs)}")
     per_check: dict = {}
     for _, name, a, b in changed:
@@ -141,7 +148,8 @@ def main(argv=None) -> int:
     old, new = (json.loads(p.read_text()) for p in (args.old, args.new))
     lines = compare(old, new, args.check)
     print("\n".join(lines))
-    ok = "verdict flips: 0" in lines and not any(line.startswith("missing in new") for line in lines)
+    missing = any(line.startswith("missing in new") for line in lines)
+    ok = {"verdict flips: 0", "tolerances changed: 0"} <= set(lines) and not missing
     return 0 if ok else 1
 
 
