@@ -37,7 +37,6 @@ from .oracle import (
     read_stencil_jets,
     sasaki_metric_fn,
     sb_lift_field_fn,
-    sb_lift_values,
 )
 from .report import CheckReport, fold
 from .sampling import sample_ker_eta_vec, sample_sb_parts, sample_sb_vec
@@ -45,7 +44,7 @@ from .sphere import (
     PointGeometry,
     SBPoint,
     SBVec,
-    contract_rows,
+    contract,
     horizontal_sb,
     lift,
     point_geometry,
@@ -68,8 +67,10 @@ class ContactData:
     built once per view, and eta, phi and g_cm are each one product with the kept g, ``phi_parts`` or ``gbar``.
 
     ``eta_rows``, ``phi_rows`` and ``gcm_rows`` take (h, t) parts, one vector or a stack of rows (..., 2n),
-    with one (1, .) or (., 1) product per row; ``eta``, ``phi`` and ``gcm`` are their one-row case on
-    ``SBVec``, so a row of a stack equals the per-vector value bit for bit.
+    with one ``np.vecmat``, ``np.matvec`` or ``np.vecdot`` product per row; ``eta``, ``phi`` and ``gcm`` are
+    their one-row case on ``SBVec``, so a row of a stack equals the per-vector value bit for bit.  The
+    factors 1/2 and eps of eta and 1/4 of g_cm are exact, so scaling the product's result rounds as
+    scaling its inputs would.
     """
 
     at: SBPoint
@@ -81,13 +82,13 @@ class ContactData:
 
     def eta_rows(self, parts: np.ndarray) -> np.ndarray:
         n = self.at.u.size
-        return 0.5 * self.at.eps * (parts[..., None, :n] @ self.geo.base.g @ self.at.u)[..., 0]
+        return 0.5 * np.vecdot(np.vecmat(parts[..., :n], self.geo.base.g), self.geo.eps_u)
 
     def phi_rows(self, parts: np.ndarray) -> np.ndarray:
-        return (self.geo.phi_parts @ parts[..., None])[..., 0]
+        return np.matvec(self.geo.phi_parts, parts)
 
     def gcm_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return 0.25 * (a[..., None, :] @ self.geo.gbar @ b[..., None])[..., 0, 0]
+        return 0.25 * np.vecdot(np.vecmat(a, self.geo.gbar), b)
 
     def eta(self, a: SBVec) -> float:
         require_same_sb_point(self.at, a)
@@ -250,7 +251,7 @@ def check_contact_axioms(
     max(8, num_samples // 4) lift pairs of ``_lift_pairs``, so the
     numbers are those of the per-sample loops of ``sample_sb_vec`` and
     ``normal(size=n)`` calls.  Each sampled identity is one stacked
-    contraction over the rows (``ContactData.*_rows``, ``contract_rows``),
+    contraction over the rows (``ContactData.*_rows``, ``contract``),
     and a check reports the largest residual of its rows; a NaN row is
     reported as NaN.
     """
@@ -275,7 +276,7 @@ def _contact_axiom_rows(m: ChartedMetric, p: SBPoint, rng: np.random.Generator, 
 
     deta_t = d_eta_tensor(m, p)
     a, b, a0, b0 = _lift_pairs(m, p, rng, max(8, num_samples // 4))
-    residuals = 0.5 * contract_rows(deta_t, a0, b0) - data.gcm_rows(a, data.phi_rows(b))
+    residuals = 0.5 * contract(deta_t, a0, b0)[:, 0] - data.gcm_rows(a, data.phi_rows(b))
     yield "d eta = g_cm(., phi .)", np.abs(residuals).max(), 1e-5
 
 
@@ -285,7 +286,8 @@ _LIFT_KINDS = (("h", "t"), ("h", "h"), ("t", "t"), ("t", "h"))  # the (X, Y) kin
 def _lift_pairs(m: ChartedMetric, p: SBPoint, rng: np.random.Generator, count: int) -> tuple:
     """(A, B, A0, B0) for ``count`` lift pairs (X^., Y^.) of random base vectors, cycling through
     ``_LIFT_KINDS``: row k of A and B holds the parts of pair k (``lift``), and row k of A0 and B0
-    its induced TM components at p (``oracle.sb_lift_values``).
+    its induced TM components at p, the value at z0 of the lift field of the constant stack of base
+    vectors (``oracle.sb_lift_field_fn``).
 
     X and Y of every pair come from one ``rng.normal`` call, in the order X_0, Y_0, X_1, ..,
     as ``count`` pairs of ``normal(size=n)`` calls would draw them.
@@ -300,7 +302,7 @@ def _lift_pairs(m: ChartedMetric, p: SBPoint, rng: np.random.Generator, count: i
         zero = np.zeros(w.shape)
         hlift, tlift = np.concatenate([w, zero], axis=1), np.concatenate([zero, geo.tangential_part(w)], axis=1)
         parts.append(np.where(h, hlift, tlift))
-        comps.append(np.where(h, sb_lift_values(m, z0, "h", w, p.eps), sb_lift_values(m, z0, "t", w, p.eps)))
+        comps.append(np.where(h, sb_lift_field_fn(m, w, "h", p.eps)(z0), sb_lift_field_fn(m, w, "t", p.eps)(z0)))
     return parts[0], parts[1], comps[0], comps[1]
 
 
@@ -327,7 +329,7 @@ def nabla_phi(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec) -> SBVec:
 
     The t parts W and Z of a = X^h + W^t and b = Y^h + Z^t must be
     u-orthogonal (the ``SBVec`` invariant).  The one-row case of the stacked
-    kernel ``contract_rows(N, A, B)`` with N = ``PointGeometry.nabla_phi_parts``
+    kernel ``contract(N, A, B)`` with N = ``PointGeometry.nabla_phi_parts``
     (built once per point, where the a(P) term is written), which the
     ``sasakian`` rows contract with all their pairs at once:
 
@@ -337,7 +339,7 @@ def nabla_phi(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec) -> SBVec:
     (nabla_{W^t} phi) Z^t = 1/2 h{R(W, u)Z} + 2 eps g_cm(W^t, Z^t) xi
     """
     require_same_sb_point(p, a, b)
-    return SBVec.of(p, contract_rows(point_geometry(m, p).nabla_phi_parts, a.comps(), b.comps()))
+    return SBVec.of(p, contract(point_geometry(m, p).nabla_phi_parts, a.comps(), b.comps()))
 
 
 def nabla_phi_defn(
@@ -557,7 +559,7 @@ def sasakian_residual(
 
     Draw order: the num_samples lift pairs of ``_lift_pairs``, X and Y of
     each pair in turn from one ``rng.normal`` call.  Both identities are one
-    stacked contraction over the pairs (``contract_rows`` with the two FD
+    stacked contraction over the pairs (``contract`` with the two FD
     tensors and with ``PointGeometry.nabla_phi_parts``, whose one-row case
     is ``nabla_phi``); a check reports the largest residual of its rows.
     """
@@ -574,9 +576,9 @@ def _sasakian_rows(m: ChartedMetric, p: SBPoint, rng: np.random.Generator, num_s
     xi_ind = geodesic_flow_field_fn(m)(jets.z[0])
 
     a, b, a0, b0 = _lift_pairs(m, p, rng, num_samples)
-    two_deta = contract_rows(deta_t, a0, b0)
-    yield "N_phi + 2 d eta @ xi = 0", np.abs(contract_rows(nphi_t, a0, b0) + two_deta[:, None] * xi_ind).max(), 1e-5
+    two_deta = contract(deta_t, a0, b0)
+    yield "N_phi + 2 d eta @ xi = 0", np.abs(contract(nphi_t, a0, b0) + two_deta * xi_ind).max(), 1e-5
 
-    lhs = contract_rows(data.geo.nabla_phi_parts, a, b)
+    lhs = contract(data.geo.nabla_phi_parts, a, b)
     rhs = data.gcm_rows(a, b)[:, None] * data.xi.comps() + (-eps * data.eta_rows(b))[:, None] * a
     yield "(nabla phi) = g_cm @ xi - eps eta @ id", np.abs(lhs - rhs).max(), 1e-5

@@ -359,8 +359,12 @@ def _h_lift(gamma: np.ndarray, xs: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _t_lift(g: np.ndarray, xs: np.ndarray, u: np.ndarray, eps: int) -> np.ndarray:
-    """Induced components (0; X - eps g(X, u) u) of X^t at (x, u), g at x, for each row X of xs (..., n)."""
-    return np.concatenate([np.zeros(xs.shape), xs - np.multiply.outer(eps * ((xs @ g) @ u), u)], axis=-1)
+    """Induced components (0; X - eps g(X, u) u) of X^t at (x, u), g at x, for each row X of xs (..., n).
+
+    g(X, u) is one ``np.vecmat`` and one ``np.vecdot`` per row, so a row of a stack equals the
+    one-row case bit for bit.  eps = +-1 picks the sign, exactly as multiplying by it would."""
+    gxu_u = np.vecdot(np.vecmat(xs, g), u, keepdims=True) * u
+    return np.concatenate([np.zeros(xs.shape), xs - gxu_u if eps > 0 else xs + gxu_u], axis=-1)
 
 
 def geodesic_flow_field_fn(m: ChartedMetric) -> Callable[..., np.ndarray]:
@@ -384,22 +388,6 @@ def sb_lift_field_fn(m: ChartedMetric, field: VectorField, kind: str, eps: int) 
         return lift_field_fn(m, field, "h")
     if kind == "t":
         return tangential_field_fn(m, field, eps)
-    raise ValueError(f"unknown sphere-bundle lift kind {kind!r}")
-
-
-def sb_lift_values(m: ChartedMetric, z0: np.ndarray, kind: str, xs: np.ndarray, eps: int) -> np.ndarray:
-    """Induced components at z0 = (x, u) of the lifts of kind 'h' or 't' of the constant base vectors xs (..., n).
-
-    The one formula of each lift, on z0's own jet (``base_jet``), as
-    ``sb_lift_field_fn(m, X, kind, eps)(z)`` evaluates it at any z: a vector
-    xs is that call bit for bit, and row k of a stack equals it to rounding.
-    """
-    n = m.dim
-    jet = base_jet(m, z0[:n])
-    if kind == "h":
-        return _h_lift(jet.gamma, xs, z0[n:])
-    if kind == "t":
-        return _t_lift(jet.g, xs, z0[n:], eps)
     raise ValueError(f"unknown sphere-bundle lift kind {kind!r}")
 
 

@@ -244,10 +244,11 @@ class PointGeometry:
 
         The one implementation of the projection on vectors (``proj`` is its
         matrix): ``tangential_lift``, the samplers and the stacked lift pairs
-        of ``contact`` read it.  g(X, u) is one (1, n) product per row, so row
-        k of a stack equals the one-row case x[k] bit for bit.
+        of ``contact`` read it.  g(X, u) is one ``np.vecmat`` and one
+        ``np.vecdot`` per row, so row k of a stack equals the one-row case
+        x[k] bit for bit.
         """
-        return x - (x[..., None, :] @ self.base.g @ self.u) * self.eps_u
+        return x - np.vecdot(np.vecmat(x, self.base.g), self.u, keepdims=True) * self.eps_u
 
     @cached_property
     def ruu(self) -> np.ndarray:
@@ -437,27 +438,23 @@ def sb_curvature(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec, c: SBVec) -> 
 
 
 def contract(t: np.ndarray, *vecs: np.ndarray) -> np.ndarray:
-    """t contracted with vecs on its last len(vecs) axes, t(.., a, b, c) for vecs (a, b, c).
+    """t contracted with vecs on its last len(vecs) axes, t(.., a, b, c) for vecs (a, b, c), its
+    remaining axes flattened: shape (M,), or (1,) when every axis is contracted.
 
-    The last vector goes first, and each step is one 2-D product of the
-    flattened array with a vector: ``contract(rb, a, b, c)`` equals
-    ``((rb @ c) @ b) @ a``.  A C-contiguous t is reshaped without a copy.
+    The vecs are vectors, or stacks of rows of one shape (..., c_i) with
+    ``out[k]`` = ``contract(t, *(v[k] for v in vecs))``.  The last vector goes
+    first, and each step is one ``np.matvec`` of the flattened array with a
+    row, the (M, c) by (c,) product ``@`` makes: ``contract(rb, a, b, c)``
+    equals ``((rb @ c) @ b) @ a``, and a row of a stack equals its one-row
+    case bit for bit, a NaN staying in its row.  Vectors skip the stack's
+    lead axes in the reshapes.  A C-contiguous t is reshaped without a copy.
     """
-    for v in reversed(vecs):
-        t = t.reshape(-1, v.size) @ v
-    return t
-
-
-def contract_rows(t: np.ndarray, *rows: np.ndarray) -> np.ndarray:
-    """``contract`` row by row: ``out[k]`` = ``contract(t, *(r[k] for r in rows))`` for stacks of rows
-    of one shape (..., c_i), and ``contract`` itself for vectors.
-
-    Each step is one stacked product, a (M, c) by (c, 1) product per row, the
-    one ``contract`` makes, so a row does not depend on the others: a NaN
-    stays in its row, and the one-row case equals the stacked rows bit for bit.
-    """
-    lead = rows[0].shape[:-1]
-    out = t.reshape(-1, rows[-1].shape[-1]) @ rows[-1][..., None]
-    for r in reversed(rows[:-1]):
-        out = out.reshape(lead + (-1, r.shape[-1])) @ r[..., None]
-    return out.reshape(lead + t.shape[: t.ndim - len(rows)])
+    lead = vecs[0].shape[:-1]
+    if not lead:
+        for v in reversed(vecs):
+            t = np.matvec(t.reshape(-1, v.size), v)
+        return t
+    out = np.matvec(t.reshape(-1, vecs[-1].shape[-1]), vecs[-1])
+    for v in vecs[-2::-1]:
+        out = np.matvec(out.reshape(lead + (-1, v.shape[-1])), v)
+    return out

@@ -15,16 +15,16 @@ verdict and the residual, tolerance and verdict of each check.
 ``compare`` prints the verdict flips, every check whose tolerance differs
 between OLD and NEW (report, check, old and new tolerance), how many
 residuals changed (and, per check, how many of its residuals changed and
-the largest |new - old|), and
-the largest growth new/old among new residuals of at least 1e-14 beside
-the largest shrink old/new among old residuals of at least 1e-14, so a
-tightened certificate shows; with ``--check`` it also lists that check's
-residuals report by report.  A report NEW lacks is listed on its own
-line, and a check NEW lacks on one line with the number of reports that
-lack it.  It exits 1 when a verdict flips, a tolerance differs, or NEW
-lacks a report or check of OLD, and 0 otherwise: a moved tolerance shows
-even where it flips no verdict.  Two trees agree "within FD noise" when
-nothing flips, no tolerance moves and no growth is large.
+the largest |new - old|), and the largest growth new/old among new
+residuals of at least 1e-14 beside the largest shrink old/new among old
+residuals of at least 1e-14, so a tightened certificate shows; with
+``--check`` it also lists that check's residuals report by report.  A
+report NEW lacks is listed on its own line, and a check NEW lacks on one
+line with the number of reports that lack it.  It exits 1 when a verdict
+flips, a tolerance differs, or NEW lacks a report or check of OLD, and 0
+otherwise: a moved tolerance shows even where it flips no verdict.  Two
+trees agree "within FD noise" when nothing flips, no tolerance moves and
+no growth is large.
 """
 
 from __future__ import annotations
