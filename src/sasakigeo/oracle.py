@@ -6,8 +6,9 @@ Christoffel or curvature values computed by the closed-form modules; the
 chart keeps the oracle's own base jets (``base_jet``) for its latest base
 points, so stencils that share a base point read the metric there once, and
 a per-point stencil reads the jets it lacks in one stacked step.  The
-fields that need only those jets (Tg, the geodesic flow field, and the
-contact layer's phi and eta) take a stencil's stacked rows in one call.  It
+fields that need only those jets (Tg, the geodesic flow field, the h-, v-
+and t-lift fields, and the contact layer's phi and eta) take a stencil's
+stacked rows in one call, and so does ``fd_riemann``'s Gamma.  It
 certifies: the Koszul symbols, the coordinate curvature, the bracket
 identities, the induced-hypersurface metric, and the sphere-bundle
 connection/curvature via the Gauss equation in the induced chart of TM.
@@ -63,9 +64,17 @@ def fd_christoffel(metric_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
 
 
 def fd_riemann(gamma_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, step: float = FD_STEP_SECOND) -> np.ndarray:
-    """Coordinate curvature ``r[i, a, b, c]``, ordered as ``riemann_at``, from central differences of Gamma."""
+    """Coordinate curvature ``r[i, a, b, c]``, ordered as ``riemann_at``, from central differences of Gamma.
+
+    ``gamma_fn`` takes a stack of points (k, N) and returns their symbols
+    (k, N, N, N), each row as it would return it for that point alone, as
+    ``christoffel_at`` and ``sasaki_gamma_fn`` do.  It is called once, on
+    the stack [x; ``points(x, step)``], so R equals
+    ``_riemann(gamma_fn(x), partials(gamma_fn, x, step))`` bit for bit.
+    """
     x = np.asarray(x, dtype=float)
-    return _riemann(np.asarray(gamma_fn(x), dtype=float), partials(gamma_fn, x, step))
+    gamma = np.asarray(gamma_fn(np.concatenate([x[None], points(x, step)])), dtype=float)
+    return _riemann(gamma[0], quotient(gamma[1:], step))
 
 
 def _riemann(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
@@ -193,8 +202,10 @@ class StencilJets:
     ``z`` holds z0 and then ``points(z0, FD_STEP_FIRST)``: 4n + 1 rows.
     ``g[k]`` and ``gamma[k]`` are g and Gamma of the kept jet at row k's base
     point, so the 2n rows that move only u repeat x's.  A jet-only field of
-    the oracle or contact layer takes ``field(jets.z, jets)`` and returns
-    its value at every row in one evaluation; ``derivative`` differences it.
+    the oracle or contact layer (Tg, the geodesic flow field, the lift
+    fields, phi and eta) takes ``field(jets.z, jets)`` and returns its value
+    at every row in one evaluation; ``derivative`` and ``field_jet``
+    difference it.
     """
 
     z: np.ndarray
@@ -209,6 +220,12 @@ class StencilJets:
         """
         values = field(self.z, self)
         return values[0], quotient(values[1:], FD_STEP_FIRST)
+
+    def field_jet(self, field) -> tuple:
+        """(F(z0), J) with J[i, j] = d_j F^i(z0), C-contiguous: the Jacobian form of ``derivative``,
+        bit for bit the module's ``field_jet(field, z0)``, so ``jet_bracket`` and ``ambient_nabla`` take it."""
+        value, dvalue = self.derivative(field)
+        return value, np.ascontiguousarray(dvalue.T)
 
 
 def read_stencil_jets(m: ChartedMetric, z0: np.ndarray) -> StencilJets:
@@ -316,50 +333,69 @@ def sasaki_gamma_fn(m: ChartedMetric) -> Callable[[np.ndarray], np.ndarray]:
 # -------------------- lift fields in induced coordinates --------------------
 
 
-def lift_field_fn(m: ChartedMetric, field: VectorField, kind: str) -> Callable[[np.ndarray], np.ndarray]:
+def _at_rows(fn: Callable[[np.ndarray], np.ndarray], z: np.ndarray, n: int) -> np.ndarray:
+    """A base field that takes one x, at the x of each row of the stacked z (k, 2n)."""
+    return np.array([fn(row[:n]) for row in z], dtype=float)
+
+
+def lift_field_fn(m: ChartedMetric, field: VectorField, kind: str) -> Callable[..., np.ndarray]:
     """Induced-coordinate components of a lift field on TM.
 
     kinds: 'h' horizontal, 'v' vertical, 't' tangential (the extension
     X^v - eps g(X,u) N off the hypersurface needs eps: use
-    ``tangential_field_fn``).
+    ``tangential_field_fn``).  ``lift(z)`` reads Gamma at x;
+    ``lift(z, jets)`` takes it from ``jets``, so z may be the stacked rows
+    of a ``StencilJets``, and calls the base field at each row's x.
     """
     n = m.dim
     fn = as_field(field)
     if kind == "h":
 
-        def hfield(z):
-            x = z[:n]
-            return _h_lift(base_gamma(m, x), np.asarray(fn(x), dtype=float), z[n:])
+        def hfield(z, jets=None):
+            if jets is None:
+                x = z[:n]
+                return _h_lift(base_jet(m, x).gamma, np.asarray(fn(x), dtype=float), z[n:])
+            return _h_lift(jets.gamma, _at_rows(fn, z, n), z[:, n:])
 
         return hfield
     if kind == "v":
 
-        def vfield(z):
-            return np.concatenate([np.zeros(n), np.asarray(fn(z[:n]), dtype=float)])
+        def vfield(z, jets=None):
+            xs = np.asarray(fn(z[:n]), dtype=float) if jets is None else _at_rows(fn, z, n)
+            return np.concatenate([np.zeros(xs.shape), xs], axis=-1)
 
         return vfield
     raise ValueError(f"unknown lift kind {kind!r}")
 
 
-def tangential_field_fn(m: ChartedMetric, field: VectorField, eps: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Induced components of the tangential-lift field X^v - eps g(X,u) N."""
+def tangential_field_fn(m: ChartedMetric, field: VectorField, eps: int) -> Callable[..., np.ndarray]:
+    """Induced components of the tangential-lift field X^v - eps g(X,u) N.
+
+    ``tfield(z)`` reads g at x; ``tfield(z, jets)`` takes it from ``jets``,
+    so z may be the stacked rows of a ``StencilJets``, and calls the base
+    field at each row's x.
+    """
     n = m.dim
     fn = as_field(field)
 
-    def tfield(z):
-        x = z[:n]
-        return _t_lift(base_jet(m, x).g, np.asarray(fn(x), dtype=float), z[n:], eps)
+    def tfield(z, jets=None):
+        if jets is None:
+            x = z[:n]
+            return _t_lift(base_jet(m, x).g, np.asarray(fn(x), dtype=float), z[n:], eps)
+        return _t_lift(jets.g, _at_rows(fn, z, n), z[:, n:], eps)
 
     return tfield
 
 
 def _h_lift(gamma: np.ndarray, xs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Induced components (X; -Gamma(X, u)) of X^h at (x, u), Gamma at x, for each row X of xs (..., n)."""
-    return np.concatenate([xs, -np.einsum("iab,...a,b->...i", gamma, xs, u)], axis=-1)
+    """Induced components (X; -Gamma(X, u)) of X^h at (x, u), Gamma at x, row by row for any stack of Gamma, X and u.
+
+    One einsum over the broadcast rows, so a row of a stack equals the one-row case bit for bit."""
+    return np.concatenate([xs, -np.einsum("...iab,...a,...b->...i", gamma, xs, u)], axis=-1)
 
 
 def _t_lift(g: np.ndarray, xs: np.ndarray, u: np.ndarray, eps: int) -> np.ndarray:
-    """Induced components (0; X - eps g(X, u) u) of X^t at (x, u), g at x, for each row X of xs (..., n).
+    """Induced components (0; X - eps g(X, u) u) of X^t at (x, u), g at x, row by row for any stack of g, X and u.
 
     g(X, u) is one ``np.vecmat`` and one ``np.vecdot`` per row, so a row of a stack equals the
     one-row case bit for bit.  eps = +-1 picks the sign, exactly as multiplying by it would."""
@@ -412,7 +448,12 @@ def _lift_jacobians(jet: BaseJet, u: np.ndarray, eps: int) -> np.ndarray:
 
 
 def field_jet(field_fn, z: np.ndarray) -> tuple:
-    """(A(z), dA(z)): a field's components at z and their central-difference Jacobian there."""
+    """(A(z), dA(z)): a field's components at z and their central-difference Jacobian there.
+
+    The generic reference: ``field_fn`` takes one point and is called once per
+    stencil row.  ``StencilJets.field_jet`` gives the same pair bit for bit
+    from one evaluation of a jet-only field on the stacked rows.
+    """
     z = np.asarray(z, dtype=float)
     return np.asarray(field_fn(z), dtype=float), jacobian(field_fn, z, FD_STEP_FIRST)
 
@@ -484,12 +525,22 @@ def ambient_nabla(aval: np.ndarray, b_jet: tuple, gamma: np.ndarray) -> np.ndarr
 
 @dataclass(eq=False)
 class HypersurfaceChart:
-    """The chart of T_eps M at p whose coordinates are the induced ones but the solved u_j: its J and J^T Tg J at p."""
+    """The chart of T_eps M at p whose coordinates are the induced ones but the solved u_j: its J and J^T Tg J at p.
+
+    ``pullback_metric`` evaluates Tg at p on first use, so a caller that
+    reads only the Jacobian evaluates no Tg.
+    """
 
     solved_index: int
     keep: np.ndarray  # the induced coordinates that stay chart coordinates
     jacobian: np.ndarray  # dz/dw at p
-    pullback_metric: np.ndarray  # J^T Tg J at p
+    m: ChartedMetric
+    z0: np.ndarray  # p's induced coordinates (x, u)
+
+    @cached_property
+    def pullback_metric(self) -> np.ndarray:
+        """J^T Tg J at p."""
+        return self.jacobian.T @ sasaki_metric_fn(self.m)(self.z0) @ self.jacobian
 
     def drop(self, z_vec: np.ndarray) -> np.ndarray:
         """Chart components of an ambient induced-coordinate vector tangent to the chart."""
@@ -514,8 +565,7 @@ def hypersurface_pullback(m: ChartedMetric, p: SBPoint) -> HypersurfaceChart:
     jac = np.zeros((2 * n, 2 * n - 1))
     jac[keep, np.arange(2 * n - 1)] = 1.0
     jac[n + j] = -grad[keep] / grad_u[j]
-    tg = sasaki_metric_fn(m)(np.concatenate([p.x, p.u]))
-    return HypersurfaceChart(j, keep, jac, jac.T @ tg @ jac)
+    return HypersurfaceChart(j, keep, jac, m, np.concatenate([p.x, p.u]))
 
 
 # -------------------- Gauss-equation curvature oracle --------------------
@@ -761,9 +811,10 @@ def sb_nabla_via_ambient(
     basis lifts (``GaussOracle.nabla``), and the call contracts the slots of
     A's and B's kinds, ``nabla[:, slot(A), slot(B)]``, with their base
     components.  Otherwise the ambient derivative is taken
-    in induced coordinates, the Jacobian of B's components central-differenced,
-    against the context's Christoffels of Tg at p, and ``_from_induced``
-    drops its N part.
+    in induced coordinates, the Jacobian of B's components central-differenced
+    from one evaluation of B's lift field on z0's ``StencilJets``, against
+    the context's Christoffels of Tg at p, and ``_from_induced`` drops its
+    N part.
     """
     _check_kinds(kind_x, kind_y, allowed=("h", "t"))
     ctx = gauss_oracle(m, p)
@@ -772,5 +823,6 @@ def sb_nabla_via_ambient(
         block = nabla[:, _lift_slot(kind_x, m.dim), _lift_slot(kind_y, m.dim)]
         return SBVec.of(p, (block @ np.asarray(yfield, dtype=float)) @ field_at(xfield, p.x))
     aval = sb_lift_field_fn(m, xfield, kind_x, p.eps)(ctx.z0)
-    nab = ambient_nabla(aval, field_jet(sb_lift_field_fn(m, yfield, kind_y, p.eps), ctx.z0), ctx.gamma0)
+    b_jet = read_stencil_jets(m, ctx.z0).field_jet(sb_lift_field_fn(m, yfield, kind_y, p.eps))
+    nab = ambient_nabla(aval, b_jet, ctx.gamma0)
     return _from_induced(m, p, nab)

@@ -379,8 +379,8 @@ def _suite_oracle(cfg: SuiteConfig, m: ChartedMetric, params: dict):
 
         xf = _poly_field(n, rng)
         yf = _poly_field(n, rng)
-        orc.read_stencil_jets(m, z0)
-        y_jets = {ky: orc.field_jet(orc.lift_field_fn(m, yf, ky), z0) for ky in ("h", "v")}  # each differenced once
+        z0_jets = orc.read_stencil_jets(m, z0)
+        y_jets = {ky: z0_jets.field_jet(orc.lift_field_fn(m, yf, ky)) for ky in ("h", "v")}  # each differenced once
         for kx, ky in [("h", "h"), ("h", "v"), ("v", "h")]:
             closed_ind = tb.to_induced_coords(m, tb.tm_nabla(m, xf, yf, kx, ky, p.tm))
             amb = orc.ambient_nabla(orc.lift_field_fn(m, xf, kx)(z0), y_jets[ky], gauss.gamma0)
@@ -467,12 +467,12 @@ def _suite_brackets(cfg: SuiteConfig, m: ChartedMetric, params: dict):
         z0 = np.concatenate([p.x, p.u])
         xf = _poly_field(n, rng)
         yf = _poly_field(n, rng)
-        orc.read_stencil_jets(m, z0)
-        jets = {}  # the jet at z0 of each lift of X and Y, one stencil each
+        z0_jets = orc.read_stencil_jets(m, z0)
+        jets = {}  # the jet at z0 of each lift of X and Y, each field evaluated once on the stacked stencil rows
         for f in (xf, yf):
             for kind in ("h", "v"):
-                jets[f, kind] = orc.field_jet(orc.lift_field_fn(m, f, kind), z0)
-            jets[f, "t"] = orc.field_jet(orc.tangential_field_fn(m, f, cfg.eps), z0)
+                jets[f, kind] = z0_jets.field_jet(orc.lift_field_fn(m, f, kind))
+            jets[f, "t"] = z0_jets.field_jet(orc.tangential_field_fn(m, f, cfg.eps))
         for (kx, ky), label in labels.items():
             closed = tb.to_induced_coords(m, tb.lift_bracket(m, xf, yf, kx, ky, p.tm))
             fd = orc.jet_bracket(jets[xf, kx], jets[yf, ky])

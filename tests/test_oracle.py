@@ -1324,6 +1324,23 @@ class TestStackedFields:
         # the jets of the stencil rows come from its one read: any jet read one by one is the one at p's x
         assert set(reads) <= {p.x.tobytes()}
 
+    @pytest.mark.parametrize("chart", CHARTS)
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_killing_residual_evaluates_tg_only_on_its_stencil(self, monkeypatch, rng, chart, eps):
+        m = self._chart(chart, 3)
+        p = sample_sb_point(m, eps, rng)
+        shapes = []
+        real = oracle._sasaki_blocks  # every Tg of the oracle, at one z or on stacked rows
+        monkeypatch.setattr(oracle, "_sasaki_blocks", lambda g, c: shapes.append(np.shape(g)) or real(g, c))
+        contact.killing_residual(m, p)
+        assert shapes == [(4 * m.dim + 1, m.dim, m.dim)]
+        # the pullback metric, which the residual does not read, is built on first use, as before
+        chart_p = hypersurface_pullback(m, p)
+        assert len(shapes) == 1
+        tg = sasaki_metric_fn(m)(np.concatenate([p.x, p.u]))
+        assert np.array_equal(chart_p.pullback_metric, chart_p.jacobian.T @ tg @ chart_p.jacobian)
+        assert chart_p.pullback_metric is chart_p.pullback_metric
+
 
 def test_base_jet_inverts_g_once(monkeypatch, rng):
     m = bumpy_chart(3, 1)

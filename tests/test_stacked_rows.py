@@ -1,4 +1,4 @@
-"""The stacked kernels of the sampled contact checks against their one-row cases.
+"""The stacked kernels of the sampled contact checks and of the oracle's stencils against their one-row cases.
 
 ``axioms`` and ``sasakian`` draw their samples in one call and contract all
 rows at once.  ``sample_sb_parts`` must draw what that many ``sample_sb_vec``
@@ -7,8 +7,11 @@ stacked rows of the lift pairs, of the oracle's lift components, of nabla
 phi and of the contact tensors must equal their one-row cases bit for bit.
 The nabla phi tensor is checked against the per-vector formula it replaced
 (to 1e-13, relative), and the one-row contact tensors against the scalar
-formulas they replaced (bit for bit).  Each is checked on a space form and
-on a chart that is not locally symmetric, at n = 2 and 3 and both eps.
+formulas they replaced (bit for bit).  The oracle's lift fields, evaluated
+once on a ``StencilJets``, and ``fd_riemann``'s one stacked Gamma call must
+give the per-row stencils' jets and curvature bit for bit.  Each is checked
+on a space form and on a chart that is not locally symmetric, at n = 2 and
+3 and both eps.
 """
 
 import math
@@ -16,12 +19,23 @@ import math
 import numpy as np
 import pytest
 
-from sasakigeo import contact
+from sasakigeo import contact, oracle
 from sasakigeo.contact import contact_data_at, nabla_phi
-from sasakigeo.manifold import SpaceFormSpec, space_form_chart
-from sasakigeo.oracle import base_jet, sb_lift_field_fn
+from sasakigeo.manifold import SpaceFormSpec, christoffel_at, space_form_chart
+from sasakigeo.oracle import (
+    base_jet,
+    fd_riemann,
+    field_jet,
+    lift_field_fn,
+    read_stencil_jets,
+    sasaki_gamma_fn,
+    sb_lift_field_fn,
+    tangential_field_fn,
+)
 from sasakigeo.sampling import sample_sb_parts, sample_sb_point, sample_sb_vec
 from sasakigeo.sphere import SBVec, contract, lift, point_geometry
+from sasakigeo.stencil import FD_STEP_GAMMA, FD_STEP_SECOND, partials
+from sasakigeo.suites import _poly_field
 
 from conftest import bumpy_chart
 
@@ -155,3 +169,57 @@ def test_a_nan_row_stays_in_its_row():
     a[3, 1] = math.nan
     out = contract(point_geometry(m, p).nabla_phi_parts, a, b)
     assert np.isnan(out[3]).all() and np.isfinite(np.delete(out, 3, axis=0)).all()
+
+
+def _lift_fields(m, eps, rng):
+    """The h-, v- and t-lift fields of a polynomial base field and of a constant vector."""
+    n = m.dim
+    fields = {}
+    for name, base in (("poly", _poly_field(n, rng)), ("const", rng.normal(size=n))):
+        fields[name, "h"] = lift_field_fn(m, base, "h")
+        fields[name, "v"] = lift_field_fn(m, base, "v")
+        fields[name, "t"] = tangential_field_fn(m, base, eps)
+    return fields
+
+
+@pytest.mark.parametrize("chart,n,eps", CASES)
+def test_a_lift_field_jet_on_the_stacked_rows_is_the_per_row_field_jet(chart, n, eps):
+    m, p, rng = _point(chart, n, eps)
+    z0 = np.concatenate([p.x, p.u])
+    jets = read_stencil_jets(m, z0)
+    for name, field in _lift_fields(m, eps, rng).items():
+        value, jac = jets.field_jet(field)
+        ref_value, ref_jac = field_jet(field, z0)
+        assert value.tobytes() == ref_value.tobytes() and value.shape == (2 * n,), name
+        assert jac.tobytes() == ref_jac.tobytes() and jac.shape == (2 * n, 2 * n) and jac.flags.c_contiguous, name
+
+
+@pytest.mark.parametrize("chart,n,eps", CASES)
+def test_a_lift_field_jet_evaluates_its_field_once_and_reads_no_jet_beyond_x(monkeypatch, chart, n, eps):
+    m, p, rng = _point(chart, n, eps)
+    z0 = np.concatenate([p.x, p.u])
+    fields = _lift_fields(m, eps, rng)
+    reads = []
+    for name in ("base_jet", "base_gamma"):
+        real = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda m, x, real=real: reads.append(np.asarray(x).tobytes()) or real(m, x))
+    jets = read_stencil_jets(m, z0)
+    for name, field in fields.items():
+        shapes = []
+        jets.field_jet(lambda z, jets=None, field=field: shapes.append(np.shape(z)) or field(z, jets))
+        assert shapes == [(4 * n + 1, 2 * n)], name
+    # the jets of the stencil rows come from its one read: any jet read one by one is the one at p's x
+    assert set(reads) <= {p.x.tobytes()}
+
+
+@pytest.mark.parametrize("chart,n,eps", CASES)
+def test_fd_riemann_evaluates_gamma_once_on_the_stack_and_equals_the_per_row_stencil(chart, n, eps):
+    m, p, _ = _point(chart, n, eps)
+    z0 = np.concatenate([p.x, p.u])
+    base = lambda y: christoffel_at(m, y)  # noqa: E731
+    for gamma_fn, at, step in ((base, p.x, FD_STEP_SECOND), (sasaki_gamma_fn(m), z0, FD_STEP_GAMMA)):
+        calls = []
+        r = fd_riemann(lambda y, fn=gamma_fn: calls.append(np.shape(y)) or fn(y), at, step)
+        assert calls == [(2 * at.size + 1, at.size)]
+        ref = oracle._riemann(gamma_fn(at), partials(gamma_fn, at, step))
+        assert r.tobytes() == ref.tobytes()

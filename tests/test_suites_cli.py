@@ -555,16 +555,32 @@ class TestBracketsSuite:
         cfg = SuiteConfig(suite="brackets", n=n, nu=nu, eps=eps, c=c, num_points=3)
         m = suites._chart(cfg)
         reference = list(_bracket_rows_one_stencil_per_bracket(cfg, m))
-        stencils = []
+        per_row, evaluations = [], []  # per-row Jacobian stencils; the shape of each lift-field evaluation
         real = oracle.jacobian
 
         def counted(fn, z, step):
-            stencils.append(fn)
+            per_row.append(fn)
             return real(fn, z, step)
 
+        def counting(make):
+            def make_counted(*args):
+                field = make(*args)
+
+                def lift(z, jets=None):
+                    out = field(z, jets)
+                    evaluations.append(out.shape)
+                    return out
+
+                return lift
+
+            return make_counted
+
         monkeypatch.setattr(oracle, "jacobian", counted)
+        monkeypatch.setattr(oracle, "lift_field_fn", counting(oracle.lift_field_fn))
+        monkeypatch.setattr(oracle, "tangential_field_fn", counting(oracle.tangential_field_fn))
         rows = list(suites._suite_brackets(cfg, m, cfg.params()))
-        assert len(stencils) == 6 * cfg.num_points
+        assert per_row == []
+        assert evaluations == [(4 * n + 1, 2 * n)] * (6 * cfg.num_points)  # each lift once, on its stacked stencil
         assert [row[0] for row in rows] == CHECK_NAMES["brackets"] * cfg.num_points
         assert [row[1] for row in rows] == reference
         assert all(row[2] == 1e-5 for row in rows)
