@@ -463,7 +463,8 @@ def psi_u_quadratics(m: ChartedMetric, p: SBPoint, km: KappaMu) -> CheckReport:
 def killing_residual(m: ChartedMetric, p: SBPoint) -> float:
     """max |(L_xi g_cm)_ab| in the solved hypersurface chart at p.
 
-    xi is tangent to T_eps M, so L_xi g_cm = (1/4) J^T (L_xi Tg) J, with J the chart's exact Jacobian at p.
+    xi is tangent to T_eps M, so L_xi g_cm = (1/4) J^T (L_xi Tg) J, with J the chart's exact Jacobian at p
+    (the chart's pullback metric is not built, so Tg is evaluated on the stencil rows only).
     L_xi Tg is ``lie_derivative_metric`` of the geodesic-flow field and Tg, each evaluated once on the
     stacked rows of p's stencil, bit for bit ``fd_lie_derivative_metric`` of the two fields.
     """

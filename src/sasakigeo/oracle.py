@@ -354,15 +354,17 @@ def lift_field_fn(m: ChartedMetric, field: VectorField, kind: str) -> Callable[.
         def hfield(z, jets=None):
             if jets is None:
                 x = z[:n]
-                return _h_lift(base_jet(m, x).gamma, np.asarray(fn(x), dtype=float), z[n:])
+                return _h_lift(base_gamma(m, x), np.asarray(fn(x), dtype=float), z[n:])
             return _h_lift(jets.gamma, _at_rows(fn, z, n), z[:, n:])
 
         return hfield
     if kind == "v":
 
         def vfield(z, jets=None):
-            xs = np.asarray(fn(z[:n]), dtype=float) if jets is None else _at_rows(fn, z, n)
-            return np.concatenate([np.zeros(xs.shape), xs], axis=-1)
+            if jets is None:
+                return np.concatenate([np.zeros(n), np.asarray(fn(z[:n]), dtype=float)])
+            xs = _at_rows(fn, z, n)
+            return np.concatenate([np.zeros(xs.shape), xs], axis=1)
 
         return vfield
     raise ValueError(f"unknown lift kind {kind!r}")
@@ -419,7 +421,7 @@ def geodesic_flow_field_fn(m: ChartedMetric) -> Callable[..., np.ndarray]:
     return flow
 
 
-def sb_lift_field_fn(m: ChartedMetric, field: VectorField, kind: str, eps: int) -> Callable[[np.ndarray], np.ndarray]:
+def sb_lift_field_fn(m: ChartedMetric, field: VectorField, kind: str, eps: int) -> Callable[..., np.ndarray]:
     if kind == "h":
         return lift_field_fn(m, field, "h")
     if kind == "t":

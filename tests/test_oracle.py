@@ -1206,7 +1206,7 @@ class TestStackedJets:
         real = oracle._jet_arrays
         monkeypatch.setattr(oracle, "_jet_arrays", lambda m, xs: rows.append(len(xs)) or real(m, xs))
         oracle.read_stencil_jets(m, z0)
-        field_jet(lift_field_fn(m, rng.normal(size=n), "h"), z0)  # base_gamma at x and at each of the 2n rows
+        field_jet(lift_field_fn(m, rng.normal(size=n), "h"), z0)  # the jet at x and at each of the 2n rows, row by row
         assert rows == [2 * n + 1]
         assert len(m._oracle_jets) == oracle._memo_size(m) == 2 * n + 1
 
