@@ -28,13 +28,13 @@ import numpy as np
 from .errors import DegeneratePlane
 from .manifold import ChartedMetric
 from .oracle import (
-    base_jet,
     exterior_derivative,
+    gauss_oracle,
     geodesic_flow_field_fn,
     hypersurface_pullback,
+    jet_field,
     lie_derivative_metric,
     nijenhuis,
-    read_stencil_jets,
     sasaki_metric_fn,
     sb_lift_field_fn,
 )
@@ -130,55 +130,37 @@ def contact_data_at(m: ChartedMetric, p: SBPoint) -> ContactData:
 
 
 def eta_form_fn(m: ChartedMetric, eps: int):
-    """eta as a covector field of induced TM coordinates: z -> ((eps/2) g(x) u, 0).
-
-    ``eta_form(z)`` reads g at x; ``eta_form(z, jets)`` takes it from
-    ``jets``, so z may be the stacked rows of a ``StencilJets``.
-    """
+    """eta as the ``oracle.jet_field`` covector field of induced TM coordinates z -> ((eps/2) g(x) u, 0)."""
     n = m.dim
 
-    def eta_form(z: np.ndarray, jets=None) -> np.ndarray:
-        g = base_jet(m, z[:n]).g if jets is None else jets.g
+    def eta_form(z: np.ndarray, jet) -> np.ndarray:
         u = z[..., n:]
-        return np.concatenate([0.5 * eps * (g @ u[..., None])[..., 0], np.zeros(u.shape)], axis=-1)
+        return np.concatenate([0.5 * eps * (jet.g @ u[..., None])[..., 0], np.zeros(u.shape)], axis=-1)
 
-    return eta_form
+    return jet_field(m, eta_form)
 
 
 def d_eta_tensor(m: ChartedMetric, p: SBPoint) -> np.ndarray:
     """D with d(eta)(A, B) = (1/2) A^T D B on induced components at p.
 
     D is the ``exterior_derivative`` of the eta covector field, evaluated
-    once on the stacked rows of p's stencil (``read_stencil_jets``) and
-    differenced there: raw metric components only, and bit for bit
+    once on the stacked rows of p's one stencil (``GaussOracle.stencil``)
+    and differenced there: raw metric components only, and bit for bit
     ``fd_exterior_derivative(eta_form_fn(m, eps), z0)``.  The factor 1/2 is
     the normalization d(eta)(A, B) = (1/2)[A(eta(B)) - B(eta(A)) - eta([A, B])].
     """
-    return _d_eta_on(m, p.eps, _stencil(m, p))
-
-
-def _stencil(m: ChartedMetric, p: SBPoint):
-    """The ``StencilJets`` of p's induced coordinates z0 = (x, u)."""
-    return read_stencil_jets(m, np.concatenate([p.x, p.u]))
-
-
-def _d_eta_on(m: ChartedMetric, eps: int, jets) -> np.ndarray:
-    """``d_eta_tensor`` from the ``StencilJets`` of its point."""
-    return exterior_derivative(jets.derivative(eta_form_fn(m, eps))[1])
+    return exterior_derivative(gauss_oracle(m, p).stencil.derivative(eta_form_fn(m, p.eps))[1])
 
 
 def phi_matrix_fn(m: ChartedMetric, eps: int):
-    """phi as an endomorphism field of induced TM components.
+    """phi as the ``oracle.jet_field`` endomorphism field of induced TM components.
 
     The parts-action (X, Y) -> (-P Y, P X) with P = I - eps u (g u)^T is
     conjugated by the parts->induced transformation (X, Y) -> (X, Y - Gamma(X,u)).
-    ``phim(z)`` reads the jet at x; ``phim(z, jets)`` takes g and Gamma from
-    ``jets``, so z may be the stacked rows of a ``StencilJets``.
     """
     n = m.dim
 
-    def phim(z: np.ndarray, jets=None) -> np.ndarray:
-        jet = base_jet(m, z[:n]) if jets is None else jets
+    def phim(z: np.ndarray, jet) -> np.ndarray:
         u = z[..., n:]
         gu = (jet.g @ u[..., None])[..., 0]
         proj = np.eye(n) - eps * (u[..., :, None] * gu[..., None, :])
@@ -193,19 +175,14 @@ def phi_matrix_fn(m: ChartedMetric, eps: int):
         tinv[..., n:, :n] = c
         return t @ mp @ tinv
 
-    return phim
+    return jet_field(m, phim)
 
 
 def nijenhuis_tensor(m: ChartedMetric, p: SBPoint) -> np.ndarray:
     """``N[i, j, k]`` = N^i_jk of phi on induced components at p: the ``nijenhuis`` tensor of the phi
-    matrix field, evaluated once on the stacked rows of p's stencil and differenced there, bit for bit
-    ``fd_nijenhuis(phi_matrix_fn(m, eps), z0)``."""
-    return _nijenhuis_on(m, p.eps, _stencil(m, p))
-
-
-def _nijenhuis_on(m: ChartedMetric, eps: int, jets) -> np.ndarray:
-    """``nijenhuis_tensor`` from the ``StencilJets`` of its point."""
-    return nijenhuis(*jets.derivative(phi_matrix_fn(m, eps)))
+    matrix field, evaluated once on the stacked rows of p's one stencil (``GaussOracle.stencil``) and
+    differenced there, bit for bit ``fd_nijenhuis(phi_matrix_fn(m, eps), z0)``."""
+    return nijenhuis(*gauss_oracle(m, p).stencil.derivative(phi_matrix_fn(m, p.eps)))
 
 
 def d_eta_fd(
@@ -466,9 +443,9 @@ def killing_residual(m: ChartedMetric, p: SBPoint) -> float:
     xi is tangent to T_eps M, so L_xi g_cm = (1/4) J^T (L_xi Tg) J, with J the chart's exact Jacobian at p
     (the chart's pullback metric is not built, so Tg is evaluated on the stencil rows only).
     L_xi Tg is ``lie_derivative_metric`` of the geodesic-flow field and Tg, each evaluated once on the
-    stacked rows of p's stencil, bit for bit ``fd_lie_derivative_metric`` of the two fields.
+    stacked rows of p's one stencil, bit for bit ``fd_lie_derivative_metric`` of the two fields.
     """
-    jets = _stencil(m, p)
+    jets = gauss_oracle(m, p).stencil
     j = hypersurface_pullback(m, p).jacobian
     lie = lie_derivative_metric(*jets.derivative(geodesic_flow_field_fn(m)), *jets.derivative(sasaki_metric_fn(m)))
     return float(np.abs(0.25 * (j.T @ lie @ j)).max())
@@ -554,8 +531,7 @@ def sasakian_residual(
 
     (i) N_phi(A, B) + 2 d eta(A, B) xi = 0, contracting ``nijenhuis_tensor``
         and ``d_eta_tensor``, each built once per point from one stacked
-        evaluation of its field on p's one ``StencilJets``, with the lift
-        fields at p;
+        evaluation of its field on p's one stencil, with the lift fields at p;
     (ii) (nabla_a phi) b = g_cm(a, b) xi - eps eta(b) a via the closed forms.
 
     Draw order: the num_samples lift pairs of ``_lift_pairs``, X and Y of
@@ -571,10 +547,8 @@ def sasakian_residual(
 def _sasakian_rows(m: ChartedMetric, p: SBPoint, rng: np.random.Generator, num_samples: int):
     data = contact_data_at(m, p)
     eps = p.eps
-    jets = _stencil(m, p)
-    nphi_t = _nijenhuis_on(m, eps, jets)
-    deta_t = _d_eta_on(m, eps, jets)
-    xi_ind = geodesic_flow_field_fn(m)(jets.z[0])
+    nphi_t, deta_t = nijenhuis_tensor(m, p), d_eta_tensor(m, p)
+    xi_ind = geodesic_flow_field_fn(m)(gauss_oracle(m, p).z0)
 
     a, b, a0, b0 = _lift_pairs(m, p, rng, num_samples)
     two_deta = contract(deta_t, a0, b0)

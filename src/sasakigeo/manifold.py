@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import DegenerateMetric, DegeneratePlane, OutOfDomain, SpaceFormMismatch
-from .stencil import FD_STEP_FIRST, FD_STEP_SECOND, jacobian, partials, points, quotient
+from .stencil import FD_STEP_FIRST, FD_STEP_SECOND, jacobian, partials, points, quotient, rows
 
 Point = np.ndarray
 SPACE_FORM_PLANES = 2  # tangent planes per point that ``validate_space_form`` measures
@@ -111,24 +111,15 @@ def metric_inverse(g: np.ndarray) -> np.ndarray:
         raise DegenerateMetric("metric matrix is singular") from exc
 
 
-def _per_row(fn, x: np.ndarray, shape: tuple) -> np.ndarray:
-    """``fn`` at each row of x (shape (..., n)), stacked in x's leading shape: a chart callable takes one point."""
-    if x.ndim == 1:
-        return np.asarray(fn(x), dtype=float)
-    rows = x.reshape(-1, x.shape[-1])
-    return np.stack([np.asarray(fn(row), dtype=float) for row in rows]).reshape(x.shape[:-1] + shape)
-
-
 def _levi_civita(m: ChartedMetric, x: Point, g: Optional[np.ndarray] = None) -> tuple:
     """(g, g', g^-1, T, Gamma) at x of shape (..., n): g and g' read once per row, one inversion of the stack.
 
     ``T[..., l, j, k]`` = d_j g_lk + d_k g_jl - d_l g_jk is twice the first-kind
     symbols.  A g already read at x by ``metric_at`` may be passed in.
     """
-    n = m.dim
     if g is None:
-        g = _per_row(lambda y: metric_at(m, y), x, (n, n))
-    dg = _per_row(lambda y: metric_deriv1_at(m, y), x, (n, n, n))
+        g = rows(lambda y: metric_at(m, y), x)
+    dg = rows(lambda y: metric_deriv1_at(m, y), x)
     ginv = metric_inverse(g)
     t = np.einsum("...jlk->...ljk", dg) + np.einsum("...kjl->...ljk", dg) - dg
     gamma = 0.5 * np.einsum("...il,...ljk->...ijk", ginv, t)
@@ -177,13 +168,12 @@ def _curvature_pass(m: ChartedMetric, x: Point, g: Optional[np.ndarray] = None) 
     comes from the analytic g'' when the chart has one, else from central
     differences of ``christoffel_at``, row by row.
     """
-    n = m.dim
     g, dg, ginv, t, gamma = _levi_civita(m, x, g)
     ddg = dginv = dt = None
     if m.uses_fd_derivatives:
-        dgamma = _per_row(lambda y: partials(lambda w: christoffel_at(m, w), y, FD_STEP_SECOND), x, (n,) * 4)
+        dgamma = rows(lambda y: partials(lambda w: christoffel_at(m, w), y, FD_STEP_SECOND), x)
     else:
-        ddg = _per_row(m.deriv2_fn, x, (n,) * 4)
+        ddg = rows(m.deriv2_fn, x)
         dginv = -np.einsum("...im,...cmn,...nl->...cil", ginv, dg, ginv)
         dt = _first_kind_derivative(ddg)
         dgamma = 0.5 * (
@@ -325,14 +315,13 @@ def _nabla_riemann(m: ChartedMetric, x: np.ndarray, at_x: CurvaturePass) -> np.n
     pass over the stencil rows.  The four Gamma.R corrections turn d_m R
     into nabla_m R (docs/nabla_riemann.md).
     """
-    n = m.dim
-    rows = points(x, FD_STEP_FIRST)
+    xs = points(x, FD_STEP_FIRST)
     gamma, r = at_x.gamma, at_x.r
     if m.uses_fd_derivatives:
-        dr = quotient(_curvature_pass(m, rows).r, FD_STEP_FIRST)
+        dr = quotient(_curvature_pass(m, xs).r, FD_STEP_FIRST)
     else:
         ginv, dg, dginv, t, dt, dgamma = at_x.ginv, at_x.dg, at_x.dginv, at_x.t, at_x.dt, at_x.dgamma
-        ddt = quotient(_first_kind_derivative(_per_row(m.deriv2_fn, rows, (n,) * 4)), FD_STEP_FIRST)
+        ddt = quotient(_first_kind_derivative(rows(m.deriv2_fn, xs)), FD_STEP_FIRST)
         # d_m d_c g^-1 = -(d_m g^-1)(d_c g) g^-1 - (d_c g^-1)(d_m g) g^-1 - g^-1 (d_m d_c g) g^-1
         half = np.einsum("mip,cpq,qj->mcij", dginv, dg, ginv)
         ddginv = -half - np.swapaxes(half, 0, 1) - np.einsum("ip,mcpq,qj->mcij", ginv, at_x.ddg, ginv)

@@ -6,9 +6,10 @@ Christoffel or curvature values computed by the closed-form modules; the
 chart keeps the oracle's own base jets (``base_jet``) for its latest base
 points, so stencils that share a base point read the metric there once, and
 a per-point stencil reads the jets it lacks in one stacked step.  The
-fields that need only those jets (Tg, the geodesic flow field, the h-, v-
-and t-lift fields, and the contact layer's phi and eta) take a stencil's
-stacked rows in one call, and so does ``fd_riemann``'s Gamma.  It
+fields that need only those jets are each one ``jet_field`` formula (Tg,
+the geodesic flow field, the h- and t-lift fields, and the contact layer's
+phi and eta); they and the v-lift take a stencil's stacked rows in one
+call, and so does ``fd_riemann``'s Gamma.  It
 certifies: the Koszul symbols, the coordinate curvature, the bracket
 identities, the induced-hypersurface metric, and the sphere-bundle
 connection/curvature via the Gauss equation in the induced chart of TM.
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import DegenerateMetric, NoSolvableCoordinate
 from .manifold import JET_MEMO_SIZE, ChartedMetric, _memo_get, _memo_put, _memo_size
 from .sphere import SBPoint, SBVec, contract, require_same_sb_point
-from .stencil import FD_STEP_FIRST, FD_STEP_GAMMA, FD_STEP_SECOND, jacobian, partials, points, quotient
+from .stencil import FD_STEP_FIRST, FD_STEP_GAMMA, FD_STEP_SECOND, jacobian, partials, points, quotient, rows
 from .tangent import VectorField, _check_kinds, _lift_slot, as_field, field_at, kept_geometry
 
 
@@ -201,16 +202,20 @@ class StencilJets:
 
     ``z`` holds z0 and then ``points(z0, FD_STEP_FIRST)``: 4n + 1 rows.
     ``g[k]`` and ``gamma[k]`` are g and Gamma of the kept jet at row k's base
-    point, so the 2n rows that move only u repeat x's.  A jet-only field of
-    the oracle or contact layer (Tg, the geodesic flow field, the lift
-    fields, phi and eta) takes ``field(jets.z, jets)`` and returns its value
-    at every row in one evaluation; ``derivative`` and ``field_jet``
-    difference it.
+    point, so the 2n rows that move only u repeat x's.  A ``jet_field`` (or
+    the v-lift) takes ``field(jets.z, jets)`` and returns its value at every
+    row in one evaluation; ``derivative`` and ``field_jet`` difference it.
+    ``GaussOracle.stencil`` keeps a bundle point's one.
     """
 
     z: np.ndarray
     g: np.ndarray
     gamma: np.ndarray
+
+    @property
+    def x(self) -> np.ndarray:
+        """The base point of each row, as ``BaseJet.x`` holds its one."""
+        return self.z[:, : self.g.shape[-1]]
 
     def derivative(self, field) -> tuple:
         """(F(z0), dF) with ``dF[k]`` = d_k F(z0): F once on the stacked rows, then ``quotient``.
@@ -231,14 +236,30 @@ class StencilJets:
 def read_stencil_jets(m: ChartedMetric, z0: np.ndarray) -> StencilJets:
     """The ``StencilJets`` of z0: the jets at x and at the 2n base points of the stencil, by ``read_jets``."""
     z0 = np.asarray(z0, dtype=float)
-    rows = np.concatenate([z0[None], points(z0, FD_STEP_FIRST)])
-    jets = read_jets(m, rows[:, : m.dim])
-    return StencilJets(rows, np.array([jet.g for jet in jets]), np.array([jet.gamma for jet in jets]))
+    zs = np.concatenate([z0[None], points(z0, FD_STEP_FIRST)])
+    jets = read_jets(m, zs[:, : m.dim])
+    return StencilJets(zs, np.array([jet.g for jet in jets]), np.array([jet.gamma for jet in jets]))
 
 
 def base_gamma(m: ChartedMetric, x: np.ndarray) -> np.ndarray:
     """Oracle-side Koszul symbols of the base chart at x: the Gamma of ``base_jet(m, x)``."""
     return base_jet(m, x).gamma
+
+
+def jet_field(m: ChartedMetric, body: Callable) -> Callable[..., np.ndarray]:
+    """The field ``field(z, jets=None)`` = ``body(z, jet)`` of a formula that reads only the base jet at x.
+
+    At one z = (x, u), ``jet`` is the kept ``base_jet(m, x)``; given a
+    ``StencilJets``, z is its stacked rows and ``jet`` is ``jets``, whose x,
+    g and Gamma hold row k's.  ``body`` broadcasts over the leading axes, so
+    a row of the stack equals the one-z value bit for bit.
+    """
+    n = m.dim
+
+    def field(z: np.ndarray, jets=None) -> np.ndarray:
+        return body(z, base_jet(m, z[:n]) if jets is None else jets)
+
+    return field
 
 
 # -------------------- Sasaki metric in the induced chart of TM --------------------
@@ -257,20 +278,12 @@ def _sasaki_blocks(g: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def sasaki_metric_fn(m: ChartedMetric) -> Callable[..., np.ndarray]:
-    """z = (x, u) -> components of Tg in induced coordinates.
+    """The ``jet_field`` z = (x, u) -> components of Tg in induced coordinates.
 
-    With C^i_a = Gamma^i_ab u^b the blocks are
-    [[g + C^T g C, C^T g], [g C, g]].  ``tg(z)`` reads the jet at x;
-    ``tg(z, jets)`` takes g and Gamma from ``jets``, so z may be the
-    stacked rows of a ``StencilJets``.
+    With C^i_a = Gamma^i_ab u^b the blocks are [[g + C^T g C, C^T g], [g C, g]].
     """
     n = m.dim
-
-    def tg(z: np.ndarray, jets=None) -> np.ndarray:
-        jet = base_jet(m, z[:n]) if jets is None else jets
-        return _sasaki_blocks(jet.g, np.einsum("...iab,...b->...ia", jet.gamma, z[..., n:]))
-
-    return tg
+    return jet_field(m, lambda z, jet: _sasaki_blocks(jet.g, np.einsum("...iab,...b->...ia", jet.gamma, z[..., n:])))
 
 
 def _tg_gamma_tilde(z: np.ndarray, g, dg, gamma, dgamma) -> tuple:
@@ -320,22 +333,10 @@ def _sasaki_at(m: ChartedMetric, z: np.ndarray) -> tuple:
 
 def sasaki_gamma_fn(m: ChartedMetric) -> Callable[[np.ndarray], np.ndarray]:
     """z -> Christoffel symbols of Tg, for z of shape (..., 2n) (one point or a stack of them), row by row (``_sasaki_at``)."""
-    n = m.dim
-
-    def gamma_tilde(z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        rows = [_sasaki_at(m, row)[1] for row in z.reshape(-1, 2 * n)]
-        return np.array(rows).reshape(z.shape + (2 * n, 2 * n))
-
-    return gamma_tilde
+    return lambda z: rows(lambda row: _sasaki_at(m, row)[1], np.asarray(z, dtype=float))
 
 
 # -------------------- lift fields in induced coordinates --------------------
-
-
-def _at_rows(fn: Callable[[np.ndarray], np.ndarray], z: np.ndarray, n: int) -> np.ndarray:
-    """A base field that takes one x, at the x of each row of the stacked z (k, 2n)."""
-    return np.array([fn(row[:n]) for row in z], dtype=float)
 
 
 def lift_field_fn(m: ChartedMetric, field: VectorField, kind: str) -> Callable[..., np.ndarray]:
@@ -343,50 +344,30 @@ def lift_field_fn(m: ChartedMetric, field: VectorField, kind: str) -> Callable[.
 
     kinds: 'h' horizontal, 'v' vertical, 't' tangential (the extension
     X^v - eps g(X,u) N off the hypersurface needs eps: use
-    ``tangential_field_fn``).  ``lift(z)`` reads Gamma at x;
-    ``lift(z, jets)`` takes it from ``jets``, so z may be the stacked rows
-    of a ``StencilJets``, and calls the base field at each row's x.
+    ``tangential_field_fn``).  The h-lift is a ``jet_field``; the v-lift
+    reads no jet and ignores ``jets``.  Both call the base field at each
+    row's x (``rows``), so z may be the stacked rows of a ``StencilJets``.
     """
     n = m.dim
     fn = as_field(field)
     if kind == "h":
-
-        def hfield(z, jets=None):
-            if jets is None:
-                x = z[:n]
-                return _h_lift(base_gamma(m, x), np.asarray(fn(x), dtype=float), z[n:])
-            return _h_lift(jets.gamma, _at_rows(fn, z, n), z[:, n:])
-
-        return hfield
+        return jet_field(m, lambda z, jet: _h_lift(jet.gamma, rows(fn, jet.x), z[..., n:]))
     if kind == "v":
 
         def vfield(z, jets=None):
-            if jets is None:
-                return np.concatenate([np.zeros(n), np.asarray(fn(z[:n]), dtype=float)])
-            xs = _at_rows(fn, z, n)
-            return np.concatenate([np.zeros(xs.shape), xs], axis=1)
+            xs = rows(fn, z[..., :n])
+            return np.concatenate([np.zeros(xs.shape), xs], axis=-1)
 
         return vfield
     raise ValueError(f"unknown lift kind {kind!r}")
 
 
 def tangential_field_fn(m: ChartedMetric, field: VectorField, eps: int) -> Callable[..., np.ndarray]:
-    """Induced components of the tangential-lift field X^v - eps g(X,u) N.
-
-    ``tfield(z)`` reads g at x; ``tfield(z, jets)`` takes it from ``jets``,
-    so z may be the stacked rows of a ``StencilJets``, and calls the base
-    field at each row's x.
-    """
+    """The ``jet_field`` of induced components of the tangential lift X^v - eps g(X,u) N, calling the base field
+    at each row's x (``rows``)."""
     n = m.dim
     fn = as_field(field)
-
-    def tfield(z, jets=None):
-        if jets is None:
-            x = z[:n]
-            return _t_lift(base_jet(m, x).g, np.asarray(fn(x), dtype=float), z[n:], eps)
-        return _t_lift(jets.g, _at_rows(fn, z, n), z[:, n:], eps)
-
-    return tfield
+    return jet_field(m, lambda z, jet: _t_lift(jet.g, rows(fn, jet.x), z[..., n:], eps))
 
 
 def _h_lift(gamma: np.ndarray, xs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -406,19 +387,9 @@ def _t_lift(g: np.ndarray, xs: np.ndarray, u: np.ndarray, eps: int) -> np.ndarra
 
 
 def geodesic_flow_field_fn(m: ChartedMetric) -> Callable[..., np.ndarray]:
-    """Induced components of xi = 2 u^i (d/dx^i)^h, twice the geodesic flow field.
-
-    ``flow(z)`` reads Gamma at x; ``flow(z, jets)`` takes it from ``jets``,
-    so z may be the stacked rows of a ``StencilJets``.
-    """
+    """The ``jet_field`` of induced components of xi = 2 u^h = 2 u^i (d/dx^i)^h, twice the geodesic flow field."""
     n = m.dim
-
-    def flow(z, jets=None):
-        u = z[..., n:]
-        gamma = base_gamma(m, z[:n]) if jets is None else jets.gamma
-        return 2.0 * np.concatenate([u, -np.einsum("...iab,...a,...b->...i", gamma, u, u)], axis=-1)
-
-    return flow
+    return jet_field(m, lambda z, jet: 2.0 * _h_lift(jet.gamma, z[..., n:], z[..., n:]))
 
 
 def sb_lift_field_fn(m: ChartedMetric, field: VectorField, kind: str, eps: int) -> Callable[..., np.ndarray]:
@@ -598,11 +569,14 @@ class GaussOracle:
     the basis lift fields depend only on p, so each is built once, on first
     use.  Tg and Gamma-tilde at z0 come from one ``_tg_gamma_tilde`` step:
     row 0 of R-tilde's stencil step when R-tilde is built first, else one
-    ``_sasaki_at``.
+    ``_sasaki_at``.  The context also holds p's one ``stencil``, which every
+    FD tensor at p that needs only base jets is differenced on: the contact
+    layer's d eta, N_phi and L_xi Tg, and nabla-tilde Phi here.
     ``curvature``, ``second_fundamental_form``, ``nabla_endomorphism`` and
     ``sb_nabla_via_ambient`` only contract them with the sampled vectors.
     ``gauss_oracle`` keeps one context per (chart, point) on the point, and
-    ``gauss_curvature_oracle`` and ``sb_nabla_via_ambient`` read that one.
+    ``gauss_curvature_oracle``, ``sb_nabla_via_ambient`` and the contact
+    tensors read that one.
     Everything is built from the base jet at x and Gamma-tilde, never from
     the closed forms.  The context holds p's x, u and eps but never p
     itself: it takes the point from the vectors it is given, checking them
@@ -614,6 +588,11 @@ class GaussOracle:
         self.x, self.u, self.eps = p.x, p.u, p.eps
         self.z0 = np.concatenate([p.x, p.u])
         self.n_ind = np.concatenate([np.zeros(m.dim), p.u])
+
+    @cached_property
+    def stencil(self) -> StencilJets:
+        """The ``StencilJets`` of z0 (``read_stencil_jets``), the one stencil of p's jet-only FD tensors."""
+        return read_stencil_jets(self.m, self.z0)
 
     @cached_property
     def _at_z0(self) -> tuple:
@@ -645,11 +624,11 @@ class GaussOracle:
         if m.uses_fd_derivatives:
             gamma = sasaki_gamma_fn(m)(points(self.z0, FD_STEP_SECOND))
             return _riemann(self.gamma0, quotient(gamma, FD_STEP_SECOND))
-        rows = np.concatenate([self.z0[None], points(self.z0, FD_STEP_GAMMA)])
+        zs = np.concatenate([self.z0[None], points(self.z0, FD_STEP_GAMMA)])
         read = np.r_[0, 1 : n + 1, 2 * n + 1 : 3 * n + 1]  # z0, then the rows z0 +- step e_k with k < n, which move x
-        arrays = _jet_arrays(m, rows[read, :n])
+        arrays = _jet_arrays(m, zs[read, :n])
         xs, g, dg, ginv, gamma = arrays
-        dgamma = _dgamma(ginv, dg, np.array([m.deriv2_fn(x) for x in xs], dtype=float))
+        dgamma = _dgamma(ginv, dg, rows(m.deriv2_fn, xs))
         dgamma.flags.writeable = False
         key = self.x.tobytes()
         if _memo_get(m._oracle_jets, m, key) is None:
@@ -662,7 +641,7 @@ class GaussOracle:
             full[:] = at_rows[0]  # the u-rows sit at x
             full[read] = at_rows
             stacks.append(full)
-        tg, gamma_tilde = _tg_gamma_tilde(rows, *stacks)
+        tg, gamma_tilde = _tg_gamma_tilde(zs, *stacks)
         vars(self).setdefault("_at_z0", (tg[0].copy(), gamma_tilde[0].copy()))
         return _riemann(self.gamma0, quotient(gamma_tilde[1:], FD_STEP_GAMMA))
 
@@ -762,7 +741,7 @@ class GaussOracle:
 
         (nabla-tilde Phi)^I_LK = d_L Phi^I_K + Gamma-tilde^I_LM Phi^M_K - Phi^I_M Gamma-tilde^M_LK
         (``_nabla_tilde_endomorphism``) from one evaluation of ``phi_fn`` on
-        z0's ``StencilJets`` (``read_stencil_jets``), so ``phi_fn`` must take
+        the context's ``stencil``, so ``phi_fn`` must take
         ``phi_fn(jets.z, jets)``, as the contact layer's phi matrix field
         does.  When Phi N = 0 and Phi maps into T(T_eps M) at p,
         (nabla-bar_A phi)B = tan((nabla-tilde_A Phi)B); F drops the N part
@@ -770,7 +749,7 @@ class GaussOracle:
         induced components E a and E b and maps the result to parts by F
         (E and F of ``_parts_maps``).
         """
-        phi, dphi = read_stencil_jets(self.m, self.z0).derivative(phi_fn)
+        phi, dphi = self.stencil.derivative(phi_fn)
         nabla = _nabla_tilde_endomorphism(phi, dphi, self.gamma0)
         _, _, e, f = self._parts_maps
 
@@ -814,7 +793,7 @@ def sb_nabla_via_ambient(
     A's and B's kinds, ``nabla[:, slot(A), slot(B)]``, with their base
     components.  Otherwise the ambient derivative is taken
     in induced coordinates, the Jacobian of B's components central-differenced
-    from one evaluation of B's lift field on z0's ``StencilJets``, against
+    from one evaluation of B's lift field on the context's ``stencil``, against
     the context's Christoffels of Tg at p, and ``_from_induced`` drops its
     N part.
     """
@@ -825,6 +804,6 @@ def sb_nabla_via_ambient(
         block = nabla[:, _lift_slot(kind_x, m.dim), _lift_slot(kind_y, m.dim)]
         return SBVec.of(p, (block @ np.asarray(yfield, dtype=float)) @ field_at(xfield, p.x))
     aval = sb_lift_field_fn(m, xfield, kind_x, p.eps)(ctx.z0)
-    b_jet = read_stencil_jets(m, ctx.z0).field_jet(sb_lift_field_fn(m, yfield, kind_y, p.eps))
+    b_jet = ctx.stencil.field_jet(sb_lift_field_fn(m, yfield, kind_y, p.eps))
     nab = ambient_nabla(aval, b_jet, ctx.gamma0)
     return _from_induced(m, p, nab)

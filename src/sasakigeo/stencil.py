@@ -21,6 +21,14 @@ def points(z: np.ndarray, step: float) -> np.ndarray:
     return np.concatenate([z + d, z - d])
 
 
+def rows(fn, x: np.ndarray) -> np.ndarray:
+    """A one-point callable at x, or at each row of a stack x (..., N), stacked in x's leading shape, as floats."""
+    if x.ndim == 1:
+        return np.asarray(fn(x), dtype=float)
+    values = np.array([np.asarray(fn(row), dtype=float) for row in x.reshape(-1, x.shape[-1])])
+    return values.reshape(x.shape[:-1] + values.shape[1:])
+
+
 def quotient(values, step: float) -> np.ndarray:
     """``out[k, ...]`` = (values[k] - values[N + k]) / 2 step for the values of f on ``points``."""
     values = np.asarray(values)
@@ -36,7 +44,7 @@ def central_difference(fn, z: np.ndarray, v: np.ndarray, step: float):
 
 def partials(fn, z: np.ndarray, step: float) -> np.ndarray:
     """``out[k, ...] = d_k fn(z)``: the derivative index comes first; ``fn`` is called once per row."""
-    return quotient([np.asarray(fn(row)) for row in points(z, step)], step)
+    return quotient(rows(fn, points(z, step)), step)
 
 
 def jacobian(fn, z: np.ndarray, step: float) -> np.ndarray:

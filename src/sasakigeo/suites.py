@@ -379,8 +379,7 @@ def _suite_oracle(cfg: SuiteConfig, m: ChartedMetric, params: dict):
 
         xf = _poly_field(n, rng)
         yf = _poly_field(n, rng)
-        z0_jets = orc.read_stencil_jets(m, z0)
-        y_jets = {ky: z0_jets.field_jet(orc.lift_field_fn(m, yf, ky)) for ky in ("h", "v")}  # each differenced once
+        y_jets = {ky: gauss.stencil.field_jet(orc.lift_field_fn(m, yf, ky)) for ky in ("h", "v")}  # each differenced once
         for kx, ky in [("h", "h"), ("h", "v"), ("v", "h")]:
             closed_ind = tb.to_induced_coords(m, tb.tm_nabla(m, xf, yf, kx, ky, p.tm))
             amb = orc.ambient_nabla(orc.lift_field_fn(m, xf, kx)(z0), y_jets[ky], gauss.gamma0)
@@ -464,15 +463,14 @@ def _suite_brackets(cfg: SuiteConfig, m: ChartedMetric, params: dict):
     for i in range(cfg.num_points):
         rng = rng_for(cfg.seed, 10, i)
         p = sample_sb_point(m, cfg.eps, rng)
-        z0 = np.concatenate([p.x, p.u])
         xf = _poly_field(n, rng)
         yf = _poly_field(n, rng)
-        z0_jets = orc.read_stencil_jets(m, z0)
+        stencil = orc.gauss_oracle(m, p).stencil
         jets = {}  # the jet at z0 of each lift of X and Y, each field evaluated once on the stacked stencil rows
         for f in (xf, yf):
             for kind in ("h", "v"):
-                jets[f, kind] = z0_jets.field_jet(orc.lift_field_fn(m, f, kind))
-            jets[f, "t"] = z0_jets.field_jet(orc.tangential_field_fn(m, f, cfg.eps))
+                jets[f, kind] = stencil.field_jet(orc.lift_field_fn(m, f, kind))
+            jets[f, "t"] = stencil.field_jet(orc.tangential_field_fn(m, f, cfg.eps))
         for (kx, ky), label in labels.items():
             closed = tb.to_induced_coords(m, tb.lift_bracket(m, xf, yf, kx, ky, p.tm))
             fd = orc.jet_bracket(jets[xf, kx], jets[yf, ky])

@@ -1,11 +1,17 @@
 """Shared fixtures: charts and deterministic generators."""
 
+import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sasakigeo.manifold import ChartedMetric, SpaceFormSpec, space_form_chart
+
+# child processes (``python -m sasakigeo``) import this tree's package, as pytest's own ``pythonpath`` does
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join([SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
 
 
 def flat_chart(n=2, nu=0):

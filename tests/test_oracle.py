@@ -1300,9 +1300,9 @@ class TestStackedFields:
         for name in ("phi_matrix_fn", "eta_form_fn", "geodesic_flow_field_fn", "sasaki_metric_fn"):
             monkeypatch.setattr(contact, name, tracked(name, getattr(contact, name)))
         reads = []
-        for mod, name in ((oracle, "base_jet"), (contact, "base_jet"), (oracle, "base_gamma")):
-            real = getattr(mod, name)
-            monkeypatch.setattr(mod, name, lambda m, x, real=real: reads.append(np.asarray(x).tobytes()) or real(m, x))
+        for name in ("base_jet", "base_gamma"):  # every jet field reads its one-z jet through oracle.base_jet
+            real = getattr(oracle, name)
+            monkeypatch.setattr(oracle, name, lambda m, x, real=real: reads.append(np.asarray(x).tobytes()) or real(m, x))
         stack = (4 * n + 1, 2 * n)
         if operator == "d_eta_tensor":
             d_eta_tensor(m, p)
@@ -1323,6 +1323,27 @@ class TestStackedFields:
         assert shapes == expected
         # the jets of the stencil rows come from its one read: any jet read one by one is the one at p's x
         assert set(reads) <= {p.x.tobytes()}
+
+    def test_the_tensors_at_a_point_share_its_one_stencil_until_the_chart_changes(self, monkeypatch, rng):
+        m = bumpy_chart(3, 1)
+        p = sample_sb_point(m, -1, rng)
+        built = []
+        real = oracle.StencilJets
+        monkeypatch.setattr(oracle, "StencilJets", lambda *args: built.append(args) or real(*args))
+        deta = d_eta_tensor(m, p)
+        contact.nijenhuis_tensor(m, p)
+        contact.killing_residual(m, p)
+        contact.sasakian_residual(m, p, rng, num_samples=4)
+        gauss_oracle(m, p).nabla_endomorphism(phi_matrix_fn(m, -1))
+        sb_nabla_via_ambient(m, rng.normal(size=3), lambda x: np.sin(x), "h", "t", p)
+        assert len(built) == 1
+
+        # reassigned callables drop the kept context, and its stencil with it
+        other = bumpy_chart(3, 1, seed=1)
+        m.metric_fn, m.deriv1_fn, m.deriv2_fn = other.metric_fn, other.deriv1_fn, other.deriv2_fn
+        fresh = d_eta_tensor(m, p)
+        assert len(built) == 2 and not np.array_equal(fresh, deta)
+        assert np.array_equal(fresh, d_eta_tensor(other, p))
 
     @pytest.mark.parametrize("chart", CHARTS)
     @pytest.mark.parametrize("eps", [1, -1])

@@ -119,3 +119,30 @@ def test_a_moved_tolerance_is_listed_and_fails_the_compare(tmp_path, capsys):
     assert _main_compare(tmp_path, old, new) == 1
     assert _main_compare(tmp_path, old, old) == 0
     assert "tolerances changed: 0" in capsys.readouterr().out
+
+
+def test_sensitivity_counts_the_flips_of_each_kernel_fault_and_restores_the_kernels():
+    from sasakigeo.sphere import PointGeometry
+
+    labels = ["kappa-mu[n=3,nu=0,eps=+1,c=1,points=2]", "oracle-crosscheck[n=3,nu=0,eps=+1,c=1,points=2]"]
+    kept = {k: vars(PointGeometry)[k] for k in residuals.KERNELS}
+    base = residuals.reports(suites, workloads, labels)
+    assert set(base) == set(labels) and all(rep["pass"] for rep in base.values())
+    lines = residuals.sensitivity(suites, workloads, labels)
+    assert lines == [
+        "rbar x (1 + 1e-05): 2 flips",
+        "rbar x (1 + 1e-07): 1 flips",
+        "rbar x (1 + 1e-09): 0 flips",
+        "connection x (1 + 1e-05): 1 flips",
+        "connection x (1 + 1e-07): 0 flips",
+        "connection x (1 + 1e-09): 0 flips",
+        "h_parts x (1 + 1e-05): 0 flips",
+        "h_parts x (1 + 1e-07): 0 flips",
+        "h_parts x (1 + 1e-09): 0 flips",
+        "smallest flipping delta per check: rbar, connection, h_parts",
+        "  (kappa,mu)-nullity residual: 1e-07, -, -",
+        "  nabla phi = FD ambient derivative: -, 1e-05, -",
+        "  sb_curvature = Gauss-equation oracle: 1e-05, -, -",
+    ]
+    assert all(vars(PointGeometry)[k] is prop for k, prop in kept.items())
+    assert residuals.reports(suites, workloads, labels) == base  # no fault outlives the run

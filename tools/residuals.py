@@ -1,7 +1,8 @@
-"""Dump every per-check residual of every suite, or compare two dumps.
+"""Dump every per-check residual of every suite, compare two dumps, or measure which faults flip a check.
 
     python tools/residuals.py dump OUT.json [--src DIR]
     python tools/residuals.py compare OLD.json NEW.json [--check NAME]
+    python tools/residuals.py sensitivity [--src DIR]
 
 ``dump`` imports ``sasakigeo`` from DIR (default: this tree's ``src``) and
 runs every suite at the 36 ``matrix_configs`` of ``verify all --seed 42``
@@ -25,6 +26,14 @@ flips, a tolerance differs, or NEW lacks a report or check of OLD, and 0
 otherwise: a moved tolerance shows even where it flips no verdict.  Two
 trees agree "within FD noise" when nothing flips, no tolerance moves and
 no growth is large.
+
+``sensitivity`` injects a relative fault: in one process it scales one
+closed-form kernel of ``sphere.PointGeometry`` (``KERNELS``: R-bar, the
+connection array and h) by (1 + delta) for each delta of ``DELTAS``, and
+reruns ``dump``'s reports.  It prints, for each (kernel, delta), how many
+(report, check) pairs flip from pass to fail, and then, for each check that
+some fault flips, the smallest delta of each kernel that flips it.  A check
+no fault flips cannot see a relative fault of 1e-5 in these kernels.
 """
 
 from __future__ import annotations
@@ -34,10 +43,13 @@ import importlib
 import json
 import sys
 from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
 
 FLOOR = 1e-14  # residuals below this are rounding, and their growth is not counted
 GENERIC_SEED = 42  # the seed of the generic-base items, as ``verify all --seed 42``
+KERNELS = ("rbar", "connection", "h_parts")  # the ``PointGeometry`` kernels ``sensitivity`` scales
+DELTAS = (1e-5, 1e-7, 1e-9)
 
 
 def configs(suites):
@@ -65,18 +77,77 @@ def generic_base_reports(workloads) -> dict:
     return out
 
 
-def dump(src: Path) -> dict:
+def modules(src: Path) -> tuple:
+    """(``sasakigeo.suites``, the benchmark's ``workloads``) imported from src and the ``bench`` beside it."""
     sys.path[:0] = [str(src), str(src.parent / "bench")]
-    suites = importlib.import_module("sasakigeo.suites")
+    return importlib.import_module("sasakigeo.suites"), importlib.import_module("workloads")
+
+
+def reports(suites, workloads, labels) -> dict:
+    """Every report of ``dump`` (labels None), or only those whose label is in ``labels``."""
     out = {}
     for label, cfg in configs(suites):
-        rep = suites.run_suite(cfg)
-        out[label] = {
-            "pass": rep.passed,
-            "checks": {c.name: {"residual": c.max_residual, "tol": c.tol, "pass": c.passed} for c in rep.checks},
-        }
-    out.update(generic_base_reports(importlib.import_module("workloads")))
+        if labels is None or label in labels:
+            rep = suites.run_suite(cfg)
+            out[label] = {
+                "pass": rep.passed,
+                "checks": {c.name: {"residual": c.max_residual, "tol": c.tol, "pass": c.passed} for c in rep.checks},
+            }
+    if labels is None or any(label.startswith("generic-base[") for label in labels):
+        generic = generic_base_reports(workloads)
+        out.update({k: v for k, v in generic.items() if labels is None or k in labels})
     return out
+
+
+def dump(src: Path) -> dict:
+    return reports(*modules(src), None)
+
+
+def _scaled(kept, delta: float):
+    """The cached property ``kept`` of ``PointGeometry`` with its array scaled by (1 + delta), read-only."""
+
+    def build(geo):
+        out = kept.func(geo) * (1.0 + delta)
+        out.flags.writeable = False
+        return out
+
+    prop = cached_property(build)
+    prop.__set_name__(None, kept.attrname)
+    return prop
+
+
+def _flips(base: dict, faulted: dict) -> set:
+    """The (report, check) pairs that pass in base and do not pass in faulted."""
+    return {
+        (k, name)
+        for k, rep in base.items()
+        for name, c in rep["checks"].items()
+        if c["pass"] and not faulted[k]["checks"].get(name, {"pass": False})["pass"]
+    }
+
+
+def sensitivity(suites, workloads, labels) -> list:
+    """The lines ``sensitivity`` prints: the flips per (kernel, delta), then each flipped check's smallest delta per kernel."""
+    geometry = importlib.import_module(suites.__package__ + ".sphere").PointGeometry
+    base = reports(suites, workloads, labels)
+    lines, smallest = [], {}  # check -> {kernel: smallest delta that flips it}
+    for kernel in KERNELS:
+        kept = vars(geometry)[kernel]
+        for delta in DELTAS:
+            setattr(geometry, kernel, _scaled(kept, delta))
+            try:
+                flipped = _flips(base, reports(suites, workloads, labels))
+            finally:
+                setattr(geometry, kernel, kept)
+            lines.append(f"{kernel} x (1 + {delta:g}): {len(flipped)} flips")
+            for _, name in flipped:
+                by_kernel = smallest.setdefault(name, {})
+                by_kernel[kernel] = min(by_kernel.get(kernel, delta), delta)
+    lines.append("smallest flipping delta per check: " + ", ".join(KERNELS))
+    for name in sorted(smallest):
+        deltas = (f"{smallest[name][k]:g}" if k in smallest[name] else "-" for k in KERNELS)
+        lines.append(f"  {name}: " + ", ".join(deltas))
+    return lines
 
 
 def compare(old: dict, new: dict, check: str | None) -> list:
@@ -141,9 +212,14 @@ def main(argv=None) -> int:
     c.add_argument("old", type=Path)
     c.add_argument("new", type=Path)
     c.add_argument("--check", help="also list this check's residuals report by report")
+    s = sub.add_parser("sensitivity", help="count the checks a relative fault in each closed-form kernel flips")
+    s.add_argument("--src", type=Path, default=d.get_default("src"))
     args = parser.parse_args(argv)
     if args.cmd == "dump":
         args.out.write_text(json.dumps(dump(args.src), indent=1))
+        return 0
+    if args.cmd == "sensitivity":
+        print("\n".join(sensitivity(*modules(args.src), None)))
         return 0
     old, new = (json.loads(p.read_text()) for p in (args.old, args.new))
     lines = compare(old, new, args.check)
