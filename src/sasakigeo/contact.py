@@ -39,20 +39,19 @@ from .oracle import (
     sb_lift_field_fn,
 )
 from .report import CheckReport, fold
-from .sampling import sample_ker_eta_vec, sample_sb_parts, sample_sb_vec
-from .sphere import (
+from .sampling import sample_ker_eta_parts, sample_sb_parts, sample_sb_vec
+from .sphere import (  # noqa: F401  (sb_curvature: the benchmark's trace counts it under this name too)
     PointGeometry,
     SBPoint,
     SBVec,
     contract,
     horizontal_sb,
-    lift,
     point_geometry,
     require_same_sb_point,
     sb_curvature,
-    sb_nabla,
+    sb_nabla_rows,
 )
-from .tangent import VectorField, field_at
+from .tangent import VectorField, field_at, lift_rows
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,7 @@ class ContactData:
         return np.matvec(self.geo.phi_parts, parts)
 
     def gcm_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return 0.25 * np.vecdot(np.vecmat(a, self.geo.gbar), b)
+        return 0.25 * self.geo.gbar_rows(a, b)
 
     def eta(self, a: SBVec) -> float:
         require_same_sb_point(self.at, a)
@@ -109,16 +108,21 @@ class HOperator(ContactData):
     h vanishes on xi and acts on ker(eta) by
     h(V^t) = (2 - eps) V^t - t{R(V, u)u},  h(X^h) = -eps X^h + h{R(X, u)u}.
     ``apply`` is ``PointGeometry.h_parts`` on (h, t) parts and ``matrix`` is
-    ``PointGeometry.h_matrix``, h's matrix in ``frame_at(m, p)``.
+    ``PointGeometry.h_matrix``, h's matrix in ``frame_at(m, p)``.  ``apply_rows``
+    takes (h, t) parts, one vector or a stack of rows, with one ``np.matvec``
+    per row; ``apply`` is its one-row case on ``SBVec``.
     """
 
     @property
     def matrix(self) -> np.ndarray:
         return self.geo.h_matrix
 
+    def apply_rows(self, parts: np.ndarray) -> np.ndarray:
+        return np.matvec(self.geo.h_parts, parts)
+
     def apply(self, a: SBVec) -> SBVec:
         require_same_sb_point(self.at, a)
-        return SBVec.of(self.at, self.geo.h_parts @ a.comps())
+        return SBVec.of(self.at, self.apply_rows(a.comps()))
 
     def eigenvalues(self) -> np.ndarray:
         return np.sort(np.linalg.eigvals(self.matrix).real)
@@ -258,42 +262,62 @@ def _contact_axiom_rows(m: ChartedMetric, p: SBPoint, rng: np.random.Generator, 
 
 
 _LIFT_KINDS = (("h", "t"), ("h", "h"), ("t", "t"), ("t", "h"))  # the (X, Y) kinds of successive lift pairs
+KIND_PAIRS = (("h", "h"), ("h", "t"), ("t", "h"), ("t", "t"))  # the order of the suites' one pair of each kind
 
 
-def _lift_pairs(m: ChartedMetric, p: SBPoint, rng: np.random.Generator, count: int) -> tuple:
-    """(A, B, A0, B0) for ``count`` lift pairs (X^., Y^.) of random base vectors, cycling through
-    ``_LIFT_KINDS``: row k of A and B holds the parts of pair k (``lift``), and row k of A0 and B0
-    its induced TM components at p, the value at z0 of the lift field of the constant stack of base
-    vectors (``oracle.sb_lift_field_fn``).
+def lift_draws(m: ChartedMetric, rng: np.random.Generator, count: int, kinds=_LIFT_KINDS) -> tuple:
+    """(X, Y, X_h, Y_h) for ``count`` pairs of random base vectors, cycling through the (X, Y) kinds of
+    ``kinds``: X and Y are (count, n) and X_h, Y_h their rows' kinds, true for 'h'.
 
     X and Y of every pair come from one ``rng.normal`` call, in the order X_0, Y_0, X_1, ..,
     as ``count`` pairs of ``normal(size=n)`` calls would draw them.
     """
-    z0 = np.concatenate([p.x, p.u])
     draws = rng.normal(size=(count, 2, m.dim))
-    horizontal = (np.array(_LIFT_KINDS) == "h")[np.arange(count) % 4]
+    horizontal = (np.array(kinds) == "h")[np.arange(count) % len(kinds)]
+    return draws[:, 0], draws[:, 1], horizontal[:, 0], horizontal[:, 1]
+
+
+def lift_parts(geo: PointGeometry, w: np.ndarray, horizontal) -> np.ndarray:
+    """The (h, t) parts of the lifts w^h (where ``horizontal``) and w^t (elsewhere) of base vectors w, one
+    vector or a stack of rows: (w, 0) and (0, P w) (``PointGeometry.tangential_part``), row k equal to
+    ``sphere.lift`` of w[k] bit for bit."""
+    return lift_rows(np.where(np.asarray(horizontal)[..., None], w, geo.tangential_part(w)), horizontal)
+
+
+def _lift_pairs(m: ChartedMetric, p: SBPoint, rng: np.random.Generator, count: int) -> tuple:
+    """(A, B, A0, B0) for the ``count`` lift pairs (X^., Y^.) of ``lift_draws``, cycling through
+    ``_LIFT_KINDS``: row k of A and B holds the parts of pair k (``lift_parts``), and row k of A0 and B0
+    its induced TM components at p, the value at z0 of the lift field of the constant stack of base
+    vectors (``oracle.sb_lift_field_fn``).
+    """
+    z0 = np.concatenate([p.x, p.u])
+    x, y, x_h, y_h = lift_draws(m, rng, count)
     geo = point_geometry(m, p)
     parts, comps = [], []
-    for slot in (0, 1):
-        w, h = draws[:, slot], horizontal[:, slot, None]
-        zero = np.zeros(w.shape)
-        hlift, tlift = np.concatenate([w, zero], axis=1), np.concatenate([zero, geo.tangential_part(w)], axis=1)
-        parts.append(np.where(h, hlift, tlift))
-        comps.append(np.where(h, sb_lift_field_fn(m, w, "h", p.eps)(z0), sb_lift_field_fn(m, w, "t", p.eps)(z0)))
+    for w, h in ((x, x_h), (y, y_h)):
+        parts.append(lift_parts(geo, w, h))
+        comps.append(np.where(h[:, None], sb_lift_field_fn(m, w, "h", p.eps)(z0), sb_lift_field_fn(m, w, "t", p.eps)(z0)))
     return parts[0], parts[1], comps[0], comps[1]
 
 
 def nabla_xi(m: ChartedMetric, p: SBPoint, a: SBVec) -> SBVec:
     """nabla-bar_a xi = Gamma-bar(a, XI) + a(XI) on parts, XI = (2u, 0); a(XI) = (2W, 0)
     for a = X^h + W^t with g(W, u) = 0 (the ``SBVec`` invariant), as u is parallel
-    along horizontal lifts:
+    along horizontal lifts; the one-row case of ``nabla_xi_rows``:
 
     nabla_{X^h} xi = -t{R(X, u)u} (g-orthogonal to u);  nabla_{W^t} xi = 2 W^h - h{R(W, u)u}.
     """
     require_same_sb_point(p, a)
-    out = point_geometry(m, p).connection_xi @ a.comps()
-    out[: m.dim] += 2.0 * a.tpart
-    return SBVec.of(p, out)
+    return SBVec.of(p, nabla_xi_rows(point_geometry(m, p), a.comps()))
+
+
+def nabla_xi_rows(geo: PointGeometry, parts: np.ndarray) -> np.ndarray:
+    """nabla-bar_a xi for (h, t) parts a, one vector or a stack of rows: one ``np.matvec`` with
+    ``PointGeometry.connection_xi`` per row plus 2W in the h part, so a row equals ``nabla_xi`` bit for bit."""
+    n = geo.u.size
+    out = np.matvec(geo.connection_xi, parts)
+    out[..., :n] += 2.0 * parts[..., n:]
+    return out
 
 
 def h_at(m: ChartedMetric, p: SBPoint) -> HOperator:
@@ -327,31 +351,45 @@ def nabla_phi_defn(
     kind_b: str,
     p: SBPoint,
 ) -> SBVec:
-    """(nabla_a phi) b = nabla_a(phi b) - phi(nabla_a b) on lift fields.
-
-    For b = Y^t the field phi(b) = -Y^h + s xi' with s(x, u) = eps g(Y, u)
-    is differentiated by the product rule; a(s) is eps g(nabla_X Y, u) for a
-    horizontal direction and eps g(Y, W) for a tangential direction W.
-    """
+    """(nabla_a phi) b = nabla_a(phi b) - phi(nabla_a b) on lift fields: the one-row case of
+    ``nabla_phi_defn_rows``, with nabla_X Y of the base fields when a is horizontal."""
     geo = point_geometry(m, p)
-    g = geo.base.g
-    u, eps = p.u, p.eps
-    xval = field_at(xfield, p.x)
-    yval = field_at(yfield, p.x)
-    if kind_b == "h":
-        term1 = sb_nabla(m, xfield, yfield, kind_a, "t", p)
-    else:
-        term1 = (-1.0) * sb_nabla(m, xfield, yfield, kind_a, "h", p)
-        if kind_a == "h":
-            a_of_s = eps * float(geo.base.nabla(m, xval, yfield, yval) @ g @ u)
-        else:
-            a_of_s = eps * float(yval @ g @ geo.tangential_part(xval))
-        s0 = eps * float(yval @ g @ u)
-        a_vec = lift(m, p, kind_a, xval)
-        xi_prime = horizontal_sb(p, u)
-        term1 = term1 + a_of_s * xi_prime + (0.5 * s0) * nabla_xi(m, p, a_vec)
-    term2 = SBVec.of(p, geo.phi_parts @ sb_nabla(m, xfield, yfield, kind_a, kind_b, p).comps())
-    return term1 - term2
+    xval, yval = field_at(xfield, p.x), field_at(yfield, p.x)
+    nabla_xy = geo.base.nabla(m, xval, yfield, yval) if kind_a == "h" else None
+    return SBVec.of(p, nabla_phi_defn_rows(geo, xval, yval, kind_a == "h", kind_b == "h", nabla_xy))
+
+
+def nabla_phi_defn_rows(geo: PointGeometry, x: np.ndarray, y: np.ndarray, x_h, y_h, nabla_xy) -> np.ndarray:
+    """(nabla_a phi) b = nabla_a(phi b) - phi(nabla_a b) on (h, t) parts for the lift fields a of x and b of y.
+
+    x, y and their kinds ``x_h``, ``y_h`` are one vector each or stacks of
+    rows, as in ``sphere.sb_nabla_rows``, which gives both derivatives;
+    ``nabla_xy`` holds nabla_X Y of the base fields in the rows where a is
+    horizontal and zero in the others (None when no row is horizontal).
+    For b = Y^h, phi b = Y^t.  For b = Y^t, phi b = -Y^h + s xi' with
+    s = eps g(Y, u), differentiated by the product rule: a(s) is
+    eps g(nabla_X Y, u) for a = X^h and eps g(Y, W) for a = W^t, W = P X,
+    and nabla_a xi' = nabla_a xi / 2 (``nabla_xi_rows``).  Each row adds
+    its own kind's terms, the others' entering as exact zeros, so one call
+    covers all four kind pairs; ``nabla_phi_defn`` is the one-row case.
+    """
+    g, u, eps = geo.base.g, geo.u, geo.eps
+    y_t = np.logical_not(y_h)
+
+    def nabla(b_h):  # nabla_a of the lift field of kind b_h of Y
+        return sb_nabla_rows(geo, x, y, x_h, b_h, nabla_xy)
+
+    term1 = nabla(y_t)
+    np.negative(term1, out=term1, where=y_t[..., None])
+    if np.count_nonzero(y_t):
+        px, h = geo.tangential_part(x), np.asarray(x_h)[..., None]
+        v, w = (y, px) if nabla_xy is None else (np.where(h, nabla_xy, y), np.where(h, u, px))
+        a_of_s = np.where(y_t, eps * np.vecdot(np.vecmat(v, g), w), 0.0)
+        half_s = np.where(y_t, 0.5 * (eps * np.vecdot(np.vecmat(y, g), u)), 0.0)
+        nabla_xi_a = nabla_xi_rows(geo, lift_rows(np.where(h, x, px), x_h))  # a's parts, as lift_parts gives them
+        term1 = term1 + a_of_s[..., None] * np.concatenate([u, np.zeros(u.size)])  # xi' = u^h
+        term1 = term1 + half_s[..., None] * nabla_xi_a
+    return term1 - np.matvec(geo.phi_parts, nabla(y_h))
 
 
 def kappa_mu_for_space_form(c: float, eps: int) -> KappaMu:
@@ -452,12 +490,26 @@ def killing_residual(m: ChartedMetric, p: SBPoint) -> float:
 
 
 def _sectional(m: ChartedMetric, data: ContactData, x: SBVec, y: SBVec, floor: float) -> float | None:
-    """K(x, y) = g_cm(R-bar(x, y)y, x) / den for g_cm, den = g_cm(x, x) g_cm(y, y) - g_cm(x, y)^2,
-    or None when the plane is degenerate to within |den| <= floor."""
-    den = data.gcm(x, x) * data.gcm(y, y) - data.gcm(x, y) ** 2
-    if abs(den) <= floor:
-        return None
-    return data.gcm(sb_curvature(m, data.at, x, y, y), x) / den
+    """K(x, y) for g_cm, or None when the plane is degenerate to within |den| <= floor: the one-row case
+    of ``_sectional_rows``."""
+    require_same_sb_point(data.at, x, y)
+    k, measured = _sectional_rows(data, x.comps(), y.comps(), floor)
+    return float(k) if measured else None
+
+
+def _sectional_rows(data: ContactData, x: np.ndarray, y: np.ndarray, floor: float) -> tuple:
+    """(K, measured) for the planes spanned by the (h, t) parts x and y, vectors or stacks of rows.
+
+    K = g_cm(R-bar(x, y)y, x) / den for g_cm, den = g_cm(x, x) g_cm(y, y) - g_cm(x, y)^2, with R-bar
+    contracted from ``PointGeometry.rbar`` (``contract``, as ``sb_curvature`` does) and g_cm from
+    ``ContactData.gcm_rows``, so a row equals the one-row case bit for bit.  ``measured`` is false
+    where the plane is degenerate to within |den| <= floor, and K is not a curvature there; a NaN
+    sample is measured and gives a NaN K.
+    """
+    den = data.gcm_rows(x, x) * data.gcm_rows(y, y) - data.gcm_rows(x, y) ** 2
+    measured = ~(abs(den) <= floor)
+    # 1 is added to den where the plane is not measured, so no row divides by zero; den + 0 is den
+    return data.gcm_rows(contract(data.geo.rbar, x, y, y), x) / (den + ~measured), measured
 
 
 def xi_plane_curvature(m: ChartedMetric, p: SBPoint, a: SBVec) -> float:
@@ -484,23 +536,25 @@ def k_contact_residual(
 
 
 def _k_contact_rows(m: ChartedMetric, points: list, rng: np.random.Generator, samples_per_point: int):
-    planes = 0
+    """Per point: the Killing row, then one "K(xi-plane) = eps" row over the point's measured planes.
+
+    Draw order: the ``samples_per_point - 1`` ker eta vectors of one ``sample_ker_eta_parts`` call,
+    as that many ``sample_ker_eta_vec`` calls draw them; the planes are xi with the pure horizontal
+    and the pure tangential part of the first, then with each of the others, and ``_sectional_rows``
+    takes them all in one stacked contraction.
+    """
+    n, planes = m.dim, 0
     for p in points:
         yield "L_xi g_cm = 0 (Killing)", killing_residual(m, p), 1e-5
-        eps = p.eps
-        samples = []
-        base = sample_ker_eta_vec(m, p, rng)
-        samples.append(SBVec(p, base.hpart, np.zeros(m.dim)))  # pure horizontal
-        samples.append(SBVec(p, np.zeros(m.dim), base.tpart))  # pure tangential
-        for _ in range(samples_per_point - 2):
-            samples.append(sample_ker_eta_vec(m, p, rng))
+        draws = sample_ker_eta_parts(m, p, rng, samples_per_point - 1)
+        samples = np.concatenate([draws[:1], draws])
+        samples[0, n:] = 0.0  # pure horizontal
+        samples[1, :n] = 0.0  # pure tangential
         data = contact_data_at(m, p)
-        for a in samples:
-            k = _sectional(m, data, data.xi, a, 1e-4)
-            if k is None:
-                continue
-            yield "K(xi-plane) = eps", abs(k - eps), 1e-5
-            planes += 1
+        k, measured = _sectional_rows(data, np.broadcast_to(data.xi.comps(), samples.shape), samples, 1e-4)
+        if measured.any():
+            yield "K(xi-plane) = eps", np.abs(k[measured] - p.eps).max(), 1e-5
+            planes += int(measured.sum())
     if not planes:  # a check that measured no plane has shown nothing, so it fails
         yield "K(xi-plane) = eps", math.inf, 1e-5
 
@@ -508,16 +562,17 @@ def _k_contact_rows(m: ChartedMetric, points: list, rng: np.random.Generator, sa
 def phi_sectional(m: ChartedMetric, p: SBPoint, a: SBVec) -> float:
     """Sectional curvature (for g_cm) of span(a, phi a) for a in ker eta."""
     data = contact_data_at(m, p)
-    _require_ker_eta(data, a)
+    require_same_sb_point(p, a)
+    _require_ker_eta(data, a.comps())
     k = _sectional(m, data, a, data.phi(a), 1e-8)
     if k is None:
         raise DegeneratePlane("plane span(a, phi a) is degenerate")
     return k
 
 
-def _require_ker_eta(data: ContactData, a: SBVec) -> None:
-    """A phi-section span(a, phi a) is taken for a in ker eta only."""
-    if abs(data.eta(a)) > 1e-10:
+def _require_ker_eta(data: ContactData, parts: np.ndarray) -> None:
+    """A phi-section span(a, phi a) is taken for a in ker eta only: every row of the (h, t) parts."""
+    if np.count_nonzero(abs(data.eta_rows(parts)) > 1e-10):
         raise DegeneratePlane("phi-sectional curvature needs a in ker(eta)")
 
 

@@ -265,6 +265,8 @@ class BaseContext:
     def nabla(self, m: ChartedMetric, xvec: np.ndarray, yfield, yval: np.ndarray) -> np.ndarray:
         """(nabla_X Y)^i = X^a d_a Y^i + Gamma^i_ab X^a Y^b at x, for a ``tangent.VectorField`` Y
         whose components at x the caller has evaluated already: yval (``tangent.field_at(yfield, x)``).
+        X may be a stack of rows (k, n), and so may a constant Y, row k pairing with row k; a row
+        equals the one-row case bit for bit.
 
         A constant field (a component vector) has Jacobian 0 and runs no
         stencil.  A callable one is differentiated once per context: its
@@ -273,13 +275,13 @@ class BaseContext:
         being a function of x, returning the same components whenever it is
         called at the same x.
         """
-        term = np.einsum("iab,a,b->i", self.curvature(m)[0], xvec, yval)
+        term = np.einsum("iab,...a,...b->...i", self.curvature(m)[0], xvec, yval)
         if not callable(yfield):
             return term
         entry = self._jacobians.get(id(yfield))
         if entry is None:
             entry = self._jacobians[id(yfield)] = (yfield, jacobian(yfield, self.x, FD_STEP_FIRST))
-        return entry[1] @ xvec + term
+        return np.matvec(entry[1], xvec) + term
 
 
 def base_context(m: ChartedMetric, x: Point) -> BaseContext:

@@ -30,7 +30,7 @@ from .errors import DegenerateMetric, NoSolvableCoordinate
 from .manifold import JET_MEMO_SIZE, ChartedMetric, _memo_get, _memo_put, _memo_size
 from .sphere import SBPoint, SBVec, contract, require_same_sb_point
 from .stencil import FD_STEP_FIRST, FD_STEP_GAMMA, FD_STEP_SECOND, jacobian, partials, points, quotient, rows
-from .tangent import VectorField, _check_kinds, _lift_slot, as_field, field_at, kept_geometry
+from .tangent import VectorField, _check_kinds, as_field, contract_lifts, field_at, kept_geometry
 
 
 # -------------------- raw metric data (oracle's own access) --------------------
@@ -320,13 +320,15 @@ def _sasaki_at(m: ChartedMetric, z: np.ndarray) -> tuple:
 
     On charts with analytic g' and g'' both come from one ``_tg_gamma_tilde``
     step on the base jet at x; otherwise Gamma-tilde is the Koszul step on
-    central differences of Tg, which reuses the Tg at z.
+    central differences of Tg, with Tg at z and its partials from one
+    evaluation on the stacked rows of z's ``read_stencil_jets``, whose
+    missing base jets are read in one step (``StencilJets.derivative``, bit
+    for bit Tg(z) and ``partials`` of the one-z field).
     """
     z = np.asarray(z, dtype=float)
     if m.uses_fd_derivatives:
-        tg_fn = sasaki_metric_fn(m)
-        tg = tg_fn(z)
-        return tg, _koszul(tg, partials(tg_fn, z, FD_STEP_FIRST))
+        tg, dtg = read_stencil_jets(m, z).derivative(sasaki_metric_fn(m))
+        return tg, _koszul(tg, dtg)
     jet = base_jet(m, z[: m.dim])
     return _tg_gamma_tilde(z, jet.g, jet.dg, jet.gamma, jet.dgamma)
 
@@ -516,8 +518,8 @@ class HypersurfaceChart:
         return self.jacobian.T @ sasaki_metric_fn(self.m)(self.z0) @ self.jacobian
 
     def drop(self, z_vec: np.ndarray) -> np.ndarray:
-        """Chart components of an ambient induced-coordinate vector tangent to the chart."""
-        return np.asarray(z_vec, dtype=float)[self.keep]
+        """Chart components of an ambient induced-coordinate vector tangent to the chart, or of each row of a stack."""
+        return np.asarray(z_vec, dtype=float)[..., self.keep]
 
 
 def hypersurface_pullback(m: ChartedMetric, p: SBPoint) -> HypersurfaceChart:
@@ -545,10 +547,17 @@ def hypersurface_pullback(m: ChartedMetric, p: SBPoint) -> HypersurfaceChart:
 
 
 def _embed_induced(m: ChartedMetric, v: SBVec) -> np.ndarray:
-    """Induced coordinates of the ambient representative, oracle Gamma path."""
-    x, u = v.at.x, v.at.u
-    du = v.tpart - np.einsum("iab,a,b->i", base_gamma(m, x), v.hpart, u)
-    return np.concatenate([v.hpart, du])
+    """Induced coordinates of the ambient representative, oracle Gamma path: the one-row case of ``_embed_induced_rows``."""
+    return _embed_induced_rows(m, v.at, v.comps())
+
+
+def _embed_induced_rows(m: ChartedMetric, p: SBPoint, parts: np.ndarray) -> np.ndarray:
+    """(X; W - Gamma(X, u)) for the (h, t) parts (X, W) at p, one vector or a stack of rows, Gamma the
+    oracle's ``base_gamma`` at x: one einsum over the rows, so a row equals the one-row case bit for bit."""
+    n = m.dim
+    h = parts[..., :n]
+    du = parts[..., n:] - np.einsum("iab,...a,b->...i", base_gamma(m, p.x), h, p.u)
+    return np.concatenate([h, du], axis=-1)
 
 
 def _from_induced(m: ChartedMetric, p: SBPoint, w: np.ndarray) -> SBVec:
@@ -720,24 +729,36 @@ class GaussOracle:
         return p
 
     def second_fundamental_form(self, a: SBVec, b: SBVec) -> float:
-        """II(A, B) = -eps Tg(B, nabla-tilde_A N), the Weingarten relation, contracted from ``ii``
-        with the induced components E a and E b (E of ``_parts_maps``)."""
+        """II(A, B) = -eps Tg(B, nabla-tilde_A N), the Weingarten relation: the one-row case of
+        ``second_fundamental_form_rows``."""
         self._point(a, b)
+        return float(self.second_fundamental_form_rows(a.comps(), b.comps()))
+
+    def second_fundamental_form_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """II(A, B) for (h, t) parts a and b, vectors or stacks of rows: ``ii`` contracted with the induced
+        components E a and E b (E of ``_parts_maps``) as (E b) ``ii`` (E a), one ``np.matvec``, ``np.vecmat``
+        or ``np.vecdot`` per step, so a row equals the one-row case bit for bit."""
         e = self._parts_maps[2]
-        return float((e @ b.comps()) @ self.ii @ (e @ a.comps()))
+        return np.vecdot(np.vecmat(np.matvec(e, b), self.ii), np.matvec(e, a))
 
     def curvature(self, a: SBVec, b: SBVec, c: SBVec) -> SBVec:
-        """R-bar(a, b)c by the Gauss equation, contracted from ``rbar`` as ``sb_curvature`` contracts its own.
+        """R-bar(a, b)c by the Gauss equation: the one-row case of ``curvature_rows``.
 
         tan(R-tilde(A,B)C) - II(B,C) nabla-tilde_A N + II(A,C) nabla-tilde_B N,
         where tan(V) = V - eps Tg(V, N) N; F drops that N part, so tan is not
         taken separately.
         """
         p = self._point(a, b, c)
-        return SBVec.of(p, contract(self.rbar, a.comps(), b.comps(), c.comps()))
+        return SBVec.of(p, self.curvature_rows(a.comps(), b.comps(), c.comps()))
+
+    def curvature_rows(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """R-bar(a, b)c for (h, t) parts, vectors or stacks of rows: ``contract`` of ``rbar``, as
+        ``sb_curvature`` contracts its own, so a row equals the one-row case bit for bit."""
+        return contract(self.rbar, a, b, c)
 
     def nabla_endomorphism(self, phi_fn) -> Callable[[SBVec, SBVec], SBVec]:
-        """(a, b) -> (nabla-bar_a phi) b for an endomorphism field of induced components on TM.
+        """(a, b) -> (nabla-bar_a phi) b for an endomorphism field of induced components on TM; the
+        returned ``apply`` also has ``apply.rows(a, b)`` on (h, t) parts, vectors or stacks of rows.
 
         (nabla-tilde Phi)^I_LK = d_L Phi^I_K + Gamma-tilde^I_LM Phi^M_K - Phi^I_M Gamma-tilde^M_LK
         (``_nabla_tilde_endomorphism``) from one evaluation of ``phi_fn`` on
@@ -745,18 +766,24 @@ class GaussOracle:
         ``phi_fn(jets.z, jets)``, as the contact layer's phi matrix field
         does.  When Phi N = 0 and Phi maps into T(T_eps M) at p,
         (nabla-bar_A phi)B = tan((nabla-tilde_A Phi)B); F drops the N part
-        that tan removes.  ``apply`` contracts nabla-tilde Phi with the
+        that tan removes.  ``apply.rows`` contracts nabla-tilde Phi with the
         induced components E a and E b and maps the result to parts by F
-        (E and F of ``_parts_maps``).
+        (E and F of ``_parts_maps``): F ((nabla-tilde Phi E b) E a), one
+        ``np.matvec`` per step, so a row equals the one-row case ``apply``
+        bit for bit.
         """
         phi, dphi = self.stencil.derivative(phi_fn)
         nabla = _nabla_tilde_endomorphism(phi, dphi, self.gamma0)
         _, _, e, f = self._parts_maps
 
+        def rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            return np.matvec(f, np.matvec(np.matvec(nabla, np.matvec(e, b)[..., None, :]), np.matvec(e, a)))
+
         def apply(a: SBVec, b: SBVec) -> SBVec:
             p = self._point(a, b)
-            return SBVec.of(p, f @ ((nabla @ (e @ b.comps())) @ (e @ a.comps())))
+            return SBVec.of(p, rows(a.comps(), b.comps()))
 
+        apply.rows = rows
         return apply
 
 
@@ -789,9 +816,8 @@ def sb_nabla_via_ambient(
     Only A's value at p enters.  When B is the lift of a constant base vector
     (any yfield that is not callable) on a chart with analytic g' and g'',
     the context ``gauss_oracle(m, p)`` holds the answer for every pair of
-    basis lifts (``GaussOracle.nabla``), and the call contracts the slots of
-    A's and B's kinds, ``nabla[:, slot(A), slot(B)]``, with their base
-    components.  Otherwise the ambient derivative is taken
+    basis lifts (``GaussOracle.nabla``), and the call is the one-row case of
+    ``sb_nabla_via_ambient_rows``.  Otherwise the ambient derivative is taken
     in induced coordinates, the Jacobian of B's components central-differenced
     from one evaluation of B's lift field on the context's ``stencil``, against
     the context's Christoffels of Tg at p, and ``_from_induced`` drops its
@@ -801,9 +827,24 @@ def sb_nabla_via_ambient(
     ctx = gauss_oracle(m, p)
     nabla = None if callable(yfield) else ctx.nabla
     if nabla is not None:
-        block = nabla[:, _lift_slot(kind_x, m.dim), _lift_slot(kind_y, m.dim)]
-        return SBVec.of(p, (block @ np.asarray(yfield, dtype=float)) @ field_at(xfield, p.x))
+        return SBVec.of(p, contract_lifts(nabla, field_at(xfield, p.x), np.asarray(yfield, dtype=float), kind_x == "h", kind_y == "h"))
     aval = sb_lift_field_fn(m, xfield, kind_x, p.eps)(ctx.z0)
     b_jet = ctx.stencil.field_jet(sb_lift_field_fn(m, yfield, kind_y, p.eps))
     nab = ambient_nabla(aval, b_jet, ctx.gamma0)
     return _from_induced(m, p, nab)
+
+
+def sb_nabla_via_ambient_rows(m: ChartedMetric, p: SBPoint, x: np.ndarray, y: np.ndarray, x_h, y_h) -> np.ndarray:
+    """``sb_nabla_via_ambient`` for the lifts A of constant base vectors x and B of y, stacks of rows
+    (k, n) with kinds ``x_h``, ``y_h`` (true for 'h') as in ``sphere.sb_nabla_rows``.
+
+    With ``GaussOracle.nabla`` (charts with analytic g' and g'') it is one
+    ``contract_lifts`` over all rows and kind pairs, and a row equals the
+    one-row call bit for bit; elsewhere each row takes the stencil path of
+    ``sb_nabla_via_ambient``.
+    """
+    nabla = gauss_oracle(m, p).nabla
+    if nabla is not None:
+        return contract_lifts(nabla, x, y, x_h, y_h)
+    kind = {True: "h", False: "t"}
+    return np.array([sb_nabla_via_ambient(m, xk, yk, kind[bool(a)], kind[bool(b)], p).comps() for xk, yk, a, b in zip(x, y, x_h, y_h)])

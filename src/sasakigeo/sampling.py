@@ -100,8 +100,22 @@ def sample_sb_vec(m: ChartedMetric, p: SBPoint, rng: np.random.Generator) -> SBV
     return SBVec.of(p, sample_sb_parts(m, p, rng, 1)[0])
 
 
+def sample_ker_eta_parts(m: ChartedMetric, p: SBPoint, rng: np.random.Generator, count: int) -> np.ndarray:
+    """The (h, t) parts of ``count`` random vectors in ker eta as the rows of one (count, 2n) array.
+
+    All 2n * count normals come from one ``rng.normal`` call of shape
+    (2 count, n), which fills in C order: row k holds the draw of the k-th
+    of ``count`` sequential ``sample_ker_eta_vec`` calls, and the generator
+    ends in the same state.  Both parts of each row are made g-orthogonal to
+    u, the horizontal one as well, by one ``PointGeometry.tangential_part``
+    on the stack, so row k equals that call's parts bit for bit:
+    ``sample_ker_eta_vec`` is the one-row case.
+    """
+    n = m.dim
+    return point_geometry(m, p).tangential_part(rng.normal(size=(2 * count, n))).reshape(count, 2 * n)
+
+
 def sample_ker_eta_vec(m: ChartedMetric, p: SBPoint, rng: np.random.Generator) -> SBVec:
-    """Random vector in ker eta: both parts of the draw made g-orthogonal to u, the horizontal one as well."""
-    geo = point_geometry(m, p)
-    return SBVec.of(p, geo.tangential_part(rng.normal(size=(2, m.dim))).ravel())
+    """Random vector in ker eta: one row of ``sample_ker_eta_parts``."""
+    return SBVec.of(p, sample_ker_eta_parts(m, p, rng, 1).ravel())
 

@@ -21,9 +21,11 @@ from .tangent import (
     VectorField,
     _check_kinds,
     _lift_connection,
-    _nabla_parts,
     _read_only,
     _same_coords,
+    add_lifts,
+    contract_lifts,
+    field_at,
     kept_geometry,
 )
 
@@ -138,9 +140,9 @@ def lift(m: ChartedMetric, p: SBPoint, kind: str, w: np.ndarray) -> SBVec:
 
 
 def induced_metric_at(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec) -> float:
-    """The metric induced from Tg: g(a_h, b_h) + g(a_t, b_t), one product with ``PointGeometry.gbar``."""
+    """The metric induced from Tg: g(a_h, b_h) + g(a_t, b_t), the one-row case of ``PointGeometry.gbar_rows``."""
     require_same_sb_point(p, a, b)
-    return float(a.comps() @ point_geometry(m, p).gbar @ b.comps())
+    return float(point_geometry(m, p).gbar_rows(a.comps(), b.comps()))
 
 
 def frame_at(m: ChartedMetric, p: SBPoint) -> SBFrame:
@@ -181,7 +183,7 @@ def sb_nabla(
     kind_y: str,
     p: SBPoint,
 ) -> SBVec:
-    """Levi-Civita connection of the induced metric on lift fields.
+    """Levi-Civita connection of the induced metric on lift fields: the one-row case of ``sb_nabla_rows``.
 
     ``PointGeometry.connection`` contracted with the lifts, plus the base
     connection term when X^h is horizontal, the tangential part projected by P:
@@ -193,9 +195,31 @@ def sb_nabla(
     """
     _check_kinds(kind_x, kind_y, allowed=("h", "t"))
     geo = point_geometry(m, p)
-    out = _nabla_parts(m, geo.connection, geo.base, xfield, yfield, kind_x, kind_y)
-    out[m.dim :] = geo.proj @ out[m.dim :]
-    return SBVec.of(p, out)
+    xval, yval = field_at(xfield, p.x), field_at(yfield, p.x)
+    x_h = kind_x == "h"
+    return SBVec.of(p, sb_nabla_rows(geo, xval, yval, x_h, kind_y == "h", geo.base.nabla(m, xval, yfield, yval) if x_h else None))
+
+
+def sb_nabla_rows(geo: "PointGeometry", x: np.ndarray, y: np.ndarray, x_h, y_h, nabla_xy=None) -> np.ndarray:
+    """nabla-bar_A B on (h, t) parts for the lift fields A of x and B of y, one vector or a stack of rows.
+
+    x and y are the base components of the lifts (as they are, not projected),
+    with ``x_h`` (``y_h``) true for a horizontal lift and false for a
+    tangential one, one bool or one per row: ``contract_lifts`` of
+    ``PointGeometry.connection`` covers all four kind pairs in one call.
+    ``nabla_xy`` holds nabla_X Y in the rows where A = X^h and zero in the
+    others, or is None when no row is horizontal; it is added to B's half
+    (``tangent.add_lifts``).  The caller computes it, so a callable Y is
+    differentiated as its field.  Every t output part is projected by P.
+    ``sb_nabla`` is the one-row case, and a row of a stack equals it bit
+    for bit.
+    """
+    out = contract_lifts(geo.connection, x, y, x_h, y_h)
+    if nabla_xy is not None:
+        add_lifts(out, nabla_xy, y_h)
+    tpart = out[..., x.shape[-1] :]
+    tpart[...] = np.matvec(geo.proj, tpart)
+    return out
 
 
 class PointGeometry:
@@ -233,6 +257,11 @@ class PointGeometry:
         gb = np.zeros((2 * n, 2 * n))
         gb[:n, :n] = gb[n:, n:] = self.base.g
         return _read_only(gb)
+
+    def gbar_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The induced metric of (h, t) parts a and b, vectors or stacks of rows: one ``np.vecmat`` with
+        ``gbar`` and one ``np.vecdot`` per row, so a row of a stack equals the one-row case bit for bit."""
+        return np.vecdot(np.vecmat(a, self.gbar), b)
 
     @cached_property
     def eps_u(self) -> np.ndarray:

@@ -44,7 +44,8 @@ from .report import CheckItem, CheckReport, fold, worst_of
 from .sampling import (
     rng_for,
     sample_domain_point,
-    sample_ker_eta_vec,
+    sample_ker_eta_parts,
+    sample_sb_parts,
     sample_sb_point,
     sample_sb_vec,
     sample_tangent_plane,
@@ -207,26 +208,27 @@ def _suite_connection(cfg: SuiteConfig, m: ChartedMetric, params: dict):
                 nab_b, nab_c = nabla_fn(xf, yf, ka, kb), nabla_fn(xf, zf, ka, kc)
                 yield name, abs(dtg - nab_b @ tg0 @ c_fn(z0) - b_fn(z0) @ tg0 @ nab_c), 1e-5
 
-        # projection identity (constant vectors: exact lift-field Jacobians)
-        for kx, ky in [("h", "h"), ("h", "t"), ("t", "h"), ("t", "t")]:
-            xc = rng.normal(size=n)
-            yc = rng.normal(size=n)
-            closed = sb.sb_nabla(m, xc, yc, kx, ky, p)
-            via = orc.sb_nabla_via_ambient(m, xc, yc, kx, ky, p)
-            yield "sb_nabla = projected ambient derivative", np.abs((closed - via).comps()).max(), 1e-9
+        # The sampled identities below draw in the order of the per-sample loops they stack (one pair
+        # of each kind of ``ct.KIND_PAIRS`` from one normal call, then 4 vectors from one
+        # ``sample_sb_parts`` call, then one more pair of each kind), and each side of an identity is one
+        # stacked kernel over the rows, whose one-row case is the per-vector function named beside it.
+        geo = sb.point_geometry(m, p)
+
+        # projection identity (constant vectors: exact lift-field Jacobians): sb_nabla, sb_nabla_via_ambient
+        xc, yc, xh, yh = ct.lift_draws(m, rng, 4, ct.KIND_PAIRS)
+        gamma_xy = np.where(xh[:, None], geo.base.nabla(m, xc, yc, yc), 0.0)  # nabla_X Y where A = X^h
+        closed = sb.sb_nabla_rows(geo, xc, yc, xh, yh, gamma_xy)
+        via = orc.sb_nabla_via_ambient_rows(m, p, xc, yc, xh, yh)
+        yield "sb_nabla = projected ambient derivative", np.abs(closed - via).max(), 1e-9
         hop = ct.h_at(m, p)
-        for _ in range(4):
-            a = sample_sb_vec(m, p, rng)
-            lhs = ct.nabla_xi(m, p, a)
-            rhs = (-cfg.eps) * hop.phi(a) + (-1.0) * hop.phi(hop.apply(a))
-            yield "nabla xi = -eps phi - phi h", np.abs((lhs - rhs).comps()).max(), 1e-9
+        a = sample_sb_parts(m, p, rng, 4)  # nabla_xi against phi and h
+        rhs = (-cfg.eps) * hop.phi_rows(a) + (-1.0) * hop.phi_rows(hop.apply_rows(a))
+        yield "nabla xi = -eps phi - phi h", np.abs(ct.nabla_xi_rows(geo, a) - rhs).max(), 1e-9
         yield "geodesic flow: nabla_xi xi = 0", np.abs(ct.nabla_xi(m, p, hop.xi).comps()).max(), 1e-10
-        for ka, kb in [("h", "h"), ("h", "t"), ("t", "h"), ("t", "t")]:
-            xc = rng.normal(size=n)
-            yc = rng.normal(size=n)
-            closed = ct.nabla_phi(m, p, sb.lift(m, p, ka, xc), sb.lift(m, p, kb, yc))
-            defn = ct.nabla_phi_defn(m, xc, yc, ka, kb, p)
-            yield "nabla phi closed form = definition", np.abs((closed - defn).comps()).max(), 1e-9
+        xc, yc, xh, yh = ct.lift_draws(m, rng, 4, ct.KIND_PAIRS)  # nabla_phi against nabla_phi_defn
+        closed = sb.contract(geo.nabla_phi_parts, ct.lift_parts(geo, xc, xh), ct.lift_parts(geo, yc, yh))
+        defn = ct.nabla_phi_defn_rows(geo, xc, yc, xh, yh, np.where(xh[:, None], geo.base.nabla(m, xc, yc, yc), 0.0))
+        yield "nabla phi closed form = definition", np.abs(closed - defn).max(), 1e-9
 
 
 def _suite_curvature(cfg: SuiteConfig, m: ChartedMetric, params: dict):
@@ -250,22 +252,16 @@ def _suite_curvature(cfg: SuiteConfig, m: ChartedMetric, params: dict):
         rxu = np.einsum("iabc,a,b,c->i", geo.base.curvature(m)[1], w, p.u, p.u) - cfg.eps * cfg.c * w
         yield "R(X,u)u = eps c X for X perp u", np.abs(rxu).max(), 1e-8
 
-        # curvature symmetries of the induced metric via lowered samples
-        vecs = [sample_sb_vec(m, p, rng) for _ in range(4)]
-        a, b, cc, d = vecs
-
-        def low(v1, v2, v3, v4):
-            return sb.induced_metric_at(m, p, sb.sb_curvature(m, p, v1, v2, v3), v4)
-
-        yield "R-bar antisymmetry (a,b)", abs(low(a, b, cc, d) + low(b, a, cc, d)), 1e-8
-        yield "R-bar antisymmetry (c,d)", abs(low(a, b, cc, d) + low(a, b, d, cc)), 1e-8
-        yield "R-bar pair symmetry", abs(low(a, b, cc, d) - low(cc, d, a, b)), 1e-8
-        fb = (
-            sb.sb_curvature(m, p, a, b, cc)
-            + sb.sb_curvature(m, p, b, cc, a)
-            + sb.sb_curvature(m, p, cc, a, b)
-        )
-        yield "R-bar first Bianchi identity", np.abs(fb.comps()).max(), 1e-8
+        # curvature symmetries of the induced metric via lowered samples: the 4 vectors of one
+        # ``sample_sb_parts`` call, R-bar of the 6 triples the identities read in one ``contract`` (whose
+        # one-row case is ``sb_curvature``) and the 4 lowered values in one ``gbar_rows``
+        a, b, cc, d = sample_sb_parts(m, p, rng, 4)
+        rb = sb.contract(geo.rbar, np.array([a, b, a, cc, b, cc]), np.array([b, a, b, d, cc, a]), np.array([cc, cc, d, a, a, b]))
+        low = geo.gbar_rows(rb[:4], np.array([d, d, cc, b]))  # (a,b,c,d), (b,a,c,d), (a,b,d,c), (c,d,a,b)
+        yield "R-bar antisymmetry (a,b)", abs(low[0] + low[1]), 1e-8
+        yield "R-bar antisymmetry (c,d)", abs(low[0] + low[2]), 1e-8
+        yield "R-bar pair symmetry", abs(low[0] - low[3]), 1e-8
+        yield "R-bar first Bianchi identity", np.abs(rb[0] + rb[4] + rb[5]).max(), 1e-8
 
     # constant rescaling of the metric leaves Gamma and the curvature operator unchanged
     lam = 3.7
@@ -328,18 +324,19 @@ def _suite_sasakian(cfg: SuiteConfig, m: ChartedMetric, params: dict):
 
 
 def _suite_phi_sectional(cfg: SuiteConfig, m: ChartedMetric, params: dict):
+    # per point, the ker eta samples of one ``sample_ker_eta_parts`` call (the draws of as many
+    # ``sample_ker_eta_vec`` calls) and K(a, phi a) of all of them in one ``_sectional_rows``, whose
+    # one-row case is ``phi_sectional``'s
     values = []
     for i in range(cfg.num_points):
         rng = rng_for(cfg.seed, 7, i)
         p = sample_sb_point(m, cfg.eps, rng)
         data = ct.contact_data_at(m, p)
-        for _ in range(max(2, cfg.num_samples // cfg.num_points + 1)):
-            a = sample_ker_eta_vec(m, p, rng)
-            ct._require_ker_eta(data, a)
-            k = ct._sectional(m, data, a, data.phi(a), 1e-4)
-            if k is not None:
-                values.append(k)
-    values = np.array(values)
+        a = sample_ker_eta_parts(m, p, rng, max(2, cfg.num_samples // cfg.num_points + 1))
+        ct._require_ker_eta(data, a)
+        k, measured = ct._sectional_rows(data, a, data.phi_rows(a), 1e-4)
+        values.append(k[measured])
+    values = np.concatenate(values)
     spread = float(values.max() - values.min()) if values.size else float("inf")
     mean = float(values.mean()) if values.size else float("nan")
     params["phi_sectional_mean"] = mean
@@ -364,18 +361,21 @@ def _suite_oracle(cfg: SuiteConfig, m: ChartedMetric, params: dict):
         g_h2 = orc.fd_christoffel(m.metric_fn, x, FD_STEP_FIRST / 2.0)
         yield "FD step halving stays within 4x tolerance", np.abs(g_h - g_h2).max() / 4.0, 1e-6
 
+        # The sampled identities below draw in the order of the per-sample loops they stack (the
+        # triples (a, b, c) as rows a_0, b_0, c_0, a_1, .. of one ``sample_sb_parts`` call, the pullback
+        # pairs likewise, then one lift pair of each kind of ``ct.KIND_PAIRS`` from one normal call), and
+        # each side of an identity is one stacked kernel over the rows, whose one-row case is the
+        # per-vector function named beside it.
         p = sample_sb_point(m, cfg.eps, rng)
         z0 = np.concatenate([p.x, p.u])
         gauss = orc.gauss_oracle(m, p)
-        for _ in range(max(2, cfg.num_samples // 8)):
-            a = sample_sb_vec(m, p, rng)
-            b = sample_sb_vec(m, p, rng)
-            cvec = sample_sb_vec(m, p, rng)
-            closed = sb.sb_curvature(m, p, a, b, cvec)
-            yield "sb_curvature = Gauss-equation oracle", np.abs((closed - gauss.curvature(a, b, cvec)).comps()).max(), 1e-5
-            ii_ab = gauss.second_fundamental_form(a, b)
-            ii_ba = gauss.second_fundamental_form(b, a)
-            yield "second fundamental form symmetric", abs(ii_ab - ii_ba), 1e-8
+        geo = sb.point_geometry(m, p)
+        abc = sample_sb_parts(m, p, rng, 3 * max(2, cfg.num_samples // 8))
+        a, b, cvec = abc[0::3], abc[1::3], abc[2::3]
+        closed = sb.contract(geo.rbar, a, b, cvec)  # sb_curvature against GaussOracle.curvature
+        yield "sb_curvature = Gauss-equation oracle", np.abs(closed - gauss.curvature_rows(a, b, cvec)).max(), 1e-5
+        ii_ab, ii_ba = gauss.second_fundamental_form_rows(a, b), gauss.second_fundamental_form_rows(b, a)
+        yield "second fundamental form symmetric", np.abs(ii_ab - ii_ba).max(), 1e-8
 
         xf = _poly_field(n, rng)
         yf = _poly_field(n, rng)
@@ -387,16 +387,11 @@ def _suite_oracle(cfg: SuiteConfig, m: ChartedMetric, params: dict):
 
         # induced metric against the solved-chart pullback
         chart = orc.hypersurface_pullback(m, p)
-        for _ in range(3):
-            v1 = sample_sb_vec(m, p, rng)
-            v2 = sample_sb_vec(m, p, rng)
-            w1 = chart.drop(orc._embed_induced(m, v1))
-            w2 = chart.drop(orc._embed_induced(m, v2))
-            yield (
-                "hypersurface pullback = induced metric",
-                abs(float(w1 @ chart.pullback_metric @ w2) - sb.induced_metric_at(m, p, v1, v2)),
-                1e-8,
-            )
+        v = sample_sb_parts(m, p, rng, 6)  # _embed_induced, induced_metric_at
+        v1, v2 = v[0::2], v[1::2]
+        w1, w2 = chart.drop(orc._embed_induced_rows(m, p, v1)), chart.drop(orc._embed_induced_rows(m, p, v2))
+        pulled = np.vecdot(np.vecmat(w1, chart.pullback_metric), w2)
+        yield "hypersurface pullback = induced metric", np.abs(pulled - geo.gbar_rows(v1, v2)).max(), 1e-8
 
         # exterior-derivative oracle: exact forms close, and the signed
         # factor-2 identity 2 d eta'(A, B) = eps gbar(A, phi' B)
@@ -417,11 +412,10 @@ def _suite_oracle(cfg: SuiteConfig, m: ChartedMetric, params: dict):
 
         # closed nabla phi against the FD covariant derivative of the phi field on TM
         nabla_phi_fd = gauss.nabla_endomorphism(ct.phi_matrix_fn(m, cfg.eps))
-        for ka, kb in [("h", "h"), ("h", "t"), ("t", "h"), ("t", "t")]:
-            a_sb = sb.lift(m, p, ka, rng.normal(size=n))
-            b_sb = sb.lift(m, p, kb, rng.normal(size=n))
-            diff = ct.nabla_phi(m, p, a_sb, b_sb) - nabla_phi_fd(a_sb, b_sb)
-            yield "nabla phi = FD ambient derivative", np.abs(diff.comps()).max(), 1e-5
+        xc, yc, xh, yh = ct.lift_draws(m, rng, 4, ct.KIND_PAIRS)  # nabla_phi against nabla_endomorphism's apply
+        a, b = ct.lift_parts(geo, xc, xh), ct.lift_parts(geo, yc, yh)
+        diff = sb.contract(geo.nabla_phi_parts, a, b) - nabla_phi_fd.rows(a, b)
+        yield "nabla phi = FD ambient derivative", np.abs(diff).max(), 1e-5
 
 
 def _suite_index(cfg: SuiteConfig, m: ChartedMetric, params: dict):

@@ -21,7 +21,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import PointMismatch
-from .manifold import BaseContext, ChartedMetric, _read_only, base_context
+from .manifold import ChartedMetric, _read_only, base_context
 
 VectorField = Union[Callable[[np.ndarray], np.ndarray], np.ndarray]
 
@@ -213,23 +213,40 @@ def _lift_connection(m: ChartedMetric, at: TMPoint) -> np.ndarray:
     return _read_only(lift_connection_array(base_context(m, at.x).curvature(m)[1], at.u))
 
 
-def _lift_slot(kind: str, n: int) -> slice:
-    """The parts a lift of kind ``kind`` fills: the horizontal half for 'h', else the other."""
-    return slice(None, n) if kind == "h" else slice(n, None)
-
-
-def _nabla_parts(m: ChartedMetric, conn: np.ndarray, base: BaseContext, xfield, yfield, kind_x: str, kind_y: str) -> np.ndarray:
-    """``conn`` contracted by slot with the lifts A and B, plus (nabla_X Y) in B's slot when A = X^h.
-
-    A lift has one nonzero half, so ``conn[:, _lift_slot(A), _lift_slot(B)]`` is contracted
-    with the base components themselves; the result is a new array.
-    """
-    n = base.x.size
-    xval, yval = field_at(xfield, base.x), field_at(yfield, base.x)
-    out = (conn[:, _lift_slot(kind_x, n), _lift_slot(kind_y, n)] @ yval) @ xval
-    if kind_x == "h":
-        out[_lift_slot(kind_y, n)] += base.nabla(m, xval, yfield, yval)
+def add_lifts(out: np.ndarray, w: np.ndarray, horizontal) -> np.ndarray:
+    """Add the base components w to the half of the parts ``out`` that a lift of w fills: the first
+    where ``horizontal`` is true, else the second.  w is a vector with a bool kind, or a stack of
+    rows (k, n) with kinds of shape (k,) and ``out`` of shape (k, 2n), C-contiguous; returns ``out``."""
+    n = w.shape[-1]
+    if w.ndim == 1:
+        out[slice(None, n) if horizontal else slice(n, None)] += w
+    else:
+        out.reshape(-1, 2, n)[np.arange(len(w)), np.where(horizontal, 0, 1)] += w
     return out
+
+
+def lift_rows(w: np.ndarray, horizontal) -> np.ndarray:
+    """The parts of lifts holding the base components w as they are, zero in the other half (``add_lifts``)."""
+    return add_lifts(np.zeros(w.shape[:-1] + (2 * w.shape[-1],)), w, horizontal)
+
+
+def contract_lifts(conn: np.ndarray, x: np.ndarray, y: np.ndarray, x_h, y_h) -> np.ndarray:
+    """``conn[o, a, b]``, an array on parts, contracted in slots a and b with the lifts A of x and B of y.
+
+    A lift has one nonzero half, its base components: the first half where
+    ``x_h`` (``y_h``) is true, the other elsewhere.  x and y are vectors with
+    bool kinds, or stacks of rows (k, n) with kinds of shape (k,); each row
+    takes the (n, n) block ``conn[:, half(A), half(B)]`` of its own kinds, so
+    one call covers all four kind pairs, and contracts it as
+    ``(block @ y) @ x``, one matrix-vector product per step (``np.matvec``
+    on a stack).  A row of a stack equals its one-row case bit for bit; the
+    result is a new array.
+    """
+    n = x.shape[-1]
+    if x.ndim == 1:  # one pair: its block is a view
+        return (conn[:, slice(None, n) if x_h else slice(n, None), slice(None, n) if y_h else slice(n, None)] @ y) @ x
+    blocks = conn.reshape(-1, 2, n, 2, n)[:, np.where(x_h, 0, 1), :, np.where(y_h, 0, 1), :]
+    return np.matvec(np.matvec(blocks, y[:, None, :]), x)
 
 
 def tm_nabla(
@@ -243,8 +260,8 @@ def tm_nabla(
     """Levi-Civita connection of the Sasaki pseudo-metric on lift fields.
 
     The ``lift_connection_array`` at (x, u), which the point keeps,
-    contracted with the lifts, plus the base connection term when X^h is
-    horizontal:
+    contracted with the lifts (``contract_lifts``), plus the base connection
+    term in B's half when X^h is horizontal (``add_lifts``):
 
     nabla_{X^v} Y^v = 0
     nabla_{X^v} Y^h = 1/2 h{R(u,X)Y}
@@ -252,8 +269,12 @@ def tm_nabla(
     nabla_{X^h} Y^h = (nabla_X Y)^h - 1/2 v{R(X,Y)u}
     """
     _check_kinds(kind_x, kind_y, allowed=("h", "v"))
-    conn = kept_geometry(m, at, _lift_connection)
-    return TMVec.of(at, _nabla_parts(m, conn, base_context(m, at.x), xfield, yfield, kind_x, kind_y))
+    base = base_context(m, at.x)
+    xval, yval = field_at(xfield, base.x), field_at(yfield, base.x)
+    out = contract_lifts(kept_geometry(m, at, _lift_connection), xval, yval, kind_x == "h", kind_y == "h")
+    if kind_x == "h":
+        add_lifts(out, base.nabla(m, xval, yfield, yval), kind_y == "h")
+    return TMVec.of(at, out)
 
 
 def lift_bracket(

@@ -439,7 +439,9 @@ class TestOneSectionalCurvature:
         off = horizontal_sb(p, p.u) + sample_ker_eta_vec(m, p, np.random.default_rng(0))
         with pytest.raises(DegeneratePlane, match="ker"):
             phi_sectional(m, p, off)
-        monkeypatch.setattr(suites, "sample_ker_eta_vec", lambda m, p, rng: horizontal_sb(p, p.u))
+        # the suite draws each point's samples as the rows of one stacked call: make them all u^h
+        off_rows = lambda m, p, rng, count: np.tile(horizontal_sb(p, p.u).comps(), (count, 1))  # noqa: E731
+        monkeypatch.setattr(suites, "sample_ker_eta_parts", off_rows)
         with pytest.raises(DegeneratePlane, match="ker"):
             run_suite(SuiteConfig("phi-sectional", n=3, c=2.0, num_points=1, num_samples=2))
 
@@ -491,8 +493,8 @@ class TestResidualsThatShowNothing:
         rng = np.random.default_rng(12)
         points = [sample_sb_point(m, 1, rng) for _ in range(2)]
         assert k_contact_residual(m, points, np.random.default_rng(5), samples_per_point=4).passed
-        zero = lambda m, p, rng: SBVec(p, np.zeros(m.dim), np.zeros(m.dim))  # noqa: E731
-        monkeypatch.setattr(contact, "sample_ker_eta_vec", zero)
+        zero = lambda m, p, rng, count: np.zeros((count, 2 * m.dim))  # noqa: E731  (every stacked sample row is 0)
+        monkeypatch.setattr(contact, "sample_ker_eta_parts", zero)
         rep = k_contact_residual(m, points, np.random.default_rng(5), samples_per_point=4)
         killing, plane = rep.checks
         assert killing.passed

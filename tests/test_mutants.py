@@ -96,14 +96,18 @@ def test_symmetric_tht_block_of_the_sb_array(monkeypatch):
 
 
 def test_flipped_th_curvature_coefficient_of_nabla_phi(monkeypatch):
-    # (nabla_{W^t} phi) Y^h = 1/2 t{R(W, u)Y} - 2 eta(Y^h) W^t, mutated to -1/2 t{R(W, u)Y}
-    real = contact.nabla_phi
+    # (nabla_{W^t} phi) Y^h = 1/2 t{R(W, u)Y} - 2 eta(Y^h) W^t, mutated to -1/2 t{R(W, u)Y}, in the tensor
+    # N that ``nabla_phi`` and the suites' stacked rows contract: its (t, t, h) block loses P R(W, u)Y
+    real = sphere.PointGeometry.nabla_phi_parts.func
 
-    def mutant(m, p, a, b):
-        r_wuy = np.einsum("iabc,a,b,c->i", sphere.point_geometry(m, p).base.curvature(m)[1], a.tpart, p.u, b.hpart)
-        return real(m, p, a, b) - sphere.tangential_lift(m, p, r_wuy)
+    def mutant(geo):
+        n = geo.u.size
+        out = np.array(real(geo))
+        r_wuy = np.einsum("iabc,b->iac", geo.base.curvature(geo.m)[1], geo.u)  # [i, a, c]: R(e_a, u)e_c
+        out[n:, n:, :n] -= (geo.proj @ r_wuy.reshape(n, -1)).reshape(n, n, n)
+        return out
 
-    monkeypatch.setattr(contact, "nabla_phi", mutant)
+    monkeypatch.setattr(sphere.PointGeometry, "nabla_phi_parts", property(mutant))
     assert "nabla phi = FD ambient derivative" in failing("oracle-crosscheck")
 
 

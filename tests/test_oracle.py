@@ -1377,3 +1377,29 @@ def test_base_jet_inverts_g_once(monkeypatch, rng):
     jet = oracle.BaseJet(m, x)
     assert jet.dgamma is not None and len(inversions) == 1
     assert np.array_equal(jet.gamma, oracle._koszul(m.metric_fn(x), m.deriv1_fn(x)))
+
+
+class TestFdChartTgJets:
+    """On a chart without analytic g' and g'', Gamma-tilde differences Tg on each z's stacked stencil rows."""
+
+    def test_a_cold_r_tilde_reads_its_jets_in_eight_steps_and_keeps_its_bits(self, monkeypatch):
+        spec = SpaceFormSpec(3, 1, 2.0)
+        p = sample_sb_point(space_form_chart(spec), 1, np.random.default_rng(5))
+        z0 = np.concatenate([p.x, p.u])
+
+        # the reference, on a chart of its own: Gamma-tilde from the per-row partials of the one-z Tg field
+        tg_fn = sasaki_metric_fn(replace(space_form_chart(spec), deriv1_fn=None, deriv2_fn=None))
+
+        def gamma_tilde(z):
+            return oracle._koszul(tg_fn(z), stencil.partials(tg_fn, z, FD_STEP_FIRST))
+
+        at_rows = stencil.rows(gamma_tilde, stencil.points(z0, stencil.FD_STEP_SECOND))
+        ref = oracle._riemann(gamma_tilde(z0), stencil.quotient(at_rows, stencil.FD_STEP_SECOND))
+
+        m = replace(space_form_chart(spec), deriv1_fn=None, deriv2_fn=None)
+        steps, real = [], oracle._jet_arrays
+        monkeypatch.setattr(oracle, "_jet_arrays", lambda m, xs: steps.append(len(xs)) or real(m, xs))
+        assert GaussOracle(m, p).r_tilde.tobytes() == ref.tobytes()
+        # z0 and the 2n rows of the second-derivative stencil each read their stencil's missing base
+        # points in one step; the rows that move only u share x's jets (56 one-row steps before)
+        assert len(steps) == 8

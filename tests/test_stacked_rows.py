@@ -12,15 +12,23 @@ once on a ``StencilJets``, and ``fd_riemann``'s one stacked Gamma call must
 give the per-row stencils' jets and curvature bit for bit.  Each is checked
 on a space form and on a chart that is not locally symmetric, at n = 2 and
 3 and both eps.
+
+The ``connection``, ``oracle-crosscheck``, ``curvature``, ``phi-sectional``
+and ``k-contact`` rows draw and contract the same way: their samplers
+(``sample_ker_eta_parts``, ``contact.lift_draws``) must draw what the
+per-call loops drew and leave the generator where they left it, each
+stacked kernel's row must equal its per-vector function, and one NaN sample
+row must make exactly the checks that read it NaN and failing.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sasakigeo import contact, oracle
-from sasakigeo.contact import contact_data_at, nabla_phi
+from sasakigeo import contact, oracle, suites
+from sasakigeo.contact import contact_data_at, h_at, nabla_phi, nabla_phi_defn, nabla_xi
 from sasakigeo.manifold import SpaceFormSpec, christoffel_at, space_form_chart
 from sasakigeo.oracle import (
     base_jet,
@@ -32,10 +40,10 @@ from sasakigeo.oracle import (
     sb_lift_field_fn,
     tangential_field_fn,
 )
-from sasakigeo.sampling import sample_sb_parts, sample_sb_point, sample_sb_vec
-from sasakigeo.sphere import SBVec, contract, lift, point_geometry
+from sasakigeo.sampling import sample_ker_eta_parts, sample_ker_eta_vec, sample_sb_parts, sample_sb_point, sample_sb_vec
+from sasakigeo.sphere import SBVec, contract, induced_metric_at, lift, point_geometry, sb_curvature, sb_nabla, sb_nabla_rows
 from sasakigeo.stencil import FD_STEP_GAMMA, FD_STEP_SECOND, partials
-from sasakigeo.suites import _poly_field
+from sasakigeo.suites import SuiteConfig, _poly_field, run_suite
 
 from conftest import bumpy_chart
 
@@ -223,3 +231,186 @@ def test_fd_riemann_evaluates_gamma_once_on_the_stack_and_equals_the_per_row_ste
         assert calls == [(2 * at.size + 1, at.size)]
         ref = oracle._riemann(gamma_fn(at), partials(gamma_fn, at, step))
         assert r.tobytes() == ref.tobytes()
+
+
+# ---------------------------------------------------------------- the restacked suite rows
+
+
+@pytest.mark.parametrize("chart,n,eps", CASES)
+@pytest.mark.parametrize("count", [1, 3, 7])
+def test_the_stacked_ker_eta_draw_is_the_per_vector_draws(chart, n, eps, count):
+    m, p, _ = _point(chart, n, eps)
+    rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+    rows = sample_ker_eta_parts(m, p, rng, count)
+    ref = np.array([sample_ker_eta_vec(m, p, ref_rng).comps() for _ in range(count)])
+    assert rows.shape == (count, 2 * n) and rows.tobytes() == ref.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert np.abs(contact_data_at(m, p).eta_rows(rows)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("chart,n,eps", CASES)
+def test_the_kind_pair_draws_are_the_per_pair_normals(chart, n, eps):
+    m, p, _ = _point(chart, n, eps)
+    rng, ref_rng = np.random.default_rng(10), np.random.default_rng(10)
+    x, y, x_h, y_h = contact.lift_draws(m, rng, 4, contact.KIND_PAIRS)
+    geo = point_geometry(m, p)
+    a, b = contact.lift_parts(geo, x, x_h), contact.lift_parts(geo, y, y_h)
+    for k, (kx, ky) in enumerate(contact.KIND_PAIRS):  # the per-pair loop the stacked draw replaces
+        xc, yc = ref_rng.normal(size=n), ref_rng.normal(size=n)
+        assert x[k].tobytes() == xc.tobytes() and y[k].tobytes() == yc.tobytes()
+        assert (x_h[k], y_h[k]) == (kx == "h", ky == "h")
+        assert np.array_equal(a[k], lift(m, p, kx, xc).comps()) and np.array_equal(b[k], lift(m, p, ky, yc).comps())
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _kind_rows(m, p, rng, fields=None):
+    """Four pairs of base vectors, one of each kind pair, their kinds, and nabla_X Y where X^h (zero elsewhere)."""
+    n = m.dim
+    if fields is None:
+        x, y, x_h, y_h = contact.lift_draws(m, rng, 4, contact.KIND_PAIRS)
+        yfield = y
+    else:
+        xf, yfield = fields
+        x, y = np.tile(xf(p.x), (4, 1)), np.tile(yfield(p.x), (4, 1))
+        x_h, y_h = (np.array(contact.KIND_PAIRS) == "h").T
+    base = point_geometry(m, p).base
+    nab = np.where(x_h[:, None], base.nabla(m, x, yfield, y), 0.0)
+    assert nab.shape == (4, n)
+    return x, y, x_h, y_h, nab
+
+
+@pytest.mark.parametrize("chart,n,eps", CASES)
+@pytest.mark.parametrize("callable_fields", [False, True], ids=["constant", "callable"])
+def test_the_stacked_connection_rows_are_the_per_vector_values(chart, n, eps, callable_fields):
+    m, p, rng = _point(chart, n, eps)
+    geo = point_geometry(m, p)
+    fields = (_poly_field(n, rng), _poly_field(n, rng)) if callable_fields else None
+    x, y, x_h, y_h, nab = _kind_rows(m, p, rng, fields)
+    stacked = sb_nabla_rows(geo, x, y, x_h, y_h, nab)
+    defn = contact.nabla_phi_defn_rows(geo, x, y, x_h, y_h, nab)
+    for k, (kx, ky) in enumerate(contact.KIND_PAIRS):
+        xk, yk = (x[k], y[k]) if fields is None else fields
+        assert stacked[k].tobytes() == sb_nabla(m, xk, yk, kx, ky, p).comps().tobytes(), (kx, ky)
+        assert defn[k].tobytes() == nabla_phi_defn(m, xk, yk, kx, ky, p).comps().tobytes(), (kx, ky)
+    if fields is None:  # the oracle side: constant lifts only, also on a chart without analytic g' and g''
+        for chart_m in (m, replace(m, deriv1_fn=None, deriv2_fn=None)):
+            via = oracle.sb_nabla_via_ambient_rows(chart_m, p, x, y, x_h, y_h)
+            for k, (kx, ky) in enumerate(contact.KIND_PAIRS):
+                single = oracle.sb_nabla_via_ambient(chart_m, x[k], y[k], kx, ky, p).comps()
+                assert via[k].tobytes() == single.tobytes()
+
+
+def _nabla_phi_defn_per_vector(m, xval, yval, kind_a, kind_b, p):
+    """(nabla_a phi) b of constant lift fields as the per-vector formula wrote it before ``nabla_phi_defn_rows``."""
+    geo = point_geometry(m, p)
+    g, u, eps = geo.base.g, p.u, p.eps
+    if kind_b == "h":
+        term1 = sb_nabla(m, xval, yval, kind_a, "t", p)
+    else:
+        term1 = (-1.0) * sb_nabla(m, xval, yval, kind_a, "h", p)
+        if kind_a == "h":
+            a_of_s = eps * float(geo.base.nabla(m, xval, yval, yval) @ g @ u)
+        else:
+            a_of_s = eps * float(yval @ g @ geo.tangential_part(xval))
+        s0 = eps * float(yval @ g @ u)
+        xi_prime = SBVec(p, u, np.zeros(u.size))
+        term1 = term1 + a_of_s * xi_prime + (0.5 * s0) * nabla_xi(m, p, lift(m, p, kind_a, xval))
+    return term1 - SBVec.of(p, geo.phi_parts @ sb_nabla(m, xval, yval, kind_a, kind_b, p).comps())
+
+
+@pytest.mark.parametrize("chart,n,eps", CASES)
+def test_the_nabla_phi_definition_keeps_the_per_vector_formula(chart, n, eps):
+    m, p, rng = _point(chart, n, eps)
+    for _ in range(3):
+        x, y, *_ = contact.lift_draws(m, rng, 4, contact.KIND_PAIRS)
+        for k, (ka, kb) in enumerate(contact.KIND_PAIRS):
+            got = nabla_phi_defn(m, x[k], y[k], ka, kb, p).comps()
+            _assert_close(got, _nabla_phi_defn_per_vector(m, x[k], y[k], ka, kb, p).comps())
+
+
+@pytest.mark.parametrize("chart,n,eps", CASES)
+def test_the_stacked_contact_and_gauss_rows_are_the_per_vector_values(chart, n, eps):
+    m, p, rng = _point(chart, n, eps)
+    geo, data, hop, gauss = point_geometry(m, p), contact_data_at(m, p), h_at(m, p), oracle.gauss_oracle(m, p)
+    a, b, c = (sample_sb_parts(m, p, rng, 6) for _ in range(3))
+    va, vb, vc = ([_vec(p, row) for row in rows] for rows in (a, b, c))
+    phi_fd = gauss.nabla_endomorphism(contact.phi_matrix_fn(m, eps))
+    stacked = {
+        "nabla_xi": contact.nabla_xi_rows(geo, a),
+        "h": hop.apply_rows(a),
+        "gbar": geo.gbar_rows(a, b),
+        "embed": oracle._embed_induced_rows(m, p, a),
+        "R-bar": contract(geo.rbar, a, b, c),
+        "Gauss R-bar": gauss.curvature_rows(a, b, c),
+        "II": gauss.second_fundamental_form_rows(a, b),
+        "nabla phi FD": phi_fd.rows(a, b),
+    }
+    for k in range(6):
+        single = {
+            "nabla_xi": nabla_xi(m, p, va[k]).comps(),
+            "h": hop.apply(va[k]).comps(),
+            "gbar": induced_metric_at(m, p, va[k], vb[k]),
+            "embed": oracle._embed_induced(m, va[k]),
+            "R-bar": sb_curvature(m, p, va[k], vb[k], vc[k]).comps(),
+            "Gauss R-bar": gauss.curvature(va[k], vb[k], vc[k]).comps(),
+            "II": gauss.second_fundamental_form(va[k], vb[k]),
+            "nabla phi FD": phi_fd(va[k], vb[k]).comps(),
+        }
+        for name, value in single.items():
+            assert np.asarray(stacked[name][k]).tobytes() == np.asarray(value, dtype=float).tobytes(), (name, k)
+
+
+@pytest.mark.parametrize("chart,n,eps", CASES)
+def test_the_stacked_sectional_rows_are_the_per_plane_values(chart, n, eps):
+    m, p, rng = _point(chart, n, eps)
+    data = contact_data_at(m, p)
+    a = sample_ker_eta_parts(m, p, rng, 12)
+    a[3] *= 1e-3  # a plane below the 1e-4 floor: not measured
+    xi = np.broadcast_to(data.xi.comps(), a.shape)
+    for x, y in ((xi, a), (a, data.phi_rows(a))):
+        k, measured = contact._sectional_rows(data, x, y, 1e-4)
+        assert not measured.all() and measured.sum() >= 6
+        for row in range(len(a)):
+            single = contact._sectional(m, data, _vec(p, x[row]), _vec(p, y[row]), 1e-4)
+            assert (single is None) == (not measured[row])
+            if single is not None:
+                assert k[row] == single
+
+
+# a NaN in one row of one stacked draw: (suite, patched module and sampler, its call, the row, the checks it reaches)
+NAN_ROWS = [
+    ("connection", suites.ct, "lift_draws", 1, 1, {"sb_nabla = projected ambient derivative"}),
+    ("connection", suites, "sample_sb_parts", 1, 2, {"nabla xi = -eps phi - phi h"}),
+    ("connection", suites.ct, "lift_draws", 2, 3, {"nabla phi closed form = definition"}),
+    ("curvature", suites, "sample_sb_parts", 1, 3, {"R-bar antisymmetry (a,b)", "R-bar antisymmetry (c,d)", "R-bar pair symmetry"}),
+    ("curvature", suites, "sample_sb_parts", 2, 0, {"R-bar antisymmetry (a,b)", "R-bar antisymmetry (c,d)", "R-bar pair symmetry", "R-bar first Bianchi identity"}),
+    ("phi-sectional", suites, "sample_ker_eta_parts", 2, 1, {"phi-sectional curvature constant (spread)", "phi-sectional value = eps c^2"}),
+    ("oracle-crosscheck", suites, "sample_sb_parts", 1, 2, {"sb_curvature = Gauss-equation oracle"}),
+    ("oracle-crosscheck", suites, "sample_sb_parts", 3, 0, {"sb_curvature = Gauss-equation oracle", "second fundamental form symmetric"}),
+    ("oracle-crosscheck", suites, "sample_sb_parts", 2, 5, {"hypersurface pullback = induced metric"}),
+    ("oracle-crosscheck", suites.ct, "lift_draws", 1, 0, {"nabla phi = FD ambient derivative"}),
+    ("k-contact", contact, "sample_ker_eta_parts", 2, 1, {"K(xi-plane) = eps"}),
+]
+
+
+@pytest.mark.parametrize("suite,module,sampler,call,row,reached", NAN_ROWS)
+@pytest.mark.parametrize("timelike", [False, True], ids=["eps+1", "eps-1"])
+def test_one_nan_sample_row_fails_exactly_the_checks_that_read_it(monkeypatch, suite, module, sampler, call, row, reached, timelike):
+    cfg = SuiteConfig(suite=suite, num_points=2, num_samples=8, **(dict(n=3, nu=1, c=2.0, eps=-1) if timelike else {}))
+    clean = {c.name for c in run_suite(cfg).checks if not c.passed}
+    real, calls = getattr(module, sampler), []
+
+    def one_nan_row(*args):
+        out = real(*args)
+        calls.append(None)
+        if len(calls) == call:
+            rows = out[0] if isinstance(out, tuple) else out
+            rows[row, 0] = math.nan
+        return out
+
+    monkeypatch.setattr(module, sampler, one_nan_row)
+    rep = run_suite(cfg)
+    assert len(calls) >= call
+    nan = {c.name for c in rep.checks if math.isnan(c.max_residual)}
+    assert nan == reached
+    assert {c.name for c in rep.checks if not c.passed} == clean | reached

@@ -199,9 +199,20 @@ class TestNonFiniteResiduals:
         assert [c.tol for c in fold(rows, tol=0.5)] == [0.5, 0.5]
 
     def test_one_nan_curvature_fails_the_curvature_suite(self, monkeypatch):
+        # R-bar of the lowered samples is one stacked contraction: one NaN entry in one sample row, b of the
+        # first point, reaches the curvature values of every triple that reads b
         cfg = SuiteConfig(suite="curvature", **FAST)
         assert run_suite(cfg).passed
-        monkeypatch.setattr(sphere, "sb_curvature", nan_on_call(sphere.sb_curvature, 2))
+        real, calls = suites.sample_sb_parts, []
+
+        def one_nan_row(m, p, rng, count):
+            rows = real(m, p, rng, count)
+            calls.append(count)
+            if len(calls) == 1:
+                rows[1, 0] = math.nan
+            return rows
+
+        monkeypatch.setattr(suites, "sample_sb_parts", one_nan_row)
         rep = run_suite(cfg)
         assert not rep.passed
         assert any(math.isnan(c.max_residual) for c in rep.checks)
