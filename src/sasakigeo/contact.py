@@ -39,8 +39,8 @@ from .oracle import (
     sb_lift_field_fn,
 )
 from .report import CheckReport, fold
-from .sampling import sample_ker_eta_parts, sample_sb_parts, sample_sb_vec
-from .sphere import (  # noqa: F401  (sb_curvature: the benchmark's trace counts it under this name too)
+from .sampling import sample_ker_eta_parts, sample_sb_parts
+from .sphere import (
     PointGeometry,
     SBPoint,
     SBVec,
@@ -48,7 +48,7 @@ from .sphere import (  # noqa: F401  (sb_curvature: the benchmark's trace counts
     horizontal_sb,
     point_geometry,
     require_same_sb_point,
-    sb_curvature,
+    sb_curvature,  # noqa: F401  (unused here: the benchmark's trace counts it under this name too)
     sb_nabla_rows,
 )
 from .tangent import VectorField, field_at, lift_rows
@@ -187,25 +187,6 @@ def nijenhuis_tensor(m: ChartedMetric, p: SBPoint) -> np.ndarray:
     matrix field, evaluated once on the stacked rows of p's one stencil (``GaussOracle.stencil``) and
     differenced there, bit for bit ``fd_nijenhuis(phi_matrix_fn(m, eps), z0)``."""
     return nijenhuis(*gauss_oracle(m, p).stencil.derivative(phi_matrix_fn(m, p.eps)))
-
-
-def d_eta_fd(
-    m: ChartedMetric,
-    p: SBPoint,
-    xfield: VectorField,
-    kind_x: str,
-    yfield: VectorField,
-    kind_y: str,
-) -> float:
-    """d(eta)(A, B) of lift fields: (1/2) A^T D B with D = ``d_eta_tensor(m, p)``.
-
-    d eta is a 2-form, so only the lift values at p enter.  To check several
-    pairs at one point, build D once and contract it with each pair.
-    """
-    z0 = np.concatenate([p.x, p.u])
-    a0 = sb_lift_field_fn(m, xfield, kind_x, p.eps)(z0)
-    b0 = sb_lift_field_fn(m, yfield, kind_y, p.eps)(z0)
-    return 0.5 * float(a0 @ d_eta_tensor(m, p) @ b0)
 
 
 def _require_samples(count: int, what: str) -> None:
@@ -416,17 +397,21 @@ def kappa_mu_residual(
     (kappa, mu), in the Euclidean norm of the (h, t) components (the pseudo-metric norm
     could vanish on a nonzero null residual), the residual at (kappa + 0.1, mu), which
     must reach 1e-2, and the least-squares (kappa, mu) fit, echoed for diagnostics.
+
+    Draw order: a_k, then b_k where k mod 3 != 0 (b_k = xi where k mod 3 = 0), as the
+    rows of one ``sample_sb_parts`` call, the draws of a per-sample loop of
+    ``sample_sb_vec`` calls; each side is one stacked contraction over the samples.
     """
     _require_samples(num_samples, "num_samples")
     data = contact_data_at(m, p)
-    rb_xi = data.geo.rbar @ data.xi.comps()  # R-bar(., .)xi
-    lhs, v1 = [], []
-    for k in range(num_samples):
-        a = sample_sb_vec(m, p, rng)
-        b = data.xi if k % 3 == 0 else sample_sb_vec(m, p, rng)
-        lhs.append((rb_xi @ b.comps()) @ a.comps())
-        v1.append((p.eps * (data.eta(b) * a + (-data.eta(a)) * b)).comps())
-    lhs, v1 = np.array(lhs), np.array(v1)
+    drawn = np.ones((num_samples, 2), dtype=bool)
+    drawn[0::3, 1] = False  # b_k = xi
+    ab = np.empty((num_samples, 2, 2 * m.dim))
+    ab[:, 1] = data.xi.comps()
+    ab[drawn] = sample_sb_parts(m, p, rng, np.count_nonzero(drawn))  # in C order: a_0, a_1, b_1, a_2, b_2, a_3, ..
+    a, b = ab[:, 0], ab[:, 1]
+    lhs = contract(data.geo.rbar @ data.xi.comps(), a, b)  # R-bar(a, b)xi
+    v1 = p.eps * (data.eta_rows(b)[:, None] * a + (-data.eta_rows(a))[:, None] * b)
     design = np.stack([v1, v1 @ data.geo.h_parts.T], axis=-1)  # [sample, component, (kappa, mu)]
 
     def residuals(kappa: float, mu: float) -> np.ndarray:
@@ -489,20 +474,12 @@ def killing_residual(m: ChartedMetric, p: SBPoint) -> float:
     return float(np.abs(0.25 * (j.T @ lie @ j)).max())
 
 
-def _sectional(m: ChartedMetric, data: ContactData, x: SBVec, y: SBVec, floor: float) -> float | None:
-    """K(x, y) for g_cm, or None when the plane is degenerate to within |den| <= floor: the one-row case
-    of ``_sectional_rows``."""
-    require_same_sb_point(data.at, x, y)
-    k, measured = _sectional_rows(data, x.comps(), y.comps(), floor)
-    return float(k) if measured else None
-
-
 def _sectional_rows(data: ContactData, x: np.ndarray, y: np.ndarray, floor: float) -> tuple:
     """(K, measured) for the planes spanned by the (h, t) parts x and y, vectors or stacks of rows.
 
     K = g_cm(R-bar(x, y)y, x) / den for g_cm, den = g_cm(x, x) g_cm(y, y) - g_cm(x, y)^2, with R-bar
     contracted from ``PointGeometry.rbar`` (``contract``, as ``sb_curvature`` does) and g_cm from
-    ``ContactData.gcm_rows``, so a row equals the one-row case bit for bit.  ``measured`` is false
+    ``ContactData.gcm_rows``, so a row equals the one-vector case bit for bit.  ``measured`` is false
     where the plane is degenerate to within |den| <= floor, and K is not a curvature there; a NaN
     sample is measured and gives a NaN K.
     """
@@ -510,15 +487,6 @@ def _sectional_rows(data: ContactData, x: np.ndarray, y: np.ndarray, floor: floa
     measured = ~(abs(den) <= floor)
     # 1 is added to den where the plane is not measured, so no row divides by zero; den + 0 is den
     return data.gcm_rows(contract(data.geo.rbar, x, y, y), x) / (den + ~measured), measured
-
-
-def xi_plane_curvature(m: ChartedMetric, p: SBPoint, a: SBVec) -> float:
-    """Sectional curvature (for g_cm) of the plane spanned by xi and a."""
-    data = contact_data_at(m, p)
-    k = _sectional(m, data, data.xi, a, 1e-8)
-    if k is None:
-        raise DegeneratePlane("plane span(xi, a) is degenerate")
-    return k
 
 
 def k_contact_residual(
@@ -563,11 +531,12 @@ def phi_sectional(m: ChartedMetric, p: SBPoint, a: SBVec) -> float:
     """Sectional curvature (for g_cm) of span(a, phi a) for a in ker eta."""
     data = contact_data_at(m, p)
     require_same_sb_point(p, a)
-    _require_ker_eta(data, a.comps())
-    k = _sectional(m, data, a, data.phi(a), 1e-8)
-    if k is None:
+    parts = a.comps()
+    _require_ker_eta(data, parts)
+    k, measured = _sectional_rows(data, parts, data.phi_rows(parts), 1e-8)
+    if not measured:
         raise DegeneratePlane("plane span(a, phi a) is degenerate")
-    return k
+    return float(k)
 
 
 def _require_ker_eta(data: ContactData, parts: np.ndarray) -> None:

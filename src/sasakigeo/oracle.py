@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateMetric, NoSolvableCoordinate
-from .manifold import JET_MEMO_SIZE, ChartedMetric, _memo_get, _memo_put, _memo_size
+from .manifold import ChartedMetric, _memo_get, _memo_put
 from .sphere import SBPoint, SBVec, contract, require_same_sb_point
 from .stencil import FD_STEP_FIRST, FD_STEP_GAMMA, FD_STEP_SECOND, jacobian, partials, points, quotient, rows
 from .tangent import VectorField, _check_kinds, as_field, contract_lifts, field_at, kept_geometry
@@ -108,15 +108,16 @@ class BaseJet:
     """The oracle's raw data of the base chart at one x; every array is read-only.
 
     g and g' (``dg[c]`` = d_c g; analytic when supplied, else central
-    differences), g^-1 (``ginv``) and Gamma, their Koszul step, are row
-    views of one ``_jet_arrays`` step: ``_read_jets`` builds every jet, and
-    ``BaseJet(m, x)`` is its one-row case.  ``dgamma`` is built on first
+    differences), g^-1 (``ginv``) and Gamma, their Koszul step, are the
+    read-only row k views of one ``_jet_arrays`` step, ``arrays``, which
+    ``BaseJet(m, arrays, k)`` takes.  ``dgamma`` is built on first
     use, from that g^-1 and the g'' the chart held when the jet was built:
     only the stencils of Gamma-tilde and of the exact lift Jacobians need it.
     """
 
-    def __new__(cls, m: ChartedMetric, x: np.ndarray) -> "BaseJet":
-        return _read_jets(m, np.asarray(x, dtype=float)[None])[0]
+    def __init__(self, m: ChartedMetric, arrays: tuple, k: int):
+        self.x, self.g, self.dg, self.ginv, self.gamma = (a[k] for a in arrays)
+        self._deriv2_fn = m.deriv2_fn if m.deriv1_fn is not None else None
 
     @cached_property
     def dgamma(self) -> Optional[np.ndarray]:
@@ -148,18 +149,10 @@ def _jet_arrays(m: ChartedMetric, xs) -> tuple:
     return arrays
 
 
-def _row_jet(m: ChartedMetric, arrays: tuple, k: int) -> BaseJet:
-    """The jet of m whose arrays are the read-only row k views of one ``_jet_arrays`` step."""
-    jet = object.__new__(BaseJet)
-    jet.x, jet.g, jet.dg, jet.ginv, jet.gamma = (a[k] for a in arrays)
-    jet._deriv2_fn = m.deriv2_fn if m.deriv1_fn is not None else None
-    return jet
-
-
 def _read_jets(m: ChartedMetric, xs) -> list:
     """The jets at the rows of xs, all from one ``_jet_arrays`` step."""
     arrays = _jet_arrays(m, xs)
-    return [_row_jet(m, arrays, k) for k in range(len(arrays[0]))]
+    return [BaseJet(m, arrays, k) for k in range(len(arrays[0]))]
 
 
 def base_jet(m: ChartedMetric, x: np.ndarray) -> BaseJet:
@@ -168,13 +161,13 @@ def base_jet(m: ChartedMetric, x: np.ndarray) -> BaseJet:
     The memo dies with the chart.  An entry is keyed by the exact bytes of x
     and remembers the metric callables it was read from, so it is used only
     while the chart still holds those same callables.  A miss reads the one
-    row x (``BaseJet(m, x)``); ``read_jets`` fills the memo for several
+    row x (``_read_jets``); ``read_jets`` fills the memo for several
     base points in one step beforehand.
     """
     x = np.asarray(x, dtype=float)
     key = x.tobytes()
     jet = _memo_get(m._oracle_jets, m, key)
-    return _memo_put(m._oracle_jets, m, key, BaseJet(m, x)) if jet is None else jet
+    return _memo_put(m._oracle_jets, m, key, _read_jets(m, x[None])[0]) if jet is None else jet
 
 
 def read_jets(m: ChartedMetric, xs) -> list:
@@ -552,21 +545,9 @@ def _embed_induced(m: ChartedMetric, v: SBVec) -> np.ndarray:
 
 
 def _embed_induced_rows(m: ChartedMetric, p: SBPoint, parts: np.ndarray) -> np.ndarray:
-    """(X; W - Gamma(X, u)) for the (h, t) parts (X, W) at p, one vector or a stack of rows, Gamma the
-    oracle's ``base_gamma`` at x: one einsum over the rows, so a row equals the one-row case bit for bit."""
-    n = m.dim
-    h = parts[..., :n]
-    du = parts[..., n:] - np.einsum("iab,...a,b->...i", base_gamma(m, p.x), h, p.u)
-    return np.concatenate([h, du], axis=-1)
-
-
-def _from_induced(m: ChartedMetric, p: SBPoint, w: np.ndarray) -> SBVec:
-    """The SBVec of induced components, its vertical part made u-orthogonal from raw g."""
-    n = m.dim
-    hpart = w[:n]
-    jet = base_jet(m, p.x)
-    vpart = w[n:] + np.einsum("iab,a,b->i", jet.gamma, hpart, p.u)
-    return SBVec(p, hpart, vpart - p.eps * float(vpart @ jet.g @ p.u) * p.u)
+    """(X; W - Gamma(X, u)) for the (h, t) parts (X, W) at p, one vector or a stack of rows: one
+    ``np.matvec`` per row with E of ``gauss_oracle(m, p)._parts_maps``, so a row equals the one-row case bit for bit."""
+    return np.matvec(gauss_oracle(m, p)._parts_maps[2], parts)
 
 
 class GaussOracle:
@@ -581,7 +562,7 @@ class GaussOracle:
     ``_sasaki_at``.  The context also holds p's one ``stencil``, which every
     FD tensor at p that needs only base jets is differenced on: the contact
     layer's d eta, N_phi and L_xi Tg, and nabla-tilde Phi here.
-    ``curvature``, ``second_fundamental_form``, ``nabla_endomorphism`` and
+    ``curvature``, ``second_fundamental_form_rows``, ``nabla_endomorphism`` and
     ``sb_nabla_via_ambient`` only contract them with the sampled vectors.
     ``gauss_oracle`` keeps one context per (chart, point) on the point, and
     ``gauss_curvature_oracle``, ``sb_nabla_via_ambient`` and the contact
@@ -641,7 +622,7 @@ class GaussOracle:
         dgamma.flags.writeable = False
         key = self.x.tobytes()
         if _memo_get(m._oracle_jets, m, key) is None:
-            jet = _row_jet(m, arrays, 0)
+            jet = BaseJet(m, arrays, 0)
             jet.dgamma = dgamma[0]
             _memo_put(m._oracle_jets, m, key, jet)
         stacks = []
@@ -669,9 +650,10 @@ class GaussOracle:
 
     @cached_property
     def _parts_maps(self) -> tuple:
-        """(C, P, E, F) at p: C^i_a = Gamma^i_ab u^b, P = I - eps u (g u)^T, E = [[I, 0], [-C, I]],
-        which maps (h, t) parts to induced components as ``_embed_induced`` does, and
-        F = [[I, 0], [P C, P]], which maps induced components to (h, t) parts as ``_from_induced`` does."""
+        """(C, P, E, F) at p from the oracle's base jet at x: C^i_a = Gamma^i_ab u^b, P = I - eps u (g u)^T,
+        E = [[I, 0], [-C, I]], which maps (h, t) parts to induced components (``_embed_induced``), and
+        F = [[I, 0], [P C, P]], which maps induced components to (h, t) parts, its t part made
+        u-orthogonal, and so drops an N part."""
         n = self.m.dim
         jet = base_jet(self.m, self.x)
         c = np.einsum("iab,b->ia", jet.gamma, self.u)
@@ -728,16 +710,11 @@ class GaussOracle:
         require_same_sb_point(p, *vecs)
         return p
 
-    def second_fundamental_form(self, a: SBVec, b: SBVec) -> float:
-        """II(A, B) = -eps Tg(B, nabla-tilde_A N), the Weingarten relation: the one-row case of
-        ``second_fundamental_form_rows``."""
-        self._point(a, b)
-        return float(self.second_fundamental_form_rows(a.comps(), b.comps()))
-
     def second_fundamental_form_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """II(A, B) for (h, t) parts a and b, vectors or stacks of rows: ``ii`` contracted with the induced
-        components E a and E b (E of ``_parts_maps``) as (E b) ``ii`` (E a), one ``np.matvec``, ``np.vecmat``
-        or ``np.vecdot`` per step, so a row equals the one-row case bit for bit."""
+        """II(A, B) = -eps Tg(B, nabla-tilde_A N), the Weingarten relation, for (h, t) parts a and b,
+        vectors or stacks of rows: ``ii`` contracted with the induced components E a and E b (E of
+        ``_parts_maps``) as (E b) ``ii`` (E a), one ``np.matvec``, ``np.vecmat`` or ``np.vecdot`` per
+        step, so a row equals the one-vector case bit for bit."""
         e = self._parts_maps[2]
         return np.vecdot(np.vecmat(np.matvec(e, b), self.ii), np.matvec(e, a))
 
@@ -756,9 +733,9 @@ class GaussOracle:
         ``sb_curvature`` contracts its own, so a row equals the one-row case bit for bit."""
         return contract(self.rbar, a, b, c)
 
-    def nabla_endomorphism(self, phi_fn) -> Callable[[SBVec, SBVec], SBVec]:
-        """(a, b) -> (nabla-bar_a phi) b for an endomorphism field of induced components on TM; the
-        returned ``apply`` also has ``apply.rows(a, b)`` on (h, t) parts, vectors or stacks of rows.
+    def nabla_endomorphism(self, phi_fn) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """(a, b) -> the parts of (nabla-bar_a phi) b for an endomorphism field of induced components on TM,
+        a and b (h, t) parts, vectors or stacks of rows.
 
         (nabla-tilde Phi)^I_LK = d_L Phi^I_K + Gamma-tilde^I_LM Phi^M_K - Phi^I_M Gamma-tilde^M_LK
         (``_nabla_tilde_endomorphism``) from one evaluation of ``phi_fn`` on
@@ -766,11 +743,10 @@ class GaussOracle:
         ``phi_fn(jets.z, jets)``, as the contact layer's phi matrix field
         does.  When Phi N = 0 and Phi maps into T(T_eps M) at p,
         (nabla-bar_A phi)B = tan((nabla-tilde_A Phi)B); F drops the N part
-        that tan removes.  ``apply.rows`` contracts nabla-tilde Phi with the
-        induced components E a and E b and maps the result to parts by F
+        that tan removes.  The returned function contracts nabla-tilde Phi with
+        the induced components E a and E b and maps the result to parts by F
         (E and F of ``_parts_maps``): F ((nabla-tilde Phi E b) E a), one
-        ``np.matvec`` per step, so a row equals the one-row case ``apply``
-        bit for bit.
+        ``np.matvec`` per step, so a row equals the one-vector case bit for bit.
         """
         phi, dphi = self.stencil.derivative(phi_fn)
         nabla = _nabla_tilde_endomorphism(phi, dphi, self.gamma0)
@@ -779,12 +755,7 @@ class GaussOracle:
         def rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             return np.matvec(f, np.matvec(np.matvec(nabla, np.matvec(e, b)[..., None, :]), np.matvec(e, a)))
 
-        def apply(a: SBVec, b: SBVec) -> SBVec:
-            p = self._point(a, b)
-            return SBVec.of(p, rows(a.comps(), b.comps()))
-
-        apply.rows = rows
-        return apply
+        return rows
 
 
 def _nabla_tilde_endomorphism(phi: np.ndarray, dphi: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -820,8 +791,8 @@ def sb_nabla_via_ambient(
     ``sb_nabla_via_ambient_rows``.  Otherwise the ambient derivative is taken
     in induced coordinates, the Jacobian of B's components central-differenced
     from one evaluation of B's lift field on the context's ``stencil``, against
-    the context's Christoffels of Tg at p, and ``_from_induced`` drops its
-    N part.
+    the context's Christoffels of Tg at p, and F of ``_parts_maps`` maps it to
+    parts, dropping its N part.
     """
     _check_kinds(kind_x, kind_y, allowed=("h", "t"))
     ctx = gauss_oracle(m, p)
@@ -830,8 +801,7 @@ def sb_nabla_via_ambient(
         return SBVec.of(p, contract_lifts(nabla, field_at(xfield, p.x), np.asarray(yfield, dtype=float), kind_x == "h", kind_y == "h"))
     aval = sb_lift_field_fn(m, xfield, kind_x, p.eps)(ctx.z0)
     b_jet = ctx.stencil.field_jet(sb_lift_field_fn(m, yfield, kind_y, p.eps))
-    nab = ambient_nabla(aval, b_jet, ctx.gamma0)
-    return _from_induced(m, p, nab)
+    return SBVec.of(p, np.matvec(ctx._parts_maps[3], ambient_nabla(aval, b_jet, ctx.gamma0)))
 
 
 def sb_nabla_via_ambient_rows(m: ChartedMetric, p: SBPoint, x: np.ndarray, y: np.ndarray, x_h, y_h) -> np.ndarray:

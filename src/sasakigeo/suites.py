@@ -47,7 +47,6 @@ from .sampling import (
     sample_ker_eta_parts,
     sample_sb_parts,
     sample_sb_point,
-    sample_sb_vec,
     sample_tangent_plane,
 )
 from .stencil import FD_STEP_FIRST, central_difference
@@ -224,7 +223,7 @@ def _suite_connection(cfg: SuiteConfig, m: ChartedMetric, params: dict):
         a = sample_sb_parts(m, p, rng, 4)  # nabla_xi against phi and h
         rhs = (-cfg.eps) * hop.phi_rows(a) + (-1.0) * hop.phi_rows(hop.apply_rows(a))
         yield "nabla xi = -eps phi - phi h", np.abs(ct.nabla_xi_rows(geo, a) - rhs).max(), 1e-9
-        yield "geodesic flow: nabla_xi xi = 0", np.abs(ct.nabla_xi(m, p, hop.xi).comps()).max(), 1e-10
+        yield "geodesic flow: nabla_xi xi = 0", np.abs(ct.nabla_xi_rows(geo, hop.xi.comps())).max(), 1e-10
         xc, yc, xh, yh = ct.lift_draws(m, rng, 4, ct.KIND_PAIRS)  # nabla_phi against nabla_phi_defn
         closed = sb.contract(geo.nabla_phi_parts, ct.lift_parts(geo, xc, xh), ct.lift_parts(geo, yc, yh))
         defn = ct.nabla_phi_defn_rows(geo, xc, yc, xh, yh, np.where(xh[:, None], geo.base.nabla(m, xc, yc, yc), 0.0))
@@ -301,10 +300,9 @@ def _suite_kappa_mu(cfg: SuiteConfig, m: ChartedMetric, params: dict):
         ev = hop.eigenvalues()
         expected = np.sort(np.array([expect_t] * (cfg.n - 1) + [expect_h] * (cfg.n - 1) + [0.0]))
         yield "h eigenvalues = {2 - eps(1+c), eps(c-1), 0}", np.abs(ev - expected).max(), 1e-9
-        yield "h(xi) = 0", np.abs(hop.apply(hop.xi).comps()).max(), 1e-12
-        a = sample_sb_vec(m, p, rng)
-        b = sample_sb_vec(m, p, rng)
-        yield "h self-adjoint for g_cm", abs(hop.gcm(hop.apply(a), b) - hop.gcm(a, hop.apply(b))), 1e-8
+        yield "h(xi) = 0", np.abs(hop.apply_rows(hop.xi.comps())).max(), 1e-12
+        a, b = sample_sb_parts(m, p, rng, 2)
+        yield "h self-adjoint for g_cm", abs(hop.gcm_rows(hop.apply_rows(a), b) - hop.gcm_rows(a, hop.apply_rows(b))), 1e-8
     params["kappa_fit"] = float(np.mean([f[0] for f in fits]))
     params["mu_fit"] = float(np.mean([f[1] for f in fits]))
 
@@ -363,9 +361,9 @@ def _suite_oracle(cfg: SuiteConfig, m: ChartedMetric, params: dict):
 
         # The sampled identities below draw in the order of the per-sample loops they stack (the
         # triples (a, b, c) as rows a_0, b_0, c_0, a_1, .. of one ``sample_sb_parts`` call, the pullback
-        # pairs likewise, then one lift pair of each kind of ``ct.KIND_PAIRS`` from one normal call), and
-        # each side of an identity is one stacked kernel over the rows, whose one-row case is the
-        # per-vector function named beside it.
+        # pairs likewise, the (X^h, Y^t) pair of the d eta' row, then one lift pair of each kind of
+        # ``ct.KIND_PAIRS`` from one normal call), and each side of an identity is one stacked kernel
+        # over the rows, whose one-row case is the per-vector function named beside it.
         p = sample_sb_point(m, cfg.eps, rng)
         z0 = np.concatenate([p.x, p.u])
         gauss = orc.gauss_oracle(m, p)
@@ -402,19 +400,16 @@ def _suite_oracle(cfg: SuiteConfig, m: ChartedMetric, params: dict):
             return coeffs * z
 
         yield "fd_exterior_derivative of exact form = 0", np.abs(orc.fd_exterior_derivative(exact_form, z0)).max(), 1e-8
-        xc = rng.normal(size=n)
-        yc = rng.normal(size=n)
-        two_deta_p = 4.0 * ct.d_eta_fd(m, p, xc, "h", yc, "t")  # 2 d eta' = 4 d eta
-        a_sb = sb.horizontal_sb(p, xc)
-        b_sb = sb.tangential_lift(m, p, yc)
-        gbar_phi = sb.induced_metric_at(m, p, a_sb, ct.contact_data_at(m, p).phi(b_sb))
-        yield "2 d eta'(A,B) = eps gbar(A, phi'B)", abs(two_deta_p - cfg.eps * gbar_phi), 1e-5
+        a, b, a0, b0 = ct._lift_pairs(m, p, rng, 1)  # (X^h, Y^t); 2 d eta' = 4 d eta = 2 A^T D B
+        two_deta_p = 2 * np.vecdot(np.vecmat(a0, ct.d_eta_tensor(m, p)), b0)
+        gbar_phi = geo.gbar_rows(a, ct.contact_data_at(m, p).phi_rows(b))  # induced_metric_at
+        yield "2 d eta'(A,B) = eps gbar(A, phi'B)", np.abs(two_deta_p - cfg.eps * gbar_phi).max(), 1e-5
 
         # closed nabla phi against the FD covariant derivative of the phi field on TM
         nabla_phi_fd = gauss.nabla_endomorphism(ct.phi_matrix_fn(m, cfg.eps))
-        xc, yc, xh, yh = ct.lift_draws(m, rng, 4, ct.KIND_PAIRS)  # nabla_phi against nabla_endomorphism's apply
+        xc, yc, xh, yh = ct.lift_draws(m, rng, 4, ct.KIND_PAIRS)  # nabla_phi against nabla_endomorphism
         a, b = ct.lift_parts(geo, xc, xh), ct.lift_parts(geo, yc, yh)
-        diff = sb.contract(geo.nabla_phi_parts, a, b) - nabla_phi_fd.rows(a, b)
+        diff = sb.contract(geo.nabla_phi_parts, a, b) - nabla_phi_fd(a, b)
         yield "nabla phi = FD ambient derivative", np.abs(diff).max(), 1e-5
 
 

@@ -105,18 +105,6 @@ def bumpy_chart(n=2, nu=0, seed=0, amp=0.12):
     return m
 
 
-def nan_on_call(fn, k):
-    """``fn`` whose k-th call (counting from 1) returns NaN times its result."""
-    calls = []
-
-    def wrapped(*args, **kwargs):
-        out = fn(*args, **kwargs)
-        calls.append(None)
-        return float("nan") * out if len(calls) == k else out
-
-    return wrapped
-
-
 def patch_everywhere(monkeypatch, fn, replacement):
     """Bind ``replacement`` under every name a loaded sasakigeo module holds ``fn`` by."""
     for name, mod in list(sys.modules.items()):

@@ -23,7 +23,6 @@ from sasakigeo.contact import (
     phi_sectional,
     psi_u_quadratics,
     sasakian_residual,
-    xi_plane_curvature,
 )
 from sasakigeo.errors import DegeneratePlane
 from sasakigeo.manifold import ChartedMetric, SpaceFormSpec, metric_at, space_form_chart
@@ -311,7 +310,9 @@ class TestKContact:
         m, p, rng = _chart_point(2, 0, 2.0, 1, seed=13)
         a = sample_ker_eta_vec(m, p, rng)
         horizontal = SBVec(p, a.hpart, np.zeros(2))
-        assert abs(xi_plane_curvature(m, p, horizontal) - 1.0) == pytest.approx(5.0, abs=0.01)
+        data = contact_data_at(m, p)
+        k, measured = contact._sectional_rows(data, data.xi.comps(), horizontal.comps(), 1e-8)
+        assert measured and abs(k - 1.0) == pytest.approx(5.0, abs=0.01)
 
     def test_killing_residual_magnitude(self):
         m, p, _ = _chart_point(2, 0, 2.0, 1, seed=14)
@@ -398,7 +399,7 @@ class TestPhiSectional:
 
 
 class TestOneSectionalCurvature:
-    """``xi_plane_curvature`` and ``phi_sectional`` against the suites' path, ``contact._sectional`` at floor 1e-4."""
+    """``phi_sectional`` and the xi-planes against ``contact._sectional_rows``, the suites' path, at floor 1e-4."""
 
     @pytest.mark.parametrize("eps", [1, -1])
     @pytest.mark.parametrize("generic", [False, True], ids=["space-form", "generic"])
@@ -410,13 +411,16 @@ class TestOneSectionalCurvature:
         planes = 0
         for _ in range(8):
             a = sample_ker_eta_vec(m, p, rng)
-            for x, y, public in ((data.xi, a, xi_plane_curvature), (a, data.phi(a), phi_sectional)):
+            for x, y in ((data.xi, a), (a, data.phi(a))):  # k-contact's xi-plane, then the phi-plane
                 den = data.gcm(x, x) * data.gcm(y, y) - data.gcm(x, y) ** 2
+                k, measured = contact._sectional_rows(data, x.comps(), y.comps(), 1e-4)
                 if abs(den) <= 1e-4:
-                    assert contact._sectional(m, data, x, y, 1e-4) is None
+                    assert not measured
                     continue
                 ref = data.gcm(sb_curvature(m, p, x, y, y), x) / den
-                assert public(m, p, a) == contact._sectional(m, data, x, y, 1e-4) == ref
+                assert measured and k == ref
+                if x is a:
+                    assert phi_sectional(m, p, a) == ref
                 planes += 1
         assert planes >= 8
 
@@ -424,15 +428,19 @@ class TestOneSectionalCurvature:
         m, p, rng = _chart_point(3, 0, 2.0, 1, seed=22)
         data = contact_data_at(m, p)
         a = sample_ker_eta_vec(m, p, rng)
-        for public, plane in ((xi_plane_curvature, lambda v: (data.xi, v)), (phi_sectional, lambda v: (v, data.phi(v)))):
-            tiny = 1e-5 * a if public is xi_plane_curvature else 1e-3 * a  # |den| ~ 1e-10 and ~ 1e-12
-            with pytest.raises(DegeneratePlane):
-                public(m, p, tiny)
-            small = 3e-3 * a if public is xi_plane_curvature else 5e-2 * a  # 1e-8 < |den| <= 1e-4
+        for is_phi, plane in ((False, lambda v: (data.xi, v)), (True, lambda v: (v, data.phi(v)))):
+            tiny = 1e-3 * a if is_phi else 1e-5 * a  # |den| ~ 1e-12 and ~ 1e-10
+            x, y = plane(tiny)
+            assert not contact._sectional_rows(data, x.comps(), y.comps(), 1e-8)[1]
+            if is_phi:
+                with pytest.raises(DegeneratePlane):
+                    phi_sectional(m, p, tiny)
+            small = 5e-2 * a if is_phi else 3e-3 * a  # 1e-8 < |den| <= 1e-4
             x, y = plane(small)
             assert 1e-8 < abs(data.gcm(x, x) * data.gcm(y, y) - data.gcm(x, y) ** 2) <= 1e-4
-            assert contact._sectional(m, data, x, y, 1e-4) is None
-            assert public(m, p, small) == contact._sectional(m, data, x, y, 1e-8)
+            assert not contact._sectional_rows(data, x.comps(), y.comps(), 1e-4)[1]
+            k, measured = contact._sectional_rows(data, x.comps(), y.comps(), 1e-8)
+            assert measured and (not is_phi or phi_sectional(m, p, small) == k)
 
     def test_off_ker_eta_raises_on_both_paths(self, monkeypatch):
         m, p, _ = _chart_point(3, 0, 2.0, 1, seed=23)

@@ -13,13 +13,17 @@ give the per-row stencils' jets and curvature bit for bit.  Each is checked
 on a space form and on a chart that is not locally symmetric, at n = 2 and
 3 and both eps.
 
-The ``connection``, ``oracle-crosscheck``, ``curvature``, ``phi-sectional``
-and ``k-contact`` rows draw and contract the same way: their samplers
-(``sample_ker_eta_parts``, ``contact.lift_draws``) must draw what the
-per-call loops drew and leave the generator where they left it, each
-stacked kernel's row must equal its per-vector function, and one NaN sample
-row must make exactly the checks that read it NaN and failing.
+The ``connection``, ``oracle-crosscheck``, ``curvature``, ``phi-sectional``,
+``k-contact`` and ``kappa-mu`` rows draw and contract the same way: their
+samplers (``sample_ker_eta_parts``, ``contact.lift_draws``) must draw what
+the per-call loops drew and leave the generator where they left it, each
+stacked kernel's row must equal its one-vector case, and one NaN sample
+row must make exactly the checks that read it NaN and failing.  The
+(kappa, mu) system and the 2 d eta' row keep the values of the per-sample
+formulas they replaced, bit for bit.
 """
+
+import copy
 
 import math
 from dataclasses import replace
@@ -41,7 +45,18 @@ from sasakigeo.oracle import (
     tangential_field_fn,
 )
 from sasakigeo.sampling import sample_ker_eta_parts, sample_ker_eta_vec, sample_sb_parts, sample_sb_point, sample_sb_vec
-from sasakigeo.sphere import SBVec, contract, induced_metric_at, lift, point_geometry, sb_curvature, sb_nabla, sb_nabla_rows
+from sasakigeo.sphere import (
+    SBVec,
+    contract,
+    horizontal_sb,
+    induced_metric_at,
+    lift,
+    point_geometry,
+    sb_curvature,
+    sb_nabla,
+    sb_nabla_rows,
+    tangential_lift,
+)
 from sasakigeo.stencil import FD_STEP_GAMMA, FD_STEP_SECOND, partials
 from sasakigeo.suites import SuiteConfig, _poly_field, run_suite
 
@@ -334,7 +349,7 @@ def test_the_stacked_contact_and_gauss_rows_are_the_per_vector_values(chart, n, 
     geo, data, hop, gauss = point_geometry(m, p), contact_data_at(m, p), h_at(m, p), oracle.gauss_oracle(m, p)
     a, b, c = (sample_sb_parts(m, p, rng, 6) for _ in range(3))
     va, vb, vc = ([_vec(p, row) for row in rows] for rows in (a, b, c))
-    phi_fd = gauss.nabla_endomorphism(contact.phi_matrix_fn(m, eps))
+    nabla_phi_fd = gauss.nabla_endomorphism(contact.phi_matrix_fn(m, eps))
     stacked = {
         "nabla_xi": contact.nabla_xi_rows(geo, a),
         "h": hop.apply_rows(a),
@@ -343,7 +358,7 @@ def test_the_stacked_contact_and_gauss_rows_are_the_per_vector_values(chart, n, 
         "R-bar": contract(geo.rbar, a, b, c),
         "Gauss R-bar": gauss.curvature_rows(a, b, c),
         "II": gauss.second_fundamental_form_rows(a, b),
-        "nabla phi FD": phi_fd.rows(a, b),
+        "nabla phi FD": nabla_phi_fd(a, b),
     }
     for k in range(6):
         single = {
@@ -353,8 +368,8 @@ def test_the_stacked_contact_and_gauss_rows_are_the_per_vector_values(chart, n, 
             "embed": oracle._embed_induced(m, va[k]),
             "R-bar": sb_curvature(m, p, va[k], vb[k], vc[k]).comps(),
             "Gauss R-bar": gauss.curvature(va[k], vb[k], vc[k]).comps(),
-            "II": gauss.second_fundamental_form(va[k], vb[k]),
-            "nabla phi FD": phi_fd(va[k], vb[k]).comps(),
+            "II": gauss.second_fundamental_form_rows(a[k], b[k]),
+            "nabla phi FD": nabla_phi_fd(a[k], b[k]),
         }
         for name, value in single.items():
             assert np.asarray(stacked[name][k]).tobytes() == np.asarray(value, dtype=float).tobytes(), (name, k)
@@ -371,9 +386,9 @@ def test_the_stacked_sectional_rows_are_the_per_plane_values(chart, n, eps):
         k, measured = contact._sectional_rows(data, x, y, 1e-4)
         assert not measured.all() and measured.sum() >= 6
         for row in range(len(a)):
-            single = contact._sectional(m, data, _vec(p, x[row]), _vec(p, y[row]), 1e-4)
-            assert (single is None) == (not measured[row])
-            if single is not None:
+            single, single_measured = contact._sectional_rows(data, x[row], y[row], 1e-4)
+            assert single_measured == measured[row]
+            if single_measured:
                 assert k[row] == single
 
 
@@ -388,7 +403,10 @@ NAN_ROWS = [
     ("oracle-crosscheck", suites, "sample_sb_parts", 1, 2, {"sb_curvature = Gauss-equation oracle"}),
     ("oracle-crosscheck", suites, "sample_sb_parts", 3, 0, {"sb_curvature = Gauss-equation oracle", "second fundamental form symmetric"}),
     ("oracle-crosscheck", suites, "sample_sb_parts", 2, 5, {"hypersurface pullback = induced metric"}),
-    ("oracle-crosscheck", suites.ct, "lift_draws", 1, 0, {"nabla phi = FD ambient derivative"}),
+    ("oracle-crosscheck", suites.ct, "lift_draws", 1, 0, {"2 d eta'(A,B) = eps gbar(A, phi'B)"}),
+    ("oracle-crosscheck", suites.ct, "lift_draws", 2, 0, {"nabla phi = FD ambient derivative"}),
+    ("kappa-mu", contact, "sample_sb_parts", 1, 2, {"(kappa,mu)-nullity residual", "sensitivity: residual(kappa + 0.1) >= 1e-2"}),
+    ("kappa-mu", suites, "sample_sb_parts", 2, 1, {"h self-adjoint for g_cm"}),
     ("k-contact", contact, "sample_ker_eta_parts", 2, 1, {"K(xi-plane) = eps"}),
 ]
 
@@ -414,3 +432,69 @@ def test_one_nan_sample_row_fails_exactly_the_checks_that_read_it(monkeypatch, s
     nan = {c.name for c in rep.checks if math.isnan(c.max_residual)}
     assert nan == reached
     assert {c.name for c in rep.checks if not c.passed} == clean | reached
+
+
+def _kappa_mu_per_sample(m, p, rng, num_samples):
+    """(lhs, design) of the (kappa, mu) system as the per-sample loop of ``sample_sb_vec`` draws built it."""
+    data = contact_data_at(m, p)
+    rb_xi = data.geo.rbar @ data.xi.comps()
+    lhs, v1 = [], []
+    for k in range(num_samples):
+        a = sample_sb_vec(m, p, rng)
+        b = data.xi if k % 3 == 0 else sample_sb_vec(m, p, rng)
+        lhs.append((rb_xi @ b.comps()) @ a.comps())
+        v1.append((p.eps * (data.eta(b) * a + (-data.eta(a)) * b)).comps())
+    lhs, v1 = np.array(lhs), np.array(v1)
+    return lhs, np.stack([v1, v1 @ data.geo.h_parts.T], axis=-1)
+
+
+@pytest.mark.parametrize("chart,n,eps", CASES)
+@pytest.mark.parametrize("num_samples", [1, 2, 3, 20])
+def test_the_kappa_mu_system_keeps_the_per_sample_bits(monkeypatch, chart, n, eps, num_samples):
+    m, p, _ = _point(chart, n, eps)
+    km = contact.kappa_mu_for_space_form(2.0, eps)
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    systems, real = [], np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, **kw: systems.append((a, b)) or real(a, b, **kw))
+    rep = contact.kappa_mu_residual(m, p, km, rng, num_samples=num_samples)
+    lhs, design = _kappa_mu_per_sample(m, p, ref_rng, num_samples)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    (a, b), = systems
+    assert a.tobytes() == design.reshape(-1, 2).tobytes() and b.tobytes() == lhs.ravel().tobytes()
+    fit = real(design.reshape(-1, 2), lhs.ravel(), rcond=None)[0]
+    assert (rep.params["kappa_fit"], rep.params["mu_fit"]) == (float(fit[0]), float(fit[1]))
+    nullity = np.linalg.norm(lhs - design @ np.array([km.kappa, km.mu]), axis=1).max()
+    assert rep.checks[0].name == "(kappa,mu)-nullity residual" and rep.checks[0].max_residual == nullity
+
+
+def _d_eta_per_pair(m, p, xc, yc):
+    """d(eta)(X^h, Y^t) as ``0.5 A^T D B`` of the lift values at p, the scalar the row read before the stacked pairs."""
+    z0 = np.concatenate([p.x, p.u])
+    a0 = sb_lift_field_fn(m, xc, "h", p.eps)(z0)
+    b0 = sb_lift_field_fn(m, yc, "t", p.eps)(z0)
+    return 0.5 * float(a0 @ contact.d_eta_tensor(m, p) @ b0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("eps", [1, -1])
+def test_the_d_eta_prime_row_keeps_the_per_pair_bits(monkeypatch, n, eps):
+    cfg = SuiteConfig(suite="oracle-crosscheck", n=n, nu=1, c=2.0, eps=eps, num_points=3, num_samples=8)
+    real, pairs = contact._lift_pairs, []
+
+    def recorded(m, p, rng, count):
+        before = copy.deepcopy(rng.bit_generator.state)
+        out = real(m, p, rng, count)
+        pairs.append((m, p, before, copy.deepcopy(rng.bit_generator.state)))
+        return out
+
+    monkeypatch.setattr(suites.ct, "_lift_pairs", recorded)
+    rows = [r for name, r, _ in suites._suite_oracle(cfg, suites._chart(cfg), {}) if name == "2 d eta'(A,B) = eps gbar(A, phi'B)"]
+    assert len(rows) == len(pairs) == cfg.num_points
+    for residual, (m, p, before, after) in zip(rows, pairs):
+        ref_rng = np.random.default_rng()
+        ref_rng.bit_generator.state = before
+        xc, yc = ref_rng.normal(size=n), ref_rng.normal(size=n)
+        assert ref_rng.bit_generator.state == after
+        two_deta_p = 4.0 * _d_eta_per_pair(m, p, xc, yc)
+        gbar_phi = induced_metric_at(m, p, horizontal_sb(p, xc), contact_data_at(m, p).phi(tangential_lift(m, p, yc)))
+        assert residual == abs(two_deta_p - eps * gbar_phi)

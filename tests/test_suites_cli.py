@@ -16,7 +16,6 @@ from sasakigeo.report import CheckItem, CheckReport, emit_report, fold, report_t
 from sasakigeo.sampling import rng_for, sample_sb_point
 from sasakigeo.suites import SUITES, SuiteConfig, expected_pass, matrix_configs, run_suite
 
-from conftest import nan_on_call
 
 FAST = dict(num_points=2, num_samples=8)
 
@@ -218,10 +217,20 @@ class TestNonFiniteResiduals:
         assert any(math.isnan(c.max_residual) for c in rep.checks)
 
     def test_a_nan_sample_fails_the_nullity_and_the_sensitivity_check(self, monkeypatch):
-        # both rows and the fit read one least-squares system, and one NaN sample vector enters it
+        # both rows and the fit read one least-squares system, and one NaN sample row enters it: a_1, the
+        # second row of the first point's stacked draw
         cfg = SuiteConfig(suite="kappa-mu", **FAST)
         assert run_suite(cfg).passed
-        monkeypatch.setattr(contact, "sample_sb_vec", nan_on_call(contact.sample_sb_vec, 2))
+        real, calls = contact.sample_sb_parts, []
+
+        def one_nan_row(m, p, rng, count):
+            rows = real(m, p, rng, count)
+            calls.append(count)
+            if len(calls) == 1:
+                rows[1] *= math.nan
+            return rows
+
+        monkeypatch.setattr(contact, "sample_sb_parts", one_nan_row)
         rep = run_suite(cfg)
         failing = [c for c in rep.checks if not c.passed]
         assert [c.name for c in failing] == ["(kappa,mu)-nullity residual", "sensitivity: residual(kappa + 0.1) >= 1e-2"]

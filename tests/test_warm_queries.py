@@ -289,7 +289,9 @@ def _ops():
         "contact_data_at(...).phi": lambda m, p, rng: contact_data_at(m, p).phi(*vecs(m, p, rng, 1)),
         "nabla_phi": lambda m, p, rng: nabla_phi(m, p, *vecs(m, p, rng, 2)),
         "frame_at": lambda m, p, rng: frame_at(m, p).vectors,
-        "second_fundamental_form": lambda m, p, rng: gauss_oracle(m, p).second_fundamental_form(*vecs(m, p, rng, 2)),
+        "second_fundamental_form_rows": lambda m, p, rng: gauss_oracle(m, p).second_fundamental_form_rows(
+            *(v.comps() for v in vecs(m, p, rng, 2))
+        ),
         "sb_nabla_via_ambient": lambda m, p, rng: sb_nabla_via_ambient(m, rng.normal(size=3), rng.normal(size=3), "h", "t", p),
         "tm_nabla": lambda m, p, rng: tm_nabla(m, rng.normal(size=3), lambda x: 2.0 * x, "h", "v", p.tm),
         "signature_at": lambda m, p, rng: signature_at(m, p.x),

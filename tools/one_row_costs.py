@@ -36,15 +36,11 @@ FUNCTIONS = {
     **{f"contact.nabla_phi_defn {k}": f"contact.nabla_phi_defn(m, xc, yc, {k[0]!r}, {k[1]!r}, p)" for k in KINDS},
     "contact.nabla_xi": "contact.nabla_xi(m, p, a)",
     "contact.nabla_phi": "contact.nabla_phi(m, p, lift['h'], lift['t'])",
-    "contact._sectional": "contact._sectional(m, data, a, b, 1e-4)",
-    "contact.xi_plane_curvature": "contact.xi_plane_curvature(m, p, k)",
     "contact.phi_sectional": "contact.phi_sectional(m, p, k)",
     "sphere.sb_curvature": "sphere.sb_curvature(m, p, a, b, c)",
     "sphere.induced_metric_at": "sphere.induced_metric_at(m, p, a, b)",
     "oracle.gauss_curvature_oracle": "oracle.gauss_curvature_oracle(m, p, a, b, c)",
     "GaussOracle.curvature": "gauss.curvature(a, b, c)",
-    "GaussOracle.second_fundamental_form": "gauss.second_fundamental_form(a, b)",
-    "GaussOracle.nabla_endomorphism apply": "phi_fd(lift['h'], lift['t'])",
     "oracle._embed_induced": "oracle._embed_induced(m, a)",
     "sampling.sample_sb_vec": "sampling.sample_sb_vec(m, p, rng)",
     "sampling.sample_ker_eta_vec": "sampling.sample_ker_eta_vec(m, p, rng)",
@@ -76,7 +72,6 @@ def namespace(mods: dict) -> dict:
     ns = dict(
         m=m, p=p, a=a, b=b, c=c, k=k, xc=xc, yc=yc, gauss=gauss, rng=rng,
         contact=contact, oracle=oracle, sampling=sampling, sphere=sphere,
-        data=contact.contact_data_at(m, p), phi_fd=gauss.nabla_endomorphism(contact.phi_matrix_fn(m, 1)),
         lift={kind: sphere.lift(m, p, kind, w) for kind, w in (("h", xc), ("t", yc))},
     )
     for statement in FUNCTIONS.values():  # build every kept context before timing
