@@ -18,7 +18,6 @@ The ``verify`` command line runs named suites and emits JSON/text reports.
 
 from .contact import (
     ContactData,
-    HOperator,
     KappaMu,
     check_contact_axioms,
     contact_data_at,
@@ -86,7 +85,6 @@ __all__ = [
     "CheckReport",
     "ContactData",
     "GaussOracle",
-    "HOperator",
     "HypersurfaceChart",
     "KappaMu",
     "SBFrame",

@@ -62,14 +62,17 @@ class KappaMu:
 
 @dataclass(frozen=True, eq=False)
 class ContactData:
-    """The tensors (phi, xi, eta, g_cm) at ``at``, a view of its ``geo`` = ``point_geometry(m, p)``: xi is
-    built once per view, and eta, phi and g_cm are each one product with the kept g, ``phi_parts`` or ``gbar``.
+    """The tensors (phi, xi, eta, g_cm) and h at ``at``, a view of its ``geo`` = ``point_geometry(m, p)``: xi is
+    built once per view, and eta, phi, g_cm and h are each one product with the kept g, ``phi_parts``,
+    ``gbar`` or ``h_parts``.  h vanishes on xi and acts on ker(eta) by
+    h(V^t) = (2 - eps) V^t - t{R(V, u)u},  h(X^h) = -eps X^h + h{R(X, u)u};
+    ``matrix`` is h's matrix in ``frame_at(m, p)`` (``PointGeometry.h_matrix``).
 
-    ``eta_rows``, ``phi_rows`` and ``gcm_rows`` take (h, t) parts, one vector or a stack of rows (..., 2n),
-    with one ``np.vecmat``, ``np.matvec`` or ``np.vecdot`` product per row; ``eta``, ``phi`` and ``gcm`` are
-    their one-row case on ``SBVec``, so a row of a stack equals the per-vector value bit for bit.  The
-    factors 1/2 and eps of eta and 1/4 of g_cm are exact, so scaling the product's result rounds as
-    scaling its inputs would.
+    ``eta_rows``, ``phi_rows``, ``gcm_rows`` and ``apply_rows`` (h) take (h, t) parts, one vector or a
+    stack of rows (..., 2n), with one ``np.vecmat``, ``np.matvec`` or ``np.vecdot`` product per row;
+    ``eta``, ``phi``, ``gcm`` and ``apply`` are their one-row case on ``SBVec``, so a row of a stack equals
+    the per-vector value bit for bit.  The factors 1/2 and eps of eta and 1/4 of g_cm are exact, so
+    scaling the product's result rounds as scaling its inputs would.
     """
 
     at: SBPoint
@@ -100,18 +103,6 @@ class ContactData:
     def gcm(self, a: SBVec, b: SBVec) -> float:
         require_same_sb_point(self.at, a, b)
         return float(self.gcm_rows(a.comps(), b.comps()))
-
-
-class HOperator(ContactData):
-    """The contact view at ``at`` with the tensor h tying nabla xi to phi.
-
-    h vanishes on xi and acts on ker(eta) by
-    h(V^t) = (2 - eps) V^t - t{R(V, u)u},  h(X^h) = -eps X^h + h{R(X, u)u}.
-    ``apply`` is ``PointGeometry.h_parts`` on (h, t) parts and ``matrix`` is
-    ``PointGeometry.h_matrix``, h's matrix in ``frame_at(m, p)``.  ``apply_rows``
-    takes (h, t) parts, one vector or a stack of rows, with one ``np.matvec``
-    per row; ``apply`` is its one-row case on ``SBVec``.
-    """
 
     @property
     def matrix(self) -> np.ndarray:
@@ -301,9 +292,9 @@ def nabla_xi_rows(geo: PointGeometry, parts: np.ndarray) -> np.ndarray:
     return out
 
 
-def h_at(m: ChartedMetric, p: SBPoint) -> HOperator:
-    """The ``HOperator`` view of ``point_geometry(m, p)``: the contact tensors at p and h."""
-    return HOperator(p, point_geometry(m, p))
+def h_at(m: ChartedMetric, p: SBPoint) -> ContactData:
+    """The contact view at p, h included: ``contact_data_at(m, p)``."""
+    return contact_data_at(m, p)
 
 
 def nabla_phi(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec) -> SBVec:

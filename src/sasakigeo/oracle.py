@@ -339,7 +339,7 @@ def lift_field_fn(m: ChartedMetric, field: VectorField, kind: str) -> Callable[.
 
     kinds: 'h' horizontal, 'v' vertical, 't' tangential (the extension
     X^v - eps g(X,u) N off the hypersurface needs eps: use
-    ``tangential_field_fn``).  The h-lift is a ``jet_field``; the v-lift
+    ``sb_lift_field_fn``).  The h-lift is a ``jet_field``; the v-lift
     reads no jet and ignores ``jets``.  Both call the base field at each
     row's x (``rows``), so z may be the stacked rows of a ``StencilJets``.
     """
@@ -357,14 +357,6 @@ def lift_field_fn(m: ChartedMetric, field: VectorField, kind: str) -> Callable[.
     raise ValueError(f"unknown lift kind {kind!r}")
 
 
-def tangential_field_fn(m: ChartedMetric, field: VectorField, eps: int) -> Callable[..., np.ndarray]:
-    """The ``jet_field`` of induced components of the tangential lift X^v - eps g(X,u) N, calling the base field
-    at each row's x (``rows``)."""
-    n = m.dim
-    fn = as_field(field)
-    return jet_field(m, lambda z, jet: _t_lift(jet.g, rows(fn, jet.x), z[..., n:], eps))
-
-
 def _h_lift(gamma: np.ndarray, xs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Induced components (X; -Gamma(X, u)) of X^h at (x, u), Gamma at x, row by row for any stack of Gamma, X and u.
 
@@ -376,9 +368,8 @@ def _t_lift(g: np.ndarray, xs: np.ndarray, u: np.ndarray, eps: int) -> np.ndarra
     """Induced components (0; X - eps g(X, u) u) of X^t at (x, u), g at x, row by row for any stack of g, X and u.
 
     g(X, u) is one ``np.vecmat`` and one ``np.vecdot`` per row, so a row of a stack equals the
-    one-row case bit for bit.  eps = +-1 picks the sign, exactly as multiplying by it would."""
-    gxu_u = np.vecdot(np.vecmat(xs, g), u, keepdims=True) * u
-    return np.concatenate([np.zeros(xs.shape), xs - gxu_u if eps > 0 else xs + gxu_u], axis=-1)
+    one-row case bit for bit.  For eps = +-1, x - eps y rounds as x -+ y."""
+    return np.concatenate([np.zeros(xs.shape), xs - eps * (np.vecdot(np.vecmat(xs, g), u, keepdims=True) * u)], axis=-1)
 
 
 def geodesic_flow_field_fn(m: ChartedMetric) -> Callable[..., np.ndarray]:
@@ -388,10 +379,14 @@ def geodesic_flow_field_fn(m: ChartedMetric) -> Callable[..., np.ndarray]:
 
 
 def sb_lift_field_fn(m: ChartedMetric, field: VectorField, kind: str, eps: int) -> Callable[..., np.ndarray]:
+    """Induced components of a lift field on T_eps M: the h-lift of ``lift_field_fn`` (kind 'h') or the
+    ``jet_field`` of the tangential lift X^v - eps g(X,u) N (kind 't'), calling the base field at each
+    row's x (``rows``)."""
     if kind == "h":
         return lift_field_fn(m, field, "h")
     if kind == "t":
-        return tangential_field_fn(m, field, eps)
+        fn = as_field(field)
+        return jet_field(m, lambda z, jet: _t_lift(jet.g, rows(fn, jet.x), z[..., m.dim :], eps))
     raise ValueError(f"unknown sphere-bundle lift kind {kind!r}")
 
 
@@ -562,15 +557,15 @@ class GaussOracle:
     ``_sasaki_at``.  The context also holds p's one ``stencil``, which every
     FD tensor at p that needs only base jets is differenced on: the contact
     layer's d eta, N_phi and L_xi Tg, and nabla-tilde Phi here.
-    ``curvature``, ``second_fundamental_form_rows``, ``nabla_endomorphism`` and
-    ``sb_nabla_via_ambient`` only contract them with the sampled vectors.
-    ``gauss_oracle`` keeps one context per (chart, point) on the point, and
-    ``gauss_curvature_oracle``, ``sb_nabla_via_ambient`` and the contact
-    tensors read that one.
+    ``curvature_rows``, ``second_fundamental_form_rows``, ``nabla_endomorphism``
+    and ``sb_nabla_via_ambient`` only contract them with the sampled (h, t)
+    parts.  ``gauss_oracle`` keeps one context per (chart, point) on the
+    point, and ``gauss_curvature_oracle``, ``sb_nabla_via_ambient`` and the
+    contact tensors read that one.
     Everything is built from the base jet at x and Gamma-tilde, never from
     the closed forms.  The context holds p's x, u and eps but never p
-    itself: it takes the point from the vectors it is given, checking them
-    against its own coordinates.
+    itself; its methods take rows of parts, and the per-vector entry points
+    check the vectors' point.
     """
 
     def __init__(self, m: ChartedMetric, p: SBPoint):
@@ -702,14 +697,6 @@ class GaussOracle:
         amb += np.einsum("ijk,ja->iak", self.gamma0, v) @ v
         return _own(np.einsum("oi,iab->oab", f, amb))
 
-    def _point(self, *vecs: SBVec) -> SBPoint:
-        """The point the vectors live at; it must carry this context's x, u and eps."""
-        p = vecs[0].at
-        if not (p.x is self.x and p.u is self.u and p.eps == self.eps):
-            require_same_sb_point(SBPoint(self.x, self.u, self.eps), vecs[0])
-        require_same_sb_point(p, *vecs)
-        return p
-
     def second_fundamental_form_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """II(A, B) = -eps Tg(B, nabla-tilde_A N), the Weingarten relation, for (h, t) parts a and b,
         vectors or stacks of rows: ``ii`` contracted with the induced components E a and E b (E of
@@ -717,16 +704,6 @@ class GaussOracle:
         step, so a row equals the one-vector case bit for bit."""
         e = self._parts_maps[2]
         return np.vecdot(np.vecmat(np.matvec(e, b), self.ii), np.matvec(e, a))
-
-    def curvature(self, a: SBVec, b: SBVec, c: SBVec) -> SBVec:
-        """R-bar(a, b)c by the Gauss equation: the one-row case of ``curvature_rows``.
-
-        tan(R-tilde(A,B)C) - II(B,C) nabla-tilde_A N + II(A,C) nabla-tilde_B N,
-        where tan(V) = V - eps Tg(V, N) N; F drops that N part, so tan is not
-        taken separately.
-        """
-        p = self._point(a, b, c)
-        return SBVec.of(p, self.curvature_rows(a.comps(), b.comps(), c.comps()))
 
     def curvature_rows(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
         """R-bar(a, b)c for (h, t) parts, vectors or stacks of rows: ``contract`` of ``rbar``, as
@@ -770,8 +747,14 @@ def gauss_oracle(m: ChartedMetric, p: SBPoint) -> GaussOracle:
 
 
 def gauss_curvature_oracle(m: ChartedMetric, p: SBPoint, a: SBVec, b: SBVec, c: SBVec) -> SBVec:
-    """R-bar(a, b)c by the Gauss equation, from the context ``gauss_oracle(m, p)``."""
-    return gauss_oracle(m, p).curvature(a, b, c)
+    """R-bar(a, b)c by the Gauss equation, the one-row case of ``curvature_rows`` of ``gauss_oracle(m, p)``.
+
+    tan(R-tilde(A,B)C) - II(B,C) nabla-tilde_A N + II(A,C) nabla-tilde_B N,
+    where tan(V) = V - eps Tg(V, N) N; F drops that N part, so tan is not
+    taken separately.
+    """
+    require_same_sb_point(p, a, b, c)
+    return SBVec.of(p, gauss_oracle(m, p).curvature_rows(a.comps(), b.comps(), c.comps()))
 
 
 def sb_nabla_via_ambient(

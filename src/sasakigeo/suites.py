@@ -159,21 +159,24 @@ def _rows(report: CheckReport):
         yield chk.name, chk.max_residual, chk.tol
 
 
+def _points(cfg: SuiteConfig, m: ChartedMetric, stream: int):
+    """(rng, p) for each of the ``cfg.num_points`` points of a suite's seed stream: p is the first draw of rng."""
+    for i in range(cfg.num_points):
+        rng = rng_for(cfg.seed, stream, i)
+        yield rng, sample_sb_point(m, cfg.eps, rng)
+
+
 # ---------------------------------------------------------------- suites
 
 
 def _suite_axioms(cfg: SuiteConfig, m: ChartedMetric, params: dict):
-    for i in range(cfg.num_points):
-        rng = rng_for(cfg.seed, 1, i)
-        p = sample_sb_point(m, cfg.eps, rng)
+    for rng, p in _points(cfg, m, 1):
         yield from _rows(ct.check_contact_axioms(m, p, rng, num_samples=cfg.num_samples))
 
 
 def _suite_connection(cfg: SuiteConfig, m: ChartedMetric, params: dict):
     n = cfg.n
-    for i in range(cfg.num_points):
-        rng = rng_for(cfg.seed, 2, i)
-        p = sample_sb_point(m, cfg.eps, rng)
+    for rng, p in _points(cfg, m, 2):
         xf = _poly_field(n, rng)
         yf = _poly_field(n, rng)
 
@@ -264,14 +267,11 @@ def _suite_curvature(cfg: SuiteConfig, m: ChartedMetric, params: dict):
 
     # constant rescaling of the metric leaves Gamma and the curvature operator unchanged
     lam = 3.7
-    scaled = ChartedMetric(
-        dim=m.dim,
-        index=m.index,
+    scaled = replace(
+        m,
         metric_fn=lambda x: lam * m.metric_fn(x),
         deriv1_fn=None if m.deriv1_fn is None else (lambda x: lam * m.deriv1_fn(x)),
         deriv2_fn=None if m.deriv2_fn is None else (lambda x: lam * m.deriv2_fn(x)),
-        domain_fn=m.domain_fn,
-        locally_symmetric=m.locally_symmetric,
         name=f"{lam} * {m.name}",
     )
     rng = rng_for(cfg.seed, 3, 10_000)
@@ -288,9 +288,7 @@ def _suite_kappa_mu(cfg: SuiteConfig, m: ChartedMetric, params: dict):
     fits = []
     expect_t = 2.0 - cfg.eps * (1.0 + cfg.c)
     expect_h = cfg.eps * (cfg.c - 1.0)
-    for i in range(cfg.num_points):
-        rng = rng_for(cfg.seed, 4, i)
-        p = sample_sb_point(m, cfg.eps, rng)
+    for rng, p in _points(cfg, m, 4):
         rep = ct.kappa_mu_residual(m, p, km, rng, num_samples=cfg.num_samples)
         yield from _rows(rep)
         fits.append((rep.params["kappa_fit"], rep.params["mu_fit"]))
@@ -308,16 +306,14 @@ def _suite_kappa_mu(cfg: SuiteConfig, m: ChartedMetric, params: dict):
 
 
 def _suite_k_contact(cfg: SuiteConfig, m: ChartedMetric, params: dict):
-    points = [sample_sb_point(m, cfg.eps, rng_for(cfg.seed, 5, i)) for i in range(cfg.num_points)]
+    points = [p for _, p in _points(cfg, m, 5)]
     yield from _rows(
         ct.k_contact_residual(m, points, rng_for(cfg.seed, 5, 10_000), samples_per_point=max(4, cfg.num_samples // 3))
     )
 
 
 def _suite_sasakian(cfg: SuiteConfig, m: ChartedMetric, params: dict):
-    for i in range(cfg.num_points):
-        rng = rng_for(cfg.seed, 6, i)
-        p = sample_sb_point(m, cfg.eps, rng)
+    for rng, p in _points(cfg, m, 6):
         yield from _rows(ct.sasakian_residual(m, p, rng, num_samples=max(8, cfg.num_samples // 2)))
 
 
@@ -326,9 +322,7 @@ def _suite_phi_sectional(cfg: SuiteConfig, m: ChartedMetric, params: dict):
     # ``sample_ker_eta_vec`` calls) and K(a, phi a) of all of them in one ``_sectional_rows``, whose
     # one-row case is ``phi_sectional``'s
     values = []
-    for i in range(cfg.num_points):
-        rng = rng_for(cfg.seed, 7, i)
-        p = sample_sb_point(m, cfg.eps, rng)
+    for rng, p in _points(cfg, m, 7):
         data = ct.contact_data_at(m, p)
         a = sample_ker_eta_parts(m, p, rng, max(2, cfg.num_samples // cfg.num_points + 1))
         ct._require_ker_eta(data, a)
@@ -370,7 +364,7 @@ def _suite_oracle(cfg: SuiteConfig, m: ChartedMetric, params: dict):
         geo = sb.point_geometry(m, p)
         abc = sample_sb_parts(m, p, rng, 3 * max(2, cfg.num_samples // 8))
         a, b, cvec = abc[0::3], abc[1::3], abc[2::3]
-        closed = sb.contract(geo.rbar, a, b, cvec)  # sb_curvature against GaussOracle.curvature
+        closed = sb.contract(geo.rbar, a, b, cvec)  # sb_curvature against gauss_curvature_oracle
         yield "sb_curvature = Gauss-equation oracle", np.abs(closed - gauss.curvature_rows(a, b, cvec)).max(), 1e-5
         ii_ab, ii_ba = gauss.second_fundamental_form_rows(a, b), gauss.second_fundamental_form_rows(b, a)
         yield "second fundamental form symmetric", np.abs(ii_ab - ii_ba).max(), 1e-8
@@ -416,9 +410,7 @@ def _suite_oracle(cfg: SuiteConfig, m: ChartedMetric, params: dict):
 def _suite_index(cfg: SuiteConfig, m: ChartedMetric, params: dict):
     expected_gbar_neg = 2 * cfg.nu - (1 if cfg.eps == -1 else 0)
     tg_fn = orc.sasaki_metric_fn(m)
-    for i in range(cfg.num_points):
-        rng = rng_for(cfg.seed, 9, i)
-        p = sample_sb_point(m, cfg.eps, rng)
+    for rng, p in _points(cfg, m, 9):
         pos, neg = signature_at(m, p.x)
         yield "base signature (n - nu, nu)", abs(pos - (cfg.n - cfg.nu)) + abs(neg - cfg.nu), 0.0
         z = np.concatenate([p.x, rng.normal(size=cfg.n)])  # arbitrary fiber point of TM
@@ -449,9 +441,7 @@ def _suite_brackets(cfg: SuiteConfig, m: ChartedMetric, params: dict):
         ("t", "t"): "[X^t, Y^t] = eps g(X,u)Y^t - eps g(Y,u)X^t",
         ("h", "h"): "[X^h, Y^h] on T_eps M",
     }
-    for i in range(cfg.num_points):
-        rng = rng_for(cfg.seed, 10, i)
-        p = sample_sb_point(m, cfg.eps, rng)
+    for rng, p in _points(cfg, m, 10):
         xf = _poly_field(n, rng)
         yf = _poly_field(n, rng)
         stencil = orc.gauss_oracle(m, p).stencil
@@ -459,7 +449,7 @@ def _suite_brackets(cfg: SuiteConfig, m: ChartedMetric, params: dict):
         for f in (xf, yf):
             for kind in ("h", "v"):
                 jets[f, kind] = stencil.field_jet(orc.lift_field_fn(m, f, kind))
-            jets[f, "t"] = stencil.field_jet(orc.tangential_field_fn(m, f, cfg.eps))
+            jets[f, "t"] = stencil.field_jet(orc.sb_lift_field_fn(m, f, "t", cfg.eps))
         for (kx, ky), label in labels.items():
             closed = tb.to_induced_coords(m, tb.lift_bracket(m, xf, yf, kx, ky, p.tm))
             fd = orc.jet_bracket(jets[xf, kx], jets[yf, ky])

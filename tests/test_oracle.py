@@ -30,7 +30,6 @@ from sasakigeo.oracle import (
     sasaki_metric_fn,
     sb_lift_field_fn,
     sb_nabla_via_ambient,
-    tangential_field_fn,
     _embed_induced,
 )
 from sasakigeo.sampling import sample_domain_point, sample_sb_parts, sample_sb_point, sample_sb_vec
@@ -178,7 +177,7 @@ def _ii_derivative_reference(m, p, a, b):
     z0 = np.concatenate([p.x, p.u])
 
     def extension(v):
-        hf, tf = lift_field_fn(m, v.hpart, "h"), tangential_field_fn(m, v.tpart, p.eps)
+        hf, tf = lift_field_fn(m, v.hpart, "h"), sb_lift_field_fn(m, v.tpart, "t", p.eps)
         return lambda z: hf(z) + tf(z)
 
     jh, jt = const_lift_jacobian_fn(m, b.hpart, "h", p.eps), const_lift_jacobian_fn(m, b.tpart, "t", p.eps)
@@ -248,7 +247,7 @@ class TestGaussOracle:
         p2 = sample_sb_point(m, -1, rng)
         a = sample_sb_vec(m, p1, rng)
         with pytest.raises(PointMismatch):
-            GaussOracle(m, p1).curvature(a, sample_sb_vec(m, p2, rng), a)
+            gauss_curvature_oracle(m, p1, a, sample_sb_vec(m, p2, rng), a)
 
     def test_curvature_base_point_mismatch(self, flat2):
         u = np.array([0.6, 0.8])
@@ -256,7 +255,7 @@ class TestGaussOracle:
         p2 = sb_point(flat2, np.array([0.1, 0.0]), u, 1)  # same u and eps, other x
         a = horizontal_sb(p1, np.ones(2))
         with pytest.raises(PointMismatch):
-            GaussOracle(flat2, p1).curvature(a, horizontal_sb(p2, np.ones(2)), a)
+            gauss_curvature_oracle(flat2, p1, a, horizontal_sb(p2, np.ones(2)), a)
 
 
 class TestFdLieBracket:
@@ -446,7 +445,7 @@ class TestOracleIndependence:
         def values(m):
             hx, hy = lift_field_fn(m, xc, "h"), lift_field_fn(m, yc, "h")
             return [
-                GaussOracle(m, p).curvature(a, b, cv).comps(),
+                gauss_curvature_oracle(m, p, a, b, cv).comps(),
                 sb_nabla_via_ambient(m, xc, yc, "h", "t", p).comps(),
                 sb_nabla_via_ambient(m, xc, yc, "t", "h", p).comps(),
                 fd_nijenhuis(phi_matrix_fn(m, eps), z0),
@@ -577,10 +576,11 @@ class TestPerPointOracles:
     def test_gauss_oracle_object_equals_function(self, rng, n, nu, c, eps):
         m = space_form_chart(SpaceFormSpec(n, nu, c))
         p = sample_sb_point(m, eps, rng)
-        oracle = GaussOracle(m, p)
+        oracle = GaussOracle(m, p)  # a context of its own, not the one the point keeps
         for _ in range(3):
             a, b, cv = (sample_sb_vec(m, p, rng) for _ in range(3))
-            assert np.array_equal(oracle.curvature(a, b, cv).comps(), gauss_curvature_oracle(m, p, a, b, cv).comps())
+            rows = oracle.curvature_rows(a.comps(), b.comps(), cv.comps())
+            assert np.array_equal(rows, gauss_curvature_oracle(m, p, a, b, cv).comps())
 
     def test_sasakian_residual_differentiates_phi_once_per_point(self, monkeypatch):
         from sasakigeo import contact
@@ -627,7 +627,7 @@ class TestKeptGaussOracle:
         triples = [tuple(sample_sb_vec(m, p, rng) for _ in range(3)) for _ in range(4)]
         pairs = [(rng.normal(size=3), rng.normal(size=3), kx, ky) for kx, ky in ("hh", "ht", "th", "tt")]
         fresh, copy = GaussOracle(m, p), SBPoint(p.x.copy(), p.u.copy(), eps)
-        curvatures = [fresh.curvature(a, b, cv).comps() for a, b, cv in triples]
+        curvatures = [fresh.curvature_rows(a.comps(), b.comps(), cv.comps()) for a, b, cv in triples]
         nablas = [sb_nabla_via_ambient(m, xc, yc, kx, ky, copy).comps() for xc, yc, kx, ky in pairs]
 
         builds, riemanns, nabla_arrays = [], [], []
@@ -667,7 +667,7 @@ class TestKeptGaussOracle:
         m.metric_fn = lambda y: 2.0 * metric(y)
         assert np.array_equal(point_geometry(m, p).base.g, 2.0 * g0)
         doubled = gauss_curvature_oracle(m, p, a, b, cv).comps()
-        assert np.array_equal(doubled, GaussOracle(m, p).curvature(a, b, cv).comps())
+        assert np.array_equal(doubled, GaussOracle(m, p).curvature_rows(a.comps(), b.comps(), cv.comps()))
         assert not np.allclose(doubled, before)
         m.metric_fn = lambda y: 1.0 * metric(y)  # other callables again, the first values again
         assert np.array_equal(point_geometry(m, p).base.g, g0)
@@ -713,13 +713,13 @@ class TestKeptGaussOracle:
         m = space_form_chart(SpaceFormSpec(2, 1, 1.0))
         p1, p2 = sample_sb_point(m, 1, rng), sample_sb_point(m, 1, rng)
         here, there = sample_sb_vec(m, p1, rng), sample_sb_vec(m, p2, rng)
-        gauss = gauss_oracle(m, p1)
         for vecs in ((there, here, here), (here, there, here), (here, here, there)):
             with pytest.raises(PointMismatch):
                 gauss_curvature_oracle(m, p1, *vecs)
         copy = SBPoint(p1.x.copy(), p1.u.copy(), 1)  # the same coordinates are the same point
         moved = SBVec(copy, here.hpart, here.tpart)
-        assert np.array_equal(gauss.curvature(moved, here, here).comps(), gauss.curvature(here, here, here).comps())
+        same = gauss_curvature_oracle(m, p1, here, here, here).comps()
+        assert np.array_equal(gauss_curvature_oracle(m, p1, moved, here, here).comps(), same)
 
 
 def _oracle_chart(chart):
@@ -794,7 +794,7 @@ class TestStackedGaussOracle:
         for _ in range(6):
             a, b, cv = (sample_sb_vec(m, p, rng) for _ in range(3))
             ref = _per_call_gauss(gauss, a, b, cv)
-            assert np.abs(gauss.curvature(a, b, cv).comps() - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert np.abs(gauss.curvature_rows(a.comps(), b.comps(), cv.comps()) - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("chart", CHARTS)
     @pytest.mark.parametrize("eps", [1, -1])
@@ -862,7 +862,7 @@ class TestStackedGaussOracle:
         m = bumpy_chart(3, 1)
         p = sample_sb_point(m, -1, rng)
         triples = [tuple(sample_sb_vec(m, p, rng) for _ in range(3)) for _ in range(4)]
-        gauss_oracle(m, p).curvature(*triples[0])  # builds R-tilde and R-bar
+        gauss_curvature_oracle(m, p, *triples[0])  # builds R-tilde and R-bar
         calls = []
 
         def counted(name):

@@ -42,7 +42,6 @@ from sasakigeo.oracle import (
     read_stencil_jets,
     sasaki_gamma_fn,
     sb_lift_field_fn,
-    tangential_field_fn,
 )
 from sasakigeo.sampling import sample_ker_eta_parts, sample_ker_eta_vec, sample_sb_parts, sample_sb_point, sample_sb_vec
 from sasakigeo.sphere import (
@@ -201,7 +200,7 @@ def _lift_fields(m, eps, rng):
     for name, base in (("poly", _poly_field(n, rng)), ("const", rng.normal(size=n))):
         fields[name, "h"] = lift_field_fn(m, base, "h")
         fields[name, "v"] = lift_field_fn(m, base, "v")
-        fields[name, "t"] = tangential_field_fn(m, base, eps)
+        fields[name, "t"] = sb_lift_field_fn(m, base, "t", eps)
     return fields
 
 
@@ -367,7 +366,7 @@ def test_the_stacked_contact_and_gauss_rows_are_the_per_vector_values(chart, n, 
             "gbar": induced_metric_at(m, p, va[k], vb[k]),
             "embed": oracle._embed_induced(m, va[k]),
             "R-bar": sb_curvature(m, p, va[k], vb[k], vc[k]).comps(),
-            "Gauss R-bar": gauss.curvature(va[k], vb[k], vc[k]).comps(),
+            "Gauss R-bar": oracle.gauss_curvature_oracle(m, p, va[k], vb[k], vc[k]).comps(),
             "II": gauss.second_fundamental_form_rows(a[k], b[k]),
             "nabla phi FD": nabla_phi_fd(a[k], b[k]),
         }

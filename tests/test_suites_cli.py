@@ -597,7 +597,7 @@ class TestBracketsSuite:
 
         monkeypatch.setattr(oracle, "jacobian", counted)
         monkeypatch.setattr(oracle, "lift_field_fn", counting(oracle.lift_field_fn))
-        monkeypatch.setattr(oracle, "tangential_field_fn", counting(oracle.tangential_field_fn))
+        monkeypatch.setattr(oracle, "sb_lift_field_fn", counting(oracle.sb_lift_field_fn))
         rows = list(suites._suite_brackets(cfg, m, cfg.params()))
         assert per_row == []
         assert evaluations == [(4 * n + 1, 2 * n)] * (6 * cfg.num_points)  # each lift once, on its stacked stencil

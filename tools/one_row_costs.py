@@ -40,7 +40,6 @@ FUNCTIONS = {
     "sphere.sb_curvature": "sphere.sb_curvature(m, p, a, b, c)",
     "sphere.induced_metric_at": "sphere.induced_metric_at(m, p, a, b)",
     "oracle.gauss_curvature_oracle": "oracle.gauss_curvature_oracle(m, p, a, b, c)",
-    "GaussOracle.curvature": "gauss.curvature(a, b, c)",
     "oracle._embed_induced": "oracle._embed_induced(m, a)",
     "sampling.sample_sb_vec": "sampling.sample_sb_vec(m, p, rng)",
     "sampling.sample_ker_eta_vec": "sampling.sample_ker_eta_vec(m, p, rng)",
@@ -68,9 +67,8 @@ def namespace(mods: dict) -> dict:
     a, b, c = (sampling.sample_sb_vec(m, p, rng) for _ in range(3))
     k = sampling.sample_ker_eta_vec(m, p, rng)
     xc, yc = rng.normal(size=3), rng.normal(size=3)
-    gauss = oracle.gauss_oracle(m, p)
     ns = dict(
-        m=m, p=p, a=a, b=b, c=c, k=k, xc=xc, yc=yc, gauss=gauss, rng=rng,
+        m=m, p=p, a=a, b=b, c=c, k=k, xc=xc, yc=yc, rng=rng,
         contact=contact, oracle=oracle, sampling=sampling, sphere=sphere,
         lift={kind: sphere.lift(m, p, kind, w) for kind, w in (("h", xc), ("t", yc))},
     )
