@@ -4,7 +4,9 @@ A manifold (M, g) is presented by a ``ChartedMetric``: a callable returning
 the symmetric component matrix g_ij at a point, optional analytic first and
 second partial derivatives, and a domain predicate.  Everything downstream
 (Levi-Civita connection, curvature, sectional curvature, space forms) is
-computed from these raw ingredients.
+computed from these raw ingredients.  Each callable takes one point; one
+declared by ``stencil.takes_stacks`` (the space form's are) also takes a
+stack, rows equal to its one-point calls.  An undeclared one is read per row.
 
 Index conventions
 -----------------
@@ -29,7 +31,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import DegenerateMetric, DegeneratePlane, OutOfDomain, SpaceFormMismatch
-from .stencil import FD_STEP_FIRST, FD_STEP_SECOND, jacobian, partials, points, quotient, rows
+from .stencil import FD_STEP_FIRST, FD_STEP_SECOND, jacobian, partials, points, quotient, rows, stacked, takes_stacks
 
 Point = np.ndarray
 SPACE_FORM_PLANES = 2  # tangent planes per point that ``validate_space_form`` measures
@@ -52,6 +54,9 @@ class ChartedMetric:
     exactly ``index`` negative eigenvalues everywhere on the domain.  When
     the analytic derivative callables are absent, central finite differences
     (steps 1e-5 / 1e-4) are used and ``uses_fd_derivatives`` is True.
+    Each callable takes one point; a declared one (``stencil.takes_stacks``)
+    also takes a stack (..., n), its rows equal to its one-point calls bit
+    for bit.  An undeclared replacement is read row by row.
 
     The chart and the points keep closed-form contexts built from it
     (``base_context``, ``oracle.base_jet``, ``tangent.kept_geometry``).
@@ -82,8 +87,19 @@ class ChartedMetric:
 
 
 def metric_at(m: ChartedMetric, x: Point) -> np.ndarray:
-    """Evaluate g_ij at x, checking domain, symmetry and signature."""
+    """g_ij at x or at each row of a stack x (..., n), each row's domain, shape, finiteness and symmetry checked.
+
+    A declared ``metric_fn`` reads a stack at once; an undeclared one, or a stack with a row
+    that fails a check or is not exactly symmetric, is read row by row (the first failing row's error).
+    """
     x = np.asarray(x, dtype=float)
+    if x.ndim > 1:
+        flat = x.reshape(-1, x.shape[-1])
+        if stacked(m.metric_fn) and rows(m.domain_fn, flat).all():
+            g = np.asarray(m.metric_fn(flat), dtype=float)
+            if g.shape == (len(flat), m.dim, m.dim) and np.isfinite(g).all() and (g == np.swapaxes(g, 1, 2)).all():
+                return g.reshape(x.shape[:-1] + g.shape[1:])
+        return rows(lambda y: metric_at(m, y), x)
     m.require_in_domain(x)
     g = np.asarray(m.metric_fn(x), dtype=float)
     if g.shape != (m.dim, m.dim):
@@ -97,11 +113,11 @@ def metric_at(m: ChartedMetric, x: Point) -> np.ndarray:
 
 
 def metric_deriv1_at(m: ChartedMetric, x: Point) -> np.ndarray:
-    """d_k g_ij at x: analytic when supplied, else central differences."""
+    """d_k g_ij at x or at each row of a stack x: analytic when supplied, else central differences."""
     x = np.asarray(x, dtype=float)
     if m.deriv1_fn is not None:
-        return np.asarray(m.deriv1_fn(x), dtype=float)
-    return partials(m.metric_fn, x, FD_STEP_FIRST)
+        return rows(m.deriv1_fn, x)
+    return rows(lambda y: partials(m.metric_fn, y, FD_STEP_FIRST), x)
 
 
 def metric_inverse(g: np.ndarray) -> np.ndarray:
@@ -112,14 +128,14 @@ def metric_inverse(g: np.ndarray) -> np.ndarray:
 
 
 def _levi_civita(m: ChartedMetric, x: Point, g: Optional[np.ndarray] = None) -> tuple:
-    """(g, g', g^-1, T, Gamma) at x of shape (..., n): g and g' read once per row, one inversion of the stack.
+    """(g, g', g^-1, T, Gamma) at x of shape (..., n): g and g' read as stacks, one inversion of the stack.
 
     ``T[..., l, j, k]`` = d_j g_lk + d_k g_jl - d_l g_jk is twice the first-kind
     symbols.  A g already read at x by ``metric_at`` may be passed in.
     """
     if g is None:
-        g = rows(lambda y: metric_at(m, y), x)
-    dg = rows(lambda y: metric_deriv1_at(m, y), x)
+        g = metric_at(m, x)
+    dg = metric_deriv1_at(m, x)
     ginv = metric_inverse(g)
     t = np.einsum("...jlk->...ljk", dg) + np.einsum("...kjl->...ljk", dg) - dg
     gamma = 0.5 * np.einsum("...il,...ljk->...ijk", ginv, t)
@@ -162,7 +178,7 @@ def _first_kind_derivative(ddg: np.ndarray) -> np.ndarray:
 def _curvature_pass(m: ChartedMetric, x: Point, g: Optional[np.ndarray] = None) -> CurvaturePass:
     """The ``CurvaturePass`` (g, Gamma, R and the jet behind them) at x of shape (..., n), over the stack at once.
 
-    Each chart callable is read once per row; g is inverted once for the
+    Each chart callable is read by ``stencil.rows``; g is inverted once for the
     whole stack and the Koszul step, d Gamma and R are one step on it.  A g
     already read at x by ``metric_at`` may be passed in.  d_c Gamma^i_ab
     comes from the analytic g'' when the chart has one, else from central
@@ -402,24 +418,34 @@ def space_form_chart(spec: SpaceFormSpec) -> ChartedMetric:
     signs = np.array([-1.0] * nu + [1.0] * (n - nu))
     eps_diag = np.diag(signs)
 
-    def conf(x):
-        return 1.0 + 0.25 * c * float(signs @ (x * x))
+    def conf(x):  # F, a Python float at one point (see power)
+        s = np.vecdot(x * x, signs)
+        return 1.0 + 0.25 * c * (float(s) if s.ndim == 0 else s)
 
+    def power(f, k, axes):
+        # each row's F^k by libm as a Python float (numpy's array power can differ in the last bit); raises on overflow
+        if type(f) is float:
+            return f**k
+        return np.array([v**k for v in f.ravel().tolist()]).reshape(f.shape + (1,) * axes)
+
+    @takes_stacks
     def metric_fn(x):
-        return eps_diag / conf(x) ** 2
+        return eps_diag / power(conf(x), 2, 2)
 
     half_c_signs = 0.5 * c * signs  # d_k F = half_c_signs[k] x_k
     ddf = 0.5 * c * eps_diag  # d_k d_l F
 
+    @takes_stacks
     def deriv1_fn(x):
         df = half_c_signs * x
-        return (-2.0 * df / conf(x) ** 3)[:, None, None] * eps_diag
+        return (-2.0 * df / power(conf(x), 3, 1))[..., None, None] * eps_diag
 
+    @takes_stacks
     def deriv2_fn(x):
         f = conf(x)
         df = half_c_signs * x
-        coef = 6.0 * (df[:, None] * df) / f**4 - 2.0 * ddf / f**3
-        return coef[:, :, None, None] * eps_diag
+        coef = 6.0 * (df[..., :, None] * df[..., None, :]) / power(f, 4, 2) - 2.0 * ddf / power(f, 3, 2)
+        return coef[..., None, None] * eps_diag
 
     return ChartedMetric(
         dim=n,
@@ -427,7 +453,7 @@ def space_form_chart(spec: SpaceFormSpec) -> ChartedMetric:
         metric_fn=metric_fn,
         deriv1_fn=deriv1_fn,
         deriv2_fn=deriv2_fn,
-        domain_fn=lambda x: conf(x) > 0.05,
+        domain_fn=takes_stacks(lambda x: conf(x) > 0.05),
         locally_symmetric=True,
         name=f"space_form(n={n},nu={nu},c={c:g})",
     )

@@ -127,21 +127,17 @@ class BaseJet:
         return _own(_dgamma(self.ginv, self.dg, np.asarray(self._deriv2_fn(self.x), dtype=float)))
 
 
-def _read_jet(m: ChartedMetric, x: np.ndarray) -> tuple:
-    """g and g' of the chart at x, as floats; g' by central differences when the chart has none."""
-    g = np.asarray(m.metric_fn(x), dtype=float)
-    return g, np.asarray(m.deriv1_fn(x) if m.deriv1_fn is not None else partials(m.metric_fn, x, FD_STEP_FIRST), dtype=float)
-
-
 def _jet_arrays(m: ChartedMetric, xs) -> tuple:
     """(x, g, g', g^-1, Gamma) at the rows of xs (shape (k, n)), stacked and read-only.
 
-    The one step every jet is built by: the chart is read once per row, g^-1
-    is one ``_inv`` of the (k, n, n) stack and Gamma one Koszul step on it,
-    so row k equals the one-row step at xs[k] bit for bit.
+    The one step every jet is built by: g and g' are read by ``rows`` (g' by
+    central differences row by row when the chart has none), g^-1 is one
+    ``_inv`` of the (k, n, n) stack and Gamma one Koszul step on it, so row k
+    equals the one-row step at xs[k] bit for bit.
     """
     xs = np.array(xs, dtype=float)
-    g, dg = (np.array(part) for part in zip(*(_read_jet(m, x) for x in xs)))
+    d1 = m.deriv1_fn or (lambda x: partials(m.metric_fn, x, FD_STEP_FIRST))
+    g, dg = np.array(rows(m.metric_fn, xs)), np.array(rows(d1, xs))  # copies: a chart's own buffer stays writable
     ginv = _inv(g)
     arrays = (xs, g, dg, ginv, _koszul_inv(ginv, dg))
     for a in arrays:

@@ -21,10 +21,29 @@ def points(z: np.ndarray, step: float) -> np.ndarray:
     return np.concatenate([z + d, z - d])
 
 
+def takes_stacks(fn, declared: bool = True):
+    """fn, declared (if ``declared``) to take a stack (..., N) and return its rows stacked in its leading shape,
+    each equal to fn's one-point call bit for bit; an attribute of fn, so a callable put in fn's place is not."""
+    if declared:
+        fn.takes_stacks = True
+    return fn
+
+
+def stacked(fn) -> bool:
+    """Whether fn is declared by ``takes_stacks``."""
+    return getattr(fn, "takes_stacks", False) is True
+
+
 def rows(fn, x: np.ndarray) -> np.ndarray:
-    """A one-point callable at x, or at each row of a stack x (..., N), stacked in x's leading shape, as floats."""
+    """fn at x, or at each row of a stack x (..., N), stacked in x's leading shape, as floats:
+    a callable declared by ``takes_stacks`` is called once for the stack, any other once per row."""
     if x.ndim == 1:
         return np.asarray(fn(x), dtype=float)
+    if stacked(fn):
+        values = np.asarray(fn(x), dtype=float)
+        if values.shape[: x.ndim - 1] != x.shape[:-1]:
+            raise ValueError(f"a stacked callable returned shape {values.shape} for points of shape {x.shape}")
+        return values
     values = np.array([np.asarray(fn(row), dtype=float) for row in x.reshape(-1, x.shape[-1])])
     return values.reshape(x.shape[:-1] + values.shape[1:])
 

@@ -49,7 +49,7 @@ from .sampling import (
     sample_sb_point,
     sample_tangent_plane,
 )
-from .stencil import FD_STEP_FIRST, central_difference
+from .stencil import FD_STEP_FIRST, central_difference, stacked, takes_stacks
 
 SQRT5 = math.sqrt(5.0)
 SQRT8 = 2.0 * math.sqrt(2.0)
@@ -135,14 +135,18 @@ def _poly_field(n: int, rng: np.random.Generator):
     The field keeps a read-only value for each x it has evaluated, keyed by
     x's bytes: a field is a function of x (``BaseContext.nabla`` relies on
     that too), and the suites ask for it at the same few points many times.
+    It takes stacks (``takes_stacks``), which it does not keep.
     """
     a0 = rng.normal(size=n)
     a1 = rng.normal(size=(n, n))
     a2 = rng.normal(size=(n, n, n)) * 0.5
     values = {}
 
+    @takes_stacks
     def fn(x):
         x = np.asarray(x, dtype=float)
+        if x.ndim > 1:
+            return a0 + np.matvec(a1, x) + np.einsum("ijk,...j,...k->...i", a2, x, x)
         key = x.tobytes()
         if key not in values:
             value = a0 + a1 @ x + np.einsum("ijk,j,k->i", a2, x, x)
@@ -267,11 +271,11 @@ def _suite_curvature(cfg: SuiteConfig, m: ChartedMetric, params: dict):
 
     # constant rescaling of the metric leaves Gamma and the curvature operator unchanged
     lam = 3.7
-    scaled = replace(
+    scaled = replace(  # each lambda takes stacks where the chart's callable does
         m,
-        metric_fn=lambda x: lam * m.metric_fn(x),
-        deriv1_fn=None if m.deriv1_fn is None else (lambda x: lam * m.deriv1_fn(x)),
-        deriv2_fn=None if m.deriv2_fn is None else (lambda x: lam * m.deriv2_fn(x)),
+        metric_fn=takes_stacks(lambda x: lam * m.metric_fn(x), stacked(m.metric_fn)),
+        deriv1_fn=None if m.deriv1_fn is None else takes_stacks(lambda x: lam * m.deriv1_fn(x), stacked(m.deriv1_fn)),
+        deriv2_fn=None if m.deriv2_fn is None else takes_stacks(lambda x: lam * m.deriv2_fn(x), stacked(m.deriv2_fn)),
         name=f"{lam} * {m.name}",
     )
     rng = rng_for(cfg.seed, 3, 10_000)

@@ -22,8 +22,14 @@ def test_one_round_on_this_tree_prints_every_function_once():
     assert header.split()[:3] == ["function", "parent", "us"]
     assert [line[:40].strip() for line in lines] == list(one_row_costs.FUNCTIONS)
     for line in lines:
-        parent_us, change_us, delta_us, verdict = line[40:].split()
+        parent_us, parent_iqr, change_us, change_iqr, delta_us, verdict = line[40:].split()
         assert float(parent_us) > 0 and float(change_us) > 0 and verdict in ("ok", "SLOWER")
+        assert float(parent_iqr) == 0 and float(change_iqr) == 0  # one round has no spread
+
+
+def test_the_spread_is_the_interquartile_range_of_the_rounds():
+    assert one_row_costs.iqr([5.0]) == 0.0
+    assert one_row_costs.iqr([1.0, 2.0, 3.0, 4.0, 5.0]) == 2.0
 
 
 def test_the_bound_is_three_percent_or_a_third_of_a_microsecond():

@@ -12,8 +12,11 @@ function on both sides, one ``timeit`` sample of N calls each, the parent
 first in odd rounds and the change first in even rounds, so a drift of the
 host's speed favours neither, and a burst of load on the host spoils the
 samples of one round only.  The table gives each function's least time per
-call over the rounds in microseconds on both sides, their difference, and
-"ok" when the change stays within max(3 %, 0.3 us) of the parent.
+call over the rounds in microseconds on both sides, each beside the
+interquartile range of that side's rounds (0 for one round), so a reader
+can tell a difference from the host's noise; then their difference, and
+"ok" when the change's least time stays within max(3 %, 0.3 us) of the
+parent's.
 Both trees must hold each function under its name and signature.  The tool
 writes nothing.
 """
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import statistics
 import sys
 import timeit
 from pathlib import Path
@@ -31,6 +35,10 @@ REL_BOUND, ABS_BOUND_US = 0.03, 0.3  # the change is within max(3 %, 0.3 us) of 
 KINDS = ("hh", "ht", "th", "tt")
 
 FUNCTIONS = {
+    "manifold.metric_at": "manifold.metric_at(m, p.x)",
+    "manifold.christoffel_at": "manifold.christoffel_at(m, p.x)",
+    "manifold.riemann_at": "manifold.riemann_at(m, p.x)",
+    "oracle.fd_christoffel": "oracle.fd_christoffel(m.metric_fn, p.x)",
     **{f"sphere.sb_nabla {k}": f"sphere.sb_nabla(m, xc, yc, {k[0]!r}, {k[1]!r}, p)" for k in KINDS},
     **{f"oracle.sb_nabla_via_ambient {k}": f"oracle.sb_nabla_via_ambient(m, xc, yc, {k[0]!r}, {k[1]!r}, p)" for k in KINDS},
     **{f"contact.nabla_phi_defn {k}": f"contact.nabla_phi_defn(m, xc, yc, {k[0]!r}, {k[1]!r}, p)" for k in KINDS},
@@ -60,8 +68,8 @@ def namespace(mods: dict) -> dict:
     """The chart, point, vectors and warm contexts one tree's timed statements share."""
     import numpy as np
 
-    contact, oracle, sampling, sphere = (mods[k] for k in ("contact", "oracle", "sampling", "sphere"))
-    m = mods["manifold"].space_form_chart(mods["manifold"].SpaceFormSpec(3, 1, 2.0))
+    contact, manifold, oracle, sampling, sphere = (mods[k] for k in ("contact", "manifold", "oracle", "sampling", "sphere"))
+    m = manifold.space_form_chart(manifold.SpaceFormSpec(3, 1, 2.0))
     rng = np.random.default_rng(20260)
     p = sampling.sample_sb_point(m, 1, rng)
     a, b, c = (sampling.sample_sb_vec(m, p, rng) for _ in range(3))
@@ -69,7 +77,7 @@ def namespace(mods: dict) -> dict:
     xc, yc = rng.normal(size=3), rng.normal(size=3)
     ns = dict(
         m=m, p=p, a=a, b=b, c=c, k=k, xc=xc, yc=yc, rng=rng,
-        contact=contact, oracle=oracle, sampling=sampling, sphere=sphere,
+        contact=contact, manifold=manifold, oracle=oracle, sampling=sampling, sphere=sphere,
         lift={kind: sphere.lift(m, p, kind, w) for kind, w in (("h", xc), ("t", yc))},
     )
     for statement in FUNCTIONS.values():  # build every kept context before timing
@@ -81,17 +89,24 @@ def within(parent_us: float, change_us: float) -> bool:
     return change_us - parent_us <= max(REL_BOUND * parent_us, ABS_BOUND_US)
 
 
+def iqr(values: list) -> float:
+    """The interquartile range (inclusive quartiles) of values; 0 for a single value."""
+    if len(values) < 2:
+        return 0.0
+    q = statistics.quantiles(values, n=4, method="inclusive")
+    return q[2] - q[0]
+
+
 def measure(parent: Path, change: Path, rounds: int, number: int) -> dict:
-    """{side: {function: least microseconds per call}} over interleaved rounds."""
+    """{side: {function: microseconds per call of each round}} over interleaved rounds."""
     spaces = {"parent": namespace(load_tree(parent, "tree_parent")), "change": namespace(load_tree(change, "tree_change"))}
     timers = {name: {side: timeit.Timer(stmt, globals=ns) for side, ns in spaces.items()} for name, stmt in FUNCTIONS.items()}
-    best = {side: {} for side in spaces}
+    samples = {side: {name: [] for name in FUNCTIONS} for side in spaces}
     for r in range(rounds):
         for name, timer in timers.items():
             for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
-                us = timer[side].timeit(number) / number * 1e6
-                best[side][name] = min(us, best[side].get(name, us))
-    return best
+                samples[side][name].append(timer[side].timeit(number) / number * 1e6)
+    return samples
 
 
 def main(argv=None) -> int:
@@ -103,11 +118,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.rounds < 1 or args.number < 1:
         parser.error("--rounds and --number must be >= 1")
-    best = measure(args.parent.resolve(), args.change.resolve(), args.rounds, args.number)
-    print(f"{'function':40s} {'parent us':>10s} {'change us':>10s} {'delta us':>9s}  within max(3 %, 0.3 us)")
+    samples = measure(args.parent.resolve(), args.change.resolve(), args.rounds, args.number)
+    print(
+        f"{'function':40s} {'parent us':>10s} {'IQR':>6s} {'change us':>10s} {'IQR':>6s} {'delta us':>9s}"
+        "  within max(3 %, 0.3 us)"
+    )
     for name in FUNCTIONS:
-        pu, cu = best["parent"][name], best["change"][name]
-        print(f"{name:40s} {pu:10.2f} {cu:10.2f} {cu - pu:+9.2f}  {'ok' if within(pu, cu) else 'SLOWER'}")
+        parent, change = samples["parent"][name], samples["change"][name]
+        pu, cu = min(parent), min(change)
+        print(
+            f"{name:40s} {pu:10.2f} {iqr(parent):6.2f} {cu:10.2f} {iqr(change):6.2f} {cu - pu:+9.2f}"
+            f"  {'ok' if within(pu, cu) else 'SLOWER'}"
+        )
     return 0
 
 
